@@ -75,6 +75,10 @@ class SmoothingError(HarmtomoError):
     """Every candidate subspace level was rejected by the discrepancy rule."""
 
 
+class NoiseCalibrationError(HarmtomoError):
+    """Rescaled noise missed the requested level in the observation norm."""
+
+
 class ScenarioValidationError(HarmtomoError):
     """Scenario file failed validation."""
 

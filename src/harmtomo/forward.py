@@ -13,6 +13,7 @@ coefficient of the pointwise product of the two real signals.
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sfft
 
 from .eigenbasis import EigenBasis, project, synthesize
 from .errors import ConvergenceError, ResonanceError
@@ -39,40 +40,42 @@ def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
     return np.array([harmonic_symbol(params, m, lambdas) for m in range(1, M + 1)])
 
 
-def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
-    """Harmonic coefficients of the product of two real scalar signals.
+def harmonic_product_time(a_hat, b_hat, m_out: int | None = None, axis: int = 0) -> np.ndarray:
+    """Mean and harmonics 1..m_out of the product of two real signals.
 
-    For real signals with positive-harmonic coefficients a_hat, b_hat this is
+    a_hat and b_hat hold the positive-harmonic coefficients of zero-mean real
+    signals along `axis` (harmonic m at index m - 1); the other axes
+    broadcast.  The result has m_out + 1 entries along `axis` (default
+    m_out = max(Ma, Mb)): the mean of the product at index 0, harmonic m at
+    index m.
 
-        c_m = 1/2 sum_{l=1}^{m-1} a_l b_{m-l}
-            + 1/2 sum_k conj(a_k) b_{k+m} + 1/2 sum_k a_{m+k} conj(b_k),
-
-    the tail sums truncated at the stored length.  The result is exact for
-    band-limited inputs when m_out does not exceed len(a) + len(b).
+    Alternating frequency/time scheme: both signals are synthesized on n
+    uniform samples, multiplied pointwise and transformed back.  With
+    n > Ma + Mb + m_out no product frequency aliases onto a kept harmonic, so
+    the result is exact for these band-limited inputs; harmonics above
+    Ma + Mb are exactly zero.
     """
-    a = np.asarray(a_hat, dtype=complex)
-    b = np.asarray(b_hat, dtype=complex)
-    Ma, Mb = a.size, b.size
-    m_out = m_out or max(Ma, Mb)
-    out = np.zeros(m_out, dtype=complex)
-    for m in range(1, m_out + 1):
-        s = 0.0 + 0.0j
-        for l in range(max(1, m - Mb), min(m - 1, Ma) + 1):
-            s += 0.5 * a[l - 1] * b[m - l - 1]
-        for k in range(1, min(Ma, Mb - m) + 1):
-            s += 0.5 * np.conj(a[k - 1]) * b[k + m - 1]
-        for k in range(1, min(Mb, Ma - m) + 1):
-            s += 0.5 * a[m + k - 1] * np.conj(b[k - 1])
-        out[m - 1] = s
-    return out
+    a = np.moveaxis(np.asarray(a_hat, dtype=complex), axis, 0)
+    b = a if b_hat is a_hat else np.moveaxis(np.asarray(b_hat, dtype=complex), axis, 0)
+    Ma, Mb = a.shape[0], b.shape[0]
+    m_out = max(Ma, Mb) if m_out is None else m_out
+    m_top = min(m_out, Ma + Mb)
+    # irfft drops input harmonics at or above n/2; with n > Ma + Mb + m_top those
+    # only reach product harmonics above m_out, directly or by aliasing
+    n = sfft.next_fast_len(Ma + Mb + m_top + 1, real=True)
 
+    def samples(c):
+        spec = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
+        spec[1:] = 0.5 * c
+        return sfft.irfft(spec, n, axis=0, norm="forward")
 
-def product_dc_time(a_hat, b_hat) -> complex:
-    """Mean value of the product of two real zero-mean signals: 1/2 sum conj(a) b."""
-    a = np.asarray(a_hat, dtype=complex)
-    b = np.asarray(b_hat, dtype=complex)
-    n = min(a.size, b.size)
-    return 0.5 * np.real(np.vdot(a[:n], b[:n])) + 0.0j
+    sa = samples(a)
+    sb = sa if b is a else samples(b)
+    prod = sfft.rfft(sa * sb, axis=0, norm="forward")[: m_top + 1]
+    prod[1:] *= 2.0
+    out = np.zeros((m_out + 1,) + prod.shape[1:], dtype=complex)
+    out[: m_top + 1] = prod
+    return np.moveaxis(out, 0, axis)
 
 
 def convolve_bm(basis: EigenBasis, u, v, m: int) -> np.ndarray:
@@ -90,20 +93,9 @@ def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.nd
     uc, vc = as_coeffs(u), as_coeffs(v)
     if uc.shape != vc.shape:
         raise ValueError("fields must share truncation")
-    M = uc.shape[0]
-    m_out = m_out or M
     ug = synthesize(basis, uc)  # (M, nq)
     vg = ug if (vc is uc or np.array_equal(vc, uc)) else synthesize(basis, vc)
-    out_grid = np.zeros((m_out, basis.nquad), dtype=complex)
-    for m in range(1, m_out + 1):
-        acc = np.zeros(basis.nquad, dtype=complex)
-        for l in range(max(1, m - M), min(m - 1, M) + 1):
-            acc += 0.5 * ug[l - 1] * vg[m - l - 1]
-        for k in range(1, M - m + 1):
-            acc += 0.5 * np.conj(ug[k - 1]) * vg[k + m - 1]
-            acc += 0.5 * ug[m + k - 1] * np.conj(vg[k - 1])
-        out_grid[m - 1] = acc
-    return out_grid
+    return harmonic_product_time(ug, vg, m_out or uc.shape[0], axis=0)[1:]
 
 
 def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:

@@ -69,14 +69,6 @@ def x_norm(a, du, lambdas, omega: float, spec: NormSpec) -> float:
     return float(np.sqrt(coef_sq + state**2))
 
 
-def x_norm_fields(basis: EigenBasis, phi_grid, dsigma_grid, deta_grid, du,
-                  spec: NormSpec, omega: float) -> float:
-    from .reconstruct import LinearizedInput
-
-    lin = LinearizedInput.from_fields(basis, phi_grid, dsigma_grid, deta_grid, du)
-    return x_norm(lin.a, lin.du, basis.lambdas, omega, spec)
-
-
 def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.ndarray:
     """w[m, l] = |o_m|^(4 + 2 orti) lam_l^(s_check) / |vartheta + Theta lam|^2,
     written through the harmonic symbols."""

@@ -11,13 +11,12 @@ monotone on the admissible range.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigenbasis import EigenBasis
-from .errors import SmoothingError, TheoremHypothesisError
+from .errors import NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import bochner_norm, x_norm, ytilde_obs_norm
 from .poles import build_pole_set
@@ -117,7 +116,10 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
     scale = delta / ytilde_obs_norm(noise, basis, s, omega)
     noise = noise * scale
     achieved = ytilde_obs_norm(noise, basis, s, omega)
-    assert abs(achieved - delta) <= NOISE_SCALE_TOL * max(delta, 1.0)
+    if not abs(achieved - delta) <= NOISE_SCALE_TOL * max(delta, 1.0):
+        raise NoiseCalibrationError(
+            f"rescaled noise has norm {achieved!r}, requested delta {delta!r}"
+        )
     return NoisyData(phat_delta=phat + noise, delta=delta, seed=seed)
 
 
@@ -341,16 +343,3 @@ def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
             if scenario_hash:
                 row.append(scenario_hash)
             w.writerow(row)
-
-
-def sweep_manifest(rows, scenario_payload: dict, path) -> None:
-    payload = {
-        "scenario": scenario_payload,
-        "rows": [
-            {"delta": r.delta, "tau": r.tau, "error_x": r.error_x, "bound": r.bound,
-             "cbar": r.cbar, "ctilde": r.ctilde, "status": r.status}
-            for r in rows
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)

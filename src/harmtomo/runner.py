@@ -194,9 +194,11 @@ def _preset_qr_sweep(sc, out, seed, shash):
     )
     quasirev.sweep_to_csv(rows, os.path.join(out, "sweep.csv"), scenario_hash=shash)
     errors = [r.error_x for r in rows if r.status == "ok"]
+    over = sum(1 for r in rows if np.isfinite(r.error_x) and not r.error_x <= r.bound)
     return {
         "rows": len(rows),
-        "all_ok": all(r.status == "ok" for r in rows),
+        "rows_over_bound": over,
+        "all_ok": over == 0 and all(r.status == "ok" for r in rows),
         "errors_decreasing": bool(all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))),
         "max_error": float(max(errors)) if errors else None,
     }

@@ -20,7 +20,7 @@ import numpy as np
 from .eigenbasis import EigenBasis
 from .errors import PulseSupportError, SingularInterpolantError
 from .fields import ModelParams
-from .forward import harmonic_product_time, product_dc_time, synthesize_time
+from .forward import harmonic_product_time, synthesize_time
 
 MTILDE_SINGULAR_TOL = 1e-14
 PHI_GUARD = 1e-6
@@ -143,8 +143,8 @@ def amplitude_modulate(pulse: PulseSpec, A: float) -> SourcePair:
         raise ValueError("A in {0, 1} makes det M_m = A(A-1) psi_m (psi^2)_m vanish")
     psi = pulse.psi_hat
     M = psi.size
-    psisq = harmonic_product_time(psi, psi, m_out=2 * M)
-    dc = float(product_dc_time(psi, psi).real)
+    sq = harmonic_product_time(psi, psi, m_out=2 * M)
+    dc, psisq = float(sq[0].real), sq[1:]
     mm = np.empty((M, 2, 2), dtype=complex)
     mm[:, 0, 0] = psi
     mm[:, 0, 1] = psisq[:M]
@@ -226,10 +226,6 @@ def invert_mtilde(mt: np.ndarray) -> np.ndarray:
             f"Mtilde is numerically singular: |det| = {np.abs(det):.3e}, entry scale {scale:.3e}"
         )
     return np.array([[mt[1, 1], -mt[0, 1]], [-mt[1, 0], mt[0, 0]]], dtype=complex) / det
-
-
-def mtilde_inverse_at(sp: SourcePair, o: complex, params: ModelParams) -> np.ndarray:
-    return invert_mtilde(evaluate_mtilde(sp, o, params))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,26 @@ import numpy as np
 import pytest
 
 from harmtomo import harmonic_symbol, observe, solve_linear_harmonics, solve_multiharmonic
-from harmtomo.eigenbasis import project, synthesize
+from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
 from harmtomo.fields import HarmonicField, MaterialField, ModelParams
-from harmtomo.forward import (convolve_bm, convolve_bm_all, harmonic_product_time,
-                              model_residual, symbols_matrix, synthesize_time)
+from harmtomo.forward import (convolve_bm, convolve_bm_all, convolve_bm_grid,
+                              harmonic_product_time, model_residual, symbols_matrix,
+                              synthesize_time)
 from harmtomo.poles import big_theta, vartheta
+
+from oracles import convolve_bm_grid_loop, harmonic_product_loop, product_dc_loop
+
+GOLDEN = (1 + 5**0.5) / 2
+KERNEL_RTOL = 1e-13
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0, T0=None, A=2.0):
@@ -105,9 +119,77 @@ class TestConvolution:
         T, omega = 2 * np.pi, 1.0
         t = np.linspace(0, T, 4096, endpoint=False)
         sig = synthesize_time(a, omega, t)
+        assert c.shape == (13,)
+        assert c[0] == pytest.approx(np.mean(sig**2), abs=1e-10)
         for m in (1, 3, 7, 11):
             ref = (2.0 / T) * np.sum(sig**2 * np.exp(-1j * m * omega * t)) * (T / t.size)
-            assert c[m - 1] == pytest.approx(ref, abs=1e-10)
+            assert c[m] == pytest.approx(ref, abs=1e-10)
+
+
+class TestHarmonicProductKernel:
+    """FFT kernel against the loop oracle in tests/oracles.py."""
+
+    @pytest.mark.parametrize("Ma, Mb", [(7, 7), (5, 11), (13, 4), (1, 9)])
+    def test_matches_loop_for_every_output_length(self, Ma, Mb):
+        rng = np.random.default_rng(Ma * 100 + Mb)
+        a, b = _crandn(rng, Ma), _crandn(rng, Mb)
+        top = max(Ma, Mb)
+        for m_out in sorted({1, max(1, top - 2), top, Ma + Mb}):
+            got = harmonic_product_time(a, b, m_out=m_out)
+            assert got.shape == (m_out + 1,)
+            assert _rel_err(got[1:], harmonic_product_loop(a, b, m_out)) <= KERNEL_RTOL
+        assert harmonic_product_time(a, b).shape == (top + 1,)
+
+    def test_tail_beyond_sum_of_lengths_is_zero(self):
+        rng = np.random.default_rng(11)
+        a, b = _crandn(rng, 6), _crandn(rng, 3)
+        got = harmonic_product_time(a, b, m_out=20)
+        assert got.shape == (21,)
+        assert np.all(got[10:] == 0.0)
+        assert _rel_err(got[1:10], harmonic_product_loop(a, b, 9)) <= KERNEL_RTOL
+
+    def test_dc_entry_is_mean_of_product(self):
+        rng = np.random.default_rng(12)
+        for Ma, Mb in ((8, 8), (4, 10)):
+            a, b = _crandn(rng, Ma), _crandn(rng, Mb)
+            got = harmonic_product_time(a, b, m_out=3)[0]
+            ref = product_dc_loop(a, b)
+            assert got.imag == 0.0
+            assert abs(got - ref) <= KERNEL_RTOL * abs(ref)
+
+    def test_batch_axis_leading_and_trailing(self):
+        rng = np.random.default_rng(13)
+        a, b = _crandn(rng, 9, 3), _crandn(rng, 5, 3)  # harmonics on axis 0
+        m_out = 12
+        got0 = harmonic_product_time(a, b, m_out=m_out, axis=0)
+        got1 = harmonic_product_time(a.T, b.T, m_out=m_out, axis=-1)
+        assert got0.shape == (m_out + 1, 3) and got1.shape == (3, m_out + 1)
+        for k in range(3):
+            ref = harmonic_product_loop(a[:, k], b[:, k], m_out)
+            assert _rel_err(got0[1:, k], ref) <= KERNEL_RTOL
+            assert _rel_err(got1[k, 1:], ref) <= KERNEL_RTOL
+            assert got0[0, k] == pytest.approx(product_dc_loop(a[:, k], b[:, k]), rel=KERNEL_RTOL)
+        assert np.array_equal(got0, got1.T)
+
+    def test_grid_product_matches_loop_on_interval(self, basis8):
+        rng = np.random.default_rng(14)
+        M = 24
+        u, v = _crandn(rng, M, basis8.J), _crandn(rng, M, basis8.J)
+        for m_out in (None, 5, M, 2 * M):
+            ref = convolve_bm_grid_loop(basis8, u, v, m_out)
+            assert _rel_err(convolve_bm_grid(basis8, u, v, m_out), ref) <= KERNEL_RTOL
+        ref = convolve_bm_grid_loop(basis8, u, u)
+        assert _rel_err(convolve_bm_grid(basis8, u, u.copy()), ref) <= KERNEL_RTOL
+
+    def test_grid_product_matches_loop_on_rectangle(self):
+        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
+                                      sigma_points="side:y=0")
+        rng = np.random.default_rng(15)
+        M = 10
+        u, v = _crandn(rng, M, basis.J), _crandn(rng, M, basis.J)
+        for m_out in (M, 2 * M):
+            ref = convolve_bm_grid_loop(basis, u, v, m_out)
+            assert _rel_err(convolve_bm_grid(basis, u, v, m_out), ref) <= KERNEL_RTOL
 
 
 class TestLinearSolve:

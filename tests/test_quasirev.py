@@ -3,7 +3,7 @@ import pytest
 
 from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, choose_tau,
                       compute_cbar, compute_ctilde, smooth_data, run_sweep, ytilde_obs_norm)
-from harmtomo.errors import SmoothingError, TheoremHypothesisError
+from harmtomo.errors import NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.quasirev import TauConstants, smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
@@ -87,6 +87,14 @@ class TestNoise:
         na = ytilde_obs_norm(a.phat_delta, basis8, 1.0, 1.0)
         nb = ytilde_obs_norm(b.phat_delta, basis8, 1.0, 1.0)
         assert na == pytest.approx(nb, rel=1e-12)
+
+    def test_calibration_miss_raises_typed_error(self, basis8, monkeypatch):
+        import harmtomo.quasirev as qr
+
+        norms = iter([1.0, 2.0])  # draw norm, then a rescaled norm that misses delta
+        monkeypatch.setattr(qr, "ytilde_obs_norm", lambda *args: next(norms))
+        with pytest.raises(NoiseCalibrationError):
+            add_noise(np.zeros((2, 6, 1), dtype=complex), 1e-3, 1, basis8, 1.0, 1.0)
 
 
 def four_side_rectangle(J=12):

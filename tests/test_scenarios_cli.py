@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 from harmtomo.cli import main
@@ -90,6 +92,23 @@ class TestRun:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("delta,tau,error_x,bound,cbar,ctilde,status")
         assert len(lines) == 4
+
+    def test_qr_sweep_manifest_agrees_with_rows(self, tmp_path):
+        # several of these seeds put sweep rows above the calibrated bound
+        over_seen = 0
+        for seed in range(1, 9):
+            out = tmp_path / f"qr{seed}"
+            assert main(["run", str(QR), "--out", str(out), "--seed", str(seed)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            with open(out / "sweep.csv", newline="") as f:
+                rows = list(csv.DictReader(f))
+            over = sum(1 for r in rows if math.isfinite(float(r["error_x"]))
+                       and not float(r["error_x"]) <= float(r["bound"]))
+            assert manifest["rows"] == len(rows)
+            assert manifest["rows_over_bound"] == over, seed
+            assert manifest["all_ok"] == (over == 0 and all(r["status"] == "ok" for r in rows)), seed
+            over_seen += over
+        assert over_seen > 0
 
     def test_smoothing_preset(self, tmp_path):
         out = tmp_path / "sm"
