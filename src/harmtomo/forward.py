@@ -40,12 +40,12 @@ def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
     return np.array([harmonic_symbol(params, m, lambdas) for m in range(1, M + 1)])
 
 
-def harmonic_product_time(a_hat, b_hat, m_out: int | None = None, axis: int = 0) -> np.ndarray:
+def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
     """Mean and harmonics 1..m_out of the product of two real signals.
 
     a_hat and b_hat hold the positive-harmonic coefficients of zero-mean real
-    signals along `axis` (harmonic m at index m - 1); the other axes
-    broadcast.  The result has m_out + 1 entries along `axis` (default
+    signals along axis 0 (harmonic m at index m - 1); the other axes
+    broadcast.  The result has m_out + 1 entries along axis 0 (default
     m_out = max(Ma, Mb)): the mean of the product at index 0, harmonic m at
     index m.
 
@@ -55,8 +55,8 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None, axis: int = 0)
     the result is exact for these band-limited inputs; harmonics above
     Ma + Mb are exactly zero.
     """
-    a = np.moveaxis(np.asarray(a_hat, dtype=complex), axis, 0)
-    b = a if b_hat is a_hat else np.moveaxis(np.asarray(b_hat, dtype=complex), axis, 0)
+    a = np.asarray(a_hat, dtype=complex)
+    b = a if b_hat is a_hat else np.asarray(b_hat, dtype=complex)
     Ma, Mb = a.shape[0], b.shape[0]
     m_out = max(Ma, Mb) if m_out is None else m_out
     m_top = min(m_out, Ma + Mb)
@@ -75,7 +75,7 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None, axis: int = 0)
     prod[1:] *= 2.0
     out = np.zeros((m_out + 1,) + prod.shape[1:], dtype=complex)
     out[: m_top + 1] = prod
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def convolve_bm(basis: EigenBasis, u, v, m: int) -> np.ndarray:
@@ -95,7 +95,7 @@ def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.nd
         raise ValueError("fields must share truncation")
     ug = synthesize(basis, uc)  # (M, nq)
     vg = ug if (vc is uc or np.array_equal(vc, uc)) else synthesize(basis, vc)
-    return harmonic_product_time(ug, vg, m_out or uc.shape[0], axis=0)[1:]
+    return harmonic_product_time(ug, vg, m_out)[1:]
 
 
 def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:

@@ -157,19 +157,16 @@ class TestHarmonicProductKernel:
             assert got.imag == 0.0
             assert abs(got - ref) <= KERNEL_RTOL * abs(ref)
 
-    def test_batch_axis_leading_and_trailing(self):
+    def test_trailing_axes_broadcast(self):
         rng = np.random.default_rng(13)
         a, b = _crandn(rng, 9, 3), _crandn(rng, 5, 3)  # harmonics on axis 0
         m_out = 12
-        got0 = harmonic_product_time(a, b, m_out=m_out, axis=0)
-        got1 = harmonic_product_time(a.T, b.T, m_out=m_out, axis=-1)
-        assert got0.shape == (m_out + 1, 3) and got1.shape == (3, m_out + 1)
+        got = harmonic_product_time(a, b, m_out=m_out)
+        assert got.shape == (m_out + 1, 3)
         for k in range(3):
             ref = harmonic_product_loop(a[:, k], b[:, k], m_out)
-            assert _rel_err(got0[1:, k], ref) <= KERNEL_RTOL
-            assert _rel_err(got1[k, 1:], ref) <= KERNEL_RTOL
-            assert got0[0, k] == pytest.approx(product_dc_loop(a[:, k], b[:, k]), rel=KERNEL_RTOL)
-        assert np.array_equal(got0, got1.T)
+            assert _rel_err(got[1:, k], ref) <= KERNEL_RTOL
+            assert got[0, k] == pytest.approx(product_dc_loop(a[:, k], b[:, k]), rel=KERNEL_RTOL)
 
     def test_grid_product_matches_loop_on_interval(self, basis8):
         rng = np.random.default_rng(14)
@@ -180,6 +177,7 @@ class TestHarmonicProductKernel:
             assert _rel_err(convolve_bm_grid(basis8, u, v, m_out), ref) <= KERNEL_RTOL
         ref = convolve_bm_grid_loop(basis8, u, u)
         assert _rel_err(convolve_bm_grid(basis8, u, u.copy()), ref) <= KERNEL_RTOL
+        assert convolve_bm_grid(basis8, u, v, 0).shape == (0, basis8.nquad)
 
     def test_grid_product_matches_loop_on_rectangle(self):
         basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
