@@ -12,8 +12,8 @@ from .poles import (PoleSet, build_pole_set, characteristic_roots,
                     pole_asymptotic, select_pole, verify_bounds)
 from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
                           assemble_fields, extract_residues, linearized_forward,
-                          recover_coefficients, recover_states,
-                          solve_states_from_coeffs, trace_inverse, reconstruct)
+                          recover_coefficients, solve_states_from_coeffs,
+                          trace_inverse, reconstruct)
 from .sources import (PulseSpec, ReferenceState, SourcePair, amplitude_modulate,
                       build_reference_state, design_delta_pulse, evaluate_mtilde,
                       invert_mtilde, psi_recursion)

@@ -334,18 +334,19 @@ def trace_at(basis: EigenBasis) -> np.ndarray:
     return basis.trace_matrix
 
 
-def trace_on_eigenspace(basis: EigenBasis, ell: int) -> np.ndarray:
-    """Trace row of eigenspace ell; raises TraceRankError when degenerate."""
+def trace_on_eigenspace(basis: EigenBasis, ell) -> np.ndarray:
+    """Trace row of eigenspace ell (one row per entry of an index array);
+    raises TraceRankError naming the first degenerate eigenspace."""
     row = basis.trace_matrix[ell]
-    scale = np.sqrt(np.sum(basis.sigma_weights * row * row))
-    if scale <= TRACE_RANK_TOL:
-        raise TraceRankError(ell)
+    scale = np.sqrt(np.sum(basis.sigma_weights * row * row, axis=-1))
+    bad = np.flatnonzero(scale <= TRACE_RANK_TOL)
+    if bad.size:
+        raise TraceRankError(int(np.reshape(ell, -1)[bad[0]]))
     return row
 
 
 def check_trace_ranks(basis: EigenBasis) -> None:
-    for ell in range(basis.J):
-        trace_on_eigenspace(basis, ell)
+    trace_on_eigenspace(basis, np.arange(basis.J))
 
 
 def basis_to_csv(basis: EigenBasis, path, scenario_hash: str = "") -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,18 +159,3 @@ def harmonic_field_to_csv(u, path, scenario_hash: str = "") -> None:
                 if scenario_hash:
                     row.append(scenario_hash)
                 w.writerow(row)
-
-
-def harmonic_field_to_json(u, path) -> None:
-    c = as_coeffs(u)
-    payload = {
-        "M": int(c.shape[0]),
-        "J": int(c.shape[1]),
-        "entries": [
-            {"m": m + 1, "j": j, "re": c[m, j].real, "im": c[m, j].imag}
-            for m in range(c.shape[0])
-            for j in range(c.shape[1])
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)

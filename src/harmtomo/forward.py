@@ -37,7 +37,7 @@ def harmonic_symbol(params: ModelParams, m: int, lam):
 def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
     """(M, J) table of harmonic symbols."""
     lambdas = np.asarray(lambdas, dtype=float)
-    return np.array([harmonic_symbol(params, m, lambdas) for m in range(1, M + 1)])
+    return harmonic_symbol(params, np.arange(1, M + 1)[:, None], lambdas[None, :])
 
 
 def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:

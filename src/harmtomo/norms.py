@@ -16,9 +16,9 @@ import numpy as np
 from .eigenbasis import EigenBasis
 from .fields import ModelParams, NormSpec, as_coeffs
 from .forward import symbols_matrix
-from .poles import PoleSet, big_theta, psi_transfer_prime
-from .reconstruct import field_interp_at, trace_inverse, trace_lift
-from .sources import SourcePair, evaluate_mtilde, invert_mtilde
+from .poles import PoleSet
+from .reconstruct import pole_table, residue_term, trace_lift
+from .sources import SourcePair
 
 
 def rho_t(x, T: float):
@@ -78,40 +78,26 @@ def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.nda
     return mw[:, None] * lw[None, :] / np.abs(sym) ** 2
 
 
-def _pole_data(sp: SourcePair, pole_set: PoleSet, params: ModelParams):
-    """Mtilde(p_l)^(-1) and the prefactor Theta Psi'/p^2 per admissible pole."""
-    ok = np.flatnonzero(pole_set.ok)
-    mt_inv, pref = {}, {}
-    for ell in ok:
-        p = pole_set.poles[ell]
-        mt_inv[ell] = invert_mtilde(evaluate_mtilde(sp, p, params))
-        pref[ell] = big_theta(p, params) * psi_transfer_prime(p, params) / (p * p)
-    return ok, mt_inv, pref
-
-
 def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
                basis: EigenBasis, params: ModelParams,
                pole_values=None) -> tuple[float, float]:
     """The two squared pieces of the model-side image norm.
 
-    pole_values optionally overrides Mtilde(p_l)^(-1) rtilde^l(p_l)
+    pole_values, a (J, 2) array, optionally overrides
+    q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) on the modes with an admissible pole
     (used by the cancellation self-test)."""
     rhat = np.asarray(rhat, dtype=complex)
     M = rhat.shape[1]
-    ok, mt_inv, _ = _pole_data(sp, pole_set, params)
-    w = _pole_weight(params, basis.lambdas, M, spec)
-    lam_s = _lam_weight(basis.lambdas, spec.s)
-    term1 = 0.0
-    term2 = 0.0
-    for ell in ok:
-        if pole_values is None:
-            q = mt_inv[ell] @ field_interp_at(rhat, pole_set.poles[ell], params)[:, ell]
-        else:
-            q = np.asarray(pole_values[ell], dtype=complex)
-        pred = sp.mm[:M] @ q                  # (M, 2)
-        diff = pred.T - rhat[:, :, ell]       # (2, M)
-        term1 += float(np.sum(w[:, ell] * np.sum(np.abs(diff) ** 2, axis=0)))
-        term2 += float(lam_s[ell] * np.sum(np.abs(q) ** 2))
+    t = pole_table(pole_set, sp, params)
+    if pole_values is None:
+        q = t.model_term(rhat)                                   # (n_ok, 2)
+    else:
+        q = np.asarray(pole_values, dtype=complex)[t.ok]
+    w = _pole_weight(params, basis.lambdas, M, spec)[:, t.ok]    # (M, n_ok)
+    lam_s = _lam_weight(basis.lambdas, spec.s)[t.ok]
+    diff = np.einsum("mef,kf->emk", sp.mm[:M], q) - rhat[:, :, t.ok]   # (2, M, n_ok)
+    term1 = float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0)))
+    term2 = float(np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=1)))
     return term1, term2
 
 
@@ -127,19 +113,14 @@ def yobs_terms(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
     """The two squared pieces of the observation-side image norm, from the
     residues of the data continuation.  M is the harmonic range of the first
     double sum (defaults to the source truncation)."""
-    residues = np.asarray(residues, dtype=complex)
     M = M or sp.M
-    ok, mt_inv, pref = _pole_data(sp, pole_set, params)
-    w = _pole_weight(params, basis.lambdas, M, spec)
-    lam_s = _lam_weight(basis.lambdas, spec.s)
-    term1 = 0.0
-    term2 = 0.0
-    for ell in ok:
-        lifted = trace_inverse(mt_inv[ell] @ residues[ell], basis, ell)  # (2,)
-        P = pref[ell] * lifted
-        amp = sp.mm[:M] @ P                   # (M, 2)
-        term1 += float(np.sum(w[:, ell] * np.sum(np.abs(amp) ** 2, axis=1)))
-        term2 += float(lam_s[ell] * np.sum(np.abs(P) ** 2))
+    t = pole_table(pole_set, sp, params)
+    P = residue_term(residues, t, basis)                         # (n_ok, 2)
+    w = _pole_weight(params, basis.lambdas, M, spec)[:, t.ok]    # (M, n_ok)
+    lam_s = _lam_weight(basis.lambdas, spec.s)[t.ok]
+    amp = np.einsum("mef,kf->mke", sp.mm[:M], P)                 # (M, n_ok, 2)
+    term1 = float(np.sum(w * np.sum(np.abs(amp) ** 2, axis=2)))
+    term2 = float(np.sum(lam_s * np.sum(np.abs(P) ** 2, axis=1)))
     return term1, term2
 
 

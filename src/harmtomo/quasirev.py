@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis
-from .errors import NoiseCalibrationError, SmoothingError, TheoremHypothesisError
+from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import bochner_norm, x_norm, ytilde_obs_norm
 from .poles import build_pole_set
@@ -322,10 +322,10 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
             rows.append(SweepRow(delta=delta, tau=tau, error_x=err,
                                  bound=calibration * raw, cbar=cbar, ctilde=ctil,
                                  status="ok"))
-        except Exception as exc:  # row-level failures stay in the table
+        except HarmtomoError as exc:  # typed numerical failures stay in the table
             rows.append(SweepRow(delta=delta, tau=float("nan"), error_x=float("nan"),
-                                 bound=float("nan"), cbar=float("nan"),
-                                 ctilde=float("nan"), status=f"failed: {exc}"))
+                                 bound=float("nan"), cbar=float("nan"), ctilde=float("nan"),
+                                 status=f"failed: {type(exc).__name__}: {exc}"))
     return rows
 
 

@@ -15,6 +15,7 @@ space.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import IllConditionedFitError
 from .fields import ModelParams
 from .forward import observe, symbols_matrix
 from .poles import PoleSet, big_theta, psi_transfer_prime
-from .sources import SourcePair, evaluate_mtilde, interp_periodic, invert_mtilde, ReferenceState
+from .sources import SourcePair, evaluate_mtilde, interp_kernels, invert_mtilde, ReferenceState
 
 PHI_GUARD = 1e-6
 FIT_COND_LIMIT = 1e12
@@ -83,17 +84,64 @@ def linearized_forward(ref: ReferenceState, params: ModelParams, basis: EigenBas
     return LinearizedData(rhat=rhat, phat=phat)
 
 
-def field_interp_at(rhat, o: complex, params: ModelParams) -> np.ndarray:
-    """Analytic interpolant rtilde^j(o) = (2/T) integral r^j(t) exp(-o t) dt
-    of the per-mode model residues, from their harmonic coefficients."""
-    hat = np.moveaxis(np.asarray(rhat, dtype=complex), -2, -1)  # (..., J, M)
-    return interp_periodic(hat, 0.0, o, params.omega, params.T)  # (..., J)
+@dataclass(frozen=True, eq=False)
+class PoleTable:
+    """The data-independent residue algebra at every admissible pole, stacked
+    along the leading axis in the order of `ok`.
+
+    The interpolation kernels turn rtilde^l(p_l) for every mode into one
+    contraction over harmonics (see `rtilde`).  Arrays are read-only: one
+    table is shared by every consumer of the same pole set.
+    """
+
+    ok: np.ndarray      # (n_ok,) indices of the modes with an admissible pole
+    p: np.ndarray       # (n_ok,) complex poles p_l
+    mt: np.ndarray      # (n_ok, 2, 2) Mtilde(p_l)
+    mt_inv: np.ndarray  # (n_ok, 2, 2) Mtilde(p_l)^(-1)
+    pref: np.ndarray    # (n_ok,) -p^2 / (Theta(p) Psi'(p)) at p_l, the reciprocal
+                        # slope of the characteristic denominator at a simple pole
+    kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l
+    km: np.ndarray      # (n_ok, M) kernel of their conjugates
+
+    def rtilde(self, rhat) -> np.ndarray:
+        """rtilde^l(p_l) = (2/T) integral r^l(t) exp(-p_l t) dt of the model
+        residues rhat (2, M, J) on each admissible mode l: (n_ok, 2)."""
+        r = np.asarray(rhat, dtype=complex)[:, :, self.ok]      # (2, M, n_ok)
+        M = r.shape[1]
+        return (np.einsum("emk,km->ke", r, self.kp[:, :M])
+                + np.einsum("emk,km->ke", np.conj(r), self.km[:, :M]))
+
+    def model_term(self, rhat) -> np.ndarray:
+        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (n_ok, 2)."""
+        return np.einsum("kef,kf->ke", self.mt_inv, self.rtilde(rhat))
 
 
-def _residue_prefactor(p: complex, params: ModelParams) -> complex:
-    """-p^2 / (Theta(p) Psi'(p)), the reciprocal slope of the characteristic
-    denominator at a simple pole."""
-    return -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
+@functools.lru_cache(maxsize=8)
+def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
+    """Build the per-pole table once per (pole set, source pair, parameters).
+
+    Pole sets and source pairs compare by identity and parameters by value,
+    so repeated calls with the same objects return the same table.
+    """
+    ok = np.flatnonzero(pole_set.ok)
+    p = pole_set.poles[ok]
+    mt = evaluate_mtilde(sp, p, params)
+    kp, km, _ = interp_kernels(p, sp.M, params.omega, params.T)
+    pref = -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
+    table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), pref=pref, kp=kp, km=km)
+    for arr in vars(table).values():
+        arr.setflags(write=False)
+    return table
+
+
+def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
+    """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
+    admissible mode: (n_ok, 2)."""
+    rows = trace_on_eigenspace(basis, table.ok)              # (n_ok, ns)
+    wr = basis.sigma_weights * rows
+    v = np.einsum("kef,kfx->kex", table.mt_inv, np.asarray(residues, dtype=complex)[table.ok])
+    lifted = np.einsum("kex,kx->ke", v, wr) / np.sum(wr * rows, axis=1)[:, None]
+    return (-1.0 / table.pref)[:, None] * lifted
 
 
 def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
@@ -104,15 +152,11 @@ def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePai
                  - Mtilde(p_l) a^l); used as the independent reference the
     fit path must reproduce on noiseless data.
     """
-    rhat = np.asarray(rhat, dtype=complex)
-    J, ns = basis.J, basis.nsigma
-    res = np.zeros((J, 2, ns), dtype=complex)
-    a = lin.a
-    for ell in np.flatnonzero(pole_set.ok):
-        p = pole_set.poles[ell]
-        rt = field_interp_at(rhat, p, params)[:, ell]          # (2,)
-        vec = rt - evaluate_mtilde(sp, p, params) @ a[ell]
-        res[ell] = _residue_prefactor(p, params) * np.outer(vec, basis.trace_matrix[ell])
+    t = pole_table(pole_set, sp, params)
+    res = np.zeros((basis.J, 2, basis.nsigma), dtype=complex)
+    vec = t.rtilde(rhat) - np.einsum("kef,kf->ke", t.mt, lin.a[t.ok])    # (n_ok, 2)
+    rows = basis.trace_matrix[t.ok]
+    res[t.ok] = t.pref[:, None, None] * (vec[:, :, None] * rows[:, None, :])
     return res
 
 
@@ -133,7 +177,7 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     M, ns, J = phat.shape[1], basis.nsigma, basis.J
     sym = symbols_matrix(params, basis.lambdas, M)
     D = 1.0 / sym                                            # (M, J)
-    mm_inv = np.array([invert_mtilde(sp.mm[m]) for m in range(M)])
+    mm_inv = invert_mtilde(sp.mm[:M])
     s = np.einsum("mef,fmj->emj", mm_inv, rhat)              # (2, M, J)
     known = np.einsum("mj,emj,jx->emx", D, s, basis.trace_matrix)
     y = np.einsum("mef,fmx->emx", mm_inv, phat) - known      # (2, M, ns)
@@ -150,13 +194,11 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     sol, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     C = sol[: ok.size].reshape(ok.size, 2, ns)               # C_l(x0) = a^l tr(phi_l)(x0)
 
+    t = pole_table(pole_set, sp, params)
+    rt = t.rtilde(rhat)
+    vec = rt[:, :, None] * basis.trace_matrix[ok][:, None, :] - np.einsum("kef,kfx->kex", t.mt, C)
     res = np.zeros((J, 2, ns), dtype=complex)
-    for i, ell in enumerate(ok):
-        p = pole_set.poles[ell]
-        rt = field_interp_at(rhat, p, params)[:, ell]
-        mt = evaluate_mtilde(sp, p, params)
-        vec = np.outer(rt, basis.trace_matrix[ell]) - mt @ C[i]
-        res[ell] = _residue_prefactor(p, params) * vec
+    res[ok] = t.pref[:, None, None] * vec
     return res, cond
 
 
@@ -195,35 +237,19 @@ def trace_lift(v, basis: EigenBasis) -> np.ndarray:
 
 
 def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
-                         basis: EigenBasis, params: ModelParams,
-                         order: str = "inside") -> tuple[np.ndarray, np.ndarray]:
+                         basis: EigenBasis, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient pairs a^l from residues and the known model residues:
 
         a^l = Theta(p) Psi'(p)/p^2 * TrInv[Mtilde(p)^(-1) res_l]
               + Mtilde(p)^(-1) rtilde^l(p),     p = p_l.
 
-    order selects whether Mtilde^(-1) is applied inside or outside the trace
-    inversion; the two agree on simple eigenspaces and both are kept for the
-    cross-check.  Returns (a, mtilde_cond).
+    Returns (a, mtilde_cond).
     """
-    residues = np.asarray(residues, dtype=complex)
-    J = basis.J
-    a = np.zeros((J, 2), dtype=complex)
-    mt_cond = np.full(J, np.nan)
-    for ell in np.flatnonzero(pole_set.ok):
-        p = pole_set.poles[ell]
-        mt = evaluate_mtilde(sp, p, params)
-        mt_inv = invert_mtilde(mt)
-        mt_cond[ell] = float(np.linalg.cond(mt))
-        pref = 1.0 / _residue_prefactor(p, params)  # Theta(p) Psi'(p) / p^2, negated below
-        rt = field_interp_at(rhat, p, params)[:, ell]
-        if order == "inside":
-            lifted = trace_inverse(mt_inv @ residues[ell], basis, ell)
-        elif order == "outside":
-            lifted = mt_inv @ trace_inverse(residues[ell], basis, ell)
-        else:
-            raise ValueError(f"unknown order {order!r}")
-        a[ell] = -pref * lifted + mt_inv @ rt
+    t = pole_table(pole_set, sp, params)
+    a = np.zeros((basis.J, 2), dtype=complex)
+    mt_cond = np.full(basis.J, np.nan)
+    mt_cond[t.ok] = np.linalg.cond(t.mt)
+    a[t.ok] = residue_term(residues, t, basis) + t.model_term(rhat)
     return a, mt_cond
 
 
@@ -243,33 +269,6 @@ def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.nd
             f"vanishing characteristic denominator at (m={m_bad + 1}, j={j_bad})"
         )
     return (rhat - np.einsum("meq,jq->emj", mm, a)) / sym[None, :, :]
-
-
-def recover_states(residues, rhat, sp: SourcePair, pole_set: PoleSet,
-                   basis: EigenBasis, params: ModelParams) -> np.ndarray:
-    """Direct state formula through the residue data:
-
-        b_m^l = -1/symbol(m, lam_l) * ( Theta(p) Psi'(p)/p^2 *
-                M_m TrInv[Mtilde(p)^(-1) res_l] + M_m Mtilde(p)^(-1)
-                rtilde^l(p) - r_m^l ),
-
-    algebraically the same as solve_states_from_coeffs at the recovered a.
-    """
-    residues = np.asarray(residues, dtype=complex)
-    rhat = np.asarray(rhat, dtype=complex)
-    M, J = rhat.shape[1], basis.J
-    sym = symbols_matrix(params, basis.lambdas, M)
-    b = np.zeros((2, M, J), dtype=complex)
-    mm = sp.mm[:M]
-    for ell in np.flatnonzero(pole_set.ok):
-        p = pole_set.poles[ell]
-        mt_inv = invert_mtilde(evaluate_mtilde(sp, p, params))
-        pref = 1.0 / _residue_prefactor(p, params)
-        rt = field_interp_at(rhat, p, params)[:, ell]
-        lifted = trace_inverse(mt_inv @ residues[ell], basis, ell)   # (2,)
-        inner = -pref * (mm @ lifted) + mm @ (mt_inv @ rt)           # (M, 2)
-        b[:, :, ell] = -(inner.T - rhat[:, :, ell]) / sym[None, :, ell]
-    return b
 
 
 def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):

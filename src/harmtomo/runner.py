@@ -23,7 +23,7 @@ from .poles import build_pole_set, pole_table_csv, verify_bounds
 from .reconstruct import linearized_forward, oracle_residues, reconstruct, result_to_csv
 from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
                         make_reference, make_true_fields, min_symbol_magnitude,
-                        scenario_hash, validate_scenario)
+                        quasirev_settings, scenario_hash, validate_scenario)
 from .errors import ScenarioValidationError
 
 
@@ -184,13 +184,12 @@ def _preset_qr_sweep(sc, out, seed, shash):
     ref = make_reference(sc, basis, params)
     rng = np.random.default_rng(seed)
     truth = make_true_fields(sc, basis, rng)
-    qr = sc.quasirev
+    qr = quasirev_settings(sc)
     rows = quasirev.run_sweep(
         basis, ref, params, spec, truth,
         delta_list=sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4]),
-        tau0=qr.get("tau0", 0.0), seed=seed,
-        tau_min=qr.get("tau_min", 0.1), tau_max=qr.get("tau_max", 0.5),
-        ratio=qr.get("grid_ratio", 2.0**0.25), tolerance=qr.get("tolerance", 0.1),
+        tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
+        ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
     )
     quasirev.sweep_to_csv(rows, os.path.join(out, "sweep.csv"), scenario_hash=shash)
     errors = [r.error_x for r in rows if r.status == "ok"]

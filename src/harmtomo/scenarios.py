@@ -25,6 +25,9 @@ PRESETS = ("basis-report", "forward-solve", "pole-report", "linearized-roundtrip
 
 REQUIRED_PARAM_KEYS = ("tau", "beta", "sigma0", "omega", "T0", "A")
 
+QUASIREV_DEFAULTS = {"tau0": 0.0, "tau_min": 0.1, "tau_max": 0.5, "grid_ratio": 2.0**0.25,
+                     "tolerance": 0.1}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -83,6 +86,11 @@ def make_params(sc: Scenario) -> ModelParams:
         raise ScenarioValidationError([f"physical parameter {k!r} must be explicit" for k in missing])
     return ModelParams.create(tau=p["tau"], beta=p["beta"], sigma0=p["sigma0"],
                               omega=p["omega"], T0=p["T0"], A=p["A"])
+
+
+def quasirev_settings(sc: Scenario) -> dict:
+    """The scenario's quasirev block with every unset key at its default."""
+    return {**QUASIREV_DEFAULTS, **sc.quasirev}
 
 
 def make_norm_spec(sc: Scenario) -> NormSpec:
@@ -198,16 +206,15 @@ def validate_scenario(sc: Scenario) -> list[str]:
         for j, _ in tf.get(key, []):
             if not (0 <= int(j) < sc.J):
                 out.append(f"{key} index {j} outside truncation")
-    qr = sc.quasirev
-    if qr:
-        tau0 = qr.get("tau0", 0.0)
-        if tau0 == 0.0 and spec is not None:
+    if sc.quasirev or sc.preset == "qr-sweep":
+        qr = quasirev_settings(sc)
+        if qr["tau0"] == 0.0 and spec is not None:
             if abs(p["T0"] - T) > 1e-12 * T:
                 out.append("quasi-reversibility with tau0 = 0 needs T0 = T")
             if spec.orti_check >= 1.0:
                 out.append("quasi-reversibility with tau0 = 0 needs orti_check < 1")
-        if qr.get("tau_max", p["sigma0"] * p["beta"]) > p["sigma0"] * p["beta"]:
-            out.append("tau_max above sigma0*beta leaves the admissible range")
+        if qr["tau_max"] > p["sigma0"] * p["beta"]:
+            out.append(f"tau_max {qr['tau_max']!r} above sigma0*beta leaves the admissible range")
     return out
 
 

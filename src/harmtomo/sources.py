@@ -11,8 +11,6 @@ det Mtilde(o) = A (A - 1) psi_tilde(o) psisq_tilde(o) hold to roundoff.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +148,7 @@ def amplitude_modulate(pulse: PulseSpec, A: float) -> SourcePair:
     mm[:, 0, 1] = psisq[:M]
     mm[:, 1, 0] = A * psi
     mm[:, 1, 1] = A * A * psisq[:M]
-    cond = np.array([np.linalg.cond(mm[k]) for k in range(M)])
+    cond = np.linalg.cond(mm)
     pulse2 = PulseSpec(psi_hat=A * psi, t_grid=pulse.t_grid, psi_t=A * pulse.psi_t,
                        T0=pulse.T0, width=pulse.width, amplitude=A * pulse.amplitude)
     return SourcePair(psi1=pulse, psi2=pulse2, A=A, mm=mm, psi_sq_hat=psisq,
@@ -173,59 +171,97 @@ def _period_kernel(z, T: float):
     return out if out.shape else complex(out)
 
 
-def interp_periodic(hat, dc: float, o: complex, omega: float, T: float):
-    """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
-    positive harmonics `hat` and mean `dc`, analytic in o.
+def interp_kernels(o, n: int, omega: float, T: float):
+    """Kernel vectors of the analytic interpolant at the points o.
 
-    Away from the harmonic lattice the shared numerator (1 - exp(-o T))
-    factors out, which keeps the huge exponentials of strongly damped poles
-    in one place; near the lattice the per-term kernel with its removable
-    limit is used instead.  hat may carry leading dimensions; the last axis
-    indexes harmonics.
+    Returns (kp, km, k0) with kp, km of shape o.shape + (n,) and k0 of shape
+    o.shape such that (2/T) integral_0^T g(t) exp(-o t) dt equals
+    hat . kp + conj(hat) . km + dc * k0 for the real signal with positive
+    harmonics hat (length n) and mean dc.  Away from the harmonic lattice the
+    shared numerator (1 - exp(-o T)) / T multiplies 1/(o -+ i m omega) and
+    2/o, which keeps the huge exponentials of strongly damped poles in one
+    place; near the lattice the per-term kernel with its removable limit is
+    used instead.
     """
-    hat = np.asarray(hat, dtype=complex)
-    n = hat.shape[-1]
+    o = np.asarray(o, dtype=complex)
+    shape = o.shape
+    o = o.reshape(-1, 1)
     mw = np.arange(1, n + 1) * omega
     zp = o - 1j * mw
     zm = o + 1j * mw
-    near_lattice = min(np.min(np.abs(zp)), np.min(np.abs(zm)), abs(o)) * T < 1e-4
-    if near_lattice:
-        val = (hat * _period_kernel(zp, T)).sum(axis=-1)
-        val = val + (np.conj(hat) * _period_kernel(zm, T)).sum(axis=-1)
-        return val / T + (2.0 / T) * dc * _period_kernel(o, T)
-    common = 1.0 - np.exp(-o * T)
-    val = (hat / zp).sum(axis=-1) + (np.conj(hat) / zm).sum(axis=-1) + 2.0 * dc / o
-    return common * val / T
+    near = np.minimum(np.minimum(np.abs(zp).min(axis=1), np.abs(zm).min(axis=1)),
+                      np.abs(o[:, 0])) * T < 1e-4
+    far = ~near
+    kp = np.empty(zp.shape, dtype=complex)
+    km = np.empty(zp.shape, dtype=complex)
+    k0 = np.empty(o.shape[0], dtype=complex)
+    common = (1.0 - np.exp(-o[far] * T)) / T
+    kp[far] = common / zp[far]
+    km[far] = common / zm[far]
+    k0[far] = 2.0 * common[:, 0] / o[far, 0]
+    kp[near] = _period_kernel(zp[near], T) / T
+    km[near] = _period_kernel(zm[near], T) / T
+    k0[near] = (2.0 / T) * _period_kernel(o[near, 0], T)
+    return kp.reshape(shape + (n,)), km.reshape(shape + (n,)), k0.reshape(shape)
 
 
-def psi_tilde(sp: SourcePair, o: complex, params: ModelParams):
+def interp_periodic(hat, dc: float, o, omega: float, T: float):
+    """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
+    positive harmonics `hat` and mean `dc`, analytic in o.
+
+    hat may carry leading dimensions (the last axis indexes harmonics) and o
+    may be an array; the result has shape hat.shape[:-1] + o.shape.
+    """
+    hat = np.asarray(hat, dtype=complex)
+    kp, km, k0 = interp_kernels(o, hat.shape[-1], omega, T)
+    # elementwise products and a pairwise sum per point, so a point gives the
+    # same value whether it comes alone or in an array
+    h = hat.reshape(hat.shape[:-1] + (1,) * (kp.ndim - 1) + hat.shape[-1:])
+    val = (h * kp).sum(axis=-1) + (np.conj(h) * km).sum(axis=-1) + dc * k0
+    return val[()]
+
+
+def psi_tilde(sp: SourcePair, o, params: ModelParams):
     return interp_periodic(sp.psi1.psi_hat, 0.0, o, params.omega, params.T)
 
 
-def psi_sq_tilde(sp: SourcePair, o: complex, params: ModelParams):
+def psi_sq_tilde(sp: SourcePair, o, params: ModelParams):
     return interp_periodic(sp.psi_sq_hat, sp.psi_sq_dc, o, params.omega, params.T)
 
 
-def evaluate_mtilde(sp: SourcePair, o: complex, params: ModelParams) -> np.ndarray:
-    """Mtilde(o) = [[psi~(o), psi^2~(o)], [A psi~(o), A^2 psi^2~(o)]].
+def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
+    """Mtilde(o) = [[psi~(o), psi^2~(o)], [A psi~(o), A^2 psi^2~(o)]], shape
+    o.shape + (2, 2).
 
     Interpolates the source matrices: Mtilde(i m omega) = M_m exactly.
     """
     p1 = psi_tilde(sp, o, params)
     p2 = psi_sq_tilde(sp, o, params)
     A = sp.A
-    return np.array([[p1, p2], [A * p1, A * A * p2]], dtype=complex)
+    return np.stack([np.stack([p1, p2], axis=-1), np.stack([A * p1, A * A * p2], axis=-1)],
+                    axis=-2)
 
 
-def invert_mtilde(mt: np.ndarray) -> np.ndarray:
-    """Cramer inverse of a 2x2 complex matrix with a determinant guard."""
-    det = mt[0, 0] * mt[1, 1] - mt[0, 1] * mt[1, 0]
-    scale = np.max(np.abs(mt)) ** 2
-    if np.abs(det) <= MTILDE_SINGULAR_TOL * max(scale, 1e-300):
+def invert_mtilde(mt) -> np.ndarray:
+    """Cramer inverse of stacked 2x2 complex matrices (..., 2, 2), with a
+    determinant guard on every member of the stack."""
+    mt = np.asarray(mt, dtype=complex)
+    det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
+    scale = np.max(np.abs(mt), axis=(-2, -1)) ** 2
+    singular = np.abs(det) <= MTILDE_SINGULAR_TOL * np.maximum(scale, 1e-300)
+    if np.any(singular):
+        i = np.unravel_index(int(np.argmax(singular)), singular.shape)
+        where = f" at stack index {tuple(map(int, i))}" if i else ""
         raise SingularInterpolantError(
-            f"Mtilde is numerically singular: |det| = {np.abs(det):.3e}, entry scale {scale:.3e}"
+            f"Mtilde is numerically singular{where}: |det| = {np.abs(det[i]):.3e}, "
+            f"entry scale {scale[i]:.3e}"
         )
-    return np.array([[mt[1, 1], -mt[0, 1]], [-mt[1, 0], mt[0, 0]]], dtype=complex) / det
+    inv = np.empty_like(mt)
+    inv[..., 0, 0] = mt[..., 1, 1]
+    inv[..., 0, 1] = -mt[..., 0, 1]
+    inv[..., 1, 0] = -mt[..., 1, 0]
+    inv[..., 1, 1] = mt[..., 0, 0]
+    return inv / det[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -320,41 +356,3 @@ def _boundary_gamma(basis: EigenBasis) -> np.ndarray:
         dists = {gx0: abs(x), gx1: abs(x - Lx), gy0: abs(y), gy1: abs(y - Ly)}
         out[i] = min(dists.items(), key=lambda kv: kv[1])[0]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def source_pair_to_csv(sp: SourcePair, path, scenario_hash: str = "") -> None:
-    """Per-harmonic table of pulse coefficients and matrix entries."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["m", "psi_re", "psi_im", "psisq_re", "psisq_im", "det_re", "det_im", "cond"]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for k in range(sp.M):
-            det = np.linalg.det(sp.mm[k])
-            row = [k + 1,
-                   format(sp.psi1.psi_hat[k].real, ".17g"), format(sp.psi1.psi_hat[k].imag, ".17g"),
-                   format(sp.psi_sq_hat[k].real, ".17g"), format(sp.psi_sq_hat[k].imag, ".17g"),
-                   format(det.real, ".17g"), format(det.imag, ".17g"),
-                   format(sp.cond[k], ".17g")]
-            if scenario_hash:
-                row.append(scenario_hash)
-            w.writerow(row)
-
-
-def source_pair_to_json(sp: SourcePair, path) -> None:
-    payload = {
-        "A": sp.A,
-        "T0": sp.psi1.T0,
-        "width": sp.psi1.width,
-        "psi_hat": [[c.real, c.imag] for c in sp.psi1.psi_hat],
-        "psi_sq_hat": [[c.real, c.imag] for c in sp.psi_sq_hat],
-        "psi_sq_dc": sp.psi_sq_dc,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)

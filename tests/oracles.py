@@ -1,9 +1,12 @@
-"""Loop implementations of the harmonic product, kept as independent references.
+"""Loop implementations kept as independent references for the tests.
 
-These are the direct harmonic-pair sums over the real-signal convention
-u(t) = Re(sum_m u_m exp(i m omega t)).  The package computes the same
-quantities with one FFT kernel (`harmonic_product_time`); the tests compare
-the two.
+The harmonic product: direct harmonic-pair sums over the real-signal
+convention u(t) = Re(sum_m u_m exp(i m omega t)); the package computes the
+same quantities with one FFT kernel (`harmonic_product_time`).
+
+The residue algebra: Mtilde(p_l), its inverse, the prefactor and rtilde^l(p_l)
+re-derived one pole at a time; the package reads them from one per-pole table
+(`reconstruct.pole_table`) built with array expressions.
 """
 
 from __future__ import annotations
@@ -11,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from harmtomo.eigenbasis import EigenBasis, synthesize
-from harmtomo.fields import as_coeffs
+from harmtomo.errors import IllConditionedFitError
+from harmtomo.fields import ModelParams, NormSpec, as_coeffs
+from harmtomo.forward import symbols_matrix
+from harmtomo.norms import _lam_weight, _pole_weight
+from harmtomo.poles import PoleSet, big_theta, psi_transfer_prime
+from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, trace_inverse
+from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
 
 
 def harmonic_product_loop(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
@@ -68,3 +77,224 @@ def convolve_bm_grid_loop(basis: EigenBasis, u, v, m_out: int | None = None) -> 
             acc += 0.5 * ug[m + k - 1] * np.conj(vg[k - 1])
         out_grid[m - 1] = acc
     return out_grid
+
+
+def interp_periodic_scalar(hat, dc: float, o: complex, omega: float, T: float):
+    """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
+    positive harmonics `hat` and mean `dc`, analytic in o.
+
+    Away from the harmonic lattice the shared numerator (1 - exp(-o T))
+    factors out, which keeps the huge exponentials of strongly damped poles
+    in one place; near the lattice the per-term kernel with its removable
+    limit is used instead.  hat may carry leading dimensions; the last axis
+    indexes harmonics.
+    """
+    hat = np.asarray(hat, dtype=complex)
+    n = hat.shape[-1]
+    mw = np.arange(1, n + 1) * omega
+    zp = o - 1j * mw
+    zm = o + 1j * mw
+    near_lattice = min(np.min(np.abs(zp)), np.min(np.abs(zm)), abs(o)) * T < 1e-4
+    if near_lattice:
+        val = (hat * _period_kernel(zp, T)).sum(axis=-1)
+        val = val + (np.conj(hat) * _period_kernel(zm, T)).sum(axis=-1)
+        return val / T + (2.0 / T) * dc * _period_kernel(o, T)
+    common = 1.0 - np.exp(-o * T)
+    val = (hat / zp).sum(axis=-1) + (np.conj(hat) / zm).sum(axis=-1) + 2.0 * dc / o
+    return common * val / T
+
+
+def field_interp_at(rhat, o: complex, params: ModelParams) -> np.ndarray:
+    """Analytic interpolant rtilde^j(o) = (2/T) integral r^j(t) exp(-o t) dt
+    of the per-mode model residues, from their harmonic coefficients."""
+    hat = np.moveaxis(np.asarray(rhat, dtype=complex), -2, -1)  # (..., J, M)
+    return interp_periodic_scalar(hat, 0.0, o, params.omega, params.T)  # (..., J)
+
+
+def _residue_prefactor(p: complex, params: ModelParams) -> complex:
+    """-p^2 / (Theta(p) Psi'(p)), the reciprocal slope of the characteristic
+    denominator at a simple pole."""
+    return -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
+
+
+def oracle_residues_loop(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
+                         basis: EigenBasis, params: ModelParams) -> np.ndarray:
+    """Exact residues of the data continuation from the known truth.
+
+    res_l(x0) = -p^2/(Theta Psi')(p_l) * tr(phi_l)(x0) * (rtilde^l(p_l)
+                 - Mtilde(p_l) a^l); used as the independent reference the
+    fit path must reproduce on noiseless data.
+    """
+    rhat = np.asarray(rhat, dtype=complex)
+    J, ns = basis.J, basis.nsigma
+    res = np.zeros((J, 2, ns), dtype=complex)
+    a = lin.a
+    for ell in np.flatnonzero(pole_set.ok):
+        p = pole_set.poles[ell]
+        rt = field_interp_at(rhat, p, params)[:, ell]          # (2,)
+        vec = rt - evaluate_mtilde(sp, p, params) @ a[ell]
+        res[ell] = _residue_prefactor(p, params) * np.outer(vec, basis.trace_matrix[ell])
+    return res
+
+
+def fit_residues_loop(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
+                      params: ModelParams, analytic_degree: int = 2,
+                      cond_limit: float = FIT_COND_LIMIT) -> tuple[np.ndarray, float]:
+    """Residues by linear least squares on the known pole lattice.
+
+    After applying M_m^(-1) and subtracting the known model-residue part, the
+    data are a linear combination of the per-mode rational profiles
+    o^2/(vartheta(o) + Theta(o) lam_j) sampled at o_m = i m omega, plus a
+    smooth remainder represented by a low-order polynomial in 1/o.  The
+    fitted per-mode amplitudes convert to residues through the same closed
+    formula the oracle path uses, so both agree on noiseless data.
+    """
+    phat = np.asarray(phat, dtype=complex)
+    rhat = np.asarray(rhat, dtype=complex)
+    M, ns, J = phat.shape[1], basis.nsigma, basis.J
+    sym = symbols_matrix(params, basis.lambdas, M)
+    D = 1.0 / sym                                            # (M, J)
+    mm_inv = np.array([invert_mtilde(sp.mm[m]) for m in range(M)])
+    s = np.einsum("mef,fmj->emj", mm_inv, rhat)              # (2, M, J)
+    known = np.einsum("mj,emj,jx->emx", D, s, basis.trace_matrix)
+    y = np.einsum("mef,fmx->emx", mm_inv, phat) - known      # (2, M, ns)
+
+    ok = np.flatnonzero(pole_set.ok)
+    o_m = 1j * np.arange(1, M + 1) * params.omega
+    powers = np.stack([(1.0 / o_m) ** k for k in range(analytic_degree + 1)], axis=1)
+    G = np.concatenate([-D[:, ok], powers], axis=1)          # (M, n_ok + deg + 1)
+    cond = float(np.linalg.cond(G))
+    if cond > cond_limit:
+        raise IllConditionedFitError(cond)
+
+    rhs = y.transpose(1, 0, 2).reshape(M, 2 * ns)
+    sol, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+    C = sol[: ok.size].reshape(ok.size, 2, ns)               # C_l(x0) = a^l tr(phi_l)(x0)
+
+    res = np.zeros((J, 2, ns), dtype=complex)
+    for i, ell in enumerate(ok):
+        p = pole_set.poles[ell]
+        rt = field_interp_at(rhat, p, params)[:, ell]
+        mt = evaluate_mtilde(sp, p, params)
+        vec = np.outer(rt, basis.trace_matrix[ell]) - mt @ C[i]
+        res[ell] = _residue_prefactor(p, params) * vec
+    return res, cond
+
+
+def recover_coefficients_loop(residues, rhat, sp: SourcePair, pole_set: PoleSet,
+                              basis: EigenBasis, params: ModelParams,
+                              order: str = "inside") -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient pairs a^l from residues and the known model residues:
+
+        a^l = Theta(p) Psi'(p)/p^2 * TrInv[Mtilde(p)^(-1) res_l]
+              + Mtilde(p)^(-1) rtilde^l(p),     p = p_l.
+
+    order selects whether Mtilde^(-1) is applied inside or outside the trace
+    inversion; the two agree on simple eigenspaces and both are kept for the
+    cross-check.  Returns (a, mtilde_cond).
+    """
+    residues = np.asarray(residues, dtype=complex)
+    J = basis.J
+    a = np.zeros((J, 2), dtype=complex)
+    mt_cond = np.full(J, np.nan)
+    for ell in np.flatnonzero(pole_set.ok):
+        p = pole_set.poles[ell]
+        mt = evaluate_mtilde(sp, p, params)
+        mt_inv = invert_mtilde(mt)
+        mt_cond[ell] = float(np.linalg.cond(mt))
+        pref = 1.0 / _residue_prefactor(p, params)  # Theta(p) Psi'(p) / p^2, negated below
+        rt = field_interp_at(rhat, p, params)[:, ell]
+        if order == "inside":
+            lifted = trace_inverse(mt_inv @ residues[ell], basis, ell)
+        elif order == "outside":
+            lifted = mt_inv @ trace_inverse(residues[ell], basis, ell)
+        else:
+            raise ValueError(f"unknown order {order!r}")
+        a[ell] = -pref * lifted + mt_inv @ rt
+    return a, mt_cond
+
+
+def recover_states(residues, rhat, sp: SourcePair, pole_set: PoleSet,
+                   basis: EigenBasis, params: ModelParams) -> np.ndarray:
+    """Direct state formula through the residue data:
+
+        b_m^l = -1/symbol(m, lam_l) * ( Theta(p) Psi'(p)/p^2 *
+                M_m TrInv[Mtilde(p)^(-1) res_l] + M_m Mtilde(p)^(-1)
+                rtilde^l(p) - r_m^l ),
+
+    algebraically the same as solve_states_from_coeffs at the recovered a.
+    """
+    residues = np.asarray(residues, dtype=complex)
+    rhat = np.asarray(rhat, dtype=complex)
+    M, J = rhat.shape[1], basis.J
+    sym = symbols_matrix(params, basis.lambdas, M)
+    b = np.zeros((2, M, J), dtype=complex)
+    mm = sp.mm[:M]
+    for ell in np.flatnonzero(pole_set.ok):
+        p = pole_set.poles[ell]
+        mt_inv = invert_mtilde(evaluate_mtilde(sp, p, params))
+        pref = 1.0 / _residue_prefactor(p, params)
+        rt = field_interp_at(rhat, p, params)[:, ell]
+        lifted = trace_inverse(mt_inv @ residues[ell], basis, ell)   # (2,)
+        inner = -pref * (mm @ lifted) + mm @ (mt_inv @ rt)           # (M, 2)
+        b[:, :, ell] = -(inner.T - rhat[:, :, ell]) / sym[None, :, ell]
+    return b
+
+
+def pole_data_loop(sp: SourcePair, pole_set: PoleSet, params: ModelParams):
+    """Mtilde(p_l)^(-1) and the prefactor Theta Psi'/p^2 per admissible pole."""
+    ok = np.flatnonzero(pole_set.ok)
+    mt_inv, pref = {}, {}
+    for ell in ok:
+        p = pole_set.poles[ell]
+        mt_inv[ell] = invert_mtilde(evaluate_mtilde(sp, p, params))
+        pref[ell] = big_theta(p, params) * psi_transfer_prime(p, params) / (p * p)
+    return ok, mt_inv, pref
+
+
+def ymod_terms_loop(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
+                    basis: EigenBasis, params: ModelParams,
+                    pole_values=None) -> tuple[float, float]:
+    """The two squared pieces of the model-side image norm.
+
+    pole_values optionally overrides Mtilde(p_l)^(-1) rtilde^l(p_l)
+    (used by the cancellation self-test)."""
+    rhat = np.asarray(rhat, dtype=complex)
+    M = rhat.shape[1]
+    ok, mt_inv, _ = pole_data_loop(sp, pole_set, params)
+    w = _pole_weight(params, basis.lambdas, M, spec)
+    lam_s = _lam_weight(basis.lambdas, spec.s)
+    term1 = 0.0
+    term2 = 0.0
+    for ell in ok:
+        if pole_values is None:
+            q = mt_inv[ell] @ field_interp_at(rhat, pole_set.poles[ell], params)[:, ell]
+        else:
+            q = np.asarray(pole_values[ell], dtype=complex)
+        pred = sp.mm[:M] @ q                  # (M, 2)
+        diff = pred.T - rhat[:, :, ell]       # (2, M)
+        term1 += float(np.sum(w[:, ell] * np.sum(np.abs(diff) ** 2, axis=0)))
+        term2 += float(lam_s[ell] * np.sum(np.abs(q) ** 2))
+    return term1, term2
+
+
+def yobs_terms_loop(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
+                    basis: EigenBasis, params: ModelParams,
+                    M: int | None = None) -> tuple[float, float]:
+    """The two squared pieces of the observation-side image norm, from the
+    residues of the data continuation.  M is the harmonic range of the first
+    double sum (defaults to the source truncation)."""
+    residues = np.asarray(residues, dtype=complex)
+    M = M or sp.M
+    ok, mt_inv, pref = pole_data_loop(sp, pole_set, params)
+    w = _pole_weight(params, basis.lambdas, M, spec)
+    lam_s = _lam_weight(basis.lambdas, spec.s)
+    term1 = 0.0
+    term2 = 0.0
+    for ell in ok:
+        lifted = trace_inverse(mt_inv[ell] @ residues[ell], basis, ell)  # (2,)
+        P = pref[ell] * lifted
+        amp = sp.mm[:M] @ P                   # (M, 2)
+        term1 += float(np.sum(w[:, ell] * np.sum(np.abs(amp) ** 2, axis=1)))
+        term2 += float(lam_s[ell] * np.sum(np.abs(P) ** 2))
+    return term1, term2

@@ -30,6 +30,17 @@ def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0, T0=None, A=2.0):
 
 
 class TestHarmonicSymbol:
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_symbols_matrix_matches_per_harmonic(self, kind, basis16):
+        basis = basis16 if kind == "interval" else build_rectangle_basis(
+            np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 12, sigma_points="side:y=0")
+        p = params_of(tau=0.3, beta=0.8, omega=0.5)
+        M = 64
+        table = symbols_matrix(p, basis.lambdas, M)
+        rows = np.array([harmonic_symbol(p, m, basis.lambdas) for m in range(1, M + 1)])
+        assert table.shape == (M, basis.J)
+        assert _rel_err(table, rows) <= 1e-15
+
     def test_undamped_resonance(self):
         # tau = beta = 0 is outside the admissible parameter set; evaluate the formula directly
         w, m, lam, sigma0 = 1.0, 1, 1.0, 1.0
@@ -300,8 +311,7 @@ def test_harmonic_field_validation():
 
 
 def test_harmonic_field_serialization(tmp_path):
-    import json
-    from harmtomo.fields import harmonic_field_to_csv, harmonic_field_to_json
+    from harmtomo.fields import harmonic_field_to_csv
 
     rng = np.random.default_rng(10)
     u = HarmonicField(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
@@ -309,6 +319,3 @@ def test_harmonic_field_serialization(tmp_path):
     lines = (tmp_path / "u.csv").read_text().splitlines()
     assert lines[0] == "m,j,re,im,scenario_hash"
     assert len(lines) == 7
-    harmonic_field_to_json(u, tmp_path / "u.json")
-    payload = json.loads((tmp_path / "u.json").read_text())
-    assert payload["M"] == 3 and payload["J"] == 2 and len(payload["entries"]) == 6

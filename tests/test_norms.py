@@ -126,11 +126,9 @@ class TestImageNorms:
         # harmonics are generated from those very values
         s = setup_small
         rng = np.random.default_rng(5)
-        q = {int(ell): rng.standard_normal(2) + 1j * rng.standard_normal(2)
-             for ell in np.flatnonzero(s["poles"].ok)}
-        rhat = np.zeros((2, s["M"], s["basis"].J), dtype=complex)
-        for ell, vec in q.items():
-            rhat[:, :, ell] = (s["sp"].mm[: s["M"]] @ vec).T
+        q = rng.standard_normal((s["basis"].J, 2)) + 1j * rng.standard_normal((s["basis"].J, 2))
+        q[~s["poles"].ok] = 0.0
+        rhat = np.einsum("mef,jf->emj", s["sp"].mm[: s["M"]], q)
         t1, t2 = ymod_terms(rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"],
                             pole_values=q)
         assert t1 <= 1e-20 * max(t2, 1.0)

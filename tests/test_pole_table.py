@@ -1,0 +1,151 @@
+"""The per-pole table against the one-pole-at-a-time loops in oracles.py."""
+
+import numpy as np
+import pytest
+
+from harmtomo import (ModelParams, amplitude_modulate, build_pole_set, build_rectangle_basis,
+                      build_reference_state, design_delta_pulse, invert_mtilde)
+from harmtomo.errors import SingularInterpolantError
+from harmtomo.norms import yobs_terms, ymod_terms
+from harmtomo.reconstruct import (fit_residues, linearized_forward, oracle_residues,
+                                  pole_table, recover_coefficients, residue_term)
+from harmtomo.sources import interp_kernels, interp_periodic
+from conftest import random_linearized
+from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
+                     recover_coefficients_loop, yobs_terms_loop, ymod_terms_loop)
+
+GOLDEN = (1 + 5**0.5) / 2
+TOL = 1e-13
+
+
+def _rel(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return float(np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300))
+
+
+def _bundle(basis, params, M=24):
+    pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
+    sp = amplitude_modulate(pulse, params.A)
+    ref = build_reference_state(basis, 0, sp, params)
+    return dict(basis=basis, params=params, M=M, sp=sp, ref=ref,
+                poles=build_pole_set(basis.lambdas, params))
+
+
+@pytest.fixture(scope="module", params=["interval", "rectangle", "interval-tau-0.05"])
+def bundle(request, setup_small):
+    if request.param == "interval":
+        return setup_small
+    if request.param == "rectangle":
+        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
+                                      sigma_points="side:y=0")
+        params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
+        return _bundle(basis, params)
+    b = _bundle(setup_small["basis"], setup_small["params"].with_tau(0.05))
+    assert b["poles"].n_ok < b["basis"].J   # some modes have no pole
+    return b
+
+
+def _data(b, seed):
+    lin = random_linearized(b["basis"], b["M"], seed)
+    return lin, linearized_forward(b["ref"], b["params"], b["basis"], lin)
+
+
+def _args(b):
+    return b["sp"], b["poles"], b["basis"], b["params"]
+
+
+def test_oracle_residues_match_loop(bundle):
+    lin, data = _data(bundle, 51)
+    b = bundle
+    new = oracle_residues(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+    old = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+    assert _rel(new, old) <= TOL
+    assert np.all(new[~b["poles"].ok] == 0)
+
+
+def test_fit_residues_match_loop(bundle):
+    _, data = _data(bundle, 52)
+    b = bundle
+    new, cond = fit_residues(data.phat, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+    old, cond_old = fit_residues_loop(data.phat, data.rhat, b["poles"], b["sp"], b["basis"],
+                                      b["params"])
+    assert cond == cond_old
+    assert _rel(new, old) <= TOL
+
+
+def test_recover_coefficients_match_loop(bundle):
+    # a^l = P_l + q_l cancels: |q_l| reaches 1e3 |a^l| at tau = 0.5 and 2e4 |a^l|
+    # at tau = 0.05, so any reordering of the roundoff shows up in a^l at that
+    # ratio.  The agreement is measured against the size of the two terms.
+    lin, data = _data(bundle, 53)
+    b = bundle
+    res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+    a, cond = recover_coefficients(res, data.rhat, *_args(b))
+    a_old, cond_old = recover_coefficients_loop(res, data.rhat, *_args(b))
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    terms = max(np.max(np.abs(t.model_term(data.rhat))),
+                np.max(np.abs(residue_term(res, t, b["basis"]))))
+    assert np.max(np.abs(a - a_old)) <= TOL * terms
+    ok = b["poles"].ok
+    assert np.all(np.isnan(cond[~ok])) and np.all(a[~ok] == 0)
+    assert _rel(cond[ok], cond_old[ok]) <= TOL
+
+
+def test_image_norm_terms_match_loop(bundle, spec_std):
+    lin, data = _data(bundle, 54)
+    b = bundle
+    res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+    for new, old in ((ymod_terms(data.rhat, spec_std, *_args(b)),
+                      ymod_terms_loop(data.rhat, spec_std, *_args(b))),
+                     (yobs_terms(res, spec_std, *_args(b), M=b["M"]),
+                      yobs_terms_loop(res, spec_std, *_args(b), M=b["M"]))):
+        assert _rel(new, old) <= TOL
+    rng = np.random.default_rng(55)
+    J = b["basis"].J
+    q = rng.standard_normal((J, 2)) + 1j * rng.standard_normal((J, 2))
+    new = ymod_terms(data.rhat, spec_std, *_args(b), pole_values=q)
+    old = ymod_terms_loop(data.rhat, spec_std, *_args(b),
+                          pole_values={int(ell): q[ell] for ell in np.flatnonzero(b["poles"].ok)})
+    assert _rel(new, old) <= TOL
+
+
+def test_interp_kernels_match_scalar_branches(setup_small):
+    p = setup_small["params"]
+    rng = np.random.default_rng(56)
+    hat = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
+    # far from the lattice, on a damped pole, on and next to lattice points, at 0
+    points = np.array([-0.3 + 2.0j, -2.5 + 0.7j, 3j * p.omega, 5j * p.omega + 1e-7, 0.0])
+    vals = interp_periodic(hat, 0.4, points, p.omega, p.T)
+    assert vals.shape == (3, points.size)
+    for i, o in enumerate(points):
+        ref = interp_periodic_scalar(hat, 0.4, o, p.omega, p.T)
+        assert _rel(vals[:, i], ref) <= TOL
+        assert _rel(interp_periodic(hat, 0.4, o, p.omega, p.T), ref) <= TOL
+    kp, km, k0 = interp_kernels(points, 24, p.omega, p.T)
+    assert kp.shape == km.shape == (points.size, 24) and k0.shape == points.shape
+
+
+def test_invert_mtilde_stack(setup_small):
+    rng = np.random.default_rng(57)
+    mt = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+    inv = invert_mtilde(mt)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(inv[idx], invert_mtilde(mt[idx]))
+    assert np.max(np.abs(inv @ mt - np.eye(2))) <= 1e-12
+    mt[2, 1] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(SingularInterpolantError, match=r"stack index \(2, 1\)"):
+        invert_mtilde(mt)
+
+
+def test_pole_table_built_once_per_pole_set(setup_small):
+    s = setup_small
+    t = pole_table(s["poles"], s["sp"], s["params"])
+    assert pole_table(s["poles"], s["sp"], s["params"]) is t
+    assert pole_table(s["poles"], s["sp"], s["params"].with_tau(0.5)) is t  # equal parameters
+    fresh = build_pole_set(s["basis"].lambdas, s["params"])
+    t2 = pole_table(fresh, s["sp"], s["params"])
+    assert t2 is not t
+    assert np.array_equal(t2.mt_inv, t.mt_inv) and np.array_equal(t2.kp, t.kp)
+    assert t.kp.shape == (s["poles"].n_ok, s["M"]) and t.mt.shape == (s["poles"].n_ok, 2, 2)
+    with pytest.raises(ValueError):
+        t.mt_inv[0, 0, 0] = 0.0

@@ -3,7 +3,8 @@ import pytest
 
 from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, choose_tau,
                       compute_cbar, compute_ctilde, smooth_data, run_sweep, ytilde_obs_norm)
-from harmtomo.errors import NoiseCalibrationError, SmoothingError, TheoremHypothesisError
+from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
+                             TheoremHypothesisError)
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.quasirev import TauConstants, smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
@@ -229,6 +230,28 @@ class TestSweep:
         assert all(r.error_x <= r.bound for r in rows)
         taus = [r.tau for r in rows]
         assert all(taus[i] >= taus[i + 1] for i in range(2))
+
+    def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
+        import harmtomo.quasirev as qr
+
+        basis, spec, params, ref, truth = sweep_setup(0.0)
+
+        def ill_conditioned(*args, **kwargs):
+            raise IllConditionedFitError(3e12)
+
+        monkeypatch.setattr(qr, "reconstruct", ill_conditioned)
+        rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
+                         tau_min=0.1, tau_max=0.5, calibration=1.0)
+        assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
+        assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
+
+        def bug(*args, **kwargs):
+            raise KeyError("not a numerical failure")
+
+        monkeypatch.setattr(qr, "reconstruct", bug)
+        with pytest.raises(KeyError):
+            run_sweep(basis, ref, params, spec, truth, [1e-2], tau0=0.0, seed=5,
+                      tau_min=0.1, tau_max=0.5, calibration=1.0)
 
 
 def test_time_derivative_norm(basis8, spec_std):

@@ -3,7 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from harmtomo.cli import main
+from harmtomo.errors import ScenarioValidationError
+from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario, scenario_hash, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +48,21 @@ class TestValidate:
         path = _write_variant(tmp_path, ROUNDTRIP, **{"params.T": 1.0})
         violations = validate_scenario(load_scenario(path))
         assert any("2*pi" in v for v in violations)
+
+    def test_quasirev_defaults_shared_with_runner(self, tmp_path):
+        # the runner's default tau_max = 0.5 lies above sigma0*beta = 0.4
+        raw = json.loads(QR.read_text())
+        raw["params"]["beta"] = 0.4
+        del raw["quasirev"]["tau_max"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
+        assert any("tau_max 0.5 above sigma0*beta" in v for v in validate_scenario(sc))
+        with pytest.raises(ScenarioValidationError):
+            run_preset(sc, out_dir=str(tmp_path / "o"))
+        del raw["quasirev"]
+        path.write_text(json.dumps(raw))
+        assert any("tau_max" in v for v in validate_scenario(load_scenario(path)))
 
     def test_cli_validate_exit_codes(self, tmp_path):
         assert main(["validate", str(ROUNDTRIP)]) == 0

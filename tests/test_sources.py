@@ -5,7 +5,7 @@ from harmtomo import amplitude_modulate, build_reference_state, design_delta_pul
 from harmtomo.errors import PulseSupportError, SingularInterpolantError
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
-from harmtomo.sources import psi_sq_tilde, psi_tilde, source_pair_to_csv, source_pair_to_json
+from harmtomo.sources import psi_sq_tilde, psi_tilde
 
 
 def params_of(tau=0.5, omega=0.5, T0=None, A=2.0):
@@ -214,14 +214,3 @@ class TestReferenceState:
         # Robin boundary ties the normal derivative to the trace
         assert ref.boundary.neumann_trace[0] == pytest.approx(
             -1.0 * setup_small["basis"].trace_matrix[0, 0])
-
-
-def test_serialization(tmp_path, setup_small):
-    sp = setup_small["sp"]
-    source_pair_to_csv(sp, tmp_path / "sp.csv", scenario_hash="h")
-    source_pair_to_json(sp, tmp_path / "sp.json")
-    lines = (tmp_path / "sp.csv").read_text().splitlines()
-    assert len(lines) == sp.M + 1
-    import json
-    payload = json.loads((tmp_path / "sp.json").read_text())
-    assert payload["A"] == 2.0 and len(payload["psi_hat"]) == sp.M
