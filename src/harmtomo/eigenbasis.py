@@ -9,7 +9,6 @@ and the trace restricted to each eigenspace is explicitly invertible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,19 +346,3 @@ def trace_on_eigenspace(basis: EigenBasis, ell) -> np.ndarray:
 
 def check_trace_ranks(basis: EigenBasis) -> None:
     trace_on_eigenspace(basis, np.arange(basis.J))
-
-
-def basis_to_csv(basis: EigenBasis, path, scenario_hash: str = "") -> None:
-    """Basis summary: one row per mode with eigenvalue and trace values."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["j", "lambda"] + [f"trace_{i}" for i in range(basis.nsigma)]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for j in range(basis.J):
-            row = [j, format(basis.lambdas[j], ".17g")]
-            row += [format(v, ".17g") for v in basis.trace_matrix[j]]
-            if scenario_hash:
-                row.append(scenario_hash)
-            w.writerow(row)

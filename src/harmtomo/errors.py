@@ -21,6 +21,10 @@ class TraceRankError(HarmtomoError):
         super().__init__(message or f"restricted trace rank deficient on eigenspace {ell}")
 
 
+class InadmissibleSlownessError(HarmtomoError, ValueError):
+    """A squared-slowness field breaks sigma(x)*beta >= tau somewhere on the grid."""
+
+
 class ResonanceError(HarmtomoError):
     """A harmonic symbol vanished; the diagonal solve is singular."""
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .eigenbasis import EigenBasis, project, synthesize
+from .errors import InadmissibleSlownessError
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,18 +37,20 @@ class ModelParams:
             raise ValueError("tau must be nonnegative")
         if self.sigma0 * self.beta < self.tau:
             raise ValueError(
-                f"stability requirement sigma0*beta >= tau violated "
-                f"({self.sigma0 * self.beta:.6g} < {self.tau:.6g})"
+                f"stability requirement sigma*beta >= tau violated "
+                f"(sigma0*beta = {self.sigma0 * self.beta:.6g} < {self.tau:.6g})"
             )
         if abs(self.T * self.omega - TWO_PI) > 1e-14 * TWO_PI:
             raise ValueError(f"T*omega = {self.T * self.omega!r} differs from 2*pi")
         if not (0.0 < self.T0 <= self.T):
             raise ValueError("T0 must lie in (0, T]")
         if self.A in (0.0, 1.0):
-            raise ValueError("modulation amplitude A must avoid {0, 1}")
+            raise ValueError("modulation amplitude A in {0, 1} makes the source matrices M_m singular")
 
     @classmethod
     def create(cls, tau, beta, sigma0, omega, T0, A) -> "ModelParams":
+        if not omega > 0:
+            raise ValueError("beta, sigma0, omega must be positive")
         return cls(tau=tau, beta=beta, sigma0=sigma0, omega=omega,
                    T=TWO_PI / omega, T0=T0, A=A)
 
@@ -141,21 +143,4 @@ class MaterialField:
     def check_slowness_admissible(self, params: ModelParams) -> None:
         """Pointwise sigma(x)*beta >= tau on the grid."""
         if np.min(self.values) * params.beta < params.tau - 1e-14:
-            raise ValueError("sigma(x)*beta >= tau fails somewhere on the grid")
-
-
-def harmonic_field_to_csv(u, path, scenario_hash: str = "") -> None:
-    """Rows (m, j, Re, Im) for one spectral field."""
-    c = as_coeffs(u)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["m", "j", "re", "im"]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for m in range(c.shape[0]):
-            for j in range(c.shape[1]):
-                row = [m + 1, j, format(c[m, j].real, ".17g"), format(c[m, j].imag, ".17g")]
-                if scenario_hash:
-                    row.append(scenario_hash)
-                w.writerow(row)
+            raise InadmissibleSlownessError("sigma(x)*beta >= tau fails somewhere on the grid")

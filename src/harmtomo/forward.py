@@ -103,17 +103,20 @@ def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.nda
     return project(basis, convolve_bm_grid(basis, u, v, m_out=m_out))
 
 
-def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
-    """Diagonal solve L_m(sigma0) u_m = r_m; raises on resonant symbols."""
-    r = as_coeffs(rhat)
-    lambdas = np.asarray(lambdas, dtype=float)
-    M = r.shape[0]
+def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
+    """symbols_matrix, raising ResonanceError where a symbol vanishes."""
     sym = symbols_matrix(params, lambdas, M)
     mag = np.abs(sym)
     if np.min(mag) <= RESONANCE_TOL:
         m_bad, j_bad = np.unravel_index(int(np.argmin(mag)), mag.shape)
         raise ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
-    return r / sym
+    return sym
+
+
+def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
+    """Diagonal solve L_m(sigma0) u_m = r_m; raises on resonant symbols."""
+    r = as_coeffs(rhat)
+    return r / _nonresonant_symbols(params, lambdas, r.shape[0])
 
 
 def apply_lm(params: ModelParams, basis: EigenBasis, u, sigma: MaterialField | None = None) -> np.ndarray:
@@ -152,13 +155,7 @@ def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialF
     the default damping the solve retries once at damping 0.5 before raising.
     """
     r = as_coeffs(rhat)
-    M = r.shape[0]
-    sym = symbols_matrix(params, basis.lambdas, M)
-    mag = np.abs(sym)
-    if np.min(mag) <= RESONANCE_TOL:
-        m_bad, j_bad = np.unravel_index(int(np.argmin(mag)), mag.shape)
-        raise ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
-
+    sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
     dsig = sigma.values - params.sigma0
     has_dsig = np.max(np.abs(dsig)) > 0
     u = r / sym

@@ -9,7 +9,6 @@ part is confined to [-alpha/tau, 0].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,25 +198,3 @@ def bound_slack(pole_set: PoleSet, params: ModelParams, c: float) -> np.ndarray:
         rhs = (params.alpha / params.tau) * (1.0 + np.where(lam[okm] > 0, c / lam[okm], np.inf))
         out[okm] = rhs - (-pole_set.poles[okm].real)
     return out
-
-
-def pole_table_csv(pole_set: PoleSet, params: ModelParams, path, scenario_hash: str = "") -> None:
-    """Pole table: (ell, lambda, Re p, Im p, asymptotic, bound slack)."""
-    diag = None
-    if params.tau > 0 and pole_set.n_ok:
-        diag = verify_bounds(pole_set, params)
-    slack = bound_slack(pole_set, params, diag["fitted_c"]) if diag else np.full(pole_set.lambdas.shape, np.nan)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["ell", "lambda", "re_p", "im_p", "re_asym", "im_asym", "bound_slack", "ok"]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for i, lam in enumerate(pole_set.lambdas):
-            row = [i, format(lam, ".17g"),
-                   format(pole_set.poles[i].real, ".17g"), format(pole_set.poles[i].imag, ".17g"),
-                   format(pole_set.asymptotic[i].real, ".17g"), format(pole_set.asymptotic[i].imag, ".17g"),
-                   format(slack[i], ".17g"), int(pole_set.ok[i])]
-            if scenario_hash:
-                row.append(scenario_hash)
-            w.writerow(row)

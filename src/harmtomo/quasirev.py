@@ -10,7 +10,6 @@ monotone on the admissible range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,19 +326,3 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
                                  bound=float("nan"), cbar=float("nan"), ctilde=float("nan"),
                                  status=f"failed: {type(exc).__name__}: {exc}"))
     return rows
-
-
-def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status"]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for r in rows:
-            row = [format(r.delta, ".17g"), format(r.tau, ".17g"),
-                   format(r.error_x, ".17g"), format(r.bound, ".17g"),
-                   format(r.cbar, ".17g"), format(r.ctilde, ".17g"), r.status]
-            if scenario_hash:
-                row.append(scenario_hash)
-            w.writerow(row)

@@ -14,7 +14,6 @@ space.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -296,28 +295,3 @@ def reconstruct(data: LinearizedData, rhat_known, ref: ReferenceState, pole_set:
     b = solve_states_from_coeffs(a, rhat_known, params, basis.lambdas, sp.mm)
     return ReconstructionResult(a=a, b=b, residues=residues, mtilde_cond=mt_cond,
                                 fit_cond=fit_cond, ok=pole_set.ok.copy())
-
-
-def result_to_csv(result: ReconstructionResult, true_a, path, scenario_hash: str = "") -> None:
-    """Per-mode comparison of true and recovered coefficient pairs."""
-    true_a = np.asarray(true_a)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
-                  "abs_err", "mtilde_cond", "ok"]
-        if scenario_hash:
-            header.append("scenario_hash")
-        w.writerow(header)
-        for j in range(result.a.shape[0]):
-            err = float(np.max(np.abs(result.a[j] - true_a[j])))
-            row = [j,
-                   format(float(np.real(true_a[j, 0])), ".17g"),
-                   format(float(np.real(result.a[j, 0])), ".17g"),
-                   format(float(np.real(true_a[j, 1])), ".17g"),
-                   format(float(np.real(result.a[j, 1])), ".17g"),
-                   format(err, ".17g"),
-                   format(result.mtilde_cond[j], ".17g"),
-                   int(result.ok[j])]
-            if scenario_hash:
-                row.append(scenario_hash)
-            w.writerow(row)

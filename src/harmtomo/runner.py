@@ -15,12 +15,12 @@ import os
 import numpy as np
 
 from . import quasirev
-from .eigenbasis import basis_to_csv, check_trace_ranks, synthesize
-from .fields import MaterialField, harmonic_field_to_csv
+from .eigenbasis import check_trace_ranks, synthesize
+from .fields import MaterialField
 from .forward import model_residual, observe, solve_multiharmonic
 from .norms import x_norm, ymod_norm, yobs_norm
-from .poles import build_pole_set, pole_table_csv, verify_bounds
-from .reconstruct import linearized_forward, oracle_residues, reconstruct, result_to_csv
+from .poles import bound_slack, build_pole_set, verify_bounds
+from .reconstruct import linearized_forward, oracle_residues, reconstruct
 from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
                         make_reference, make_true_fields, min_symbol_magnitude,
                         quasirev_settings, scenario_hash, validate_scenario)
@@ -33,12 +33,19 @@ def _write_manifest(path, payload) -> None:
         f.write("\n")
 
 
-def _csv_rows(path, header, rows) -> None:
+def write_table(path, header, columns, scenario_hash) -> None:
+    """Write one CSV artifact from its columns, the scenario hash appended last.
+
+    Each column is flattened in C order.  Floats are written as ``.17g``, ints
+    and strings as they are; columns of unequal length raise ``ValueError``.
+    """
+    cols = [[format(v, ".17g") if isinstance(v, float) else v
+             for v in np.asarray(col).ravel().tolist()] for col in columns]
+    rows = list(zip(*cols, strict=True))
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in r])
+        w.writerow([*header, "scenario_hash"])
+        w.writerows(row + (scenario_hash,) for row in rows)
 
 
 def run_preset(sc: Scenario, out_dir: str | None = None, seed: int | None = None) -> dict:
@@ -77,7 +84,9 @@ def _common(sc: Scenario):
 
 def _preset_basis_report(sc, out, seed, shash):
     params, basis = _common(sc)
-    basis_to_csv(basis, os.path.join(out, "basis.csv"), scenario_hash=shash)
+    write_table(os.path.join(out, "basis.csv"),
+                ["j", "lambda"] + [f"trace_{i}" for i in range(basis.nsigma)],
+                [np.arange(basis.J), basis.lambdas, *basis.trace_matrix.T], shash)
     return {
         "modes": int(basis.J),
         "lambda_max": float(basis.lambdas[-1]),
@@ -102,24 +111,29 @@ def _preset_forward_solve(sc, out, seed, shash):
         u = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
         resid = model_residual(params, basis, sigma, eta, u, rhat)
         resid_max = max(resid_max, float(np.max(resid)))
-        harmonic_field_to_csv(u, os.path.join(out, f"field_source{e + 1}.csv"), scenario_hash=shash)
+        m, j = np.indices(u.shape)
+        write_table(os.path.join(out, f"field_source{e + 1}.csv"), ["m", "j", "re", "im"],
+                    [m + 1, j, u.real, u.imag], shash)
         obs = observe(basis, u)
-        _csv_rows(os.path.join(out, f"observations_source{e + 1}.csv"),
-                  ["m"] + [f"p_re_{i}" for i in range(basis.nsigma)]
-                  + [f"p_im_{i}" for i in range(basis.nsigma)] + ["scenario_hash"],
-                  [[m + 1] + [float(v) for v in obs[m].real] + [float(v) for v in obs[m].imag] + [shash]
-                   for m in range(sc.M)])
+        write_table(os.path.join(out, f"observations_source{e + 1}.csv"),
+                    ["m"] + [f"p_re_{i}" for i in range(basis.nsigma)]
+                    + [f"p_im_{i}" for i in range(basis.nsigma)],
+                    [np.arange(1, sc.M + 1), *obs.real.T, *obs.imag.T], shash)
     return {"max_model_residual": resid_max}
 
 
 def _preset_pole_report(sc, out, seed, shash):
     params, basis = _common(sc)
     pole_set = build_pole_set(basis.lambdas, params)
-    pole_table_csv(pole_set, params, os.path.join(out, "poles.csv"), scenario_hash=shash)
-    extra = {}
-    if params.tau > 0 and pole_set.n_ok:
-        extra = {k: float(v) for k, v in verify_bounds(pole_set, params).items()}
-    return {"poles_ok": int(pole_set.n_ok), **extra}
+    diag = verify_bounds(pole_set, params) if params.tau > 0 and pole_set.n_ok else {}
+    # without a fitted constant every slack is nan, whatever c is passed
+    slack = bound_slack(pole_set, params, diag.get("fitted_c", np.nan))
+    p, asym = pole_set.poles, pole_set.asymptotic
+    write_table(os.path.join(out, "poles.csv"),
+                ["ell", "lambda", "re_p", "im_p", "re_asym", "im_asym", "bound_slack", "ok"],
+                [np.arange(p.size), pole_set.lambdas, p.real, p.imag, asym.real, asym.imag,
+                 slack, pole_set.ok.astype(int)], shash)
+    return {"poles_ok": int(pole_set.n_ok), **{k: float(v) for k, v in diag.items()}}
 
 
 def _roundtrip(sc, seed, mode):
@@ -141,11 +155,16 @@ def _roundtrip(sc, seed, mode):
 def _preset_linearized_roundtrip(sc, out, seed, shash):
     mode = sc.raw.get("residue_mode", "oracle")
     params, basis, ref, truth, data, pole_set, rec, a_err, b_err = _roundtrip(sc, seed, mode)
-    result_to_csv(rec, truth.a, os.path.join(out, "reconstruction.csv"), scenario_hash=shash)
-    _csv_rows(os.path.join(out, "residues.csv"),
-              ["ell", "channel", "point", "re", "im", "scenario_hash"],
-              [[ell, q, x, float(rec.residues[ell, q, x].real), float(rec.residues[ell, q, x].imag), shash]
-               for ell in range(basis.J) for q in range(2) for x in range(basis.nsigma)])
+    a_true, a_rec = np.real(truth.a), np.real(rec.a)
+    write_table(os.path.join(out, "reconstruction.csv"),
+                ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
+                 "abs_err", "mtilde_cond", "ok"],
+                [np.arange(basis.J), a_true[:, 0], a_rec[:, 0], a_true[:, 1], a_rec[:, 1],
+                 np.max(np.abs(rec.a - truth.a), axis=1), rec.mtilde_cond, rec.ok.astype(int)],
+                shash)
+    ell, q, x = np.indices(rec.residues.shape)
+    write_table(os.path.join(out, "residues.csv"), ["ell", "channel", "point", "re", "im"],
+                [ell, q, x, rec.residues.real, rec.residues.imag], shash)
     return {
         "residue_mode": mode,
         "max_rel_coeff_error": a_err,
@@ -161,8 +180,7 @@ def _preset_stability_probe(sc, out, seed, shash):
     pole_set = build_pole_set(basis.lambdas, params)
     rng = np.random.default_rng(seed)
     draws = int(sc.raw.get("draws", 200))
-    rows = []
-    min_slack = np.inf
+    norms = np.zeros((draws, 3))
     for i in range(draws):
         truth = make_true_fields(sc, basis, rng)
         data = linearized_forward(ref, params, basis, truth)
@@ -170,12 +188,13 @@ def _preset_stability_probe(sc, out, seed, shash):
         xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
         yo = yobs_norm(res, spec, ref.source_pair, pole_set, basis, params, M=sc.M)
         ym = ymod_norm(data.rhat, spec, ref.source_pair, pole_set, basis, params)
-        slack = yo + ym - xv
-        min_slack = min(min_slack, slack)
-        rows.append([i, float(xv), float(yo), float(ym), float(slack), shash])
-    _csv_rows(os.path.join(out, "stability.csv"),
-              ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack", "scenario_hash"], rows)
-    return {"draws": draws, "min_slack": float(min_slack)}
+        norms[i] = xv, yo, ym
+    xv, yo, ym = norms.T
+    slack = yo + ym - xv
+    write_table(os.path.join(out, "stability.csv"),
+                ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack"],
+                [np.arange(draws), xv, yo, ym, slack], shash)
+    return {"draws": draws, "min_slack": float(np.min(slack, initial=np.inf))}
 
 
 def _preset_qr_sweep(sc, out, seed, shash):
@@ -191,7 +210,9 @@ def _preset_qr_sweep(sc, out, seed, shash):
         tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
         ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
     )
-    quasirev.sweep_to_csv(rows, os.path.join(out, "sweep.csv"), scenario_hash=shash)
+    header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status"]
+    write_table(os.path.join(out, "sweep.csv"), header,
+                [[getattr(r, k) for r in rows] for k in header], shash)
     errors = [r.error_x for r in rows if r.status == "ok"]
     over = sum(1 for r in rows if np.isfinite(r.error_x) and not r.error_x <= r.bound)
     return {
@@ -219,12 +240,11 @@ def _preset_smoothing_study(sc, out, seed, shash):
         sm = quasirev.smooth_data(exact_trace + noise, dt, basis, spec.s)
         err = float(np.sqrt(np.sum(np.power(basis.lambdas, spec.s)
                                    * np.abs(sm.coeffs - coeffs) ** 2)))
-        kap = float(sm.kappa[np.flatnonzero(sm.levels == sm.level)[0]])
-        rows.append([dt, sm.level, kap, float(sm.residuals[np.flatnonzero(sm.levels == sm.level)[0]]),
-                     err, shash])
-    _csv_rows(os.path.join(out, "smoothing.csv"),
-              ["delta_tilde", "chosen_level", "kappa", "fit_residual", "hs_error", "scenario_hash"],
-              rows)
+        k = np.flatnonzero(sm.levels == sm.level)[0]
+        rows.append((dt, sm.level, float(sm.kappa[k]), float(sm.residuals[k]), err))
+    write_table(os.path.join(out, "smoothing.csv"),
+                ["delta_tilde", "chosen_level", "kappa", "fit_residual", "hs_error"],
+                list(zip(*rows)), shash)
     errs = [r[4] for r in rows]
     return {"errors_decreasing": bool(all(errs[i] > errs[i + 1] for i in range(len(errs) - 1)))}
 

@@ -161,15 +161,14 @@ def validate_scenario(sc: Scenario) -> list[str]:
             out.append(f"physical parameter {k!r} must be explicit")
     if out:
         return out
-    if p["A"] in (0.0, 1.0):
-        out.append("modulation amplitude A in {0, 1} makes the source matrices M_m singular")
-    if p["sigma0"] * p["beta"] < p["tau"]:
-        out.append("stability requirement sigma*beta >= tau violated")
-    T = 2.0 * np.pi / p["omega"]
+    try:
+        params = make_params(sc)
+    except ValueError as exc:
+        out.append(f"model parameters invalid: {exc}")
+        params = None
+    # ModelParams.create derives T from omega, so a written-out T is checked here
     if "T" in p and abs(p["T"] * p["omega"] - 2.0 * np.pi) > 1e-14 * 2.0 * np.pi:
         out.append("period inconsistent: T*omega must equal 2*pi")
-    if not (0.0 < p["T0"] <= T):
-        out.append("pulse center T0 must lie in (0, T]")
     try:
         spec = make_norm_spec(sc)
     except (KeyError, ValueError) as exc:
@@ -193,8 +192,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
     src = sc.source
     if "phi_mode" in src and not (0 <= int(src["phi_mode"]) < sc.J):
         out.append("reference mode index outside truncation")
-    if "pulse_width" in src:
-        w, T0 = src["pulse_width"], p["T0"]
+    if "pulse_width" in src and params is not None:
+        w, T0, T = src["pulse_width"], params.T0, params.T
         if w <= 0:
             out.append("pulse width must be positive")
         elif T0 < T and w > min(T0, T - T0):
@@ -208,10 +207,10 @@ def validate_scenario(sc: Scenario) -> list[str]:
                 out.append(f"{key} index {j} outside truncation")
     if sc.quasirev or sc.preset == "qr-sweep":
         qr = quasirev_settings(sc)
-        if qr["tau0"] == 0.0 and spec is not None:
-            if abs(p["T0"] - T) > 1e-12 * T:
+        if qr["tau0"] == 0.0:
+            if params is not None and abs(params.T0 - params.T) > 1e-12 * params.T:
                 out.append("quasi-reversibility with tau0 = 0 needs T0 = T")
-            if spec.orti_check >= 1.0:
+            if spec is not None and spec.orti_check >= 1.0:
                 out.append("quasi-reversibility with tau0 = 0 needs orti_check < 1")
         if qr["tau_max"] > p["sigma0"] * p["beta"]:
             out.append(f"tau_max {qr['tau_max']!r} above sigma0*beta leaves the admissible range")

@@ -1,8 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from harmtomo import (ModelParams, NormSpec, amplitude_modulate, build_interval_basis,
                       build_pole_set, build_reference_state, design_delta_pulse)
+from harmtomo.runner import run_preset
+from harmtomo.scenarios import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +69,20 @@ def random_linearized(basis, M, seed, a_scale=1.0, du_scale=1.0, du_band=None, d
     if du_band is not None:
         du[:, du_band:, :] = 0.0
     return LinearizedInput(a_sigma=a_sigma, a_eta=a_eta, du=du)
+
+
+def small_scenario(preset, J=8, M=16, base="interval_roundtrip", **top):
+    """A shipped scenario as raw JSON, run as ``preset`` at truncation (J, M)."""
+    raw = json.loads((SCENARIOS / f"{base}.json").read_text())
+    raw.update(preset=preset, truncation={"J": J, "M": M}, **top)
+    return raw
+
+
+def run_scenario(tmp_path, raw, name="run"):
+    """Run a raw scenario the way ``harmtomo run`` does; returns (out_dir, scenario)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    sc = load_scenario(path)
+    out = tmp_path / name
+    run_preset(sc, out_dir=str(out))
+    return out, sc

@@ -7,9 +7,16 @@ same quantities with one FFT kernel (`harmonic_product_time`).
 The residue algebra: Mtilde(p_l), its inverse, the prefactor and rtilde^l(p_l)
 re-derived one pole at a time; the package reads them from one per-pole table
 (`reconstruct.pole_table`) built with array expressions.
+
+The artifact writers: one CSV writer per table type, each with its own
+per-value loop and an optional scenario-hash column; the package writes every
+table through `runner.write_table`, and its files must match these byte for
+byte.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -18,8 +25,8 @@ from harmtomo.errors import IllConditionedFitError
 from harmtomo.fields import ModelParams, NormSpec, as_coeffs
 from harmtomo.forward import symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight
-from harmtomo.poles import PoleSet, big_theta, psi_transfer_prime
-from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, trace_inverse
+from harmtomo.poles import PoleSet, big_theta, bound_slack, psi_transfer_prime, verify_bounds
+from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult, trace_inverse
 from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
 
 
@@ -298,3 +305,107 @@ def yobs_terms_loop(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
         term1 += float(np.sum(w[:, ell] * np.sum(np.abs(amp) ** 2, axis=1)))
         term2 += float(lam_s[ell] * np.sum(np.abs(P) ** 2))
     return term1, term2
+
+
+def basis_to_csv(basis: EigenBasis, path, scenario_hash: str = "") -> None:
+    """Basis summary: one row per mode with eigenvalue and trace values."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["j", "lambda"] + [f"trace_{i}" for i in range(basis.nsigma)]
+        if scenario_hash:
+            header.append("scenario_hash")
+        w.writerow(header)
+        for j in range(basis.J):
+            row = [j, format(basis.lambdas[j], ".17g")]
+            row += [format(v, ".17g") for v in basis.trace_matrix[j]]
+            if scenario_hash:
+                row.append(scenario_hash)
+            w.writerow(row)
+
+
+def harmonic_field_to_csv(u, path, scenario_hash: str = "") -> None:
+    """Rows (m, j, Re, Im) for one spectral field."""
+    c = as_coeffs(u)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["m", "j", "re", "im"]
+        if scenario_hash:
+            header.append("scenario_hash")
+        w.writerow(header)
+        for m in range(c.shape[0]):
+            for j in range(c.shape[1]):
+                row = [m + 1, j, format(c[m, j].real, ".17g"), format(c[m, j].imag, ".17g")]
+                if scenario_hash:
+                    row.append(scenario_hash)
+                w.writerow(row)
+
+
+def pole_table_csv(pole_set: PoleSet, params: ModelParams, path, scenario_hash: str = "") -> None:
+    """Pole table: (ell, lambda, Re p, Im p, asymptotic, bound slack)."""
+    diag = None
+    if params.tau > 0 and pole_set.n_ok:
+        diag = verify_bounds(pole_set, params)
+    slack = bound_slack(pole_set, params, diag["fitted_c"]) if diag else np.full(pole_set.lambdas.shape, np.nan)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["ell", "lambda", "re_p", "im_p", "re_asym", "im_asym", "bound_slack", "ok"]
+        if scenario_hash:
+            header.append("scenario_hash")
+        w.writerow(header)
+        for i, lam in enumerate(pole_set.lambdas):
+            row = [i, format(lam, ".17g"),
+                   format(pole_set.poles[i].real, ".17g"), format(pole_set.poles[i].imag, ".17g"),
+                   format(pole_set.asymptotic[i].real, ".17g"), format(pole_set.asymptotic[i].imag, ".17g"),
+                   format(slack[i], ".17g"), int(pole_set.ok[i])]
+            if scenario_hash:
+                row.append(scenario_hash)
+            w.writerow(row)
+
+
+def result_to_csv(result: ReconstructionResult, true_a, path, scenario_hash: str = "") -> None:
+    """Per-mode comparison of true and recovered coefficient pairs."""
+    true_a = np.asarray(true_a)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
+                  "abs_err", "mtilde_cond", "ok"]
+        if scenario_hash:
+            header.append("scenario_hash")
+        w.writerow(header)
+        for j in range(result.a.shape[0]):
+            err = float(np.max(np.abs(result.a[j] - true_a[j])))
+            row = [j,
+                   format(float(np.real(true_a[j, 0])), ".17g"),
+                   format(float(np.real(result.a[j, 0])), ".17g"),
+                   format(float(np.real(true_a[j, 1])), ".17g"),
+                   format(float(np.real(result.a[j, 1])), ".17g"),
+                   format(err, ".17g"),
+                   format(result.mtilde_cond[j], ".17g"),
+                   int(result.ok[j])]
+            if scenario_hash:
+                row.append(scenario_hash)
+            w.writerow(row)
+
+
+def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status"]
+        if scenario_hash:
+            header.append("scenario_hash")
+        w.writerow(header)
+        for r in rows:
+            row = [format(r.delta, ".17g"), format(r.tau, ".17g"),
+                   format(r.error_x, ".17g"), format(r.bound, ".17g"),
+                   format(r.cbar, ".17g"), format(r.ctilde, ".17g"), r.status]
+            if scenario_hash:
+                row.append(scenario_hash)
+            w.writerow(row)
+
+
+def csv_rows(path, header, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for r in rows:
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in r])

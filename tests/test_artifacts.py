@@ -1,0 +1,176 @@
+"""Every CSV artifact matches, byte for byte, the per-type writers in oracles.py.
+
+Each case runs one preset on small inputs while recording the objects the
+runner computes (basis, pole set, fields, reconstruction, norms, sweep rows,
+smoothing results); the oracle writers then write the same tables from those
+objects, and the two directories must hold identical files.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import run_scenario, small_scenario
+from harmtomo import quasirev, runner
+from harmtomo.forward import observe
+from harmtomo.quasirev import SweepRow
+from harmtomo.runner import write_table
+from harmtomo.scenarios import scenario_hash
+
+
+def _record(monkeypatch, owner, name):
+    """Wrap owner.name so that every call's (args, result) is kept."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _basis_report(sc, d, shash, seen):
+    oracles.basis_to_csv(seen["basis"][0][1], d / "basis.csv", scenario_hash=shash)
+
+
+def _pole_report(sc, d, shash, seen):
+    oracles.pole_table_csv(seen["pole_set"][0][1], seen["params"][0][1], d / "poles.csv",
+                           scenario_hash=shash)
+
+
+def _forward_solve(sc, d, shash, seen):
+    basis = seen["basis"][0][1]
+    for e, (_, u) in enumerate(seen["solve"]):
+        oracles.harmonic_field_to_csv(u, d / f"field_source{e + 1}.csv", scenario_hash=shash)
+        obs = observe(basis, u)
+        oracles.csv_rows(d / f"observations_source{e + 1}.csv",
+                         ["m"] + [f"p_re_{i}" for i in range(basis.nsigma)]
+                         + [f"p_im_{i}" for i in range(basis.nsigma)] + ["scenario_hash"],
+                         [[m + 1] + [float(v) for v in obs[m].real] + [float(v) for v in obs[m].imag]
+                          + [shash] for m in range(sc.M)])
+
+
+def _roundtrip(sc, d, shash, seen):
+    basis = seen["basis"][0][1]
+    rec, truth = seen["reconstruct"][0][1], seen["truth"][0][1]
+    oracles.result_to_csv(rec, truth.a, d / "reconstruction.csv", scenario_hash=shash)
+    oracles.csv_rows(d / "residues.csv", ["ell", "channel", "point", "re", "im", "scenario_hash"],
+                     [[ell, q, x, float(rec.residues[ell, q, x].real),
+                       float(rec.residues[ell, q, x].imag), shash]
+                      for ell in range(basis.J) for q in range(2) for x in range(basis.nsigma)])
+
+
+def _stability_probe(sc, d, shash, seen):
+    rows = []
+    for i, ((_, xv), (_, yo), (_, ym)) in enumerate(zip(seen["x"], seen["yobs"], seen["ymod"])):
+        rows.append([i, float(xv), float(yo), float(ym), float(yo + ym - xv), shash])
+    oracles.csv_rows(d / "stability.csv",
+                     ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack", "scenario_hash"], rows)
+
+
+def _qr_sweep(sc, d, shash, seen):
+    oracles.sweep_to_csv(seen["sweep"][0][1], d / "sweep.csv", scenario_hash=shash)
+
+
+def _smoothing_study(sc, d, shash, seen):
+    basis = seen["basis"][0][1]
+    s = sc.norms["s"]
+    # the target coefficients are the first draws of the preset's generator
+    rng = np.random.default_rng(sc.seed)
+    cutoff = int(sc.raw["target_cutoff"])
+    coeffs = np.zeros(basis.J)
+    coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
+    rows = []
+    for (_, dt, _, _), sm in seen["smooth"]:
+        k = np.flatnonzero(sm.levels == sm.level)[0]
+        err = float(np.sqrt(np.sum(np.power(basis.lambdas, s) * np.abs(sm.coeffs - coeffs) ** 2)))
+        rows.append([dt, sm.level, float(sm.kappa[k]), float(sm.residuals[k]), err, shash])
+    oracles.csv_rows(d / "smoothing.csv",
+                     ["delta_tilde", "chosen_level", "kappa", "fit_residual", "hs_error",
+                      "scenario_hash"], rows)
+
+
+ORACLE_TABLES = {
+    "basis-report": _basis_report,
+    "pole-report": _pole_report,
+    "forward-solve": _forward_solve,
+    "linearized-roundtrip": _roundtrip,
+    "stability-probe": _stability_probe,
+    "qr-sweep": _qr_sweep,
+    "smoothing-study": _smoothing_study,
+}
+
+
+def _with_tau(raw, tau):
+    raw["params"]["tau"] = tau
+    return raw
+
+
+QR_FULL = {"J": 8, "M": 48}
+RECT_FULL = {"J": 12, "M": 8}
+CASES = {
+    "basis-interval": small_scenario("basis-report"),
+    "basis-rectangle": small_scenario("basis-report", base="smoothing_study", **RECT_FULL),
+    "poles-tau0.5": small_scenario("pole-report"),
+    "poles-tau0": _with_tau(small_scenario("pole-report"), 0.0),
+    "poles-rectangle": small_scenario("pole-report", base="smoothing_study", **RECT_FULL),
+    "forward": small_scenario("forward-solve"),
+    # -0.0 truth coefficients must be written as -0
+    "roundtrip-oracle": small_scenario(
+        "linearized-roundtrip", M=24,
+        true_fields={"kind": "low_mode", "sigma_modes": [[1, -0.0], [2, 0.5]],
+                     "eta_modes": [[0, -0.0], [3, 0.25]], "du_scale": 1.0}),
+    "roundtrip-fit": small_scenario("linearized-roundtrip", M=24, residue_mode="fit"),
+    "stability": small_scenario("stability-probe", M=24, draws=3),
+    "qr-sweep": small_scenario("qr-sweep", base="qr_sweep", **QR_FULL),
+    "smoothing": small_scenario("smoothing-study", base="smoothing_study", **RECT_FULL),
+}
+
+# A failed sweep row whose status needs csv quoting, with a -0.0 delta.
+FAILED_ROW = SweepRow(delta=-0.0, tau=math.nan, error_x=math.nan, bound=math.nan, cbar=math.nan,
+                      ctilde=math.nan, status='failed: SmoothingError: level "3", then 4 rejected')
+
+# Edge values the cases must reach: (file, bytes it must contain).
+EDGES = {
+    "poles-tau0": ("poles.csv", b",nan,nan,nan,"),
+    "roundtrip-oracle": ("reconstruction.csv", b",-0,"),
+    "qr-sweep": ("sweep.csv",
+                 b'\r\n-0,nan,nan,nan,nan,nan,"failed: SmoothingError: level ""3"", then 4 rejected",'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
+    raw = CASES[case]
+    if raw["preset"] == "qr-sweep":
+        sweep = quasirev.run_sweep
+        monkeypatch.setattr(quasirev, "run_sweep", lambda *a, **k: sweep(*a, **k) + [FAILED_ROW])
+    seen = {key: _record(monkeypatch, owner, name) for key, owner, name in (
+        ("params", runner, "make_params"), ("basis", runner, "make_basis"),
+        ("truth", runner, "make_true_fields"), ("pole_set", runner, "build_pole_set"),
+        ("solve", runner, "solve_multiharmonic"), ("reconstruct", runner, "reconstruct"),
+        ("x", runner, "x_norm"), ("yobs", runner, "yobs_norm"), ("ymod", runner, "ymod_norm"),
+        ("sweep", quasirev, "run_sweep"), ("smooth", quasirev, "smooth_data"))}
+    out, sc = run_scenario(tmp_path, raw)
+    expected = tmp_path / "oracle"
+    expected.mkdir()
+    ORACLE_TABLES[sc.preset](sc, expected, scenario_hash(sc), seen)
+    names = sorted(p.name for p in out.glob("*.csv"))
+    assert names == sorted(p.name for p in expected.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    if case in EDGES:
+        name, edge = EDGES[case]
+        assert edge in (out / name).read_bytes()
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], [1.0, 2.0]], "h")
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros((2, 3)), np.zeros(5)], "h")

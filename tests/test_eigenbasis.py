@@ -4,9 +4,11 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
 from harmtomo import build_interval_basis, build_rectangle_basis, interval_eigenvalues, project, synthesize
-from harmtomo.eigenbasis import (DomainSpec, basis_to_csv, commensurate, eigen_residuals,
+from harmtomo.eigenbasis import (DomainSpec, commensurate, eigen_residuals,
                                  gram_matrix, trace_on_eigenspace, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
+from harmtomo.scenarios import scenario_hash
+from conftest import run_scenario, small_scenario
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -153,10 +155,9 @@ def test_domain_spec_invariants():
         DomainSpec("rectangle", (1.0, 0.5), ((0.0, 0.0), (0.0, 0.0)), "side:y=0")
 
 
-def test_basis_csv_export(tmp_path, basis8):
-    path = tmp_path / "basis.csv"
-    basis_to_csv(basis8, path, scenario_hash="abc")
-    lines = path.read_text().splitlines()
+def test_basis_csv_export(tmp_path):
+    out, sc = run_scenario(tmp_path, small_scenario("basis-report"))
+    lines = (out / "basis.csv").read_text().splitlines()
     assert lines[0].startswith("j,lambda,trace_0")
-    assert len(lines) == basis8.J + 1
-    assert lines[1].endswith("abc")
+    assert len(lines) == sc.J + 1
+    assert lines[1].endswith(scenario_hash(sc))

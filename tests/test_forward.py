@@ -311,11 +311,11 @@ def test_harmonic_field_validation():
 
 
 def test_harmonic_field_serialization(tmp_path):
-    from harmtomo.fields import harmonic_field_to_csv
+    from harmtomo.scenarios import scenario_hash
+    from conftest import run_scenario, small_scenario
 
-    rng = np.random.default_rng(10)
-    u = HarmonicField(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-    harmonic_field_to_csv(u, tmp_path / "u.csv", scenario_hash="h")
-    lines = (tmp_path / "u.csv").read_text().splitlines()
+    out, sc = run_scenario(tmp_path, small_scenario("forward-solve", J=2, M=3))
+    lines = (out / "field_source1.csv").read_text().splitlines()
     assert lines[0] == "m,j,re,im,scenario_hash"
     assert len(lines) == 7
+    assert lines[1].endswith(scenario_hash(sc))

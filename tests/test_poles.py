@@ -5,7 +5,9 @@ from harmtomo import (build_pole_set, characteristic_roots, interval_eigenvalues
                       pole_asymptotic, select_pole, verify_bounds)
 from harmtomo.errors import NonOscillatoryError, PoleSelectionError
 from harmtomo.fields import ModelParams
-from harmtomo.poles import pole_table_csv, psi_transfer, root_residuals
+from harmtomo.poles import psi_transfer, root_residuals
+from harmtomo.scenarios import scenario_hash
+from conftest import run_scenario, small_scenario
 
 
 def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0):
@@ -136,11 +138,9 @@ class TestBounds:
 
 
 def test_pole_table_csv(tmp_path):
-    lams = interval_eigenvalues(np.pi, (1.0, 1.0), 8)
-    p = params_of(tau=0.5)
-    ps = build_pole_set(lams, p)
-    path = tmp_path / "poles.csv"
-    pole_table_csv(ps, p, path, scenario_hash="h")
-    lines = path.read_text().splitlines()
+    out, sc = run_scenario(tmp_path, small_scenario("pole-report"))
+    assert sc.params["tau"] == 0.5
+    lines = (out / "poles.csv").read_text().splitlines()
     assert lines[0].split(",")[:4] == ["ell", "lambda", "re_p", "im_p"]
     assert len(lines) == 9
+    assert lines[1].endswith(scenario_hash(sc))

@@ -7,8 +7,9 @@ from harmtomo import (assemble_fields, build_interval_basis, build_pole_set,
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.reconstruct import (LinearizedData, LinearizedInput, fit_residues,
-                                  linearized_forward, oracle_residues, result_to_csv)
-from conftest import random_linearized
+                                  linearized_forward, oracle_residues)
+from harmtomo.scenarios import scenario_hash
+from conftest import random_linearized, run_scenario, small_scenario
 from oracles import recover_coefficients_loop, recover_states
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -280,13 +281,8 @@ def test_extract_residues_dispatch_errors(setup_small):
         extract_residues(phat, zero, s["poles"], s["sp"], s["basis"], s["params"], mode="nope")
 
 
-def test_result_csv(tmp_path, setup_small):
-    s = setup_small
-    lin = random_linearized(s["basis"], s["M"], 41)
-    data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-    rec = reconstruct(data, data.rhat, s["ref"], s["poles"], s["basis"], s["params"],
-                      mode="oracle", true_input=lin)
-    path = tmp_path / "rec.csv"
-    result_to_csv(rec, lin.a, path, scenario_hash="h")
-    lines = path.read_text().splitlines()
-    assert len(lines) == s["basis"].J + 1
+def test_result_csv(tmp_path):
+    out, sc = run_scenario(tmp_path, small_scenario("linearized-roundtrip", M=24))
+    lines = (out / "reconstruction.csv").read_text().splitlines()
+    assert len(lines) == sc.J + 1
+    assert lines[1].endswith(scenario_hash(sc))

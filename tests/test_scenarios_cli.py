@@ -9,6 +9,7 @@ from harmtomo.cli import main
 from harmtomo.errors import ScenarioValidationError
 from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario, scenario_hash, validate_scenario
+from conftest import small_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDTRIP = ROOT / "scenarios" / "interval_roundtrip.json"
@@ -68,6 +69,17 @@ class TestValidate:
         assert main(["validate", str(ROUNDTRIP)]) == 0
         bad = _write_variant(tmp_path, ROUNDTRIP, **{"params.A": 0.0})
         assert main(["validate", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("params.tau", -0.1, "tau must be nonnegative"),
+        ("params.omega", 0, "omega must be positive"),
+    ])
+    def test_model_parameter_checks_are_violations(self, tmp_path, capsys, key, value, message):
+        bad = _write_variant(tmp_path, ROUNDTRIP, **{key: value})
+        assert any(message in v for v in validate_scenario(load_scenario(bad)))
+        assert main(["validate", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRun:
@@ -148,6 +160,13 @@ class TestRun:
             assert main(["run", str(path), "--out", str(out)]) == 0, preset
         probe = json.loads((tmp_path / "stability-probe" / "manifest.json").read_text())
         assert probe["min_slack"] >= -1e-10
+
+
+def test_inadmissible_slowness_is_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "forward.json"
+    path.write_text(json.dumps(small_scenario("forward-solve", sigma_perturbation=2.0)))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "sigma(x)*beta >= tau fails" in capsys.readouterr().err
 
 
 def test_missing_key_is_validation_failure(tmp_path):
