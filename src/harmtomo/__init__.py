@@ -4,9 +4,9 @@ as a regularization parameter."""
 
 from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis,
                          build_rectangle_basis, interval_eigenvalues, project,
-                         synthesize, trace_at, trace_on_eigenspace)
+                         synthesize, trace_on_eigenspace)
 from .fields import HarmonicField, MaterialField, ModelParams, NormSpec
-from .forward import (convolve_bm, harmonic_symbol, observe,
+from .forward import (harmonic_symbol, nonlinear_model, observe,
                       solve_linear_harmonics, solve_multiharmonic)
 from .poles import (PoleSet, build_pole_set, characteristic_roots,
                     pole_asymptotic, select_pole, verify_bounds)
@@ -17,8 +17,8 @@ from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
 from .sources import (PulseSpec, ReferenceState, SourcePair, amplitude_modulate,
                       build_reference_state, design_delta_pulse, evaluate_mtilde,
                       invert_mtilde, psi_recursion)
-from .norms import (bochner_norm, j_bound, rho_t, x_norm, y_norm, ymod_norm,
-                    yobs_norm, ytilde_obs_norm)
+from .norms import (bochner_norm, j_bound, rho_t, x_norm, ymod_norm, yobs_norm,
+                    ytilde_obs_norm)
 from .quasirev import (NoisyData, TauConstants, add_noise, choose_tau,
                        compute_cbar, compute_ctilde, run_sweep, smooth_data)
 

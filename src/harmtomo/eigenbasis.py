@@ -85,8 +85,7 @@ class EigenBasis:
 
     phi holds eigenfunction values on the quadrature grid, phi_lap the
     closed-form values of the operator applied to each mode (used for the
-    eigen-residual check).  All eigenvalues are simple by domain choice;
-    the multiplicity field keeps the K_j bookkeeping explicit.
+    eigen-residual check).  All eigenvalues are simple by domain choice.
     """
 
     domain: DomainSpec
@@ -98,8 +97,6 @@ class EigenBasis:
     trace_matrix: np.ndarray   # (J, ns)
     sigma_nodes: np.ndarray    # (ns, d)
     sigma_weights: np.ndarray  # (ns,)
-    mode_index: np.ndarray     # (J, d) per-dimension 1D mode indices
-    multiplicity: np.ndarray   # (J,), all ones in this setting
 
     @property
     def J(self) -> int:
@@ -216,8 +213,6 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,), nquad=N
         trace_matrix=trace,
         sigma_nodes=sig,
         sigma_weights=np.ones(sig.shape[0]),
-        mode_index=np.arange(J).reshape(-1, 1),
-        multiplicity=np.ones(J, dtype=int),
     )
 
 
@@ -290,8 +285,6 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int, sigma_points="s
         trace_matrix=trace,
         sigma_nodes=sig,
         sigma_weights=sig_w,
-        mode_index=np.array([[i, j] for _, i, j in pairs]),
-        multiplicity=np.ones(J, dtype=int),
     )
 
 
@@ -326,11 +319,6 @@ def eigen_residuals(basis: EigenBasis) -> np.ndarray:
     """Per-mode quadrature L2 norm of (A phi - lambda phi)."""
     r = basis.phi_lap - basis.lambdas[:, None] * basis.phi
     return np.sqrt((r * r) @ basis.weights)
-
-
-def trace_at(basis: EigenBasis) -> np.ndarray:
-    """Table phi_j(x0) for all retained modes and x0 in Sigma."""
-    return basis.trace_matrix
 
 
 def trace_on_eigenspace(basis: EigenBasis, ell) -> np.ndarray:

@@ -25,6 +25,10 @@ class InadmissibleSlownessError(HarmtomoError, ValueError):
     """A squared-slowness field breaks sigma(x)*beta >= tau somewhere on the grid."""
 
 
+class VanishingDivisorError(HarmtomoError, ZeroDivisionError):
+    """A divisor came too close to zero for the division to be trusted."""
+
+
 class ResonanceError(HarmtomoError):
     """A harmonic symbol vanished; the diagonal solve is singular."""
 

@@ -78,11 +78,6 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
     return out
 
 
-def convolve_bm(basis: EigenBasis, u, v, m: int) -> np.ndarray:
-    """Spectral coefficients of the m-th harmonic of the pointwise product."""
-    return convolve_bm_all(basis, u, v, m_out=m)[m - 1]
-
-
 def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
     """Quadrature-grid values of every harmonic of the pointwise product.
 
@@ -119,68 +114,68 @@ def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
     return r / _nonresonant_symbols(params, lambdas, r.shape[0])
 
 
-def apply_lm(params: ModelParams, basis: EigenBasis, u, sigma: MaterialField | None = None) -> np.ndarray:
-    """L_m(sigma) applied per harmonic; variable sigma acts by grid multiplication."""
+def _grid_term(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
+               eta: MaterialField, u) -> np.ndarray:
+    """(sigma - sigma0) u + eta B(u, u) on the quadrature grid, every harmonic.
+
+    The part of the model that is not diagonal on the eigenbasis; callers
+    project it once.
+    """
+    return ((sigma.values - params.sigma0) * synthesize(basis, u)
+            + eta.values * convolve_bm_grid(basis, u, u))
+
+
+def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
+                    eta: MaterialField, u) -> np.ndarray:
+    """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M.
+
+    L_m(sigma0) acts through its diagonal symbols; the variable part of sigma
+    and the eta coupling are summed on the grid and projected once.
+    """
     uc = as_coeffs(u)
-    M = uc.shape[0]
-    out = symbols_matrix(params, basis.lambdas, M) * uc
-    if sigma is not None:
-        dsig = sigma.values - params.sigma0
-        if np.max(np.abs(dsig)) > 0:
-            out = out + project(basis, dsig * synthesize(basis, uc))
-    return out
+    return (symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
+            + project(basis, _grid_term(params, basis, sigma, eta, uc)))
 
 
 def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                    eta: MaterialField, u, rhat) -> np.ndarray:
     """Per-harmonic residual norms of L_m(sigma) u_m + eta B_m(u,u) - r_m.
 
-    Kept separate from the solver sweep: products and projections are
-    reassembled from scratch so the check does not share solver state.
-    All grid products are projected exactly once.
+    Re-evaluates the model from u alone, so the check shares no state with
+    the solver sweep.
     """
-    uc, r = as_coeffs(u), as_coeffs(rhat)
-    lhs = apply_lm(params, basis, uc, sigma)
-    eta_b = project(basis, eta.values * convolve_bm_grid(basis, uc, uc))
-    res = lhs + eta_b - r
+    res = nonlinear_model(params, basis, sigma, eta, u) - as_coeffs(rhat)
     return np.sqrt(np.sum(np.abs(res) ** 2, axis=1))
 
 
 def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                         eta: MaterialField, rhat, tol: float = 1e-12,
-                        max_iter: int = 200, damping: float = 1.0) -> np.ndarray:
-    """Damped fixed point u <- L(sigma0)^(-1) (r - (sigma - sigma0) u - eta B(u, u)).
+                        max_iter: int = 200) -> np.ndarray:
+    """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u).
 
-    The nonlinearity must be small enough for contraction; on stagnation with
-    the default damping the solve retries once at damping 0.5 before raising.
+    Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - grid term), the
+    grid term projected once.  The nonlinearity must be small enough for
+    contraction: the sweep runs at d = 1 and, if it stalls, restarts from
+    L(sigma0)^(-1) r at d = 0.5 before raising.
     """
     r = as_coeffs(rhat)
     sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
-    dsig = sigma.values - params.sigma0
-    has_dsig = np.max(np.abs(dsig)) > 0
-    u = r / sym
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            rhs = r.astype(complex).copy()
-            if has_dsig:
-                rhs -= project(basis, dsig * synthesize(basis, u))
-            rhs -= project(basis, eta.values * convolve_bm_grid(basis, u, u))
-            u_new = (1.0 - damping) * u + damping * (rhs / sym)
-            step = np.max(np.abs(u_new - u))
-            u = u_new
-            if not np.isfinite(step):
-                break
-            if step < 0.1 * tol:
-                break
-        res = model_residual(params, basis, sigma, eta, u, r)
-    if not np.all(np.isfinite(res)) or np.max(res) > tol:
-        if damping == 1.0:
-            return solve_multiharmonic(params, basis, sigma, eta, rhat,
-                                       tol=tol, max_iter=max_iter, damping=0.5)
-        raise ConvergenceError(
-            f"multiharmonic fixed point stalled: max residual {np.max(res):.3e} > tol {tol:.1e}"
-        )
-    return u
+    for d in (1.0, 0.5):
+        u = r / sym
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iter):
+                rhs = r - project(basis, _grid_term(params, basis, sigma, eta, u))
+                u_new = (1.0 - d) * u + d * (rhs / sym)
+                step = np.max(np.abs(u_new - u))
+                u = u_new
+                if not np.isfinite(step) or step < 0.1 * tol:
+                    break
+            res = model_residual(params, basis, sigma, eta, u, r)
+        if np.all(np.isfinite(res)) and np.max(res) <= tol:
+            return u
+    raise ConvergenceError(
+        f"multiharmonic fixed point stalled: max residual {np.max(res):.3e} > tol {tol:.1e}"
+    )
 
 
 def observe(basis: EigenBasis, u) -> np.ndarray:

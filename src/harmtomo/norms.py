@@ -130,14 +130,6 @@ def yobs_norm(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
     return float(np.sqrt(t1 + t2))
 
 
-def y_norm(rhat, residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-           basis: EigenBasis, params: ModelParams) -> float:
-    """Image-space norm Yobs + Ymod (product-space sum combination)."""
-    M = np.asarray(rhat).shape[1]
-    return (yobs_norm(residues, spec, sp, pole_set, basis, params, M=M)
-            + ymod_norm(rhat, spec, sp, pole_set, basis, params))
-
-
 def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:
     """Realistic observation norm: W^(1,1)-in-time, H^(s+1)-in-space surrogate
     of the lifted trace data.

@@ -17,20 +17,26 @@ import numpy as np
 from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
-from .norms import bochner_norm, x_norm, ytilde_obs_norm
+from .norms import bochner_norm, rho_t, x_norm, ytilde_obs_norm
 from .poles import build_pole_set
 from .reconstruct import (LinearizedData, LinearizedInput, linearized_forward,
                           reconstruct, ReferenceState)
 NOISE_SCALE_TOL = 1e-10
 
 
-def _rate_factor(x: float, T0: float) -> float:
-    """x / (1 - exp(-2 x T0)) with the removable value 1/(2 T0) at x = 0."""
-    if x < 0:
-        raise ValueError("rate must be nonnegative")
-    if 2.0 * x * T0 < 1e-9:
-        return 1.0 / (2.0 * T0) + x / 2.0
-    return x / -np.expm1(-2.0 * x * T0)
+def _rate_core(tau: float, sigma0: float, beta: float, T: float, T0: float) -> float:
+    """x/(1 - e^(-2 x T0)) e^(2 x (T - T0)) at the rate x = alpha/tau.
+
+    The factor compute_cbar and compute_ctilde share; the removable value at
+    x = 0 comes from rho_t.  Callers silence the overflow to inf at tiny tau.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    alpha = (sigma0 * beta - tau) / (2.0 * beta)
+    if alpha < 0:
+        raise ValueError("need tau <= sigma0*beta")
+    x = alpha / tau
+    return rho_t(2.0 * x, T0) / 2.0 * np.exp(2.0 * x * (T - T0))
 
 
 def compute_cbar(tau: float, sigma0: float, beta: float, T: float, T0: float,
@@ -39,14 +45,8 @@ def compute_cbar(tau: float, sigma0: float, beta: float, T: float, T0: float,
     C0 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         (1 + (tau/beta)^orti) + 1)^(1/2);
     monotonically decreasing in tau and divergent as tau -> 0."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    alpha = (sigma0 * beta - tau) / (2.0 * beta)
-    if alpha < 0:
-        raise ValueError("need tau <= sigma0*beta")
-    x = alpha / tau
     with np.errstate(over="ignore"):
-        core = _rate_factor(x, T0) * np.exp(2.0 * x * (T - T0)) * (1.0 + (tau / beta) ** orti_check)
+        core = _rate_core(tau, sigma0, beta, T, T0) * (1.0 + (tau / beta) ** orti_check)
     return float(C0 * np.sqrt(core + 1.0))
 
 
@@ -55,14 +55,8 @@ def compute_ctilde(tau: float, sigma0: float, beta: float, T: float, T0: float,
     """Observation-norm comparison constant
     C1 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         ((beta/tau)^orti + 1))^(1/2)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    alpha = (sigma0 * beta - tau) / (2.0 * beta)
-    if alpha < 0:
-        raise ValueError("need tau <= sigma0*beta")
-    x = alpha / tau
     with np.errstate(over="ignore"):
-        core = _rate_factor(x, T0) * np.exp(2.0 * x * (T - T0)) * ((beta / tau) ** orti_check + 1.0)
+        core = _rate_core(tau, sigma0, beta, T, T0) * ((beta / tau) ** orti_check + 1.0)
     return float(C1 * np.sqrt(core))
 
 

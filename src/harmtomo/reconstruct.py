@@ -20,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis, project, synthesize, trace_on_eigenspace
-from .errors import IllConditionedFitError
+from .errors import IllConditionedFitError, VanishingDivisorError
 from .fields import ModelParams
-from .forward import observe, symbols_matrix
+from .forward import _nonresonant_symbols, observe, symbols_matrix
 from .poles import PoleSet, big_theta, psi_transfer_prime
 from .sources import SourcePair, evaluate_mtilde, interp_kernels, invert_mtilde, ReferenceState
 
 PHI_GUARD = 1e-6
 FIT_COND_LIMIT = 1e12
-DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,17 +255,11 @@ def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.nd
     """Componentwise state formula b_m^j = (r_m^j - M_m a^j) / symbol(m, lam_j).
 
     Pole-free: the denominators vartheta(o_m) + Theta(o_m) lam_j never vanish
-    for admissible parameters off the resonance set.
+    for admissible parameters off the resonance set; on it, ResonanceError.
     """
     rhat = np.asarray(rhat, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    M = rhat.shape[1]
-    sym = symbols_matrix(params, np.asarray(lambdas, dtype=float), M)
-    if np.min(np.abs(sym)) <= DENOM_TOL:
-        m_bad, j_bad = np.unravel_index(int(np.argmin(np.abs(sym))), sym.shape)
-        raise ZeroDivisionError(
-            f"vanishing characteristic denominator at (m={m_bad + 1}, j={j_bad})"
-        )
+    sym = _nonresonant_symbols(params, lambdas, rhat.shape[1])
     return (rhat - np.einsum("meq,jq->emj", mm, a)) / sym[None, :, :]
 
 
@@ -274,7 +267,7 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
     """Pointwise division to pull dsigma and deta off the recovered fields."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if np.min(np.abs(phi_grid)) < guard:
-        raise ZeroDivisionError(
+        raise VanishingDivisorError(
             f"reference profile passes within {np.min(np.abs(phi_grid)):.2e} of zero; "
             "coefficient division is unreliable"
         )

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis
-from .errors import PulseSupportError, SingularInterpolantError
+from .errors import PulseSupportError, SingularInterpolantError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import harmonic_product_time, synthesize_time
 
 MTILDE_SINGULAR_TOL = 1e-14
-PHI_GUARD = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +280,8 @@ def psi_recursion(lam: float, sigma0: float, beta: float, eta0: float,
     """
     if psi1 == 0:
         raise ValueError("need a nonzero fundamental coefficient")
+    if lam <= 0:
+        raise ValueError("need a positive eigenvalue; the resonant frequency is sqrt(lam/sigma0)")
     w2 = lam / sigma0
     w = np.sqrt(w2)
     tau = beta * lam / w2
@@ -290,7 +291,7 @@ def psi_recursion(lam: float, sigma0: float, beta: float, eta0: float,
         denom = 2.0 * (lam - sigma0 * m * m * w2
                        + 1j * m * w * (beta * lam - tau * m * m * w2))
         if abs(denom) < 1e-14 * max(lam, 1.0):
-            raise ZeroDivisionError(f"vanishing recursion denominator at harmonic m={m}")
+            raise VanishingDivisorError(f"vanishing recursion denominator at harmonic m={m}")
         conv = np.sum(psi[: m - 1] * psi[m - 2 :: -1][: m - 1])
         psi[m - 1] = -(m * m * w2 * eta0) / denom * conv
     return psi

@@ -8,6 +8,10 @@ The residue algebra: Mtilde(p_l), its inverse, the prefactor and rtilde^l(p_l)
 re-derived one pole at a time; the package reads them from one per-pole table
 (`reconstruct.pole_table`) built with array expressions.
 
+The nonlinear model operator: L_m(sigma) u_m + eta B_m(u, u) with each grid
+term projected on its own and B_m from the harmonic-pair loop; the package
+sums the grid terms and projects once (`forward.nonlinear_model`).
+
 The artifact writers: one CSV writer per table type, each with its own
 per-value loop and an optional scenario-hash column; the package writes every
 table through `runner.write_table`, and its files must match these byte for
@@ -20,9 +24,9 @@ import csv
 
 import numpy as np
 
-from harmtomo.eigenbasis import EigenBasis, synthesize
+from harmtomo.eigenbasis import EigenBasis, project, synthesize
 from harmtomo.errors import IllConditionedFitError
-from harmtomo.fields import ModelParams, NormSpec, as_coeffs
+from harmtomo.fields import MaterialField, ModelParams, NormSpec, as_coeffs
 from harmtomo.forward import symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight
 from harmtomo.poles import PoleSet, big_theta, bound_slack, psi_transfer_prime, verify_bounds
@@ -409,3 +413,13 @@ def csv_rows(path, header, rows) -> None:
         w.writerow(header)
         for r in rows:
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in r])
+
+
+def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
+                        eta: MaterialField, u) -> np.ndarray:
+    """L_m(sigma) u_m + eta B_m(u, u), projecting the slowness and the eta
+    terms separately and taking B_m from the harmonic-pair loop."""
+    uc = as_coeffs(u)
+    out = symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
+    out = out + project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
+    return out + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc))

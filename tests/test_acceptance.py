@@ -17,7 +17,7 @@ from harmtomo import (amplitude_modulate, build_interval_basis,
                       x_norm, ymod_norm, yobs_norm, observe)
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
-from harmtomo.forward import convolve_bm_grid, model_residual, symbols_matrix
+from harmtomo.forward import model_residual, nonlinear_model
 from harmtomo.norms import bochner_norm
 from harmtomo.poles import characteristic_roots, pole_asymptotic, select_pole
 from harmtomo.quasirev import smoothing_gain
@@ -186,12 +186,6 @@ def test_criterion_6_stability_constant_behavior():
                   f"divergence witness max Cbar {max(vals):.3e} >= 1e3: {witness}")
 
 
-def _nonlinear_model(params, basis, M, sigma, eta, u):
-    sym = symbols_matrix(params, basis.lambdas, M)
-    out = sym * u + project(basis, (sigma.values - params.sigma0) * synthesize(basis, u))
-    return out + project(basis, eta.values * convolve_bm_grid(basis, u, u))
-
-
 def test_criterion_7_nonlinear_lipschitz():
     basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
     T0_end = 4 * np.pi  # pulse at the period end keeps the constant moderate
@@ -231,8 +225,8 @@ def test_criterion_7_nonlinear_lipschitz():
         a_diff = np.stack([project(basis, ref.phi_grid * (s1.values - s2.values)),
                            project(basis, ref.phi_grid**2 * (e1.values - e2.values))], axis=-1)
         xv = x_norm(a_diff, u1 - u2, basis.lambdas, params.omega, spec)
-        d_mod = np.stack([_nonlinear_model(params, basis, M, s1, e1, u1[e])
-                          - _nonlinear_model(params, basis, M, s2, e2, u2[e]) for e in range(2)])
+        d_mod = np.stack([nonlinear_model(params, basis, s1, e1, u1[e])
+                          - nonlinear_model(params, basis, s2, e2, u2[e]) for e in range(2)])
         d_obs = observe(basis, u1 - u2)
         mod_norm = bochner_norm(d_mod, params.omega, basis.lambdas, spec.orti_check, spec.s_check)
         res, _ = fit_residues(d_obs, d_mod, poles, sp, basis, params)
@@ -273,8 +267,8 @@ def test_criterion_8_taylor_remainder():
             eta = MaterialField.from_values(basis, rad * synthesize(basis, da[:, 1]))
             fields.append((sigma, eta, ref.u0 + rad * duu))
         (s1, e1, u1), (s2, e2, u2) = fields
-        d_mod = np.stack([_nonlinear_model(params, basis, M, s1, e1, u1[e])
-                          - _nonlinear_model(params, basis, M, s2, e2, u2[e]) for e in range(2)])
+        d_mod = np.stack([nonlinear_model(params, basis, s1, e1, u1[e])
+                          - nonlinear_model(params, basis, s2, e2, u2[e]) for e in range(2)])
         lin = LinearizedInput(
             a_sigma=project(basis, ref.phi_grid * (s1.values - s2.values)),
             a_eta=project(basis, ref.phi_grid**2 * (e1.values - e2.values)),

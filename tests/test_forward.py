@@ -5,12 +5,14 @@ from harmtomo import harmonic_symbol, observe, solve_linear_harmonics, solve_mul
 from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
 from harmtomo.fields import HarmonicField, MaterialField, ModelParams
-from harmtomo.forward import (convolve_bm, convolve_bm_all, convolve_bm_grid,
-                              harmonic_product_time, model_residual, symbols_matrix,
+import harmtomo.forward as fw
+from harmtomo.forward import (convolve_bm_all, convolve_bm_grid, harmonic_product_time,
+                              model_residual, nonlinear_model, symbols_matrix,
                               synthesize_time)
 from harmtomo.poles import big_theta, vartheta
 
-from oracles import convolve_bm_grid_loop, harmonic_product_loop, product_dc_loop
+from oracles import (convolve_bm_grid_loop, harmonic_product_loop, nonlinear_model_ref,
+                     product_dc_loop)
 
 GOLDEN = (1 + 5**0.5) / 2
 KERNEL_RTOL = 1e-13
@@ -77,9 +79,10 @@ class TestConvolution:
         u = np.zeros((M, J), dtype=complex)
         u[0, 1] = c
         expected_b2 = 0.5 * c * c * project(basis8, basis8.phi[1] ** 2)
-        assert np.max(np.abs(convolve_bm(basis8, u, u, 2) - expected_b2)) <= 1e-12
-        assert np.max(np.abs(convolve_bm(basis8, u, u, 1))) <= 1e-14
-        assert np.max(np.abs(convolve_bm(basis8, u, u, 3))) <= 1e-14
+        b = convolve_bm_all(basis8, u, u)
+        assert np.max(np.abs(b[1] - expected_b2)) <= 1e-12
+        assert np.max(np.abs(b[0])) <= 1e-14
+        assert np.max(np.abs(b[2])) <= 1e-14
 
     def test_two_harmonic_hand_expansion(self, basis8):
         M, J = 6, basis8.J
@@ -89,7 +92,7 @@ class TestConvolution:
         u[1] = rng.standard_normal(J) + 1j * rng.standard_normal(J)
         g1, g2 = synthesize(basis8, u[0]), synthesize(basis8, u[1])
         expected = project(basis8, g1 * g2)
-        assert np.max(np.abs(convolve_bm(basis8, u, u, 3) - expected)) <= 1e-12
+        assert np.max(np.abs(convolve_bm_all(basis8, u, u)[2] - expected)) <= 1e-12
 
     def test_bilinearity_and_symmetry(self, basis8):
         M, J = 5, basis8.J
@@ -116,10 +119,11 @@ class TestConvolution:
         ug = synthesize(basis8, u)                      # (M, nq)
         sig = synthesize_time(ug, omega, t)             # (nq, nt) real signals per grid point
         prod = sig * sig
+        b = convolve_bm_all(basis8, u, u)
         for m in (1, 2, 4):
             coeff_t = (2.0 / nt) * (prod @ np.exp(-1j * m * omega * t))
             expected = project(basis8, coeff_t)
-            got = convolve_bm(basis8, u, u, m)
+            got = b[m - 1]
             assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_time_sequence_variant(self):
@@ -201,6 +205,33 @@ class TestHarmonicProductKernel:
             assert _rel_err(convolve_bm_grid(basis, u, v, m_out), ref) <= KERNEL_RTOL
 
 
+class TestNonlinearModel:
+    """nonlinear_model against the oracle in tests/oracles.py, which projects
+    each grid term on its own and takes B_m from the harmonic-pair loop."""
+
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_matches_oracle(self, kind, basis8):
+        basis = basis8 if kind == "interval" else build_rectangle_basis(
+            np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6, sigma_points="side:y=0")
+        p = params_of(omega=0.5, T0=np.pi)
+        rng = np.random.default_rng(16)
+        M = 24
+        decay = 1.0 / (1.0 + np.arange(basis.J)) ** 2
+        sigma = MaterialField.from_values(
+            basis, p.sigma0 + 0.1 * synthesize(basis, decay * rng.standard_normal(basis.J)))
+        eta = MaterialField.from_values(
+            basis, 0.5 + 0.2 * synthesize(basis, decay * rng.standard_normal(basis.J)))
+        assert np.ptp(sigma.values) > 0 and np.ptp(eta.values) > 0
+        u = _crandn(rng, M, basis.J) / (1.0 + np.arange(1, M + 1))[:, None]
+        r = _crandn(rng, M, basis.J)
+        ref = nonlinear_model_ref(p, basis, sigma, eta, u)
+        got = nonlinear_model(p, basis, sigma, eta, u)
+        assert got.shape == (M, basis.J)
+        assert _rel_err(got, ref) <= KERNEL_RTOL
+        res = model_residual(p, basis, sigma, eta, u, r)
+        assert _rel_err(res, np.linalg.norm(ref - r, axis=1)) <= KERNEL_RTOL
+
+
 class TestLinearSolve:
     def test_zero(self, basis8):
         p = params_of()
@@ -261,6 +292,31 @@ class TestMultiharmonic:
         sig = MaterialField.from_values(basis8, p.sigma0 + 0.05 * np.cos(basis8.nodes[:, 0]))
         eta = MaterialField.constant(basis8, 1e-3)
         u = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+        assert np.max(model_residual(p, basis8, sig, eta, u, r)) <= 1e-11
+
+    def test_stalled_sweep_retries_at_half_damping(self, basis8, monkeypatch):
+        # sigma - sigma0 = 0.6 exceeds |symbol| ~ 0.48 of the driven mode (m=1, j=2):
+        # the undamped sweep diverges, the d = 0.5 sweep contracts
+        p = params_of(omega=3.0)
+        M = 6
+        r = np.zeros((M, basis8.J), dtype=complex)
+        r[0, 2] = 1.0
+        sig = MaterialField.constant(basis8, p.sigma0 + 0.6)
+        eta = MaterialField.constant(basis8, 1e-3)
+        start = r / symbols_matrix(p, basis8.lambdas, M)
+        seen = []
+        real_bm = fw.convolve_bm_grid
+
+        def spy(basis, u, v, m_out=None):
+            seen.append(u.copy())
+            return real_bm(basis, u, v, m_out)
+
+        monkeypatch.setattr(fw, "convolve_bm_grid", spy)
+        u = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+        restarts = [k for k, v in enumerate(seen) if np.array_equal(v, start)]
+        assert len(restarts) == 2
+        first_sweep = seen[:restarts[1]]
+        assert not all(np.all(np.isfinite(v)) and np.max(np.abs(v)) < 1e3 for v in first_sweep)
         assert np.max(model_residual(p, basis8, sig, eta, u, r)) <= 1e-11
 
     def test_nonconvergence_raises(self, basis8):

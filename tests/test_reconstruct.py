@@ -4,6 +4,7 @@ import pytest
 from harmtomo import (assemble_fields, build_interval_basis, build_pole_set,
                       build_rectangle_basis, recover_coefficients,
                       solve_states_from_coeffs, trace_inverse, reconstruct)
+from harmtomo.errors import HarmtomoError, ResonanceError
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.reconstruct import (LinearizedData, LinearizedInput, fit_residues,
@@ -71,6 +72,15 @@ class TestStateFormula:
         rhat = np.einsum("meq,jq->emj", s["sp"].mm[: s["M"]], a).astype(complex)
         b = solve_states_from_coeffs(a, rhat, s["params"], s["basis"].lambdas, s["sp"].mm)
         assert np.max(np.abs(b)) <= 1e-12
+
+    def test_resonance_raises_typed(self):
+        # alpha = 0 with lambda = sigma0 m^2 w^2 makes the symbol vanish exactly
+        p = ModelParams.create(tau=1.0, beta=1.0, sigma0=1.0, omega=1.0, T0=np.pi, A=2.0)
+        mm = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
+        with pytest.raises(ResonanceError) as err:
+            solve_states_from_coeffs(np.zeros((1, 2)), np.ones((2, 2, 1), dtype=complex),
+                                     p, [1.0], mm)
+        assert err.value.m == 1 and err.value.j == 0
 
 
 class TestResidues:
@@ -266,8 +276,9 @@ class TestAssemble:
     def test_guard_trips_on_interior_zero(self):
         basis = build_interval_basis(np.pi, (0.0, 0.0), 6, sigma_points=(0.0,))
         phi = basis.phi[1]  # cosine mode with an interior zero
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError) as err:
             assemble_fields(basis, np.zeros((6, 2)), phi, guard=0.1)
+        assert isinstance(err.value, HarmtomoError)
 
 
 def test_extract_residues_dispatch_errors(setup_small):

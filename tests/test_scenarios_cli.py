@@ -169,6 +169,18 @@ def test_inadmissible_slowness_is_numerical_failure(tmp_path, capsys):
     assert "sigma(x)*beta >= tau fails" in capsys.readouterr().err
 
 
+def test_resonant_roundtrip_is_numerical_failure(tmp_path, capsys):
+    # Neumann ends put lambda_1 = 1 on the resonance sigma0 m^2 omega^2 at m = 1, alpha = 0
+    raw = small_scenario("linearized-roundtrip", J=4, M=16)
+    raw["domain"]["robin_gamma"] = [0.0, 0.0]
+    raw["params"].update(tau=1.0, omega=1.0, sigma0=1.0, beta=1.0, T0=math.pi)
+    raw["source"]["phi_mode"] = 1
+    path = tmp_path / "resonant.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "resonant harmonic symbol at (m=1, j=1)" in capsys.readouterr().err
+
+
 def test_missing_key_is_validation_failure(tmp_path):
     raw = json.loads(ROUNDTRIP.read_text())
     del raw["params"]["omega"]

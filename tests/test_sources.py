@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, evaluate_mtilde, invert_mtilde, psi_recursion, observe
-from harmtomo.errors import PulseSupportError, SingularInterpolantError
+from harmtomo.errors import HarmtomoError, PulseSupportError, SingularInterpolantError
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
 from harmtomo.sources import psi_sq_tilde, psi_tilde
@@ -149,6 +149,14 @@ class TestRecursion:
     def test_zero_nonlinearity(self):
         psi = psi_recursion(2.0, 1.0, 1.0, 0.0, 1.0, 6)
         assert np.all(psi[1:] == 0)
+
+    def test_degenerate_inputs_fail_typed(self):
+        # |denominator| = 2 lam (m^2 - 1) |1 + i m w beta| falls below 1e-14 at tiny lam
+        with pytest.raises(ZeroDivisionError) as err:
+            psi_recursion(1e-16, 1.0, 1.0, 0.5, 1.0, 3)
+        assert isinstance(err.value, HarmtomoError)
+        with pytest.raises(ValueError, match="positive eigenvalue"):
+            psi_recursion(0.0, 1.0, 1.0, 0.5, 1.0, 3)
 
     def test_second_harmonic_closed_form(self):
         lam, sigma0, beta, eta0 = 2.0, 1.0, 1.0, 0.5
