@@ -4,16 +4,15 @@ as a regularization parameter."""
 
 from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis,
                          build_rectangle_basis, interval_eigenvalues, project,
-                         synthesize, trace_on_eigenspace)
-from .fields import HarmonicField, MaterialField, ModelParams, NormSpec
+                         synthesize, trace_right_inverse)
+from .fields import MaterialField, ModelParams, NormSpec
 from .forward import (harmonic_symbol, nonlinear_model, observe,
                       solve_linear_harmonics, solve_multiharmonic)
 from .poles import (PoleSet, build_pole_set, characteristic_roots,
                     pole_asymptotic, select_pole, verify_bounds)
 from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
-                          assemble_fields, extract_residues, linearized_forward,
-                          recover_coefficients, solve_states_from_coeffs,
-                          trace_inverse, reconstruct)
+                          assemble_fields, linearized_forward, recover_coefficients,
+                          reconstruct, solve_states_from_coeffs)
 from .sources import (PulseSpec, ReferenceState, SourcePair, amplitude_modulate,
                       build_reference_state, design_delta_pulse, evaluate_mtilde,
                       invert_mtilde, psi_recursion)

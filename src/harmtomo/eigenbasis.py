@@ -311,26 +311,17 @@ def synthesize(basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
     return coeffs @ basis.phi
 
 
-def gram_matrix(basis: EigenBasis) -> np.ndarray:
-    return (basis.phi * basis.weights) @ basis.phi.T
-
-
-def eigen_residuals(basis: EigenBasis) -> np.ndarray:
-    """Per-mode quadrature L2 norm of (A phi - lambda phi)."""
-    r = basis.phi_lap - basis.lambdas[:, None] * basis.phi
-    return np.sqrt((r * r) @ basis.weights)
-
-
-def trace_on_eigenspace(basis: EigenBasis, ell) -> np.ndarray:
-    """Trace row of eigenspace ell (one row per entry of an index array);
-    raises TraceRankError naming the first degenerate eigenspace."""
+def trace_right_inverse(basis: EigenBasis, ell) -> np.ndarray:
+    """Rows w tr(phi_l) / |tr(phi_l)|_w^2 of the trace right-inverse for the
+    index array ell (samples on Sigma . row = least-squares coefficient);
+    raises TraceRankError naming the first eigenspace whose trace vanishes."""
     row = basis.trace_matrix[ell]
-    scale = np.sqrt(np.sum(basis.sigma_weights * row * row, axis=-1))
-    bad = np.flatnonzero(scale <= TRACE_RANK_TOL)
+    norm2 = np.sum(basis.sigma_weights * row * row, axis=-1)
+    bad = np.flatnonzero(np.sqrt(norm2) <= TRACE_RANK_TOL)
     if bad.size:
         raise TraceRankError(int(np.reshape(ell, -1)[bad[0]]))
-    return row
+    return basis.sigma_weights * row / norm2[..., None]
 
 
 def check_trace_ranks(basis: EigenBasis) -> None:
-    trace_on_eigenspace(basis, np.arange(basis.J))
+    trace_right_inverse(basis, np.arange(basis.J))

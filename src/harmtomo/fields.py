@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, project, synthesize
+from .eigenbasis import EigenBasis, project
 from .errors import InadmissibleSlownessError
 
 TWO_PI = 2.0 * np.pi
@@ -83,43 +83,6 @@ class NormSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class HarmonicField:
-    """Complex spectral coefficients of a time-periodic field.
-
-    coeffs[m - 1, j] is the coefficient of harmonic m on basis mode j,
-    in the (2/T) * integral(u * exp(-i m omega t)) convention for real
-    signals.  Only positive harmonics are stored.
-    """
-
-    coeffs: np.ndarray  # (M, J) complex
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2:
-            raise ValueError("coeffs must have shape (M, J)")
-        if c.shape[0] < 2:
-            raise ValueError("need M >= 2; the second harmonic carries the nonlinearity channel")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def M(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.coeffs.shape[1]
-
-
-def as_coeffs(u) -> np.ndarray:
-    """Accept a HarmonicField or a bare (.., M, J) coefficient array."""
-    if isinstance(u, HarmonicField):
-        return u.coeffs
-    return np.asarray(u, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
 class MaterialField:
     """Real coefficient field known both on the quadrature grid and spectrally."""
 
@@ -130,11 +93,6 @@ class MaterialField:
     def from_values(cls, basis: EigenBasis, values) -> "MaterialField":
         values = np.asarray(values, dtype=float)
         return cls(values=values, coeffs=project(basis, values))
-
-    @classmethod
-    def from_coeffs(cls, basis: EigenBasis, coeffs) -> "MaterialField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(values=synthesize(basis, coeffs), coeffs=coeffs)
 
     @classmethod
     def constant(cls, basis: EigenBasis, value: float) -> "MaterialField":

@@ -17,7 +17,7 @@ from scipy import fft as sfft
 
 from .eigenbasis import EigenBasis, project, synthesize
 from .errors import ConvergenceError, ResonanceError
-from .fields import MaterialField, ModelParams, as_coeffs
+from .fields import MaterialField, ModelParams
 
 RESONANCE_TOL = 1e-12
 
@@ -85,7 +85,7 @@ def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.nd
     bilinear.  Keeping grid values lets callers multiply by a coefficient
     field before the single final projection.
     """
-    uc, vc = as_coeffs(u), as_coeffs(v)
+    uc, vc = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if uc.shape != vc.shape:
         raise ValueError("fields must share truncation")
     ug = synthesize(basis, uc)  # (M, nq)
@@ -110,7 +110,7 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
 
 def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
     """Diagonal solve L_m(sigma0) u_m = r_m; raises on resonant symbols."""
-    r = as_coeffs(rhat)
+    r = np.asarray(rhat, dtype=complex)
     return r / _nonresonant_symbols(params, lambdas, r.shape[0])
 
 
@@ -132,7 +132,7 @@ def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma: MaterialField
     L_m(sigma0) acts through its diagonal symbols; the variable part of sigma
     and the eta coupling are summed on the grid and projected once.
     """
-    uc = as_coeffs(u)
+    uc = np.asarray(u, dtype=complex)
     return (symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
             + project(basis, _grid_term(params, basis, sigma, eta, uc)))
 
@@ -144,7 +144,7 @@ def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
     Re-evaluates the model from u alone, so the check shares no state with
     the solver sweep.
     """
-    res = nonlinear_model(params, basis, sigma, eta, u) - as_coeffs(rhat)
+    res = nonlinear_model(params, basis, sigma, eta, u) - np.asarray(rhat, dtype=complex)
     return np.sqrt(np.sum(np.abs(res) ** 2, axis=1))
 
 
@@ -158,7 +158,7 @@ def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialF
     contraction: the sweep runs at d = 1 and, if it stalls, restarts from
     L(sigma0)^(-1) r at d = 0.5 before raising.
     """
-    r = as_coeffs(rhat)
+    r = np.asarray(rhat, dtype=complex)
     sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
     for d in (1.0, 0.5):
         u = r / sym
@@ -180,12 +180,12 @@ def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialF
 
 def observe(basis: EigenBasis, u) -> np.ndarray:
     """Trace samples p_m(x0) = sum_j u_m^j phi_j(x0) for x0 in Sigma."""
-    return as_coeffs(u) @ basis.trace_matrix
+    return np.asarray(u, dtype=complex) @ basis.trace_matrix
 
 
 def synthesize_time(u, omega: float, t) -> np.ndarray:
     """Real time signal Re(sum_m u_m exp(i m omega t)) on a time grid."""
-    c = as_coeffs(u)
+    c = np.asarray(u, dtype=complex)
     t = np.asarray(t, dtype=float)
     m = np.arange(1, c.shape[0] + 1)
     phases = np.exp(1j * omega * np.outer(m, t))  # (M, nt)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigenbasis import EigenBasis
-from .fields import ModelParams, NormSpec, as_coeffs
-from .forward import symbols_matrix
+from .eigenbasis import EigenBasis, trace_right_inverse
+from .fields import ModelParams, NormSpec
+from .forward import _nonresonant_symbols
 from .poles import PoleSet
-from .reconstruct import pole_table, residue_term, trace_lift
+from .reconstruct import pole_table, residue_term
 from .sources import SourcePair
 
 
@@ -46,17 +46,11 @@ def bochner_norm(u, omega: float, lambdas, orti: float, s: float) -> float:
     """Coefficient-space Bochner-Sobolev norm
     (sum_m |m omega|^(2 orti) sum_j lam_j^s |c_m^j|^2)^(1/2);
     leading axes (for example the source index) are summed as well."""
-    c = as_coeffs(u)
+    c = np.asarray(u, dtype=complex)
     M = c.shape[-2]
     mw = (np.arange(1, M + 1) * omega) ** (2.0 * orti)
     lw = _lam_weight(lambdas, s)
     return float(np.sqrt(np.sum(mw[:, None] * lw[None, :] * np.abs(c) ** 2)))
-
-
-def sobolev_norm(coeffs, lambdas, s: float) -> float:
-    """Spatial H^s norm of one coefficient vector (trailing axis = modes)."""
-    c = np.asarray(coeffs)
-    return float(np.sqrt(np.sum(_lam_weight(lambdas, s) * np.abs(c) ** 2)))
 
 
 def x_norm(a, du, lambdas, omega: float, spec: NormSpec) -> float:
@@ -71,34 +65,41 @@ def x_norm(a, du, lambdas, omega: float, spec: NormSpec) -> float:
 
 def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.ndarray:
     """w[m, l] = |o_m|^(4 + 2 orti) lam_l^(s_check) / |vartheta + Theta lam|^2,
-    written through the harmonic symbols."""
-    sym = symbols_matrix(params, lambdas, M)
+    written through the resonance-guarded harmonic symbols."""
+    sym = _nonresonant_symbols(params, lambdas, M)
     mw = (np.arange(1, M + 1) * params.omega) ** (2.0 * spec.orti_check)
     lw = _lam_weight(lambdas, spec.s_check)
     return mw[:, None] * lw[None, :] / np.abs(sym) ** 2
 
 
+def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,
+                 basis: EigenBasis, params: ModelParams) -> tuple[float, float]:
+    """The image-norm pieces sum_l sum_m w[m, l] |M_m q_l - r_m^l|^2 and
+    sum_l lam_l^s |q_l|^2 over the admissible modes ok, for pole values
+    q (n_ok, 2) and model residues r (2, M, n_ok) or 0."""
+    w = _pole_weight(params, basis.lambdas, M, spec)[:, ok]      # (M, n_ok)
+    lam_s = _lam_weight(basis.lambdas, spec.s)[ok]
+    diff = np.einsum("mef,kf->emk", sp.mm[:M], q) - r            # (2, M, n_ok)
+    term1 = float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0)))
+    term2 = float(np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=1)))
+    return term1, term2
+
+
 def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
                basis: EigenBasis, params: ModelParams,
                pole_values=None) -> tuple[float, float]:
-    """The two squared pieces of the model-side image norm.
+    """The two squared pieces of the model-side image norm, with
+    q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat.
 
-    pole_values, a (J, 2) array, optionally overrides
-    q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) on the modes with an admissible pole
-    (used by the cancellation self-test)."""
+    pole_values, a (J, 2) array, optionally overrides q_l on the modes with
+    an admissible pole (used by the cancellation self-test)."""
     rhat = np.asarray(rhat, dtype=complex)
-    M = rhat.shape[1]
     t = pole_table(pole_set, sp, params)
     if pole_values is None:
         q = t.model_term(rhat)                                   # (n_ok, 2)
     else:
         q = np.asarray(pole_values, dtype=complex)[t.ok]
-    w = _pole_weight(params, basis.lambdas, M, spec)[:, t.ok]    # (M, n_ok)
-    lam_s = _lam_weight(basis.lambdas, spec.s)[t.ok]
-    diff = np.einsum("mef,kf->emk", sp.mm[:M], q) - rhat[:, :, t.ok]   # (2, M, n_ok)
-    term1 = float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0)))
-    term2 = float(np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=1)))
-    return term1, term2
+    return _image_terms(q, rhat[:, :, t.ok], t.ok, rhat.shape[1], spec, sp, basis, params)
 
 
 def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
@@ -110,18 +111,12 @@ def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
 def yobs_terms(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
                basis: EigenBasis, params: ModelParams,
                M: int | None = None) -> tuple[float, float]:
-    """The two squared pieces of the observation-side image norm, from the
-    residues of the data continuation.  M is the harmonic range of the first
+    """The observation-side image-norm pieces, q_l = Theta Psi'/p^2
+    TrInv[Mtilde^(-1) res_l] and r = 0.  M is the harmonic range of the first
     double sum (defaults to the source truncation)."""
-    M = M or sp.M
     t = pole_table(pole_set, sp, params)
-    P = residue_term(residues, t, basis)                         # (n_ok, 2)
-    w = _pole_weight(params, basis.lambdas, M, spec)[:, t.ok]    # (M, n_ok)
-    lam_s = _lam_weight(basis.lambdas, spec.s)[t.ok]
-    amp = np.einsum("mef,kf->mke", sp.mm[:M], P)                 # (M, n_ok, 2)
-    term1 = float(np.sum(w * np.sum(np.abs(amp) ** 2, axis=2)))
-    term2 = float(np.sum(lam_s * np.sum(np.abs(P) ** 2, axis=1)))
-    return term1, term2
+    return _image_terms(residue_term(residues, t, basis), 0.0, t.ok, M or sp.M,
+                        spec, sp, basis, params)
 
 
 def yobs_norm(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
@@ -142,7 +137,7 @@ def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:
     phat = np.asarray(phat, dtype=complex)
     if phat.ndim == 2:
         phat = phat[None]
-    lifted = trace_lift(phat, basis)          # (nsrc, M, J)
+    lifted = phat @ trace_right_inverse(basis, np.arange(basis.J)).T   # (nsrc, M, J)
     M = phat.shape[1]
     tw = 1.0 + np.arange(1, M + 1) * omega
     lw = _lam_weight(basis.lambdas, s + 1.0)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import NonOscillatoryError, PoleSelectionError, StabilityViolationError
 from .fields import ModelParams
 
-ROOT_RESIDUAL_TOL = 1e-9
 IMAG_SELECT_TOL = 1e-14
 
 
@@ -30,18 +29,10 @@ def big_theta(o, params: ModelParams):
     return params.beta * o + 1.0
 
 
-def char_denominator(o, lam, params: ModelParams):
-    """vartheta(o) + Theta(o) * lam."""
-    return vartheta(o, params) + big_theta(o, params) * np.asarray(lam)
-
-
-def psi_transfer(o, params: ModelParams):
-    """Psi(o) = -vartheta(o) / Theta(o); poles satisfy Psi(p_l) = lam_l."""
-    return -vartheta(o, params) / big_theta(o, params)
-
-
 def psi_transfer_prime(o, params: ModelParams):
-    """Closed-form derivative of Psi: (vartheta Theta' - vartheta' Theta) / Theta^2."""
+    """Closed-form derivative of the transfer Psi(o) = -vartheta(o)/Theta(o),
+    whose level sets Psi(p_l) = lam_l are the poles:
+    (vartheta Theta' - vartheta' Theta) / Theta^2."""
     o = np.asarray(o, dtype=complex)
     th = vartheta(o, params)
     th_p = 3.0 * params.tau * o**2 + 2.0 * params.sigma0 * o
@@ -57,15 +48,6 @@ def characteristic_roots(lam: float, params: ModelParams) -> np.ndarray:
     else:
         coeffs = [params.sigma0, params.beta * lam, lam]
     return np.roots(coeffs)
-
-
-def root_residuals(roots, lam: float, params: ModelParams) -> np.ndarray:
-    """Relative residual |poly(p)| / scale at each returned root."""
-    roots = np.asarray(roots, dtype=complex)
-    vals = np.abs(char_denominator(roots, lam, params))
-    scale = (abs(params.tau) * np.abs(roots) ** 3 + params.sigma0 * np.abs(roots) ** 2
-             + abs(lam) * (params.beta * np.abs(roots) + 1.0))
-    return vals / np.maximum(scale, 1e-300)
 
 
 def pole_asymptotic(lam: float, params: ModelParams) -> complex:

@@ -293,7 +293,7 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
         params_tau = params0.with_tau(tau)
         pole_set = build_pole_set(basis.lambdas, params_tau)
         rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta),
-                          data.rhat, ref, pole_set, basis, params_tau, mode="fit")
+                          ref, pole_set, basis, params_tau)
         err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
         cbar = compute_cbar(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
         ctil = compute_ctilde(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, project, synthesize, trace_on_eigenspace
+from .eigenbasis import EigenBasis, synthesize, trace_right_inverse
 from .errors import IllConditionedFitError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import _nonresonant_symbols, observe, symbols_matrix
@@ -38,13 +38,6 @@ class LinearizedInput:
     a_sigma: np.ndarray  # (J,) real
     a_eta: np.ndarray    # (J,) real
     du: np.ndarray       # (2, M, J) complex
-
-    @classmethod
-    def from_fields(cls, basis: EigenBasis, phi_grid, dsigma_grid, deta_grid, du) -> "LinearizedInput":
-        phi_grid = np.asarray(phi_grid, dtype=float)
-        a_sigma = project(basis, phi_grid * np.asarray(dsigma_grid, dtype=float))
-        a_eta = project(basis, phi_grid**2 * np.asarray(deta_grid, dtype=float))
-        return cls(a_sigma=a_sigma, a_eta=a_eta, du=np.asarray(du, dtype=complex))
 
     @property
     def a(self) -> np.ndarray:
@@ -113,6 +106,17 @@ class PoleTable:
         """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (n_ok, 2)."""
         return np.einsum("kef,kf->ke", self.mt_inv, self.rtilde(rhat))
 
+    def residues(self, rhat, C, basis: EigenBasis) -> np.ndarray:
+        """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)
+        from the eigenspace-l trace data C_l = a^l tr(phi_l) (n_ok, 2, ns),
+        known or fitted: (J, 2, ns), zero off the admissible modes."""
+        rows = basis.trace_matrix[self.ok]
+        vec = (self.rtilde(rhat)[:, :, None] * rows[:, None, :]
+               - np.einsum("kef,kfx->kex", self.mt, C))
+        res = np.zeros((basis.J, 2, basis.nsigma), dtype=complex)
+        res[self.ok] = self.pref[:, None, None] * vec
+        return res
+
 
 @functools.lru_cache(maxsize=8)
 def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
@@ -135,27 +139,19 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
 def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
     """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
     admissible mode: (n_ok, 2)."""
-    rows = trace_on_eigenspace(basis, table.ok)              # (n_ok, ns)
-    wr = basis.sigma_weights * rows
     v = np.einsum("kef,kfx->kex", table.mt_inv, np.asarray(residues, dtype=complex)[table.ok])
-    lifted = np.einsum("kex,kx->ke", v, wr) / np.sum(wr * rows, axis=1)[:, None]
+    lifted = np.einsum("kex,kx->ke", v, trace_right_inverse(basis, table.ok))
     return (-1.0 / table.pref)[:, None] * lifted
 
 
 def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
                     basis: EigenBasis, params: ModelParams) -> np.ndarray:
-    """Exact residues of the data continuation from the known truth.
-
-    res_l(x0) = -p^2/(Theta Psi')(p_l) * tr(phi_l)(x0) * (rtilde^l(p_l)
-                 - Mtilde(p_l) a^l); used as the independent reference the
-    fit path must reproduce on noiseless data.
-    """
+    """Exact residues of the data continuation from the known truth,
+    C_l = a^l tr(phi_l) in `PoleTable.residues`; the reference the fit path
+    must reproduce on noiseless data."""
     t = pole_table(pole_set, sp, params)
-    res = np.zeros((basis.J, 2, basis.nsigma), dtype=complex)
-    vec = t.rtilde(rhat) - np.einsum("kef,kf->ke", t.mt, lin.a[t.ok])    # (n_ok, 2)
-    rows = basis.trace_matrix[t.ok]
-    res[t.ok] = t.pref[:, None, None] * (vec[:, :, None] * rows[:, None, :])
-    return res
+    C = lin.a[t.ok][:, :, None] * basis.trace_matrix[t.ok][:, None, :]
+    return t.residues(rhat, C, basis)
 
 
 def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
@@ -167,14 +163,13 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     data are a linear combination of the per-mode rational profiles
     o^2/(vartheta(o) + Theta(o) lam_j) sampled at o_m = i m omega, plus a
     smooth remainder represented by a low-order polynomial in 1/o.  The
-    fitted per-mode amplitudes convert to residues through the same closed
+    fitted per-mode amplitudes are the C_l of `PoleTable.residues`, the
     formula the oracle path uses, so both agree on noiseless data.
     """
     phat = np.asarray(phat, dtype=complex)
     rhat = np.asarray(rhat, dtype=complex)
-    M, ns, J = phat.shape[1], basis.nsigma, basis.J
-    sym = symbols_matrix(params, basis.lambdas, M)
-    D = 1.0 / sym                                            # (M, J)
+    M, ns = phat.shape[1], basis.nsigma
+    D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
     mm_inv = invert_mtilde(sp.mm[:M])
     s = np.einsum("mef,fmj->emj", mm_inv, rhat)              # (2, M, J)
     known = np.einsum("mj,emj,jx->emx", D, s, basis.trace_matrix)
@@ -191,47 +186,7 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     rhs = y.transpose(1, 0, 2).reshape(M, 2 * ns)
     sol, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     C = sol[: ok.size].reshape(ok.size, 2, ns)               # C_l(x0) = a^l tr(phi_l)(x0)
-
-    t = pole_table(pole_set, sp, params)
-    rt = t.rtilde(rhat)
-    vec = rt[:, :, None] * basis.trace_matrix[ok][:, None, :] - np.einsum("kef,kfx->kex", t.mt, C)
-    res = np.zeros((J, 2, ns), dtype=complex)
-    res[ok] = t.pref[:, None, None] * vec
-    return res, cond
-
-
-def extract_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
-                     params: ModelParams, mode: str = "fit",
-                     true_input: LinearizedInput | None = None) -> tuple[np.ndarray, float]:
-    """Dispatch to the oracle (needs the true input) or the data-driven fit."""
-    if mode == "oracle":
-        if true_input is None:
-            raise ValueError("oracle mode needs the true linearized input")
-        return oracle_residues(true_input, rhat, pole_set, sp, basis, params), float("nan")
-    if mode == "fit":
-        return fit_residues(phat, rhat, pole_set, sp, basis, params)
-    raise ValueError(f"unknown residue mode {mode!r}")
-
-
-def trace_inverse(v, basis: EigenBasis, ell: int):
-    """Least-squares coefficient of eigenspace ell from samples on Sigma.
-
-    Weighted normal equation for the rank-one restricted trace; the
-    smoothness index only reweights the norm and drops out of the recovered
-    value in the simple-spectrum setting.
-    """
-    row = trace_on_eigenspace(basis, ell)
-    w = basis.sigma_weights
-    denom = float(np.sum(w * row * row))
-    return (np.asarray(v) @ (w * row)) / denom
-
-
-def trace_lift(v, basis: EigenBasis) -> np.ndarray:
-    """Apply the trace right-inverse eigenspace by eigenspace: (... , ns) -> (..., J)."""
-    w = basis.sigma_weights
-    t = basis.trace_matrix
-    denom = np.sum(w * t * t, axis=1)
-    return (np.asarray(v) @ (w * t).T) / denom
+    return pole_table(pole_set, sp, params).residues(rhat, C, basis), cond
 
 
 def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
@@ -277,14 +232,17 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
     return dsig, deta
 
 
-def reconstruct(data: LinearizedData, rhat_known, ref: ReferenceState, pole_set: PoleSet,
-                basis: EigenBasis, params: ModelParams, mode: str = "fit",
-                true_input: LinearizedInput | None = None) -> ReconstructionResult:
-    """Full inversion: residues, coefficient pair, states."""
+def reconstruct(data: LinearizedData, ref: ReferenceState, pole_set: PoleSet,
+                basis: EigenBasis, params: ModelParams,
+                truth: LinearizedInput | None = None) -> ReconstructionResult:
+    """Full inversion: residues (fitted, or the oracle's from the true input),
+    coefficient pair, states."""
     sp = ref.source_pair
-    residues, fit_cond = extract_residues(data.phat, rhat_known, pole_set, sp, basis,
-                                          params, mode=mode, true_input=true_input)
-    a, mt_cond = recover_coefficients(residues, rhat_known, sp, pole_set, basis, params)
-    b = solve_states_from_coeffs(a, rhat_known, params, basis.lambdas, sp.mm)
+    if truth is None:
+        residues, fit_cond = fit_residues(data.phat, data.rhat, pole_set, sp, basis, params)
+    else:
+        residues, fit_cond = oracle_residues(truth, data.rhat, pole_set, sp, basis, params), np.nan
+    a, mt_cond = recover_coefficients(residues, data.rhat, sp, pole_set, basis, params)
+    b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)
     return ReconstructionResult(a=a, b=b, residues=residues, mtilde_cond=mt_cond,
                                 fit_cond=fit_cond, ok=pole_set.ok.copy())

@@ -143,8 +143,8 @@ def _roundtrip(sc, seed, mode):
     truth = make_true_fields(sc, basis, rng)
     data = linearized_forward(ref, params, basis, truth)
     pole_set = build_pole_set(basis.lambdas, params)
-    rec = reconstruct(data, data.rhat, ref, pole_set, basis, params,
-                      mode=mode, true_input=truth if mode == "oracle" else None)
+    rec = reconstruct(data, ref, pole_set, basis, params,
+                      truth=truth if mode == "oracle" else None)
     scale = max(float(np.max(np.abs(truth.a))), 1e-300)
     a_err = float(np.max(np.abs(rec.a - truth.a))) / scale
     b_scale = max(float(np.max(np.abs(truth.du))), 1e-300)

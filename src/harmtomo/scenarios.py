@@ -23,6 +23,8 @@ from .sources import ReferenceState, amplitude_modulate, build_reference_state, 
 PRESETS = ("basis-report", "forward-solve", "pole-report", "linearized-roundtrip",
            "stability-probe", "qr-sweep", "smoothing-study")
 
+RESIDUE_MODES = ("oracle", "fit")
+
 REQUIRED_PARAM_KEYS = ("tau", "beta", "sigma0", "omega", "T0", "A")
 
 QUASIREV_DEFAULTS = {"tau0": 0.0, "tau_min": 0.1, "tau_max": 0.5, "grid_ratio": 2.0**0.25,
@@ -155,6 +157,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
     out: list[str] = []
     if sc.preset not in PRESETS:
         out.append(f"unknown preset {sc.preset!r}; expected one of {PRESETS}")
+    if sc.raw.get("residue_mode", "oracle") not in RESIDUE_MODES:
+        out.append(f"unknown residue_mode {sc.raw['residue_mode']!r}; expected one of {RESIDUE_MODES}")
     p = sc.params
     for k in REQUIRED_PARAM_KEYS:
         if k not in p:

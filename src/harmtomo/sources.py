@@ -71,13 +71,6 @@ class PulseSpec:
     def M(self) -> int:
         return self.psi_hat.size
 
-    def l2_norm(self, T: float) -> float:
-        # rectangle rule on the uniform periodic grid is spectrally accurate
-        return float(np.sqrt(np.mean(self.psi_t**2) * T))
-
-    def l4_norm(self, T: float) -> float:
-        return float((np.mean(self.psi_t**4) * T) ** 0.25)
-
 
 def design_delta_pulse(params: ModelParams, M: int, width: float,
                        amplitude: float = 1.0, nt: int | None = None) -> PulseSpec:

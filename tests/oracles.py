@@ -4,9 +4,10 @@ The harmonic product: direct harmonic-pair sums over the real-signal
 convention u(t) = Re(sum_m u_m exp(i m omega t)); the package computes the
 same quantities with one FFT kernel (`harmonic_product_time`).
 
-The residue algebra: Mtilde(p_l), its inverse, the prefactor and rtilde^l(p_l)
-re-derived one pole at a time; the package reads them from one per-pole table
-(`reconstruct.pole_table`) built with array expressions.
+The residue algebra: Mtilde(p_l), its inverse, the prefactor, rtilde^l(p_l)
+and the trace inverse re-derived one pole at a time; the package reads them
+from one per-pole table (`reconstruct.pole_table`) built with array
+expressions and lifts traces with `eigenbasis.trace_right_inverse`.
 
 The nonlinear model operator: L_m(sigma) u_m + eta B_m(u, u) with each grid
 term projected on its own and B_m from the harmonic-pair loop; the package
@@ -26,11 +27,11 @@ import numpy as np
 
 from harmtomo.eigenbasis import EigenBasis, project, synthesize
 from harmtomo.errors import IllConditionedFitError
-from harmtomo.fields import MaterialField, ModelParams, NormSpec, as_coeffs
+from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight
 from harmtomo.poles import PoleSet, big_theta, bound_slack, psi_transfer_prime, verify_bounds
-from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult, trace_inverse
+from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
 from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
 
 
@@ -71,7 +72,7 @@ def product_dc_loop(a_hat, b_hat) -> complex:
 
 def convolve_bm_grid_loop(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
     """Quadrature-grid values of harmonics 1..m_out of the pointwise product."""
-    uc, vc = as_coeffs(u), as_coeffs(v)
+    uc, vc = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if uc.shape != vc.shape:
         raise ValueError("fields must share truncation")
     M = uc.shape[0]
@@ -120,6 +121,19 @@ def field_interp_at(rhat, o: complex, params: ModelParams) -> np.ndarray:
     of the per-mode model residues, from their harmonic coefficients."""
     hat = np.moveaxis(np.asarray(rhat, dtype=complex), -2, -1)  # (..., J, M)
     return interp_periodic_scalar(hat, 0.0, o, params.omega, params.T)  # (..., J)
+
+
+def trace_inverse(v, basis: EigenBasis, ell: int):
+    """Least-squares coefficient of eigenspace ell from samples on Sigma.
+
+    Weighted normal equation for the rank-one restricted trace; the
+    smoothness index only reweights the norm and drops out of the recovered
+    value in the simple-spectrum setting.
+    """
+    row = basis.trace_matrix[ell]
+    w = basis.sigma_weights
+    denom = float(np.sum(w * row * row))
+    return (np.asarray(v) @ (w * row)) / denom
 
 
 def _residue_prefactor(p: complex, params: ModelParams) -> complex:
@@ -329,7 +343,7 @@ def basis_to_csv(basis: EigenBasis, path, scenario_hash: str = "") -> None:
 
 def harmonic_field_to_csv(u, path, scenario_hash: str = "") -> None:
     """Rows (m, j, Re, Im) for one spectral field."""
-    c = as_coeffs(u)
+    c = np.asarray(u, dtype=complex)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         header = ["m", "j", "re", "im"]
@@ -419,7 +433,7 @@ def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialF
                         eta: MaterialField, u) -> np.ndarray:
     """L_m(sigma) u_m + eta B_m(u, u), projecting the slowness and the eta
     terms separately and taking B_m from the harmonic-pair loop."""
-    uc = as_coeffs(u)
+    uc = np.asarray(u, dtype=complex)
     out = symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
     out = out + project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
     return out + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc))

@@ -47,6 +47,11 @@ def acceptance_scenario():
     return basis, params, M, sp, ref, poles, spec
 
 
+def material_from_coeffs(basis, coeffs):
+    """Material field with the given spectral coefficients."""
+    return MaterialField(values=synthesize(basis, coeffs), coeffs=coeffs)
+
+
 def random_input(basis, M, seed, decay=False):
     rng = np.random.default_rng(seed)
     J = basis.J
@@ -61,8 +66,7 @@ def test_criterion_1_exact_linearized_round_trip():
     basis, params, M, sp, ref, poles, spec = acceptance_scenario()
     lin = random_input(basis, M, 7)
     data = linearized_forward(ref, params, basis, lin)
-    rec = reconstruct(data, data.rhat, ref, poles, basis, params,
-                      mode="oracle", true_input=lin)
+    rec = reconstruct(data, ref, poles, basis, params, truth=lin)
     a_err = np.max(np.abs(rec.a - lin.a)) / np.max(np.abs(lin.a))
     b_err = np.max(np.abs(rec.b - lin.du)) / np.max(np.abs(lin.du))
     elapsed = time.time() - t0
@@ -81,8 +85,8 @@ def test_criterion_2_residue_fit_robustness():
     rng = np.random.default_rng(99)
     noise = rng.standard_normal(data.phat.shape) + 1j * rng.standard_normal(data.phat.shape)
     noise *= 1e-6 * np.linalg.norm(data.phat) / np.linalg.norm(noise)
-    rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat + noise), data.rhat,
-                      ref, poles, basis, params, mode="fit")
+    rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat + noise),
+                      ref, poles, basis, params)
     noisy_err = np.linalg.norm(rec.a - lin.a) / np.linalg.norm(lin.a)
     ok = agree <= 1e-8 and noisy_err <= 1e-3
     report(2, ok, f"noiseless fit/oracle agreement {agree:.2e} (limit 1e-8), "
@@ -207,10 +211,10 @@ def test_criterion_7_nonlinear_lipschitz():
     def solved_state(seed):
         rng = np.random.default_rng(seed)
         J = basis.J
-        dsig = MaterialField.from_coeffs(
+        dsig = material_from_coeffs(
             basis, 0.3 * radius * rng.standard_normal(J) / (1 + np.arange(J)) ** 2)
         sigma = MaterialField.from_values(basis, params.sigma0 + dsig.values)
-        eta = MaterialField.from_coeffs(
+        eta = material_from_coeffs(
             basis, 1e-3 * rng.standard_normal(J) / (1 + np.arange(J)) ** 2)
         dr = 0.1 * radius * (rng.standard_normal((2, M, J)) + 1j * rng.standard_normal((2, M, J)))
         dr /= (1.0 + np.arange(1, M + 1))[:, None] ** 2 * (1.0 + basis.lambdas)[None, :]

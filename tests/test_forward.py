@@ -4,7 +4,7 @@ import pytest
 from harmtomo import harmonic_symbol, observe, solve_linear_harmonics, solve_multiharmonic
 from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
-from harmtomo.fields import HarmonicField, MaterialField, ModelParams
+from harmtomo.fields import MaterialField, ModelParams
 import harmtomo.forward as fw
 from harmtomo.forward import (convolve_bm_all, convolve_bm_grid, harmonic_product_time,
                               model_residual, nonlinear_model, symbols_matrix,
@@ -357,13 +357,6 @@ def test_synthesized_signal_is_real(basis8):
     t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     sig = synthesize_time(u, 1.0, t)
     assert np.isrealobj(sig)
-
-
-def test_harmonic_field_validation():
-    with pytest.raises(ValueError):
-        HarmonicField(np.zeros((1, 4), dtype=complex))
-    with pytest.raises(ValueError):
-        HarmonicField(np.full((3, 2), np.nan, dtype=complex))
 
 
 def test_harmonic_field_serialization(tmp_path):

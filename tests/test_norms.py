@@ -4,7 +4,7 @@ import pytest
 from harmtomo import bochner_norm, j_bound, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
 from harmtomo.forward import synthesize_time
-from harmtomo.norms import j_bound_constant, sobolev_norm, ymod_terms
+from harmtomo.norms import _lam_weight, j_bound_constant, ymod_terms
 from harmtomo.reconstruct import linearized_forward, oracle_residues
 from conftest import random_linearized
 
@@ -157,8 +157,8 @@ class TestYtilde:
         phat[0, m - 1, :] = c * basis8.trace_matrix[ell]
         # lift recovers exactly c in mode ell plus leakage into others; with a
         # single Sigma point the lift spreads, so compute the expected value
-        from harmtomo.reconstruct import trace_lift
-        lifted = trace_lift(phat[0, m - 1], basis8)
+        from harmtomo.eigenbasis import trace_right_inverse
+        lifted = phat[0, m - 1] @ trace_right_inverse(basis8, np.arange(basis8.J)).T
         expected = (1.0 + m * omega) * np.sqrt(
             np.sum(np.power(basis8.lambdas, s + 1.0) * np.abs(lifted) ** 2))
         assert ytilde_obs_norm(phat, basis8, s, omega) == pytest.approx(expected, rel=1e-12)
@@ -169,6 +169,18 @@ class TestYtilde:
         v1 = ytilde_obs_norm(phat, basis8, 1.0, 1.0)
         v2 = ytilde_obs_norm(5.0 * phat, basis8, 1.0, 1.0)
         assert v2 == pytest.approx(5.0 * v1, rel=1e-12)
+
+    def test_vanishing_trace_raises_rank_error(self):
+        # Neumann modes cos(j x) at x = pi/2: the odd ones have roundoff-level traces
+        from harmtomo import add_noise, build_interval_basis
+        from harmtomo.errors import TraceRankError
+        basis = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(np.pi / 2,))
+        phat = np.ones((2, 3, 1), dtype=complex)
+        with pytest.raises(TraceRankError) as err:
+            ytilde_obs_norm(phat, basis, 1.0, 1.0)
+        assert err.value.ell == 1
+        with pytest.raises(TraceRankError):
+            add_noise(phat, 1e-3, 1, basis, 1.0, 1.0)
 
     def test_dominates_yobs_with_tau_trend(self, setup_small, spec_std):
         # fitted comparison constant grows as tau decreases
@@ -239,6 +251,11 @@ class TestAmplificationBound:
         p = ModelParams.create(tau=1.0, beta=1.0, sigma0=1.0, omega=1.0, T0=np.pi, A=2.0)
         with pytest.raises(ValueError):
             j_bound_constant(0.0, p)
+
+
+def sobolev_norm(coeffs, lambdas, s: float) -> float:
+    """Spatial H^s norm of one coefficient vector (trailing axis = modes)."""
+    return float(np.sqrt(np.sum(_lam_weight(lambdas, s) * np.abs(coeffs) ** 2)))
 
 
 def test_sobolev_zero_mode_convention():

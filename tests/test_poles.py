@@ -5,9 +5,23 @@ from harmtomo import (build_pole_set, characteristic_roots, interval_eigenvalues
                       pole_asymptotic, select_pole, verify_bounds)
 from harmtomo.errors import NonOscillatoryError, PoleSelectionError
 from harmtomo.fields import ModelParams
-from harmtomo.poles import psi_transfer, root_residuals
+from harmtomo.poles import big_theta, vartheta
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
+
+
+def psi_transfer(o, params):
+    """Psi(o) = -vartheta(o) / Theta(o); poles satisfy Psi(p_l) = lam_l."""
+    return -vartheta(o, params) / big_theta(o, params)
+
+
+def root_residuals(roots, lam, params):
+    """Relative residual |vartheta(p) + Theta(p) lam| / scale at each root."""
+    roots = np.asarray(roots, dtype=complex)
+    vals = np.abs(vartheta(roots, params) + big_theta(roots, params) * lam)
+    scale = (abs(params.tau) * np.abs(roots) ** 3 + params.sigma0 * np.abs(roots) ** 2
+             + abs(lam) * (params.beta * np.abs(roots) + 1.0))
+    return vals / np.maximum(scale, 1e-300)
 
 
 def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0):

@@ -213,8 +213,7 @@ class TestSweep:
         for d in offsets:
             pt = params.with_tau(0.3 + d)
             ps = build_pole_set(basis.lambdas, pt)
-            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), data.rhat,
-                              ref, ps, basis, pt, mode="fit")
+            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), ref, ps, basis, pt)
             errs.append(x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas,
                                params.omega, spec))
         slopes = np.array(errs) / np.array(offsets)

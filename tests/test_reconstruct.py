@@ -3,7 +3,7 @@ import pytest
 
 from harmtomo import (assemble_fields, build_interval_basis, build_pole_set,
                       build_rectangle_basis, recover_coefficients,
-                      solve_states_from_coeffs, trace_inverse, reconstruct)
+                      solve_states_from_coeffs, trace_right_inverse, reconstruct)
 from harmtomo.errors import HarmtomoError, ResonanceError
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
@@ -14,6 +14,14 @@ from conftest import random_linearized, run_scenario, small_scenario
 from oracles import recover_coefficients_loop, recover_states
 
 GOLDEN = (1 + 5**0.5) / 2
+
+
+def linearized_from_fields(basis, phi_grid, dsigma_grid, deta_grid, du):
+    """Linearized input whose coefficient channels are the projections of
+    phi*dsigma and phi^2*deta."""
+    return LinearizedInput(a_sigma=project(basis, phi_grid * dsigma_grid),
+                           a_eta=project(basis, phi_grid**2 * deta_grid),
+                           du=np.asarray(du, dtype=complex))
 
 
 class TestLinearizedForward:
@@ -50,7 +58,7 @@ class TestLinearizedForward:
         dsig = np.cos(basis.nodes[:, 0])
         deta = np.sin(basis.nodes[:, 0]) ** 2
         du = np.zeros((2, s["M"], basis.J), dtype=complex)
-        lin = LinearizedInput.from_fields(basis, s["ref"].phi_grid, dsig, deta, du)
+        lin = linearized_from_fields(basis, s["ref"].phi_grid, dsig, deta, du)
         assert np.max(np.abs(lin.a_sigma - project(basis, s["ref"].phi_grid * dsig))) == 0
 
 
@@ -137,8 +145,7 @@ class TestRecovery:
         s = setup_big
         lin = random_linearized(s["basis"], s["M"], 13, decay=False)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-        rec = reconstruct(data, data.rhat, s["ref"], s["poles"], s["basis"], s["params"],
-                          mode="oracle", true_input=lin)
+        rec = reconstruct(data, s["ref"], s["poles"], s["basis"], s["params"], truth=lin)
         assert np.max(np.abs(rec.a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
         assert np.max(np.abs(rec.b - lin.du)) / np.max(np.abs(lin.du)) <= 1e-9
 
@@ -147,13 +154,11 @@ class TestRecovery:
         lin = random_linearized(s["basis"], s["M"], 17)
         only_sigma = LinearizedInput(a_sigma=lin.a_sigma, a_eta=np.zeros_like(lin.a_eta), du=lin.du)
         data = linearized_forward(s["ref"], s["params"], s["basis"], only_sigma)
-        rec = reconstruct(data, data.rhat, s["ref"], s["poles"], s["basis"], s["params"],
-                          mode="oracle", true_input=only_sigma)
+        rec = reconstruct(data, s["ref"], s["poles"], s["basis"], s["params"], truth=only_sigma)
         assert np.max(np.abs(rec.a[:, 1])) <= 1e-10
         only_eta = LinearizedInput(a_sigma=np.zeros_like(lin.a_sigma), a_eta=lin.a_eta, du=lin.du)
         data = linearized_forward(s["ref"], s["params"], s["basis"], only_eta)
-        rec = reconstruct(data, data.rhat, s["ref"], s["poles"], s["basis"], s["params"],
-                          mode="oracle", true_input=only_eta)
+        rec = reconstruct(data, s["ref"], s["poles"], s["basis"], s["params"], truth=only_eta)
         assert np.max(np.abs(rec.a[:, 0])) <= 1e-10
 
     def test_homogeneous_model_channel(self, setup_small):
@@ -213,8 +218,8 @@ class TestRecovery:
         errs = []
         for level in (1e-6, 1e-4, 1e-2):
             noisy = data.phat + level * np.linalg.norm(data.phat) * direction
-            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy), data.rhat,
-                              s["ref"], s["poles"], s["basis"], s["params"], mode="fit")
+            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy),
+                              s["ref"], s["poles"], s["basis"], s["params"])
             errs.append(np.linalg.norm(rec.a - lin.a) / np.linalg.norm(lin.a))
         assert errs[0] < errs[1] < errs[2]
         # error grows continuously, about linearly in the noise level
@@ -225,14 +230,15 @@ class TestTraceInverse:
     def test_scalar_division_single_point(self, setup_small):
         basis = setup_small["basis"]
         v = np.array([0.7])
-        c = trace_inverse(v, basis, 2)
+        c = v @ trace_right_inverse(basis, np.array([2]))[0]
         assert c == pytest.approx(0.7 / basis.trace_matrix[2, 0])
 
     def test_right_inverse_property(self):
         basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 5,
                                       sigma_points="side:y=0")
+        rows = trace_right_inverse(basis, np.arange(5))
         for ell in range(5):
-            c = trace_inverse(basis.trace_matrix[ell], basis, ell)
+            c = basis.trace_matrix[ell] @ rows[ell]
             assert c == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_data_maps_to_zero(self):
@@ -242,7 +248,7 @@ class TestTraceInverse:
         w = basis.sigma_weights
         v = np.linspace(-1, 1, t.size)
         v = v - t * (np.sum(w * t * v) / np.sum(w * t * t))
-        assert abs(trace_inverse(v, basis, 1)) <= 1e-12 * np.linalg.norm(v)
+        assert abs(v @ trace_right_inverse(basis, np.array([1]))[0]) <= 1e-12 * np.linalg.norm(v)
 
 
 class TestAssemble:
@@ -262,11 +268,10 @@ class TestAssemble:
         rng = np.random.default_rng(37)
         sigma_true = synthesize(basis, rng.standard_normal(basis.J) / (1 + np.arange(basis.J)) ** 2) / phi
         eta_true = synthesize(basis, rng.standard_normal(basis.J) / (1 + np.arange(basis.J)) ** 2) / phi**2
-        lin = LinearizedInput.from_fields(basis, phi, sigma_true, eta_true,
-                                          np.zeros((2, s["M"], basis.J), dtype=complex))
+        lin = linearized_from_fields(basis, phi, sigma_true, eta_true,
+                                     np.zeros((2, s["M"], basis.J), dtype=complex))
         data = linearized_forward(s["ref"], s["params"], basis, lin)
-        rec = reconstruct(data, data.rhat, s["ref"], s["poles"], basis, s["params"],
-                          mode="oracle", true_input=lin)
+        rec = reconstruct(data, s["ref"], s["poles"], basis, s["params"], truth=lin)
         dsig, deta = assemble_fields(basis, rec.a, phi)
         rel = np.linalg.norm(dsig - sigma_true) / np.linalg.norm(sigma_true)
         assert rel <= 1e-8
@@ -279,17 +284,6 @@ class TestAssemble:
         with pytest.raises(ZeroDivisionError) as err:
             assemble_fields(basis, np.zeros((6, 2)), phi, guard=0.1)
         assert isinstance(err.value, HarmtomoError)
-
-
-def test_extract_residues_dispatch_errors(setup_small):
-    from harmtomo import extract_residues
-    s = setup_small
-    zero = np.zeros((2, s["M"], s["basis"].J), dtype=complex)
-    phat = np.zeros((2, s["M"], s["basis"].nsigma), dtype=complex)
-    with pytest.raises(ValueError):
-        extract_residues(phat, zero, s["poles"], s["sp"], s["basis"], s["params"], mode="oracle")
-    with pytest.raises(ValueError):
-        extract_residues(phat, zero, s["poles"], s["sp"], s["basis"], s["params"], mode="nope")
 
 
 def test_result_csv(tmp_path):

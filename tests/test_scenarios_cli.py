@@ -73,6 +73,7 @@ class TestValidate:
     @pytest.mark.parametrize("key, value, message", [
         ("params.tau", -0.1, "tau must be nonnegative"),
         ("params.omega", 0, "omega must be positive"),
+        ("residue_mode", "nope", "unknown residue_mode 'nope'"),
     ])
     def test_model_parameter_checks_are_violations(self, tmp_path, capsys, key, value, message):
         bad = _write_variant(tmp_path, ROUNDTRIP, **{key: value})
@@ -170,15 +171,19 @@ def test_inadmissible_slowness_is_numerical_failure(tmp_path, capsys):
 
 
 def test_resonant_roundtrip_is_numerical_failure(tmp_path, capsys):
-    # Neumann ends put lambda_1 = 1 on the resonance sigma0 m^2 omega^2 at m = 1, alpha = 0
-    raw = small_scenario("linearized-roundtrip", J=4, M=16)
-    raw["domain"]["robin_gamma"] = [0.0, 0.0]
-    raw["params"].update(tau=1.0, omega=1.0, sigma0=1.0, beta=1.0, T0=math.pi)
-    raw["source"]["phi_mode"] = 1
-    path = tmp_path / "resonant.json"
-    path.write_text(json.dumps(raw))
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "resonant harmonic symbol at (m=1, j=1)" in capsys.readouterr().err
+    # Neumann ends put lambda_1 = 1 on the resonance sigma0 m^2 omega^2 at m = 1, alpha = 0;
+    # every division by the harmonic symbols (oracle and fit recovery, the image norms) trips
+    for preset, extra in (("linearized-roundtrip", {"residue_mode": "oracle"}),
+                          ("linearized-roundtrip", {"residue_mode": "fit"}),
+                          ("stability-probe", {"draws": 2})):
+        raw = small_scenario(preset, J=4, M=16, **extra)
+        raw["domain"]["robin_gamma"] = [0.0, 0.0]
+        raw["params"].update(tau=1.0, omega=1.0, sigma0=1.0, beta=1.0, T0=math.pi)
+        raw["source"]["phi_mode"] = 1
+        path = tmp_path / "resonant.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3, extra
+        assert "resonant harmonic symbol at (m=1, j=1)" in capsys.readouterr().err, extra
 
 
 def test_missing_key_is_validation_failure(tmp_path):

@@ -8,6 +8,15 @@ from harmtomo.norms import rho_t
 from harmtomo.sources import psi_sq_tilde, psi_tilde
 
 
+def l2_norm(pulse, T):
+    # rectangle rule on the uniform periodic grid is spectrally accurate
+    return float(np.sqrt(np.mean(pulse.psi_t**2) * T))
+
+
+def l4_norm(pulse, T):
+    return float((np.mean(pulse.psi_t**4) * T) ** 0.25)
+
+
 def params_of(tau=0.5, omega=0.5, T0=None, A=2.0):
     T0 = T0 if T0 is not None else np.pi / (2 * omega) * 2
     return ModelParams.create(tau=tau, beta=1.0, sigma0=1.0, omega=omega, T0=T0, A=A)
@@ -32,7 +41,7 @@ class TestDeltaPulse:
         p = params_of()
         pulse = design_delta_pulse(p, 12, 0.1, amplitude=2.0)
         assert np.isrealobj(pulse.psi_t)
-        assert np.isfinite(pulse.l4_norm(p.T)) and pulse.l4_norm(p.T) > 0
+        assert np.isfinite(l4_norm(pulse, p.T)) and l4_norm(pulse, p.T) > 0
 
     def test_width_too_large(self):
         p = params_of()
@@ -133,7 +142,7 @@ class TestInterpolant:
         sp, p, poles = setup_small["sp"], setup_small["params"], setup_small["poles"]
         T = p.T
         A = sp.A
-        l2, l4 = sp.psi1.l2_norm(T), sp.psi1.l4_norm(T)
+        l2, l4 = l2_norm(sp.psi1, T), l4_norm(sp.psi1, T)
         lower = (A**4 + A**2 + 2) / (4 * A**2 * (A - 1) ** 2) * T**2 / min(l4**4, l2**2)
         cmu = []
         for ell in np.flatnonzero(poles.ok):
