@@ -102,7 +102,7 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
     """symbols_matrix, raising ResonanceError where a symbol vanishes."""
     sym = symbols_matrix(params, lambdas, M)
     mag = np.abs(sym)
-    if np.min(mag) <= RESONANCE_TOL:
+    if np.min(mag, initial=np.inf) <= RESONANCE_TOL:
         m_bad, j_bad = np.unravel_index(int(np.argmin(mag)), mag.shape)
         raise ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
     return sym

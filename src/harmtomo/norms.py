@@ -7,6 +7,9 @@ smoothness seminorm weight.  The combined image-space norm is the sum
 Yobs + Ymod of the two displayed pieces, the product-space combination under
 which the unit-bound linearized stability estimate is an exact triangle
 inequality.
+
+The preimage and image norms take leading batch axes on their data and
+return one value per draw: a float without batch axes, an array with them.
 """
 
 from __future__ import annotations
@@ -42,25 +45,34 @@ def _lam_weight(lambdas, s: float) -> np.ndarray:
     return np.power(lam, s)  # 0**0 == 1 keeps the s = 0 case a plain l2 weight
 
 
+def _per_draw(x):
+    """A float for a 0-d result, the array itself for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _bochner_sq(u, omega: float, lambdas, orti: float, s: float) -> np.ndarray:
+    """Entrywise |m omega|^(2 orti) lam_j^s |c_m^j|^2 of coefficients (..., M, J)."""
+    c = np.asarray(u, dtype=complex)
+    mw = (np.arange(1, c.shape[-2] + 1) * omega) ** (2.0 * orti)
+    return mw[:, None] * _lam_weight(lambdas, s) * np.abs(c) ** 2
+
+
 def bochner_norm(u, omega: float, lambdas, orti: float, s: float) -> float:
     """Coefficient-space Bochner-Sobolev norm
     (sum_m |m omega|^(2 orti) sum_j lam_j^s |c_m^j|^2)^(1/2);
     leading axes (for example the source index) are summed as well."""
-    c = np.asarray(u, dtype=complex)
-    M = c.shape[-2]
-    mw = (np.arange(1, M + 1) * omega) ** (2.0 * orti)
-    lw = _lam_weight(lambdas, s)
-    return float(np.sqrt(np.sum(mw[:, None] * lw[None, :] * np.abs(c) ** 2)))
+    return float(np.sqrt(np.sum(_bochner_sq(u, omega, lambdas, orti, s))))
 
 
-def x_norm(a, du, lambdas, omega: float, spec: NormSpec) -> float:
-    """Preimage norm: H^s of both coefficient channels plus the state pair in
-    the mixed (orti_check, s_check) Bochner norm."""
-    a = np.asarray(a)
+def x_norm(a, du, lambdas, omega: float, spec: NormSpec):
+    """Preimage norm of a (..., J, 2) and du (..., 2, M, J): H^s of both
+    coefficient channels plus the state pair in the mixed (orti_check,
+    s_check) Bochner norm, summed over the last three axes of du."""
     lw = _lam_weight(lambdas, spec.s)
-    coef_sq = float(np.sum(lw[:, None] * np.abs(a) ** 2))
-    state = bochner_norm(du, omega, lambdas, spec.orti_check, spec.s_check)
-    return float(np.sqrt(coef_sq + state**2))
+    coef_sq = np.sum(lw[:, None] * np.abs(np.asarray(a)) ** 2, axis=(-2, -1))
+    state_sq = np.sum(_bochner_sq(du, omega, lambdas, spec.orti_check, spec.s_check),
+                      axis=(-3, -2, -1))
+    return _per_draw(np.sqrt(coef_sq + state_sq))
 
 
 def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.ndarray:
@@ -73,56 +85,57 @@ def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.nda
 
 
 def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,
-                 basis: EigenBasis, params: ModelParams) -> tuple[float, float]:
+                 basis: EigenBasis, params: ModelParams):
     """The image-norm pieces sum_l sum_m w[m, l] |M_m q_l - r_m^l|^2 and
     sum_l lam_l^s |q_l|^2 over the admissible modes ok, for pole values
-    q (n_ok, 2) and model residues r (2, M, n_ok) or 0."""
+    q (..., n_ok, 2) and model residues r (..., 2, M, n_ok) or 0."""
     w = _pole_weight(params, basis.lambdas, M, spec)[:, ok]      # (M, n_ok)
     lam_s = _lam_weight(basis.lambdas, spec.s)[ok]
-    diff = np.einsum("mef,kf->emk", sp.mm[:M], q) - r            # (2, M, n_ok)
-    term1 = float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0)))
-    term2 = float(np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=1)))
-    return term1, term2
+    diff = np.einsum("mef,...kf->...emk", sp.mm[:M], q, order="C") - r  # (..., 2, M, n_ok)
+    term1 = np.sum(w * np.sum(np.abs(diff) ** 2, axis=-3), axis=(-2, -1))
+    term2 = np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=-1), axis=-1)
+    return _per_draw(term1), _per_draw(term2)
 
 
 def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
                basis: EigenBasis, params: ModelParams,
-               pole_values=None) -> tuple[float, float]:
-    """The two squared pieces of the model-side image norm, with
-    q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat.
+               pole_values=None):
+    """The two squared pieces of the model-side image norm of rhat
+    (..., 2, M, J), with q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat.
 
-    pole_values, a (J, 2) array, optionally overrides q_l on the modes with
-    an admissible pole (used by the cancellation self-test)."""
+    pole_values, a (..., J, 2) array, optionally overrides q_l on the modes
+    with an admissible pole (used by the cancellation self-test)."""
     rhat = np.asarray(rhat, dtype=complex)
     t = pole_table(pole_set, sp, params)
     if pole_values is None:
-        q = t.model_term(rhat)                                   # (n_ok, 2)
+        q = t.model_term(rhat)                                   # (..., n_ok, 2)
     else:
-        q = np.asarray(pole_values, dtype=complex)[t.ok]
-    return _image_terms(q, rhat[:, :, t.ok], t.ok, rhat.shape[1], spec, sp, basis, params)
+        q = np.asarray(pole_values, dtype=complex)[..., t.ok, :]
+    return _image_terms(q, rhat[..., t.ok], t.ok, rhat.shape[-2], spec, sp, basis, params)
 
 
 def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-              basis: EigenBasis, params: ModelParams) -> float:
+              basis: EigenBasis, params: ModelParams):
     t1, t2 = ymod_terms(rhat, spec, sp, pole_set, basis, params)
-    return float(np.sqrt(t1 + t2))
+    return _per_draw(np.sqrt(t1 + t2))
 
 
 def yobs_terms(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
                basis: EigenBasis, params: ModelParams,
-               M: int | None = None) -> tuple[float, float]:
-    """The observation-side image-norm pieces, q_l = Theta Psi'/p^2
-    TrInv[Mtilde^(-1) res_l] and r = 0.  M is the harmonic range of the first
-    double sum (defaults to the source truncation)."""
+               M: int | None = None):
+    """The observation-side image-norm pieces of residues (..., J, 2, ns),
+    q_l = Theta Psi'/p^2 TrInv[Mtilde^(-1) res_l] and r = 0.  M is the
+    harmonic range of the first double sum (defaults to the source
+    truncation)."""
     t = pole_table(pole_set, sp, params)
-    return _image_terms(residue_term(residues, t, basis), 0.0, t.ok, M or sp.M,
-                        spec, sp, basis, params)
+    return _image_terms(residue_term(residues, t, basis), 0.0, t.ok,
+                        sp.M if M is None else M, spec, sp, basis, params)
 
 
 def yobs_norm(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-              basis: EigenBasis, params: ModelParams, M: int | None = None) -> float:
+              basis: EigenBasis, params: ModelParams, M: int | None = None):
     t1, t2 = yobs_terms(residues, spec, sp, pole_set, basis, params, M=M)
-    return float(np.sqrt(t1 + t2))
+    return _per_draw(np.sqrt(t1 + t2))
 
 
 def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:

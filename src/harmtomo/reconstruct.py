@@ -10,6 +10,10 @@ whose poles sit at the characteristic roots.  The residue at p_l isolates the
 eigenspace-l content of the unknown coefficient pair a^l = (a_sigma, a_eta),
 which the explicit formulas below then recover exactly in the truncated
 space.
+
+The linearized map, the residue algebra and the recovery take leading batch
+axes on their data, (..., 2, M, J) for model residues and states and
+(..., J, 2) for coefficient pairs, and map a batch of draws in one call.
 """
 
 from __future__ import annotations
@@ -35,27 +39,27 @@ class LinearizedInput:
     """Perturbation triple: coefficient vectors of phi*dsigma and phi^2*deta
     plus the state perturbation pair du (sources x harmonics x modes)."""
 
-    a_sigma: np.ndarray  # (J,) real
-    a_eta: np.ndarray    # (J,) real
-    du: np.ndarray       # (2, M, J) complex
+    a_sigma: np.ndarray  # (..., J) real
+    a_eta: np.ndarray    # (..., J) real
+    du: np.ndarray       # (..., 2, M, J) complex
 
     @property
     def a(self) -> np.ndarray:
-        """(J, 2) stacked coefficient pair."""
+        """(..., J, 2) stacked coefficient pair."""
         return np.stack([self.a_sigma, self.a_eta], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearizedData:
-    rhat: np.ndarray  # (2, M, J) complex model residues
-    phat: np.ndarray  # (2, M, ns) complex trace observations
+    rhat: np.ndarray  # (..., 2, M, J) complex model residues
+    phat: np.ndarray  # (..., 2, M, ns) complex trace observations
 
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    a: np.ndarray             # (J, 2) recovered coefficient pair
-    b: np.ndarray             # (2, M, J) recovered states
-    residues: np.ndarray      # (J, 2, ns)
+    a: np.ndarray             # (..., J, 2) recovered coefficient pair
+    b: np.ndarray             # (..., 2, M, J) recovered states
+    residues: np.ndarray      # (..., J, 2, ns)
     mtilde_cond: np.ndarray   # (J,) condition numbers of Mtilde(p_l)
     fit_cond: float           # design matrix condition (nan in oracle mode)
     ok: np.ndarray            # (J,) bool, modes with an admissible pole
@@ -67,10 +71,11 @@ def linearized_forward(ref: ReferenceState, params: ModelParams, basis: EigenBas
     r_m = L_m(sigma0) du_m + (phi dsigma) psi_m + (phi^2 deta) (psi^2)_m,
     p_m = traces of du_m."""
     du = lin.du
-    M = du.shape[1]
+    M = du.shape[-2]
     sym = symbols_matrix(params, basis.lambdas, M)
     mm = ref.source_pair.mm[:M]
-    rhat = sym[None, :, :] * du + np.einsum("meq,jq->emj", mm, lin.a)
+    rhat = sym * du
+    rhat += np.einsum("meq,...jq->...emj", mm, lin.a, order="C")
     phat = observe(basis, du)
     return LinearizedData(rhat=rhat, phat=phat)
 
@@ -93,28 +98,29 @@ class PoleTable:
                         # slope of the characteristic denominator at a simple pole
     kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l
     km: np.ndarray      # (n_ok, M) kernel of their conjugates
+    mt_cond: np.ndarray  # (n_ok,) condition numbers of Mtilde(p_l)
 
     def rtilde(self, rhat) -> np.ndarray:
         """rtilde^l(p_l) = (2/T) integral r^l(t) exp(-p_l t) dt of the model
-        residues rhat (2, M, J) on each admissible mode l: (n_ok, 2)."""
-        r = np.asarray(rhat, dtype=complex)[:, :, self.ok]      # (2, M, n_ok)
-        M = r.shape[1]
-        return (np.einsum("emk,km->ke", r, self.kp[:, :M])
-                + np.einsum("emk,km->ke", np.conj(r), self.km[:, :M]))
+        residues rhat (..., 2, M, J) on each admissible mode l: (..., n_ok, 2)."""
+        r = np.asarray(rhat, dtype=complex)[..., self.ok]       # (..., 2, M, n_ok)
+        M = r.shape[-2]
+        return (np.einsum("...emk,km->...ke", r, self.kp[:, :M])
+                + np.einsum("...emk,km->...ke", np.conj(r), self.km[:, :M]))
 
     def model_term(self, rhat) -> np.ndarray:
-        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (n_ok, 2)."""
-        return np.einsum("kef,kf->ke", self.mt_inv, self.rtilde(rhat))
+        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (..., n_ok, 2)."""
+        return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde(rhat))
 
     def residues(self, rhat, C, basis: EigenBasis) -> np.ndarray:
         """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)
-        from the eigenspace-l trace data C_l = a^l tr(phi_l) (n_ok, 2, ns),
-        known or fitted: (J, 2, ns), zero off the admissible modes."""
+        from the eigenspace-l trace data C_l = a^l tr(phi_l) (..., n_ok, 2, ns),
+        known or fitted: (..., J, 2, ns), zero off the admissible modes."""
         rows = basis.trace_matrix[self.ok]
-        vec = (self.rtilde(rhat)[:, :, None] * rows[:, None, :]
-               - np.einsum("kef,kfx->kex", self.mt, C))
-        res = np.zeros((basis.J, 2, basis.nsigma), dtype=complex)
-        res[self.ok] = self.pref[:, None, None] * vec
+        vec = (self.rtilde(rhat)[..., None] * rows[:, None, :]
+               - np.einsum("kef,...kfx->...kex", self.mt, C))
+        res = np.zeros(vec.shape[:-3] + (basis.J, 2, basis.nsigma), dtype=complex)
+        res[..., self.ok, :, :] = self.pref[:, None, None] * vec
         return res
 
 
@@ -130,7 +136,8 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     mt = evaluate_mtilde(sp, p, params)
     kp, km, _ = interp_kernels(p, sp.M, params.omega, params.T)
     pref = -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
-    table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), pref=pref, kp=kp, km=km)
+    table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), pref=pref, kp=kp, km=km,
+                      mt_cond=np.linalg.cond(mt))
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table
@@ -138,9 +145,10 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
 
 def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
     """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
-    admissible mode: (n_ok, 2)."""
-    v = np.einsum("kef,kfx->kex", table.mt_inv, np.asarray(residues, dtype=complex)[table.ok])
-    lifted = np.einsum("kex,kx->ke", v, trace_right_inverse(basis, table.ok))
+    admissible mode: (..., n_ok, 2)."""
+    res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
+    v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
+    lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
     return (-1.0 / table.pref)[:, None] * lifted
 
 
@@ -150,7 +158,7 @@ def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePai
     C_l = a^l tr(phi_l) in `PoleTable.residues`; the reference the fit path
     must reproduce on noiseless data."""
     t = pole_table(pole_set, sp, params)
-    C = lin.a[t.ok][:, :, None] * basis.trace_matrix[t.ok][:, None, :]
+    C = lin.a[..., t.ok, :, None] * basis.trace_matrix[t.ok][:, None, :]
     return t.residues(rhat, C, basis)
 
 
@@ -164,16 +172,18 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     o^2/(vartheta(o) + Theta(o) lam_j) sampled at o_m = i m omega, plus a
     smooth remainder represented by a low-order polynomial in 1/o.  The
     fitted per-mode amplitudes are the C_l of `PoleTable.residues`, the
-    formula the oracle path uses, so both agree on noiseless data.
+    formula the oracle path uses, so both agree on noiseless data.  Leading
+    batch axes of the data become further right-hand sides of the one
+    least-squares problem.
     """
     phat = np.asarray(phat, dtype=complex)
     rhat = np.asarray(rhat, dtype=complex)
-    M, ns = phat.shape[1], basis.nsigma
+    M = phat.shape[-2]
     D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
     mm_inv = invert_mtilde(sp.mm[:M])
-    s = np.einsum("mef,fmj->emj", mm_inv, rhat)              # (2, M, J)
-    known = np.einsum("mj,emj,jx->emx", D, s, basis.trace_matrix)
-    y = np.einsum("mef,fmx->emx", mm_inv, phat) - known      # (2, M, ns)
+    s = np.einsum("mef,...fmj->...emj", mm_inv, rhat)        # (..., 2, M, J)
+    known = np.einsum("mj,...emj,jx->...emx", D, s, basis.trace_matrix)
+    y = np.einsum("mef,...fmx->...emx", mm_inv, phat) - known  # (..., 2, M, ns)
 
     ok = np.flatnonzero(pole_set.ok)
     o_m = 1j * np.arange(1, M + 1) * params.omega
@@ -183,10 +193,10 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
     if cond > cond_limit:
         raise IllConditionedFitError(cond)
 
-    rhs = y.transpose(1, 0, 2).reshape(M, 2 * ns)
-    sol, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    C = sol[: ok.size].reshape(ok.size, 2, ns)               # C_l(x0) = a^l tr(phi_l)(x0)
-    return pole_table(pole_set, sp, params).residues(rhat, C, basis), cond
+    rhs = np.moveaxis(y, -2, 0)                              # (M, ..., 2, ns)
+    sol, *_ = np.linalg.lstsq(G, rhs.reshape(M, -1), rcond=None)
+    C = sol[: ok.size].reshape((ok.size,) + rhs.shape[1:])   # C_l(x0) = a^l tr(phi_l)(x0)
+    return pole_table(pole_set, sp, params).residues(rhat, np.moveaxis(C, 0, -3), basis), cond
 
 
 def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
@@ -196,13 +206,15 @@ def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
         a^l = Theta(p) Psi'(p)/p^2 * TrInv[Mtilde(p)^(-1) res_l]
               + Mtilde(p)^(-1) rtilde^l(p),     p = p_l.
 
-    Returns (a, mtilde_cond).
+    Returns (a, mtilde_cond): a is (..., J, 2), mtilde_cond (J,) holds no
+    data and takes no batch axes.
     """
     t = pole_table(pole_set, sp, params)
-    a = np.zeros((basis.J, 2), dtype=complex)
+    a_ok = residue_term(residues, t, basis) + t.model_term(rhat)
+    a = np.zeros(a_ok.shape[:-2] + (basis.J, 2), dtype=complex)
+    a[..., t.ok, :] = a_ok
     mt_cond = np.full(basis.J, np.nan)
-    mt_cond[t.ok] = np.linalg.cond(t.mt)
-    a[t.ok] = residue_term(residues, t, basis) + t.model_term(rhat)
+    mt_cond[t.ok] = t.mt_cond
     return a, mt_cond
 
 
@@ -214,8 +226,8 @@ def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.nd
     """
     rhat = np.asarray(rhat, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    sym = _nonresonant_symbols(params, lambdas, rhat.shape[1])
-    return (rhat - np.einsum("meq,jq->emj", mm, a)) / sym[None, :, :]
+    sym = _nonresonant_symbols(params, lambdas, rhat.shape[-2])
+    return (rhat - np.einsum("meq,...jq->...emj", mm, a, order="C")) / sym
 
 
 def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):

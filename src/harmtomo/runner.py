@@ -20,7 +20,8 @@ from .fields import MaterialField
 from .forward import model_residual, observe, solve_multiharmonic
 from .norms import x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
-from .reconstruct import linearized_forward, oracle_residues, reconstruct
+from .reconstruct import (LinearizedInput, linearized_forward, oracle_residues, pole_table,
+                          reconstruct)
 from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
                         make_reference, make_true_fields, min_symbol_magnitude,
                         quasirev_settings, scenario_hash, validate_scenario)
@@ -180,21 +181,30 @@ def _preset_stability_probe(sc, out, seed, shash):
     pole_set = build_pole_set(basis.lambdas, params)
     rng = np.random.default_rng(seed)
     draws = int(sc.raw.get("draws", 200))
-    norms = np.zeros((draws, 3))
+    a = np.zeros((draws, 2, basis.J))
+    du = np.zeros((draws, 2, sc.M, basis.J), dtype=complex)
     for i in range(draws):
-        truth = make_true_fields(sc, basis, rng)
-        data = linearized_forward(ref, params, basis, truth)
-        res = oracle_residues(truth, data.rhat, pole_set, ref.source_pair, basis, params)
-        xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
-        yo = yobs_norm(res, spec, ref.source_pair, pole_set, basis, params, M=sc.M)
-        ym = ymod_norm(data.rhat, spec, ref.source_pair, pole_set, basis, params)
-        norms[i] = xv, yo, ym
-    xv, yo, ym = norms.T
+        draw = make_true_fields(sc, basis, rng)
+        a[i], du[i] = (draw.a_sigma, draw.a_eta), draw.du
+    truth = LinearizedInput(a_sigma=a[:, 0], a_eta=a[:, 1], du=du)
+    sp = ref.source_pair
+    data = linearized_forward(ref, params, basis, truth)
+    res = oracle_residues(truth, data.rhat, pole_set, sp, basis, params)
+    xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
+    yo = yobs_norm(res, spec, sp, pole_set, basis, params, M=sc.M)
+    ym = ymod_norm(data.rhat, spec, sp, pole_set, basis, params)
     slack = yo + ym - xv
     write_table(os.path.join(out, "stability.csv"),
                 ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack"],
                 [np.arange(draws), xv, yo, ym, slack], shash)
-    return {"draws": draws, "min_slack": float(np.min(slack, initial=np.inf))}
+    table = pole_table(pole_set, sp, params)
+    return {
+        "draws": draws,
+        "min_slack": float(np.min(slack, initial=np.inf)),
+        "poles_ok": int(table.ok.size),
+        "modes_without_pole": np.setdiff1d(np.arange(basis.J), table.ok).tolist(),
+        "max_mtilde_cond": float(np.max(table.mt_cond)) if table.ok.size else None,
+    }
 
 
 def _preset_qr_sweep(sc, out, seed, shash):

@@ -159,6 +159,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         out.append(f"unknown preset {sc.preset!r}; expected one of {PRESETS}")
     if sc.raw.get("residue_mode", "oracle") not in RESIDUE_MODES:
         out.append(f"unknown residue_mode {sc.raw['residue_mode']!r}; expected one of {RESIDUE_MODES}")
+    if int(sc.raw.get("draws", 0)) < 0:
+        out.append(f"draws {sc.raw['draws']!r} must be nonnegative")
     p = sc.params
     for k in REQUIRED_PARAM_KEYS:
         if k not in p:

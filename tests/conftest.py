@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from harmtomo import (ModelParams, NormSpec, amplitude_modulate, build_interval_basis,
-                      build_pole_set, build_reference_state, design_delta_pulse)
+                      build_pole_set, build_rectangle_basis, build_reference_state,
+                      design_delta_pulse)
 from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario
 
@@ -53,6 +54,33 @@ def setup_big(basis16, params_std):
     ref = build_reference_state(basis16, 0, sp, params_std)
     poles = build_pole_set(basis16.lambdas, params_std)
     return dict(basis=basis16, params=params_std, M=M, sp=sp, ref=ref, poles=poles)
+
+
+GOLDEN = (1 + 5**0.5) / 2
+
+
+def _bundle(basis, params, M=24):
+    pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
+    sp = amplitude_modulate(pulse, params.A)
+    ref = build_reference_state(basis, 0, sp, params)
+    return dict(basis=basis, params=params, M=M, sp=sp, ref=ref,
+                poles=build_pole_set(basis.lambdas, params))
+
+
+@pytest.fixture(scope="module", params=["interval", "rectangle", "interval-tau-0.05"])
+def bundle(request, setup_small):
+    """The per-pole setups: the small interval, an incommensurate rectangle
+    and the small interval at tau 0.05, where some modes have no pole."""
+    if request.param == "interval":
+        return setup_small
+    if request.param == "rectangle":
+        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
+                                      sigma_points="side:y=0")
+        params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
+        return _bundle(basis, params)
+    b = _bundle(setup_small["basis"], setup_small["params"].with_tau(0.05))
+    assert b["poles"].n_ok < b["basis"].J   # some modes have no pole
+    return b
 
 
 def random_linearized(basis, M, seed, a_scale=1.0, du_scale=1.0, du_band=None, decay=True):

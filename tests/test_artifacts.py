@@ -6,6 +6,7 @@ smoothing results); the oracle writers then write the same tables from those
 objects, and the two directories must hold identical files.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ import oracles
 from conftest import run_scenario, small_scenario
 from harmtomo import quasirev, runner
 from harmtomo.forward import observe
+from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
-from harmtomo.scenarios import scenario_hash
+from harmtomo.scenarios import make_basis, make_params, make_reference, scenario_hash
+from harmtomo.sources import evaluate_mtilde
 
 
 def _record(monkeypatch, owner, name):
@@ -66,9 +69,12 @@ def _roundtrip(sc, d, shash, seen):
 
 
 def _stability_probe(sc, d, shash, seen):
-    rows = []
-    for i, ((_, xv), (_, yo), (_, ym)) in enumerate(zip(seen["x"], seen["yobs"], seen["ymod"])):
-        rows.append([i, float(xv), float(yo), float(ym), float(yo + ym - xv), shash])
+    # one batched call per norm: each records an array with one value per draw
+    (_, xs), = seen["x"]
+    (_, yos), = seen["yobs"]
+    (_, yms), = seen["ymod"]
+    rows = [[i, float(xv), float(yo), float(ym), float(yo + ym - xv), shash]
+            for i, (xv, yo, ym) in enumerate(zip(xs, yos, yms))]
     oracles.csv_rows(d / "stability.csv",
                      ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack", "scenario_hash"], rows)
 
@@ -167,6 +173,33 @@ def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
     if case in EDGES:
         name, edge = EDGES[case]
         assert edge in (out / name).read_bytes()
+
+
+def test_stability_probe_calls_each_stage_once(tmp_path, monkeypatch):
+    stages = ("linearized_forward", "oracle_residues", "x_norm", "yobs_norm", "ymod_norm")
+    seen = {name: _record(monkeypatch, runner, name) for name in stages}
+    out, _ = run_scenario(tmp_path, small_scenario("stability-probe", M=24, draws=7))
+    assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(stages, 1)
+    for name in ("x_norm", "yobs_norm", "ymod_norm"):
+        assert seen[name][0][1].shape == (7,)
+    assert len((out / "stability.csv").read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("tau, poles_ok, missing", [(0.5, 8, []), (0.05, 7, [2])])
+def test_stability_manifest_pole_diagnostics(tmp_path, tau, poles_ok, missing):
+    raw = _with_tau(small_scenario("stability-probe", M=24, draws=2), tau)
+    out, sc = run_scenario(tmp_path, raw)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["poles_ok"] == poles_ok
+    assert manifest["modes_without_pole"] == missing
+    params, basis = make_params(sc), make_basis(sc)
+    pole_set = build_pole_set(basis.lambdas, params)
+    sp = make_reference(sc, basis, params).source_pair
+    cond = np.linalg.cond(evaluate_mtilde(sp, pole_set.poles[pole_set.ok], params))
+    assert manifest["max_mtilde_cond"] == pytest.approx(float(np.max(cond)), rel=1e-12)
+    again, _ = run_scenario(tmp_path, raw, name="again")
+    for name in ("manifest.json", "stability.csv"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_write_table_rejects_ragged_columns(tmp_path):

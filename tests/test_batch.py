@@ -1,0 +1,174 @@
+"""Leading batch axes: a batch of draws in one call equals the stacked
+one-draw calls, and a one-draw call keeps its shapes and types."""
+
+import numpy as np
+import pytest
+
+from harmtomo.norms import x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
+from harmtomo.reconstruct import (LinearizedInput, fit_residues, linearized_forward,
+                                  oracle_residues, pole_table, recover_coefficients,
+                                  residue_term, solve_states_from_coeffs)
+from conftest import random_linearized
+
+B = 5
+TOL = 1e-13
+
+
+def _rel(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return float(np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300))
+
+
+def _draws(b, seed):
+    """B one-draw pipelines and the same draws stacked along a leading axis."""
+    lins = [random_linearized(b["basis"], b["M"], seed + k) for k in range(B)]
+    lin = LinearizedInput(a_sigma=np.stack([v.a_sigma for v in lins]),
+                          a_eta=np.stack([v.a_eta for v in lins]),
+                          du=np.stack([v.du for v in lins]))
+    return lins, lin
+
+
+def _args(b):
+    return b["sp"], b["poles"], b["basis"], b["params"]
+
+
+def _pole_args(b):
+    return b["poles"], b["sp"], b["basis"], b["params"]
+
+
+def _stack(fn, items):
+    return np.stack([np.asarray(fn(*it)) for it in items])
+
+
+def test_linearized_forward_and_oracle(bundle):
+    b = bundle
+    lins, lin = _draws(b, 60)
+    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    assert data.rhat.shape == (B, 2, b["M"], b["basis"].J)
+    assert one[0].rhat.shape == (2, b["M"], b["basis"].J)
+    assert one[0].phat.shape == (2, b["M"], b["basis"].nsigma)
+    assert _rel(data.rhat, [d.rhat for d in one]) <= TOL
+    assert _rel(data.phat, [d.phat for d in one]) <= TOL
+    res = oracle_residues(lin, data.rhat, *_pole_args(b))
+    assert _rel(res, [oracle_residues(v, d.rhat, *_pole_args(b)) for v, d in zip(lins, one)]) <= TOL
+
+
+def test_pole_table_methods_and_residue_term(bundle):
+    b = bundle
+    lins, lin = _draws(b, 61)
+    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    for name in ("rtilde", "model_term"):
+        new = getattr(t, name)(data.rhat)
+        assert new.shape == (B, t.ok.size, 2)
+        assert _rel(new, _stack(getattr(t, name), [(d.rhat,) for d in one])) <= TOL
+    C = lin.a[:, t.ok, :, None] * b["basis"].trace_matrix[t.ok][:, None, :]
+    assert _rel(t.residues(data.rhat, C, b["basis"]),
+                _stack(lambda r, c: t.residues(r, c, b["basis"]),
+                       [(d.rhat, c) for d, c in zip(one, C)])) <= TOL
+    res = oracle_residues(lin, data.rhat, *_pole_args(b))
+    assert _rel(residue_term(res, t, b["basis"]),
+                _stack(lambda r: residue_term(r, t, b["basis"]), [(r,) for r in res])) <= TOL
+
+
+def test_fit_residues_one_lstsq(bundle):
+    b = bundle
+    lins, lin = _draws(b, 62)
+    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    res, cond = fit_residues(data.phat, data.rhat, *_pole_args(b))
+    fits = [fit_residues(d.phat, d.rhat, *_pole_args(b)) for d in one]
+    assert isinstance(cond, float) and all(c == cond for _, c in fits)
+    assert res.shape == (B, b["basis"].J, 2, b["basis"].nsigma)
+    assert _rel(res, [r for r, _ in fits]) <= TOL
+
+
+def test_recover_coefficients_and_states(bundle):
+    b = bundle
+    lins, lin = _draws(b, 63)
+    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    res = oracle_residues(lin, data.rhat, *_pole_args(b))
+    a, cond = recover_coefficients(res, data.rhat, *_args(b))
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    for k, d in enumerate(one):
+        a_k, cond_k = recover_coefficients(res[k], d.rhat, *_args(b))
+        # a^l = P_l + q_l cancels, so a agrees to the size of the two terms
+        terms = max(np.max(np.abs(t.model_term(d.rhat))),
+                    np.max(np.abs(residue_term(res[k], t, b["basis"]))))
+        assert a_k.shape == (b["basis"].J, 2)
+        assert np.max(np.abs(a[k] - a_k)) <= TOL * terms
+        assert np.array_equal(cond, cond_k, equal_nan=True)
+    assert a.shape == (B, b["basis"].J, 2) and cond.shape == (b["basis"].J,)
+    states = solve_states_from_coeffs(lin.a, data.rhat, b["params"], b["basis"].lambdas,
+                                      b["sp"].mm)
+    assert _rel(states, [solve_states_from_coeffs(v.a, d.rhat, b["params"], b["basis"].lambdas,
+                                                  b["sp"].mm) for v, d in zip(lins, one)]) <= TOL
+    assert _rel(states, lin.du) <= 1e-12
+
+
+def test_norms_and_terms(bundle, spec_std):
+    b = bundle
+    lins, lin = _draws(b, 64)
+    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    res = oracle_residues(lin, data.rhat, *_pole_args(b))
+    res_one = [oracle_residues(v, d.rhat, *_pole_args(b)) for v, d in zip(lins, one)]
+    lam, omega = b["basis"].lambdas, b["params"].omega
+    rng = np.random.default_rng(65)
+    q = rng.standard_normal((B, b["basis"].J, 2)) + 1j * rng.standard_normal((B, b["basis"].J, 2))
+    cases = [
+        (x_norm(lin.a, lin.du, lam, omega, spec_std),
+         [x_norm(v.a, v.du, lam, omega, spec_std) for v in lins]),
+        (ymod_norm(data.rhat, spec_std, *_args(b)),
+         [ymod_norm(d.rhat, spec_std, *_args(b)) for d in one]),
+        (yobs_norm(res, spec_std, *_args(b), M=b["M"]),
+         [yobs_norm(r, spec_std, *_args(b), M=b["M"]) for r in res_one]),
+        (np.stack(ymod_terms(data.rhat, spec_std, *_args(b)), axis=-1),
+         [ymod_terms(d.rhat, spec_std, *_args(b)) for d in one]),
+        (np.stack(ymod_terms(data.rhat, spec_std, *_args(b), pole_values=q), axis=-1),
+         [ymod_terms(d.rhat, spec_std, *_args(b), pole_values=qk) for d, qk in zip(one, q)]),
+        (np.stack(yobs_terms(res, spec_std, *_args(b)), axis=-1),
+         [yobs_terms(r, spec_std, *_args(b)) for r in res_one]),
+    ]
+    for new, old in cases:
+        assert new.shape[0] == B
+        assert _rel(new, old) <= TOL
+    for _, old in cases:
+        assert all(isinstance(v, float) for v in np.ravel(np.array(old, dtype=object)))
+
+
+def test_two_batch_axes(setup_small, spec_std):
+    b = setup_small
+    _, lin = _draws(b, 66)
+    # a (2, B) grid of draws: the batch and its negation
+    grid = LinearizedInput(*(np.stack([v, -v]) for v in (lin.a_sigma, lin.a_eta, lin.du)))
+    flat = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    data = linearized_forward(b["ref"], b["params"], b["basis"], grid)
+    res = oracle_residues(grid, data.rhat, *_pole_args(b))
+    fit, _ = fit_residues(data.phat, data.rhat, *_pole_args(b))
+    a, _ = recover_coefficients(fit, data.rhat, *_args(b))
+    assert a.shape == (2, B, b["basis"].J, 2)
+    assert np.max(np.abs(a - grid.a)) <= 1e-10
+    assert _rel(res[1], -oracle_residues(lin, flat.rhat, *_pole_args(b))) <= TOL
+    yo = yobs_norm(res, spec_std, *_args(b), M=b["M"])
+    ym = ymod_norm(data.rhat, spec_std, *_args(b))
+    xv = x_norm(grid.a, grid.du, b["basis"].lambdas, b["params"].omega, spec_std)
+    assert yo.shape == ym.shape == xv.shape == (2, B)
+    assert _rel(xv[1], xv[0]) <= TOL and np.all(yo + ym - xv >= -1e-10)
+
+
+@pytest.mark.parametrize("draws", [1, 0])
+def test_single_and_empty_batch(setup_small, spec_std, draws):
+    b = setup_small
+    J, M = b["basis"].J, b["M"]
+    lin = LinearizedInput(a_sigma=np.ones((draws, J)), a_eta=np.ones((draws, J)),
+                          du=np.ones((draws, 2, M, J), dtype=complex))
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    res = oracle_residues(lin, data.rhat, *_pole_args(b))
+    assert res.shape == (draws, J, 2, b["basis"].nsigma)
+    for v in (x_norm(lin.a, lin.du, b["basis"].lambdas, b["params"].omega, spec_std),
+              yobs_norm(res, spec_std, *_args(b), M=M), ymod_norm(data.rhat, spec_std, *_args(b))):
+        assert isinstance(v, np.ndarray) and v.shape == (draws,)

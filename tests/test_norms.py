@@ -4,7 +4,7 @@ import pytest
 from harmtomo import bochner_norm, j_bound, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
 from harmtomo.forward import synthesize_time
-from harmtomo.norms import _lam_weight, j_bound_constant, ymod_terms
+from harmtomo.norms import _lam_weight, j_bound_constant, yobs_terms, ymod_terms
 from harmtomo.reconstruct import linearized_forward, oracle_residues
 from conftest import random_linearized
 
@@ -145,6 +145,19 @@ class TestImageNorms:
         m1 = ymod_norm(data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
         m2 = ymod_norm(3.0 * data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
         assert m2 == pytest.approx(3.0 * m1, rel=1e-12)
+
+
+    def test_yobs_zero_harmonics_is_empty_first_sum(self, setup_small, spec_std):
+        # M = 0 is an empty harmonic range, not the source truncation
+        s = setup_small
+        lin = random_linearized(s["basis"], s["M"], 7)
+        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
+        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
+        t1, t2 = yobs_terms(res, *args, M=0)
+        full1, full2 = yobs_terms(res, *args)
+        assert t1 == 0.0 and full1 > 0.0
+        assert t2 == full2 > 0.0
 
 
 class TestYtilde:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from harmtomo import (ModelParams, amplitude_modulate, build_pole_set, build_rectangle_basis,
-                      build_reference_state, design_delta_pulse, invert_mtilde)
+from harmtomo import build_pole_set, invert_mtilde
 from harmtomo.errors import SingularInterpolantError
 from harmtomo.norms import yobs_terms, ymod_terms
 from harmtomo.reconstruct import (fit_residues, linearized_forward, oracle_residues,
@@ -14,35 +13,12 @@ from conftest import random_linearized
 from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
                      recover_coefficients_loop, yobs_terms_loop, ymod_terms_loop)
 
-GOLDEN = (1 + 5**0.5) / 2
 TOL = 1e-13
 
 
 def _rel(new, old):
     new, old = np.asarray(new), np.asarray(old)
     return float(np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300))
-
-
-def _bundle(basis, params, M=24):
-    pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
-    sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp, params)
-    return dict(basis=basis, params=params, M=M, sp=sp, ref=ref,
-                poles=build_pole_set(basis.lambdas, params))
-
-
-@pytest.fixture(scope="module", params=["interval", "rectangle", "interval-tau-0.05"])
-def bundle(request, setup_small):
-    if request.param == "interval":
-        return setup_small
-    if request.param == "rectangle":
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                      sigma_points="side:y=0")
-        params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
-        return _bundle(basis, params)
-    b = _bundle(setup_small["basis"], setup_small["params"].with_tau(0.05))
-    assert b["poles"].n_ok < b["basis"].J   # some modes have no pole
-    return b
 
 
 def _data(b, seed):

@@ -74,6 +74,7 @@ class TestValidate:
         ("params.tau", -0.1, "tau must be nonnegative"),
         ("params.omega", 0, "omega must be positive"),
         ("residue_mode", "nope", "unknown residue_mode 'nope'"),
+        ("draws", -1, "draws -1 must be nonnegative"),
     ])
     def test_model_parameter_checks_are_violations(self, tmp_path, capsys, key, value, message):
         bad = _write_variant(tmp_path, ROUNDTRIP, **{key: value})
