@@ -9,6 +9,7 @@ and the trace restricted to each eigenspace is explicitly invertible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +84,13 @@ class DomainSpec:
 class EigenBasis:
     """Truncated orthonormal eigensystem with quadrature and trace data.
 
-    phi holds eigenfunction values on the quadrature grid, phi_lap the
-    closed-form values of the operator applied to each mode (used for the
-    eigen-residual check).  All eigenvalues are simple by domain choice.
+    phi holds eigenfunction values on the quadrature grid.  All eigenvalues
+    are simple by domain choice.
     """
 
     domain: DomainSpec
     lambdas: np.ndarray        # (J,)
     phi: np.ndarray            # (J, nq)
-    phi_lap: np.ndarray        # (J, nq)
     nodes: np.ndarray          # (nq, d)
     weights: np.ndarray        # (nq,)
     trace_matrix: np.ndarray   # (J, ns)
@@ -124,23 +123,21 @@ def _secular(k, L, g0, g1):
 
 def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
     """First `count` nonnegative wavenumbers, bracketed bisection to 1e-12."""
-    ks = []
     if g0 == 0.0 and g1 == 0.0:
         return [j * np.pi / L for j in range(count)]
     kmax = (count + 3) * np.pi / L
     grid = np.linspace(1e-12, kmax, int(scan_density * (count + 3)) + 1)
     vals = _secular(grid, L, g0, g1)
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            ks.append(float(a))
-        elif fa * fb < 0.0:
-            ks.append(brentq(_secular, a, b, args=(L, g0, g1), xtol=1e-12, rtol=8.9e-16))
-        if len(ks) >= count:
-            return ks[:count]
-    raise SpectrumError(
-        f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}; "
-        "root scan too coarse or truncation too large"
-    )
+    fa, fb = vals[:-1], vals[1:]
+    brackets = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))[:count]
+    if brackets.size < count:
+        raise SpectrumError(
+            f"found only {brackets.size} of {count} Robin wavenumbers up to k={kmax:.3g}; "
+            "root scan too coarse or truncation too large"
+        )
+    return [float(grid[i]) if fa[i] == 0.0
+            else brentq(_secular, grid[i], grid[i + 1], args=(L, g0, g1), xtol=1e-12, rtol=8.9e-16)
+            for i in brackets]
 
 
 class _Mode1D:
@@ -166,10 +163,6 @@ class _Mode1D:
             return np.full_like(x, self.norm)
         return self.norm * (np.cos(self.k * x) + self.a * np.sin(self.k * x))
 
-    def lap(self, x):
-        """Value of the operator (-d^2/dx^2) on this mode: lam * phi."""
-        return self.lam * self(x)
-
 
 def _interval_modes(L, gamma, count):
     g0, g1 = gamma
@@ -184,8 +177,18 @@ def interval_eigenvalues(L: float, gamma, J: int) -> np.ndarray:
     return np.array([k * k for k in ks])
 
 
-def _gauss_nodes(L, n):
+@functools.lru_cache
+def _leggauss(n):
+    """Legendre-Gauss nodes and weights on [-1, 1], computed once per n and
+    shared read-only."""
     x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(L, n):
+    x, w = _leggauss(n)
     return 0.5 * L * (x + 1.0), 0.5 * L * w
 
 
@@ -199,7 +202,6 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,), nquad=N
     nq = nquad or max(OVERSAMPLING * J, MIN_QUAD_NODES)
     xq, wq = _gauss_nodes(L_x, nq)
     phi = np.array([m(xq) for m in modes])
-    phi_lap = np.array([m.lap(xq) for m in modes])
     lambdas = np.array([m.lam for m in modes])
     sig = np.array(domain.sigma_points, dtype=float).reshape(-1, 1)
     trace = np.array([m(sig[:, 0]) for m in modes])
@@ -207,7 +209,6 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,), nquad=N
         domain=domain,
         lambdas=lambdas,
         phi=phi,
-        phi_lap=phi_lap,
         nodes=xq.reshape(-1, 1),
         weights=wq,
         trace_matrix=trace,
@@ -259,11 +260,8 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int, sigma_points="s
     weights = np.outer(wx, wy).ravel()
 
     phi = np.empty((J, nodes.shape[0]))
-    phi_lap = np.empty_like(phi)
     for r, (_, i, j) in enumerate(pairs):
-        fx, fy = mx[i](xq), my[j](yq)
-        phi[r] = np.outer(fx, fy).ravel()
-        phi_lap[r] = np.outer(mx[i].lap(xq), fy).ravel() + np.outer(fx, my[j].lap(yq)).ravel()
+        phi[r] = np.outer(mx[i](xq), my[j](yq)).ravel()
 
     if isinstance(domain.sigma_points, str):
         sig = np.column_stack([xq, np.zeros_like(xq)])
@@ -279,7 +277,6 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int, sigma_points="s
         domain=domain,
         lambdas=lambdas,
         phi=phi,
-        phi_lap=phi_lap,
         nodes=nodes,
         weights=weights,
         trace_matrix=trace,

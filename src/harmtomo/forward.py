@@ -93,11 +93,6 @@ def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.nd
     return harmonic_product_time(ug, vg, m_out)[1:]
 
 
-def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
-    """All harmonics of the pointwise product, projected on the basis."""
-    return project(basis, convolve_bm_grid(basis, u, v, m_out=m_out))
-
-
 def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
     """symbols_matrix, raising ResonanceError where a symbol vanishes."""
     sym = symbols_matrix(params, lambdas, M)
@@ -106,12 +101,6 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
         m_bad, j_bad = np.unravel_index(int(np.argmin(mag)), mag.shape)
         raise ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
     return sym
-
-
-def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
-    """Diagonal solve L_m(sigma0) u_m = r_m; raises on resonant symbols."""
-    r = np.asarray(rhat, dtype=complex)
-    return r / _nonresonant_symbols(params, lambdas, r.shape[0])
 
 
 def _grid_term(params: ModelParams, basis: EigenBasis, sigma: MaterialField,

@@ -40,14 +40,26 @@ def psi_transfer_prime(o, params: ModelParams):
     return (th * params.beta - th_p * Th) / Th**2
 
 
-def characteristic_roots(lam: float, params: ModelParams) -> np.ndarray:
-    """All roots of the characteristic polynomial, via companion-matrix
-    eigenvalues (3 roots for tau > 0, 2 for the tau = 0 quadratic)."""
+def characteristic_roots(lambdas, params: ModelParams) -> np.ndarray:
+    """All roots of the characteristic polynomial for each eigenvalue, shape
+    lambdas.shape + (3,) for tau > 0 or + (2,) for the tau = 0 quadratic.
+
+    One np.linalg.eigvals call on the stacked companion matrices, built as
+    np.roots builds them (first row -c[1:]/c[0], ones below the diagonal), so
+    the roots of each eigenvalue are bit-identical to np.roots of its
+    coefficients (up to order at lam = 0, where np.roots strips the zero roots).
+    """
+    lam = np.asarray(lambdas, dtype=float)
     if params.tau > 0:
-        coeffs = [params.tau, params.sigma0, params.beta * lam, lam]
+        lead, rest = params.tau, (params.sigma0, params.beta * lam, lam)
     else:
-        coeffs = [params.sigma0, params.beta * lam, lam]
-    return np.roots(coeffs)
+        lead, rest = params.sigma0, (params.beta * lam, lam)
+    n = len(rest)
+    comp = np.zeros(lam.shape + (n, n))
+    for c, coeff in enumerate(rest):
+        comp[..., 0, c] = -coeff / lead
+    comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def pole_asymptotic(lam: float, params: ModelParams) -> complex:
@@ -112,15 +124,15 @@ def build_pole_set(lambdas, params: ModelParams, strict: bool = False) -> PoleSe
     allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
     asym = np.full(L, np.nan + 1j * np.nan, dtype=complex)
     ok = np.zeros(L, dtype=bool)
+    roots = characteristic_roots(lambdas, params)
+    allroots[:, : roots.shape[-1]] = roots
     for i, lam in enumerate(lambdas):
-        roots = characteristic_roots(lam, params)
-        allroots[i, : roots.size] = roots
         try:
             asym[i] = pole_asymptotic(lam, params)
         except NonOscillatoryError:
             pass
         try:
-            poles[i] = select_pole(roots, lam, params)
+            poles[i] = select_pole(roots[i], lam, params)
             ok[i] = True
         except PoleSelectionError:
             if strict:

@@ -60,23 +60,6 @@ def compute_ctilde(tau: float, sigma0: float, beta: float, T: float, T0: float,
     return float(C1 * np.sqrt(core))
 
 
-@dataclass(frozen=True)
-class TauConstants:
-    tau: float
-    alpha: float
-    cbar: float
-    ctilde: float
-    radius: float
-
-    @classmethod
-    def at(cls, tau: float, sigma0: float, beta: float, T: float, T0: float,
-           orti_check: float, C0: float = 1.0, C1: float = 1.0) -> "TauConstants":
-        cbar = compute_cbar(tau, sigma0, beta, T, T0, orti_check, C0)
-        ctilde = compute_ctilde(tau, sigma0, beta, T, T0, orti_check, C1)
-        return cls(tau=tau, alpha=(sigma0 * beta - tau) / (2.0 * beta),
-                   cbar=cbar, ctilde=ctilde, radius=1.0 / (2.0 * max(1.0, cbar)))
-
-
 # ---------------------------------------------------------------------------
 # Noise
 # ---------------------------------------------------------------------------

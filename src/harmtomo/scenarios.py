@@ -117,8 +117,7 @@ def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> Refe
     pulse = design_delta_pulse(params, sc.M, src["pulse_width"],
                                amplitude=src.get("amplitude", 1.0))
     pair = amplitude_modulate(pulse, params.A)
-    return build_reference_state(basis, int(src["phi_mode"]), pair, params,
-                                 eta0=src.get("eta0", 0.0))
+    return build_reference_state(basis, int(src["phi_mode"]), pair)
 
 
 def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator) -> LinearizedInput:
@@ -196,6 +195,9 @@ def validate_scenario(sc: Scenario) -> list[str]:
         except ValueError as exc:
             out.append(f"domain invalid: {exc}")
     src = sc.source
+    if src.get("eta0", 0.0) != 0.0:
+        out.append(f"source.eta0 {src['eta0']!r} is not supported; only the eta0 = 0 "
+                   "reference state is implemented")
     if "phi_mode" in src and not (0 <= int(src["phi_mode"]) < sc.J):
         out.append("reference mode index outside truncation")
     if "pulse_width" in src and params is not None:

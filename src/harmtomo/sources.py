@@ -1,6 +1,6 @@
 """Excitation design: delta-like pulses, amplitude modulation, the 2x2 source
-matrices with their analytic interpolant, interior-source recursion, and the
-separable reference state the inversion is linearized around.
+matrices with their analytic interpolant, and the separable reference state
+the inversion is linearized around.
 
 The working pulse is the zero-mean band-limited projection (harmonics 1..M) of
 a raised-cosine bump.  With that convention the harmonic coefficients of the
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis
-from .errors import PulseSupportError, SingularInterpolantError, VanishingDivisorError
+from .errors import PulseSupportError, SingularInterpolantError
 from .fields import ModelParams
-from .forward import harmonic_product_time, synthesize_time
+from .forward import harmonic_product_time
 
 MTILDE_SINGULAR_TOL = 1e-14
 
@@ -55,14 +55,12 @@ def hann_transform(o, width: float):
 class PulseSpec:
     """Band-limited excitation pulse.
 
-    psi_hat holds the closed-form bump coefficients for harmonics 1..M; the
-    time samples are the real synthesis of exactly these harmonics, so the
-    stored signal is zero-mean and band-limited by construction.
+    psi_hat holds the closed-form bump coefficients for harmonics 1..M, so
+    the signal is zero-mean and band-limited by construction; its time
+    samples are forward.synthesize_time(psi_hat, omega, t).
     """
 
     psi_hat: np.ndarray   # (M,) complex
-    t_grid: np.ndarray    # (nt,)
-    psi_t: np.ndarray     # (nt,) real
     T0: float
     width: float
     amplitude: float
@@ -73,7 +71,7 @@ class PulseSpec:
 
 
 def design_delta_pulse(params: ModelParams, M: int, width: float,
-                       amplitude: float = 1.0, nt: int | None = None) -> PulseSpec:
+                       amplitude: float = 1.0) -> PulseSpec:
     """Raised-cosine bump of half-width `width` centered at T0, band-limited.
 
     Coefficients are (2/T) amplitude exp(-i m omega T0) H(m omega) with H the
@@ -94,11 +92,7 @@ def design_delta_pulse(params: ModelParams, M: int, width: float,
     m = np.arange(1, M + 1)
     nu = m * params.omega
     psi_hat = (2.0 / T) * amplitude * np.exp(-1j * nu * T0) * hann_transform(1j * nu, width)
-    nt = nt or max(8 * M, 256)
-    t = np.linspace(0.0, T, nt, endpoint=False)
-    psi_t = synthesize_time(psi_hat, params.omega, t)
-    return PulseSpec(psi_hat=psi_hat, t_grid=t, psi_t=psi_t, T0=T0, width=width,
-                     amplitude=amplitude)
+    return PulseSpec(psi_hat=psi_hat, T0=T0, width=width, amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +115,6 @@ class SourcePair:
     mm: np.ndarray           # (M, 2, 2) complex
     psi_sq_hat: np.ndarray   # (2M,) complex
     psi_sq_dc: float
-    cond: np.ndarray         # (M,) condition numbers of M_m
 
     @property
     def M(self) -> int:
@@ -140,11 +133,10 @@ def amplitude_modulate(pulse: PulseSpec, A: float) -> SourcePair:
     mm[:, 0, 1] = psisq[:M]
     mm[:, 1, 0] = A * psi
     mm[:, 1, 1] = A * A * psisq[:M]
-    cond = np.linalg.cond(mm)
-    pulse2 = PulseSpec(psi_hat=A * psi, t_grid=pulse.t_grid, psi_t=A * pulse.psi_t,
-                       T0=pulse.T0, width=pulse.width, amplitude=A * pulse.amplitude)
+    pulse2 = PulseSpec(psi_hat=A * psi, T0=pulse.T0, width=pulse.width,
+                       amplitude=A * pulse.amplitude)
     return SourcePair(psi1=pulse, psi2=pulse2, A=A, mm=mm, psi_sq_hat=psisq,
-                      psi_sq_dc=dc, cond=cond)
+                      psi_sq_dc=dc)
 
 
 # ---------------------------------------------------------------------------
@@ -257,96 +249,29 @@ def invert_mtilde(mt) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interior-source recursion and the separable reference state
+# The separable reference state
 # ---------------------------------------------------------------------------
-
-
-def psi_recursion(lam: float, sigma0: float, beta: float, eta0: float,
-                  psi1: complex, M: int) -> np.ndarray:
-    """Higher-harmonic coefficients generated by quadratic self-interaction.
-
-    In the resonant setting omega = sqrt(lam / sigma0), tau = beta lam / omega^2
-    the fundamental coefficient is free and, for m >= 2,
-
-        psi_m = -(m^2 w^2 eta0) / (2 (lam - sigma0 m^2 w^2
-                 + i m w (beta lam - tau m^2 w^2))) * sum_{j<m} psi_j psi_{m-j}.
-    """
-    if psi1 == 0:
-        raise ValueError("need a nonzero fundamental coefficient")
-    if lam <= 0:
-        raise ValueError("need a positive eigenvalue; the resonant frequency is sqrt(lam/sigma0)")
-    w2 = lam / sigma0
-    w = np.sqrt(w2)
-    tau = beta * lam / w2
-    psi = np.zeros(M, dtype=complex)
-    psi[0] = psi1
-    for m in range(2, M + 1):
-        denom = 2.0 * (lam - sigma0 * m * m * w2
-                       + 1j * m * w * (beta * lam - tau * m * m * w2))
-        if abs(denom) < 1e-14 * max(lam, 1.0):
-            raise VanishingDivisorError(f"vanishing recursion denominator at harmonic m={m}")
-        conv = np.sum(psi[: m - 1] * psi[m - 2 :: -1][: m - 1])
-        psi[m - 1] = -(m * m * w2 * eta0) / denom * conv
-    return psi
-
-
-@dataclass(frozen=True, eq=False)
-class BoundarySource:
-    """Neumann-trace boundary drive reproducing the separable reference state:
-    the spatial factor is d_nu(phi) on Sigma, the per-harmonic time factor is
-    psi_m (1 + i beta m omega) / (i m omega)^2 from twice-integrated forcing."""
-
-    neumann_trace: np.ndarray   # (ns,)
-    time_factors: np.ndarray    # (2, M) complex, per source
 
 
 @dataclass(frozen=True, eq=False)
 class ReferenceState:
     """Linearization point: u0_{nu, m} = phi(x) psi_{nu, m} with phi a fixed
-    eigenfunction (nonzero a.e.), plus the induced boundary source data."""
+    eigenfunction (nonzero a.e.)."""
 
     phi_index: int
     phi_grid: np.ndarray        # (nq,)
     phi_min_abs: float
     u0: np.ndarray              # (2, M, J) complex
     source_pair: SourcePair
-    eta0: float
-    boundary: BoundarySource
 
 
-def build_reference_state(basis: EigenBasis, phi_index: int, sp: SourcePair,
-                          params: ModelParams, eta0: float = 0.0) -> ReferenceState:
+def build_reference_state(basis: EigenBasis, phi_index: int, sp: SourcePair) -> ReferenceState:
     if basis.lambdas[phi_index] <= 0:
         raise ValueError("reference profile must be an eigenfunction with nonzero eigenvalue")
     phi_grid = basis.phi[phi_index]
     phi_min = float(np.min(np.abs(phi_grid)))
-    M, J = sp.M, basis.J
-    u0 = np.zeros((2, M, J), dtype=complex)
+    u0 = np.zeros((2, sp.M, basis.J), dtype=complex)
     u0[0, :, phi_index] = sp.psi1.psi_hat
     u0[1, :, phi_index] = sp.psi2.psi_hat
-    m = np.arange(1, M + 1)
-    om = 1j * m * params.omega
-    factor = (1.0 + params.beta * om) / om**2
-    tf = np.vstack([sp.psi1.psi_hat * factor, sp.psi2.psi_hat * factor])
-    gamma_at_sigma = _boundary_gamma(basis)
-    neumann = -gamma_at_sigma * basis.trace_matrix[phi_index]
     return ReferenceState(phi_index=phi_index, phi_grid=phi_grid, phi_min_abs=phi_min,
-                          u0=u0, source_pair=sp, eta0=eta0,
-                          boundary=BoundarySource(neumann_trace=neumann, time_factors=tf))
-
-
-def _boundary_gamma(basis: EigenBasis) -> np.ndarray:
-    """Robin coefficient at each Sigma sample (d_nu phi = -gamma phi there)."""
-    dom = basis.domain
-    pts = basis.sigma_nodes
-    if dom.kind == "interval":
-        L = dom.lengths[0]
-        g0, g1 = dom.robin_gamma
-        return np.where(np.abs(pts[:, 0]) < np.abs(pts[:, 0] - L), g0, g1)
-    (gx0, gx1), (gy0, gy1) = dom.robin_gamma
-    Lx, Ly = dom.lengths
-    out = np.empty(pts.shape[0])
-    for i, (x, y) in enumerate(pts):
-        dists = {gx0: abs(x), gx1: abs(x - Lx), gy0: abs(y), gy1: abs(y - Ly)}
-        out[i] = min(dists.items(), key=lambda kv: kv[1])[0]
-    return out
+                          u0=u0, source_pair=sp)

@@ -40,7 +40,7 @@ def setup_small(basis8, params_std):
     M = 24
     pulse = design_delta_pulse(params_std, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params_std.A)
-    ref = build_reference_state(basis8, 0, sp, params_std)
+    ref = build_reference_state(basis8, 0, sp)
     poles = build_pole_set(basis8.lambdas, params_std)
     return dict(basis=basis8, params=params_std, M=M, sp=sp, ref=ref, poles=poles)
 
@@ -51,7 +51,7 @@ def setup_big(basis16, params_std):
     M = 64
     pulse = design_delta_pulse(params_std, M, 0.04, amplitude=6.0)
     sp = amplitude_modulate(pulse, params_std.A)
-    ref = build_reference_state(basis16, 0, sp, params_std)
+    ref = build_reference_state(basis16, 0, sp)
     poles = build_pole_set(basis16.lambdas, params_std)
     return dict(basis=basis16, params=params_std, M=M, sp=sp, ref=ref, poles=poles)
 
@@ -62,7 +62,7 @@ GOLDEN = (1 + 5**0.5) / 2
 def _bundle(basis, params, M=24):
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp, params)
+    ref = build_reference_state(basis, 0, sp)
     return dict(basis=basis, params=params, M=M, sp=sp, ref=ref,
                 poles=build_pole_set(basis.lambdas, params))
 

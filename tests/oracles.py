@@ -17,20 +17,31 @@ The artifact writers: one CSV writer per table type, each with its own
 per-value loop and an optional scenario-hash column; the package writes every
 table through `runner.write_table`, and its files must match these byte for
 byte.
+
+The Robin wavenumber scan: the bracket-by-bracket loop the package's masked
+scan (`eigenbasis._interval_wavenumbers`) must match exactly.
+
+Test-only references with no caller in the package: the projected harmonic
+product, the diagonal linear solve (criterion 11 checks the eta = 0 solver
+against it), the bundled relaxation-time constants and the interior-source
+recursion of the resonant nonlinear setting.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from harmtomo.eigenbasis import EigenBasis, project, synthesize
-from harmtomo.errors import IllConditionedFitError
+from harmtomo.eigenbasis import EigenBasis, _secular, project, synthesize
+from harmtomo.errors import IllConditionedFitError, SpectrumError, VanishingDivisorError
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
-from harmtomo.forward import symbols_matrix
+from harmtomo.forward import _nonresonant_symbols, convolve_bm_grid, symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight
 from harmtomo.poles import PoleSet, big_theta, bound_slack, psi_transfer_prime, verify_bounds
+from harmtomo.quasirev import compute_cbar, compute_ctilde
 from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
 from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
 
@@ -437,3 +448,79 @@ def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialF
     out = symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
     out = out + project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
     return out + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc))
+
+
+def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
+    """First `count` nonnegative Robin wavenumbers, scanning the brackets one
+    at a time and stopping at the count-th root."""
+    ks = []
+    if g0 == 0.0 and g1 == 0.0:
+        return [j * np.pi / L for j in range(count)]
+    kmax = (count + 3) * np.pi / L
+    grid = np.linspace(1e-12, kmax, int(scan_density * (count + 3)) + 1)
+    vals = _secular(grid, L, g0, g1)
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa == 0.0:
+            ks.append(float(a))
+        elif fa * fb < 0.0:
+            ks.append(brentq(_secular, a, b, args=(L, g0, g1), xtol=1e-12, rtol=8.9e-16))
+        if len(ks) >= count:
+            return ks[:count]
+    raise SpectrumError(f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}")
+
+
+def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
+    """All harmonics of the pointwise product, projected on the basis."""
+    return project(basis, convolve_bm_grid(basis, u, v, m_out=m_out))
+
+
+def solve_linear_harmonics(params: ModelParams, lambdas, rhat) -> np.ndarray:
+    """Diagonal solve L_m(sigma0) u_m = r_m; raises on resonant symbols."""
+    r = np.asarray(rhat, dtype=complex)
+    return r / _nonresonant_symbols(params, lambdas, r.shape[0])
+
+
+@dataclass(frozen=True)
+class TauConstants:
+    tau: float
+    alpha: float
+    cbar: float
+    ctilde: float
+    radius: float
+
+    @classmethod
+    def at(cls, tau: float, sigma0: float, beta: float, T: float, T0: float,
+           orti_check: float, C0: float = 1.0, C1: float = 1.0) -> "TauConstants":
+        cbar = compute_cbar(tau, sigma0, beta, T, T0, orti_check, C0)
+        ctilde = compute_ctilde(tau, sigma0, beta, T, T0, orti_check, C1)
+        return cls(tau=tau, alpha=(sigma0 * beta - tau) / (2.0 * beta),
+                   cbar=cbar, ctilde=ctilde, radius=1.0 / (2.0 * max(1.0, cbar)))
+
+
+def psi_recursion(lam: float, sigma0: float, beta: float, eta0: float,
+                  psi1: complex, M: int) -> np.ndarray:
+    """Higher-harmonic coefficients generated by quadratic self-interaction.
+
+    In the resonant setting omega = sqrt(lam / sigma0), tau = beta lam / omega^2
+    the fundamental coefficient is free and, for m >= 2,
+
+        psi_m = -(m^2 w^2 eta0) / (2 (lam - sigma0 m^2 w^2
+                 + i m w (beta lam - tau m^2 w^2))) * sum_{j<m} psi_j psi_{m-j}.
+    """
+    if psi1 == 0:
+        raise ValueError("need a nonzero fundamental coefficient")
+    if lam <= 0:
+        raise ValueError("need a positive eigenvalue; the resonant frequency is sqrt(lam/sigma0)")
+    w2 = lam / sigma0
+    w = np.sqrt(w2)
+    tau = beta * lam / w2
+    psi = np.zeros(M, dtype=complex)
+    psi[0] = psi1
+    for m in range(2, M + 1):
+        denom = 2.0 * (lam - sigma0 * m * m * w2
+                       + 1j * m * w * (beta * lam - tau * m * m * w2))
+        if abs(denom) < 1e-14 * max(lam, 1.0):
+            raise VanishingDivisorError(f"vanishing recursion denominator at harmonic m={m}")
+        conv = np.sum(psi[: m - 1] * psi[m - 2 :: -1][: m - 1])
+        psi[m - 1] = -(m * m * w2 * eta0) / denom * conv
+    return psi

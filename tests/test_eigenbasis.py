@@ -4,11 +4,12 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
 from harmtomo import build_interval_basis, build_rectangle_basis, interval_eigenvalues, project, synthesize
-from harmtomo.eigenbasis import (DomainSpec, commensurate, trace_right_inverse,
-                                 check_trace_ranks)
+from harmtomo.eigenbasis import (DomainSpec, _interval_modes, _interval_wavenumbers, _leggauss,
+                                 commensurate, trace_right_inverse, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
+from oracles import interval_wavenumbers_loop
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -17,13 +18,29 @@ def gram_matrix(basis):
     return (basis.phi * basis.weights) @ basis.phi.T
 
 
-def eigen_residuals(basis):
-    """Per-mode quadrature L2 norm of (A phi - lambda phi)."""
-    r = basis.phi_lap - basis.lambdas[:, None] * basis.phi
-    return np.sqrt((r * r) @ basis.weights)
+def secular_residuals(L, gamma, ks):
+    """|(g0 + g1) k cos(kL) + (g0 g1 - k^2) sin(kL)| per wavenumber, relative
+    to the size of its coefficients."""
+    g0, g1 = gamma
+    k = np.asarray(ks, dtype=float)
+    val = (g0 + g1) * k * np.cos(k * L) + (g0 * g1 - k * k) * np.sin(k * L)
+    scale = (g0 + g1) * k + np.abs(g0 * g1 - k * k)
+    return np.abs(val) / np.where(scale > 0, scale, 1.0)
 
 
-def fem_smallest_eigenvalue(L, gamma, n=10_000):
+def robin_residuals(L, gamma, count):
+    """|-phi'(0) + g0 phi(0)| and |phi'(L) + g1 phi(L)| of the package's 1D
+    modes, with phi' from the closed form norm * k (-sin(kx) + a cos(kx))."""
+    g0, g1 = gamma
+    out = []
+    for m in _interval_modes(L, gamma, count):
+        def dphi(x):
+            return m.norm * m.k * (-np.sin(m.k * x) + m.a * np.cos(m.k * x))
+        out.append((abs(-dphi(0.0) + g0 * m(0.0)), abs(dphi(L) + g1 * m(L))))
+    return np.array(out)
+
+
+def fem_eigenvalues(L, gamma, k, n=10_000):
     """P1 finite element generalized eigenvalue oracle for the Robin operator."""
     h = L / n
     g0, g1 = gamma
@@ -35,9 +52,13 @@ def fem_smallest_eigenvalue(L, gamma, n=10_000):
     m_main = np.full(n + 1, 4 * h / 6)
     m_main[0] = m_main[-1] = 2 * h / 6
     Mm = sps.diags([np.full(n, h / 6), m_main, np.full(n, h / 6)], [-1, 0, 1])
-    vals = eigsh(K.tocsc(), k=1, M=Mm.tocsc(), sigma=0.0, which="LM",
+    vals = eigsh(K.tocsc(), k=k, M=Mm.tocsc(), sigma=0.0, which="LM",
                  return_eigenvectors=False)
-    return float(vals[0])
+    return np.sort(vals)
+
+
+ROBIN_CASES = [(np.pi, (1.0, 1.0)), (1.0, (0.0, 2.5)), (1.9416, (3.0, 0.0)),
+               (np.pi, (0.2, 7.0)), (np.pi, (0.0, 0.0))]
 
 
 class TestIntervalBasis:
@@ -50,27 +71,34 @@ class TestIntervalBasis:
         assert np.allclose(basis.phi[2], np.sqrt(2 / np.pi) * np.cos(2 * x), atol=1e-12)
 
     def test_robin_eigenvalue_against_fem_oracle(self):
-        lam = interval_eigenvalues(1.0, (1.0, 1.0), 1)[0]
-        lam_fd = fem_smallest_eigenvalue(1.0, (1.0, 1.0))
-        assert abs(lam - lam_fd) / lam_fd <= 1e-6
+        lam = interval_eigenvalues(1.0, (1.0, 1.0), 4)
+        lam_fd = fem_eigenvalues(1.0, (1.0, 1.0), 4)
+        assert np.max(np.abs(lam - lam_fd) / lam_fd) <= 1e-6
 
     def test_gram_identity(self, basis8):
         G = gram_matrix(basis8)
         assert np.max(np.abs(G - np.eye(basis8.J))) <= 1e-10
 
     def test_eigen_residuals(self, basis8):
-        assert np.max(eigen_residuals(basis8)) <= 1e-8
+        # the basis eigenvalues solve the secular equation
+        assert np.max(secular_residuals(np.pi, (1.0, 1.0), np.sqrt(basis8.lambdas))) <= 1e-10
+        for L, gamma in ROBIN_CASES:
+            ks = np.sqrt(interval_eigenvalues(L, gamma, 16))
+            assert np.max(secular_residuals(L, gamma, ks)) <= 1e-10
 
-    def test_boundary_condition_satisfied(self, basis8):
-        # Robin condition rebuilt from closed-form values at the endpoints
-        from harmtomo.eigenbasis import _interval_modes
-        modes = _interval_modes(np.pi, (1.0, 1.0), 8)
-        for m in modes:
-            k, a, N = m.k, m.a, m.norm
-            dphi0 = N * k * a       # phi'(0)
-            assert abs(-dphi0 + 1.0 * m(0.0)) <= 1e-10
-            dphiL = N * (-k * np.sin(k * np.pi) + a * k * np.cos(k * np.pi))
-            assert abs(dphiL + 1.0 * m(np.pi)) <= 1e-10
+    def test_boundary_condition_satisfied(self):
+        for L, gamma in ROBIN_CASES:
+            assert np.max(robin_residuals(L, gamma, 16)) <= 1e-10
+
+    @pytest.mark.parametrize("L, gamma", ROBIN_CASES)
+    @pytest.mark.parametrize("count", [1, 8, 64])
+    def test_wavenumber_scan_matches_loop(self, L, gamma, count):
+        assert _interval_wavenumbers(L, *gamma, count) == interval_wavenumbers_loop(L, *gamma, count)
+
+    def test_coarse_scan_raises(self):
+        # 6 scan points cannot bracket 8 roots
+        with pytest.raises(SpectrumError, match="found only"):
+            _interval_wavenumbers(np.pi, 1.0, 1.0, 8, scan_density=0.5)
 
 
 class TestRectangleBasis:
@@ -92,14 +120,43 @@ class TestRectangleBasis:
         assert np.allclose(basis.phi[0], basis.phi[0][0])
 
     def test_gram_and_residuals(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6)
-        assert np.max(np.abs(gram_matrix(basis) - np.eye(6))) <= 1e-10
-        assert np.max(eigen_residuals(basis)) <= 1e-8
+        Lx, Ly = np.pi, np.pi / GOLDEN
+        for gamma in (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (0.5, 2.0))):
+            basis = build_rectangle_basis(Lx, Ly, gamma, 6)
+            assert np.max(np.abs(gram_matrix(basis) - np.eye(6))) <= 1e-10
+            # each factor solves its secular equation and both of its Robin ends
+            lams = []
+            for L, g in zip((Lx, Ly), gamma):
+                lam = interval_eigenvalues(L, g, 6)
+                assert np.max(secular_residuals(L, g, np.sqrt(lam))) <= 1e-10
+                assert np.max(robin_residuals(L, g, 6)) <= 1e-10
+                lams.append(lam)
+            sums = np.sort(np.add.outer(*lams).ravel())[:6]
+            assert np.allclose(basis.lambdas, sums, rtol=1e-14, atol=0)
 
     def test_commensurate_detector(self):
         assert commensurate(1.5)
         assert commensurate(16 / 64)
         assert not commensurate(1 / GOLDEN)
+
+
+class TestGaussNodes:
+    def test_cached_arrays_are_read_only(self):
+        x, w = _leggauss(32)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_builds_get_fresh_equal_arrays(self):
+        for build in (lambda: build_interval_basis(np.pi, (1.0, 1.0), 8),
+                      lambda: build_rectangle_basis(np.pi, np.pi / GOLDEN,
+                                                    ((1.0, 1.0), (1.0, 1.0)), 6)):
+            a, b = build(), build()
+            assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+            assert a.nodes is not b.nodes and a.weights is not b.weights
+            assert not np.shares_memory(a.weights, b.weights)
+            assert not np.shares_memory(a.nodes, b.nodes)
 
 
 class TestProjection:

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from harmtomo import harmonic_symbol, observe, solve_linear_harmonics, solve_multiharmonic
+from harmtomo import harmonic_symbol, observe, solve_multiharmonic
 from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
 from harmtomo.fields import MaterialField, ModelParams
 import harmtomo.forward as fw
-from harmtomo.forward import (convolve_bm_all, convolve_bm_grid, harmonic_product_time,
-                              model_residual, nonlinear_model, symbols_matrix,
-                              synthesize_time)
+from harmtomo.forward import (convolve_bm_grid, harmonic_product_time, model_residual,
+                              nonlinear_model, symbols_matrix, synthesize_time)
 from harmtomo.poles import big_theta, vartheta
 
-from oracles import (convolve_bm_grid_loop, harmonic_product_loop, nonlinear_model_ref,
-                     product_dc_loop)
+from oracles import (convolve_bm_all, convolve_bm_grid_loop, harmonic_product_loop,
+                     nonlinear_model_ref, product_dc_loop, solve_linear_harmonics)
 
 GOLDEN = (1 + 5**0.5) / 2
 KERNEL_RTOL = 1e-13

@@ -29,6 +29,13 @@ def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0):
                               T0=np.pi / omega, A=2.0)
 
 
+def np_roots(lam, params):
+    """Roots of one eigenvalue's characteristic polynomial by np.roots."""
+    if params.tau > 0:
+        return np.roots([params.tau, params.sigma0, params.beta * lam, lam])
+    return np.roots([params.sigma0, params.beta * lam, lam])
+
+
 class TestRoots:
     def test_lambda_zero_factorization(self):
         p = params_of(tau=1.0)
@@ -60,6 +67,33 @@ class TestRoots:
         assert roots.size == 2
         # strongly damped branch diverges with lambda: the ill-posedness signature
         assert np.min(roots.real) < -50.0
+
+
+class TestStackedRoots:
+    @pytest.mark.parametrize("J", [8, 16, 64])
+    @pytest.mark.parametrize("tau", [0.5, 0.1, 0.02, 0.0])
+    @pytest.mark.parametrize("omega", [0.25, 1.0])
+    def test_bit_identical_to_np_roots(self, J, tau, omega):
+        p = params_of(tau=tau, omega=omega)
+        for gamma in ((1.0, 1.0), (0.0, 0.0)):   # Neumann adds lambda = 0
+            lams = interval_eigenvalues(np.pi, gamma, J)
+            roots = characteristic_roots(lams, p)
+            assert roots.shape == (J, 3 if tau > 0 else 2)
+            for lam, r in zip(lams, roots):
+                ref = np_roots(lam, p)
+                if lam == 0.0:  # np.roots strips the zero roots and appends them
+                    assert np.array_equal(np.sort_complex(r), np.sort_complex(ref))
+                else:
+                    assert np.array_equal(r, ref)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.0])
+    def test_pole_set_stores_the_roots(self, tau):
+        p = params_of(tau=tau)
+        lams = interval_eigenvalues(np.pi, (1.0, 1.0), 8)
+        ps = build_pole_set(lams, p)
+        n = 3 if tau > 0 else 2
+        assert np.array_equal(ps.roots[:, :n], characteristic_roots(lams, p))
+        assert np.all(np.isnan(ps.roots[:, n:]))
 
 
 class TestSelection:

@@ -6,9 +6,10 @@ from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, ch
 from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
                              TheoremHypothesisError)
 from harmtomo.fields import ModelParams, NormSpec
-from harmtomo.quasirev import TauConstants, smoothing_gain, tau_grid, time_derivative_norm
+from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
 from conftest import random_linearized
+from oracles import TauConstants
 
 GOLDEN = (1 + 5**0.5) / 2
 T = 2 * np.pi
@@ -184,7 +185,7 @@ def sweep_setup(tau0, seed=3):
     params = ModelParams.create(tau=tau0, beta=1.0, sigma0=1.0, omega=1.0, T0=T, A=2.0)
     pulse = design_delta_pulse(params, M, 0.04, amplitude=3.0)
     sp = amplitude_modulate(pulse, 2.0)
-    ref = build_reference_state(basis, 0, sp, params)
+    ref = build_reference_state(basis, 0, sp)
     truth = random_linearized(basis, M, seed, du_scale=1e-7, du_band=8)
     truth.a_sigma[:] /= (1 + np.arange(J))
     truth.a_eta[:] /= (1 + np.arange(J))

@@ -125,7 +125,7 @@ class TestResidues:
         M = 24
         pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
         sp = amplitude_modulate(pulse, 2.0)
-        ref = build_reference_state(basis, 0, sp, params)
+        ref = build_reference_state(basis, 0, sp)
         poles = build_pole_set(basis.lambdas, params)
         lin = random_linearized(basis, M, 11)
         data = linearized_forward(ref, params, basis, lin)

@@ -75,6 +75,7 @@ class TestValidate:
         ("params.omega", 0, "omega must be positive"),
         ("residue_mode", "nope", "unknown residue_mode 'nope'"),
         ("draws", -1, "draws -1 must be nonnegative"),
+        ("source.eta0", 0.5, "source.eta0 0.5 is not supported"),
     ])
     def test_model_parameter_checks_are_violations(self, tmp_path, capsys, key, value, message):
         bad = _write_variant(tmp_path, ROUNDTRIP, **{key: value})
