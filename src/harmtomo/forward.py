@@ -139,13 +139,14 @@ def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
 
 def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                         eta: MaterialField, rhat, tol: float = 1e-12,
-                        max_iter: int = 200) -> np.ndarray:
+                        max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u).
 
     Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - grid term), the
     grid term projected once.  The nonlinearity must be small enough for
     contraction: the sweep runs at d = 1 and, if it stalls, restarts from
-    L(sigma0)^(-1) r at d = 0.5 before raising.
+    L(sigma0)^(-1) r at d = 0.5 before raising.  Returns u and its
+    per-harmonic `model_residual`, the one the convergence check accepted.
     """
     r = np.asarray(rhat, dtype=complex)
     sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
@@ -161,7 +162,7 @@ def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialF
                     break
             res = model_residual(params, basis, sigma, eta, u, r)
         if np.all(np.isfinite(res)) and np.max(res) <= tol:
-            return u
+            return u, res
     raise ConvergenceError(
         f"multiharmonic fixed point stalled: max residual {np.max(res):.3e} > tol {tol:.1e}"
     )

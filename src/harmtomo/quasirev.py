@@ -10,6 +10,7 @@ monotone on the admissible range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +109,22 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
 class SmoothingResult:
     coeffs: np.ndarray       # (J,) lifted coefficients, zero beyond chosen level
     level: int               # chosen L
-    kappa: np.ndarray        # kappa_L per candidate level (nan where skipped)
+    kappa: np.ndarray        # kappa_L per candidate level (read-only, shared)
     residuals: np.ndarray    # trace-fit residual per candidate level
     levels: np.ndarray       # candidate levels
+
+
+@functools.lru_cache(maxsize=1)
+def _smoothing_gains(basis: EigenBasis, s: float, levels: tuple[int, ...]) -> np.ndarray:
+    """smoothing_gain at each candidate level, once per (basis, s, levels).
+
+    Bases compare by identity, so the noise levels of one study, which come
+    in a row, share the gains.  Only the last entry is kept, so no finished
+    study's basis stays alive.  The array is read-only.
+    """
+    kappas = np.array([smoothing_gain(basis, s, L) for L in levels])
+    kappas.setflags(write=False)
+    return kappas
 
 
 def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
@@ -145,12 +159,10 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float,
     levels = np.asarray(levels if levels is not None else np.arange(1, min(basis.J, ns) + 1))
     sw = np.sqrt(basis.sigma_weights)
     data_norm = float(np.linalg.norm(sw * v))
-    kappas = np.full(levels.size, np.nan)
+    kappas = _smoothing_gains(basis, s, tuple(int(L) for L in levels))
     residuals = np.full(levels.size, np.nan)
     fits = {}
-    for i, L in enumerate(levels):
-        kap = smoothing_gain(basis, s, int(L))
-        kappas[i] = kap
+    for i, (L, kap) in enumerate(zip(levels, kappas)):
         if not np.isfinite(kap):
             continue
         if delta_tilde > 0 and kap * delta_tilde > data_norm:

@@ -8,20 +8,20 @@ timestamps are recorded.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import re
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import quasirev
 from .eigenbasis import check_trace_ranks, synthesize
 from .fields import MaterialField
-from .forward import model_residual, observe, solve_multiharmonic
+from .forward import observe, solve_multiharmonic
 from .norms import x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
-from .reconstruct import (LinearizedInput, linearized_forward, oracle_residues, pole_table,
-                          reconstruct)
+from .reconstruct import linearized_forward, oracle_residues, pole_table, reconstruct
 from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
                         make_reference, make_true_fields, min_symbol_magnitude,
                         quasirev_settings, scenario_hash, validate_scenario)
@@ -30,23 +30,48 @@ from .errors import ScenarioValidationError
 
 def _write_manifest(path, payload) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(cell) -> str:
+    """One csv cell under QUOTE_MINIMAL: quoted, with `"` doubled, where it
+    holds a comma, a quote or a line break."""
+    s = str(cell)
+    return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
+
+
+def _column(col):
+    """The `%` conversion and the flattened values of one column."""
+    a = np.asarray(col)
+    values = a.ravel().tolist()
+    if a.dtype.kind == "f":
+        return "%.17g", values
+    if a.dtype.kind in "biu":
+        return "%s", values
+    return "%s", [format(v, ".17g") if isinstance(v, float) else _quote(v) for v in values]
 
 
 def write_table(path, header, columns, scenario_hash) -> None:
     """Write one CSV artifact from its columns, the scenario hash appended last.
 
     Each column is flattened in C order.  Floats are written as ``.17g``, ints
-    and strings as they are; columns of unequal length raise ``ValueError``.
+    and strings as they are, with ``csv``'s minimal quoting and CRLF line
+    ends; columns of unequal length raise ``ValueError``.  The body is one
+    ``%`` operation over a row format repeated once per row.
     """
-    cols = [[format(v, ".17g") if isinstance(v, float) else v
-             for v in np.asarray(col).ravel().tolist()] for col in columns]
-    rows = list(zip(*cols, strict=True))
+    cols = [_column(c) for c in columns]
+    lengths = {len(values) for _, values in cols}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    row = ",".join([conv for conv, _ in cols] + ["%s"]) + "\r\n"
+    cells = zip(*(values for _, values in cols), repeat(_quote(scenario_hash), n))
+    body = (row * n) % tuple(chain.from_iterable(cells))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([*header, "scenario_hash"])
-        w.writerows(row + (scenario_hash,) for row in rows)
+        f.write(",".join(map(_quote, [*header, "scenario_hash"])) + "\r\n" + body)
 
 
 def run_preset(sc: Scenario, out_dir: str | None = None, seed: int | None = None) -> dict:
@@ -109,8 +134,7 @@ def _preset_forward_solve(sc, out, seed, shash):
     for e, pulse in enumerate((ref.source_pair.psi1, ref.source_pair.psi2)):
         rhat = np.zeros((sc.M, basis.J), dtype=complex)
         rhat[:, ref.phi_index] = pulse.psi_hat
-        u = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
-        resid = model_residual(params, basis, sigma, eta, u, rhat)
+        u, resid = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
         resid_max = max(resid_max, float(np.max(resid)))
         m, j = np.indices(u.shape)
         write_table(os.path.join(out, f"field_source{e + 1}.csv"), ["m", "j", "re", "im"],
@@ -181,12 +205,7 @@ def _preset_stability_probe(sc, out, seed, shash):
     pole_set = build_pole_set(basis.lambdas, params)
     rng = np.random.default_rng(seed)
     draws = int(sc.raw.get("draws", 200))
-    a = np.zeros((draws, 2, basis.J))
-    du = np.zeros((draws, 2, sc.M, basis.J), dtype=complex)
-    for i in range(draws):
-        draw = make_true_fields(sc, basis, rng)
-        a[i], du[i] = (draw.a_sigma, draw.a_eta), draw.du
-    truth = LinearizedInput(a_sigma=a[:, 0], a_eta=a[:, 1], du=du)
+    truth = make_true_fields(sc, basis, rng, draws=draws)
     sp = ref.source_pair
     data = linearized_forward(ref, params, basis, truth)
     res = oracle_residues(truth, data.rhat, pole_set, sp, basis, params)

@@ -120,35 +120,41 @@ def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> Refe
     return build_reference_state(basis, int(src["phi_mode"]), pair)
 
 
-def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator) -> LinearizedInput:
+def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
+                     draws: int | None = None) -> LinearizedInput:
     """Synthetic truth in the retained spectral span.
 
     kinds: "low_mode" takes explicit (mode, value) lists for both channels;
     "random_low_mode" draws decaying random coefficients up to a cutoff.
     The state perturbation is a decaying random draw scaled by du_scale.
+
+    A truth takes its normals from the generator in the order a_sigma, a_eta,
+    real and imaginary part of du.  With `draws`, that many truths come
+    stacked on a leading batch axis from one generator call; they equal
+    `draws` successive calls without it.
     """
     cfg = sc.true_fields
     J, M = basis.J, sc.M
-    a_sigma = np.zeros(J)
-    a_eta = np.zeros(J)
+    batch = () if draws is None else (int(draws),)
     kind = cfg.get("kind", "random_low_mode")
-    if kind == "low_mode":
-        for j, val in cfg.get("sigma_modes", []):
-            a_sigma[int(j)] = float(val)
-        for j, val in cfg.get("eta_modes", []):
-            a_eta[int(j)] = float(val)
-    elif kind == "random_low_mode":
-        cutoff = min(int(cfg.get("cutoff", max(2, J // 2))), J)
-        a_sigma[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff))
-        a_eta[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff))
-    else:
+    if kind not in ("low_mode", "random_low_mode"):
         raise ScenarioValidationError([f"unknown true_fields kind {kind!r}"])
+    cutoff = min(int(cfg.get("cutoff", max(2, J // 2))), J) if kind == "random_low_mode" else 0
+    z_a, z_du = np.split(rng.standard_normal(batch + (2 * cutoff + 4 * M * J,)), [2 * cutoff],
+                         axis=-1)
+    a = np.zeros(batch + (2, J))
+    a[..., :cutoff] = z_a.reshape(batch + (2, cutoff)) / (1.0 + np.arange(cutoff))
+    if kind == "low_mode":
+        for c, key in enumerate(("sigma_modes", "eta_modes")):
+            for j, val in cfg.get(key, []):
+                a[..., c, int(j)] = float(val)
     du_scale = float(cfg.get("du_scale", 1.0))
     du_band = int(cfg.get("du_band", M))
     decay = 1.0 / ((1.0 + np.arange(1, M + 1))[:, None] * (1.0 + basis.lambdas)[None, :])
-    du = du_scale * decay * (rng.standard_normal((2, M, J)) + 1j * rng.standard_normal((2, M, J)))
-    du[:, du_band:, :] = 0.0
-    return LinearizedInput(a_sigma=a_sigma, a_eta=a_eta, du=du)
+    re, im = np.moveaxis(z_du.reshape(batch + (2, 2, M, J)), -4, 0)
+    du = du_scale * decay * (re + 1j * im)
+    du[..., du_band:, :] = 0.0
+    return LinearizedInput(a_sigma=a[..., 0, :], a_eta=a[..., 1, :], du=du)
 
 
 def validate_scenario(sc: Scenario) -> list[str]:

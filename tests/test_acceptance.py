@@ -220,7 +220,7 @@ def test_criterion_7_nonlinear_lipschitz():
         dr = 0.1 * radius * (rng.standard_normal((2, M, J)) + 1j * rng.standard_normal((2, M, J)))
         dr /= (1.0 + np.arange(1, M + 1))[:, None] ** 2 * (1.0 + basis.lambdas)[None, :]
         rhat = r0 + dr
-        u = np.stack([solve_multiharmonic(params, basis, sigma, eta, rhat[e], tol=1e-11)
+        u = np.stack([solve_multiharmonic(params, basis, sigma, eta, rhat[e], tol=1e-11)[0]
                       for e in range(2)])
         return sigma, eta, u
 
@@ -369,7 +369,7 @@ def test_criterion_11_forward_solver_consistency():
                         MaterialField.constant(basis, 1e-3), r))
     eta_zero_gap = 0.0
     for basis, p, sigma, eta, r in configs:
-        u = solve_multiharmonic(p, basis, sigma, eta, r, tol=1e-10)
+        u, _ = solve_multiharmonic(p, basis, sigma, eta, r, tol=1e-10)
         worst_resid = max(worst_resid, float(np.max(model_residual(p, basis, sigma, eta, u, r))))
         if np.max(np.abs(eta.values)) == 0 and np.max(np.abs(sigma.values - p.sigma0)) == 0:
             lin = solve_linear_harmonics(p, basis.lambdas, r)
@@ -379,8 +379,8 @@ def test_criterion_11_forward_solver_consistency():
     rs = np.zeros((12, bi.J), dtype=complex)
     rs[0, 0] = 1.0
     sig0 = MaterialField.constant(bi, p.sigma0)
-    ua = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 1e-3), rs)
-    ub = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 2e-3), rs)
+    ua, _ = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 1e-3), rs)
+    ub, _ = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 2e-3), rs)
     ratio = np.linalg.norm(ub[1]) / np.linalg.norm(ua[1])
     ok = worst_resid <= 1e-10 and eta_zero_gap <= 1e-14 and abs(ratio - 2.0) <= 1e-3
     report(11, ok, f"max model residual {worst_resid:.2e} (limit 1e-10), eta=0 diagonal "

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from conftest import run_scenario, small_scenario
 from harmtomo import quasirev, runner
-from harmtomo.forward import observe
+from harmtomo.forward import model_residual, observe
 from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
@@ -48,7 +48,7 @@ def _pole_report(sc, d, shash, seen):
 
 def _forward_solve(sc, d, shash, seen):
     basis = seen["basis"][0][1]
-    for e, (_, u) in enumerate(seen["solve"]):
+    for e, (_, (u, _)) in enumerate(seen["solve"]):
         oracles.harmonic_field_to_csv(u, d / f"field_source{e + 1}.csv", scenario_hash=shash)
         obs = observe(basis, u)
         oracles.csv_rows(d / f"observations_source{e + 1}.csv",
@@ -176,7 +176,8 @@ def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
 
 
 def test_stability_probe_calls_each_stage_once(tmp_path, monkeypatch):
-    stages = ("linearized_forward", "oracle_residues", "x_norm", "yobs_norm", "ymod_norm")
+    stages = ("make_true_fields", "linearized_forward", "oracle_residues", "x_norm", "yobs_norm",
+              "ymod_norm")
     seen = {name: _record(monkeypatch, runner, name) for name in stages}
     out, _ = run_scenario(tmp_path, small_scenario("stability-probe", M=24, draws=7))
     assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(stages, 1)
@@ -207,3 +208,37 @@ def test_write_table_rejects_ragged_columns(tmp_path):
         write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], [1.0, 2.0]], "h")
     with pytest.raises(ValueError):
         write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros((2, 3)), np.zeros(5)], "h")
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(0), ["x"]], "h")
+
+
+def test_write_table_matches_csv_module_on_edge_values(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1,
+              -1 / 3]
+    ints = np.array([-3, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min, 7, -1, 2, 1, -10])
+    strs = ["plain", "a,b", 'say "hi"', "two\r\nlines", "lone\rcr", "lone\nlf", "", " pad ", "é"]
+    header = ["f", "i,comma", 's"q', "s"]
+    write_table(tmp_path / "new.csv", header, [floats, ints, np.array(floats)[::-1], strs], "h,1")
+    oracles.csv_rows(tmp_path / "old.csv", header + ["scenario_hash"],
+                     [[f, int(i), g, s, "h,1"]
+                      for f, i, g, s in zip(floats, ints, floats[::-1], strs)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a zero-row table is its header alone
+    write_table(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), []], "h")
+    oracles.csv_rows(tmp_path / "empty_old.csv", ["a", "b", "scenario_hash"], [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_old.csv").read_bytes()
+
+
+def test_forward_manifest_residual_is_that_of_the_written_fields(tmp_path, monkeypatch):
+    solves = _record(monkeypatch, runner, "solve_multiharmonic")
+    out, sc = run_scenario(tmp_path, small_scenario("forward-solve"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    worst = 0.0
+    for e, ((params, basis, sigma, eta, rhat), _) in enumerate(solves):
+        table = np.genfromtxt(out / f"field_source{e + 1}.csv", delimiter=",", skip_header=1,
+                              usecols=(2, 3))
+        # .17g round-trips every double, so u is the solver's own
+        u = (table[:, 0] + 1j * table[:, 1]).reshape(sc.M, basis.J)
+        worst = max(worst, float(np.max(model_residual(params, basis, sigma, eta, u, rhat))))
+    assert len(solves) == 2
+    assert manifest["max_model_residual"] == worst

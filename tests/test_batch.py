@@ -1,6 +1,8 @@
 """Leading batch axes: a batch of draws in one call equals the stacked
 one-draw calls, and a one-draw call keeps its shapes and types."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from harmtomo.norms import x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
 from harmtomo.reconstruct import (LinearizedInput, fit_residues, linearized_forward,
                                   oracle_residues, pole_table, recover_coefficients,
                                   residue_term, solve_states_from_coeffs)
-from conftest import random_linearized
+from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
+from conftest import random_linearized, small_scenario
 
 B = 5
 TOL = 1e-13
@@ -172,3 +175,41 @@ def test_single_and_empty_batch(setup_small, spec_std, draws):
     for v in (x_norm(lin.a, lin.du, b["basis"].lambdas, b["params"].omega, spec_std),
               yobs_norm(res, spec_std, *_args(b), M=M), ymod_norm(data.rhat, spec_std, *_args(b))):
         assert isinstance(v, np.ndarray) and v.shape == (draws,)
+
+
+def _truth_scenario(tmp_path, true_fields):
+    """A stability-probe scenario at M = 12 with the given truth, and its basis."""
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(small_scenario("stability-probe", M=12, true_fields=true_fields)))
+    sc = load_scenario(path)
+    return sc, make_basis(sc)
+
+
+@pytest.mark.parametrize("true_fields", [
+    {"kind": "random_low_mode", "du_band": 5},
+    {"kind": "low_mode", "sigma_modes": [[1, -0.5]], "eta_modes": [[3, 0.25]], "du_scale": 2.0}])
+def test_true_fields_batch_equals_successive_draws(tmp_path, true_fields):
+    sc, basis = _truth_scenario(tmp_path, true_fields)
+    rng = np.random.default_rng(11)
+    singles = [make_true_fields(sc, basis, rng) for _ in range(B)]
+    rng_batch = np.random.default_rng(11)
+    batch = make_true_fields(sc, basis, rng_batch, draws=B)
+    for name in ("a_sigma", "a_eta", "du"):
+        assert np.array_equal(getattr(batch, name), np.stack([getattr(t, name) for t in singles]))
+    assert singles[0].du.shape == (2, 12, basis.J) and batch.du.shape == (B, 2, 12, basis.J)
+    # the generator ends where the single draws left it
+    assert rng_batch.bit_generator.state == rng.bit_generator.state
+
+
+def test_true_fields_draw_order(tmp_path):
+    sc, basis = _truth_scenario(tmp_path, {"kind": "random_low_mode", "cutoff": 3})
+    truth = make_true_fields(sc, basis, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    c = 3
+    a_sigma = rng.standard_normal(c) / (1.0 + np.arange(c))
+    a_eta = rng.standard_normal(c) / (1.0 + np.arange(c))
+    re, im = rng.standard_normal((2, 12, basis.J)), rng.standard_normal((2, 12, basis.J))
+    decay = 1.0 / ((1.0 + np.arange(1, 13))[:, None] * (1.0 + basis.lambdas)[None, :])
+    assert np.array_equal(truth.a_sigma, np.pad(a_sigma, (0, basis.J - c)))
+    assert np.array_equal(truth.a_eta, np.pad(a_eta, (0, basis.J - c)))
+    assert np.array_equal(truth.du, decay * (re + 1j * im))

@@ -124,6 +124,19 @@ class TestSmoothing:
         # deeper levels hit the tensor-trace degeneracy and are rejected
         assert not np.isfinite(kaps[-1])
 
+    def test_gains_computed_once_per_level(self, monkeypatch):
+        from harmtomo import quasirev
+
+        basis = four_side_rectangle()
+        calls = []
+        gain = quasirev.smoothing_gain
+        monkeypatch.setattr(quasirev, "smoothing_gain", lambda *a: calls.append(a) or gain(*a))
+        exact = np.arange(1.0, 4.0) @ basis.trace_matrix[:3]
+        kappas = [smooth_data(exact, dt, basis, 1.0).kappa for dt in (1e-2, 1e-3, 1e-4)]
+        assert sorted(L for _, _, L in calls) == list(range(1, basis.J + 1))
+        assert all(k is kappas[0] for k in kappas) and not kappas[0].flags.writeable
+        assert np.array_equal(kappas[0], [gain(basis, 1.0, L) for L in range(1, basis.J + 1)])
+
     def test_error_decreases_with_noise_level(self):
         basis = four_side_rectangle()
         rng = np.random.default_rng(6)
