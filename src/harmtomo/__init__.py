@@ -7,8 +7,8 @@ from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis,
                          synthesize, trace_right_inverse)
 from .fields import MaterialField, ModelParams, NormSpec
 from .forward import harmonic_symbol, nonlinear_model, observe, solve_multiharmonic
-from .poles import (PoleSet, build_pole_set, characteristic_roots,
-                    pole_asymptotic, select_pole, verify_bounds)
+from .poles import (PoleSet, asymptotic_poles, build_pole_set, characteristic_roots,
+                    verify_bounds)
 from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
                           assemble_fields, linearized_forward, recover_coefficients,
                           reconstruct, solve_states_from_coeffs)

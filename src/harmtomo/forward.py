@@ -12,10 +12,12 @@ coefficient of the pointwise product of the two real signals.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import fft as sfft
 
-from .eigenbasis import EigenBasis, project, synthesize
+from .eigenbasis import EigenBasis
 from .errors import ConvergenceError, ResonanceError
 from .fields import MaterialField, ModelParams
 
@@ -38,6 +40,22 @@ def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
     """(M, J) table of harmonic symbols."""
     lambdas = np.asarray(lambdas, dtype=float)
     return harmonic_symbol(params, np.arange(1, M + 1)[:, None], lambdas[None, :])
+
+
+def _time_samples(c, n: int) -> np.ndarray:
+    """n uniform time samples of the real zero-mean signals whose positive
+    harmonics c run along axis 0 (harmonic m at index m - 1)."""
+    spec = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
+    spec[1:] = 0.5 * c
+    return sfft.irfft(spec, n, axis=0, norm="forward")
+
+
+def _harmonics(samples, m_top: int) -> np.ndarray:
+    """Mean (index 0) and harmonics 1..m_top (index m) of real uniform time
+    samples along axis 0."""
+    out = sfft.rfft(samples, axis=0, norm="forward")[: m_top + 1]
+    out[1:] *= 2.0
+    return out
 
 
 def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
@@ -63,34 +81,51 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
     # irfft drops input harmonics at or above n/2; with n > Ma + Mb + m_top those
     # only reach product harmonics above m_out, directly or by aliasing
     n = sfft.next_fast_len(Ma + Mb + m_top + 1, real=True)
-
-    def samples(c):
-        spec = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
-        spec[1:] = 0.5 * c
-        return sfft.irfft(spec, n, axis=0, norm="forward")
-
-    sa = samples(a)
-    sb = sa if b is a else samples(b)
-    prod = sfft.rfft(sa * sb, axis=0, norm="forward")[: m_top + 1]
-    prod[1:] *= 2.0
+    sa = _time_samples(a, n)
+    sb = sa if b is a else _time_samples(b, n)
+    prod = _harmonics(sa * sb, m_top)
     out = np.zeros((m_out + 1,) + prod.shape[1:], dtype=complex)
     out[: m_top + 1] = prod
     return out
 
 
-def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
-    """Quadrature-grid values of every harmonic of the pointwise product.
+@dataclass(frozen=True, eq=False)
+class CouplingMap:
+    """The part of the model that is not diagonal on the eigenbasis,
+    u -> P[(sigma - sigma0) u + eta B(u, u)] with P the quadrature projection,
+    as three matrices built once per (basis, sigma, eta).
 
-    Inputs share the basis and truncation; the coupling is symmetric and
-    bilinear.  Keeping grid values lets callers multiply by a coefficient
-    field before the single final projection.
+    The slowness term is linear in u, so it is one Galerkin matrix.  In the
+    eta term, projection and synthesis act on the grid axis and the time
+    transform on the harmonic axis, so the time transforms run on the J
+    coefficient columns and the grid is visited once per time sample.
     """
-    uc, vc = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if uc.shape != vc.shape:
-        raise ValueError("fields must share truncation")
-    ug = synthesize(basis, uc)  # (M, nq)
-    vg = ug if (vc is uc or np.array_equal(vc, uc)) else synthesize(basis, vc)
-    return harmonic_product_time(ug, vg, m_out)[1:]
+
+    k_sigma: np.ndarray   # (J, J) phi diag(w (sigma - sigma0)) phi^T
+    phi: np.ndarray       # (J, nq) synthesis onto the quadrature grid
+    eta_proj: np.ndarray  # (nq, J) eta-weighted projection diag(w eta) phi^T
+
+
+def coupling_map(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
+                 eta: MaterialField) -> CouplingMap:
+    phi, w = basis.phi, basis.weights
+    return CouplingMap(k_sigma=(phi * (w * (sigma.values - params.sigma0))) @ phi.T,
+                       phi=phi, eta_proj=(w * eta.values)[:, None] * phi.T)
+
+
+def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
+    """P[(sigma - sigma0) u + eta B(u, u)] for the coefficients u (M, J), every
+    harmonic m = 1..M.
+
+    The eta term samples u in time from its coefficients, synthesizes the
+    samples on the grid, squares them, applies the eta-weighted projection and
+    keeps harmonics 1..M.  The square reaches harmonic 2M, so n > 3M samples
+    keep every aliased frequency off the kept harmonics.
+    """
+    M = u.shape[0]
+    grid = _time_samples(u, sfft.next_fast_len(3 * M + 1, real=True)) @ cmap.phi  # (n, nq)
+    grid *= grid
+    return u @ cmap.k_sigma + _harmonics(grid @ cmap.eta_proj, M)[1:]
 
 
 def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
@@ -103,27 +138,16 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
     return sym
 
 
-def _grid_term(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-               eta: MaterialField, u) -> np.ndarray:
-    """(sigma - sigma0) u + eta B(u, u) on the quadrature grid, every harmonic.
-
-    The part of the model that is not diagonal on the eigenbasis; callers
-    project it once.
-    """
-    return ((sigma.values - params.sigma0) * synthesize(basis, u)
-            + eta.values * convolve_bm_grid(basis, u, u))
-
-
 def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                     eta: MaterialField, u) -> np.ndarray:
     """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M.
 
     L_m(sigma0) acts through its diagonal symbols; the variable part of sigma
-    and the eta coupling are summed on the grid and projected once.
+    and the eta coupling through the `coupling_map` built for this call.
     """
     uc = np.asarray(u, dtype=complex)
     return (symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
-            + project(basis, _grid_term(params, basis, sigma, eta, uc)))
+            + apply_coupling(coupling_map(params, basis, sigma, eta), uc))
 
 
 def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
@@ -137,32 +161,44 @@ def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
     return np.sqrt(np.sum(np.abs(res) ** 2, axis=1))
 
 
+@dataclass(frozen=True)
+class SolveReport:
+    """How `solve_multiharmonic` reached its solution."""
+
+    residual: np.ndarray  # (M,) per-harmonic model_residual the convergence check accepted
+    sweeps: int           # fixed-point sweeps run, over both damping factors
+    restarts: int         # 1 if the d = 0.5 restart ran, else 0
+
+
 def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                         eta: MaterialField, rhat, tol: float = 1e-12,
-                        max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+                        max_iter: int = 200) -> tuple[np.ndarray, SolveReport]:
     """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u).
 
-    Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - grid term), the
-    grid term projected once.  The nonlinearity must be small enough for
-    contraction: the sweep runs at d = 1 and, if it stalls, restarts from
-    L(sigma0)^(-1) r at d = 0.5 before raising.  Returns u and its
-    per-harmonic `model_residual`, the one the convergence check accepted.
+    Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - coupling), with the
+    `coupling_map` built once per solve.  The nonlinearity must be small
+    enough for contraction: the sweep runs at d = 1 and, if it stalls,
+    restarts from L(sigma0)^(-1) r at d = 0.5 before raising.  Returns u and
+    a `SolveReport` carrying its per-harmonic `model_residual`, the one the
+    convergence check accepted.
     """
     r = np.asarray(rhat, dtype=complex)
     sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
-    for d in (1.0, 0.5):
+    cmap = coupling_map(params, basis, sigma, eta)
+    sweeps = 0
+    for restarts, d in enumerate((1.0, 0.5)):
         u = r / sym
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                rhs = r - project(basis, _grid_term(params, basis, sigma, eta, u))
-                u_new = (1.0 - d) * u + d * (rhs / sym)
+                u_new = (1.0 - d) * u + d * ((r - apply_coupling(cmap, u)) / sym)
+                sweeps += 1
                 step = np.max(np.abs(u_new - u))
                 u = u_new
                 if not np.isfinite(step) or step < 0.1 * tol:
                     break
             res = model_residual(params, basis, sigma, eta, u, r)
         if np.all(np.isfinite(res)) and np.max(res) <= tol:
-            return u, res
+            return u, SolveReport(residual=res, sweeps=sweeps, restarts=restarts)
     raise ConvergenceError(
         f"multiharmonic fixed point stalled: max residual {np.max(res):.3e} > tol {tol:.1e}"
     )

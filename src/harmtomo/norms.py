@@ -91,7 +91,8 @@ def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,
     q (..., n_ok, 2) and model residues r (..., 2, M, n_ok) or 0."""
     w = _pole_weight(params, basis.lambdas, M, spec)[:, ok]      # (M, n_ok)
     lam_s = _lam_weight(basis.lambdas, spec.s)[ok]
-    diff = np.einsum("mef,...kf->...emk", sp.mm[:M], q, order="C") - r  # (..., 2, M, n_ok)
+    diff = np.einsum("mef,...kf->...emk", sp.mm[:M], q, order="C")     # (..., 2, M, n_ok)
+    diff -= r
     term1 = np.sum(w * np.sum(np.abs(diff) ** 2, axis=-3), axis=(-2, -1))
     term2 = np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=-1), axis=-1)
     return _per_draw(term1), _per_draw(term2)
@@ -107,11 +108,12 @@ def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
     with an admissible pole (used by the cancellation self-test)."""
     rhat = np.asarray(rhat, dtype=complex)
     t = pole_table(pole_set, sp, params)
+    r = rhat[..., t.ok]                                          # (..., 2, M, n_ok)
     if pole_values is None:
-        q = t.model_term(rhat)                                   # (..., n_ok, 2)
+        q = t.model_term_ok(r)                                   # (..., n_ok, 2)
     else:
         q = np.asarray(pole_values, dtype=complex)[..., t.ok, :]
-    return _image_terms(q, rhat[..., t.ok], t.ok, rhat.shape[-2], spec, sp, basis, params)
+    return _image_terms(q, r, t.ok, rhat.shape[-2], spec, sp, basis, params)
 
 
 def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,

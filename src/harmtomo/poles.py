@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonOscillatoryError, PoleSelectionError, StabilityViolationError
+from .errors import PoleSelectionError, StabilityViolationError
 from .fields import ModelParams
 
 IMAG_SELECT_TOL = 1e-14
@@ -62,39 +62,20 @@ def characteristic_roots(lambdas, params: ModelParams) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def pole_asymptotic(lam: float, params: ModelParams) -> complex:
+def asymptotic_poles(lambdas, params: ModelParams) -> np.ndarray:
     """Two-term closed-form estimate -alpha/tau + sqrt(-(beta/tau) lam
-    + 2 alpha/(tau beta) + alpha^2/tau^2), upper half-plane branch."""
-    if params.tau <= 0:
-        raise NonOscillatoryError("asymptotic form needs tau > 0")
-    a = params.alpha / params.tau
-    arg = -(params.beta / params.tau) * lam + 2.0 * params.alpha / (params.tau * params.beta) + a * a
-    if arg >= 0:
-        raise NonOscillatoryError(
-            f"lambda={lam:.6g} below the oscillatory regime (sqrt argument {arg:.3g} >= 0)"
-        )
-    return complex(-a, np.sqrt(-arg))
-
-
-def select_pole(roots, lam: float, params: ModelParams) -> complex:
-    """Upper half-plane root nearest the asymptotic estimate.
-
-    The real root is never selected (it approaches -1/beta, the zero of
-    Theta, and belongs to the spurious branch).  Raises when no root has
-    positive imaginary part, which happens for small eigenvalues.
-    """
-    roots = np.asarray(roots, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    upper = roots[roots.imag > IMAG_SELECT_TOL * scale]
-    if upper.size == 0:
-        raise PoleSelectionError(lam)
-    if upper.size == 1:
-        return complex(upper[0])
-    try:
-        target = pole_asymptotic(lam, params)
-    except NonOscillatoryError:
-        return complex(upper[np.argmax(upper.imag)])
-    return complex(upper[np.argmin(np.abs(upper - target))])
+    + 2 alpha/(tau beta) + alpha^2/tau^2), upper half-plane branch, per
+    eigenvalue; nan where tau = 0 or lam is below the oscillatory regime
+    (the sqrt argument is >= 0)."""
+    lam = np.asarray(lambdas, dtype=float)
+    out = np.full(lam.shape, np.nan + 1j * np.nan, dtype=complex)
+    if params.tau > 0:
+        a = params.alpha / params.tau
+        arg = -(params.beta / params.tau) * lam + 2.0 * params.alpha / (params.tau * params.beta) + a * a
+        osc = arg < 0
+        out.real[osc] = -a
+        out.imag[osc] = np.sqrt(-arg[osc])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +99,30 @@ class PoleSet:
 
 
 def build_pole_set(lambdas, params: ModelParams, strict: bool = False) -> PoleSet:
+    """Select the upper half-plane root of each eigenvalue's characteristic
+    polynomial.
+
+    The coefficients are real, so the roots are real or come in conjugate
+    pairs (np.linalg.eigvals returns them as exact pairs): an eigenvalue has
+    at most one root with positive imaginary part, and it is the root of
+    largest imaginary part.  The real root is never selected (it approaches
+    -1/beta, the zero of Theta, and belongs to the spurious branch).
+    Eigenvalues without such a root (for example lam = 0) are not ok; with
+    strict the first of them raises PoleSelectionError.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     L = lambdas.size
-    poles = np.full(L, np.nan + 1j * np.nan, dtype=complex)
-    allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
-    asym = np.full(L, np.nan + 1j * np.nan, dtype=complex)
-    ok = np.zeros(L, dtype=bool)
     roots = characteristic_roots(lambdas, params)
+    allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
     allroots[:, : roots.shape[-1]] = roots
-    for i, lam in enumerate(lambdas):
-        try:
-            asym[i] = pole_asymptotic(lam, params)
-        except NonOscillatoryError:
-            pass
-        try:
-            poles[i] = select_pole(roots[i], lam, params)
-            ok[i] = True
-        except PoleSelectionError:
-            if strict:
-                raise
-    return PoleSet(lambdas=lambdas, poles=poles, roots=allroots, asymptotic=asym, ok=ok)
+    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1))
+    ok = np.any(roots.imag > IMAG_SELECT_TOL * scale[:, None], axis=-1)
+    if strict and not ok.all():
+        raise PoleSelectionError(lambdas[~ok][0])
+    top = roots[np.arange(L), np.argmax(roots.imag, axis=-1)]
+    poles = np.where(ok, top, np.nan + 1j * np.nan)
+    return PoleSet(lambdas=lambdas, poles=poles, roots=allroots,
+                   asymptotic=asymptotic_poles(lambdas, params), ok=ok)
 
 
 def verify_bounds(pole_set: PoleSet, params: ModelParams) -> dict:

@@ -103,14 +103,26 @@ class PoleTable:
     def rtilde(self, rhat) -> np.ndarray:
         """rtilde^l(p_l) = (2/T) integral r^l(t) exp(-p_l t) dt of the model
         residues rhat (..., 2, M, J) on each admissible mode l: (..., n_ok, 2)."""
-        r = np.asarray(rhat, dtype=complex)[..., self.ok]       # (..., 2, M, n_ok)
+        return self.rtilde_ok(np.asarray(rhat, dtype=complex)[..., self.ok])
+
+    def rtilde_ok(self, r) -> np.ndarray:
+        """rtilde from the model residues restricted to the admissible modes,
+        r (..., 2, M, n_ok).
+
+        The conjugate harmonics enter as conj(r . conj(km)), equal elementwise
+        to conj(r) . km, so only the small result is conjugated."""
         M = r.shape[-2]
         return (np.einsum("...emk,km->...ke", r, self.kp[:, :M])
-                + np.einsum("...emk,km->...ke", np.conj(r), self.km[:, :M]))
+                + np.conj(np.einsum("...emk,km->...ke", r, np.conj(self.km[:, :M]))))
 
     def model_term(self, rhat) -> np.ndarray:
         """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (..., n_ok, 2)."""
-        return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde(rhat))
+        return self.model_term_ok(np.asarray(rhat, dtype=complex)[..., self.ok])
+
+    def model_term_ok(self, r) -> np.ndarray:
+        """model_term from the model residues restricted to the admissible
+        modes, r (..., 2, M, n_ok)."""
+        return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde_ok(r))
 
     def residues(self, rhat, C, basis: EigenBasis) -> np.ndarray:
         """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)

@@ -130,12 +130,14 @@ def _preset_forward_solve(sc, out, seed, shash):
     sigma = MaterialField.from_values(basis, params.sigma0 + pert)
     eta = MaterialField.constant(basis, float(sc.source.get("eta_forward", 1e-3)))
     sigma.check_slowness_admissible(params)
-    resid_max = 0.0
+    resid_max, sweeps, restarts = 0.0, [], 0
     for e, pulse in enumerate((ref.source_pair.psi1, ref.source_pair.psi2)):
         rhat = np.zeros((sc.M, basis.J), dtype=complex)
         rhat[:, ref.phi_index] = pulse.psi_hat
-        u, resid = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
-        resid_max = max(resid_max, float(np.max(resid)))
+        u, report = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
+        resid_max = max(resid_max, float(np.max(report.residual)))
+        sweeps.append(report.sweeps)
+        restarts += report.restarts
         m, j = np.indices(u.shape)
         write_table(os.path.join(out, f"field_source{e + 1}.csv"), ["m", "j", "re", "im"],
                     [m + 1, j, u.real, u.imag], shash)
@@ -144,7 +146,8 @@ def _preset_forward_solve(sc, out, seed, shash):
                     ["m"] + [f"p_re_{i}" for i in range(basis.nsigma)]
                     + [f"p_im_{i}" for i in range(basis.nsigma)],
                     [np.arange(1, sc.M + 1), *obs.real.T, *obs.imag.T], shash)
-    return {"max_model_residual": resid_max}
+    return {"max_model_residual": resid_max, "solver_sweeps": sweeps,
+            "damping_restarts": restarts}
 
 
 def _preset_pole_report(sc, out, seed, shash):

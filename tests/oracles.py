@@ -11,7 +11,8 @@ expressions and lifts traces with `eigenbasis.trace_right_inverse`.
 
 The nonlinear model operator: L_m(sigma) u_m + eta B_m(u, u) with each grid
 term projected on its own and B_m from the harmonic-pair loop; the package
-sums the grid terms and projects once (`forward.nonlinear_model`).
+applies one coupling map that runs the time transforms on the coefficient
+columns (`forward.nonlinear_model`, `forward.apply_coupling`).
 
 The artifact writers: one CSV writer per table type, each with its own
 per-value loop and an optional scenario-hash column; the package writes every
@@ -21,8 +22,11 @@ byte.
 The Robin wavenumber scan: the bracket-by-bracket loop the package's masked
 scan (`eigenbasis._interval_wavenumbers`) must match exactly.
 
-Test-only references with no caller in the package: the projected harmonic
-product, the diagonal linear solve (criterion 11 checks the eta = 0 solver
+The pole selection: the per-eigenvalue `select_pole`/`pole_asymptotic` loop
+the package's masked selection (`poles.build_pole_set`) must match exactly.
+
+Test-only references with no caller in the package: the harmonic product on
+the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
 against it), the bundled relaxation-time constants and the interior-source
 recursion of the resonant nonlinear setting.
 """
@@ -36,11 +40,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from harmtomo.eigenbasis import EigenBasis, _secular, project, synthesize
-from harmtomo.errors import IllConditionedFitError, SpectrumError, VanishingDivisorError
+from harmtomo.errors import (IllConditionedFitError, NonOscillatoryError, PoleSelectionError,
+                             SpectrumError, VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
-from harmtomo.forward import _nonresonant_symbols, convolve_bm_grid, symbols_matrix
+from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight
-from harmtomo.poles import PoleSet, big_theta, bound_slack, psi_transfer_prime, verify_bounds
+from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, characteristic_roots,
+                            psi_transfer_prime, verify_bounds)
 from harmtomo.quasirev import compute_cbar, compute_ctilde
 from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
 from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
@@ -440,14 +446,22 @@ def csv_rows(path, header, rows) -> None:
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in r])
 
 
+def coupling_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
+                 eta: MaterialField, u) -> np.ndarray:
+    """P[(sigma - sigma0) u] + P[eta B(u, u)] on the quadrature grid, each term
+    projected on its own, with B_m from the harmonic-pair loop."""
+    uc = np.asarray(u, dtype=complex)
+    return (project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
+            + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc)))
+
+
 def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
                         eta: MaterialField, u) -> np.ndarray:
     """L_m(sigma) u_m + eta B_m(u, u), projecting the slowness and the eta
     terms separately and taking B_m from the harmonic-pair loop."""
     uc = np.asarray(u, dtype=complex)
-    out = symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
-    out = out + project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
-    return out + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc))
+    return (symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
+            + coupling_ref(params, basis, sigma, eta, uc))
 
 
 def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
@@ -467,6 +481,80 @@ def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
         if len(ks) >= count:
             return ks[:count]
     raise SpectrumError(f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}")
+
+
+def pole_asymptotic(lam: float, params: ModelParams) -> complex:
+    """Two-term closed-form estimate -alpha/tau + sqrt(-(beta/tau) lam
+    + 2 alpha/(tau beta) + alpha^2/tau^2), upper half-plane branch."""
+    if params.tau <= 0:
+        raise NonOscillatoryError("asymptotic form needs tau > 0")
+    a = params.alpha / params.tau
+    arg = -(params.beta / params.tau) * lam + 2.0 * params.alpha / (params.tau * params.beta) + a * a
+    if arg >= 0:
+        raise NonOscillatoryError(
+            f"lambda={lam:.6g} below the oscillatory regime (sqrt argument {arg:.3g} >= 0)"
+        )
+    return complex(-a, np.sqrt(-arg))
+
+
+def select_pole(roots, lam: float, params: ModelParams) -> complex:
+    """Upper half-plane root nearest the asymptotic estimate.
+
+    The real root is never selected (it approaches -1/beta, the zero of
+    Theta, and belongs to the spurious branch).  Raises when no root has
+    positive imaginary part, which happens for small eigenvalues.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    upper = roots[roots.imag > IMAG_SELECT_TOL * scale]
+    if upper.size == 0:
+        raise PoleSelectionError(lam)
+    if upper.size == 1:
+        return complex(upper[0])
+    try:
+        target = pole_asymptotic(lam, params)
+    except NonOscillatoryError:
+        return complex(upper[np.argmax(upper.imag)])
+    return complex(upper[np.argmin(np.abs(upper - target))])
+
+
+def build_pole_set_loop(lambdas, params: ModelParams, strict: bool = False) -> PoleSet:
+    """The pole set, selecting one eigenvalue at a time with `select_pole`."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    L = lambdas.size
+    poles = np.full(L, np.nan + 1j * np.nan, dtype=complex)
+    allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
+    asym = np.full(L, np.nan + 1j * np.nan, dtype=complex)
+    ok = np.zeros(L, dtype=bool)
+    roots = characteristic_roots(lambdas, params)
+    allroots[:, : roots.shape[-1]] = roots
+    for i, lam in enumerate(lambdas):
+        try:
+            asym[i] = pole_asymptotic(lam, params)
+        except NonOscillatoryError:
+            pass
+        try:
+            poles[i] = select_pole(roots[i], lam, params)
+            ok[i] = True
+        except PoleSelectionError:
+            if strict:
+                raise
+    return PoleSet(lambdas=lambdas, poles=poles, roots=allroots, asymptotic=asym, ok=ok)
+
+
+def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
+    """Quadrature-grid values of every harmonic of the pointwise product.
+
+    Inputs share the basis and truncation; the coupling is symmetric and
+    bilinear.  Keeping grid values lets callers multiply by a coefficient
+    field before the single final projection.
+    """
+    uc, vc = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if uc.shape != vc.shape:
+        raise ValueError("fields must share truncation")
+    ug = synthesize(basis, uc)  # (M, nq)
+    vg = ug if (vc is uc or np.array_equal(vc, uc)) else synthesize(basis, vc)
+    return harmonic_product_time(ug, vg, m_out)[1:]
 
 
 def convolve_bm_all(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:

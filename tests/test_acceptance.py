@@ -19,11 +19,11 @@ from harmtomo.eigenbasis import project, synthesize
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import model_residual, nonlinear_model
 from harmtomo.norms import bochner_norm
-from harmtomo.poles import characteristic_roots, pole_asymptotic, select_pole
+from harmtomo.poles import characteristic_roots
 from harmtomo.quasirev import smoothing_gain
 from harmtomo.reconstruct import (LinearizedData, LinearizedInput, fit_residues,
                                   linearized_forward, oracle_residues, reconstruct)
-from oracles import solve_linear_harmonics
+from oracles import pole_asymptotic, select_pole, solve_linear_harmonics
 
 GOLDEN = (1 + 5**0.5) / 2
 

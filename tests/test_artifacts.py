@@ -242,3 +242,14 @@ def test_forward_manifest_residual_is_that_of_the_written_fields(tmp_path, monke
         worst = max(worst, float(np.max(model_residual(params, basis, sigma, eta, u, rhat))))
     assert len(solves) == 2
     assert manifest["max_model_residual"] == worst
+
+
+def test_forward_manifest_reports_sweeps_and_restarts(tmp_path, monkeypatch):
+    solves = _record(monkeypatch, runner, "solve_multiharmonic")
+    # the shipped interval scenario at its own truncation (J = 16, M = 64)
+    out, _ = run_scenario(tmp_path, small_scenario("forward-solve", J=16, M=64))
+    manifest = json.loads((out / "manifest.json").read_text())
+    reports = [report for _, (_, report) in solves]
+    assert manifest["solver_sweeps"] == [report.sweeps for report in reports]
+    assert all(n > 0 for n in manifest["solver_sweeps"]) and len(reports) == 2
+    assert manifest["damping_restarts"] == 0

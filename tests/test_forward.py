@@ -6,12 +6,13 @@ from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
 from harmtomo.fields import MaterialField, ModelParams
 import harmtomo.forward as fw
-from harmtomo.forward import (convolve_bm_grid, harmonic_product_time, model_residual,
-                              nonlinear_model, symbols_matrix, synthesize_time)
+from harmtomo.forward import (harmonic_product_time, model_residual, nonlinear_model,
+                              symbols_matrix, synthesize_time)
 from harmtomo.poles import big_theta, vartheta
 
-from oracles import (convolve_bm_all, convolve_bm_grid_loop, harmonic_product_loop,
-                     nonlinear_model_ref, product_dc_loop, solve_linear_harmonics)
+from oracles import (convolve_bm_all, convolve_bm_grid, convolve_bm_grid_loop, coupling_ref,
+                     harmonic_product_loop, nonlinear_model_ref, product_dc_loop,
+                     solve_linear_harmonics)
 
 GOLDEN = (1 + 5**0.5) / 2
 KERNEL_RTOL = 1e-13
@@ -231,6 +232,40 @@ class TestNonlinearModel:
         assert _rel_err(res, np.linalg.norm(ref - r, axis=1)) <= KERNEL_RTOL
 
 
+class TestCouplingMap:
+    """The coupling map, which runs the time transforms on the coefficient
+    columns, against the oracle that synthesizes on the quadrature grid, takes
+    B_m from the harmonic-pair loop and projects each term on its own."""
+
+    @pytest.mark.parametrize("M", [1, 7, 64])
+    @pytest.mark.parametrize("case", ["basis8", "rectangle", "both_fields_vary"])
+    def test_matches_grid_oracle(self, case, M, basis8, basis16):
+        p = params_of(omega=0.5, T0=np.pi)
+        rng = np.random.default_rng(18 + M)
+        if case == "rectangle":   # incommensurate sides
+            basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
+                                          sigma_points="side:y=0")
+        else:
+            basis = basis8 if case == "basis8" else basis16
+        decay = 1.0 / (1.0 + np.arange(basis.J)) ** 2
+
+        def varying(base, scale):
+            return MaterialField.from_values(
+                basis, base + scale * synthesize(basis, decay * rng.standard_normal(basis.J)))
+
+        sigma = (MaterialField.constant(basis, p.sigma0 + 0.3) if case == "basis8"
+                 else varying(p.sigma0, 0.1))
+        eta = varying(0.5, 0.2) if case == "both_fields_vary" else MaterialField.constant(basis, 0.8)
+        assert (np.ptp(sigma.values) > 0) == (case != "basis8")
+        assert (np.ptp(eta.values) > 0) == (case == "both_fields_vary")
+        u = _crandn(rng, M, basis.J) / (1.0 + np.arange(1, M + 1))[:, None]
+        got = fw.apply_coupling(fw.coupling_map(p, basis, sigma, eta), u)
+        assert got.shape == (M, basis.J)
+        assert _rel_err(got, coupling_ref(p, basis, sigma, eta, u)) <= KERNEL_RTOL
+        assert _rel_err(nonlinear_model(p, basis, sigma, eta, u),
+                        nonlinear_model_ref(p, basis, sigma, eta, u)) <= KERNEL_RTOL
+
+
 class TestLinearSolve:
     def test_zero(self, basis8):
         p = params_of()
@@ -290,7 +325,8 @@ class TestMultiharmonic:
         r /= (1.0 + np.arange(1, M + 1))[:, None] ** 2
         sig = MaterialField.from_values(basis8, p.sigma0 + 0.05 * np.cos(basis8.nodes[:, 0]))
         eta = MaterialField.constant(basis8, 1e-3)
-        u, res = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+        u, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+        res = report.residual
         # the reported residual is the one a fresh evaluation gives for u
         assert np.array_equal(res, model_residual(p, basis8, sig, eta, u, r))
         assert np.max(res) <= 1e-11
@@ -306,19 +342,43 @@ class TestMultiharmonic:
         eta = MaterialField.constant(basis8, 1e-3)
         start = r / symbols_matrix(p, basis8.lambdas, M)
         seen = []
-        real_bm = fw.convolve_bm_grid
+        real_apply = fw.apply_coupling
 
-        def spy(basis, u, v, m_out=None):
+        def spy(cmap, u):
             seen.append(u.copy())
-            return real_bm(basis, u, v, m_out)
+            return real_apply(cmap, u)
 
-        monkeypatch.setattr(fw, "convolve_bm_grid", spy)
+        monkeypatch.setattr(fw, "apply_coupling", spy)
         u, _ = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
         restarts = [k for k, v in enumerate(seen) if np.array_equal(v, start)]
         assert len(restarts) == 2
         first_sweep = seen[:restarts[1]]
         assert not all(np.all(np.isfinite(v)) and np.max(np.abs(v)) < 1e3 for v in first_sweep)
         assert np.max(model_residual(p, basis8, sig, eta, u, r)) <= 1e-11
+
+    def test_report_counts_sweeps_and_the_restart(self, basis8, monkeypatch):
+        # the stalled case above restarts once; a weak eta on the same drive does not
+        p = params_of(omega=3.0)
+        M = 6
+        r = np.zeros((M, basis8.J), dtype=complex)
+        r[0, 2] = 1.0
+        eta = MaterialField.constant(basis8, 1e-3)
+        calls = []
+        real_apply = fw.apply_coupling
+
+        def counting(cmap, u):
+            calls.append(u)
+            return real_apply(cmap, u)
+
+        monkeypatch.setattr(fw, "apply_coupling", counting)
+        for shift, restarts in ((0.6, 1), (0.0, 0)):
+            calls.clear()
+            sig = MaterialField.constant(basis8, p.sigma0 + shift)
+            _, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+            assert report.restarts == restarts
+            # one coupling per sweep, plus one model_residual check per damping factor tried
+            assert len(calls) == report.sweeps + restarts + 1
+            assert 0 < report.sweeps <= 200 * (restarts + 1)
 
     def test_nonconvergence_raises(self, basis8):
         p = params_of(omega=0.5, T0=np.pi)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from harmtomo import (build_pole_set, characteristic_roots, interval_eigenvalues,
-                      pole_asymptotic, select_pole, verify_bounds)
+from harmtomo import build_pole_set, characteristic_roots, interval_eigenvalues, verify_bounds
 from harmtomo.errors import NonOscillatoryError, PoleSelectionError
 from harmtomo.fields import ModelParams
 from harmtomo.poles import big_theta, vartheta
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
+from oracles import build_pole_set_loop, pole_asymptotic, select_pole
 
 
 def psi_transfer(o, params):
@@ -85,6 +85,26 @@ class TestStackedRoots:
                     assert np.array_equal(np.sort_complex(r), np.sort_complex(ref))
                 else:
                     assert np.array_equal(r, ref)
+
+    @pytest.mark.parametrize("J", [8, 16, 64])
+    @pytest.mark.parametrize("tau", [0.5, 0.1, 0.02, 0.0])
+    @pytest.mark.parametrize("omega", [0.25, 1.0])
+    def test_selection_identical_to_loop(self, J, tau, omega):
+        p = params_of(tau=tau, omega=omega)
+        for gamma in ((1.0, 1.0), (0.0, 0.0)):   # Neumann adds lambda = 0, which has no pole
+            lams = interval_eigenvalues(np.pi, gamma, J)
+            got, ref = build_pole_set(lams, p), build_pole_set_loop(lams, p)
+            for name in ("poles", "asymptotic", "ok", "roots"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
+            if ref.ok.all():
+                strict = build_pole_set(lams, p, strict=True)
+                assert np.array_equal(strict.poles, ref.poles)
+                continue
+            with pytest.raises(PoleSelectionError) as err:
+                build_pole_set(lams, p, strict=True)
+            with pytest.raises(PoleSelectionError) as err_ref:
+                build_pole_set_loop(lams, p, strict=True)
+            assert str(err.value) == str(err_ref.value)
 
     @pytest.mark.parametrize("tau", [0.5, 0.0])
     def test_pole_set_stores_the_roots(self, tau):
