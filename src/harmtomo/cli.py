@@ -21,10 +21,6 @@ EXIT_NUMERICAL = 3
 def _cmd_run(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-    except ScenarioValidationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         manifest = run_preset(sc, out_dir=args.out, seed=args.seed)
     except ScenarioValidationError as exc:
         print(exc, file=sys.stderr)
@@ -39,14 +35,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        sc = load_scenario(args.scenario)
+        violations = validate_scenario(load_scenario(args.scenario))
+        if violations:
+            raise ScenarioValidationError(violations)
     except ScenarioValidationError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    violations = validate_scenario(sc)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
         return EXIT_VALIDATION
     print("scenario ok")
     return EXIT_OK

@@ -18,19 +18,20 @@ from scipy.optimize import brentq
 
 from .errors import GridMismatchError, SpectrumError, TraceRankError
 
-ORTHO_TOL = 1e-10
-EIGEN_RESIDUAL_TOL = 1e-8
 SPECTRAL_GAP_TOL = 1e-9
 TRACE_RANK_TOL = 1e-9
 MIN_QUAD_NODES = 32
 OVERSAMPLING = 4
+COMMENSURATE_QMAX = 64
+COMMENSURATE_TOL = 1e-9
 
 
-def commensurate(ratio: float, qmax: int = 64, tol: float = 1e-9) -> bool:
-    """True if ratio is within tol of p/q for integers p, q <= qmax."""
-    for q in range(1, qmax + 1):
+def commensurate(ratio: float) -> bool:
+    """True if ratio is within COMMENSURATE_TOL of p/q for integers
+    p, q <= COMMENSURATE_QMAX."""
+    for q in range(1, COMMENSURATE_QMAX + 1):
         p = round(ratio * q)
-        if 1 <= p <= qmax and abs(ratio - p / q) < tol:
+        if 1 <= p <= COMMENSURATE_QMAX and abs(ratio - p / q) < COMMENSURATE_TOL:
             return True
     return False
 
@@ -70,7 +71,7 @@ class DomainSpec:
                 raise ValueError("Robin coefficients must be nonnegative")
             if commensurate(self.lengths[0] / self.lengths[1]):
                 raise ValueError(
-                    "rectangle side ratio is commensurate (p/q with p,q <= 64); "
+                    f"rectangle side ratio is commensurate (p/q with p,q <= {COMMENSURATE_QMAX}); "
                     "the truncated spectrum would not be simple"
                 )
         if isinstance(self.sigma_points, str):
@@ -170,13 +171,6 @@ def _interval_modes(L, gamma, count):
     return [_Mode1D(L, g0, k) for k in ks]
 
 
-def interval_eigenvalues(L: float, gamma, J: int) -> np.ndarray:
-    """Lowest J eigenvalues of the 1D Robin Laplacian (no eigenfunctions)."""
-    g0, g1 = gamma
-    ks = _interval_wavenumbers(L, g0, g1, J)
-    return np.array([k * k for k in ks])
-
-
 @functools.lru_cache
 def _leggauss(n):
     """Legendre-Gauss nodes and weights on [-1, 1], computed once per n and
@@ -192,14 +186,14 @@ def _gauss_nodes(L, n):
     return 0.5 * L * (x + 1.0), 0.5 * L * w
 
 
-def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,), nquad=None) -> EigenBasis:
+def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> EigenBasis:
     """Lowest J Robin modes on [0, L_x] with quadrature and trace samples."""
     if L_x <= 0 or J < 1:
         raise ValueError("need L_x > 0 and J >= 1")
     domain = DomainSpec("interval", (float(L_x),), tuple(float(g) for g in gamma),
                         tuple(float(s) for s in sigma_points))
     modes = _interval_modes(L_x, domain.robin_gamma, J)
-    nq = nquad or max(OVERSAMPLING * J, MIN_QUAD_NODES)
+    nq = max(OVERSAMPLING * J, MIN_QUAD_NODES)
     xq, wq = _gauss_nodes(L_x, nq)
     phi = np.array([m(xq) for m in modes])
     lambdas = np.array([m.lam for m in modes])
@@ -217,8 +211,8 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,), nquad=N
     )
 
 
-def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int, sigma_points="side:y=0",
-                          nquad1d=None) -> EigenBasis:
+def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
+                          sigma_points="side:y=0") -> EigenBasis:
     """Lowest J tensor-product modes on [0,Lx] x [0,Ly], sorted by eigenvalue.
 
     Raises SpectrumError when two retained eigenvalues collide within 1e-9,
@@ -252,7 +246,7 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int, sigma_points="s
             f"lambda[{bad + 1}]={lambdas[bad + 1]:.12g}; sides are too commensurate"
         )
 
-    n1 = nquad1d or max(OVERSAMPLING * J, MIN_QUAD_NODES)
+    n1 = max(OVERSAMPLING * J, MIN_QUAD_NODES)
     xq, wx = _gauss_nodes(L_x, n1)
     yq, wy = _gauss_nodes(L_y, n1)
     X, Y = np.meshgrid(xq, yq, indexing="ij")

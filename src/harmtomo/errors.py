@@ -84,7 +84,8 @@ class SmoothingError(HarmtomoError):
 
 
 class NoiseCalibrationError(HarmtomoError):
-    """Rescaled noise missed the requested level in the observation norm."""
+    """A noise level is not finite and nonnegative, or the rescaled noise
+    missed it in the observation norm."""
 
 
 class ScenarioValidationError(HarmtomoError):

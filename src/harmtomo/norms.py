@@ -159,40 +159,3 @@ def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:
     per_m = np.sqrt(np.sum(lw[None, None, :] * np.abs(lifted) ** 2, axis=2))  # (nsrc, M)
     vals = np.sum(tw[None, :] * per_m, axis=1)
     return float(np.max(vals))
-
-
-# ---------------------------------------------------------------------------
-# Amplification bound
-# ---------------------------------------------------------------------------
-
-
-def j_amplification(chi: float, m: int, lam, params: ModelParams):
-    """|o_m|^(4 + 2 chi) / J_m^chi(lam) with
-    J_m^chi(lam) = |vartheta(o_m) + Theta(o_m) lam|^2 lam^chi."""
-    lam = np.asarray(lam, dtype=float)
-    om2 = (m * params.omega) ** 2
-    a2 = params.beta**2 * om2 + 1.0
-    b = params.tau * params.beta * om2**2 + params.sigma0 * om2
-    d2 = params.tau**2 * om2**3 + params.sigma0**2 * om2**2
-    jval = (a2 * lam**2 - 2.0 * b * lam + d2) * np.power(lam, chi)
-    return om2 ** (2.0 + chi) / jval
-
-
-def j_bound_constant(chi: float, params: ModelParams) -> float:
-    """Uniform bound (2 + chi)/(2 sigma0^2) (1 + 1/(beta omega)^2)
-    (1 - tau/(beta sigma0))^(-2) * (beta/tau)^chi."""
-    ratio = params.tau / (params.beta * params.sigma0)
-    if ratio >= 1.0:
-        raise ValueError("amplification bound degenerates for tau >= beta*sigma0")
-    if chi > 0 and params.tau == 0.0:
-        raise ValueError("chi > 0 requires tau > 0")
-    chat = ((2.0 + chi) / (2.0 * params.sigma0**2)
-            * (1.0 + 1.0 / (params.beta * params.omega) ** 2)
-            * (1.0 - ratio) ** -2)
-    scale = 1.0 if chi == 0 else (params.beta / params.tau) ** chi
-    return float(chat * scale)
-
-
-def j_bound(chi: float, m: int, lam, params: ModelParams):
-    """Slack of the amplification bound; nonnegative when the bound holds."""
-    return j_bound_constant(chi, params) - j_amplification(chi, m, lam, params)

@@ -11,6 +11,7 @@ monotone on the admissible range.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .poles import build_pole_set
 from .reconstruct import (LinearizedData, LinearizedInput, linearized_forward,
                           reconstruct, ReferenceState)
 NOISE_SCALE_TOL = 1e-10
+DISCREPANCY_FACTOR = 2.0   # smoothing stops at a trace-fit residual of this times delta
+CALIBRATION_SAFETY = 3.0   # sweep bound = this times the pilot's error over its raw bound
 
 
 def _rate_core(tau: float, sigma0: float, beta: float, T: float, T0: float) -> float:
@@ -66,6 +69,14 @@ def compute_ctilde(tau: float, sigma0: float, beta: float, T: float, T0: float,
 # ---------------------------------------------------------------------------
 
 
+def check_noise_levels(deltas) -> None:
+    """Raise NoiseCalibrationError naming the levels that are not finite and
+    nonnegative."""
+    bad = [d for d in deltas if not (math.isfinite(d) and d >= 0)]
+    if bad:
+        raise NoiseCalibrationError(f"noise levels {bad} must be finite and nonnegative")
+
+
 @dataclass(frozen=True, eq=False)
 class NoisyData:
     phat_delta: np.ndarray
@@ -82,8 +93,7 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
     equals delta to roundoff.
     """
     phat = np.asarray(phat, dtype=complex)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    check_noise_levels([delta])
     if delta == 0.0:
         return NoisyData(phat_delta=phat.copy(), delta=0.0, seed=seed)
     rng = np.random.default_rng(seed)
@@ -115,14 +125,16 @@ class SmoothingResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _smoothing_gains(basis: EigenBasis, s: float, levels: tuple[int, ...]) -> np.ndarray:
-    """smoothing_gain at each candidate level, once per (basis, s, levels).
+def _smoothing_gains(basis: EigenBasis, s: float) -> np.ndarray:
+    """smoothing_gain at each candidate level 1..min(J, nsigma), once per
+    (basis, s).
 
     Bases compare by identity, so the noise levels of one study, which come
     in a row, share the gains.  Only the last entry is kept, so no finished
     study's basis stays alive.  The array is read-only.
     """
-    kappas = np.array([smoothing_gain(basis, s, L) for L in levels])
+    kappas = np.array([smoothing_gain(basis, s, L)
+                       for L in range(1, min(basis.J, basis.nsigma) + 1)])
     kappas.setflags(write=False)
     return kappas
 
@@ -141,54 +153,45 @@ def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
     return float(np.sqrt(np.max(vals)))
 
 
-def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float,
-                levels=None, disc_factor: float = 2.0) -> SmoothingResult:
+def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float) -> SmoothingResult:
     """Least-squares lift of noisy trace samples over nested spectral spaces.
 
-    For each candidate level L the data are fitted by traces from the span of
-    the first L modes; the level is chosen by discrepancy, the smallest L
-    whose trace-fit residual drops below disc_factor * delta_tilde, after
-    discarding levels whose amplification kappa_L exceeds the data scale over
-    delta_tilde.  With exact data from inside a candidate space the fit is
+    For each candidate level L = 1..min(J, nsigma) the data are fitted by
+    traces from the span of the first L modes; the level is chosen by
+    discrepancy, the smallest L whose trace-fit residual drops below
+    DISCREPANCY_FACTOR * delta_tilde, after discarding levels whose
+    amplification kappa_L exceeds the data scale over delta_tilde.  Without
+    such a level, the fitted level of least residual + kappa_L * delta_tilde
+    is taken.  With exact data from inside a candidate space the fit is
     the inverse and the recovery exact.
     """
     v = np.asarray(p_sigma, dtype=complex)
-    ns = basis.nsigma
-    if v.shape[-1] != ns:
+    if v.shape[-1] != basis.nsigma:
         raise ValueError("data must be sampled on the basis Sigma points")
-    levels = np.asarray(levels if levels is not None else np.arange(1, min(basis.J, ns) + 1))
     sw = np.sqrt(basis.sigma_weights)
     data_norm = float(np.linalg.norm(sw * v))
-    kappas = _smoothing_gains(basis, s, tuple(int(L) for L in levels))
-    residuals = np.full(levels.size, np.nan)
+    kappas = _smoothing_gains(basis, s)
+    residuals = np.full(kappas.size, np.nan)
     fits = {}
-    for i, (L, kap) in enumerate(zip(levels, kappas)):
-        if not np.isfinite(kap):
+    for L, kap in enumerate(kappas, start=1):
+        if not np.isfinite(kap) or (delta_tilde > 0 and kap * delta_tilde > data_norm):
             continue
-        if delta_tilde > 0 and kap * delta_tilde > data_norm:
-            continue
-        A = (sw[:, None] * basis.trace_matrix[: int(L)].T)
+        A = sw[:, None] * basis.trace_matrix[:L].T
         c, *_ = np.linalg.lstsq(A, sw * v, rcond=None)
-        residuals[i] = float(np.linalg.norm(A @ c - sw * v))
-        fits[int(L)] = c
+        residuals[L - 1] = float(np.linalg.norm(A @ c - sw * v))
+        fits[L] = c
     if not fits:
         raise SmoothingError(
             f"all candidate levels rejected (kappa * delta_tilde above data norm {data_norm:.3e})"
         )
-    threshold = max(disc_factor * delta_tilde, 1e-12 * max(data_norm, 1.0))
-    chosen = None
-    for i, L in enumerate(levels):
-        if int(L) in fits and residuals[i] <= threshold:
-            chosen = int(L)
-            break
-    if chosen is None:
-        usable = [i for i, L in enumerate(levels) if int(L) in fits]
-        scores = [residuals[i] + kappas[i] * delta_tilde for i in usable]
-        chosen = int(levels[usable[int(np.argmin(scores))]])
+    threshold = max(DISCREPANCY_FACTOR * delta_tilde, 1e-12 * max(data_norm, 1.0))
+    below = [L for L in fits if residuals[L - 1] <= threshold]
+    chosen = below[0] if below else min(
+        fits, key=lambda L: residuals[L - 1] + kappas[L - 1] * delta_tilde)
     coeffs = np.zeros(basis.J, dtype=complex)
     coeffs[:chosen] = fits[chosen]
-    return SmoothingResult(coeffs=coeffs, level=chosen, kappa=kappas,
-                           residuals=residuals, levels=levels)
+    return SmoothingResult(coeffs=coeffs, level=chosen, kappa=kappas, residuals=residuals,
+                           levels=np.arange(1, kappas.size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +199,37 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float,
 # ---------------------------------------------------------------------------
 
 
+def check_schedule(tau0: float, tau_min: float, tau_max: float, ratio: float,
+                   sigma0=None, beta=None, T=None, T0=None, orti_check=None) -> None:
+    """Raise TheoremHypothesisError naming every rule the tau(delta) schedule
+    breaks.  The grid needs tau0 >= 0, tau0 + tau_min > 0, ratio > 1 and
+    tau0 + tau_min < tau_max; with sigma0 and beta, tau_max <= sigma0*beta;
+    with T, T0 and orti_check, tau0 = 0 needs T0 = T and orti_check < 1."""
+    bad = []
+    if not tau0 >= 0:
+        bad.append(f"tau0 {tau0!r} must be nonnegative")
+    elif tau0 == 0.0 and T is not None:
+        if abs(T0 - T) > 1e-12 * T:
+            bad.append("tau0 = 0 requires T0 = T")
+        if orti_check >= 1.0:
+            bad.append("tau0 = 0 requires orti_check < 1")
+    lo = tau0 + tau_min
+    if not lo > 0:
+        bad.append(f"tau0 + tau_min = {lo!r} must be positive")
+    if not ratio > 1:
+        bad.append(f"grid_ratio {ratio!r} must exceed 1")
+    if not lo < tau_max:
+        bad.append(f"empty tau grid: tau0 + tau_min = {lo!r} is not below tau_max {tau_max!r}")
+    if sigma0 is not None and not tau_max <= sigma0 * beta:
+        bad.append(f"tau_max {tau_max!r} above sigma0*beta leaves the admissible range")
+    if bad:
+        raise TheoremHypothesisError("; ".join(bad))
+
+
 def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float = 2.0**0.25) -> np.ndarray:
     """Geometric grid from tau0 + tau_min up to tau_max."""
+    check_schedule(tau0, tau_min, tau_max, ratio)
     lo = tau0 + tau_min
-    if lo >= tau_max:
-        raise ValueError("empty tau grid")
     n = int(np.floor(np.log(tau_max / lo) / np.log(ratio))) + 1
     grid = lo * ratio ** np.arange(n)
     if grid[-1] < tau_max * (1 - 1e-12):
@@ -217,16 +246,9 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     The rule max(cbar, ctilde)(tau) * sqrt(delta) <= tolerance * scale, with
     scale the constants at tau_max, sends tau(delta) monotonically to the
     bottom of the grid while max(cbar, ctilde)(tau(delta)) * delta -> 0.
-    Requesting tau0 = 0 demands the delta-pulse centered at the period end
-    (T0 = T) and orti_check < 1.
+    The schedule must pass check_schedule.
     """
-    if tau0 == 0.0:
-        if abs(T0 - T) > 1e-12 * T:
-            raise TheoremHypothesisError("tau0 = 0 requires T0 = T")
-        if orti_check >= 1.0:
-            raise TheoremHypothesisError("tau0 = 0 requires orti_check < 1")
-    elif tau0 < 0:
-        raise ValueError("tau0 must be nonnegative")
+    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
     if delta == 0.0 and tau0 > 0.0:
         # noiseless data need no relaxation-time offset
         return float(tau0)
@@ -265,8 +287,7 @@ def time_derivative_norm(du, omega: float, lambdas, spec: NormSpec) -> float:
 def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
               spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
               seed: int, tau_min: float, tau_max: float, ratio: float = 2.0**0.25,
-              tolerance: float = 0.1, calibration: float | None = None,
-              calib_safety: float = 3.0) -> list[SweepRow]:
+              tolerance: float = 0.1, calibration: float | None = None) -> list[SweepRow]:
     """Convergence experiment for the relaxation-time regularization.
 
     Data are generated by the linearized model at relaxation time tau0 (the
@@ -275,8 +296,11 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     tau(delta) through the least-squares residue fit.  Each row records the
     preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
-    factor is fitted once on a pilot noise level and held fixed.
+    factor is fitted once on a pilot noise level and held fixed.  A schedule
+    that fails check_schedule raises before any row is computed.
     """
+    check_schedule(tau0, tau_min, tau_max, ratio, params0.sigma0, params0.beta, params0.T,
+                   params0.T0, spec.orti_check)
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
@@ -299,7 +323,7 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
         pilot = 3.0 * deltas[0]
         if pilot > 0:
             _, err_p, raw_p, _, _ = one(pilot, seed - 1)
-            calibration = calib_safety * err_p / raw_p if raw_p > 0 else 1.0
+            calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
         else:
             calibration = 1.0
 

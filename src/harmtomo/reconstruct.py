@@ -32,6 +32,7 @@ from .sources import SourcePair, evaluate_mtilde, interp_kernels, invert_mtilde,
 
 PHI_GUARD = 1e-6
 FIT_COND_LIMIT = 1e12
+ANALYTIC_DEGREE = 2        # degree in 1/o of the fit's smooth remainder
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +176,14 @@ def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePai
 
 
 def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
-                 params: ModelParams, analytic_degree: int = 2,
-                 cond_limit: float = FIT_COND_LIMIT) -> tuple[np.ndarray, float]:
+                 params: ModelParams) -> tuple[np.ndarray, float]:
     """Residues by linear least squares on the known pole lattice.
 
     After applying M_m^(-1) and subtracting the known model-residue part, the
     data are a linear combination of the per-mode rational profiles
     o^2/(vartheta(o) + Theta(o) lam_j) sampled at o_m = i m omega, plus a
-    smooth remainder represented by a low-order polynomial in 1/o.  The
+    smooth remainder represented by a polynomial of degree ANALYTIC_DEGREE
+    in 1/o.  The
     fitted per-mode amplitudes are the C_l of `PoleTable.residues`, the
     formula the oracle path uses, so both agree on noiseless data.  Leading
     batch axes of the data become further right-hand sides of the one
@@ -199,10 +200,10 @@ def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasi
 
     ok = np.flatnonzero(pole_set.ok)
     o_m = 1j * np.arange(1, M + 1) * params.omega
-    powers = np.stack([(1.0 / o_m) ** k for k in range(analytic_degree + 1)], axis=1)
+    powers = np.stack([(1.0 / o_m) ** k for k in range(ANALYTIC_DEGREE + 1)], axis=1)
     G = np.concatenate([-D[:, ok], powers], axis=1)          # (M, n_ok + deg + 1)
     cond = float(np.linalg.cond(G))
-    if cond > cond_limit:
+    if cond > FIT_COND_LIMIT:
         raise IllConditionedFitError(cond)
 
     rhs = np.moveaxis(y, -2, 0)                              # (M, ..., 2, ns)

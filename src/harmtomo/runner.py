@@ -23,8 +23,8 @@ from .norms import x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
 from .reconstruct import linearized_forward, oracle_residues, pole_table, reconstruct
 from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
-                        make_reference, make_true_fields, min_symbol_magnitude,
-                        quasirev_settings, scenario_hash, validate_scenario)
+                        make_reference, make_true_fields, min_symbol_magnitude, noise_levels,
+                        quasirev_settings, scenario_hash, target_cutoff, validate_scenario)
 from .errors import ScenarioValidationError
 
 
@@ -164,7 +164,7 @@ def _preset_pole_report(sc, out, seed, shash):
     return {"poles_ok": int(pole_set.n_ok), **{k: float(v) for k, v in diag.items()}}
 
 
-def _roundtrip(sc, seed, mode):
+def _preset_linearized_roundtrip(sc, out, seed, shash):
     params, basis = _common(sc)
     ref = make_reference(sc, basis, params)
     rng = np.random.default_rng(seed)
@@ -172,17 +172,7 @@ def _roundtrip(sc, seed, mode):
     data = linearized_forward(ref, params, basis, truth)
     pole_set = build_pole_set(basis.lambdas, params)
     rec = reconstruct(data, ref, pole_set, basis, params,
-                      truth=truth if mode == "oracle" else None)
-    scale = max(float(np.max(np.abs(truth.a))), 1e-300)
-    a_err = float(np.max(np.abs(rec.a - truth.a))) / scale
-    b_scale = max(float(np.max(np.abs(truth.du))), 1e-300)
-    b_err = float(np.max(np.abs(rec.b - truth.du))) / b_scale
-    return params, basis, ref, truth, data, pole_set, rec, a_err, b_err
-
-
-def _preset_linearized_roundtrip(sc, out, seed, shash):
-    mode = sc.raw.get("residue_mode", "oracle")
-    params, basis, ref, truth, data, pole_set, rec, a_err, b_err = _roundtrip(sc, seed, mode)
+                      truth=truth if sc.residue_mode == "oracle" else None)
     a_true, a_rec = np.real(truth.a), np.real(rec.a)
     write_table(os.path.join(out, "reconstruction.csv"),
                 ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
@@ -194,9 +184,11 @@ def _preset_linearized_roundtrip(sc, out, seed, shash):
     write_table(os.path.join(out, "residues.csv"), ["ell", "channel", "point", "re", "im"],
                 [ell, q, x, rec.residues.real, rec.residues.imag], shash)
     return {
-        "residue_mode": mode,
-        "max_rel_coeff_error": a_err,
-        "max_rel_state_error": b_err,
+        "residue_mode": sc.residue_mode,
+        "max_rel_coeff_error": float(np.max(np.abs(rec.a - truth.a)))
+        / max(float(np.max(np.abs(truth.a))), 1e-300),
+        "max_rel_state_error": float(np.max(np.abs(rec.b - truth.du)))
+        / max(float(np.max(np.abs(truth.du))), 1e-300),
         "fit_cond": None if np.isnan(rec.fit_cond) else float(rec.fit_cond),
     }
 
@@ -207,7 +199,7 @@ def _preset_stability_probe(sc, out, seed, shash):
     ref = make_reference(sc, basis, params)
     pole_set = build_pole_set(basis.lambdas, params)
     rng = np.random.default_rng(seed)
-    draws = int(sc.raw.get("draws", 200))
+    draws = sc.draws
     truth = make_true_fields(sc, basis, rng, draws=draws)
     sp = ref.source_pair
     data = linearized_forward(ref, params, basis, truth)
@@ -238,7 +230,7 @@ def _preset_qr_sweep(sc, out, seed, shash):
     qr = quasirev_settings(sc)
     rows = quasirev.run_sweep(
         basis, ref, params, spec, truth,
-        delta_list=sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4]),
+        delta_list=noise_levels(sc),
         tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
         ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
     )
@@ -260,13 +252,12 @@ def _preset_smoothing_study(sc, out, seed, shash):
     params, basis = _common(sc)
     spec = make_norm_spec(sc)
     rng = np.random.default_rng(seed)
-    cutoff = int(sc.raw.get("target_cutoff", max(2, basis.J // 3)))
+    cutoff = target_cutoff(sc)
     coeffs = np.zeros(basis.J)
     coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
     exact_trace = coeffs @ basis.trace_matrix
-    deltas = sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4])
     rows = []
-    for i, dt in enumerate(sorted(map(float, deltas), reverse=True)):
+    for dt in noise_levels(sc):
         noise = rng.standard_normal(basis.nsigma)
         noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)
         sm = quasirev.smooth_data(exact_trace + noise, dt, basis, spec.s)

@@ -13,17 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quasirev
 from .eigenbasis import DomainSpec, EigenBasis, build_interval_basis, build_rectangle_basis
-from .errors import ScenarioValidationError
+from .errors import HarmtomoError, ScenarioValidationError
 from .fields import ModelParams, NormSpec
 from .forward import symbols_matrix
 from .reconstruct import LinearizedInput
-from .sources import ReferenceState, amplitude_modulate, build_reference_state, design_delta_pulse
+from .sources import (ReferenceState, amplitude_modulate, build_reference_state,
+                      check_pulse_support, design_delta_pulse)
 
 PRESETS = ("basis-report", "forward-solve", "pole-report", "linearized-roundtrip",
            "stability-probe", "qr-sweep", "smoothing-study")
 
 RESIDUE_MODES = ("oracle", "fit")
+
+TRUTH_KINDS = ("low_mode", "random_low_mode")
 
 REQUIRED_PARAM_KEYS = ("tau", "beta", "sigma0", "omega", "T0", "A")
 
@@ -49,6 +53,14 @@ class Scenario:
     noise: dict = field(default_factory=dict)
     quasirev: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+
+    @property
+    def residue_mode(self) -> str:
+        return self.raw.get("residue_mode", "oracle")
+
+    @property
+    def draws(self) -> int:
+        return int(self.raw.get("draws", 200))
 
 
 def load_scenario(path) -> Scenario:
@@ -95,21 +107,45 @@ def quasirev_settings(sc: Scenario) -> dict:
     return {**QUASIREV_DEFAULTS, **sc.quasirev}
 
 
+def noise_levels(sc: Scenario) -> list[float]:
+    """The scenario's noise levels delta, largest first."""
+    deltas = sorted(map(float, sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4])), reverse=True)
+    quasirev.check_noise_levels(deltas)
+    return deltas
+
+
+def target_cutoff(sc: Scenario) -> int:
+    """Modes 0..cutoff-1 carry the smoothing study's exact coefficients."""
+    cutoff = int(sc.raw.get("target_cutoff", max(2, sc.J // 3)))
+    if not 1 <= cutoff <= sc.J:
+        raise ScenarioValidationError([f"target_cutoff {cutoff} outside 1..J = 1..{sc.J}"])
+    return cutoff
+
+
 def make_norm_spec(sc: Scenario) -> NormSpec:
     return NormSpec(s=sc.norms["s"], orti_check=sc.norms["orti_check"])
 
 
-def make_basis(sc: Scenario) -> EigenBasis:
+def _floats(x):
+    """A JSON number or list as a float or nested tuples of floats."""
+    return tuple(map(_floats, x)) if isinstance(x, (list, tuple)) else float(x)
+
+
+def make_domain(sc: Scenario) -> DomainSpec:
+    """The domain block as a DomainSpec; sigma_points may be the string form."""
     d = sc.domain
-    if d["kind"] == "interval":
-        return build_interval_basis(d["lengths"][0], tuple(d["robin_gamma"]), sc.J,
-                                    sigma_points=tuple(d["sigma_points"]))
     sig = d["sigma_points"]
-    if not isinstance(sig, str):
-        sig = tuple((float(a), float(b)) for a, b in sig)
-    gx, gy = d["robin_gamma"]
-    return build_rectangle_basis(d["lengths"][0], d["lengths"][1], (tuple(gx), tuple(gy)),
-                                 sc.J, sigma_points=sig)
+    return DomainSpec(d["kind"], _floats(d["lengths"]), _floats(d["robin_gamma"]),
+                      sig if isinstance(sig, str) else _floats(sig))
+
+
+def make_basis(sc: Scenario) -> EigenBasis:
+    dom = make_domain(sc)
+    if dom.kind == "interval":
+        return build_interval_basis(dom.lengths[0], dom.robin_gamma, sc.J,
+                                    sigma_points=dom.sigma_points)
+    return build_rectangle_basis(*dom.lengths, dom.robin_gamma, sc.J,
+                                 sigma_points=dom.sigma_points)
 
 
 def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> ReferenceState:
@@ -118,6 +154,14 @@ def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> Refe
                                amplitude=src.get("amplitude", 1.0))
     pair = amplitude_modulate(pulse, params.A)
     return build_reference_state(basis, int(src["phi_mode"]), pair)
+
+
+def truth_kind(sc: Scenario) -> str:
+    kind = sc.true_fields.get("kind", "random_low_mode")
+    if kind not in TRUTH_KINDS:
+        raise ScenarioValidationError(
+            [f"unknown true_fields kind {kind!r}; expected one of {TRUTH_KINDS}"])
+    return kind
 
 
 def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
@@ -136,9 +180,7 @@ def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
     cfg = sc.true_fields
     J, M = basis.J, sc.M
     batch = () if draws is None else (int(draws),)
-    kind = cfg.get("kind", "random_low_mode")
-    if kind not in ("low_mode", "random_low_mode"):
-        raise ScenarioValidationError([f"unknown true_fields kind {kind!r}"])
+    kind = truth_kind(sc)
     cutoff = min(int(cfg.get("cutoff", max(2, J // 2))), J) if kind == "random_low_mode" else 0
     z_a, z_du = np.split(rng.standard_normal(batch + (2 * cutoff + 4 * M * J,)), [2 * cutoff],
                          axis=-1)
@@ -157,49 +199,43 @@ def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
     return LinearizedInput(a_sigma=a[..., 0, :], a_eta=a[..., 1, :], du=du)
 
 
+def _collect(out: list[str], label: str, check, *args):
+    """check(*args), or None with its messages appended to out."""
+    try:
+        return check(*args)
+    except ScenarioValidationError as exc:
+        out.extend(exc.violations)
+    except (HarmtomoError, KeyError, TypeError, ValueError) as exc:
+        out.append(f"{label}: {exc}")
+    return None
+
+
 def validate_scenario(sc: Scenario) -> list[str]:
-    """Invariant checks without heavy computation; returns violation messages."""
+    """Violation messages of every rule the run checks, without heavy
+    computation.  A rule lives in the function the run calls for its part of
+    the scenario; this calls those and states only the rules no step checks."""
     out: list[str] = []
     if sc.preset not in PRESETS:
         out.append(f"unknown preset {sc.preset!r}; expected one of {PRESETS}")
-    if sc.raw.get("residue_mode", "oracle") not in RESIDUE_MODES:
-        out.append(f"unknown residue_mode {sc.raw['residue_mode']!r}; expected one of {RESIDUE_MODES}")
-    if int(sc.raw.get("draws", 0)) < 0:
-        out.append(f"draws {sc.raw['draws']!r} must be nonnegative")
-    p = sc.params
-    for k in REQUIRED_PARAM_KEYS:
-        if k not in p:
-            out.append(f"physical parameter {k!r} must be explicit")
-    if out:
-        return out
+    if sc.residue_mode not in RESIDUE_MODES:
+        out.append(f"unknown residue_mode {sc.residue_mode!r}; expected one of {RESIDUE_MODES}")
+    if sc.draws < 0:
+        out.append(f"draws {sc.draws!r} must be nonnegative")
     try:
         params = make_params(sc)
+    except ScenarioValidationError as exc:
+        return out + exc.violations
     except ValueError as exc:
         out.append(f"model parameters invalid: {exc}")
         params = None
+    p = sc.params
     # ModelParams.create derives T from omega, so a written-out T is checked here
     if "T" in p and abs(p["T"] * p["omega"] - 2.0 * np.pi) > 1e-14 * 2.0 * np.pi:
         out.append("period inconsistent: T*omega must equal 2*pi")
-    try:
-        spec = make_norm_spec(sc)
-    except (KeyError, ValueError) as exc:
-        out.append(f"norm spec invalid: {exc}")
-        spec = None
+    spec = _collect(out, "norm spec invalid", make_norm_spec, sc)
     if sc.J < 1 or sc.M < 2:
         out.append("need J >= 1 and M >= 2")
-    d = sc.domain
-    if d.get("kind") not in ("interval", "rectangle"):
-        out.append("domain kind must be interval or rectangle")
-    else:
-        try:
-            DomainSpec(d["kind"], tuple(d["lengths"]),
-                       tuple(d["robin_gamma"]) if d["kind"] == "interval"
-                       else (tuple(d["robin_gamma"][0]), tuple(d["robin_gamma"][1])),
-                       d["sigma_points"] if isinstance(d["sigma_points"], str)
-                       else tuple(tuple(q) if isinstance(q, (list, tuple)) else q
-                                  for q in d["sigma_points"]))
-        except ValueError as exc:
-            out.append(f"domain invalid: {exc}")
+    _collect(out, "domain invalid", make_domain, sc)
     src = sc.source
     if src.get("eta0", 0.0) != 0.0:
         out.append(f"source.eta0 {src['eta0']!r} is not supported; only the eta0 = 0 "
@@ -207,27 +243,21 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if "phi_mode" in src and not (0 <= int(src["phi_mode"]) < sc.J):
         out.append("reference mode index outside truncation")
     if "pulse_width" in src and params is not None:
-        w, T0, T = src["pulse_width"], params.T0, params.T
-        if w <= 0:
-            out.append("pulse width must be positive")
-        elif T0 < T and w > min(T0, T - T0):
-            out.append("pulse width pushes the bump outside the period")
-        elif T0 >= T and w >= T / 2:
-            out.append("pulse width too large for a period-end bump")
-    tf = sc.true_fields
+        _collect(out, "source.pulse_width", check_pulse_support, src["pulse_width"], params.T0,
+                 params.T)
+    _collect(out, "true_fields.kind", truth_kind, sc)
     for key in ("sigma_modes", "eta_modes"):
-        for j, _ in tf.get(key, []):
+        for j, _ in sc.true_fields.get(key, []):
             if not (0 <= int(j) < sc.J):
                 out.append(f"{key} index {j} outside truncation")
-    if sc.quasirev or sc.preset == "qr-sweep":
+    _collect(out, "noise.delta_list", noise_levels, sc)
+    if "target_cutoff" in sc.raw or sc.preset == "smoothing-study":
+        _collect(out, "target_cutoff", target_cutoff, sc)
+    if (sc.quasirev or sc.preset == "qr-sweep") and params is not None and spec is not None:
         qr = quasirev_settings(sc)
-        if qr["tau0"] == 0.0:
-            if params is not None and abs(params.T0 - params.T) > 1e-12 * params.T:
-                out.append("quasi-reversibility with tau0 = 0 needs T0 = T")
-            if spec is not None and spec.orti_check >= 1.0:
-                out.append("quasi-reversibility with tau0 = 0 needs orti_check < 1")
-        if qr["tau_max"] > p["sigma0"] * p["beta"]:
-            out.append(f"tau_max {qr['tau_max']!r} above sigma0*beta leaves the admissible range")
+        _collect(out, "quasirev schedule", quasirev.check_schedule, qr["tau0"], qr["tau_min"],
+                 qr["tau_max"], qr["grid_ratio"], params.sigma0, params.beta, params.T,
+                 params.T0, spec.orti_check)
     return out
 
 

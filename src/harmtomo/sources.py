@@ -70,6 +70,20 @@ class PulseSpec:
         return self.psi_hat.size
 
 
+def check_pulse_support(width: float, T0: float, T: float) -> None:
+    """Raise PulseSupportError unless a bump of half-width `width` centered at
+    T0 keeps its support inside one period; a bump at T0 = T wraps."""
+    if not width > 0:
+        raise PulseSupportError("width must be positive")
+    if T0 >= T:
+        if width >= T / 2:
+            raise PulseSupportError(f"width {width:.3g} too large for period {T:.3g}")
+    elif width > min(T0, T - T0):
+        raise PulseSupportError(
+            f"width {width:.3g} pushes the bump support outside (0, {T:.3g}) around T0={T0:.3g}"
+        )
+
+
 def design_delta_pulse(params: ModelParams, M: int, width: float,
                        amplitude: float = 1.0) -> PulseSpec:
     """Raised-cosine bump of half-width `width` centered at T0, band-limited.
@@ -80,15 +94,7 @@ def design_delta_pulse(params: ModelParams, M: int, width: float,
     wraps periodically; the width must keep the support inside one period.
     """
     T, T0 = params.T, params.T0
-    if width <= 0:
-        raise PulseSupportError("width must be positive")
-    if T0 >= T:
-        if width >= T / 2:
-            raise PulseSupportError(f"width {width:.3g} too large for period {T:.3g}")
-    elif width > min(T0, T - T0):
-        raise PulseSupportError(
-            f"width {width:.3g} pushes the bump support outside (0, {T:.3g}) around T0={T0:.3g}"
-        )
+    check_pulse_support(width, T0, T)
     m = np.arange(1, M + 1)
     nu = m * params.omega
     psi_hat = (2.0 / T) * amplitude * np.exp(-1j * nu * T0) * hann_transform(1j * nu, width)
@@ -260,18 +266,10 @@ class ReferenceState:
 
     phi_index: int
     phi_grid: np.ndarray        # (nq,)
-    phi_min_abs: float
-    u0: np.ndarray              # (2, M, J) complex
     source_pair: SourcePair
 
 
 def build_reference_state(basis: EigenBasis, phi_index: int, sp: SourcePair) -> ReferenceState:
     if basis.lambdas[phi_index] <= 0:
         raise ValueError("reference profile must be an eigenfunction with nonzero eigenvalue")
-    phi_grid = basis.phi[phi_index]
-    phi_min = float(np.min(np.abs(phi_grid)))
-    u0 = np.zeros((2, sp.M, basis.J), dtype=complex)
-    u0[0, :, phi_index] = sp.psi1.psi_hat
-    u0[1, :, phi_index] = sp.psi2.psi_hat
-    return ReferenceState(phi_index=phi_index, phi_grid=phi_grid, phi_min_abs=phi_min,
-                          u0=u0, source_pair=sp)
+    return ReferenceState(phi_index=phi_index, phi_grid=basis.phi[phi_index], source_pair=sp)

@@ -27,8 +27,10 @@ the package's masked selection (`poles.build_pole_set`) must match exactly.
 
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
-against it), the bundled relaxation-time constants and the interior-source
-recursion of the resonant nonlinear setting.
+against it), the bundled relaxation-time constants, the interior-source
+recursion of the resonant nonlinear setting, the Robin eigenvalues without
+eigenfunctions, the reference state's spectral coefficients, and the
+amplification bound J_m^chi with its uniform constant (criterion 4).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from harmtomo.eigenbasis import EigenBasis, _secular, project, synthesize
+from harmtomo.eigenbasis import (EigenBasis, _interval_wavenumbers, _secular, project,
+                                 synthesize)
 from harmtomo.errors import (IllConditionedFitError, NonOscillatoryError, PoleSelectionError,
                              SpectrumError, VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
@@ -49,7 +52,8 @@ from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, ch
                             psi_transfer_prime, verify_bounds)
 from harmtomo.quasirev import compute_cbar, compute_ctilde
 from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
-from harmtomo.sources import SourcePair, _period_kernel, evaluate_mtilde, invert_mtilde
+from harmtomo.sources import (ReferenceState, SourcePair, _period_kernel, evaluate_mtilde,
+                              invert_mtilde)
 
 
 def harmonic_product_loop(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
@@ -612,3 +616,52 @@ def psi_recursion(lam: float, sigma0: float, beta: float, eta0: float,
         conv = np.sum(psi[: m - 1] * psi[m - 2 :: -1][: m - 1])
         psi[m - 1] = -(m * m * w2 * eta0) / denom * conv
     return psi
+
+
+def interval_eigenvalues(L: float, gamma, J: int) -> np.ndarray:
+    """Lowest J eigenvalues of the 1D Robin Laplacian (no eigenfunctions)."""
+    g0, g1 = gamma
+    ks = _interval_wavenumbers(L, g0, g1, J)
+    return np.array([k * k for k in ks])
+
+
+def reference_coeffs(ref: ReferenceState, J: int) -> np.ndarray:
+    """The reference state u0_{nu, m} = phi psi_{nu, m} as (2, M, J) spectral
+    coefficients: each source's pulse on the reference mode."""
+    sp = ref.source_pair
+    u0 = np.zeros((2, sp.M, J), dtype=complex)
+    u0[0, :, ref.phi_index] = sp.psi1.psi_hat
+    u0[1, :, ref.phi_index] = sp.psi2.psi_hat
+    return u0
+
+
+def j_amplification(chi: float, m: int, lam, params: ModelParams):
+    """|o_m|^(4 + 2 chi) / J_m^chi(lam) with
+    J_m^chi(lam) = |vartheta(o_m) + Theta(o_m) lam|^2 lam^chi."""
+    lam = np.asarray(lam, dtype=float)
+    om2 = (m * params.omega) ** 2
+    a2 = params.beta**2 * om2 + 1.0
+    b = params.tau * params.beta * om2**2 + params.sigma0 * om2
+    d2 = params.tau**2 * om2**3 + params.sigma0**2 * om2**2
+    jval = (a2 * lam**2 - 2.0 * b * lam + d2) * np.power(lam, chi)
+    return om2 ** (2.0 + chi) / jval
+
+
+def j_bound_constant(chi: float, params: ModelParams) -> float:
+    """Uniform bound (2 + chi)/(2 sigma0^2) (1 + 1/(beta omega)^2)
+    (1 - tau/(beta sigma0))^(-2) * (beta/tau)^chi."""
+    ratio = params.tau / (params.beta * params.sigma0)
+    if ratio >= 1.0:
+        raise ValueError("amplification bound degenerates for tau >= beta*sigma0")
+    if chi > 0 and params.tau == 0.0:
+        raise ValueError("chi > 0 requires tau > 0")
+    chat = ((2.0 + chi) / (2.0 * params.sigma0**2)
+            * (1.0 + 1.0 / (params.beta * params.omega) ** 2)
+            * (1.0 - ratio) ** -2)
+    scale = 1.0 if chi == 0 else (params.beta / params.tau) ** chi
+    return float(chat * scale)
+
+
+def j_bound(chi: float, m: int, lam, params: ModelParams):
+    """Slack of the amplification bound; nonnegative when the bound holds."""
+    return j_bound_constant(chi, params) - j_amplification(chi, m, lam, params)

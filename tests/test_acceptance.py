@@ -12,7 +12,7 @@ import numpy as np
 from harmtomo import (amplitude_modulate, build_interval_basis,
                       build_pole_set, build_rectangle_basis, build_reference_state,
                       compute_cbar, design_delta_pulse,
-                      interval_eigenvalues, j_bound, run_sweep, smooth_data,
+                      run_sweep, smooth_data,
                       solve_multiharmonic, verify_bounds,
                       x_norm, ymod_norm, yobs_norm, observe)
 from harmtomo.eigenbasis import project, synthesize
@@ -23,7 +23,8 @@ from harmtomo.poles import characteristic_roots
 from harmtomo.quasirev import smoothing_gain
 from harmtomo.reconstruct import (LinearizedData, LinearizedInput, fit_residues,
                                   linearized_forward, oracle_residues, reconstruct)
-from oracles import pole_asymptotic, select_pole, solve_linear_harmonics
+from oracles import (interval_eigenvalues, j_bound, pole_asymptotic, reference_coeffs,
+                     select_pole, solve_linear_harmonics)
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -270,7 +271,7 @@ def test_criterion_8_taylor_remainder():
         for da, duu in dirs:
             sigma = MaterialField.from_values(basis, params.sigma0 + rad * synthesize(basis, da[:, 0]))
             eta = MaterialField.from_values(basis, rad * synthesize(basis, da[:, 1]))
-            fields.append((sigma, eta, ref.u0 + rad * duu))
+            fields.append((sigma, eta, reference_coeffs(ref, basis.J) + rad * duu))
         (s1, e1, u1), (s2, e2, u2) = fields
         d_mod = np.stack([nonlinear_model(params, basis, s1, e1, u1[e])
                           - nonlinear_model(params, basis, s2, e2, u2[e]) for e in range(2)])

@@ -3,13 +3,13 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
-from harmtomo import build_interval_basis, build_rectangle_basis, interval_eigenvalues, project, synthesize
+from harmtomo import build_interval_basis, build_rectangle_basis, project, synthesize
 from harmtomo.eigenbasis import (DomainSpec, _interval_modes, _interval_wavenumbers, _leggauss,
                                  commensurate, trace_right_inverse, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import interval_wavenumbers_loop
+from oracles import interval_eigenvalues, interval_wavenumbers_loop
 
 GOLDEN = (1 + 5**0.5) / 2
 

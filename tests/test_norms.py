@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from harmtomo import bochner_norm, j_bound, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
+from harmtomo import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
 from harmtomo.forward import synthesize_time
-from harmtomo.norms import _lam_weight, j_bound_constant, yobs_terms, ymod_terms
+from harmtomo.norms import _lam_weight, yobs_terms, ymod_terms
 from harmtomo.reconstruct import linearized_forward, oracle_residues
 from conftest import random_linearized
+from oracles import j_bound, j_bound_constant
 
 
 class TestRho:
@@ -225,7 +226,7 @@ class TestAmplificationBound:
         # spectra with a small lowest eigenvalue break the chi > 0 bound (the
         # weight lam^chi vanishes at 0), so the sweep uses the unit interval
         # whose lowest Robin eigenvalue is about 1.7, and moderate parameters
-        from harmtomo import interval_eigenvalues
+        from oracles import interval_eigenvalues
         lams = interval_eigenvalues(1.0, (1.0, 1.0), 100)
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -241,7 +242,7 @@ class TestAmplificationBound:
 
     def test_chi_zero_holds_even_for_small_eigenvalues(self):
         # the chi = 0 bound is parameter-uniform down to lambda -> 0
-        from harmtomo import interval_eigenvalues
+        from oracles import interval_eigenvalues
         lams = interval_eigenvalues(np.pi, (1.0, 1.0), 100)
         rng = np.random.default_rng(9)
         for _ in range(10):

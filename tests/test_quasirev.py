@@ -244,6 +244,13 @@ class TestSweep:
         taus = [r.tau for r in rows]
         assert all(taus[i] >= taus[i + 1] for i in range(2))
 
+    def test_invalid_schedule_raises_before_any_row(self):
+        # tau0 = 0 needs orti_check < 1: a broken schedule is not a failed row
+        basis, _, params, ref, truth = sweep_setup(0.0)
+        with pytest.raises(TheoremHypothesisError, match="orti_check < 1"):
+            run_sweep(basis, ref, params, NormSpec(s=1.0, orti_check=1.0), truth, [1e-2],
+                      tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5, calibration=1.0)
+
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
         import harmtomo.quasirev as qr
 

@@ -32,8 +32,10 @@ def _write_variant(tmp_path, base, **updates):
 
 class TestValidate:
     def test_default_scenarios_clean(self):
-        for path in (ROUNDTRIP, QR, SMOOTH):
-            assert validate_scenario(load_scenario(path)) == []
+        paths = sorted((ROOT / "scenarios").glob("*.json"))
+        assert len(paths) >= 3
+        for path in paths:
+            assert validate_scenario(load_scenario(path)) == [], path.name
 
     def test_singular_modulation_named(self, tmp_path):
         path = _write_variant(tmp_path, ROUNDTRIP, **{"params.A": 1.0})
@@ -83,6 +85,30 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, key, value, message", [
+        (QR, "quasirev.tau0", -0.1, "tau0 -0.1 must be nonnegative"),
+        (QR, "quasirev.tau_min", 0.6, "empty tau grid"),
+        (QR, "quasirev.tau_min", 0.0, "tau0 + tau_min = 0.0 must be positive"),
+        (QR, "quasirev.grid_ratio", 1.0, "grid_ratio 1.0 must exceed 1"),
+        (QR, "quasirev.grid_ratio", 0.5, "grid_ratio 0.5 must exceed 1"),
+        (QR, "noise.delta_list", [-1e-3], "noise levels [-0.001] must be finite and nonnegative"),
+        (SMOOTH, "target_cutoff", 99, "target_cutoff 99 outside 1..J"),
+        (ROUNDTRIP, "true_fields.kind", "bogus", "unknown true_fields kind 'bogus'"),
+    ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
+            "delta-negative", "cutoff-above-J", "truth-kind"])
+    def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
+        # one-key edits of the shipped scenarios that the run rejects: validate
+        # must name the same rule, and both commands fail the same typed way
+        bad = _write_variant(tmp_path, base, **{key: value})
+        assert any(message in v for v in validate_scenario(load_scenario(bad)))
+        assert main(["validate", str(bad)]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        run_err = capsys.readouterr().err
+        assert message in validate_err
+        assert run_err == validate_err
+        assert "Traceback" not in run_err
 
 
 class TestRun:

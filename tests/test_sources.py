@@ -7,7 +7,7 @@ from harmtomo.fields import ModelParams
 from harmtomo.forward import synthesize_time
 from harmtomo.norms import rho_t
 from harmtomo.sources import psi_sq_tilde, psi_tilde
-from oracles import psi_recursion
+from oracles import psi_recursion, reference_coeffs
 
 
 def time_samples(pulse, p):
@@ -211,7 +211,7 @@ class TestRecursion:
 class TestReferenceState:
     def test_separability(self, setup_small):
         basis, sp, ref = setup_small["basis"], setup_small["sp"], setup_small["ref"]
-        obs = observe(basis, ref.u0[0])
+        obs = observe(basis, reference_coeffs(ref, basis.J)[0])
         expected = basis.trace_matrix[ref.phi_index, 0] * sp.psi1.psi_hat
         assert np.max(np.abs(obs[:, 0] - expected)) <= 1e-14
 
@@ -219,7 +219,7 @@ class TestReferenceState:
         sp, ref = setup_small["sp"], setup_small["ref"]
         dets = np.array([np.linalg.det(sp.mm[k]) for k in range(sp.M)])
         assert np.min(np.abs(dets)) > 0
-        assert ref.phi_min_abs > 1e-6
+        assert np.min(np.abs(ref.phi_grid)) > 1e-6
 
     def test_zero_eigenvalue_profile_rejected(self, params_std):
         from harmtomo import build_interval_basis
