@@ -51,10 +51,6 @@ class PoleSelectionError(HarmtomoError):
         super().__init__(message or f"no root with positive imaginary part for lambda={lam!r}")
 
 
-class NonOscillatoryError(HarmtomoError):
-    """Closed-form pole asymptotic requested outside the oscillatory regime."""
-
-
 class PulseSupportError(HarmtomoError):
     """Pulse width too large for its support to fit the period."""
 

@@ -208,11 +208,3 @@ def observe(basis: EigenBasis, u) -> np.ndarray:
     """Trace samples p_m(x0) = sum_j u_m^j phi_j(x0) for x0 in Sigma."""
     return np.asarray(u, dtype=complex) @ basis.trace_matrix
 
-
-def synthesize_time(u, omega: float, t) -> np.ndarray:
-    """Real time signal Re(sum_m u_m exp(i m omega t)) on a time grid."""
-    c = np.asarray(u, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    m = np.arange(1, c.shape[0] + 1)
-    phases = np.exp(1j * omega * np.outer(m, t))  # (M, nt)
-    return np.real(np.tensordot(c, phases, axes=([0], [0])))

@@ -9,7 +9,8 @@ so trace data admit a meromorphic continuation in the frequency variable o
 whose poles sit at the characteristic roots.  The residue at p_l isolates the
 eigenspace-l content of the unknown coefficient pair a^l = (a_sigma, a_eta),
 which the explicit formulas below then recover exactly in the truncated
-space.
+space.  Without the truth, the fit solves the same truncated system for the
+coefficient pairs directly, and their residues come from the same formula.
 
 The linearized map, the residue algebra and the recovery take leading batch
 axes on their data, (..., 2, M, J) for model residues and states and
@@ -125,11 +126,13 @@ class PoleTable:
         modes, r (..., 2, M, n_ok)."""
         return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde_ok(r))
 
-    def residues(self, rhat, C, basis: EigenBasis) -> np.ndarray:
+    def residues(self, rhat, a, basis: EigenBasis) -> np.ndarray:
         """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)
-        from the eigenspace-l trace data C_l = a^l tr(phi_l) (..., n_ok, 2, ns),
-        known or fitted: (..., J, 2, ns), zero off the admissible modes."""
+        of the coefficient pairs a (..., J, 2), true or recovered, through the
+        eigenspace-l trace data C_l = a^l tr(phi_l): (..., J, 2, ns), zero off
+        the admissible modes."""
         rows = basis.trace_matrix[self.ok]
+        C = a[..., self.ok, :, None] * rows[:, None, :]
         vec = (self.rtilde(rhat)[..., None] * rows[:, None, :]
                - np.einsum("kef,...kfx->...kex", self.mt, C))
         res = np.zeros(vec.shape[:-3] + (basis.J, 2, basis.nsigma), dtype=complex)
@@ -167,68 +170,60 @@ def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
 
 def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
                     basis: EigenBasis, params: ModelParams) -> np.ndarray:
-    """Exact residues of the data continuation from the known truth,
-    C_l = a^l tr(phi_l) in `PoleTable.residues`; the reference the fit path
-    must reproduce on noiseless data."""
-    t = pole_table(pole_set, sp, params)
-    C = lin.a[..., t.ok, :, None] * basis.trace_matrix[t.ok][:, None, :]
-    return t.residues(rhat, C, basis)
+    """Exact residues of the data continuation from the known truth, which
+    those of the recovered coefficients reproduce on noiseless data."""
+    return pole_table(pole_set, sp, params).residues(rhat, lin.a, basis)
 
 
-def fit_residues(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
-                 params: ModelParams) -> tuple[np.ndarray, float]:
-    """Residues by linear least squares on the known pole lattice.
+def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
+                     params: ModelParams) -> tuple[np.ndarray, float]:
+    """Coefficient pairs a (..., J, 2) by linear least squares on the
+    truncated system, and the design's condition number.
 
     After applying M_m^(-1) and subtracting the known model-residue part, the
-    data are a linear combination of the per-mode rational profiles
-    o^2/(vartheta(o) + Theta(o) lam_j) sampled at o_m = i m omega, plus a
-    smooth remainder represented by a polynomial of degree ANALYTIC_DEGREE
-    in 1/o.  The
-    fitted per-mode amplitudes are the C_l of `PoleTable.residues`, the
-    formula the oracle path uses, so both agree on noiseless data.  Leading
-    batch axes of the data become further right-hand sides of the one
-    least-squares problem.
+    trace data are y[e, m, x] = -sum_j D[m, j] tr_j(x) a^j_e with
+    D = 1/symbol.  The design stacks the rows (m, x): one column
+    -D[:, j] tr_j per mode, and per trace point a smooth remainder of degree
+    ANALYTIC_DEGREE in 1/o_m, o_m = i m omega.  One SVD gives both the
+    condition number and the solution; leading batch axes of the data become
+    further right-hand sides.
     """
     phat = np.asarray(phat, dtype=complex)
     rhat = np.asarray(rhat, dtype=complex)
-    M = phat.shape[-2]
+    M, ns, J = phat.shape[-2], basis.nsigma, basis.J
     D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
     mm_inv = invert_mtilde(sp.mm[:M])
     s = np.einsum("mef,...fmj->...emj", mm_inv, rhat)        # (..., 2, M, J)
     known = np.einsum("mj,...emj,jx->...emx", D, s, basis.trace_matrix)
     y = np.einsum("mef,...fmx->...emx", mm_inv, phat) - known  # (..., 2, M, ns)
 
-    ok = np.flatnonzero(pole_set.ok)
     o_m = 1j * np.arange(1, M + 1) * params.omega
-    powers = np.stack([(1.0 / o_m) ** k for k in range(ANALYTIC_DEGREE + 1)], axis=1)
-    G = np.concatenate([-D[:, ok], powers], axis=1)          # (M, n_ok + deg + 1)
-    cond = float(np.linalg.cond(G))
+    powers = (1.0 / o_m)[:, None] ** np.arange(ANALYTIC_DEGREE + 1)      # (M, deg + 1)
+    G = np.hstack([(-D[:, None, :] * basis.trace_matrix.T).reshape(M * ns, J),
+                   np.kron(powers, np.eye(ns))])                 # rows (m, x)
+    u, sv, vh = np.linalg.svd(G, full_matrices=False)
+    cond = float(sv[0] / sv[-1])
     if cond > FIT_COND_LIMIT:
         raise IllConditionedFitError(cond)
 
-    rhs = np.moveaxis(y, -2, 0)                              # (M, ..., 2, ns)
-    sol, *_ = np.linalg.lstsq(G, rhs.reshape(M, -1), rcond=None)
-    C = sol[: ok.size].reshape((ok.size,) + rhs.shape[1:])   # C_l(x0) = a^l tr(phi_l)(x0)
-    return pole_table(pole_set, sp, params).residues(rhat, np.moveaxis(C, 0, -3), basis), cond
+    rhs = np.moveaxis(y, -3, -1).reshape(y.shape[:-3] + (M * ns, 2))
+    return np.conj(vh[:, :J]).T @ ((np.conj(u).T @ rhs) / sv[:, None]), cond
 
 
 def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
-                         basis: EigenBasis, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+                         basis: EigenBasis, params: ModelParams) -> np.ndarray:
     """Coefficient pairs a^l from residues and the known model residues:
 
         a^l = Theta(p) Psi'(p)/p^2 * TrInv[Mtilde(p)^(-1) res_l]
               + Mtilde(p)^(-1) rtilde^l(p),     p = p_l.
 
-    Returns (a, mtilde_cond): a is (..., J, 2), mtilde_cond (J,) holds no
-    data and takes no batch axes.
+    a is (..., J, 2), zero off the admissible modes.
     """
     t = pole_table(pole_set, sp, params)
     a_ok = residue_term(residues, t, basis) + t.model_term(rhat)
     a = np.zeros(a_ok.shape[:-2] + (basis.J, 2), dtype=complex)
     a[..., t.ok, :] = a_ok
-    mt_cond = np.full(basis.J, np.nan)
-    mt_cond[t.ok] = t.mt_cond
-    return a, mt_cond
+    return a
 
 
 def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.ndarray:
@@ -260,14 +255,19 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
 def reconstruct(data: LinearizedData, ref: ReferenceState, pole_set: PoleSet,
                 basis: EigenBasis, params: ModelParams,
                 truth: LinearizedInput | None = None) -> ReconstructionResult:
-    """Full inversion: residues (fitted, or the oracle's from the true input),
-    coefficient pair, states."""
+    """Full inversion: the coefficient pair (fitted, or by the residue formula
+    from the oracle's residues of the true input), its residues, states."""
     sp = ref.source_pair
     if truth is None:
-        residues, fit_cond = fit_residues(data.phat, data.rhat, pole_set, sp, basis, params)
+        # the fit's condition check comes before the pole table is built
+        a, fit_cond = fit_coefficients(data.phat, data.rhat, sp, basis, params)
+        residues = pole_table(pole_set, sp, params).residues(data.rhat, a, basis)
     else:
         residues, fit_cond = oracle_residues(truth, data.rhat, pole_set, sp, basis, params), np.nan
-    a, mt_cond = recover_coefficients(residues, data.rhat, sp, pole_set, basis, params)
+        a = recover_coefficients(residues, data.rhat, sp, pole_set, basis, params)
+    table = pole_table(pole_set, sp, params)
+    mt_cond = np.full(basis.J, np.nan)
+    mt_cond[table.ok] = table.mt_cond
     b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)
     return ReconstructionResult(a=a, b=b, residues=residues, mtilde_cond=mt_cond,
                                 fit_cond=fit_cond, ok=pole_set.ok.copy())

@@ -190,6 +190,8 @@ def _preset_linearized_roundtrip(sc, out, seed, shash):
         "max_rel_state_error": float(np.max(np.abs(rec.b - truth.du)))
         / max(float(np.max(np.abs(truth.du))), 1e-300),
         "fit_cond": None if np.isnan(rec.fit_cond) else float(rec.fit_cond),
+        "poles_ok": int(pole_set.n_ok),
+        "modes_without_pole": np.flatnonzero(~pole_set.ok).tolist(),
     }
 
 
@@ -215,8 +217,8 @@ def _preset_stability_probe(sc, out, seed, shash):
     return {
         "draws": draws,
         "min_slack": float(np.min(slack, initial=np.inf)),
-        "poles_ok": int(table.ok.size),
-        "modes_without_pole": np.setdiff1d(np.arange(basis.J), table.ok).tolist(),
+        "poles_ok": int(pole_set.n_ok),
+        "modes_without_pole": np.flatnonzero(~pole_set.ok).tolist(),
         "max_mtilde_cond": float(np.max(table.mt_cond)) if table.ok.size else None,
     }
 

@@ -60,7 +60,17 @@ class Scenario:
 
     @property
     def draws(self) -> int:
-        return int(self.raw.get("draws", 200))
+        n = _integer(self.raw.get("draws", 200), "draws")
+        if n < 0:
+            raise ScenarioValidationError([f"draws {n!r} must be nonnegative"])
+        return n
+
+
+def _integer(value, what: str) -> int:
+    """A scenario entry that must be an integer, as an int."""
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ScenarioValidationError([f"{what} {value!r} must be an integer"])
+    return int(value)
 
 
 def load_scenario(path) -> Scenario:
@@ -116,7 +126,7 @@ def noise_levels(sc: Scenario) -> list[float]:
 
 def target_cutoff(sc: Scenario) -> int:
     """Modes 0..cutoff-1 carry the smoothing study's exact coefficients."""
-    cutoff = int(sc.raw.get("target_cutoff", max(2, sc.J // 3)))
+    cutoff = _integer(sc.raw.get("target_cutoff", max(2, sc.J // 3)), "target_cutoff")
     if not 1 <= cutoff <= sc.J:
         raise ScenarioValidationError([f"target_cutoff {cutoff} outside 1..J = 1..{sc.J}"])
     return cutoff
@@ -148,12 +158,27 @@ def make_basis(sc: Scenario) -> EigenBasis:
                                  sigma_points=dom.sigma_points)
 
 
-def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> ReferenceState:
+def source_settings(sc: Scenario) -> tuple[float, float, int]:
+    """The pulse width and amplitude and the reference mode (phi_mode) of the
+    source block; width and mode must be explicit, and eta0 zero if given."""
     src = sc.source
-    pulse = design_delta_pulse(params, sc.M, src["pulse_width"],
-                               amplitude=src.get("amplitude", 1.0))
+    bad = [f"source.{k} must be explicit" for k in ("pulse_width", "phi_mode") if k not in src]
+    if src.get("eta0", 0.0) != 0.0:
+        bad.append(f"source.eta0 {src['eta0']!r} is not supported; only the eta0 = 0 "
+                   "reference state is implemented")
+    if bad:
+        raise ScenarioValidationError(bad)
+    mode = _integer(src["phi_mode"], "source.phi_mode")
+    if not 0 <= mode < sc.J:
+        raise ScenarioValidationError(["reference mode index outside truncation"])
+    return float(src["pulse_width"]), float(src.get("amplitude", 1.0)), mode
+
+
+def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> ReferenceState:
+    width, amplitude, mode = source_settings(sc)
+    pulse = design_delta_pulse(params, sc.M, width, amplitude=amplitude)
     pair = amplitude_modulate(pulse, params.A)
-    return build_reference_state(basis, int(src["phi_mode"]), pair)
+    return build_reference_state(basis, mode, pair)
 
 
 def truth_kind(sc: Scenario) -> str:
@@ -162,6 +187,25 @@ def truth_kind(sc: Scenario) -> str:
         raise ScenarioValidationError(
             [f"unknown true_fields kind {kind!r}; expected one of {TRUTH_KINDS}"])
     return kind
+
+
+def true_field_settings(sc: Scenario) -> tuple[int, float, int, list[tuple[int, int, float]]]:
+    """The true_fields block: the random coefficients' cutoff (0 for
+    low_mode), du_scale, du_band, and the (channel, mode, value) entries of
+    sigma_modes (channel 0) and eta_modes (channel 1)."""
+    cfg = sc.true_fields
+    cutoff = 0
+    if truth_kind(sc) == "random_low_mode":
+        cutoff = min(_integer(cfg.get("cutoff", max(2, sc.J // 2)), "true_fields.cutoff"), sc.J)
+    modes = []
+    for c, key in enumerate(("sigma_modes", "eta_modes")):
+        for j, val in cfg.get(key, []):
+            j = _integer(j, f"{key} index")
+            if not 0 <= j < sc.J:
+                raise ScenarioValidationError([f"{key} index {j} outside truncation"])
+            modes.append((c, j, float(val)))
+    return (cutoff, float(cfg.get("du_scale", 1.0)),
+            _integer(cfg.get("du_band", sc.M), "true_fields.du_band"), modes)
 
 
 def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
@@ -177,21 +221,16 @@ def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
     stacked on a leading batch axis from one generator call; they equal
     `draws` successive calls without it.
     """
-    cfg = sc.true_fields
     J, M = basis.J, sc.M
     batch = () if draws is None else (int(draws),)
-    kind = truth_kind(sc)
-    cutoff = min(int(cfg.get("cutoff", max(2, J // 2))), J) if kind == "random_low_mode" else 0
+    cutoff, du_scale, du_band, modes = true_field_settings(sc)
     z_a, z_du = np.split(rng.standard_normal(batch + (2 * cutoff + 4 * M * J,)), [2 * cutoff],
                          axis=-1)
     a = np.zeros(batch + (2, J))
     a[..., :cutoff] = z_a.reshape(batch + (2, cutoff)) / (1.0 + np.arange(cutoff))
-    if kind == "low_mode":
-        for c, key in enumerate(("sigma_modes", "eta_modes")):
-            for j, val in cfg.get(key, []):
-                a[..., c, int(j)] = float(val)
-    du_scale = float(cfg.get("du_scale", 1.0))
-    du_band = int(cfg.get("du_band", M))
+    if truth_kind(sc) == "low_mode":
+        for c, j, val in modes:
+            a[..., c, j] = val
     decay = 1.0 / ((1.0 + np.arange(1, M + 1))[:, None] * (1.0 + basis.lambdas)[None, :])
     re, im = np.moveaxis(z_du.reshape(batch + (2, 2, M, J)), -4, 0)
     du = du_scale * decay * (re + 1j * im)
@@ -219,8 +258,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
         out.append(f"unknown preset {sc.preset!r}; expected one of {PRESETS}")
     if sc.residue_mode not in RESIDUE_MODES:
         out.append(f"unknown residue_mode {sc.residue_mode!r}; expected one of {RESIDUE_MODES}")
-    if sc.draws < 0:
-        out.append(f"draws {sc.draws!r} must be nonnegative")
+    _collect(out, "draws", lambda: sc.draws)
     try:
         params = make_params(sc)
     except ScenarioValidationError as exc:
@@ -236,20 +274,10 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if sc.J < 1 or sc.M < 2:
         out.append("need J >= 1 and M >= 2")
     _collect(out, "domain invalid", make_domain, sc)
-    src = sc.source
-    if src.get("eta0", 0.0) != 0.0:
-        out.append(f"source.eta0 {src['eta0']!r} is not supported; only the eta0 = 0 "
-                   "reference state is implemented")
-    if "phi_mode" in src and not (0 <= int(src["phi_mode"]) < sc.J):
-        out.append("reference mode index outside truncation")
-    if "pulse_width" in src and params is not None:
-        _collect(out, "source.pulse_width", check_pulse_support, src["pulse_width"], params.T0,
-                 params.T)
-    _collect(out, "true_fields.kind", truth_kind, sc)
-    for key in ("sigma_modes", "eta_modes"):
-        for j, _ in sc.true_fields.get(key, []):
-            if not (0 <= int(j) < sc.J):
-                out.append(f"{key} index {j} outside truncation")
+    source = _collect(out, "source", source_settings, sc)
+    if source is not None and params is not None:
+        _collect(out, "source.pulse_width", check_pulse_support, source[0], params.T0, params.T)
+    _collect(out, "true_fields", true_field_settings, sc)
     _collect(out, "noise.delta_list", noise_levels, sc)
     if "target_cutoff" in sc.raw or sc.preset == "smoothing-study":
         _collect(out, "target_cutoff", target_cutoff, sc)

@@ -56,8 +56,8 @@ class PulseSpec:
     """Band-limited excitation pulse.
 
     psi_hat holds the closed-form bump coefficients for harmonics 1..M, so
-    the signal is zero-mean and band-limited by construction; its time
-    samples are forward.synthesize_time(psi_hat, omega, t).
+    the signal is zero-mean and band-limited by construction: its time
+    samples are Re(sum_m psi_hat_m exp(i m omega t)).
     """
 
     psi_hat: np.ndarray   # (M,) complex

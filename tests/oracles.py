@@ -9,6 +9,12 @@ and the trace inverse re-derived one pole at a time; the package reads them
 from one per-pole table (`reconstruct.pole_table`) built with array
 expressions and lifts traces with `eigenbasis.trace_right_inverse`.
 
+The residue fit: per-mode amplitudes C_l(x) fitted at each trace point on the
+modes that have a pole, then turned into residues (`fit_residues_loop`); the
+package solves the truncated system for the coefficient pairs directly
+(`reconstruct.fit_coefficients`), so on noiseless data both give the same
+residues wherever every mode has a pole.
+
 The nonlinear model operator: L_m(sigma) u_m + eta B_m(u, u) with each grid
 term projected on its own and B_m from the harmonic-pair loop; the package
 applies one coupling map that runs the time transforms on the coefficient
@@ -29,8 +35,10 @@ Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
 against it), the bundled relaxation-time constants, the interior-source
 recursion of the resonant nonlinear setting, the Robin eigenvalues without
-eigenfunctions, the reference state's spectral coefficients, and the
-amplification bound J_m^chi with its uniform constant (criterion 4).
+eigenfunctions, the reference state's spectral coefficients, the
+amplification bound J_m^chi with its uniform constant (criterion 4), the real
+time synthesis of harmonic coefficients, and the pole asymptotic's
+`NonOscillatoryError`.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from scipy.optimize import brentq
 
 from harmtomo.eigenbasis import (EigenBasis, _interval_wavenumbers, _secular, project,
                                  synthesize)
-from harmtomo.errors import (IllConditionedFitError, NonOscillatoryError, PoleSelectionError,
+from harmtomo.errors import (HarmtomoError, IllConditionedFitError, PoleSelectionError,
                              SpectrumError, VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
@@ -54,6 +62,15 @@ from harmtomo.quasirev import compute_cbar, compute_ctilde
 from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
 from harmtomo.sources import (ReferenceState, SourcePair, _period_kernel, evaluate_mtilde,
                               invert_mtilde)
+
+
+def synthesize_time(u, omega: float, t) -> np.ndarray:
+    """Real time signal Re(sum_m u_m exp(i m omega t)) on a time grid."""
+    c = np.asarray(u, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    m = np.arange(1, c.shape[0] + 1)
+    phases = np.exp(1j * omega * np.outer(m, t))  # (M, nt)
+    return np.real(np.tensordot(c, phases, axes=([0], [0])))
 
 
 def harmonic_product_loop(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
@@ -485,6 +502,10 @@ def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
         if len(ks) >= count:
             return ks[:count]
     raise SpectrumError(f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}")
+
+
+class NonOscillatoryError(HarmtomoError):
+    """Closed-form pole asymptotic requested outside the oscillatory regime."""
 
 
 def pole_asymptotic(lam: float, params: ModelParams) -> complex:

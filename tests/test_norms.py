@@ -3,11 +3,10 @@ import pytest
 
 from harmtomo import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
-from harmtomo.forward import synthesize_time
 from harmtomo.norms import _lam_weight, yobs_terms, ymod_terms
 from harmtomo.reconstruct import linearized_forward, oracle_residues
 from conftest import random_linearized
-from oracles import j_bound, j_bound_constant
+from oracles import j_bound, j_bound_constant, synthesize_time
 
 
 class TestRho:

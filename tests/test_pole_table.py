@@ -6,14 +6,15 @@ import pytest
 from harmtomo import build_pole_set, invert_mtilde
 from harmtomo.errors import SingularInterpolantError
 from harmtomo.norms import yobs_terms, ymod_terms
-from harmtomo.reconstruct import (fit_residues, linearized_forward, oracle_residues,
-                                  pole_table, recover_coefficients, residue_term)
+from harmtomo.reconstruct import (linearized_forward, oracle_residues, pole_table, reconstruct,
+                                  recover_coefficients, residue_term)
 from harmtomo.sources import interp_kernels, interp_periodic
 from conftest import random_linearized
 from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
                      recover_coefficients_loop, yobs_terms_loop, ymod_terms_loop)
 
 TOL = 1e-13
+FIT_ORACLE_TOL = 1e-10  # fit/oracle residues at tau 0.05, where the fit's cond is ~5e6
 
 
 def _rel(new, old):
@@ -40,13 +41,20 @@ def test_oracle_residues_match_loop(bundle):
 
 
 def test_fit_residues_match_loop(bundle):
-    _, data = _data(bundle, 52)
+    # The fit's residues are those of its coefficients.  Where a mode has no
+    # pole, the per-point loop fits that mode's data into the other modes and
+    # is wrong, so there the truth's residues are the reference.
+    lin, data = _data(bundle, 52)
     b = bundle
-    new, cond = fit_residues(data.phat, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
-    old, cond_old = fit_residues_loop(data.phat, data.rhat, b["poles"], b["sp"], b["basis"],
-                                      b["params"])
-    assert cond == cond_old
-    assert _rel(new, old) <= TOL
+    rec = reconstruct(data, b["ref"], b["poles"], b["basis"], b["params"])
+    assert np.isfinite(rec.fit_cond)
+    if b["poles"].ok.all():
+        old, _ = fit_residues_loop(data.phat, data.rhat, b["poles"], b["sp"], b["basis"],
+                                   b["params"])
+        assert _rel(rec.residues, old) <= TOL
+    else:
+        oracle = oracle_residues(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+        assert _rel(rec.residues, oracle) <= FIT_ORACLE_TOL
 
 
 def test_recover_coefficients_match_loop(bundle):
@@ -56,14 +64,17 @@ def test_recover_coefficients_match_loop(bundle):
     lin, data = _data(bundle, 53)
     b = bundle
     res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
-    a, cond = recover_coefficients(res, data.rhat, *_args(b))
+    a = recover_coefficients(res, data.rhat, *_args(b))
     a_old, cond_old = recover_coefficients_loop(res, data.rhat, *_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
     terms = max(np.max(np.abs(t.model_term(data.rhat))),
                 np.max(np.abs(residue_term(res, t, b["basis"]))))
     assert np.max(np.abs(a - a_old)) <= TOL * terms
     ok = b["poles"].ok
-    assert np.all(np.isnan(cond[~ok])) and np.all(a[~ok] == 0)
+    assert np.all(a[~ok] == 0)
+    # the result reports the table's Mtilde condition numbers on every mode
+    cond = reconstruct(data, b["ref"], b["poles"], b["basis"], b["params"], truth=lin).mtilde_cond
+    assert np.all(np.isnan(cond[~ok])) and np.array_equal(cond[ok], t.mt_cond)
     assert _rel(cond[ok], cond_old[ok]) <= TOL
 
 

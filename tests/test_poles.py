@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from harmtomo import build_pole_set, characteristic_roots, verify_bounds
-from harmtomo.errors import NonOscillatoryError, PoleSelectionError
+from harmtomo.errors import PoleSelectionError
 from harmtomo.fields import ModelParams
 from harmtomo.poles import big_theta, vartheta
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import build_pole_set_loop, interval_eigenvalues, pole_asymptotic, select_pole
+from oracles import (NonOscillatoryError, build_pole_set_loop, interval_eigenvalues,
+                     pole_asymptotic, select_pole)
 
 
 def psi_transfer(o, params):

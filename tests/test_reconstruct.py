@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from harmtomo import (assemble_fields, build_interval_basis, build_pole_set,
-                      build_rectangle_basis, recover_coefficients,
-                      solve_states_from_coeffs, trace_right_inverse, reconstruct)
-from harmtomo.errors import HarmtomoError, ResonanceError
+from harmtomo import (amplitude_modulate, assemble_fields, build_interval_basis,
+                      build_pole_set, build_rectangle_basis, build_reference_state,
+                      design_delta_pulse, recover_coefficients, solve_states_from_coeffs,
+                      trace_right_inverse, reconstruct)
+from harmtomo.errors import HarmtomoError, IllConditionedFitError, ResonanceError
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
-from harmtomo.reconstruct import (LinearizedData, LinearizedInput, fit_residues,
-                                  linearized_forward, oracle_residues)
+from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
+                                  fit_coefficients, linearized_forward, oracle_residues)
 from harmtomo.scenarios import scenario_hash
 from conftest import random_linearized, run_scenario, small_scenario
 from oracles import recover_coefficients_loop, recover_states
@@ -110,10 +113,10 @@ class TestResidues:
         lin = random_linearized(s["basis"], s["M"], 7, decay=False)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
         res_o = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        res_f, cond = fit_residues(data.phat, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        rel = np.max(np.abs(res_f - res_o)) / np.max(np.abs(res_o))
+        rec = reconstruct(data, s["ref"], s["poles"], s["basis"], s["params"])
+        rel = np.max(np.abs(rec.residues - res_o)) / np.max(np.abs(res_o))
         assert rel <= 1e-8
-        assert np.isfinite(cond)
+        assert np.isfinite(rec.fit_cond)
 
     def test_residues_lie_in_trace_span(self):
         # rectangle side observation: residues proportional to the trace row
@@ -121,7 +124,6 @@ class TestResidues:
                                       sigma_points="side:y=0")
         params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                     T0=np.pi, A=2.0)
-        from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse
         M = 24
         pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
         sp = amplitude_modulate(pulse, 2.0)
@@ -173,8 +175,8 @@ class TestRecovery:
         assert np.max(np.abs(data.rhat)) <= 1e-12
         res = oracle_residues(lin, np.zeros_like(data.rhat), s["poles"], s["sp"],
                               s["basis"], s["params"])
-        a_rec, _ = recover_coefficients(res, np.zeros_like(data.rhat), s["sp"], s["poles"],
-                                        s["basis"], s["params"])
+        a_rec = recover_coefficients(res, np.zeros_like(data.rhat), s["sp"], s["poles"],
+                                     s["basis"], s["params"])
         assert np.max(np.abs(a_rec - a)) <= 1e-9
 
     def test_both_inverse_orders_agree(self, setup_small):
@@ -182,8 +184,7 @@ class TestRecovery:
         lin = random_linearized(s["basis"], s["M"], 23)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
         res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        a_in, _ = recover_coefficients(res, data.rhat, s["sp"], s["poles"], s["basis"],
-                                       s["params"])
+        a_in = recover_coefficients(res, data.rhat, s["sp"], s["poles"], s["basis"], s["params"])
         a_out, _ = recover_coefficients_loop(res, data.rhat, s["sp"], s["poles"], s["basis"],
                                              s["params"], order="outside")
         assert np.max(np.abs(a_in - a_out)) <= 1e-11 * max(1.0, np.max(np.abs(a_in)))
@@ -193,7 +194,7 @@ class TestRecovery:
         lin = random_linearized(s["basis"], s["M"], 29)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
         res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        a_rec, _ = recover_coefficients(res, data.rhat, s["sp"], s["poles"], s["basis"], s["params"])
+        a_rec = recover_coefficients(res, data.rhat, s["sp"], s["poles"], s["basis"], s["params"])
         b_direct = recover_states(res, data.rhat, s["sp"], s["poles"], s["basis"], s["params"])
         b_factored = solve_states_from_coeffs(a_rec, data.rhat, s["params"],
                                               s["basis"].lambdas, s["sp"].mm)
@@ -291,3 +292,44 @@ def test_result_csv(tmp_path):
     lines = (out / "reconstruction.csv").read_text().splitlines()
     assert len(lines) == sc.J + 1
     assert lines[1].endswith(scenario_hash(sc))
+
+
+class TestFitSolve:
+    """The fit solves the truncated system for every mode, pole or not."""
+
+    @pytest.mark.parametrize("tau, poles_ok", [(0.5, 8), (0.1, 8), (0.05, 7), (0.02, 6),
+                                               (0.0, 2)])
+    def test_small_tau_round_trip(self, tmp_path, tau, poles_ok):
+        # the interval scenario at J = 8, M = 24, omega 0.5, T0 2 pi, width 0.08,
+        # amplitude 3, seed 1; below tau 0.1 some modes have no pole
+        raw = small_scenario("linearized-roundtrip", M=24, residue_mode="fit", seed=1)
+        raw["params"].update(tau=tau, omega=0.5, T0=2 * np.pi)
+        raw["source"].update(pulse_width=0.08, amplitude=3.0)
+        out, sc = run_scenario(tmp_path, raw)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["max_rel_coeff_error"] <= 1e-8
+        assert manifest["poles_ok"] == poles_ok
+        assert len(manifest["modes_without_pole"]) == sc.J - poles_ok
+
+    def test_rectangle_j32(self):
+        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 32,
+                                      sigma_points="side:y=0")
+        params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
+        M = 64
+        sp = amplitude_modulate(design_delta_pulse(params, M, 0.08, amplitude=3.0), params.A)
+        ref = build_reference_state(basis, 0, sp)
+        lin = random_linearized(basis, M, 41)
+        data = linearized_forward(ref, params, basis, lin)
+        rec = reconstruct(data, ref, build_pole_set(basis.lambdas, params), basis, params)
+        assert np.max(np.abs(rec.a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
+        assert rec.fit_cond <= 1e4
+
+    def test_ill_conditioned_design_raises(self, setup_big):
+        # the J = 16, M = 64 interval at tau 0.02, where the design's cond is ~1e16
+        s = setup_big
+        params = s["params"].with_tau(0.02)
+        data = linearized_forward(s["ref"], params, s["basis"],
+                                  random_linearized(s["basis"], s["M"], 43))
+        with pytest.raises(IllConditionedFitError) as err:
+            fit_coefficients(data.phat, data.rhat, s["sp"], s["basis"], params)
+        assert err.value.cond > FIT_COND_LIMIT

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ROUNDTRIP = ROOT / "scenarios" / "interval_roundtrip.json"
 QR = ROOT / "scenarios" / "qr_sweep.json"
 SMOOTH = ROOT / "scenarios" / "smoothing_study.json"
+MISSING = object()  # a variant value that deletes the key
 
 
 def _write_variant(tmp_path, base, **updates):
@@ -24,7 +25,10 @@ def _write_variant(tmp_path, base, **updates):
         parts = key.split(".")
         for p in parts[:-1]:
             section = section[p]
-        section[parts[-1]] = val
+        if val is MISSING:
+            del section[parts[-1]]
+        else:
+            section[parts[-1]] = val
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     return path
@@ -95,8 +99,19 @@ class TestValidate:
         (QR, "noise.delta_list", [-1e-3], "noise levels [-0.001] must be finite and nonnegative"),
         (SMOOTH, "target_cutoff", 99, "target_cutoff 99 outside 1..J"),
         (ROUNDTRIP, "true_fields.kind", "bogus", "unknown true_fields kind 'bogus'"),
+        (ROUNDTRIP, "source.pulse_width", MISSING, "source.pulse_width must be explicit"),
+        (ROUNDTRIP, "source.phi_mode", MISSING, "source.phi_mode must be explicit"),
+        (ROUNDTRIP, "draws", "x", "draws 'x' must be an integer"),
+        (ROUNDTRIP, "source.phi_mode", "x", "source.phi_mode 'x' must be an integer"),
+        (SMOOTH, "target_cutoff", 2.5, "target_cutoff 2.5 must be an integer"),
+        (ROUNDTRIP, "true_fields.sigma_modes", [["x", 0.5]],
+         "sigma_modes index 'x' must be an integer"),
+        (ROUNDTRIP, "true_fields.cutoff", "x", "true_fields.cutoff 'x' must be an integer"),
+        (QR, "true_fields.du_band", 2.5, "true_fields.du_band 2.5 must be an integer"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
-            "delta-negative", "cutoff-above-J", "truth-kind"])
+            "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
+            "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
+            "truth-mode-not-int", "truth-cutoff-not-int", "du_band-not-int"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way

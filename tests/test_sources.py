@@ -4,10 +4,9 @@ import pytest
 from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, evaluate_mtilde, invert_mtilde, observe
 from harmtomo.errors import HarmtomoError, PulseSupportError, SingularInterpolantError
 from harmtomo.fields import ModelParams
-from harmtomo.forward import synthesize_time
 from harmtomo.norms import rho_t
 from harmtomo.sources import psi_sq_tilde, psi_tilde
-from oracles import psi_recursion, reference_coeffs
+from oracles import psi_recursion, reference_coeffs, synthesize_time
 
 
 def time_samples(pulse, p):
@@ -121,7 +120,6 @@ class TestInterpolant:
         sp, p = setup_small["sp"], setup_small["params"]
         T = p.T
         t = np.linspace(0, T, (1 << 14) + 1)
-        from harmtomo.forward import synthesize_time
         psi = synthesize_time(sp.psi1.psi_hat, p.omega, t)
         for o in (0.3 - 1.2j, -0.5 + 2.7j, 1.0 + 0.0j):
             direct = (2.0 / T) * simpson(psi * np.exp(-o * t), x=t)
