@@ -9,8 +9,8 @@ from .forward import harmonic_symbol, nonlinear_model, observe, solve_multiharmo
 from .poles import (PoleSet, asymptotic_poles, build_pole_set, characteristic_roots,
                     verify_bounds)
 from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
-                          assemble_fields, linearized_forward, recover_coefficients,
-                          reconstruct, solve_states_from_coeffs)
+                          assemble_fields, linearized_forward, reconstruct,
+                          solve_states_from_coeffs)
 from .sources import (PulseSpec, ReferenceState, SourcePair, amplitude_modulate,
                       build_reference_state, design_delta_pulse, evaluate_mtilde,
                       invert_mtilde)

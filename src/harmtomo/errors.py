@@ -51,6 +51,10 @@ class PoleSelectionError(HarmtomoError):
         super().__init__(message or f"no root with positive imaginary part for lambda={lam!r}")
 
 
+class ReferenceProfileError(HarmtomoError, ValueError):
+    """The reference profile's eigenfunction has eigenvalue zero."""
+
+
 class PulseSupportError(HarmtomoError):
     """Pulse width too large for its support to fit the period."""
 

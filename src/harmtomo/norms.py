@@ -99,21 +99,13 @@ def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,
 
 
 def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-               basis: EigenBasis, params: ModelParams,
-               pole_values=None):
+               basis: EigenBasis, params: ModelParams):
     """The two squared pieces of the model-side image norm of rhat
-    (..., 2, M, J), with q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat.
-
-    pole_values, a (..., J, 2) array, optionally overrides q_l on the modes
-    with an admissible pole (used by the cancellation self-test)."""
+    (..., 2, M, J), with q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat."""
     rhat = np.asarray(rhat, dtype=complex)
     t = pole_table(pole_set, sp, params)
     r = rhat[..., t.ok]                                          # (..., 2, M, n_ok)
-    if pole_values is None:
-        q = t.model_term_ok(r)                                   # (..., n_ok, 2)
-    else:
-        q = np.asarray(pole_values, dtype=complex)[..., t.ok, :]
-    return _image_terms(q, r, t.ok, rhat.shape[-2], spec, sp, basis, params)
+    return _image_terms(t.model_term_ok(r), r, t.ok, rhat.shape[-2], spec, sp, basis, params)
 
 
 def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,

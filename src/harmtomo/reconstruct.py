@@ -1,4 +1,4 @@
-"""Linearized forward map and its exact inversion through pole residues.
+"""Linearized forward map and its inversion from trace data.
 
 At the separable reference state the linearized model decouples per basis
 mode j into
@@ -7,10 +7,11 @@ mode j into
 
 so trace data admit a meromorphic continuation in the frequency variable o
 whose poles sit at the characteristic roots.  The residue at p_l isolates the
-eigenspace-l content of the unknown coefficient pair a^l = (a_sigma, a_eta),
-which the explicit formulas below then recover exactly in the truncated
-space.  Without the truth, the fit solves the same truncated system for the
-coefficient pairs directly, and their residues come from the same formula.
+eigenspace-l content of the unknown coefficient pair a^l = (a_sigma, a_eta).
+The inversion solves the truncated system for the coefficient pairs directly
+from the traces (`fit_coefficients`); the residues of the data continuation
+then follow from one formula (`PoleTable.residues`), whether the pairs are
+recovered or true.
 
 The linearized map, the residue algebra and the recovery take leading batch
 axes on their data, (..., 2, M, J) for model residues and states and
@@ -63,7 +64,7 @@ class ReconstructionResult:
     b: np.ndarray             # (..., 2, M, J) recovered states
     residues: np.ndarray      # (..., J, 2, ns)
     mtilde_cond: np.ndarray   # (J,) condition numbers of Mtilde(p_l)
-    fit_cond: float           # design matrix condition (nan in oracle mode)
+    fit_cond: float           # condition number of the fit's design
     ok: np.ndarray            # (J,) bool, modes with an admissible pole
 
 
@@ -117,13 +118,10 @@ class PoleTable:
         return (np.einsum("...emk,km->...ke", r, self.kp[:, :M])
                 + np.conj(np.einsum("...emk,km->...ke", r, np.conj(self.km[:, :M]))))
 
-    def model_term(self, rhat) -> np.ndarray:
-        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode: (..., n_ok, 2)."""
-        return self.model_term_ok(np.asarray(rhat, dtype=complex)[..., self.ok])
-
     def model_term_ok(self, r) -> np.ndarray:
-        """model_term from the model residues restricted to the admissible
-        modes, r (..., 2, M, n_ok)."""
+        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode from the model
+        residues restricted to the admissible modes, r (..., 2, M, n_ok):
+        (..., n_ok, 2)."""
         return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde_ok(r))
 
     def residues(self, rhat, a, basis: EigenBasis) -> np.ndarray:
@@ -210,22 +208,6 @@ def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
     return np.conj(vh[:, :J]).T @ ((np.conj(u).T @ rhs) / sv[:, None]), cond
 
 
-def recover_coefficients(residues, rhat, sp: SourcePair, pole_set: PoleSet,
-                         basis: EigenBasis, params: ModelParams) -> np.ndarray:
-    """Coefficient pairs a^l from residues and the known model residues:
-
-        a^l = Theta(p) Psi'(p)/p^2 * TrInv[Mtilde(p)^(-1) res_l]
-              + Mtilde(p)^(-1) rtilde^l(p),     p = p_l.
-
-    a is (..., J, 2), zero off the admissible modes.
-    """
-    t = pole_table(pole_set, sp, params)
-    a_ok = residue_term(residues, t, basis) + t.model_term(rhat)
-    a = np.zeros(a_ok.shape[:-2] + (basis.J, 2), dtype=complex)
-    a[..., t.ok, :] = a_ok
-    return a
-
-
 def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.ndarray:
     """Componentwise state formula b_m^j = (r_m^j - M_m a^j) / symbol(m, lam_j).
 
@@ -253,19 +235,14 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
 
 
 def reconstruct(data: LinearizedData, ref: ReferenceState, pole_set: PoleSet,
-                basis: EigenBasis, params: ModelParams,
-                truth: LinearizedInput | None = None) -> ReconstructionResult:
-    """Full inversion: the coefficient pair (fitted, or by the residue formula
-    from the oracle's residues of the true input), its residues, states."""
+                basis: EigenBasis, params: ModelParams) -> ReconstructionResult:
+    """Full inversion: the coefficient pairs fitted to the traces, their
+    residues and the states."""
     sp = ref.source_pair
-    if truth is None:
-        # the fit's condition check comes before the pole table is built
-        a, fit_cond = fit_coefficients(data.phat, data.rhat, sp, basis, params)
-        residues = pole_table(pole_set, sp, params).residues(data.rhat, a, basis)
-    else:
-        residues, fit_cond = oracle_residues(truth, data.rhat, pole_set, sp, basis, params), np.nan
-        a = recover_coefficients(residues, data.rhat, sp, pole_set, basis, params)
+    # the fit's condition check comes before the pole table is built
+    a, fit_cond = fit_coefficients(data.phat, data.rhat, sp, basis, params)
     table = pole_table(pole_set, sp, params)
+    residues = table.residues(data.rhat, a, basis)
     mt_cond = np.full(basis.J, np.nan)
     mt_cond[table.ok] = table.mt_cond
     b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)

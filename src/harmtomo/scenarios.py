@@ -20,12 +20,10 @@ from .fields import ModelParams, NormSpec
 from .forward import symbols_matrix
 from .reconstruct import LinearizedInput
 from .sources import (ReferenceState, amplitude_modulate, build_reference_state,
-                      check_pulse_support, design_delta_pulse)
+                      check_pulse_support, check_reference_mode, design_delta_pulse)
 
 PRESETS = ("basis-report", "forward-solve", "pole-report", "linearized-roundtrip",
            "stability-probe", "qr-sweep", "smoothing-study")
-
-RESIDUE_MODES = ("oracle", "fit")
 
 TRUTH_KINDS = ("low_mode", "random_low_mode")
 
@@ -53,10 +51,6 @@ class Scenario:
     noise: dict = field(default_factory=dict)
     quasirev: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
-
-    @property
-    def residue_mode(self) -> str:
-        return self.raw.get("residue_mode", "oracle")
 
     @property
     def draws(self) -> int:
@@ -256,8 +250,10 @@ def validate_scenario(sc: Scenario) -> list[str]:
     out: list[str] = []
     if sc.preset not in PRESETS:
         out.append(f"unknown preset {sc.preset!r}; expected one of {PRESETS}")
-    if sc.residue_mode not in RESIDUE_MODES:
-        out.append(f"unknown residue_mode {sc.residue_mode!r}; expected one of {RESIDUE_MODES}")
+    mode = sc.raw.get("residue_mode", "fit")
+    if mode != "fit":
+        out.append(f"residue_mode {mode!r} is not supported: the oracle mode was removed and "
+                   "every run fits the traces; omit the key or set it to \"fit\"")
     _collect(out, "draws", lambda: sc.draws)
     try:
         params = make_params(sc)
@@ -273,8 +269,10 @@ def validate_scenario(sc: Scenario) -> list[str]:
     spec = _collect(out, "norm spec invalid", make_norm_spec, sc)
     if sc.J < 1 or sc.M < 2:
         out.append("need J >= 1 and M >= 2")
-    _collect(out, "domain invalid", make_domain, sc)
+    domain = _collect(out, "domain invalid", make_domain, sc)
     source = _collect(out, "source", source_settings, sc)
+    if domain is not None and source is not None:
+        _collect(out, "source.phi_mode", check_reference_mode, domain, source[2])
     if source is not None and params is not None:
         _collect(out, "source.pulse_width", check_pulse_support, source[0], params.T0, params.T)
     _collect(out, "true_fields", true_field_settings, sc)

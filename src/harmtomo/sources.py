@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import EigenBasis
-from .errors import PulseSupportError, SingularInterpolantError
+from .eigenbasis import DomainSpec, EigenBasis
+from .errors import PulseSupportError, ReferenceProfileError, SingularInterpolantError
 from .fields import ModelParams
 from .forward import harmonic_product_time
 
@@ -269,7 +269,17 @@ class ReferenceState:
     source_pair: SourcePair
 
 
+def check_reference_mode(domain: DomainSpec, phi_index: int) -> None:
+    """The reference profile must be an eigenfunction with nonzero eigenvalue.
+
+    Robin coefficients are nonnegative, so only a domain whose coefficients
+    are all zero (Neumann) has eigenvalue 0, and only on mode 0."""
+    if phi_index == 0 and not np.any(domain.robin_gamma):
+        raise ReferenceProfileError(
+            "reference mode 0 has eigenvalue 0 when every Robin coefficient is 0; "
+            "the reference profile needs a nonzero eigenvalue")
+
+
 def build_reference_state(basis: EigenBasis, phi_index: int, sp: SourcePair) -> ReferenceState:
-    if basis.lambdas[phi_index] <= 0:
-        raise ValueError("reference profile must be an eigenfunction with nonzero eigenvalue")
+    check_reference_mode(basis.domain, phi_index)
     return ReferenceState(phi_index=phi_index, phi_grid=basis.phi[phi_index], source_pair=sp)

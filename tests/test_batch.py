@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from harmtomo.norms import x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
+from harmtomo.norms import _image_terms, x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
 from harmtomo.reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
-                                  oracle_residues, pole_table, recover_coefficients,
-                                  residue_term, solve_states_from_coeffs)
+                                  oracle_residues, pole_table, residue_term,
+                                  solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
+from oracles import recover_coefficients_loop
 
 B = 5
 TOL = 1e-13
@@ -67,10 +68,10 @@ def test_pole_table_methods_and_residue_term(bundle):
     one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
     t = pole_table(b["poles"], b["sp"], b["params"])
-    for name in ("rtilde", "model_term"):
-        new = getattr(t, name)(data.rhat)
+    for method in (t.rtilde, lambda r: t.model_term_ok(r[..., t.ok])):
+        new = method(data.rhat)
         assert new.shape == (B, t.ok.size, 2)
-        assert _rel(new, _stack(getattr(t, name), [(d.rhat,) for d in one])) <= TOL
+        assert _rel(new, _stack(method, [(d.rhat,) for d in one])) <= TOL
     assert _rel(t.residues(data.rhat, lin.a, b["basis"]),
                 _stack(lambda r, a: t.residues(r, a, b["basis"]),
                        [(d.rhat, v.a) for d, v in zip(one, lins)])) <= TOL
@@ -100,16 +101,16 @@ def test_recover_coefficients_and_states(bundle):
     one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
-    a = recover_coefficients(res, data.rhat, *_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
+    # the residue formula a^l = P_l + q_l from the table's batched terms
+    P, q = residue_term(res, t, b["basis"]), t.model_term_ok(data.rhat[..., t.ok])
     for k, d in enumerate(one):
-        a_k = recover_coefficients(res[k], d.rhat, *_args(b))
-        # a^l = P_l + q_l cancels, so a agrees to the size of the two terms
-        terms = max(np.max(np.abs(t.model_term(d.rhat))),
-                    np.max(np.abs(residue_term(res[k], t, b["basis"]))))
+        a_k, _ = recover_coefficients_loop(res[k], d.rhat, *_args(b))
+        # the two terms cancel, so a agrees to their size
+        terms = max(np.max(np.abs(q[k])), np.max(np.abs(P[k])))
         assert a_k.shape == (b["basis"].J, 2)
-        assert np.max(np.abs(a[k] - a_k)) <= TOL * terms
-    assert a.shape == (B, b["basis"].J, 2)
+        assert np.max(np.abs(P[k] + q[k] - a_k[t.ok])) <= TOL * terms
+    assert P.shape == q.shape == (B, t.ok.size, 2)
     states = solve_states_from_coeffs(lin.a, data.rhat, b["params"], b["basis"].lambdas,
                                       b["sp"].mm)
     assert _rel(states, [solve_states_from_coeffs(v.a, d.rhat, b["params"], b["basis"].lambdas,
@@ -127,6 +128,11 @@ def test_norms_and_terms(bundle, spec_std):
     lam, omega = b["basis"].lambdas, b["params"].omega
     rng = np.random.default_rng(65)
     q = rng.standard_normal((B, b["basis"].J, 2)) + 1j * rng.standard_normal((B, b["basis"].J, 2))
+    ok = np.flatnonzero(b["poles"].ok)
+
+    def image_terms(qk, rhat):
+        return _image_terms(qk[..., ok, :], rhat[..., ok], ok, b["M"], spec_std, b["sp"],
+                            b["basis"], b["params"])
     cases = [
         (x_norm(lin.a, lin.du, lam, omega, spec_std),
          [x_norm(v.a, v.du, lam, omega, spec_std) for v in lins]),
@@ -136,8 +142,8 @@ def test_norms_and_terms(bundle, spec_std):
          [yobs_norm(r, spec_std, *_args(b), M=b["M"]) for r in res_one]),
         (np.stack(ymod_terms(data.rhat, spec_std, *_args(b)), axis=-1),
          [ymod_terms(d.rhat, spec_std, *_args(b)) for d in one]),
-        (np.stack(ymod_terms(data.rhat, spec_std, *_args(b), pole_values=q), axis=-1),
-         [ymod_terms(d.rhat, spec_std, *_args(b), pole_values=qk) for d, qk in zip(one, q)]),
+        (np.stack(image_terms(q, data.rhat), axis=-1),
+         [image_terms(qk, d.rhat) for d, qk in zip(one, q)]),
         (np.stack(yobs_terms(res, spec_std, *_args(b)), axis=-1),
          [yobs_terms(r, spec_std, *_args(b)) for r in res_one]),
     ]

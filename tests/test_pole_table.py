@@ -5,9 +5,9 @@ import pytest
 
 from harmtomo import build_pole_set, invert_mtilde
 from harmtomo.errors import SingularInterpolantError
-from harmtomo.norms import yobs_terms, ymod_terms
+from harmtomo.norms import _image_terms, yobs_terms, ymod_terms
 from harmtomo.reconstruct import (linearized_forward, oracle_residues, pole_table, reconstruct,
-                                  recover_coefficients, residue_term)
+                                  residue_term)
 from harmtomo.sources import interp_kernels, interp_periodic
 from conftest import random_linearized
 from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
@@ -58,22 +58,22 @@ def test_fit_residues_match_loop(bundle):
 
 
 def test_recover_coefficients_match_loop(bundle):
-    # a^l = P_l + q_l cancels: |q_l| reaches 1e3 |a^l| at tau = 0.5 and 2e4 |a^l|
-    # at tau = 0.05, so any reordering of the roundoff shows up in a^l at that
+    # The table's two terms of the residue formula a^l = P_l + q_l against the
+    # loop.  They cancel: |q_l| reaches 1e3 |a^l| at tau = 0.5 and 2e4 |a^l| at
+    # tau = 0.05, so any reordering of the roundoff shows up in a^l at that
     # ratio.  The agreement is measured against the size of the two terms.
     lin, data = _data(bundle, 53)
     b = bundle
     res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
-    a = recover_coefficients(res, data.rhat, *_args(b))
-    a_old, cond_old = recover_coefficients_loop(res, data.rhat, *_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
-    terms = max(np.max(np.abs(t.model_term(data.rhat))),
-                np.max(np.abs(residue_term(res, t, b["basis"]))))
-    assert np.max(np.abs(a - a_old)) <= TOL * terms
+    P, q = residue_term(res, t, b["basis"]), t.model_term_ok(data.rhat[..., t.ok])
+    a_old, cond_old = recover_coefficients_loop(res, data.rhat, *_args(b))
+    terms = max(np.max(np.abs(q)), np.max(np.abs(P)))
+    assert np.max(np.abs(P + q - a_old[t.ok])) <= TOL * terms
     ok = b["poles"].ok
-    assert np.all(a[~ok] == 0)
+    assert np.all(a_old[~ok] == 0)
     # the result reports the table's Mtilde condition numbers on every mode
-    cond = reconstruct(data, b["ref"], b["poles"], b["basis"], b["params"], truth=lin).mtilde_cond
+    cond = reconstruct(data, b["ref"], b["poles"], b["basis"], b["params"]).mtilde_cond
     assert np.all(np.isnan(cond[~ok])) and np.array_equal(cond[ok], t.mt_cond)
     assert _rel(cond[ok], cond_old[ok]) <= TOL
 
@@ -90,9 +90,11 @@ def test_image_norm_terms_match_loop(bundle, spec_std):
     rng = np.random.default_rng(55)
     J = b["basis"].J
     q = rng.standard_normal((J, 2)) + 1j * rng.standard_normal((J, 2))
-    new = ymod_terms(data.rhat, spec_std, *_args(b), pole_values=q)
+    ok = np.flatnonzero(b["poles"].ok)
+    new = _image_terms(q[ok], data.rhat[..., ok], ok, b["M"], spec_std, b["sp"], b["basis"],
+                       b["params"])
     old = ymod_terms_loop(data.rhat, spec_std, *_args(b),
-                          pole_values={int(ell): q[ell] for ell in np.flatnonzero(b["poles"].ok)})
+                          pole_values={int(ell): q[ell] for ell in ok})
     assert _rel(new, old) <= TOL
 
 

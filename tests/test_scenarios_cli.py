@@ -79,7 +79,7 @@ class TestValidate:
     @pytest.mark.parametrize("key, value, message", [
         ("params.tau", -0.1, "tau must be nonnegative"),
         ("params.omega", 0, "omega must be positive"),
-        ("residue_mode", "nope", "unknown residue_mode 'nope'"),
+        ("residue_mode", "nope", "residue_mode 'nope' is not supported"),
         ("draws", -1, "draws -1 must be nonnegative"),
         ("source.eta0", 0.5, "source.eta0 0.5 is not supported"),
     ])
@@ -108,10 +108,15 @@ class TestValidate:
          "sigma_modes index 'x' must be an integer"),
         (ROUNDTRIP, "true_fields.cutoff", "x", "true_fields.cutoff 'x' must be an integer"),
         (QR, "true_fields.du_band", 2.5, "true_fields.du_band 2.5 must be an integer"),
+        (ROUNDTRIP, "residue_mode", "oracle",
+         "residue_mode 'oracle' is not supported: the oracle mode was removed"),
+        (ROUNDTRIP, "domain.robin_gamma", [0.0, 0.0],
+         "source.phi_mode: reference mode 0 has eigenvalue 0 when every Robin coefficient is 0"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
-            "truth-mode-not-int", "truth-cutoff-not-int", "du_band-not-int"])
+            "truth-mode-not-int", "truth-cutoff-not-int", "du_band-not-int", "oracle-mode",
+            "phi_mode-neumann-zero-eigenvalue"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way
@@ -131,7 +136,8 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(ROUNDTRIP), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["max_rel_coeff_error"] <= 1e-9
+        assert manifest["max_rel_coeff_error"] <= 1e-12
+        assert math.isfinite(manifest["fit_cond"])
         assert (out / "reconstruction.csv").exists()
 
     def test_invalid_scenario_exits_2(self, tmp_path):
@@ -215,10 +221,8 @@ def test_inadmissible_slowness_is_numerical_failure(tmp_path, capsys):
 
 def test_resonant_roundtrip_is_numerical_failure(tmp_path, capsys):
     # Neumann ends put lambda_1 = 1 on the resonance sigma0 m^2 omega^2 at m = 1, alpha = 0;
-    # every division by the harmonic symbols (oracle and fit recovery, the image norms) trips
-    for preset, extra in (("linearized-roundtrip", {"residue_mode": "oracle"}),
-                          ("linearized-roundtrip", {"residue_mode": "fit"}),
-                          ("stability-probe", {"draws": 2})):
+    # every division by the harmonic symbols (the fit's design, the image norms) trips
+    for preset, extra in (("linearized-roundtrip", {}), ("stability-probe", {"draws": 2})):
         raw = small_scenario(preset, J=4, M=16, **extra)
         raw["domain"]["robin_gamma"] = [0.0, 0.0]
         raw["params"].update(tau=1.0, omega=1.0, sigma0=1.0, beta=1.0, T0=math.pi)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, evaluate_mtilde, invert_mtilde, observe
-from harmtomo.errors import HarmtomoError, PulseSupportError, SingularInterpolantError
+from harmtomo.errors import (HarmtomoError, PulseSupportError, ReferenceProfileError,
+                             SingularInterpolantError)
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
 from harmtomo.sources import psi_sq_tilde, psi_tilde
@@ -220,9 +221,25 @@ class TestReferenceState:
         assert np.min(np.abs(ref.phi_grid)) > 1e-6
 
     def test_zero_eigenvalue_profile_rejected(self, params_std):
-        from harmtomo import build_interval_basis
+        from harmtomo import build_interval_basis, build_rectangle_basis
         neumann = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(0.0,))
         pulse = design_delta_pulse(params_std, 8, 0.1)
         sp = amplitude_modulate(pulse, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ReferenceProfileError) as err:
             build_reference_state(neumann, 0, sp)
+        assert isinstance(err.value, HarmtomoError) and isinstance(err.value, ValueError)
+        # the rule reads the domain block; it rejects exactly the modes with lambda = 0
+        bases = [neumann, build_interval_basis(np.pi, (0.0, 1.0), 4, sigma_points=(0.0,))]
+        bases += [build_rectangle_basis(np.pi, np.pi / ((1 + 5**0.5) / 2), gamma, 4,
+                                        sigma_points="side:y=0")
+                  for gamma in (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))]
+        for basis in bases:
+            for mode in range(2):
+                zero = abs(basis.lambdas[mode]) <= 1e-12
+                try:
+                    build_reference_state(basis, mode, sp)
+                    rejected = False
+                except ReferenceProfileError:
+                    rejected = True
+                assert rejected == zero, (basis.domain.robin_gamma, mode)
+        assert sum(abs(b.lambdas[0]) <= 1e-12 for b in bases) == 2
