@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .errors import GridMismatchError, SpectrumError, TraceRankError
 
@@ -122,6 +121,58 @@ def _secular(k, L, g0, g1):
     return (g0 + g1) * k * np.cos(k * L) + (g0 * g1 - k * k) * np.sin(k * L)
 
 
+def _brentq(f, xa, xb, args, xtol, rtol, maxiter=100):
+    """Root of f(x, *args) in [xa, xb] by Brent's method.
+
+    Takes the steps of scipy.optimize.brentq (its brentq.c) one for one, in
+    Python floats, so both return the same root; an in-package copy keeps
+    scipy out of the import graph.  Raises SpectrumError if f is nan or has
+    one sign at both ends, or if maxiter steps do not converge.
+    """
+    def call(x):
+        fx = float(f(x, *args))
+        if fx != fx:
+            raise SpectrumError(f"secular function is nan at k={x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SpectrumError(f"no sign change of the secular function on [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # true on the first pass
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise SpectrumError(f"Robin wavenumber on [{xa!r}, {xb!r}] not converged in {maxiter} steps")
+
+
 def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
     """First `count` nonnegative wavenumbers, bracketed bisection to 1e-12."""
     if g0 == 0.0 and g1 == 0.0:
@@ -137,7 +188,7 @@ def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
             "root scan too coarse or truncation too large"
         )
     return [float(grid[i]) if fa[i] == 0.0
-            else brentq(_secular, grid[i], grid[i + 1], args=(L, g0, g1), xtol=1e-12, rtol=8.9e-16)
+            else _brentq(_secular, grid[i], grid[i + 1], (L, g0, g1), xtol=1e-12, rtol=8.9e-16)
             for i in brackets]
 
 

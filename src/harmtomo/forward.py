@@ -12,10 +12,10 @@ coefficient of the pointwise product of the two real signals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .eigenbasis import EigenBasis
 from .errors import ConvergenceError, ResonanceError
@@ -42,18 +42,34 @@ def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
     return harmonic_symbol(params, np.arange(1, M + 1)[:, None], lambdas[None, :])
 
 
+@functools.lru_cache
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's real FFT handles without a
+    slow prime factor; scipy.fft.next_fast_len(n, real=True) gives the same.
+    Cached, so a solve's sweeps look it up instead of recomputing it."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def _time_samples(c, n: int) -> np.ndarray:
     """n uniform time samples of the real zero-mean signals whose positive
     harmonics c run along axis 0 (harmonic m at index m - 1)."""
     spec = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
     spec[1:] = 0.5 * c
-    return sfft.irfft(spec, n, axis=0, norm="forward")
+    return np.fft.irfft(spec, n, axis=0, norm="forward")
 
 
 def _harmonics(samples, m_top: int) -> np.ndarray:
     """Mean (index 0) and harmonics 1..m_top (index m) of real uniform time
     samples along axis 0."""
-    out = sfft.rfft(samples, axis=0, norm="forward")[: m_top + 1]
+    out = np.fft.rfft(samples, axis=0, norm="forward")[: m_top + 1]
     out[1:] *= 2.0
     return out
 
@@ -80,7 +96,7 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
     m_top = min(m_out, Ma + Mb)
     # irfft drops input harmonics at or above n/2; with n > Ma + Mb + m_top those
     # only reach product harmonics above m_out, directly or by aliasing
-    n = sfft.next_fast_len(Ma + Mb + m_top + 1, real=True)
+    n = _fast_len(Ma + Mb + m_top + 1)
     sa = _time_samples(a, n)
     sb = sa if b is a else _time_samples(b, n)
     prod = _harmonics(sa * sb, m_top)
@@ -123,7 +139,7 @@ def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
     keep every aliased frequency off the kept harmonics.
     """
     M = u.shape[0]
-    grid = _time_samples(u, sfft.next_fast_len(3 * M + 1, real=True)) @ cmap.phi  # (n, nq)
+    grid = _time_samples(u, _fast_len(3 * M + 1)) @ cmap.phi  # (n, nq)
     grid *= grid
     return u @ cmap.k_sigma + _harmonics(grid @ cmap.eta_proj, M)[1:]
 

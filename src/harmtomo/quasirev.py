@@ -141,15 +141,15 @@ def _smoothing_gains(basis: EigenBasis, s: float) -> np.ndarray:
 
 def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
     """kappa_L = max over the first L modes of the H^s norm against the
-    discrete trace norm, by a generalized symmetric eigenvalue problem."""
-    from scipy.linalg import eigh
-
+    discrete trace norm, by the generalized symmetric eigenvalue problem
+    D v = k^2 G v.  With G = C C^T (Cholesky) its eigenvalues are those of
+    C^-1 D C^-T, so numpy.linalg solves it without scipy."""
     t = basis.trace_matrix[:L]
     G = (t * basis.sigma_weights) @ t.T
     if np.linalg.matrix_rank(G, tol=1e-12 * max(1.0, float(np.max(np.abs(G))))) < L:
         return float("inf")
-    D = np.diag(np.power(basis.lambdas[:L], s))
-    vals = eigh(D, G, eigvals_only=True)
+    c_inv = np.linalg.inv(np.linalg.cholesky(G))
+    vals = np.linalg.eigvalsh((c_inv * np.power(basis.lambdas[:L], s)) @ c_inv.T)
     return float(np.sqrt(np.max(vals)))
 
 

@@ -22,9 +22,10 @@ from .forward import observe, solve_multiharmonic
 from .norms import x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
 from .reconstruct import linearized_forward, oracle_residues, pole_table, reconstruct
-from .scenarios import (Scenario, make_basis, make_norm_spec, make_params,
-                        make_reference, make_true_fields, min_symbol_magnitude, noise_levels,
-                        quasirev_settings, scenario_hash, target_cutoff, validate_scenario)
+from .scenarios import (Scenario, forward_settings, make_basis, make_norm_spec,
+                        make_params, make_reference, make_true_fields, min_symbol_magnitude,
+                        noise_levels, quasirev_settings, scenario_hash, target_cutoff,
+                        validate_scenario)
 from .errors import ScenarioValidationError
 
 
@@ -125,10 +126,11 @@ def _preset_forward_solve(sc, out, seed, shash):
     ref = make_reference(sc, basis, params)
     rng = np.random.default_rng(seed)
     truth = make_true_fields(sc, basis, rng)
+    size, eta_forward = forward_settings(sc)
     pert = synthesize(basis, truth.a_sigma)
-    pert *= float(sc.raw.get("sigma_perturbation", 0.05)) / max(float(np.max(np.abs(pert))), 1e-12)
+    pert *= size / max(float(np.max(np.abs(pert))), 1e-12)
     sigma = MaterialField.from_values(basis, params.sigma0 + pert)
-    eta = MaterialField.constant(basis, float(sc.source.get("eta_forward", 1e-3)))
+    eta = MaterialField.constant(basis, eta_forward)
     sigma.check_slowness_admissible(params)
     resid_max, sweeps, restarts = 0.0, [], 0
     for e, pulse in enumerate((ref.source_pair.psi1, ref.source_pair.psi2)):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,6 +169,20 @@ def source_settings(sc: Scenario) -> tuple[float, float, int]:
     return float(src["pulse_width"]), float(src.get("amplitude", 1.0)), mode
 
 
+def _finite(value, what: str) -> float:
+    """A scenario entry that must be a finite number, as a float."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ScenarioValidationError([f"{what} {value!r} must be a finite number"])
+    return float(value)
+
+
+def forward_settings(sc: Scenario) -> tuple[float, float]:
+    """The forward-solve preset's sigma perturbation size (sigma_perturbation)
+    and constant nonlinearity (source.eta_forward)."""
+    return (_finite(sc.raw.get("sigma_perturbation", 0.05), "sigma_perturbation"),
+            _finite(sc.source.get("eta_forward", 1e-3), "source.eta_forward"))
+
+
 def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> ReferenceState:
     width, amplitude, mode = source_settings(sc)
     pulse = design_delta_pulse(params, sc.M, width, amplitude=amplitude)
@@ -276,6 +291,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if source is not None and params is not None:
         _collect(out, "source.pulse_width", check_pulse_support, source[0], params.T0, params.T)
     _collect(out, "true_fields", true_field_settings, sc)
+    _collect(out, "forward-solve", forward_settings, sc)
     _collect(out, "noise.delta_list", noise_levels, sc)
     if "target_cutoff" in sc.raw or sc.preset == "smoothing-study":
         _collect(out, "target_cutoff", target_cutoff, sc)

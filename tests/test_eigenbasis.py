@@ -4,8 +4,8 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
 from harmtomo import build_interval_basis, build_rectangle_basis, project, synthesize
-from harmtomo.eigenbasis import (DomainSpec, _interval_modes, _interval_wavenumbers, _leggauss,
-                                 commensurate, trace_right_inverse, check_trace_ranks)
+from harmtomo.eigenbasis import (DomainSpec, _brentq, _interval_modes, _interval_wavenumbers,
+                                 _leggauss, commensurate, trace_right_inverse, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
@@ -57,8 +57,12 @@ def fem_eigenvalues(L, gamma, k, n=10_000):
     return np.sort(vals)
 
 
+# The last three take the root finder off its interpolation path: a stiff
+# near-Dirichlet end, a long interval, and a long near-Neumann interval whose
+# first root sits at the scan's lower end, where steps fall back to bisection.
 ROBIN_CASES = [(np.pi, (1.0, 1.0)), (1.0, (0.0, 2.5)), (1.9416, (3.0, 0.0)),
-               (np.pi, (0.2, 7.0)), (np.pi, (0.0, 0.0))]
+               (np.pi, (0.2, 7.0)), (np.pi, (0.0, 0.0)), (np.pi, (50.0, 50.0)),
+               (10.0, (1.0, 1.0)), (10.0, (0.0, 1e-8))]
 
 
 class TestIntervalBasis:
@@ -94,6 +98,27 @@ class TestIntervalBasis:
     @pytest.mark.parametrize("count", [1, 8, 64])
     def test_wavenumber_scan_matches_loop(self, L, gamma, count):
         assert _interval_wavenumbers(L, *gamma, count) == interval_wavenumbers_loop(L, *gamma, count)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: np.cos(x) - x, 0.0, 1.0),
+        (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 4.0),
+        (lambda x: np.expm1(20.0 * x) - 1e3, 0.0, 2.0),
+    ], ids=["cubic", "cos-fixed-point", "steep-step", "exponential"])
+    def test_brentq_matches_scipy(self, f, a, b):
+        # the in-package root finder takes scipy's steps, so the roots are equal
+        from scipy.optimize import brentq
+
+        got = _brentq(lambda x, c: f(x) * c, a, b, (1.0,), xtol=1e-12, rtol=8.9e-16)
+        assert got == brentq(f, a, b, xtol=1e-12, rtol=8.9e-16)
+
+    def test_brentq_failures_are_spectrum_errors(self):
+        with pytest.raises(SpectrumError, match="nan"):
+            _brentq(lambda x: np.nan if x > 1.5 else x - 1.0, 0.0, 2.0, (), 1e-12, 8.9e-16)
+        with pytest.raises(SpectrumError, match="no sign change"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, (), 1e-12, 8.9e-16)
+        with pytest.raises(SpectrumError, match="not converged in 2 steps"):
+            _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, (), 1e-12, 8.9e-16, maxiter=2)
 
     def test_coarse_scan_raises(self):
         # 6 scan points cannot bracket 8 roots

@@ -183,6 +183,13 @@ class TestHarmonicProductKernel:
             assert _rel_err(got[1:, k], ref) <= KERNEL_RTOL
             assert got[0, k] == pytest.approx(product_dc_loop(a[:, k], b[:, k]), rel=KERNEL_RTOL)
 
+    def test_fast_len_matches_scipy(self):
+        # the time-sample count: the smallest 5-smooth length, as scipy picks it
+        from scipy.fft import next_fast_len
+
+        assert [fw._fast_len(n) for n in range(1, 4097)] == \
+            [next_fast_len(n, real=True) for n in range(1, 4097)]
+
     def test_grid_product_matches_loop_on_interval(self, basis8):
         rng = np.random.default_rng(14)
         M = 24

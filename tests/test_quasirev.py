@@ -8,7 +8,8 @@ from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, Smoo
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
-from conftest import random_linearized
+from harmtomo.scenarios import load_scenario, make_basis
+from conftest import SCENARIOS, random_linearized
 from oracles import TauConstants
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -123,6 +124,30 @@ class TestSmoothing:
         assert all(finite[i] <= finite[i + 1] + 1e-12 for i in range(len(finite) - 1))
         # deeper levels hit the tensor-trace degeneracy and are rejected
         assert not np.isfinite(kaps[-1])
+
+    @pytest.mark.parametrize("kind", ["interval", "smoothing_study"])
+    def test_gain_matches_scipy_generalized_eigh(self, kind):
+        # the Cholesky reduction against scipy's generalized symmetric solver
+        from scipy.linalg import eigh
+
+        if kind == "interval":
+            basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0, np.pi))
+        else:
+            basis = make_basis(load_scenario(SCENARIOS / "smoothing_study.json"))
+        finite = 0
+        for s in (0.5, 1.0, 2.0):
+            for L in range(1, min(basis.J, basis.nsigma) + 1):
+                t = basis.trace_matrix[:L]
+                G = (t * basis.sigma_weights) @ t.T
+                got = smoothing_gain(basis, s, L)
+                if np.linalg.matrix_rank(G, tol=1e-12 * np.max(np.abs(G))) < L:
+                    assert got == np.inf
+                    continue
+                D = np.diag(np.power(basis.lambdas[:L], s))
+                ref = np.sqrt(np.max(eigh(D, G, eigvals_only=True)))
+                assert abs(got - ref) <= 1e-13 * ref
+                finite += 1
+        assert finite == 3 * (2 if kind == "interval" else 10)
 
     def test_gains_computed_once_per_level(self, monkeypatch):
         from harmtomo import quasirev

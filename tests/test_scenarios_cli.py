@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -15,11 +16,13 @@ ROOT = Path(__file__).resolve().parents[1]
 ROUNDTRIP = ROOT / "scenarios" / "interval_roundtrip.json"
 QR = ROOT / "scenarios" / "qr_sweep.json"
 SMOOTH = ROOT / "scenarios" / "smoothing_study.json"
+FORWARD = small_scenario("forward-solve")  # raw JSON: the round trip run as a forward solve
 MISSING = object()  # a variant value that deletes the key
 
 
 def _write_variant(tmp_path, base, **updates):
-    raw = json.loads(Path(base).read_text())
+    """`base` (a scenario path, or raw JSON) with `updates` applied, written to a file."""
+    raw = copy.deepcopy(base) if isinstance(base, dict) else json.loads(Path(base).read_text())
     for key, val in updates.items():
         section = raw
         parts = key.split(".")
@@ -112,11 +115,16 @@ class TestValidate:
          "residue_mode 'oracle' is not supported: the oracle mode was removed"),
         (ROUNDTRIP, "domain.robin_gamma", [0.0, 0.0],
          "source.phi_mode: reference mode 0 has eigenvalue 0 when every Robin coefficient is 0"),
+        (FORWARD, "sigma_perturbation", "x", "sigma_perturbation 'x' must be a finite number"),
+        (FORWARD, "source.eta_forward", "x", "source.eta_forward 'x' must be a finite number"),
+        (FORWARD, "source.eta_forward", float("nan"),
+         "source.eta_forward nan must be a finite number"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
             "truth-mode-not-int", "truth-cutoff-not-int", "du_band-not-int", "oracle-mode",
-            "phi_mode-neumann-zero-eigenvalue"])
+            "phi_mode-neumann-zero-eigenvalue", "sigma_perturbation-not-number",
+            "eta_forward-not-number", "eta_forward-nan"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way
