@@ -5,7 +5,8 @@ The strongly damped limit tau -> 0 loses information; reconstructing with a
 small positive relaxation time regularizes it.  The two constants below
 quantify the blow-up: both involve the rate x = alpha/tau with
 alpha = (sigma0 beta - tau)/(2 beta), grow without bound as tau -> 0, and are
-monotone on the admissible range.
+monotone on the admissible range.  Each takes a tau (and gives a float) or an
+array of taus (and gives an array).
 """
 
 from __future__ import annotations
@@ -19,49 +20,53 @@ import numpy as np
 from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
-from .norms import bochner_norm, rho_t, x_norm, ytilde_obs_norm
-from .poles import build_pole_set
-from .reconstruct import (LinearizedData, LinearizedInput, linearized_forward,
-                          reconstruct, ReferenceState)
+from .norms import _per_draw, bochner_norm, rho_t, x_norm, ytilde_obs_norm
+from .reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
+                          ReferenceState, solve_states_from_coeffs)
 NOISE_SCALE_TOL = 1e-10
 DISCREPANCY_FACTOR = 2.0   # smoothing stops at a trace-fit residual of this times delta
 CALIBRATION_SAFETY = 3.0   # sweep bound = this times the pilot's error over its raw bound
 
 
-def _rate_core(tau: float, sigma0: float, beta: float, T: float, T0: float) -> float:
+def _rate_core(tau, sigma0: float, beta: float, T: float, T0: float):
     """x/(1 - e^(-2 x T0)) e^(2 x (T - T0)) at the rate x = alpha/tau.
 
     The factor compute_cbar and compute_ctilde share; the removable value at
     x = 0 comes from rho_t.  Callers silence the overflow to inf at tiny tau.
     """
-    if tau <= 0:
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     alpha = (sigma0 * beta - tau) / (2.0 * beta)
-    if alpha < 0:
+    if np.any(alpha < 0):
         raise ValueError("need tau <= sigma0*beta")
     x = alpha / tau
     return rho_t(2.0 * x, T0) / 2.0 * np.exp(2.0 * x * (T - T0))
 
 
-def compute_cbar(tau: float, sigma0: float, beta: float, T: float, T0: float,
-                 orti_check: float, C0: float = 1.0) -> float:
+def compute_cbar(tau, sigma0: float, beta: float, T: float, T0: float,
+                 orti_check: float, C0: float = 1.0):
     """Stability constant
     C0 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         (1 + (tau/beta)^orti) + 1)^(1/2);
     monotonically decreasing in tau and divergent as tau -> 0."""
+    # np.float_power evaluates libm's pow per entry, as float ** does; np.power
+    # may take a SIMD path whose last bit differs
     with np.errstate(over="ignore"):
-        core = _rate_core(tau, sigma0, beta, T, T0) * (1.0 + (tau / beta) ** orti_check)
-    return float(C0 * np.sqrt(core + 1.0))
+        core = _rate_core(tau, sigma0, beta, T, T0) * (
+            1.0 + np.float_power(np.divide(tau, beta), orti_check))
+    return _per_draw(C0 * np.sqrt(core + 1.0))
 
 
-def compute_ctilde(tau: float, sigma0: float, beta: float, T: float, T0: float,
-                   orti_check: float, C1: float = 1.0) -> float:
+def compute_ctilde(tau, sigma0: float, beta: float, T: float, T0: float,
+                   orti_check: float, C1: float = 1.0):
     """Observation-norm comparison constant
     C1 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         ((beta/tau)^orti + 1))^(1/2)."""
     with np.errstate(over="ignore"):
-        core = _rate_core(tau, sigma0, beta, T, T0) * ((beta / tau) ** orti_check + 1.0)
-    return float(C1 * np.sqrt(core))
+        core = _rate_core(tau, sigma0, beta, T, T0) * (
+            np.float_power(np.divide(beta, tau), orti_check) + 1.0)
+    return _per_draw(C1 * np.sqrt(core))
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +251,20 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     The rule max(cbar, ctilde)(tau) * sqrt(delta) <= tolerance * scale, with
     scale the constants at tau_max, sends tau(delta) monotonically to the
     bottom of the grid while max(cbar, ctilde)(tau(delta)) * delta -> 0.
-    The schedule must pass check_schedule.
+    The constants are scored over the whole grid in one array pass; noiseless
+    data take the bottom of the grid.  The schedule must pass check_schedule.
     """
     check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
     if delta == 0.0 and tau0 > 0.0:
         # noiseless data need no relaxation-time offset
         return float(tau0)
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
-    scale = max(compute_cbar(grid[-1], sigma0, beta, T, T0, orti_check),
-                compute_ctilde(grid[-1], sigma0, beta, T, T0, orti_check))
-    limit = tolerance * scale / np.sqrt(delta)
-    for tau in grid:
-        c = max(compute_cbar(tau, sigma0, beta, T, T0, orti_check),
-                compute_ctilde(tau, sigma0, beta, T, T0, orti_check))
-        if c <= limit:
-            return float(tau)
-    return float(grid[-1])
+    cbar = compute_cbar(grid, sigma0, beta, T, T0, orti_check)
+    ctilde = compute_ctilde(grid, sigma0, beta, T, T0, orti_check)
+    c = np.where(ctilde > cbar, ctilde, cbar)   # max(cbar, ctilde), nan as max() treats it
+    limit = tolerance * c[-1] / np.sqrt(delta) if delta > 0 else np.inf
+    below = np.flatnonzero(c <= limit)
+    return float(grid[below[0] if below.size else -1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +296,8 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     Data are generated by the linearized model at relaxation time tau0 (the
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
-    tau(delta) through the least-squares residue fit.  Each row records the
-    preimage-norm error and the calibrated bound
+    tau(delta) through `fit_coefficients` and `solve_states_from_coeffs`.
+    Each row records the preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
     factor is fitted once on a pilot noise level and held fixed.  A schedule
     that fails check_schedule raises before any row is computed.
@@ -303,6 +306,7 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
                    params0.T0, spec.orti_check)
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
+    sp = ref.source_pair
     deltas = sorted((float(d) for d in delta_list), reverse=True)
 
     def one(delta: float, noise_seed: int):
@@ -310,10 +314,9 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
                          params0.T0, spec.orti_check, tau_min, tau_max, ratio, tolerance)
         noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        pole_set = build_pole_set(basis.lambdas, params_tau)
-        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta),
-                          ref, pole_set, basis, params_tau)
-        err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
+        a, _ = fit_coefficients(noisy.phat_delta, data.rhat, sp, basis, params_tau)
+        b = solve_states_from_coeffs(a, data.rhat, params_tau, basis.lambdas, sp.mm)
+        err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar = compute_cbar(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
         ctil = compute_ctilde(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
         raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)

@@ -30,7 +30,8 @@ from .errors import IllConditionedFitError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import _nonresonant_symbols, observe, symbols_matrix
 from .poles import PoleSet, big_theta, psi_transfer_prime
-from .sources import SourcePair, evaluate_mtilde, interp_kernels, invert_mtilde, ReferenceState
+from .sources import (SourcePair, interp_kernels, invert_mtilde, mtilde_from_kernels,
+                      ReferenceState)
 
 PHI_GUARD = 1e-6
 FIT_COND_LIMIT = 1e12
@@ -147,8 +148,10 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     """
     ok = np.flatnonzero(pole_set.ok)
     p = pole_set.poles[ok]
-    mt = evaluate_mtilde(sp, p, params)
-    kp, km, _ = interp_kernels(p, sp.M, params.omega, params.T)
+    kp, km, k0 = interp_kernels(p, 2 * sp.M, params.omega, params.T)
+    mt = mtilde_from_kernels(sp, kp, km, k0)
+    # contiguous copies, so the einsums of rtilde_ok see the layout they always had
+    kp, km = np.ascontiguousarray(kp[:, :sp.M]), np.ascontiguousarray(km[:, :sp.M])
     pref = -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
     table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), pref=pref, kp=kp, km=km,
                       mt_cond=np.linalg.cond(mt))

@@ -203,7 +203,15 @@ def interp_periodic(hat, dc: float, o, omega: float, T: float):
     may be an array; the result has shape hat.shape[:-1] + o.shape.
     """
     hat = np.asarray(hat, dtype=complex)
-    kp, km, k0 = interp_kernels(o, hat.shape[-1], omega, T)
+    return _contract_kernels(hat, dc, *interp_kernels(o, hat.shape[-1], omega, T))
+
+
+def _contract_kernels(hat, dc: float, kp, km, k0):
+    """hat . kp + conj(hat) . km + dc k0 over the first hat.shape[-1] kernel
+    columns; kernels evaluated for more harmonics than hat carries give the
+    same value."""
+    n = hat.shape[-1]
+    kp, km = kp[..., :n], km[..., :n]
     # elementwise products and a pairwise sum per point, so a point gives the
     # same value whether it comes alone or in an array
     h = hat.reshape(hat.shape[:-1] + (1,) * (kp.ndim - 1) + hat.shape[-1:])
@@ -225,8 +233,17 @@ def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
 
     Interpolates the source matrices: Mtilde(i m omega) = M_m exactly.
     """
-    p1 = psi_tilde(sp, o, params)
-    p2 = psi_sq_tilde(sp, o, params)
+    return mtilde_from_kernels(sp, *interp_kernels(o, 2 * sp.M, params.omega, params.T))
+
+
+def mtilde_from_kernels(sp: SourcePair, kp, km, k0) -> np.ndarray:
+    """Mtilde from the interpolant kernels at 2M harmonics (`interp_kernels`):
+    psi~ contracts their first M columns and psi^2~ all 2M, so one kernel
+    evaluation serves both entries and the table's kp and km.  Only a point
+    within 1e-4/T of i m omega with M < m <= 2M gets another psi~ than from
+    kernels at M harmonics: there every column takes the near-lattice form."""
+    p1 = _contract_kernels(sp.psi1.psi_hat, 0.0, kp, km, k0)
+    p2 = _contract_kernels(sp.psi_sq_hat, sp.psi_sq_dc, kp, km, k0)
     A = sp.A
     return np.stack([np.stack([p1, p2], axis=-1), np.stack([A * p1, A * A * p2], axis=-1)],
                     axis=-2)

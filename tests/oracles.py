@@ -31,6 +31,14 @@ scan (`eigenbasis._interval_wavenumbers`) must match exactly.
 The pole selection: the per-eigenvalue `select_pole`/`pole_asymptotic` loop
 the package's masked selection (`poles.build_pole_set`) must match exactly.
 
+The quasi-reversibility sweep: the relaxation-time constants at one tau with
+float `**` (`rate_constants_scalar`), the tau(delta) schedule scored one grid
+tau at a time (`choose_tau_loop`), and the sweep rows through the full
+`reconstruct` of a pole set per noise level (`sweep_rows_via_reconstruct`);
+the package evaluates the constants on arrays, scores the grid in one array
+pass and runs the fit and the state formula alone, and all must match these
+exactly.
+
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
 against it), the bundled relaxation-time constants, the interior-source
@@ -55,11 +63,14 @@ from harmtomo.errors import (HarmtomoError, IllConditionedFitError, PoleSelectio
                              SpectrumError, VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
-from harmtomo.norms import _lam_weight, _pole_weight
-from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, characteristic_roots,
-                            psi_transfer_prime, verify_bounds)
-from harmtomo.quasirev import compute_cbar, compute_ctilde
-from harmtomo.reconstruct import FIT_COND_LIMIT, LinearizedInput, ReconstructionResult
+from harmtomo.norms import _lam_weight, _pole_weight, x_norm
+from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, build_pole_set,
+                            characteristic_roots, psi_transfer_prime, verify_bounds)
+from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _rate_core, add_noise,
+                               check_schedule, compute_cbar, compute_ctilde, tau_grid,
+                               time_derivative_norm)
+from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
+                                  ReconstructionResult, linearized_forward, reconstruct)
 from harmtomo.sources import (ReferenceState, SourcePair, _period_kernel, evaluate_mtilde,
                               invert_mtilde)
 
@@ -686,3 +697,74 @@ def j_bound_constant(chi: float, params: ModelParams) -> float:
 def j_bound(chi: float, m: int, lam, params: ModelParams):
     """Slack of the amplification bound; nonnegative when the bound holds."""
     return j_bound_constant(chi, params) - j_amplification(chi, m, lam, params)
+
+
+def rate_constants_scalar(tau: float, sigma0: float, beta: float, T: float, T0: float,
+                          orti_check: float) -> tuple[float, float]:
+    """(cbar, ctilde) at one Python-float tau with the powers taken by float
+    `**` (libm's pow), as the sweep evaluated them before the constants took
+    arrays."""
+    with np.errstate(over="ignore"):
+        core = _rate_core(tau, sigma0, beta, T, T0)
+        cbar = float(np.sqrt(core * (1.0 + (tau / beta) ** orti_check) + 1.0))
+        ctilde = float(np.sqrt(core * ((beta / tau) ** orti_check + 1.0)))
+    return cbar, ctilde
+
+
+def choose_tau_loop(delta: float, tau0: float, sigma0: float, beta: float, T: float,
+                    T0: float, orti_check: float, tau_min: float, tau_max: float,
+                    ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
+    """`quasirev.choose_tau` with the constants evaluated one grid tau at a
+    time, returning the first tau within the limit."""
+    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
+    if delta == 0.0 and tau0 > 0.0:
+        return float(tau0)
+    grid = tau_grid(tau0, tau_min, tau_max, ratio)
+    scale = max(compute_cbar(grid[-1], sigma0, beta, T, T0, orti_check),
+                compute_ctilde(grid[-1], sigma0, beta, T, T0, orti_check))
+    limit = tolerance * scale / np.sqrt(delta)
+    for tau in grid:
+        c = max(compute_cbar(tau, sigma0, beta, T, T0, orti_check),
+                compute_ctilde(tau, sigma0, beta, T, T0, orti_check))
+        if c <= limit:
+            return float(tau)
+    return float(grid[-1])
+
+
+def sweep_rows_via_reconstruct(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
+                               spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
+                               seed: int, tau_min: float, tau_max: float,
+                               ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
+    """`quasirev.run_sweep`'s rows with each noise level inverted by the full
+    `reconstruct` (pole set, pole table and residues) and its `a` and `b`
+    read back, under the same pilot calibration and noise seeds."""
+    data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
+    dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
+    deltas = sorted((float(d) for d in delta_list), reverse=True)
+    consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
+
+    def one(delta: float, noise_seed: int):
+        tau = choose_tau_loop(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
+        noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
+        params_tau = params0.with_tau(tau)
+        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta), ref,
+                          build_pole_set(basis.lambdas, params_tau), basis, params_tau)
+        err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
+        cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
+        return tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil
+
+    calibration = 1.0
+    if deltas[0] > 0:
+        _, err_p, raw_p, _, _ = one(3.0 * deltas[0], seed - 1)
+        calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
+    rows = []
+    for i, delta in enumerate(deltas):
+        try:
+            tau, err, raw, cbar, ctil = one(delta, seed + i)
+            rows.append(SweepRow(delta=delta, tau=tau, error_x=err, bound=calibration * raw,
+                                 cbar=cbar, ctilde=ctil, status="ok"))
+        except HarmtomoError as exc:
+            nan = float("nan")
+            rows.append(SweepRow(delta=delta, tau=nan, error_x=nan, bound=nan, cbar=nan,
+                                 ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}"))
+    return rows

@@ -8,8 +8,9 @@ from harmtomo.errors import SingularInterpolantError
 from harmtomo.norms import _image_terms, yobs_terms, ymod_terms
 from harmtomo.reconstruct import (linearized_forward, oracle_residues, pole_table, reconstruct,
                                   residue_term)
-from harmtomo.sources import interp_kernels, interp_periodic
-from conftest import random_linearized
+from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
+from harmtomo.sources import interp_kernels, interp_periodic, psi_sq_tilde, psi_tilde
+from conftest import SCENARIOS, random_linearized
 from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
                      recover_coefficients_loop, yobs_terms_loop, ymod_terms_loop)
 
@@ -138,3 +139,22 @@ def test_pole_table_built_once_per_pole_set(setup_small):
     assert t.kp.shape == (s["poles"].n_ok, s["M"]) and t.mt.shape == (s["poles"].n_ok, 2, 2)
     with pytest.raises(ValueError):
         t.mt_inv[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["interval_roundtrip", "qr_sweep", "smoothing_study"])
+def test_one_kernel_evaluation_matches_separate_ones(name):
+    # the table's Mtilde, kp and km come from one kernel evaluation at 2M
+    # harmonics; they equal psi~ and psi^2~ evaluated at M and 2M harmonics
+    # and the kernels at M bit for bit
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    basis, params0 = make_basis(sc), make_params(sc)
+    sp = make_reference(sc, basis, params0).source_pair
+    for tau in (params0.tau, 0.5, 0.3, 0.1, 0.05, 0.02):
+        params = params0.with_tau(tau)
+        t = pole_table(build_pole_set(basis.lambdas, params), sp, params)
+        p1, p2 = psi_tilde(sp, t.p, params), psi_sq_tilde(sp, t.p, params)
+        mt = np.stack([np.stack([p1, p2], axis=-1),
+                       np.stack([sp.A * p1, sp.A**2 * p2], axis=-1)], axis=-2)
+        kp, km, _ = interp_kernels(t.p, sp.M, params.omega, params.T)
+        assert np.array_equal(t.mt, mt)
+        assert np.array_equal(t.kp, kp) and np.array_equal(t.km, km)

@@ -10,7 +10,8 @@ from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
 from harmtomo.scenarios import load_scenario, make_basis
 from conftest import SCENARIOS, random_linearized
-from oracles import TauConstants
+from oracles import (TauConstants, choose_tau_loop, rate_constants_scalar,
+                     sweep_rows_via_reconstruct)
 
 GOLDEN = (1 + 5**0.5) / 2
 T = 2 * np.pi
@@ -60,6 +61,26 @@ class TestConstants:
             a = compute_ctilde(tau, 1.0, 1.0, T, np.pi, 0.0)
             b = compute_ctilde(tau, 1.0, 1.0, T, np.pi, 1.0)
             assert b >= a
+
+    @pytest.mark.parametrize("T0", [T, np.pi])
+    def test_array_of_taus_matches_scalar_calls(self, T0):
+        # tiny taus overflow to inf, tau = sigma0*beta is the alpha = 0 end
+        taus = np.concatenate([[1e-4], np.geomspace(1e-3, 1.0, 60)])
+        for k, const in enumerate((compute_cbar, compute_ctilde)):
+            for orti in (0.0, 0.5, 0.9):
+                vals = const(taus, 1.0, 1.0, T, T0, orti)
+                assert isinstance(vals, np.ndarray) and vals.shape == taus.shape
+                assert np.all(vals == [const(float(t), 1.0, 1.0, T, T0, orti) for t in taus])
+                old = [rate_constants_scalar(float(t), 1.0, 1.0, T, T0, orti)[k] for t in taus]
+                assert np.all(vals == old)
+            assert type(const(0.3, 1.0, 1.0, T, T0, 0.5)) is float
+            assert type(const(np.float64(0.3), 1.0, 1.0, T, T0, 0.5)) is float
+
+    @pytest.mark.parametrize("taus", [[0.1, 0.0, 0.3], [0.1, -0.2], [0.1, 0.5, 1.5]])
+    def test_array_outside_admissible_range_raises(self, taus):
+        for const in (compute_cbar, compute_ctilde):
+            with pytest.raises(ValueError):
+                const(np.array(taus), 1.0, 1.0, T, np.pi, 0.5)
 
     def test_tau_constants_bundle(self):
         tc = TauConstants.at(0.5, 1.0, 1.0, T, np.pi, 0.5)
@@ -208,6 +229,17 @@ class TestSchedule:
     def test_noiseless_positive_tau0_returns_tau0(self):
         assert choose_tau(0.0, 0.3, 1.0, 1.0, T, T, 0.5, tau_min=0.1, tau_max=0.5) == 0.3
 
+    @pytest.mark.parametrize("ratio", [2.0**0.25, 1.5, 2.0])
+    @pytest.mark.parametrize("tau0", [0.0, 0.3])
+    def test_one_pass_matches_per_tau_loop(self, tau0, ratio):
+        T0 = T if tau0 == 0.0 else np.pi
+        for delta in (0.0, 1e-12, 1e-8, 1e-4, 1e-3, 1e-2, 3e-2, 1.0, 10.0):
+            args = (delta, tau0, 1.0, 1.0, T, T0, 0.5)
+            kw = dict(tau_min=0.01, tau_max=0.9, ratio=ratio)
+            with np.errstate(divide="ignore"):   # the loop divides by sqrt(0) at delta 0
+                expected = choose_tau_loop(*args, **kw)
+            assert choose_tau(*args, **kw) == expected
+
     def test_tau_grid_shape(self):
         g = tau_grid(0.0, 0.1, 0.5, ratio=2.0**0.25)
         assert g[0] == pytest.approx(0.1) and g[-1] == pytest.approx(0.5)
@@ -269,6 +301,22 @@ class TestSweep:
         taus = [r.tau for r in rows]
         assert all(taus[i] >= taus[i + 1] for i in range(2))
 
+    @pytest.mark.parametrize("tau0, seed, deltas, tau_min", [
+        (0.0, 101, [1e-2, 1e-3, 1e-4], 0.1), (0.0, 5, [1e-2, 1e-3, 1e-4], 0.1),
+        (0.0, 7, [1e-2, 1e-3, 1e-4], 0.1), (0.3, 11, [0.0], 0.05)])
+    def test_rows_equal_full_reconstruct(self, tau0, seed, deltas, tau_min):
+        # a row runs the fit and the state formula alone; the full
+        # reconstruct of a pole set per noise level gives the same rows
+        basis, spec, params, ref, truth = sweep_setup(tau0)
+        args = (basis, ref, params, spec, truth, deltas)
+        kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5)
+        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
+        rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
+        expected = [tuple(getattr(r, f) for f in fields)
+                    for r in sweep_rows_via_reconstruct(*args, **kw)]
+        assert len(rows) == len(deltas) and all(r[-1] == "ok" for r in rows)
+        assert rows == expected
+
     def test_invalid_schedule_raises_before_any_row(self):
         # tau0 = 0 needs orti_check < 1: a broken schedule is not a failed row
         basis, _, params, ref, truth = sweep_setup(0.0)
@@ -284,7 +332,7 @@ class TestSweep:
         def ill_conditioned(*args, **kwargs):
             raise IllConditionedFitError(3e12)
 
-        monkeypatch.setattr(qr, "reconstruct", ill_conditioned)
+        monkeypatch.setattr(qr, "fit_coefficients", ill_conditioned)
         rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
                          tau_min=0.1, tau_max=0.5, calibration=1.0)
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
@@ -293,7 +341,7 @@ class TestSweep:
         def bug(*args, **kwargs):
             raise KeyError("not a numerical failure")
 
-        monkeypatch.setattr(qr, "reconstruct", bug)
+        monkeypatch.setattr(qr, "fit_coefficients", bug)
         with pytest.raises(KeyError):
             run_sweep(basis, ref, params, spec, truth, [1e-2], tau0=0.0, seed=5,
                       tau_min=0.1, tau_max=0.5, calibration=1.0)
