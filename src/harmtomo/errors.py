@@ -43,14 +43,6 @@ class ConvergenceError(HarmtomoError):
     """Fixed-point iteration left the contraction regime."""
 
 
-class PoleSelectionError(HarmtomoError):
-    """No admissible upper half-plane pole exists for an eigenvalue."""
-
-    def __init__(self, lam, message=None):
-        self.lam = lam
-        super().__init__(message or f"no root with positive imaginary part for lambda={lam!r}")
-
-
 class ReferenceProfileError(HarmtomoError, ValueError):
     """The reference profile's eigenfunction has eigenvalue zero."""
 

@@ -20,7 +20,7 @@ from .eigenbasis import EigenBasis, trace_right_inverse
 from .fields import ModelParams, NormSpec
 from .forward import _nonresonant_symbols
 from .poles import PoleSet
-from .reconstruct import pole_table, residue_term
+from .reconstruct import pole_table
 from .sources import SourcePair
 
 
@@ -114,21 +114,21 @@ def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
     return _per_draw(np.sqrt(t1 + t2))
 
 
-def yobs_terms(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-               basis: EigenBasis, params: ModelParams,
-               M: int | None = None):
-    """The observation-side image-norm pieces of residues (..., J, 2, ns),
-    q_l = Theta Psi'/p^2 TrInv[Mtilde^(-1) res_l] and r = 0.  M is the
-    harmonic range of the first double sum (defaults to the source
-    truncation)."""
+def yobs_terms(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
+               basis: EigenBasis, params: ModelParams):
+    """The observation-side image-norm pieces of the coefficient pairs a
+    (..., J, 2) with their model residues rhat (..., 2, M, J):
+    q_l = a^l - Mtilde(p_l)^(-1) rtilde^l(p_l), which equals the residue term
+    Theta Psi'/p^2 TrInv[Mtilde^(-1) res_l] of the data continuation, and r = 0."""
+    rhat = np.asarray(rhat, dtype=complex)
     t = pole_table(pole_set, sp, params)
-    return _image_terms(residue_term(residues, t, basis), 0.0, t.ok,
-                        sp.M if M is None else M, spec, sp, basis, params)
+    q = np.asarray(a)[..., t.ok, :] - t.model_term_ok(rhat[..., t.ok])
+    return _image_terms(q, 0.0, t.ok, rhat.shape[-2], spec, sp, basis, params)
 
 
-def yobs_norm(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-              basis: EigenBasis, params: ModelParams, M: int | None = None):
-    t1, t2 = yobs_terms(residues, spec, sp, pole_set, basis, params, M=M)
+def yobs_norm(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
+              basis: EigenBasis, params: ModelParams):
+    t1, t2 = yobs_terms(a, rhat, spec, sp, pole_set, basis, params)
     return _per_draw(np.sqrt(t1 + t2))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleSelectionError, StabilityViolationError
+from .errors import StabilityViolationError
 from .fields import ModelParams
 
 IMAG_SELECT_TOL = 1e-14
@@ -98,7 +98,7 @@ class PoleSet:
         return int(np.count_nonzero(self.ok))
 
 
-def build_pole_set(lambdas, params: ModelParams, strict: bool = False) -> PoleSet:
+def build_pole_set(lambdas, params: ModelParams) -> PoleSet:
     """Select the upper half-plane root of each eigenvalue's characteristic
     polynomial.
 
@@ -107,8 +107,7 @@ def build_pole_set(lambdas, params: ModelParams, strict: bool = False) -> PoleSe
     at most one root with positive imaginary part, and it is the root of
     largest imaginary part.  The real root is never selected (it approaches
     -1/beta, the zero of Theta, and belongs to the spurious branch).
-    Eigenvalues without such a root (for example lam = 0) are not ok; with
-    strict the first of them raises PoleSelectionError.
+    Eigenvalues without such a root (for example lam = 0) are not ok.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     L = lambdas.size
@@ -117,8 +116,6 @@ def build_pole_set(lambdas, params: ModelParams, strict: bool = False) -> PoleSe
     allroots[:, : roots.shape[-1]] = roots
     scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1))
     ok = np.any(roots.imag > IMAG_SELECT_TOL * scale[:, None], axis=-1)
-    if strict and not ok.all():
-        raise PoleSelectionError(lambdas[~ok][0])
     top = roots[np.arange(L), np.argmax(roots.imag, axis=-1)]
     poles = np.where(ok, top, np.nan + 1j * np.nan)
     return PoleSet(lambdas=lambdas, poles=poles, roots=allroots,

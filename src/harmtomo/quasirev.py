@@ -45,9 +45,9 @@ def _rate_core(tau, sigma0: float, beta: float, T: float, T0: float):
 
 
 def compute_cbar(tau, sigma0: float, beta: float, T: float, T0: float,
-                 orti_check: float, C0: float = 1.0):
+                 orti_check: float):
     """Stability constant
-    C0 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
+    ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         (1 + (tau/beta)^orti) + 1)^(1/2);
     monotonically decreasing in tau and divergent as tau -> 0."""
     # np.float_power evaluates libm's pow per entry, as float ** does; np.power
@@ -55,18 +55,18 @@ def compute_cbar(tau, sigma0: float, beta: float, T: float, T0: float,
     with np.errstate(over="ignore"):
         core = _rate_core(tau, sigma0, beta, T, T0) * (
             1.0 + np.float_power(np.divide(tau, beta), orti_check))
-    return _per_draw(C0 * np.sqrt(core + 1.0))
+    return _per_draw(np.sqrt(core + 1.0))
 
 
 def compute_ctilde(tau, sigma0: float, beta: float, T: float, T0: float,
-                   orti_check: float, C1: float = 1.0):
+                   orti_check: float):
     """Observation-norm comparison constant
-    C1 ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
+    ((alpha/tau)/(1 - e^(-2(alpha/tau)T0)) e^(2(alpha/tau)(T - T0))
         ((beta/tau)^orti + 1))^(1/2)."""
     with np.errstate(over="ignore"):
         core = _rate_core(tau, sigma0, beta, T, T0) * (
             np.float_power(np.divide(beta, tau), orti_check) + 1.0)
-    return _per_draw(C1 * np.sqrt(core))
+    return _per_draw(np.sqrt(core))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def time_derivative_norm(du, omega: float, lambdas, spec: NormSpec) -> float:
 def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
               spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
               seed: int, tau_min: float, tau_max: float, ratio: float = 2.0**0.25,
-              tolerance: float = 0.1, calibration: float | None = None) -> list[SweepRow]:
+              tolerance: float = 0.1) -> list[SweepRow]:
     """Convergence experiment for the relaxation-time regularization.
 
     Data are generated by the linearized model at relaxation time tau0 (the
@@ -322,13 +322,10 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
         raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)
         return tau, err, raw, cbar, ctil
 
-    if calibration is None:
-        pilot = 3.0 * deltas[0]
-        if pilot > 0:
-            _, err_p, raw_p, _, _ = one(pilot, seed - 1)
-            calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
-        else:
-            calibration = 1.0
+    calibration = 1.0
+    if deltas[0] > 0:
+        _, err_p, raw_p, _, _ = one(3.0 * deltas[0], seed - 1)
+        calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
 
     rows = []
     for i, delta in enumerate(deltas):

@@ -10,8 +10,7 @@ whose poles sit at the characteristic roots.  The residue at p_l isolates the
 eigenspace-l content of the unknown coefficient pair a^l = (a_sigma, a_eta).
 The inversion solves the truncated system for the coefficient pairs directly
 from the traces (`fit_coefficients`); the residues of the data continuation
-then follow from one formula (`PoleTable.residues`), whether the pairs are
-recovered or true.
+then follow from the recovered pairs by one formula (`PoleTable.residues`).
 
 The linearized map, the residue algebra and the recovery take leading batch
 axes on their data, (..., 2, M, J) for model residues and states and
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, synthesize, trace_right_inverse
+from .eigenbasis import EigenBasis, synthesize
 from .errors import IllConditionedFitError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import _nonresonant_symbols, observe, symbols_matrix
@@ -158,22 +157,6 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table
-
-
-def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
-    """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
-    admissible mode: (..., n_ok, 2)."""
-    res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
-    v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
-    lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
-    return (-1.0 / table.pref)[:, None] * lifted
-
-
-def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
-                    basis: EigenBasis, params: ModelParams) -> np.ndarray:
-    """Exact residues of the data continuation from the known truth, which
-    those of the recovered coefficients reproduce on noiseless data."""
-    return pole_table(pole_set, sp, params).residues(rhat, lin.a, basis)
 
 
 def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,

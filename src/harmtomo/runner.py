@@ -21,7 +21,7 @@ from .fields import MaterialField
 from .forward import observe, solve_multiharmonic
 from .norms import x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
-from .reconstruct import linearized_forward, oracle_residues, pole_table, reconstruct
+from .reconstruct import linearized_forward, pole_table, reconstruct
 from .scenarios import (Scenario, forward_settings, make_basis, make_norm_spec,
                         make_params, make_reference, make_true_fields, min_symbol_magnitude,
                         noise_levels, quasirev_settings, scenario_hash, target_cutoff,
@@ -205,9 +205,8 @@ def _preset_stability_probe(sc, out, seed, shash):
     truth = make_true_fields(sc, basis, rng, draws=draws)
     sp = ref.source_pair
     data = linearized_forward(ref, params, basis, truth)
-    res = oracle_residues(truth, data.rhat, pole_set, sp, basis, params)
     xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
-    yo = yobs_norm(res, spec, sp, pole_set, basis, params, M=sc.M)
+    yo = yobs_norm(truth.a, data.rhat, spec, sp, pole_set, basis, params)
     ym = ymod_norm(data.rhat, spec, sp, pole_set, basis, params)
     slack = yo + ym - xv
     write_table(os.path.join(out, "stability.csv"),

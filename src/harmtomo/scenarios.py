@@ -62,31 +62,47 @@ class Scenario:
 
 
 def _integer(value, what: str) -> int:
-    """A scenario entry that must be an integer, as an int."""
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    """A scenario entry that must be an integer (not a bool), as an int."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ScenarioValidationError([f"{what} {value!r} must be an integer"])
     return int(value)
 
 
+def _object(value, what: str) -> dict:
+    """A scenario entry that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioValidationError(
+            [f"{what} must be a JSON object, not {type(value).__name__}"])
+    return value
+
+
 def load_scenario(path) -> Scenario:
+    """Parse a scenario file.  A file that is not a JSON object with the
+    required keys, whose blocks are not objects, or whose seed, J or M is not
+    an integer raises ScenarioValidationError."""
     with open(path) as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # not JSON, or not text at all
+            raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"]) from exc
+    _object(raw, "scenario")
     try:
-        trunc = raw["truncation"]
+        trunc = _object(raw["truncation"], "truncation")
         return Scenario(
             name=raw["name"],
             preset=raw["preset"],
-            seed=int(raw["seed"]),
+            seed=_integer(raw["seed"], "seed"),
             output_dir=raw.get("output_dir", "out"),
-            domain=raw["domain"],
-            params=raw["params"],
-            norms=raw["norms"],
-            J=int(trunc["J"]),
-            M=int(trunc["M"]),
-            source=raw["source"],
-            true_fields=raw.get("true_fields", {}),
-            noise=raw.get("noise", {}),
-            quasirev=raw.get("quasirev", {}),
+            domain=_object(raw["domain"], "domain"),
+            params=_object(raw["params"], "params"),
+            norms=_object(raw["norms"], "norms"),
+            J=_integer(trunc["J"], "truncation.J"),
+            M=_integer(trunc["M"], "truncation.M"),
+            source=_object(raw["source"], "source"),
+            true_fields=_object(raw.get("true_fields", {}), "true_fields"),
+            noise=_object(raw.get("noise", {}), "noise"),
+            quasirev=_object(raw.get("quasirev", {}), "quasirev"),
             raw=raw,
         )
     except KeyError as exc:

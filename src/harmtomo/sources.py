@@ -6,7 +6,7 @@ The working pulse is the zero-mean band-limited projection (harmonics 1..M) of
 a raised-cosine bump.  With that convention the harmonic coefficients of the
 squared signal are exactly the truncated product coefficients, so the
 interpolation identity Mtilde(i m omega) = M_m and the determinant identity
-det Mtilde(o) = A (A - 1) psi_tilde(o) psisq_tilde(o) hold to roundoff.
+det Mtilde(o) = A (A - 1) psi~(o) psi^2~(o) hold to roundoff.
 """
 
 from __future__ import annotations
@@ -195,17 +195,6 @@ def interp_kernels(o, n: int, omega: float, T: float):
     return kp.reshape(shape + (n,)), km.reshape(shape + (n,)), k0.reshape(shape)
 
 
-def interp_periodic(hat, dc: float, o, omega: float, T: float):
-    """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
-    positive harmonics `hat` and mean `dc`, analytic in o.
-
-    hat may carry leading dimensions (the last axis indexes harmonics) and o
-    may be an array; the result has shape hat.shape[:-1] + o.shape.
-    """
-    hat = np.asarray(hat, dtype=complex)
-    return _contract_kernels(hat, dc, *interp_kernels(o, hat.shape[-1], omega, T))
-
-
 def _contract_kernels(hat, dc: float, kp, km, k0):
     """hat . kp + conj(hat) . km + dc k0 over the first hat.shape[-1] kernel
     columns; kernels evaluated for more harmonics than hat carries give the
@@ -217,14 +206,6 @@ def _contract_kernels(hat, dc: float, kp, km, k0):
     h = hat.reshape(hat.shape[:-1] + (1,) * (kp.ndim - 1) + hat.shape[-1:])
     val = (h * kp).sum(axis=-1) + (np.conj(h) * km).sum(axis=-1) + dc * k0
     return val[()]
-
-
-def psi_tilde(sp: SourcePair, o, params: ModelParams):
-    return interp_periodic(sp.psi1.psi_hat, 0.0, o, params.omega, params.T)
-
-
-def psi_sq_tilde(sp: SourcePair, o, params: ModelParams):
-    return interp_periodic(sp.psi_sq_hat, sp.psi_sq_dc, o, params.omega, params.T)
 
 
 def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:

@@ -7,7 +7,19 @@ same quantities with one FFT kernel (`harmonic_product_time`).
 The residue algebra: Mtilde(p_l), its inverse, the prefactor, rtilde^l(p_l)
 and the trace inverse re-derived one pole at a time; the package reads them
 from one per-pole table (`reconstruct.pole_table`) built with array
-expressions and lifts traces with `eigenbasis.trace_right_inverse`.
+expressions.
+
+The residues of the truth: `oracle_residues` builds them through the table's
+one formula (`PoleTable.residues`) and feeds the paper's constructive formula
+(`recover_coefficients_loop`).  `residue_term` inverts that formula, lifting
+traces with `eigenbasis.trace_right_inverse`: it is the residue path to the
+observation-side image norm, which the package reads off the coefficient pair
+and its model residues (`norms.yobs_terms`).
+
+The analytic interpolant: `interp_periodic` and the source transforms
+`psi_tilde`/`psi_sq_tilde` contract the package's kernels
+(`sources.interp_kernels`), and `interp_periodic_scalar` re-derives them one
+point at a time.
 
 The residue fit: per-mode amplitudes C_l(x) fitted at each trace point on the
 modes that have a pole, then turned into residues (`fit_residues_loop`); the
@@ -46,7 +58,7 @@ recursion of the resonant nonlinear setting, the Robin eigenvalues without
 eigenfunctions, the reference state's spectral coefficients, the
 amplification bound J_m^chi with its uniform constant (criterion 4), the real
 time synthesis of harmonic coefficients, and the pole asymptotic's
-`NonOscillatoryError`.
+`NonOscillatoryError` and the selection's `PoleSelectionError`.
 """
 
 from __future__ import annotations
@@ -58,9 +70,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from harmtomo.eigenbasis import (EigenBasis, _interval_wavenumbers, _secular, project,
-                                 synthesize)
-from harmtomo.errors import (HarmtomoError, IllConditionedFitError, PoleSelectionError,
-                             SpectrumError, VanishingDivisorError)
+                                 synthesize, trace_right_inverse)
+from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumError,
+                             VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
 from harmtomo.norms import _lam_weight, _pole_weight, x_norm
@@ -69,10 +81,11 @@ from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, bu
 from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _rate_core, add_noise,
                                check_schedule, compute_cbar, compute_ctilde, tau_grid,
                                time_derivative_norm)
-from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
-                                  ReconstructionResult, linearized_forward, reconstruct)
-from harmtomo.sources import (ReferenceState, SourcePair, _period_kernel, evaluate_mtilde,
-                              invert_mtilde)
+from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput, PoleTable,
+                                  ReconstructionResult, linearized_forward, pole_table,
+                                  reconstruct)
+from harmtomo.sources import (ReferenceState, SourcePair, _contract_kernels, _period_kernel,
+                              evaluate_mtilde, interp_kernels, invert_mtilde)
 
 
 def synthesize_time(u, omega: float, t) -> np.ndarray:
@@ -165,6 +178,25 @@ def interp_periodic_scalar(hat, dc: float, o: complex, omega: float, T: float):
     return common * val / T
 
 
+def interp_periodic(hat, dc: float, o, omega: float, T: float):
+    """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
+    positive harmonics `hat` and mean `dc`, analytic in o.
+
+    hat may carry leading dimensions (the last axis indexes harmonics) and o
+    may be an array; the result has shape hat.shape[:-1] + o.shape.
+    """
+    hat = np.asarray(hat, dtype=complex)
+    return _contract_kernels(hat, dc, *interp_kernels(o, hat.shape[-1], omega, T))
+
+
+def psi_tilde(sp: SourcePair, o, params: ModelParams):
+    return interp_periodic(sp.psi1.psi_hat, 0.0, o, params.omega, params.T)
+
+
+def psi_sq_tilde(sp: SourcePair, o, params: ModelParams):
+    return interp_periodic(sp.psi_sq_hat, sp.psi_sq_dc, o, params.omega, params.T)
+
+
 def field_interp_at(rhat, o: complex, params: ModelParams) -> np.ndarray:
     """Analytic interpolant rtilde^j(o) = (2/T) integral r^j(t) exp(-o t) dt
     of the per-mode model residues, from their harmonic coefficients."""
@@ -189,6 +221,22 @@ def _residue_prefactor(p: complex, params: ModelParams) -> complex:
     """-p^2 / (Theta(p) Psi'(p)), the reciprocal slope of the characteristic
     denominator at a simple pole."""
     return -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
+
+
+def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
+    """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
+    admissible mode: (..., n_ok, 2)."""
+    res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
+    v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
+    lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
+    return (-1.0 / table.pref)[:, None] * lifted
+
+
+def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
+                    basis: EigenBasis, params: ModelParams) -> np.ndarray:
+    """Exact residues of the data continuation from the known truth, which
+    those of the recovered coefficients reproduce on noiseless data."""
+    return pole_table(pole_set, sp, params).residues(rhat, lin.a, basis)
 
 
 def oracle_residues_loop(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
@@ -519,6 +567,14 @@ class NonOscillatoryError(HarmtomoError):
     """Closed-form pole asymptotic requested outside the oscillatory regime."""
 
 
+class PoleSelectionError(HarmtomoError):
+    """No admissible upper half-plane pole exists for an eigenvalue."""
+
+    def __init__(self, lam, message=None):
+        self.lam = lam
+        super().__init__(message or f"no root with positive imaginary part for lambda={lam!r}")
+
+
 def pole_asymptotic(lam: float, params: ModelParams) -> complex:
     """Two-term closed-form estimate -alpha/tau + sqrt(-(beta/tau) lam
     + 2 alpha/(tau beta) + alpha^2/tau^2), upper half-plane branch."""
@@ -554,7 +610,7 @@ def select_pole(roots, lam: float, params: ModelParams) -> complex:
     return complex(upper[np.argmin(np.abs(upper - target))])
 
 
-def build_pole_set_loop(lambdas, params: ModelParams, strict: bool = False) -> PoleSet:
+def build_pole_set_loop(lambdas, params: ModelParams) -> PoleSet:
     """The pole set, selecting one eigenvalue at a time with `select_pole`."""
     lambdas = np.asarray(lambdas, dtype=float)
     L = lambdas.size
@@ -573,8 +629,7 @@ def build_pole_set_loop(lambdas, params: ModelParams, strict: bool = False) -> P
             poles[i] = select_pole(roots[i], lam, params)
             ok[i] = True
         except PoleSelectionError:
-            if strict:
-                raise
+            pass
     return PoleSet(lambdas=lambdas, poles=poles, roots=allroots, asymptotic=asym, ok=ok)
 
 
@@ -614,9 +669,9 @@ class TauConstants:
 
     @classmethod
     def at(cls, tau: float, sigma0: float, beta: float, T: float, T0: float,
-           orti_check: float, C0: float = 1.0, C1: float = 1.0) -> "TauConstants":
-        cbar = compute_cbar(tau, sigma0, beta, T, T0, orti_check, C0)
-        ctilde = compute_ctilde(tau, sigma0, beta, T, T0, orti_check, C1)
+           orti_check: float) -> "TauConstants":
+        cbar = compute_cbar(tau, sigma0, beta, T, T0, orti_check)
+        ctilde = compute_ctilde(tau, sigma0, beta, T, T0, orti_check)
         return cls(tau=tau, alpha=(sigma0 * beta - tau) / (2.0 * beta),
                    cbar=cbar, ctilde=ctilde, radius=1.0 / (2.0 * max(1.0, cbar)))
 

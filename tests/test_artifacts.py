@@ -176,8 +176,7 @@ def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
 
 
 def test_stability_probe_calls_each_stage_once(tmp_path, monkeypatch):
-    stages = ("make_true_fields", "linearized_forward", "oracle_residues", "x_norm", "yobs_norm",
-              "ymod_norm")
+    stages = ("make_true_fields", "linearized_forward", "x_norm", "yobs_norm", "ymod_norm")
     seen = {name: _record(monkeypatch, runner, name) for name in stages}
     out, _ = run_scenario(tmp_path, small_scenario("stability-probe", M=24, draws=7))
     assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(stages, 1)

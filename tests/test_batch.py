@@ -8,11 +8,10 @@ import pytest
 
 from harmtomo.norms import _image_terms, x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
 from harmtomo.reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
-                                  oracle_residues, pole_table, residue_term,
-                                  solve_states_from_coeffs)
+                                  pole_table, solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
-from oracles import recover_coefficients_loop
+from oracles import oracle_residues, recover_coefficients_loop, residue_term
 
 B = 5
 TOL = 1e-13
@@ -123,8 +122,6 @@ def test_norms_and_terms(bundle, spec_std):
     lins, lin = _draws(b, 64)
     one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
-    res = oracle_residues(lin, data.rhat, *_pole_args(b))
-    res_one = [oracle_residues(v, d.rhat, *_pole_args(b)) for v, d in zip(lins, one)]
     lam, omega = b["basis"].lambdas, b["params"].omega
     rng = np.random.default_rng(65)
     q = rng.standard_normal((B, b["basis"].J, 2)) + 1j * rng.standard_normal((B, b["basis"].J, 2))
@@ -138,14 +135,14 @@ def test_norms_and_terms(bundle, spec_std):
          [x_norm(v.a, v.du, lam, omega, spec_std) for v in lins]),
         (ymod_norm(data.rhat, spec_std, *_args(b)),
          [ymod_norm(d.rhat, spec_std, *_args(b)) for d in one]),
-        (yobs_norm(res, spec_std, *_args(b), M=b["M"]),
-         [yobs_norm(r, spec_std, *_args(b), M=b["M"]) for r in res_one]),
+        (yobs_norm(lin.a, data.rhat, spec_std, *_args(b)),
+         [yobs_norm(v.a, d.rhat, spec_std, *_args(b)) for v, d in zip(lins, one)]),
         (np.stack(ymod_terms(data.rhat, spec_std, *_args(b)), axis=-1),
          [ymod_terms(d.rhat, spec_std, *_args(b)) for d in one]),
         (np.stack(image_terms(q, data.rhat), axis=-1),
          [image_terms(qk, d.rhat) for d, qk in zip(one, q)]),
-        (np.stack(yobs_terms(res, spec_std, *_args(b)), axis=-1),
-         [yobs_terms(r, spec_std, *_args(b)) for r in res_one]),
+        (np.stack(yobs_terms(lin.a, data.rhat, spec_std, *_args(b)), axis=-1),
+         [yobs_terms(v.a, d.rhat, spec_std, *_args(b)) for v, d in zip(lins, one)]),
     ]
     for new, old in cases:
         assert new.shape[0] == B
@@ -166,7 +163,7 @@ def test_two_batch_axes(setup_small, spec_std):
     assert a.shape == (2, B, b["basis"].J, 2)
     assert np.max(np.abs(a - grid.a)) <= 1e-10
     assert _rel(res[1], -oracle_residues(lin, flat.rhat, *_pole_args(b))) <= TOL
-    yo = yobs_norm(res, spec_std, *_args(b), M=b["M"])
+    yo = yobs_norm(grid.a, data.rhat, spec_std, *_args(b))
     ym = ymod_norm(data.rhat, spec_std, *_args(b))
     xv = x_norm(grid.a, grid.du, b["basis"].lambdas, b["params"].omega, spec_std)
     assert yo.shape == ym.shape == xv.shape == (2, B)
@@ -183,7 +180,8 @@ def test_single_and_empty_batch(setup_small, spec_std, draws):
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     assert res.shape == (draws, J, 2, b["basis"].nsigma)
     for v in (x_norm(lin.a, lin.du, b["basis"].lambdas, b["params"].omega, spec_std),
-              yobs_norm(res, spec_std, *_args(b), M=M), ymod_norm(data.rhat, spec_std, *_args(b))):
+              yobs_norm(lin.a, data.rhat, spec_std, *_args(b)),
+              ymod_norm(data.rhat, spec_std, *_args(b))):
         assert isinstance(v, np.ndarray) and v.shape == (draws,)
 
 

@@ -4,7 +4,7 @@ import pytest
 from harmtomo import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
 from harmtomo.norms import _image_terms, _lam_weight, yobs_terms
-from harmtomo.reconstruct import linearized_forward, oracle_residues
+from harmtomo.reconstruct import linearized_forward, pole_table
 from conftest import random_linearized
 from oracles import j_bound, j_bound_constant, synthesize_time
 
@@ -103,9 +103,10 @@ class TestImageNorms:
     def test_zero(self, setup_small, spec_std):
         s = setup_small
         zero_r = np.zeros((2, s["M"], s["basis"].J), dtype=complex)
-        zero_res = np.zeros((s["basis"].J, 2, 1), dtype=complex)
+        zero_a = np.zeros((s["basis"].J, 2))
         assert ymod_norm(zero_r, spec_std, s["sp"], s["poles"], s["basis"], s["params"]) == 0.0
-        assert yobs_norm(zero_res, spec_std, s["sp"], s["poles"], s["basis"], s["params"]) == 0.0
+        assert yobs_norm(zero_a, zero_r, spec_std, s["sp"], s["poles"], s["basis"],
+                         s["params"]) == 0.0
 
     def test_linearized_stability_proposition(self, setup_small, spec_std):
         # unit-bound stability: X <= Yobs + Ymod on random draws
@@ -114,9 +115,9 @@ class TestImageNorms:
         for k in range(100):
             lin = random_linearized(s["basis"], s["M"], 1000 + k, decay=False)
             data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-            res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
             xv = x_norm(lin.a, lin.du, s["basis"].lambdas, s["params"].omega, spec_std)
-            yv = (yobs_norm(res, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"])
+            yv = (yobs_norm(lin.a, data.rhat, spec_std, s["sp"], s["poles"], s["basis"],
+                            s["params"])
                   + ymod_norm(data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"]))
             min_slack = min(min_slack, yv - xv)
         assert min_slack >= -1e-10
@@ -139,9 +140,9 @@ class TestImageNorms:
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 6)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-        res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        y1 = yobs_norm(res, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"])
-        y2 = yobs_norm(2.0 * res, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"])
+        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
+        y1 = yobs_norm(lin.a, data.rhat, *args)
+        y2 = yobs_norm(2.0 * lin.a, 2.0 * data.rhat, *args)
         assert y2 == pytest.approx(2.0 * y1, rel=1e-12)
         m1 = ymod_norm(data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
         m2 = ymod_norm(3.0 * data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
@@ -153,12 +154,15 @@ class TestImageNorms:
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 7)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-        res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        t1, t2 = yobs_terms(res, *args, M=0)
-        full1, full2 = yobs_terms(res, *args)
+        t = pole_table(s["poles"], s["sp"], s["params"])
+        q = lin.a[t.ok] - t.model_term_ok(data.rhat[..., t.ok])
+        args = (spec_std, s["sp"], s["basis"], s["params"])
+        t1, t2 = _image_terms(q, 0.0, t.ok, 0, *args)
+        full1, full2 = _image_terms(q, 0.0, t.ok, s["M"], *args)
         assert t1 == 0.0 and full1 > 0.0
         assert t2 == full2 > 0.0
+        assert (full1, full2) == yobs_terms(lin.a, data.rhat, spec_std, s["sp"], s["poles"],
+                                            s["basis"], s["params"])
 
 
 class TestYtilde:
@@ -208,8 +212,7 @@ class TestYtilde:
             for k in range(10):
                 lin = random_linearized(s["basis"], s["M"], 3000 + k)
                 data = linearized_forward(s["ref"], params, s["basis"], lin)
-                res = oracle_residues(lin, data.rhat, poles, s["sp"], s["basis"], params)
-                yo = yobs_norm(res, spec_std, s["sp"], poles, s["basis"], params, M=s["M"])
+                yo = yobs_norm(lin.a, data.rhat, spec_std, s["sp"], poles, s["basis"], params)
                 yt = ytilde_obs_norm(data.phat, s["basis"], spec_std.s, params.omega)
                 worst = max(worst, yo / yt)
             fitted.append(worst)
@@ -283,7 +286,7 @@ def test_image_norm_triangle_inequalities(setup_small, spec_std):
     s = setup_small
     rng = np.random.default_rng(11)
     shape_r = (2, s["M"], s["basis"].J)
-    shape_res = (s["basis"].J, 2, s["basis"].nsigma)
+    shape_a = (s["basis"].J, 2)
     for _ in range(10):
         r1 = rng.standard_normal(shape_r) + 1j * rng.standard_normal(shape_r)
         r2 = rng.standard_normal(shape_r) + 1j * rng.standard_normal(shape_r)
@@ -291,11 +294,11 @@ def test_image_norm_triangle_inequalities(setup_small, spec_std):
         rhs = (ymod_norm(r1, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
                + ymod_norm(r2, spec_std, s["sp"], s["poles"], s["basis"], s["params"]))
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
-        q1 = rng.standard_normal(shape_res) + 1j * rng.standard_normal(shape_res)
-        q2 = rng.standard_normal(shape_res) + 1j * rng.standard_normal(shape_res)
-        lhs = yobs_norm(q1 + q2, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"])
-        rhs = (yobs_norm(q1, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"])
-               + yobs_norm(q2, spec_std, s["sp"], s["poles"], s["basis"], s["params"], M=s["M"]))
+        a1 = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        a2 = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
+        lhs = yobs_norm(a1 + a2, r1 + r2, *args)
+        rhs = yobs_norm(a1, r1, *args) + yobs_norm(a2, r2, *args)
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
         p1 = rng.standard_normal((2, 6, s["basis"].nsigma)) + 1j * rng.standard_normal((2, 6, s["basis"].nsigma))
         p2 = rng.standard_normal((2, 6, s["basis"].nsigma)) + 1j * rng.standard_normal((2, 6, s["basis"].nsigma))

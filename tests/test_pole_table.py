@@ -6,13 +6,13 @@ import pytest
 from harmtomo import build_pole_set, invert_mtilde
 from harmtomo.errors import SingularInterpolantError
 from harmtomo.norms import _image_terms, yobs_terms, ymod_terms
-from harmtomo.reconstruct import (linearized_forward, oracle_residues, pole_table, reconstruct,
-                                  residue_term)
+from harmtomo.reconstruct import LinearizedInput, linearized_forward, pole_table, reconstruct
 from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
-from harmtomo.sources import interp_kernels, interp_periodic, psi_sq_tilde, psi_tilde
+from harmtomo.sources import interp_kernels
 from conftest import SCENARIOS, random_linearized
-from oracles import (fit_residues_loop, interp_periodic_scalar, oracle_residues_loop,
-                     recover_coefficients_loop, yobs_terms_loop, ymod_terms_loop)
+from oracles import (fit_residues_loop, interp_periodic, interp_periodic_scalar, oracle_residues,
+                     oracle_residues_loop, psi_sq_tilde, psi_tilde, recover_coefficients_loop,
+                     residue_term, yobs_terms_loop, ymod_terms_loop)
 
 TOL = 1e-13
 FIT_ORACLE_TOL = 1e-10  # fit/oracle residues at tau 0.05, where the fit's cond is ~5e6
@@ -85,7 +85,7 @@ def test_image_norm_terms_match_loop(bundle, spec_std):
     res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
     for new, old in ((ymod_terms(data.rhat, spec_std, *_args(b)),
                       ymod_terms_loop(data.rhat, spec_std, *_args(b))),
-                     (yobs_terms(res, spec_std, *_args(b), M=b["M"]),
+                     (yobs_terms(lin.a, data.rhat, spec_std, *_args(b)),
                       yobs_terms_loop(res, spec_std, *_args(b), M=b["M"]))):
         assert _rel(new, old) <= TOL
     rng = np.random.default_rng(55)
@@ -97,6 +97,30 @@ def test_image_norm_terms_match_loop(bundle, spec_std):
     old = ymod_terms_loop(data.rhat, spec_std, *_args(b),
                           pole_values={int(ell): q[ell] for ell in ok})
     assert _rel(new, old) <= TOL
+
+
+def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
+    # Yobs reads q_l = a^l - Mtilde(p_l)^(-1) rtilde^l(p_l) off the pair; the
+    # residue path builds the truth's residues and inverts their formula.  At
+    # tau 0.05 mode 2 has no pole, and its residues are zero.
+    b = bundle
+    lins = [random_linearized(b["basis"], b["M"], 58 + k) for k in range(3)]
+    lin = LinearizedInput(*(np.stack([getattr(v, f) for v in lins])
+                            for f in ("a_sigma", "a_eta", "du")))
+    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    new = np.stack(yobs_terms(lin.a, data.rhat, spec_std, *_args(b)), axis=-1)
+    path = _image_terms(residue_term(oracle_residues(lin, data.rhat, b["poles"], b["sp"],
+                                                     b["basis"], b["params"]), t, b["basis"]),
+                        0.0, t.ok, b["M"], spec_std, b["sp"], b["basis"], b["params"])
+    assert new.shape == (3, 2) and _rel(new, np.stack(path, axis=-1)) <= TOL
+    for k, v in enumerate(lins):
+        d = linearized_forward(b["ref"], b["params"], b["basis"], v)
+        one = yobs_terms(v.a, d.rhat, spec_std, *_args(b))
+        res = oracle_residues_loop(v, d.rhat, b["poles"], b["sp"], b["basis"], b["params"])
+        assert all(isinstance(x, float) for x in one)
+        assert _rel(one, yobs_terms_loop(res, spec_std, *_args(b), M=b["M"])) <= TOL
+        assert _rel(new[k], one) <= TOL
 
 
 def test_interp_kernels_match_scalar_branches(setup_small):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from harmtomo import build_pole_set, characteristic_roots, verify_bounds
-from harmtomo.errors import PoleSelectionError
 from harmtomo.fields import ModelParams
 from harmtomo.poles import big_theta, vartheta
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import (NonOscillatoryError, build_pole_set_loop, interval_eigenvalues,
-                     pole_asymptotic, select_pole)
+from oracles import (NonOscillatoryError, PoleSelectionError, build_pole_set_loop,
+                     interval_eigenvalues, pole_asymptotic, select_pole)
 
 
 def psi_transfer(o, params):
@@ -97,15 +96,6 @@ class TestStackedRoots:
             got, ref = build_pole_set(lams, p), build_pole_set_loop(lams, p)
             for name in ("poles", "asymptotic", "ok", "roots"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
-            if ref.ok.all():
-                strict = build_pole_set(lams, p, strict=True)
-                assert np.array_equal(strict.poles, ref.poles)
-                continue
-            with pytest.raises(PoleSelectionError) as err:
-                build_pole_set(lams, p, strict=True)
-            with pytest.raises(PoleSelectionError) as err_ref:
-                build_pole_set_loop(lams, p, strict=True)
-            assert str(err.value) == str(err_ref.value)
 
     @pytest.mark.parametrize("tau", [0.5, 0.0])
     def test_pole_set_stores_the_roots(self, tau):

@@ -322,29 +322,36 @@ class TestSweep:
         basis, _, params, ref, truth = sweep_setup(0.0)
         with pytest.raises(TheoremHypothesisError, match="orti_check < 1"):
             run_sweep(basis, ref, params, NormSpec(s=1.0, orti_check=1.0), truth, [1e-2],
-                      tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5, calibration=1.0)
+                      tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5)
 
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
         import harmtomo.quasirev as qr
 
         basis, spec, params, ref, truth = sweep_setup(0.0)
+        fit = qr.fit_coefficients
 
-        def ill_conditioned(*args, **kwargs):
-            raise IllConditionedFitError(3e12)
+        def after_pilot(exc):
+            # the pilot level's fit runs, every row's fit raises exc
+            calls = []
 
-        monkeypatch.setattr(qr, "fit_coefficients", ill_conditioned)
+            def patched(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    return fit(*args, **kwargs)
+                raise exc
+            return patched
+
+        monkeypatch.setattr(qr, "fit_coefficients", after_pilot(IllConditionedFitError(3e12)))
         rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
-                         tau_min=0.1, tau_max=0.5, calibration=1.0)
+                         tau_min=0.1, tau_max=0.5)
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
         assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
 
-        def bug(*args, **kwargs):
-            raise KeyError("not a numerical failure")
-
-        monkeypatch.setattr(qr, "fit_coefficients", bug)
+        monkeypatch.setattr(qr, "fit_coefficients",
+                            after_pilot(KeyError("not a numerical failure")))
         with pytest.raises(KeyError):
             run_sweep(basis, ref, params, spec, truth, [1e-2], tau0=0.0, seed=5,
-                      tau_min=0.1, tau_max=0.5, calibration=1.0)
+                      tau_min=0.1, tau_max=0.5)
 
 
 def test_time_derivative_norm(basis8, spec_std):

@@ -11,10 +11,10 @@ from harmtomo.errors import HarmtomoError, IllConditionedFitError, ResonanceErro
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
-                                  fit_coefficients, linearized_forward, oracle_residues)
+                                  fit_coefficients, linearized_forward)
 from harmtomo.scenarios import scenario_hash
 from conftest import random_linearized, run_scenario, small_scenario
-from oracles import recover_coefficients_loop, recover_states
+from oracles import oracle_residues, recover_coefficients_loop, recover_states
 
 GOLDEN = (1 + 5**0.5) / 2
 

@@ -138,6 +138,39 @@ class TestValidate:
         assert run_err == validate_err
         assert "Traceback" not in run_err
 
+    @pytest.mark.parametrize("text, message", [
+        ({"seed": "x"}, "seed 'x' must be an integer"),
+        ({"seed": 1.7}, "seed 1.7 must be an integer"),
+        ({"truncation": 5}, "truncation must be a JSON object, not int"),
+        ({"truncation.J": 8.5}, "truncation.J 8.5 must be an integer"),
+        ({"truncation.J": True}, "truncation.J True must be an integer"),
+        ({"truncation.M": "24"}, "truncation.M '24' must be an integer"),
+        ({"params": 5}, "params must be a JSON object, not int"),
+        ({"source": [1]}, "source must be a JSON object, not list"),
+        ({"true_fields": 5}, "true_fields must be a JSON object, not int"),
+        ({"noise": "x"}, "noise must be a JSON object, not str"),
+        ({"quasirev": 5}, "quasirev must be a JSON object, not int"),
+        ("[1, 2]", "scenario must be a JSON object, not list"),
+        ('{"name": ', "scenario file is not valid JSON"),
+    ], ids=["seed-str", "seed-fraction", "truncation-int", "J-fraction", "J-bool", "M-str",
+            "params-int", "source-list", "true_fields-int", "noise-str", "quasirev-int",
+            "top-level-list", "not-json"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text, message):
+        # a file the loader cannot read as a scenario fails both commands the
+        # same typed way, before any rule is checked
+        if isinstance(text, dict):
+            bad = _write_variant(tmp_path, ROUNDTRIP, **text)
+        else:
+            bad = tmp_path / "scenario.json"
+            bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        run_err = capsys.readouterr().err
+        assert message in validate_err
+        assert run_err == validate_err
+        assert "Traceback" not in run_err
+
 
 class TestRun:
     def test_roundtrip_preset(self, tmp_path):

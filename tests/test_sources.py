@@ -6,8 +6,7 @@ from harmtomo.errors import (HarmtomoError, PulseSupportError, ReferenceProfileE
                              SingularInterpolantError)
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
-from harmtomo.sources import psi_sq_tilde, psi_tilde
-from oracles import psi_recursion, reference_coeffs, synthesize_time
+from oracles import psi_recursion, psi_sq_tilde, psi_tilde, reference_coeffs, synthesize_time
 
 
 def time_samples(pulse, p):
