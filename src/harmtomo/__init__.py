@@ -12,8 +12,7 @@ from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
                           assemble_fields, linearized_forward, reconstruct,
                           solve_states_from_coeffs)
 from .sources import (PulseSpec, ReferenceState, SourcePair, amplitude_modulate,
-                      build_reference_state, design_delta_pulse, evaluate_mtilde,
-                      invert_mtilde)
+                      build_reference_state, design_delta_pulse, invert_mtilde)
 from .norms import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from .quasirev import (NoisyData, add_noise, choose_tau, compute_cbar, compute_ctilde,
                        run_sweep, smooth_data)

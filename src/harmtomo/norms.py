@@ -14,14 +14,16 @@ return one value per draw: a float without batch axes, an array with them.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .eigenbasis import EigenBasis, trace_right_inverse
 from .fields import ModelParams, NormSpec
 from .forward import _nonresonant_symbols
 from .poles import PoleSet
-from .reconstruct import pole_table
-from .sources import SourcePair
+from .sources import SourcePair, interp_kernels, invert_mtilde, mtilde_from_kernels
 
 
 def rho_t(x, T: float):
@@ -82,6 +84,62 @@ def _pole_weight(params: ModelParams, lambdas, M: int, spec: NormSpec) -> np.nda
     mw = (np.arange(1, M + 1) * params.omega) ** (2.0 * spec.orti_check)
     lw = _lam_weight(lambdas, spec.s_check)
     return mw[:, None] * lw[None, :] / np.abs(sym) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class PoleTable:
+    """The data-independent algebra of the image norms at every admissible
+    pole, stacked along the leading axis in the order of `ok`.
+
+    The interpolation kernels turn rtilde^l(p_l) for every mode into one
+    contraction over harmonics (see `rtilde_ok`).  Arrays are read-only: one
+    table is shared by every consumer of the same pole set.
+    """
+
+    ok: np.ndarray      # (n_ok,) indices of the modes with an admissible pole
+    p: np.ndarray       # (n_ok,) complex poles p_l
+    mt: np.ndarray      # (n_ok, 2, 2) Mtilde(p_l)
+    mt_inv: np.ndarray  # (n_ok, 2, 2) Mtilde(p_l)^(-1)
+    kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l
+    km: np.ndarray      # (n_ok, M) kernel of their conjugates
+    mt_cond: np.ndarray  # (n_ok,) condition numbers of Mtilde(p_l)
+
+    def rtilde_ok(self, r) -> np.ndarray:
+        """rtilde^l(p_l) = (2/T) integral r^l(t) exp(-p_l t) dt from the model
+        residues restricted to the admissible modes, r (..., 2, M, n_ok):
+        (..., n_ok, 2).
+
+        The conjugate harmonics enter as conj(r . conj(km)), equal elementwise
+        to conj(r) . km, so only the small result is conjugated."""
+        M = r.shape[-2]
+        return (np.einsum("...emk,km->...ke", r, self.kp[:, :M])
+                + np.conj(np.einsum("...emk,km->...ke", r, np.conj(self.km[:, :M]))))
+
+    def model_term_ok(self, r) -> np.ndarray:
+        """Mtilde(p_l)^(-1) rtilde^l(p_l) on each admissible mode from the model
+        residues restricted to the admissible modes, r (..., 2, M, n_ok):
+        (..., n_ok, 2)."""
+        return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde_ok(r))
+
+
+@functools.lru_cache(maxsize=8)
+def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
+    """Build the per-pole table once per (pole set, source pair, parameters).
+
+    Pole sets and source pairs compare by identity and parameters by value,
+    so repeated calls with the same objects return the same table.
+    """
+    ok = np.flatnonzero(pole_set.ok)
+    p = pole_set.poles[ok]
+    kp, km, k0 = interp_kernels(p, 2 * sp.M, params.omega, params.T)
+    mt = mtilde_from_kernels(sp, kp, km, k0)
+    # contiguous copies, so the einsums of rtilde_ok see the layout they always had
+    kp, km = np.ascontiguousarray(kp[:, :sp.M]), np.ascontiguousarray(km[:, :sp.M])
+    table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), kp=kp, km=km,
+                      mt_cond=np.linalg.cond(mt))
+    for arr in vars(table).values():
+        arr.setflags(write=False)
+    return table
 
 
 def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,

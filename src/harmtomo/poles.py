@@ -3,8 +3,8 @@
 For each eigenvalue lam the poles solve vartheta(p) + Theta(p) lam = 0 with
 vartheta(p) = tau p^3 + sigma0 p^2 and Theta(p) = beta p + 1, a cubic for
 tau > 0 and a quadratic in the strongly damped limit tau = 0.  One upper
-half-plane root per eigenvalue drives the residue reconstruction; its real
-part is confined to [-alpha/tau, 0].
+half-plane root per eigenvalue carries the pole-weighted image norms; its
+real part is confined to [-alpha/tau, 0].
 """
 
 from __future__ import annotations
@@ -17,27 +17,6 @@ from .errors import StabilityViolationError
 from .fields import ModelParams
 
 IMAG_SELECT_TOL = 1e-14
-
-
-def vartheta(o, params: ModelParams):
-    o = np.asarray(o, dtype=complex)
-    return params.tau * o**3 + params.sigma0 * o**2
-
-
-def big_theta(o, params: ModelParams):
-    o = np.asarray(o, dtype=complex)
-    return params.beta * o + 1.0
-
-
-def psi_transfer_prime(o, params: ModelParams):
-    """Closed-form derivative of the transfer Psi(o) = -vartheta(o)/Theta(o),
-    whose level sets Psi(p_l) = lam_l are the poles:
-    (vartheta Theta' - vartheta' Theta) / Theta^2."""
-    o = np.asarray(o, dtype=complex)
-    th = vartheta(o, params)
-    th_p = 3.0 * params.tau * o**2 + 2.0 * params.sigma0 * o
-    Th = big_theta(o, params)
-    return (th * params.beta - th_p * Th) / Th**2
 
 
 def characteristic_roots(lambdas, params: ModelParams) -> np.ndarray:
@@ -83,8 +62,8 @@ class PoleSet:
     """Selected poles over a batch of eigenvalues.
 
     ok marks eigenvalues that carry an admissible upper half-plane pole;
-    the others (for example lam = 0) are excluded from residue-based
-    reconstruction and from the pole-weighted norms.
+    the others (for example lam = 0) are excluded from the pole-weighted
+    norms.
     """
 
     lambdas: np.ndarray      # (L,)

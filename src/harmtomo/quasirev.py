@@ -21,8 +21,8 @@ from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import _per_draw, bochner_norm, rho_t, x_norm, ytilde_obs_norm
-from .reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
-                          ReferenceState, solve_states_from_coeffs)
+from .reconstruct import (LinearizedData, LinearizedInput, linearized_forward, reconstruct,
+                          ReferenceState)
 NOISE_SCALE_TOL = 1e-10
 DISCREPANCY_FACTOR = 2.0   # smoothing stops at a trace-fit residual of this times delta
 CALIBRATION_SAFETY = 3.0   # sweep bound = this times the pilot's error over its raw bound
@@ -296,7 +296,7 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     Data are generated by the linearized model at relaxation time tau0 (the
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
-    tau(delta) through `fit_coefficients` and `solve_states_from_coeffs`.
+    tau(delta) by `reconstruct`.
     Each row records the preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
     factor is fitted once on a pilot noise level and held fixed.  A schedule
@@ -306,17 +306,15 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
                    params0.T0, spec.orti_check)
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
-    sp = ref.source_pair
     deltas = sorted((float(d) for d in delta_list), reverse=True)
 
     def one(delta: float, noise_seed: int):
         tau = choose_tau(delta, tau0, params0.sigma0, params0.beta, params0.T,
                          params0.T0, spec.orti_check, tau_min, tau_max, ratio, tolerance)
         noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
-        params_tau = params0.with_tau(tau)
-        a, _ = fit_coefficients(noisy.phat_delta, data.rhat, sp, basis, params_tau)
-        b = solve_states_from_coeffs(a, data.rhat, params_tau, basis.lambdas, sp.mm)
-        err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
+        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta), ref, basis,
+                          params0.with_tau(tau))
+        err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
         cbar = compute_cbar(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
         ctil = compute_ctilde(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
         raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)

@@ -19,9 +19,9 @@ from . import quasirev
 from .eigenbasis import check_trace_ranks, synthesize
 from .fields import MaterialField
 from .forward import observe, solve_multiharmonic
-from .norms import x_norm, ymod_norm, yobs_norm
+from .norms import pole_table, x_norm, ymod_norm, yobs_norm
 from .poles import bound_slack, build_pole_set, verify_bounds
-from .reconstruct import linearized_forward, pole_table, reconstruct
+from .reconstruct import linearized_forward, reconstruct
 from .scenarios import (Scenario, forward_settings, make_basis, make_norm_spec,
                         make_params, make_reference, make_true_fields, min_symbol_magnitude,
                         noise_levels, quasirev_settings, scenario_hash, target_cutoff,
@@ -173,17 +173,12 @@ def _preset_linearized_roundtrip(sc, out, seed, shash):
     truth = make_true_fields(sc, basis, rng)
     data = linearized_forward(ref, params, basis, truth)
     pole_set = build_pole_set(basis.lambdas, params)
-    rec = reconstruct(data, ref, pole_set, basis, params)
+    rec = reconstruct(data, ref, basis, params)
     a_true, a_rec = np.real(truth.a), np.real(rec.a)
     write_table(os.path.join(out, "reconstruction.csv"),
-                ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
-                 "abs_err", "mtilde_cond", "ok"],
+                ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec", "abs_err", "ok"],
                 [np.arange(basis.J), a_true[:, 0], a_rec[:, 0], a_true[:, 1], a_rec[:, 1],
-                 np.max(np.abs(rec.a - truth.a), axis=1), rec.mtilde_cond, rec.ok.astype(int)],
-                shash)
-    ell, q, x = np.indices(rec.residues.shape)
-    write_table(os.path.join(out, "residues.csv"), ["ell", "channel", "point", "re", "im"],
-                [ell, q, x, rec.residues.real, rec.residues.imag], shash)
+                 np.max(np.abs(rec.a - truth.a), axis=1), pole_set.ok.astype(int)], shash)
     return {
         "max_rel_coeff_error": float(np.max(np.abs(rec.a - truth.a)))
         / max(float(np.max(np.abs(truth.a))), 1e-300),

@@ -78,14 +78,16 @@ def _object(value, what: str) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file.  A file that is not a JSON object with the
-    required keys, whose blocks are not objects, or whose seed, J or M is not
-    an integer raises ScenarioValidationError."""
-    with open(path) as f:
-        try:
+    """Parse a scenario file.  A path that cannot be read, a file that is not
+    a JSON object with the required keys, whose blocks are not objects, or
+    whose seed, J or M is not an integer raises ScenarioValidationError."""
+    try:
+        with open(path) as f:
             raw = json.load(f)
-        except ValueError as exc:  # not JSON, or not text at all
-            raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"]) from exc
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ScenarioValidationError([f"cannot read scenario file: {exc}"]) from exc
+    except ValueError as exc:  # not JSON, or not text at all
+        raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"]) from exc
     _object(raw, "scenario")
     try:
         trunc = _object(raw["truncation"], "truncation")

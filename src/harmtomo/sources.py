@@ -208,15 +208,6 @@ def _contract_kernels(hat, dc: float, kp, km, k0):
     return val[()]
 
 
-def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
-    """Mtilde(o) = [[psi~(o), psi^2~(o)], [A psi~(o), A^2 psi^2~(o)]], shape
-    o.shape + (2, 2).
-
-    Interpolates the source matrices: Mtilde(i m omega) = M_m exactly.
-    """
-    return mtilde_from_kernels(sp, *interp_kernels(o, 2 * sp.M, params.omega, params.T))
-
-
 def mtilde_from_kernels(sp: SourcePair, kp, km, k0) -> np.ndarray:
     """Mtilde from the interpolant kernels at 2M harmonics (`interp_kernels`):
     psi~ contracts their first M columns and psi^2~ all 2M, so one kernel
@@ -232,16 +223,20 @@ def mtilde_from_kernels(sp: SourcePair, kp, km, k0) -> np.ndarray:
 
 def invert_mtilde(mt) -> np.ndarray:
     """Cramer inverse of stacked 2x2 complex matrices (..., 2, 2), with a
-    determinant guard on every member of the stack."""
+    determinant guard on every member of the stack; a member whose entries or
+    determinant are not finite fails the guard as well."""
     mt = np.asarray(mt, dtype=complex)
     det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
     scale = np.max(np.abs(mt), axis=(-2, -1)) ** 2
-    singular = np.abs(det) <= MTILDE_SINGULAR_TOL * np.maximum(scale, 1e-300)
+    # not-above rather than at-most, so that a nan determinant fails the guard
+    singular = ~(np.abs(det) > MTILDE_SINGULAR_TOL * np.maximum(scale, 1e-300))
     if np.any(singular):
         i = np.unravel_index(int(np.argmax(singular)), singular.shape)
         where = f" at stack index {tuple(map(int, i))}" if i else ""
+        what = ("is numerically singular" if np.isfinite(det[i])
+                else "has non-finite entries or determinant")
         raise SingularInterpolantError(
-            f"Mtilde is numerically singular{where}: |det| = {np.abs(det[i]):.3e}, "
+            f"Mtilde {what}{where}: |det| = {np.abs(det[i]):.3e}, "
             f"entry scale {scale[i]:.3e}"
         )
     inv = np.empty_like(mt)

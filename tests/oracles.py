@@ -5,21 +5,28 @@ convention u(t) = Re(sum_m u_m exp(i m omega t)); the package computes the
 same quantities with one FFT kernel (`harmonic_product_time`).
 
 The residue algebra: Mtilde(p_l), its inverse, the prefactor, rtilde^l(p_l)
-and the trace inverse re-derived one pole at a time; the package reads them
-from one per-pole table (`reconstruct.pole_table`) built with array
-expressions.
+and the trace inverse re-derived one pole at a time; the package reads
+Mtilde(p_l), its inverse and rtilde^l(p_l) from one per-pole table
+(`norms.pole_table`) built with array expressions, and needs neither the
+prefactor nor the residues: the inversion fits the coefficient pairs without
+a pole, and the image norms read the pairs.
 
-The residues of the truth: `oracle_residues` builds them through the table's
-one formula (`PoleTable.residues`) and feeds the paper's constructive formula
-(`recover_coefficients_loop`).  `residue_term` inverts that formula, lifting
-traces with `eigenbasis.trace_right_inverse`: it is the residue path to the
+The residues of a coefficient pair: `residues_of` applies their one formula
+res_l = pref_l (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l) over the table, with
+the prefactor pref_l = -p^2/(Theta Psi')(p_l) of `_residue_prefactor` and the
+transfer pieces `vartheta`, `big_theta` and `psi_transfer_prime`.  Those of
+the truth (`oracle_residues`) feed the paper's constructive formula
+(`recover_coefficients_loop`); those of the fitted pairs must agree with them.
+`residue_term` inverts the formula, lifting traces with
+`eigenbasis.trace_right_inverse`: it is the residue path to the
 observation-side image norm, which the package reads off the coefficient pair
 and its model residues (`norms.yobs_terms`).
 
-The analytic interpolant: `interp_periodic` and the source transforms
-`psi_tilde`/`psi_sq_tilde` contract the package's kernels
-(`sources.interp_kernels`), and `interp_periodic_scalar` re-derives them one
-point at a time.
+The analytic interpolant: `interp_periodic`, the source transforms
+`psi_tilde`/`psi_sq_tilde` and the matrix `evaluate_mtilde` at any points
+contract the package's kernels (`sources.interp_kernels`,
+`sources.mtilde_from_kernels`), and `interp_periodic_scalar` re-derives them
+one point at a time.
 
 The residue fit: per-mode amplitudes C_l(x) fitted at each trace point on the
 modes that have a pole, then turned into residues (`fit_residues_loop`); the
@@ -45,11 +52,10 @@ the package's masked selection (`poles.build_pole_set`) must match exactly.
 
 The quasi-reversibility sweep: the relaxation-time constants at one tau with
 float `**` (`rate_constants_scalar`), the tau(delta) schedule scored one grid
-tau at a time (`choose_tau_loop`), and the sweep rows through the full
-`reconstruct` of a pole set per noise level (`sweep_rows_via_reconstruct`);
-the package evaluates the constants on arrays, scores the grid in one array
-pass and runs the fit and the state formula alone, and all must match these
-exactly.
+tau at a time (`choose_tau_loop`), and the sweep rows with the fit and the
+state formula written out per noise level (`sweep_rows_from_fit`); the
+package evaluates the constants on arrays, scores the grid in one array pass
+and inverts each row with `reconstruct`, and all must match these exactly.
 
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
@@ -75,17 +81,16 @@ from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumErro
                              VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
-from harmtomo.norms import _lam_weight, _pole_weight, x_norm
-from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, big_theta, bound_slack, build_pole_set,
-                            characteristic_roots, psi_transfer_prime, verify_bounds)
+from harmtomo.norms import PoleTable, _lam_weight, _pole_weight, pole_table, x_norm
+from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
+                            verify_bounds)
 from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _rate_core, add_noise,
                                check_schedule, compute_cbar, compute_ctilde, tau_grid,
                                time_derivative_norm)
-from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput, PoleTable,
-                                  ReconstructionResult, linearized_forward, pole_table,
-                                  reconstruct)
+from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedInput, ReconstructionResult,
+                                  fit_coefficients, linearized_forward, solve_states_from_coeffs)
 from harmtomo.sources import (ReferenceState, SourcePair, _contract_kernels, _period_kernel,
-                              evaluate_mtilde, interp_kernels, invert_mtilde)
+                              interp_kernels, invert_mtilde, mtilde_from_kernels)
 
 
 def synthesize_time(u, omega: float, t) -> np.ndarray:
@@ -189,6 +194,15 @@ def interp_periodic(hat, dc: float, o, omega: float, T: float):
     return _contract_kernels(hat, dc, *interp_kernels(o, hat.shape[-1], omega, T))
 
 
+def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
+    """Mtilde(o) = [[psi~(o), psi^2~(o)], [A psi~(o), A^2 psi^2~(o)]], shape
+    o.shape + (2, 2).
+
+    Interpolates the source matrices: Mtilde(i m omega) = M_m exactly.
+    """
+    return mtilde_from_kernels(sp, *interp_kernels(o, 2 * sp.M, params.omega, params.T))
+
+
 def psi_tilde(sp: SourcePair, o, params: ModelParams):
     return interp_periodic(sp.psi1.psi_hat, 0.0, o, params.omega, params.T)
 
@@ -217,26 +231,64 @@ def trace_inverse(v, basis: EigenBasis, ell: int):
     return (np.asarray(v) @ (w * row)) / denom
 
 
-def _residue_prefactor(p: complex, params: ModelParams) -> complex:
+def vartheta(o, params: ModelParams):
+    o = np.asarray(o, dtype=complex)
+    return params.tau * o**3 + params.sigma0 * o**2
+
+
+def big_theta(o, params: ModelParams):
+    o = np.asarray(o, dtype=complex)
+    return params.beta * o + 1.0
+
+
+def psi_transfer_prime(o, params: ModelParams):
+    """Closed-form derivative of the transfer Psi(o) = -vartheta(o)/Theta(o),
+    whose level sets Psi(p_l) = lam_l are the poles:
+    (vartheta Theta' - vartheta' Theta) / Theta^2."""
+    o = np.asarray(o, dtype=complex)
+    th = vartheta(o, params)
+    th_p = 3.0 * params.tau * o**2 + 2.0 * params.sigma0 * o
+    Th = big_theta(o, params)
+    return (th * params.beta - th_p * Th) / Th**2
+
+
+def _residue_prefactor(p, params: ModelParams):
     """-p^2 / (Theta(p) Psi'(p)), the reciprocal slope of the characteristic
     denominator at a simple pole."""
     return -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
 
 
-def residue_term(residues, table: PoleTable, basis: EigenBasis) -> np.ndarray:
+def residue_term(residues, table: PoleTable, basis: EigenBasis,
+                 params: ModelParams) -> np.ndarray:
     """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
     admissible mode: (..., n_ok, 2)."""
     res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
     v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
     lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
-    return (-1.0 / table.pref)[:, None] * lifted
+    return (-1.0 / _residue_prefactor(table.p, params))[:, None] * lifted
+
+
+def residues_of(a, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
+                params: ModelParams) -> np.ndarray:
+    """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)
+    of the coefficient pairs a (..., J, 2), true or recovered, with their model
+    residues rhat (..., 2, M, J), through the eigenspace-l trace data
+    C_l = a^l tr(phi_l): (..., J, 2, ns), zero off the admissible modes."""
+    t = pole_table(pole_set, sp, params)
+    rows = basis.trace_matrix[t.ok]
+    C = np.asarray(a)[..., t.ok, :, None] * rows[:, None, :]
+    rt = t.rtilde_ok(np.asarray(rhat, dtype=complex)[..., t.ok])
+    vec = rt[..., None] * rows[:, None, :] - np.einsum("kef,...kfx->...kex", t.mt, C)
+    res = np.zeros(vec.shape[:-3] + (basis.J, 2, basis.nsigma), dtype=complex)
+    res[..., t.ok, :, :] = _residue_prefactor(t.p, params)[:, None, None] * vec
+    return res
 
 
 def oracle_residues(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
                     basis: EigenBasis, params: ModelParams) -> np.ndarray:
     """Exact residues of the data continuation from the known truth, which
     those of the recovered coefficients reproduce on noiseless data."""
-    return pole_table(pole_set, sp, params).residues(rhat, lin.a, basis)
+    return residues_of(lin.a, rhat, pole_set, sp, basis, params)
 
 
 def oracle_residues_loop(lin: LinearizedInput, rhat, pole_set: PoleSet, sp: SourcePair,
@@ -477,13 +529,15 @@ def pole_table_csv(pole_set: PoleSet, params: ModelParams, path, scenario_hash: 
             w.writerow(row)
 
 
-def result_to_csv(result: ReconstructionResult, true_a, path, scenario_hash: str = "") -> None:
-    """Per-mode comparison of true and recovered coefficient pairs."""
+def result_to_csv(result: ReconstructionResult, true_a, ok, path,
+                  scenario_hash: str = "") -> None:
+    """Per-mode comparison of true and recovered coefficient pairs, with the
+    flags `ok` of the modes that have a pole."""
     true_a = np.asarray(true_a)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         header = ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec",
-                  "abs_err", "mtilde_cond", "ok"]
+                  "abs_err", "ok"]
         if scenario_hash:
             header.append("scenario_hash")
         w.writerow(header)
@@ -495,8 +549,7 @@ def result_to_csv(result: ReconstructionResult, true_a, path, scenario_hash: str
                    format(float(np.real(true_a[j, 1])), ".17g"),
                    format(float(np.real(result.a[j, 1])), ".17g"),
                    format(err, ".17g"),
-                   format(result.mtilde_cond[j], ".17g"),
-                   int(result.ok[j])]
+                   int(ok[j])]
             if scenario_hash:
                 row.append(scenario_hash)
             w.writerow(row)
@@ -786,13 +839,13 @@ def choose_tau_loop(delta: float, tau0: float, sigma0: float, beta: float, T: fl
     return float(grid[-1])
 
 
-def sweep_rows_via_reconstruct(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
-                               spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
-                               seed: int, tau_min: float, tau_max: float,
-                               ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
-    """`quasirev.run_sweep`'s rows with each noise level inverted by the full
-    `reconstruct` (pole set, pole table and residues) and its `a` and `b`
-    read back, under the same pilot calibration and noise seeds."""
+def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
+                        spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
+                        seed: int, tau_min: float, tau_max: float,
+                        ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
+    """`quasirev.run_sweep`'s rows with each noise level inverted by
+    `fit_coefficients` and `solve_states_from_coeffs` written out, under the
+    same pilot calibration and noise seeds."""
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
@@ -802,9 +855,10 @@ def sweep_rows_via_reconstruct(basis: EigenBasis, ref: ReferenceState, params0: 
         tau = choose_tau_loop(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
         noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta), ref,
-                          build_pole_set(basis.lambdas, params_tau), basis, params_tau)
-        err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
+        sp = ref.source_pair
+        a, _ = fit_coefficients(noisy.phat_delta, data.rhat, sp, basis, params_tau)
+        b = solve_states_from_coeffs(a, data.rhat, params_tau, basis.lambdas, sp.mm)
+        err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
         return tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil
 

@@ -20,7 +20,6 @@ from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
 from harmtomo.scenarios import make_basis, make_params, make_reference, scenario_hash
-from harmtomo.sources import evaluate_mtilde
 
 
 def _record(monkeypatch, owner, name):
@@ -59,13 +58,9 @@ def _forward_solve(sc, d, shash, seen):
 
 
 def _roundtrip(sc, d, shash, seen):
-    basis = seen["basis"][0][1]
     rec, truth = seen["reconstruct"][0][1], seen["truth"][0][1]
-    oracles.result_to_csv(rec, truth.a, d / "reconstruction.csv", scenario_hash=shash)
-    oracles.csv_rows(d / "residues.csv", ["ell", "channel", "point", "re", "im", "scenario_hash"],
-                     [[ell, q, x, float(rec.residues[ell, q, x].real),
-                       float(rec.residues[ell, q, x].imag), shash]
-                      for ell in range(basis.J) for q in range(2) for x in range(basis.nsigma)])
+    oracles.result_to_csv(rec, truth.a, seen["pole_set"][0][1].ok, d / "reconstruction.csv",
+                          scenario_hash=shash)
 
 
 def _stability_probe(sc, d, shash, seen):
@@ -195,7 +190,7 @@ def test_stability_manifest_pole_diagnostics(tmp_path, tau, poles_ok, missing):
     params, basis = make_params(sc), make_basis(sc)
     pole_set = build_pole_set(basis.lambdas, params)
     sp = make_reference(sc, basis, params).source_pair
-    cond = np.linalg.cond(evaluate_mtilde(sp, pole_set.poles[pole_set.ok], params))
+    cond = np.linalg.cond(oracles.evaluate_mtilde(sp, pole_set.poles[pole_set.ok], params))
     assert manifest["max_mtilde_cond"] == pytest.approx(float(np.max(cond)), rel=1e-12)
     again, _ = run_scenario(tmp_path, raw, name="again")
     for name in ("manifest.json", "stability.csv"):

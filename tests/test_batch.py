@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from harmtomo.norms import _image_terms, x_norm, yobs_norm, yobs_terms, ymod_norm, ymod_terms
+from harmtomo.norms import (_image_terms, pole_table, x_norm, yobs_norm, yobs_terms, ymod_norm,
+                           ymod_terms)
 from harmtomo.reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
-                                  pole_table, solve_states_from_coeffs)
+                                  solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
-from oracles import oracle_residues, recover_coefficients_loop, residue_term
+from oracles import oracle_residues, recover_coefficients_loop, residue_term, residues_of
 
 B = 5
 TOL = 1e-13
@@ -67,16 +68,17 @@ def test_pole_table_methods_and_residue_term(bundle):
     one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
     t = pole_table(b["poles"], b["sp"], b["params"])
-    for method in (t.rtilde, lambda r: t.model_term_ok(r[..., t.ok])):
+    for method in (lambda r: t.rtilde_ok(r[..., t.ok]), lambda r: t.model_term_ok(r[..., t.ok])):
         new = method(data.rhat)
         assert new.shape == (B, t.ok.size, 2)
         assert _rel(new, _stack(method, [(d.rhat,) for d in one])) <= TOL
-    assert _rel(t.residues(data.rhat, lin.a, b["basis"]),
-                _stack(lambda r, a: t.residues(r, a, b["basis"]),
+    assert _rel(residues_of(lin.a, data.rhat, *_pole_args(b)),
+                _stack(lambda r, a: residues_of(a, r, *_pole_args(b)),
                        [(d.rhat, v.a) for d, v in zip(one, lins)])) <= TOL
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
-    assert _rel(residue_term(res, t, b["basis"]),
-                _stack(lambda r: residue_term(r, t, b["basis"]), [(r,) for r in res])) <= TOL
+    assert _rel(residue_term(res, t, b["basis"], b["params"]),
+                _stack(lambda r: residue_term(r, t, b["basis"], b["params"]),
+                       [(r,) for r in res])) <= TOL
 
 
 def test_fit_coefficients_one_svd(bundle, monkeypatch):
@@ -102,7 +104,7 @@ def test_recover_coefficients_and_states(bundle):
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
     # the residue formula a^l = P_l + q_l from the table's batched terms
-    P, q = residue_term(res, t, b["basis"]), t.model_term_ok(data.rhat[..., t.ok])
+    P, q = residue_term(res, t, b["basis"], b["params"]), t.model_term_ok(data.rhat[..., t.ok])
     for k, d in enumerate(one):
         a_k, _ = recover_coefficients_loop(res[k], d.rhat, *_args(b))
         # the two terms cancel, so a agrees to their size

@@ -8,9 +8,8 @@ from harmtomo.fields import MaterialField, ModelParams
 import harmtomo.forward as fw
 from harmtomo.forward import (harmonic_product_time, model_residual, nonlinear_model,
                               symbols_matrix)
-from harmtomo.poles import big_theta, vartheta
 
-from oracles import (convolve_bm_all, convolve_bm_grid, convolve_bm_grid_loop, coupling_ref,
+from oracles import (big_theta, vartheta, convolve_bm_all, convolve_bm_grid, convolve_bm_grid_loop, coupling_ref,
                      harmonic_product_loop, nonlinear_model_ref, product_dc_loop,
                      solve_linear_harmonics, synthesize_time)
 

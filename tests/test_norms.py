@@ -3,8 +3,8 @@ import pytest
 
 from harmtomo import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
 from harmtomo.fields import ModelParams
-from harmtomo.norms import _image_terms, _lam_weight, yobs_terms
-from harmtomo.reconstruct import linearized_forward, pole_table
+from harmtomo.norms import _image_terms, _lam_weight, pole_table, yobs_terms
+from harmtomo.reconstruct import linearized_forward
 from conftest import random_linearized
 from oracles import j_bound, j_bound_constant, synthesize_time
 

@@ -3,10 +3,9 @@ import pytest
 
 from harmtomo import build_pole_set, characteristic_roots, verify_bounds
 from harmtomo.fields import ModelParams
-from harmtomo.poles import big_theta, vartheta
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import (NonOscillatoryError, PoleSelectionError, build_pole_set_loop,
+from oracles import (big_theta, vartheta, NonOscillatoryError, PoleSelectionError, build_pole_set_loop,
                      interval_eigenvalues, pole_asymptotic, select_pole)
 
 

@@ -11,7 +11,7 @@ from harmtomo.reconstruct import linearized_forward
 from harmtomo.scenarios import load_scenario, make_basis
 from conftest import SCENARIOS, random_linearized
 from oracles import (TauConstants, choose_tau_loop, rate_constants_scalar,
-                     sweep_rows_via_reconstruct)
+                     sweep_rows_from_fit)
 
 GOLDEN = (1 + 5**0.5) / 2
 T = 2 * np.pi
@@ -273,7 +273,6 @@ class TestSweep:
 
     def test_mismatch_proportional_to_tau_offset(self):
         # reconstruct exact tau0 data with slightly larger relaxation times
-        from harmtomo import build_pole_set
         from harmtomo.reconstruct import LinearizedData, reconstruct
         from harmtomo.norms import x_norm
 
@@ -282,9 +281,8 @@ class TestSweep:
         offsets = (0.0025, 0.005, 0.01)
         errs = []
         for d in offsets:
-            pt = params.with_tau(0.3 + d)
-            ps = build_pole_set(basis.lambdas, pt)
-            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), ref, ps, basis, pt)
+            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), ref, basis,
+                              params.with_tau(0.3 + d))
             errs.append(x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas,
                                params.omega, spec))
         slopes = np.array(errs) / np.array(offsets)
@@ -304,16 +302,17 @@ class TestSweep:
     @pytest.mark.parametrize("tau0, seed, deltas, tau_min", [
         (0.0, 101, [1e-2, 1e-3, 1e-4], 0.1), (0.0, 5, [1e-2, 1e-3, 1e-4], 0.1),
         (0.0, 7, [1e-2, 1e-3, 1e-4], 0.1), (0.3, 11, [0.0], 0.05)])
-    def test_rows_equal_full_reconstruct(self, tau0, seed, deltas, tau_min):
-        # a row runs the fit and the state formula alone; the full
-        # reconstruct of a pole set per noise level gives the same rows
+    def test_rows_equal_fit_and_state_formula(self, tau0, seed, deltas, tau_min):
+        # a row inverts its noisy data with reconstruct; the fit and the state
+        # formula written out, with the grid scored one tau at a time, give
+        # the same rows
         basis, spec, params, ref, truth = sweep_setup(tau0)
         args = (basis, ref, params, spec, truth, deltas)
         kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5)
         fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
-                    for r in sweep_rows_via_reconstruct(*args, **kw)]
+                    for r in sweep_rows_from_fit(*args, **kw)]
         assert len(rows) == len(deltas) and all(r[-1] == "ok" for r in rows)
         assert rows == expected
 
@@ -328,26 +327,26 @@ class TestSweep:
         import harmtomo.quasirev as qr
 
         basis, spec, params, ref, truth = sweep_setup(0.0)
-        fit = qr.fit_coefficients
+        invert = qr.reconstruct
 
         def after_pilot(exc):
-            # the pilot level's fit runs, every row's fit raises exc
+            # the pilot level's inversion runs, every row's raises exc
             calls = []
 
             def patched(*args, **kwargs):
                 calls.append(1)
                 if len(calls) == 1:
-                    return fit(*args, **kwargs)
+                    return invert(*args, **kwargs)
                 raise exc
             return patched
 
-        monkeypatch.setattr(qr, "fit_coefficients", after_pilot(IllConditionedFitError(3e12)))
+        monkeypatch.setattr(qr, "reconstruct", after_pilot(IllConditionedFitError(3e12)))
         rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
                          tau_min=0.1, tau_max=0.5)
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
         assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
 
-        monkeypatch.setattr(qr, "fit_coefficients",
+        monkeypatch.setattr(qr, "reconstruct",
                             after_pilot(KeyError("not a numerical failure")))
         with pytest.raises(KeyError):
             run_sweep(basis, ref, params, spec, truth, [1e-2], tau0=0.0, seed=5,

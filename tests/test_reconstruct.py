@@ -7,6 +7,7 @@ from harmtomo import (amplitude_modulate, assemble_fields, build_interval_basis,
                       build_pole_set, build_rectangle_basis, build_reference_state,
                       design_delta_pulse, solve_states_from_coeffs, trace_right_inverse,
                       reconstruct)
+from harmtomo.cli import main
 from harmtomo.errors import HarmtomoError, IllConditionedFitError, ResonanceError
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
@@ -14,7 +15,7 @@ from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInpu
                                   fit_coefficients, linearized_forward)
 from harmtomo.scenarios import scenario_hash
 from conftest import random_linearized, run_scenario, small_scenario
-from oracles import oracle_residues, recover_coefficients_loop, recover_states
+from oracles import oracle_residues, recover_coefficients_loop, recover_states, residues_of
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -113,8 +114,9 @@ class TestResidues:
         lin = random_linearized(s["basis"], s["M"], 7, decay=False)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
         res_o = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        rec = reconstruct(data, s["ref"], s["poles"], s["basis"], s["params"])
-        rel = np.max(np.abs(rec.residues - res_o)) / np.max(np.abs(res_o))
+        rec = reconstruct(data, s["ref"], s["basis"], s["params"])
+        res_fit = residues_of(rec.a, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
+        rel = np.max(np.abs(res_fit - res_o)) / np.max(np.abs(res_o))
         assert rel <= 1e-8
         assert np.isfinite(rec.fit_cond)
 
@@ -229,7 +231,7 @@ class TestRecovery:
         for level in (1e-6, 1e-4, 1e-2):
             noisy = data.phat + level * np.linalg.norm(data.phat) * direction
             rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy),
-                              s["ref"], s["poles"], s["basis"], s["params"])
+                              s["ref"], s["basis"], s["params"])
             errs.append(np.linalg.norm(rec.a - lin.a) / np.linalg.norm(lin.a))
         assert errs[0] < errs[1] < errs[2]
         # error grows continuously, about linearly in the noise level
@@ -302,22 +304,50 @@ def test_result_csv(tmp_path):
     assert lines[1].endswith(scenario_hash(sc))
 
 
+def _small_tau_probe(preset, tau, **top):
+    """The interval scenario at J = 8, M = 24, omega 0.5, T0 2 pi, width 0.08,
+    amplitude 3, seed 1, at relaxation time tau."""
+    raw = small_scenario(preset, M=24, seed=1, **top)
+    raw["params"].update(tau=tau, omega=0.5, T0=2 * np.pi)
+    raw["source"].update(pulse_width=0.08, amplitude=3.0)
+    return raw
+
+
 class TestFitSolve:
     """The fit solves the truncated system for every mode, pole or not."""
 
     @pytest.mark.parametrize("tau, poles_ok", [(0.5, 8), (0.1, 8), (0.05, 7), (0.02, 6),
                                                (0.0, 2)])
     def test_small_tau_round_trip(self, tmp_path, tau, poles_ok):
-        # the interval scenario at J = 8, M = 24, omega 0.5, T0 2 pi, width 0.08,
-        # amplitude 3, seed 1; below tau 0.1 some modes have no pole
-        raw = small_scenario("linearized-roundtrip", M=24, seed=1)
-        raw["params"].update(tau=tau, omega=0.5, T0=2 * np.pi)
-        raw["source"].update(pulse_width=0.08, amplitude=3.0)
-        out, sc = run_scenario(tmp_path, raw)
+        # below tau 0.1 some modes have no pole
+        out, sc = run_scenario(tmp_path, _small_tau_probe("linearized-roundtrip", tau))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["max_rel_coeff_error"] <= 1e-8
         assert manifest["poles_ok"] == poles_ok
         assert len(manifest["modes_without_pole"]) == sc.J - poles_ok
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [0.015, 0.012, 0.01, 0.008, 0.007, 0.006])
+    def test_round_trip_in_the_overflow_window(self, tmp_path, tau):
+        # the damped poles sit near Re p = -1/(2 tau), so anything evaluated at
+        # them carries exp(|Re p| T) past the float range; the round trip
+        # evaluates nothing at a pole and reaches the fit's own accuracy
+        out, _ = run_scenario(tmp_path, _small_tau_probe("linearized-roundtrip", tau))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["max_rel_coeff_error"] <= 10 * manifest["fit_cond"] * 2.2e-16
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [0.008, 0.007, 0.006])
+    def test_stability_probe_in_the_overflow_window_exits_3(self, tmp_path, capsys, tau):
+        # the image norms evaluate Mtilde at the poles, where its entries are
+        # not finite here; the probe stops with the typed error, not an
+        # untyped failure of the SVD
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(_small_tau_probe("stability-probe", tau, draws=5)))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Mtilde has non-finite entries or determinant" in err
+        assert "Traceback" not in err
 
     def test_rectangle_j32(self):
         basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 32,
@@ -328,7 +358,7 @@ class TestFitSolve:
         ref = build_reference_state(basis, 0, sp)
         lin = random_linearized(basis, M, 41)
         data = linearized_forward(ref, params, basis, lin)
-        rec = reconstruct(data, ref, build_pole_set(basis.lambdas, params), basis, params)
+        rec = reconstruct(data, ref, basis, params)
         assert np.max(np.abs(rec.a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
         assert rec.fit_cond <= 1e4
 

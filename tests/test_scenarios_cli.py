@@ -17,7 +17,8 @@ ROUNDTRIP = ROOT / "scenarios" / "interval_roundtrip.json"
 QR = ROOT / "scenarios" / "qr_sweep.json"
 SMOOTH = ROOT / "scenarios" / "smoothing_study.json"
 FORWARD = small_scenario("forward-solve")  # raw JSON: the round trip run as a forward solve
-MISSING = object()  # a variant value that deletes the key
+MISSING = object()  # a variant value that deletes the key; as a file, no file at the path
+DIRECTORY = object()  # as a file, a directory at the path
 
 
 def _write_variant(tmp_path, base, **updates):
@@ -152,16 +153,20 @@ class TestValidate:
         ({"quasirev": 5}, "quasirev must be a JSON object, not int"),
         ("[1, 2]", "scenario must be a JSON object, not list"),
         ('{"name": ', "scenario file is not valid JSON"),
+        (MISSING, "cannot read scenario file: [Errno 2] No such file or directory"),
+        (DIRECTORY, "cannot read scenario file: [Errno 21] Is a directory"),
     ], ids=["seed-str", "seed-fraction", "truncation-int", "J-fraction", "J-bool", "M-str",
             "params-int", "source-list", "true_fields-int", "noise-str", "quasirev-int",
-            "top-level-list", "not-json"])
+            "top-level-list", "not-json", "missing-path", "directory"])
     def test_malformed_file_exits_2(self, tmp_path, capsys, text, message):
-        # a file the loader cannot read as a scenario fails both commands the
-        # same typed way, before any rule is checked
+        # a path the loader cannot read as a scenario, a missing one included,
+        # fails both commands the same typed way, before any rule is checked
+        bad = tmp_path / "scenario.json"
         if isinstance(text, dict):
-            bad = _write_variant(tmp_path, ROUNDTRIP, **text)
-        else:
-            bad = tmp_path / "scenario.json"
+            _write_variant(tmp_path, ROUNDTRIP, **text)
+        elif text is DIRECTORY:
+            bad.mkdir()
+        elif text is not MISSING:
             bad.write_text(text)
         assert main(["validate", str(bad)]) == 2
         validate_err = capsys.readouterr().err
@@ -186,11 +191,15 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
 
     def test_determinism_byte_identical(self, tmp_path):
+        # every file either run writes, so an added or dropped artifact is covered
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(ROUNDTRIP), "--out", str(out1)]) == 0
         assert main(["run", str(ROUNDTRIP), "--out", str(out2)]) == 0
-        for name in ("reconstruction.csv", "residues.csv", "manifest.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert {"reconstruction.csv", "manifest.json"} <= set(names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

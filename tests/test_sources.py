@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, evaluate_mtilde, invert_mtilde, observe
+from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, invert_mtilde, observe
 from harmtomo.errors import (HarmtomoError, PulseSupportError, ReferenceProfileError,
                              SingularInterpolantError)
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
-from oracles import psi_recursion, psi_sq_tilde, psi_tilde, reference_coeffs, synthesize_time
+from oracles import evaluate_mtilde, psi_recursion, psi_sq_tilde, psi_tilde, reference_coeffs, synthesize_time
 
 
 def time_samples(pulse, p):
@@ -141,6 +141,16 @@ class TestInterpolant:
         assert np.max(np.abs(invert_mtilde(mt) @ mt - np.eye(2))) <= 1e-12
         with pytest.raises(SingularInterpolantError):
             invert_mtilde(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+
+    def test_guard_rejects_non_finite_members(self):
+        # a nan entry, and finite entries whose determinant overflows: the
+        # guard compares a nan determinant as failing, not as passing
+        ok = np.eye(2, dtype=complex)
+        for bad in ([[np.nan, 1.0], [1.0, 2.0]], [[1e200, 1e199], [2e200, -1e200]]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(SingularInterpolantError,
+                                   match=r"non-finite entries or determinant at stack index \(1,\)"):
+                    invert_mtilde(np.array([ok, bad], dtype=complex))
 
     def test_mtilde_inverse_pole_bound(self, setup_small):
         # fitted mu_ell obeys the closed-form lower bound; the pulse-centered
