@@ -10,6 +10,8 @@ and the trace restricted to each eigenspace is explicitly invertible.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,29 +57,33 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("domain lengths must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.lengths):
+            raise ValueError(f"domain lengths {self.lengths!r} must be finite and positive")
         if self.kind == "interval":
             if len(self.lengths) != 1 or len(self.robin_gamma) != 2:
                 raise ValueError("interval needs one length and two Robin coefficients")
-            if any(g < 0 for g in self.robin_gamma):
-                raise ValueError("Robin coefficients must be nonnegative")
+            gammas = self.robin_gamma
         else:
             if len(self.lengths) != 2:
                 raise ValueError("rectangle needs two lengths")
             gx, gy = self.robin_gamma
-            if any(g < 0 for g in gx) or any(g < 0 for g in gy):
-                raise ValueError("Robin coefficients must be nonnegative")
-            if commensurate(self.lengths[0] / self.lengths[1]):
-                raise ValueError(
-                    f"rectangle side ratio is commensurate (p/q with p,q <= {COMMENSURATE_QMAX}); "
-                    "the truncated spectrum would not be simple"
-                )
+            gammas = (*gx, *gy)
+        if not all(math.isfinite(g) and g >= 0 for g in gammas):
+            raise ValueError(f"Robin coefficients {self.robin_gamma!r} must be finite and "
+                             "nonnegative")
+        if self.kind == "rectangle" and commensurate(self.lengths[0] / self.lengths[1]):
+            raise ValueError(
+                f"rectangle side ratio is commensurate (p/q with p,q <= {COMMENSURATE_QMAX}); "
+                "the truncated spectrum would not be simple"
+            )
         if isinstance(self.sigma_points, str):
             if self.kind != "rectangle" or self.sigma_points != "side:y=0":
                 raise ValueError("string sigma_points supports only rectangle 'side:y=0'")
         elif len(self.sigma_points) == 0:
             raise ValueError("sigma_points must be nonempty")
+        elif not all(map(math.isfinite, self.sigma_points if self.kind == "interval"
+                         else itertools.chain.from_iterable(self.sigma_points))):
+            raise ValueError("sigma_points must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +125,14 @@ class EigenBasis:
 
 def _secular(k, L, g0, g1):
     return (g0 + g1) * k * np.cos(k * L) + (g0 * g1 - k * k) * np.sin(k * L)
+
+
+def _secular_at(k: float, L: float, g0: float, g1: float) -> float:
+    """_secular at one float through math.cos and math.sin, without numpy's
+    per-call overhead.  The roots must equal those polished with _secular,
+    which holds where numpy's float64 cos and sin are libm's bit for bit;
+    test_wavenumber_scan_matches_loop checks it."""
+    return (g0 + g1) * k * math.cos(k * L) + (g0 * g1 - k * k) * math.sin(k * L)
 
 
 def _brentq(f, xa, xb, args, xtol, rtol, maxiter=100):
@@ -188,38 +202,36 @@ def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
             "root scan too coarse or truncation too large"
         )
     return [float(grid[i]) if fa[i] == 0.0
-            else _brentq(_secular, grid[i], grid[i + 1], (L, g0, g1), xtol=1e-12, rtol=8.9e-16)
+            else _brentq(_secular_at, grid[i], grid[i + 1], (L, g0, g1), xtol=1e-12, rtol=8.9e-16)
             for i in brackets]
 
 
-class _Mode1D:
-    """phi(x) = norm * (cos(kx) + (g0/k) sin(kx)) with exact L2 normalization."""
+def _robin_modes(L, gamma, count):
+    """The first `count` 1D Robin modes phi(x) = norm (cos(kx) + a sin(kx))
+    as arrays (k, a, norm), with exact L2 normalization.
 
-    def __init__(self, L, g0, k):
-        self.k = k
-        if k == 0.0:
-            self.a = 0.0
-            self.norm = 1.0 / np.sqrt(L)
-        else:
-            a = g0 / k
-            s2 = np.sin(2 * k * L) / (4 * k)
-            cross = np.sin(k * L) ** 2 / (2 * k)
-            sq = L / 2 + s2 + 2 * a * cross + a * a * (L / 2 - s2)
-            self.a = a
-            self.norm = 1.0 / np.sqrt(sq)
-        self.lam = k * k
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.k == 0.0:
-            return np.full_like(x, self.norm)
-        return self.norm * (np.cos(self.k * x) + self.a * np.sin(self.k * x))
-
-
-def _interval_modes(L, gamma, count):
+    sin(kL)^2 goes through np.float_power, libm's pow, as a float `**` does;
+    an array's `** 2` squares by x * x, which can differ in the last bit."""
     g0, g1 = gamma
-    ks = _interval_wavenumbers(L, g0, g1, count)
-    return [_Mode1D(L, g0, k) for k in ks]
+    k = np.array(_interval_wavenumbers(L, g0, g1, count))
+    pos = k != 0.0
+    kp = k[pos]
+    ap = g0 / kp
+    s2 = np.sin(2 * kp * L) / (4 * kp)
+    cross = np.float_power(np.sin(kp * L), 2) / (2 * kp)
+    sq = L / 2 + s2 + 2 * ap * cross + ap * ap * (L / 2 - s2)
+    a = np.zeros_like(k)
+    a[pos] = ap
+    norm = np.full_like(k, 1.0 / np.sqrt(L))
+    norm[pos] = 1.0 / np.sqrt(sq)
+    return k, a, norm
+
+
+def _mode_values(modes, x) -> np.ndarray:
+    """Values of the modes (k, a, norm) at the points x: (count, len(x))."""
+    k, a, norm = modes
+    kx = k[:, None] * x
+    return norm[:, None] * (np.cos(kx) + a[:, None] * np.sin(kx))
 
 
 @functools.lru_cache
@@ -243,20 +255,17 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> Eige
         raise ValueError("need L_x > 0 and J >= 1")
     domain = DomainSpec("interval", (float(L_x),), tuple(float(g) for g in gamma),
                         tuple(float(s) for s in sigma_points))
-    modes = _interval_modes(L_x, domain.robin_gamma, J)
+    modes = _robin_modes(L_x, domain.robin_gamma, J)
     nq = max(OVERSAMPLING * J, MIN_QUAD_NODES)
     xq, wq = _gauss_nodes(L_x, nq)
-    phi = np.array([m(xq) for m in modes])
-    lambdas = np.array([m.lam for m in modes])
     sig = np.array(domain.sigma_points, dtype=float).reshape(-1, 1)
-    trace = np.array([m(sig[:, 0]) for m in modes])
     return EigenBasis(
         domain=domain,
-        lambdas=lambdas,
-        phi=phi,
+        lambdas=modes[0] * modes[0],
+        phi=_mode_values(modes, xq),
         nodes=xq.reshape(-1, 1),
         weights=wq,
-        trace_matrix=trace,
+        trace_matrix=_mode_values(modes, sig[:, 0]),
         sigma_nodes=sig,
         sigma_weights=np.ones(sig.shape[0]),
     )
@@ -282,13 +291,13 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
             raise SpectrumError(str(exc)) from exc
         raise
 
-    mx = _interval_modes(L_x, domain.robin_gamma[0], J)
-    my = _interval_modes(L_y, domain.robin_gamma[1], J)
-    pairs = sorted(
-        ((mx[i].lam + my[j].lam, i, j) for i in range(J) for j in range(J)),
-        key=lambda t: t[0],
-    )[:J]
-    lambdas = np.array([p[0] for p in pairs])
+    mx = _robin_modes(L_x, domain.robin_gamma[0], J)
+    my = _robin_modes(L_y, domain.robin_gamma[1], J)
+    # the J smallest of the J x J sums; a stable sort keeps (i, j) order on ties
+    sums = np.add.outer(mx[0] * mx[0], my[0] * my[0]).ravel()
+    order = np.argsort(sums, kind="stable")[:J]
+    ix, iy = np.divmod(order, J)
+    lambdas = sums[order]
     gaps = np.diff(lambdas)
     if np.any(gaps <= SPECTRAL_GAP_TOL):
         bad = int(np.argmin(gaps))
@@ -304,9 +313,7 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     weights = np.outer(wx, wy).ravel()
 
-    phi = np.empty((J, nodes.shape[0]))
-    for r, (_, i, j) in enumerate(pairs):
-        phi[r] = np.outer(mx[i](xq), my[j](yq)).ravel()
+    phi = (_mode_values(mx, xq)[ix, :, None] * _mode_values(my, yq)[iy, None, :]).reshape(J, -1)
 
     if isinstance(domain.sigma_points, str):
         sig = np.column_stack([xq, np.zeros_like(xq)])
@@ -314,9 +321,7 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
     else:
         sig = np.array(domain.sigma_points, dtype=float)
         sig_w = np.ones(sig.shape[0])
-    trace = np.empty((J, sig.shape[0]))
-    for r, (_, i, j) in enumerate(pairs):
-        trace[r] = mx[i](sig[:, 0]) * my[j](sig[:, 1])
+    trace = _mode_values(mx, sig[:, 0])[ix] * _mode_values(my, sig[:, 1])[iy]
 
     return EigenBasis(
         domain=domain,

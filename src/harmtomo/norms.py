@@ -97,8 +97,6 @@ class PoleTable:
     """
 
     ok: np.ndarray      # (n_ok,) indices of the modes with an admissible pole
-    p: np.ndarray       # (n_ok,) complex poles p_l
-    mt: np.ndarray      # (n_ok, 2, 2) Mtilde(p_l)
     mt_inv: np.ndarray  # (n_ok, 2, 2) Mtilde(p_l)^(-1)
     kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l
     km: np.ndarray      # (n_ok, M) kernel of their conjugates
@@ -135,7 +133,7 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     mt = mtilde_from_kernels(sp, kp, km, k0)
     # contiguous copies, so the einsums of rtilde_ok see the layout they always had
     kp, km = np.ascontiguousarray(kp[:, :sp.M]), np.ascontiguousarray(km[:, :sp.M])
-    table = PoleTable(ok=ok, p=p, mt=mt, mt_inv=invert_mtilde(mt), kp=kp, km=km,
+    table = PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km,
                       mt_cond=np.linalg.cond(mt))
     for arr in vars(table).values():
         arr.setflags(write=False)

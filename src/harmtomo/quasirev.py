@@ -242,6 +242,19 @@ def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float = 2.0**0.
     return grid
 
 
+def _pick_tau(delta: float, tau0: float, cbar, ctilde, tolerance: float) -> int | None:
+    """Grid index of tau(delta) from the scored grid: the first tau with
+    max(cbar, ctilde)(tau) * sqrt(delta) <= tolerance * max(cbar, ctilde)(tau_max),
+    the top of the grid if none.  Noiseless data take the bottom, or None
+    when tau0 > 0: they need no relaxation-time offset and take tau0 itself."""
+    if delta == 0.0 and tau0 > 0.0:
+        return None
+    c = np.where(ctilde > cbar, ctilde, cbar)   # max(cbar, ctilde), nan as max() treats it
+    limit = tolerance * c[-1] / np.sqrt(delta) if delta > 0 else np.inf
+    below = np.flatnonzero(c <= limit)
+    return int(below[0]) if below.size else c.size - 1
+
+
 def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
                T0: float, orti_check: float, tau_min: float, tau_max: float,
                ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
@@ -252,19 +265,15 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     scale the constants at tau_max, sends tau(delta) monotonically to the
     bottom of the grid while max(cbar, ctilde)(tau(delta)) * delta -> 0.
     The constants are scored over the whole grid in one array pass; noiseless
-    data take the bottom of the grid.  The schedule must pass check_schedule.
+    data take the bottom of the grid, or tau0 itself when it is positive.
+    The schedule must pass check_schedule.
     """
     check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
-    if delta == 0.0 and tau0 > 0.0:
-        # noiseless data need no relaxation-time offset
-        return float(tau0)
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
     cbar = compute_cbar(grid, sigma0, beta, T, T0, orti_check)
     ctilde = compute_ctilde(grid, sigma0, beta, T, T0, orti_check)
-    c = np.where(ctilde > cbar, ctilde, cbar)   # max(cbar, ctilde), nan as max() treats it
-    limit = tolerance * c[-1] / np.sqrt(delta) if delta > 0 else np.inf
-    below = np.flatnonzero(c <= limit)
-    return float(grid[below[0] if below.size else -1])
+    i = _pick_tau(delta, tau0, cbar, ctilde, tolerance)
+    return float(tau0 if i is None else grid[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,27 +305,33 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     Data are generated by the linearized model at relaxation time tau0 (the
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
-    tau(delta) by `reconstruct`.
+    tau(delta) by `reconstruct`.  The tau grid is scored once, and each row
+    takes tau(delta), cbar and ctilde from it as choose_tau would.
     Each row records the preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
     factor is fitted once on a pilot noise level and held fixed.  A schedule
     that fails check_schedule raises before any row is computed.
     """
-    check_schedule(tau0, tau_min, tau_max, ratio, params0.sigma0, params0.beta, params0.T,
-                   params0.T0, spec.orti_check)
+    consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
+    check_schedule(tau0, tau_min, tau_max, ratio, *consts)
+    grid = tau_grid(tau0, tau_min, tau_max, ratio)
+    # each entry equals the constant at the float grid[i] bit for bit
+    cbars, ctildes = compute_cbar(grid, *consts), compute_ctilde(grid, *consts)
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
 
     def one(delta: float, noise_seed: int):
-        tau = choose_tau(delta, tau0, params0.sigma0, params0.beta, params0.T,
-                         params0.T0, spec.orti_check, tau_min, tau_max, ratio, tolerance)
+        i = _pick_tau(delta, tau0, cbars, ctildes, tolerance)
+        tau = float(tau0 if i is None else grid[i])
         noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta), ref, basis,
                           params0.with_tau(tau))
         err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
-        cbar = compute_cbar(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
-        ctil = compute_ctilde(tau, params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
+        if i is None:
+            cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
+        else:
+            cbar, ctil = float(cbars[i]), float(ctildes[i])
         raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)
         return tau, err, raw, cbar, ctil
 

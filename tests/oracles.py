@@ -47,15 +47,22 @@ byte.
 The Robin wavenumber scan: the bracket-by-bracket loop the package's masked
 scan (`eigenbasis._interval_wavenumbers`) must match exactly.
 
+The eigenbasis: one `Mode1D` object per 1D mode, evaluated one mode at a
+time, and the rectangle's J x J (lambda, i, j) tuples sorted by lambda
+(`interval_basis_loop`, `rectangle_basis_loop`); the package builds the modes
+as arrays (k, a, norm) and picks the rectangle's pairs with one stable
+argsort, and every basis array must match these bit for bit.
+
 The pole selection: the per-eigenvalue `select_pole`/`pole_asymptotic` loop
 the package's masked selection (`poles.build_pole_set`) must match exactly.
 
 The quasi-reversibility sweep: the relaxation-time constants at one tau with
 float `**` (`rate_constants_scalar`), the tau(delta) schedule scored one grid
-tau at a time (`choose_tau_loop`), and the sweep rows with the fit and the
-state formula written out per noise level (`sweep_rows_from_fit`); the
-package evaluates the constants on arrays, scores the grid in one array pass
-and inverts each row with `reconstruct`, and all must match these exactly.
+tau at a time (`choose_tau_loop`), and the sweep rows with the schedule
+scored, the constants evaluated and the fit and the state formula written
+out per noise level (`sweep_rows_from_fit`); the package evaluates the
+constants on arrays, scores the grid once per sweep and inverts each row with
+`reconstruct`, and all must match these exactly.
 
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
@@ -75,18 +82,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from harmtomo.eigenbasis import (EigenBasis, _interval_wavenumbers, _secular, project,
+from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, EigenBasis,
+                                 _gauss_nodes, _interval_wavenumbers, _secular, project,
                                  synthesize, trace_right_inverse)
 from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumError,
                              VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
-from harmtomo.norms import PoleTable, _lam_weight, _pole_weight, pole_table, x_norm
+from harmtomo.norms import _lam_weight, _pole_weight, pole_table, x_norm
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
 from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _rate_core, add_noise,
-                               check_schedule, compute_cbar, compute_ctilde, tau_grid,
-                               time_derivative_norm)
+                               check_schedule, choose_tau, compute_cbar, compute_ctilde,
+                               tau_grid, time_derivative_norm)
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedInput, ReconstructionResult,
                                   fit_coefficients, linearized_forward, solve_states_from_coeffs)
 from harmtomo.sources import (ReferenceState, SourcePair, _contract_kernels, _period_kernel,
@@ -258,14 +266,16 @@ def _residue_prefactor(p, params: ModelParams):
     return -p * p / (big_theta(p, params) * psi_transfer_prime(p, params))
 
 
-def residue_term(residues, table: PoleTable, basis: EigenBasis,
+def residue_term(residues, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
                  params: ModelParams) -> np.ndarray:
     """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
     admissible mode: (..., n_ok, 2)."""
+    table = pole_table(pole_set, sp, params)
     res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
     v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
     lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
-    return (-1.0 / _residue_prefactor(table.p, params))[:, None] * lifted
+    p = pole_set.poles[table.ok]
+    return (-1.0 / _residue_prefactor(p, params))[:, None] * lifted
 
 
 def residues_of(a, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
@@ -273,14 +283,18 @@ def residues_of(a, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
     """res_l = -p^2/(Theta Psi')(p_l) (rtilde^l(p_l) tr(phi_l) - Mtilde(p_l) C_l)
     of the coefficient pairs a (..., J, 2), true or recovered, with their model
     residues rhat (..., 2, M, J), through the eigenspace-l trace data
-    C_l = a^l tr(phi_l): (..., J, 2, ns), zero off the admissible modes."""
+    C_l = a^l tr(phi_l): (..., J, 2, ns), zero off the admissible modes.
+    Mtilde(p_l) comes from the kernels at 2M harmonics, as the table's
+    inverse does."""
     t = pole_table(pole_set, sp, params)
+    p = pole_set.poles[t.ok]
+    mt = mtilde_from_kernels(sp, *interp_kernels(p, 2 * sp.M, params.omega, params.T))
     rows = basis.trace_matrix[t.ok]
     C = np.asarray(a)[..., t.ok, :, None] * rows[:, None, :]
     rt = t.rtilde_ok(np.asarray(rhat, dtype=complex)[..., t.ok])
-    vec = rt[..., None] * rows[:, None, :] - np.einsum("kef,...kfx->...kex", t.mt, C)
+    vec = rt[..., None] * rows[:, None, :] - np.einsum("kef,...kfx->...kex", mt, C)
     res = np.zeros(vec.shape[:-3] + (basis.J, 2, basis.nsigma), dtype=complex)
-    res[..., t.ok, :, :] = _residue_prefactor(t.p, params)[:, None, None] * vec
+    res[..., t.ok, :, :] = _residue_prefactor(p, params)[:, None, None] * vec
     return res
 
 
@@ -616,6 +630,84 @@ def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
     raise SpectrumError(f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}")
 
 
+class Mode1D:
+    """phi(x) = norm * (cos(kx) + (g0/k) sin(kx)) with exact L2 normalization,
+    one mode at a time."""
+
+    def __init__(self, L, g0, k):
+        self.k = k
+        if k == 0.0:
+            self.a = 0.0
+            self.norm = 1.0 / np.sqrt(L)
+        else:
+            a = g0 / k
+            s2 = np.sin(2 * k * L) / (4 * k)
+            cross = np.sin(k * L) ** 2 / (2 * k)
+            sq = L / 2 + s2 + 2 * a * cross + a * a * (L / 2 - s2)
+            self.a = a
+            self.norm = 1.0 / np.sqrt(sq)
+        self.lam = k * k
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.k == 0.0:
+            return np.full_like(x, self.norm)
+        return self.norm * (np.cos(self.k * x) + self.a * np.sin(self.k * x))
+
+
+def interval_modes_loop(L, gamma, count) -> list[Mode1D]:
+    """The first `count` Robin modes on [0, L], from the bracket-by-bracket
+    wavenumber loop."""
+    g0, g1 = gamma
+    return [Mode1D(L, g0, k) for k in interval_wavenumbers_loop(L, g0, g1, count)]
+
+
+def interval_basis_loop(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> EigenBasis:
+    """`eigenbasis.build_interval_basis` with one Mode1D per mode, each
+    evaluated on its own."""
+    modes = interval_modes_loop(L_x, gamma, J)
+    xq, wq = _gauss_nodes(L_x, max(OVERSAMPLING * J, MIN_QUAD_NODES))
+    sig = np.array(sigma_points, dtype=float).reshape(-1, 1)
+    domain = DomainSpec("interval", (float(L_x),), tuple(map(float, gamma)),
+                        tuple(map(float, sigma_points)))
+    return EigenBasis(domain=domain, lambdas=np.array([m.lam for m in modes]),
+                      phi=np.array([m(xq) for m in modes]), nodes=xq.reshape(-1, 1),
+                      weights=wq, trace_matrix=np.array([m(sig[:, 0]) for m in modes]),
+                      sigma_nodes=sig, sigma_weights=np.ones(sig.shape[0]))
+
+
+def rectangle_basis_loop(L_x: float, L_y: float, gamma, J: int,
+                         sigma_points="side:y=0") -> EigenBasis:
+    """`eigenbasis.build_rectangle_basis` from the J x J (lambda, i, j) tuples
+    sorted by lambda, with each retained pair's values formed on its own."""
+    mx = interval_modes_loop(L_x, gamma[0], J)
+    my = interval_modes_loop(L_y, gamma[1], J)
+    pairs = sorted(((mx[i].lam + my[j].lam, i, j) for i in range(J) for j in range(J)),
+                   key=lambda t: t[0])[:J]
+    n1 = max(OVERSAMPLING * J, MIN_QUAD_NODES)
+    xq, wx = _gauss_nodes(L_x, n1)
+    yq, wy = _gauss_nodes(L_y, n1)
+    X, Y = np.meshgrid(xq, yq, indexing="ij")
+    if isinstance(sigma_points, str):
+        sig, sig_w = np.column_stack([xq, np.zeros_like(xq)]), wx.copy()
+    else:
+        sig = np.array(sigma_points, dtype=float)
+        sig_w = np.ones(sig.shape[0])
+    phi = np.empty((J, X.size))
+    trace = np.empty((J, sig.shape[0]))
+    for r, (_, i, j) in enumerate(pairs):
+        phi[r] = np.outer(mx[i](xq), my[j](yq)).ravel()
+        trace[r] = mx[i](sig[:, 0]) * my[j](sig[:, 1])
+    domain = DomainSpec("rectangle", (float(L_x), float(L_y)),
+                        tuple(tuple(map(float, g)) for g in gamma),
+                        sigma_points if isinstance(sigma_points, str)
+                        else tuple((float(a), float(b)) for a, b in sigma_points))
+    return EigenBasis(domain=domain, lambdas=np.array([p[0] for p in pairs]), phi=phi,
+                      nodes=np.column_stack([X.ravel(), Y.ravel()]),
+                      weights=np.outer(wx, wy).ravel(), trace_matrix=trace,
+                      sigma_nodes=sig, sigma_weights=sig_w)
+
+
 class NonOscillatoryError(HarmtomoError):
     """Closed-form pole asymptotic requested outside the oscillatory regime."""
 
@@ -843,7 +935,8 @@ def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelPa
                         spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
                         seed: int, tau_min: float, tau_max: float,
                         ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
-    """`quasirev.run_sweep`'s rows with each noise level inverted by
+    """`quasirev.run_sweep`'s rows with each noise level's tau chosen by
+    `choose_tau`, its constants evaluated at that tau, and its inversion by
     `fit_coefficients` and `solve_states_from_coeffs` written out, under the
     same pilot calibration and noise seeds."""
     data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
@@ -852,7 +945,7 @@ def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelPa
     consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
 
     def one(delta: float, noise_seed: int):
-        tau = choose_tau_loop(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
+        tau = choose_tau(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
         noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
         sp = ref.source_pair

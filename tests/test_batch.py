@@ -76,8 +76,8 @@ def test_pole_table_methods_and_residue_term(bundle):
                 _stack(lambda r, a: residues_of(a, r, *_pole_args(b)),
                        [(d.rhat, v.a) for d, v in zip(one, lins)])) <= TOL
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
-    assert _rel(residue_term(res, t, b["basis"], b["params"]),
-                _stack(lambda r: residue_term(r, t, b["basis"], b["params"]),
+    assert _rel(residue_term(res, *_pole_args(b)),
+                _stack(lambda r: residue_term(r, *_pole_args(b)),
                        [(r,) for r in res])) <= TOL
 
 
@@ -104,7 +104,7 @@ def test_recover_coefficients_and_states(bundle):
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
     # the residue formula a^l = P_l + q_l from the table's batched terms
-    P, q = residue_term(res, t, b["basis"], b["params"]), t.model_term_ok(data.rhat[..., t.ok])
+    P, q = residue_term(res, *_pole_args(b)), t.model_term_ok(data.rhat[..., t.ok])
     for k, d in enumerate(one):
         a_k, _ = recover_coefficients_loop(res[k], d.rhat, *_args(b))
         # the two terms cancel, so a agrees to their size

@@ -4,12 +4,14 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
 from harmtomo import build_interval_basis, build_rectangle_basis, project, synthesize
-from harmtomo.eigenbasis import (DomainSpec, _brentq, _interval_modes, _interval_wavenumbers,
-                                 _leggauss, commensurate, trace_right_inverse, check_trace_ranks)
+from harmtomo.eigenbasis import (DomainSpec, _brentq, _interval_wavenumbers, _leggauss,
+                                 _robin_modes, commensurate, trace_right_inverse,
+                                 check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import interval_eigenvalues, interval_wavenumbers_loop
+from oracles import (interval_basis_loop, interval_eigenvalues, interval_wavenumbers_loop,
+                     rectangle_basis_loop)
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -30,14 +32,14 @@ def secular_residuals(L, gamma, ks):
 
 def robin_residuals(L, gamma, count):
     """|-phi'(0) + g0 phi(0)| and |phi'(L) + g1 phi(L)| of the package's 1D
-    modes, with phi' from the closed form norm * k (-sin(kx) + a cos(kx))."""
+    modes (k, a, norm), with phi = norm (cos(kx) + a sin(kx)) and phi' from
+    the closed form norm k (-sin(kx) + a cos(kx)): (count, 2)."""
     g0, g1 = gamma
-    out = []
-    for m in _interval_modes(L, gamma, count):
-        def dphi(x):
-            return m.norm * m.k * (-np.sin(m.k * x) + m.a * np.cos(m.k * x))
-        out.append((abs(-dphi(0.0) + g0 * m(0.0)), abs(dphi(L) + g1 * m(L))))
-    return np.array(out)
+    k, a, norm = _robin_modes(L, gamma, count)
+    kx = np.outer(k, [0.0, L])
+    phi = norm[:, None] * (np.cos(kx) + a[:, None] * np.sin(kx))
+    dphi = (norm * k)[:, None] * (-np.sin(kx) + a[:, None] * np.cos(kx))
+    return np.abs(np.column_stack([-dphi[:, 0] + g0 * phi[:, 0], dphi[:, 1] + g1 * phi[:, 1]]))
 
 
 def fem_eigenvalues(L, gamma, k, n=10_000):
@@ -163,6 +165,41 @@ class TestRectangleBasis:
         assert commensurate(1.5)
         assert commensurate(16 / 64)
         assert not commensurate(1 / GOLDEN)
+
+
+BASIS_ARRAYS = ("lambdas", "phi", "nodes", "weights", "trace_matrix", "sigma_nodes",
+                "sigma_weights")
+SIDE_POINTS = ([(x, 0.0) for x in np.linspace(0.2, 3.0, 12)]
+               + [(0.0, y) for y in np.linspace(0.1, 1.9, 12)])
+
+
+def assert_same_basis(basis, ref):
+    for name in BASIS_ARRAYS:
+        assert np.array_equal(getattr(basis, name), getattr(ref, name)), name
+    assert basis.domain == ref.domain
+
+
+class TestBasisMatchesModeLoop:
+    # the array passes build every basis array bit for bit as one mode object
+    # per mode, evaluated one at a time, and the J x J eigenvalue tuples sorted;
+    # ROBIN_CASES hold Neumann ends, on one side and on both
+
+    @pytest.mark.parametrize("L, gamma", ROBIN_CASES)
+    @pytest.mark.parametrize("J", [1, 8, 64])
+    def test_interval(self, L, gamma, J):
+        sig = (0.0, L / 3, L)
+        assert_same_basis(build_interval_basis(L, gamma, J, sig),
+                          interval_basis_loop(L, gamma, J, sig))
+
+    @pytest.mark.parametrize("gamma", [((1.0, 1.0), (1.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)),
+                                       ((0.0, 3.0), (0.5, 0.0))],
+                             ids=["robin", "neumann", "mixed"])
+    @pytest.mark.parametrize("J, sigma_points", [(12, "side:y=0"), (32, "side:y=0"),
+                                                 (12, SIDE_POINTS)],
+                             ids=["side-12", "side-32", "points-12"])
+    def test_rectangle(self, gamma, J, sigma_points):
+        args = (np.pi, 1.9416110387254665, gamma, J, sigma_points)
+        assert_same_basis(build_rectangle_basis(*args), rectangle_basis_loop(*args))
 
 
 class TestGaussNodes:

@@ -68,7 +68,8 @@ def test_recover_coefficients_match_loop(bundle):
     b = bundle
     res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
     t = pole_table(b["poles"], b["sp"], b["params"])
-    P, q = residue_term(res, t, b["basis"], b["params"]), t.model_term_ok(data.rhat[..., t.ok])
+    P, q = (residue_term(res, b["poles"], b["sp"], b["basis"], b["params"]),
+            t.model_term_ok(data.rhat[..., t.ok]))
     a_old, cond_old = recover_coefficients_loop(res, data.rhat, *_args(b))
     terms = max(np.max(np.abs(q)), np.max(np.abs(P)))
     assert np.max(np.abs(P + q - a_old[t.ok])) <= TOL * terms
@@ -110,9 +111,8 @@ def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
     t = pole_table(b["poles"], b["sp"], b["params"])
     new = np.stack(yobs_terms(lin.a, data.rhat, spec_std, *_args(b)), axis=-1)
-    path = _image_terms(residue_term(oracle_residues(lin, data.rhat, b["poles"], b["sp"],
-                                                     b["basis"], b["params"]), t, b["basis"],
-                                     b["params"]),
+    pole_args = (b["poles"], b["sp"], b["basis"], b["params"])
+    path = _image_terms(residue_term(oracle_residues(lin, data.rhat, *pole_args), *pole_args),
                         0.0, t.ok, b["M"], spec_std, b["sp"], b["basis"], b["params"])
     assert new.shape == (3, 2) and _rel(new, np.stack(path, axis=-1)) <= TOL
     for k, v in enumerate(lins):
@@ -161,25 +161,28 @@ def test_pole_table_built_once_per_pole_set(setup_small):
     t2 = pole_table(fresh, s["sp"], s["params"])
     assert t2 is not t
     assert np.array_equal(t2.mt_inv, t.mt_inv) and np.array_equal(t2.kp, t.kp)
-    assert t.kp.shape == (s["poles"].n_ok, s["M"]) and t.mt.shape == (s["poles"].n_ok, 2, 2)
+    assert t.kp.shape == (s["poles"].n_ok, s["M"]) and t.mt_inv.shape == (s["poles"].n_ok, 2, 2)
     with pytest.raises(ValueError):
         t.mt_inv[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["interval_roundtrip", "qr_sweep", "smoothing_study"])
 def test_one_kernel_evaluation_matches_separate_ones(name):
-    # the table's Mtilde, kp and km come from one kernel evaluation at 2M
-    # harmonics; they equal psi~ and psi^2~ evaluated at M and 2M harmonics
-    # and the kernels at M bit for bit
+    # the table's Mtilde inverse and cond, kp and km come from one kernel
+    # evaluation at 2M harmonics; they equal those of psi~ and psi^2~
+    # evaluated at M and 2M harmonics and the kernels at M bit for bit
     sc = load_scenario(SCENARIOS / f"{name}.json")
     basis, params0 = make_basis(sc), make_params(sc)
     sp = make_reference(sc, basis, params0).source_pair
     for tau in (params0.tau, 0.5, 0.3, 0.1, 0.05, 0.02):
         params = params0.with_tau(tau)
-        t = pole_table(build_pole_set(basis.lambdas, params), sp, params)
-        p1, p2 = psi_tilde(sp, t.p, params), psi_sq_tilde(sp, t.p, params)
+        pole_set = build_pole_set(basis.lambdas, params)
+        t = pole_table(pole_set, sp, params)
+        p = pole_set.poles[t.ok]
+        p1, p2 = psi_tilde(sp, p, params), psi_sq_tilde(sp, p, params)
         mt = np.stack([np.stack([p1, p2], axis=-1),
                        np.stack([sp.A * p1, sp.A**2 * p2], axis=-1)], axis=-2)
-        kp, km, _ = interp_kernels(t.p, sp.M, params.omega, params.T)
-        assert np.array_equal(t.mt, mt)
+        kp, km, _ = interp_kernels(p, sp.M, params.omega, params.T)
+        assert np.array_equal(t.mt_inv, invert_mtilde(mt))
+        assert np.array_equal(t.mt_cond, np.linalg.cond(mt))
         assert np.array_equal(t.kp, kp) and np.array_equal(t.km, km)

@@ -8,7 +8,9 @@ from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, Smoo
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
-from harmtomo.scenarios import load_scenario, make_basis
+from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_params,
+                                make_reference, make_true_fields, noise_levels,
+                                quasirev_settings)
 from conftest import SCENARIOS, random_linearized
 from oracles import (TauConstants, choose_tau_loop, rate_constants_scalar,
                      sweep_rows_from_fit)
@@ -303,9 +305,10 @@ class TestSweep:
         (0.0, 101, [1e-2, 1e-3, 1e-4], 0.1), (0.0, 5, [1e-2, 1e-3, 1e-4], 0.1),
         (0.0, 7, [1e-2, 1e-3, 1e-4], 0.1), (0.3, 11, [0.0], 0.05)])
     def test_rows_equal_fit_and_state_formula(self, tau0, seed, deltas, tau_min):
-        # a row inverts its noisy data with reconstruct; the fit and the state
-        # formula written out, with the grid scored one tau at a time, give
-        # the same rows
+        # a row takes tau and its constants from the grid scored once and
+        # inverts its noisy data with reconstruct; choose_tau and the
+        # constants per row, with the fit and the state formula written out,
+        # give the same rows
         basis, spec, params, ref, truth = sweep_setup(tau0)
         args = (basis, ref, params, spec, truth, deltas)
         kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5)
@@ -314,6 +317,24 @@ class TestSweep:
         expected = [tuple(getattr(r, f) for f in fields)
                     for r in sweep_rows_from_fit(*args, **kw)]
         assert len(rows) == len(deltas) and all(r[-1] == "ok" for r in rows)
+        assert rows == expected
+
+    def test_shipped_scenario_rows_equal_per_row_schedule(self):
+        # the shipped qr-sweep scores its grid once; choosing tau and the
+        # constants row by row gives the same rows bit for bit
+        sc = load_scenario(SCENARIOS / "qr_sweep.json")
+        params, basis = make_params(sc), make_basis(sc)
+        ref = make_reference(sc, basis, params)
+        truth = make_true_fields(sc, basis, np.random.default_rng(sc.seed))
+        qr = quasirev_settings(sc)
+        args = (basis, ref, params, make_norm_spec(sc), truth, noise_levels(sc))
+        kw = dict(tau0=qr["tau0"], seed=sc.seed, tau_min=qr["tau_min"],
+                  tau_max=qr["tau_max"], ratio=qr["grid_ratio"], tolerance=qr["tolerance"])
+        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
+        rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
+        expected = [tuple(getattr(r, f) for f in fields)
+                    for r in sweep_rows_from_fit(*args, **kw)]
+        assert len(rows) == 3 and all(r[-1] == "ok" for r in rows)
         assert rows == expected
 
     def test_invalid_schedule_raises_before_any_row(self):

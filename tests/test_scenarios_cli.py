@@ -139,6 +139,34 @@ class TestValidate:
         assert run_err == validate_err
         assert "Traceback" not in run_err
 
+    @pytest.mark.parametrize("base, key, value, message", [
+        (ROUNDTRIP, "domain.lengths", [math.inf], "domain lengths (inf,) must be finite"),
+        (ROUNDTRIP, "domain.lengths", [math.nan], "domain lengths (nan,) must be finite"),
+        (SMOOTH, "domain.lengths", [math.pi, math.inf],
+         "domain lengths (3.141592653589793, inf) must be finite"),
+        (ROUNDTRIP, "domain.robin_gamma", [1.0, math.inf],
+         "Robin coefficients (1.0, inf) must be finite"),
+        (ROUNDTRIP, "domain.robin_gamma", [math.nan, 1.0],
+         "Robin coefficients (nan, 1.0) must be finite"),
+        (SMOOTH, "domain.robin_gamma", [[1.0, 1.0], [math.nan, 1.0]],
+         "Robin coefficients ((1.0, 1.0), (nan, 1.0)) must be finite"),
+        (ROUNDTRIP, "domain.sigma_points", [math.nan], "sigma_points must be finite"),
+        (SMOOTH, "domain.sigma_points", [[0.5, 0.0], [math.inf, 0.0]],
+         "sigma_points must be finite"),
+    ], ids=["length-inf", "length-nan", "rectangle-side-inf", "gamma-inf", "gamma-nan",
+            "rectangle-gamma-nan", "sigma-nan", "rectangle-sigma-inf"])
+    def test_non_finite_domain_values_exit_2(self, tmp_path, capsys, base, key, value,
+                                              message):
+        # JSON's Infinity and NaN reach the domain rules, which reject them
+        # before any basis is built: both commands exit 2 with one message
+        bad = _write_variant(tmp_path, base, **{key: value})
+        assert main(["validate", str(bad)]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        run_err = capsys.readouterr().err
+        assert f"domain invalid: {message}" in validate_err
+        assert run_err == validate_err
+
     @pytest.mark.parametrize("text, message", [
         ({"seed": "x"}, "seed 'x' must be an integer"),
         ({"seed": 1.7}, "seed 1.7 must be an integer"),
