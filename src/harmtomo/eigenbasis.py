@@ -66,12 +66,16 @@ class DomainSpec:
         else:
             if len(self.lengths) != 2:
                 raise ValueError("rectangle needs two lengths")
+            ratio = self.lengths[0] / self.lengths[1]
+            if not (math.isfinite(ratio) and ratio > 0):
+                raise ValueError(f"rectangle side ratio {ratio!r} of lengths {self.lengths!r} "
+                                 "must be finite and nonzero")
             gx, gy = self.robin_gamma
             gammas = (*gx, *gy)
         if not all(math.isfinite(g) and g >= 0 for g in gammas):
             raise ValueError(f"Robin coefficients {self.robin_gamma!r} must be finite and "
                              "nonnegative")
-        if self.kind == "rectangle" and commensurate(self.lengths[0] / self.lengths[1]):
+        if self.kind == "rectangle" and commensurate(ratio):
             raise ValueError(
                 f"rectangle side ratio is commensurate (p/q with p,q <= {COMMENSURATE_QMAX}); "
                 "the truncated spectrum would not be simple"

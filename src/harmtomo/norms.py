@@ -14,7 +14,6 @@ return one value per draw: a float without batch axes, an array with them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +91,8 @@ class PoleTable:
     pole, stacked along the leading axis in the order of `ok`.
 
     The interpolation kernels turn rtilde^l(p_l) for every mode into one
-    contraction over harmonics (see `rtilde_ok`).  Arrays are read-only: one
-    table is shared by every consumer of the same pole set.
+    contraction over harmonics (see `rtilde_ok`).  A preset builds one table
+    with `pole_table` and passes it to every norm it evaluates.
     """
 
     ok: np.ndarray      # (n_ok,) indices of the modes with an admissible pole
@@ -120,72 +119,49 @@ class PoleTable:
         return np.einsum("kef,...kf->...ke", self.mt_inv, self.rtilde_ok(r))
 
 
-@functools.lru_cache(maxsize=8)
 def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
-    """Build the per-pole table once per (pole set, source pair, parameters).
-
-    Pole sets and source pairs compare by identity and parameters by value,
-    so repeated calls with the same objects return the same table.
-    """
+    """The per-pole table of a pole set under a source pair and parameters."""
     ok = np.flatnonzero(pole_set.ok)
     p = pole_set.poles[ok]
     kp, km, k0 = interp_kernels(p, 2 * sp.M, params.omega, params.T)
     mt = mtilde_from_kernels(sp, kp, km, k0)
     # contiguous copies, so the einsums of rtilde_ok see the layout they always had
     kp, km = np.ascontiguousarray(kp[:, :sp.M]), np.ascontiguousarray(km[:, :sp.M])
-    table = PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km,
-                      mt_cond=np.linalg.cond(mt))
-    for arr in vars(table).values():
-        arr.setflags(write=False)
-    return table
+    return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km, mt_cond=np.linalg.cond(mt))
 
 
-def _image_terms(q, r, ok, M: int, spec: NormSpec, sp: SourcePair,
-                 basis: EigenBasis, params: ModelParams):
+def _image_terms(q, r, w, lam_s, mm):
     """The image-norm pieces sum_l sum_m w[m, l] |M_m q_l - r_m^l|^2 and
-    sum_l lam_l^s |q_l|^2 over the admissible modes ok, for pole values
-    q (..., n_ok, 2) and model residues r (..., 2, M, n_ok) or 0."""
-    w = _pole_weight(params, basis.lambdas, M, spec)[:, ok]      # (M, n_ok)
-    lam_s = _lam_weight(basis.lambdas, spec.s)[ok]
-    diff = np.einsum("mef,...kf->...emk", sp.mm[:M], q, order="C")     # (..., 2, M, n_ok)
+    sum_l lam_s[l] |q_l|^2 over the admissible modes, for pole values
+    q (..., n_ok, 2), model residues r (..., 2, M, n_ok) or 0, the pole
+    weights w (M, n_ok) and lam_l^s (n_ok,) of those modes, and the
+    modulation matrices mm (M, 2, 2)."""
+    diff = np.einsum("mef,...kf->...emk", mm, q, order="C")     # (..., 2, M, n_ok)
     diff -= r
     term1 = np.sum(w * np.sum(np.abs(diff) ** 2, axis=-3), axis=(-2, -1))
     term2 = np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=-1), axis=-1)
     return _per_draw(term1), _per_draw(term2)
 
 
-def ymod_terms(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-               basis: EigenBasis, params: ModelParams):
-    """The two squared pieces of the model-side image norm of rhat
-    (..., 2, M, J), with q_l = Mtilde(p_l)^(-1) rtilde^l(p_l) and r = rhat."""
+def image_norms(a, rhat, table: PoleTable, spec: NormSpec, sp: SourcePair,
+                basis: EigenBasis, params: ModelParams):
+    """The observation-side and model-side image norms (Yobs, Ymod) of the
+    coefficient pairs a (..., J, 2) with their model residues rhat
+    (..., 2, M, J), over the admissible modes of the table.
+
+    Both read the model term Mtilde(p_l)^(-1) rtilde^l(p_l) of rhat.  Ymod
+    takes q_l = that term against r = rhat; Yobs takes q_l = a^l minus it,
+    which equals the residue term Theta Psi'/p^2 TrInv[Mtilde^(-1) res_l] of
+    the data continuation, against r = 0."""
     rhat = np.asarray(rhat, dtype=complex)
-    t = pole_table(pole_set, sp, params)
-    r = rhat[..., t.ok]                                          # (..., 2, M, n_ok)
-    return _image_terms(t.model_term_ok(r), r, t.ok, rhat.shape[-2], spec, sp, basis, params)
-
-
-def ymod_norm(rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-              basis: EigenBasis, params: ModelParams):
-    t1, t2 = ymod_terms(rhat, spec, sp, pole_set, basis, params)
-    return _per_draw(np.sqrt(t1 + t2))
-
-
-def yobs_terms(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-               basis: EigenBasis, params: ModelParams):
-    """The observation-side image-norm pieces of the coefficient pairs a
-    (..., J, 2) with their model residues rhat (..., 2, M, J):
-    q_l = a^l - Mtilde(p_l)^(-1) rtilde^l(p_l), which equals the residue term
-    Theta Psi'/p^2 TrInv[Mtilde^(-1) res_l] of the data continuation, and r = 0."""
-    rhat = np.asarray(rhat, dtype=complex)
-    t = pole_table(pole_set, sp, params)
-    q = np.asarray(a)[..., t.ok, :] - t.model_term_ok(rhat[..., t.ok])
-    return _image_terms(q, 0.0, t.ok, rhat.shape[-2], spec, sp, basis, params)
-
-
-def yobs_norm(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
-              basis: EigenBasis, params: ModelParams):
-    t1, t2 = yobs_terms(a, rhat, spec, sp, pole_set, basis, params)
-    return _per_draw(np.sqrt(t1 + t2))
+    M, ok = rhat.shape[-2], table.ok
+    r = rhat[..., ok]                                            # (..., 2, M, n_ok)
+    model = table.model_term_ok(r)
+    pieces = (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
+              _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
+    yobs = _image_terms(np.asarray(a)[..., ok, :] - model, 0.0, *pieces)
+    ymod = _image_terms(model, r, *pieces)
+    return tuple(_per_draw(np.sqrt(t1 + t2)) for t1, t2 in (yobs, ymod))
 
 
 def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:

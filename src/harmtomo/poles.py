@@ -68,8 +68,6 @@ class PoleSet:
 
     lambdas: np.ndarray      # (L,)
     poles: np.ndarray        # (L,) complex, nan where not ok
-    roots: np.ndarray        # (L, 3) complex (third column nan for tau = 0)
-    asymptotic: np.ndarray   # (L,) complex, nan where unavailable
     ok: np.ndarray           # (L,) bool
 
     @property
@@ -91,14 +89,11 @@ def build_pole_set(lambdas, params: ModelParams) -> PoleSet:
     lambdas = np.asarray(lambdas, dtype=float)
     L = lambdas.size
     roots = characteristic_roots(lambdas, params)
-    allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
-    allroots[:, : roots.shape[-1]] = roots
     scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1))
     ok = np.any(roots.imag > IMAG_SELECT_TOL * scale[:, None], axis=-1)
     top = roots[np.arange(L), np.argmax(roots.imag, axis=-1)]
     poles = np.where(ok, top, np.nan + 1j * np.nan)
-    return PoleSet(lambdas=lambdas, poles=poles, roots=allroots,
-                   asymptotic=asymptotic_poles(lambdas, params), ok=ok)
+    return PoleSet(lambdas=lambdas, poles=poles, ok=ok)
 
 
 def verify_bounds(pole_set: PoleSet, params: ModelParams) -> dict:

@@ -11,7 +11,6 @@ array of taus (and gives an array).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -124,24 +123,9 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
 class SmoothingResult:
     coeffs: np.ndarray       # (J,) lifted coefficients, zero beyond chosen level
     level: int               # chosen L
-    kappa: np.ndarray        # kappa_L per candidate level (read-only, shared)
+    kappa: np.ndarray        # kappa_L per candidate level, the gains passed in
     residuals: np.ndarray    # trace-fit residual per candidate level
     levels: np.ndarray       # candidate levels
-
-
-@functools.lru_cache(maxsize=1)
-def _smoothing_gains(basis: EigenBasis, s: float) -> np.ndarray:
-    """smoothing_gain at each candidate level 1..min(J, nsigma), once per
-    (basis, s).
-
-    Bases compare by identity, so the noise levels of one study, which come
-    in a row, share the gains.  Only the last entry is kept, so no finished
-    study's basis stays alive.  The array is read-only.
-    """
-    kappas = np.array([smoothing_gain(basis, s, L)
-                       for L in range(1, min(basis.J, basis.nsigma) + 1)])
-    kappas.setflags(write=False)
-    return kappas
 
 
 def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
@@ -158,10 +142,20 @@ def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
     return float(np.sqrt(np.max(vals)))
 
 
-def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float) -> SmoothingResult:
+def smoothing_gains(basis: EigenBasis, s: float) -> np.ndarray:
+    """smoothing_gain at each candidate level L = 1..min(J, nsigma).  They
+    depend on the basis and s alone, so a study computes them once for all
+    of its noise levels."""
+    return np.array([smoothing_gain(basis, s, L)
+                     for L in range(1, min(basis.J, basis.nsigma) + 1)])
+
+
+def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis,
+                kappas: np.ndarray) -> SmoothingResult:
     """Least-squares lift of noisy trace samples over nested spectral spaces.
 
-    For each candidate level L = 1..min(J, nsigma) the data are fitted by
+    For each candidate level L = 1..len(kappas), with kappas the gains
+    `smoothing_gains` gives for the basis, the data are fitted by
     traces from the span of the first L modes; the level is chosen by
     discrepancy, the smallest L whose trace-fit residual drops below
     DISCREPANCY_FACTOR * delta_tilde, after discarding levels whose
@@ -175,7 +169,6 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis, s: float) -> Smo
         raise ValueError("data must be sampled on the basis Sigma points")
     sw = np.sqrt(basis.sigma_weights)
     data_norm = float(np.linalg.norm(sw * v))
-    kappas = _smoothing_gains(basis, s)
     residuals = np.full(kappas.size, np.nan)
     fits = {}
     for L, kap in enumerate(kappas, start=1):
@@ -245,35 +238,16 @@ def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float = 2.0**0.
 def _pick_tau(delta: float, tau0: float, cbar, ctilde, tolerance: float) -> int | None:
     """Grid index of tau(delta) from the scored grid: the first tau with
     max(cbar, ctilde)(tau) * sqrt(delta) <= tolerance * max(cbar, ctilde)(tau_max),
-    the top of the grid if none.  Noiseless data take the bottom, or None
-    when tau0 > 0: they need no relaxation-time offset and take tau0 itself."""
+    the top of the grid if none.  The rule sends tau(delta) monotonically to
+    the bottom of the grid while max(cbar, ctilde)(tau(delta)) * delta -> 0.
+    Noiseless data take the bottom, or None when tau0 > 0: they need no
+    relaxation-time offset and take tau0 itself."""
     if delta == 0.0 and tau0 > 0.0:
         return None
     c = np.where(ctilde > cbar, ctilde, cbar)   # max(cbar, ctilde), nan as max() treats it
     limit = tolerance * c[-1] / np.sqrt(delta) if delta > 0 else np.inf
     below = np.flatnonzero(c <= limit)
     return int(below[0]) if below.size else c.size - 1
-
-
-def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
-               T0: float, orti_check: float, tau_min: float, tau_max: float,
-               ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
-    """Smallest grid relaxation time whose constants are compatible with the
-    noise level.
-
-    The rule max(cbar, ctilde)(tau) * sqrt(delta) <= tolerance * scale, with
-    scale the constants at tau_max, sends tau(delta) monotonically to the
-    bottom of the grid while max(cbar, ctilde)(tau(delta)) * delta -> 0.
-    The constants are scored over the whole grid in one array pass; noiseless
-    data take the bottom of the grid, or tau0 itself when it is positive.
-    The schedule must pass check_schedule.
-    """
-    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
-    grid = tau_grid(tau0, tau_min, tau_max, ratio)
-    cbar = compute_cbar(grid, sigma0, beta, T, T0, orti_check)
-    ctilde = compute_ctilde(grid, sigma0, beta, T, T0, orti_check)
-    i = _pick_tau(delta, tau0, cbar, ctilde, tolerance)
-    return float(tau0 if i is None else grid[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +280,7 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
     tau(delta) by `reconstruct`.  The tau grid is scored once, and each row
-    takes tau(delta), cbar and ctilde from it as choose_tau would.
+    takes tau(delta), cbar and ctilde from it by the rule of `_pick_tau`.
     Each row records the preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
     factor is fitted once on a pilot noise level and held fixed.  A schedule

@@ -19,10 +19,10 @@ from . import quasirev
 from .eigenbasis import check_trace_ranks, synthesize
 from .fields import MaterialField
 from .forward import observe, solve_multiharmonic
-from .norms import pole_table, x_norm, ymod_norm, yobs_norm
-from .poles import bound_slack, build_pole_set, verify_bounds
+from .norms import image_norms, pole_table, x_norm
+from .poles import asymptotic_poles, bound_slack, build_pole_set, verify_bounds
 from .reconstruct import linearized_forward, reconstruct
-from .scenarios import (Scenario, forward_settings, make_basis, make_norm_spec,
+from .scenarios import (Scenario, check_seed, forward_settings, make_basis, make_norm_spec,
                         make_params, make_reference, make_true_fields, min_symbol_magnitude,
                         noise_levels, quasirev_settings, scenario_hash, target_cutoff,
                         validate_scenario)
@@ -80,9 +80,10 @@ def run_preset(sc: Scenario, out_dir: str | None = None, seed: int | None = None
     violations = validate_scenario(sc)
     if violations:
         raise ScenarioValidationError(violations)
+    seed = sc.seed if seed is None else int(seed)
+    check_seed(seed, sc.preset)
     out = out_dir or sc.output_dir
     os.makedirs(out, exist_ok=True)
-    seed = sc.seed if seed is None else int(seed)
     shash = scenario_hash(sc)
     handler = _PRESETS[sc.preset]
     manifest = {
@@ -158,7 +159,7 @@ def _preset_pole_report(sc, out, seed, shash):
     diag = verify_bounds(pole_set, params) if params.tau > 0 and pole_set.n_ok else {}
     # without a fitted constant every slack is nan, whatever c is passed
     slack = bound_slack(pole_set, params, diag.get("fitted_c", np.nan))
-    p, asym = pole_set.poles, pole_set.asymptotic
+    p, asym = pole_set.poles, asymptotic_poles(pole_set.lambdas, params)
     write_table(os.path.join(out, "poles.csv"),
                 ["ell", "lambda", "re_p", "im_p", "re_asym", "im_asym", "bound_slack", "ok"],
                 [np.arange(p.size), pole_set.lambdas, p.real, p.imag, asym.real, asym.imag,
@@ -200,14 +201,13 @@ def _preset_stability_probe(sc, out, seed, shash):
     truth = make_true_fields(sc, basis, rng, draws=draws)
     sp = ref.source_pair
     data = linearized_forward(ref, params, basis, truth)
+    table = pole_table(pole_set, sp, params)
     xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
-    yo = yobs_norm(truth.a, data.rhat, spec, sp, pole_set, basis, params)
-    ym = ymod_norm(data.rhat, spec, sp, pole_set, basis, params)
+    yo, ym = image_norms(truth.a, data.rhat, table, spec, sp, basis, params)
     slack = yo + ym - xv
     write_table(os.path.join(out, "stability.csv"),
                 ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack"],
                 [np.arange(draws), xv, yo, ym, slack], shash)
-    table = pole_table(pole_set, sp, params)
     return {
         "draws": draws,
         "min_slack": float(np.min(slack, initial=np.inf)),
@@ -252,11 +252,12 @@ def _preset_smoothing_study(sc, out, seed, shash):
     coeffs = np.zeros(basis.J)
     coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
     exact_trace = coeffs @ basis.trace_matrix
+    kappas = quasirev.smoothing_gains(basis, spec.s)
     rows = []
     for dt in noise_levels(sc):
         noise = rng.standard_normal(basis.nsigma)
         noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)
-        sm = quasirev.smooth_data(exact_trace + noise, dt, basis, spec.s)
+        sm = quasirev.smooth_data(exact_trace + noise, dt, basis, kappas)
         err = float(np.sqrt(np.sum(np.power(basis.lambdas, spec.s)
                                    * np.abs(sm.coeffs - coeffs) ** 2)))
         k = np.flatnonzero(sm.levels == sm.level)[0]

@@ -69,6 +69,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def check_seed(seed: int, preset: str) -> None:
+    """The rule for the seed a run uses, the file's or its override: it is
+    nonnegative, and at least 1 for a qr-sweep, whose pilot draws its noise
+    with seed - 1 (row i draws with seed + i)."""
+    if seed < 0:
+        raise ScenarioValidationError([f"seed {seed} must be nonnegative"])
+    if preset == "qr-sweep" and seed < 1:
+        raise ScenarioValidationError(
+            [f"seed {seed}: the qr-sweep's pilot draws its noise with seed - 1 = {seed - 1}, "
+             "so a qr-sweep needs a seed of at least 1"])
+
+
 def _object(value, what: str) -> dict:
     """A scenario entry that must be a JSON object."""
     if not isinstance(value, dict):
@@ -223,16 +235,21 @@ def true_field_settings(sc: Scenario) -> tuple[int, float, int, list[tuple[int, 
     cfg = sc.true_fields
     cutoff = 0
     if truth_kind(sc) == "random_low_mode":
-        cutoff = min(_integer(cfg.get("cutoff", max(2, sc.J // 2)), "true_fields.cutoff"), sc.J)
+        cutoff = _integer(cfg.get("cutoff", max(2, sc.J // 2)), "true_fields.cutoff")
+        if cutoff < 0:
+            raise ScenarioValidationError([f"true_fields.cutoff {cutoff} must be nonnegative"])
+        cutoff = min(cutoff, sc.J)
     modes = []
     for c, key in enumerate(("sigma_modes", "eta_modes")):
         for j, val in cfg.get(key, []):
             j = _integer(j, f"{key} index")
             if not 0 <= j < sc.J:
                 raise ScenarioValidationError([f"{key} index {j} outside truncation"])
-            modes.append((c, j, float(val)))
-    return (cutoff, float(cfg.get("du_scale", 1.0)),
-            _integer(cfg.get("du_band", sc.M), "true_fields.du_band"), modes)
+            modes.append((c, j, _finite(val, f"{key} value")))
+    du_band = _integer(cfg.get("du_band", sc.M), "true_fields.du_band")
+    if not 0 <= du_band <= sc.M:
+        raise ScenarioValidationError([f"true_fields.du_band {du_band} outside 0..M = 0..{sc.M}"])
+    return (cutoff, _finite(cfg.get("du_scale", 1.0), "true_fields.du_scale"), du_band, modes)
 
 
 def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
@@ -287,6 +304,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if mode != "fit":
         out.append(f"residue_mode {mode!r} is not supported: the oracle mode was removed and "
                    "every run fits the traces; omit the key or set it to \"fit\"")
+    _collect(out, "seed", check_seed, sc.seed, sc.preset)
     _collect(out, "draws", lambda: sc.draws)
     try:
         params = make_params(sc)

@@ -20,7 +20,9 @@ the truth (`oracle_residues`) feed the paper's constructive formula
 `residue_term` inverts the formula, lifting traces with
 `eigenbasis.trace_right_inverse`: it is the residue path to the
 observation-side image norm, which the package reads off the coefficient pair
-and its model residues (`norms.yobs_terms`).
+and its model residues (`norms.image_norms`).  `image_terms` hands
+`norms._image_terms` the pieces `image_norms` sums, so the loops below can be
+compared with the package term by term.
 
 The analytic interpolant: `interp_periodic`, the source transforms
 `psi_tilde`/`psi_sq_tilde` and the matrix `evaluate_mtilde` at any points
@@ -53,16 +55,18 @@ time, and the rectangle's J x J (lambda, i, j) tuples sorted by lambda
 as arrays (k, a, norm) and picks the rectangle's pairs with one stable
 argsort, and every basis array must match these bit for bit.
 
-The pole selection: the per-eigenvalue `select_pole`/`pole_asymptotic` loop
-the package's masked selection (`poles.build_pole_set`) must match exactly.
+The pole selection: the per-eigenvalue `select_pole` loop the package's
+masked selection (`poles.build_pole_set`) must match exactly, and the
+per-eigenvalue `pole_asymptotic` loop `poles.asymptotic_poles` must match.
 
 The quasi-reversibility sweep: the relaxation-time constants at one tau with
 float `**` (`rate_constants_scalar`), the tau(delta) schedule scored one grid
-tau at a time (`choose_tau_loop`), and the sweep rows with the schedule
-scored, the constants evaluated and the fit and the state formula written
-out per noise level (`sweep_rows_from_fit`); the package evaluates the
-constants on arrays, scores the grid once per sweep and inverts each row with
-`reconstruct`, and all must match these exactly.
+tau at a time (`choose_tau_loop`) and in one array pass for one noise level
+(`choose_tau`), and the sweep rows with the schedule scored, the constants
+evaluated and the fit and the state formula written out per noise level
+(`sweep_rows_from_fit`); the package evaluates the constants on arrays,
+scores the grid once per sweep and inverts each row with `reconstruct`, and
+all must match these exactly.
 
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
@@ -89,12 +93,12 @@ from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumErro
                              VanishingDivisorError)
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
-from harmtomo.norms import _lam_weight, _pole_weight, pole_table, x_norm
+from harmtomo.norms import _image_terms, _lam_weight, _pole_weight, pole_table, x_norm
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
-from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _rate_core, add_noise,
-                               check_schedule, choose_tau, compute_cbar, compute_ctilde,
-                               tau_grid, time_derivative_norm)
+from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _pick_tau, _rate_core, add_noise,
+                               check_schedule, compute_cbar, compute_ctilde, tau_grid,
+                               time_derivative_norm)
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedInput, ReconstructionResult,
                                   fit_coefficients, linearized_forward, solve_states_from_coeffs)
 from harmtomo.sources import (ReferenceState, SourcePair, _contract_kernels, _period_kernel,
@@ -488,6 +492,29 @@ def yobs_terms_loop(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
     return term1, term2
 
 
+def image_pieces(spec: NormSpec, sp: SourcePair, basis: EigenBasis, params: ModelParams,
+                 ok, M: int) -> tuple:
+    """The pole weights w (M, n_ok), the weights lam_l^s (n_ok,) and the
+    modulation matrices mm (M, 2, 2) of the admissible modes ok, as
+    `norms.image_norms` hands them to `norms._image_terms`."""
+    return (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
+            _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
+
+
+def image_terms(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
+                basis: EigenBasis, params: ModelParams) -> tuple:
+    """The squared pieces (Yobs terms, Ymod terms) that `norms.image_norms`
+    sums for the coefficient pairs a (..., J, 2) and their model residues
+    rhat (..., 2, M, J): each norm is sqrt(t1 + t2) of its pair, bit for bit."""
+    rhat = np.asarray(rhat, dtype=complex)
+    t = pole_table(pole_set, sp, params)
+    r = rhat[..., t.ok]
+    model = t.model_term_ok(r)
+    pieces = image_pieces(spec, sp, basis, params, t.ok, rhat.shape[-2])
+    return (_image_terms(np.asarray(a)[..., t.ok, :] - model, 0.0, *pieces),
+            _image_terms(model, r, *pieces))
+
+
 def basis_to_csv(basis: EigenBasis, path, scenario_hash: str = "") -> None:
     """Basis summary: one row per mode with eigenvalue and trace values."""
     with open(path, "w", newline="") as f:
@@ -527,6 +554,7 @@ def pole_table_csv(pole_set: PoleSet, params: ModelParams, path, scenario_hash: 
     if params.tau > 0 and pole_set.n_ok:
         diag = verify_bounds(pole_set, params)
     slack = bound_slack(pole_set, params, diag["fitted_c"]) if diag else np.full(pole_set.lambdas.shape, np.nan)
+    asym = asymptotic_poles_loop(pole_set.lambdas, params)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         header = ["ell", "lambda", "re_p", "im_p", "re_asym", "im_asym", "bound_slack", "ok"]
@@ -536,7 +564,7 @@ def pole_table_csv(pole_set: PoleSet, params: ModelParams, path, scenario_hash: 
         for i, lam in enumerate(pole_set.lambdas):
             row = [i, format(lam, ".17g"),
                    format(pole_set.poles[i].real, ".17g"), format(pole_set.poles[i].imag, ".17g"),
-                   format(pole_set.asymptotic[i].real, ".17g"), format(pole_set.asymptotic[i].imag, ".17g"),
+                   format(asym[i].real, ".17g"), format(asym[i].imag, ".17g"),
                    format(slack[i], ".17g"), int(pole_set.ok[i])]
             if scenario_hash:
                 row.append(scenario_hash)
@@ -760,22 +788,27 @@ def build_pole_set_loop(lambdas, params: ModelParams) -> PoleSet:
     lambdas = np.asarray(lambdas, dtype=float)
     L = lambdas.size
     poles = np.full(L, np.nan + 1j * np.nan, dtype=complex)
-    allroots = np.full((L, 3), np.nan + 1j * np.nan, dtype=complex)
-    asym = np.full(L, np.nan + 1j * np.nan, dtype=complex)
     ok = np.zeros(L, dtype=bool)
     roots = characteristic_roots(lambdas, params)
-    allroots[:, : roots.shape[-1]] = roots
     for i, lam in enumerate(lambdas):
-        try:
-            asym[i] = pole_asymptotic(lam, params)
-        except NonOscillatoryError:
-            pass
         try:
             poles[i] = select_pole(roots[i], lam, params)
             ok[i] = True
         except PoleSelectionError:
             pass
-    return PoleSet(lambdas=lambdas, poles=poles, roots=allroots, asymptotic=asym, ok=ok)
+    return PoleSet(lambdas=lambdas, poles=poles, ok=ok)
+
+
+def asymptotic_poles_loop(lambdas, params: ModelParams) -> np.ndarray:
+    """`pole_asymptotic` per eigenvalue, nan where it raises
+    NonOscillatoryError."""
+    asym = np.full(np.shape(lambdas), np.nan + 1j * np.nan, dtype=complex)
+    for i, lam in enumerate(np.asarray(lambdas, dtype=float)):
+        try:
+            asym[i] = pole_asymptotic(lam, params)
+        except NonOscillatoryError:
+            pass
+    return asym
 
 
 def convolve_bm_grid(basis: EigenBasis, u, v, m_out: int | None = None) -> np.ndarray:
@@ -914,8 +947,8 @@ def rate_constants_scalar(tau: float, sigma0: float, beta: float, T: float, T0: 
 def choose_tau_loop(delta: float, tau0: float, sigma0: float, beta: float, T: float,
                     T0: float, orti_check: float, tau_min: float, tau_max: float,
                     ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
-    """`quasirev.choose_tau` with the constants evaluated one grid tau at a
-    time, returning the first tau within the limit."""
+    """`choose_tau` with the constants evaluated one grid tau at a time,
+    returning the first tau within the limit."""
     check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
     if delta == 0.0 and tau0 > 0.0:
         return float(tau0)
@@ -929,6 +962,21 @@ def choose_tau_loop(delta: float, tau0: float, sigma0: float, beta: float, T: fl
         if c <= limit:
             return float(tau)
     return float(grid[-1])
+
+
+def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
+               T0: float, orti_check: float, tau_min: float, tau_max: float,
+               ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
+    """tau(delta) for one noise level: the schedule's grid scored in one
+    array pass and picked by the package's rule (`quasirev._pick_tau`), or
+    tau0 itself for noiseless data when it is positive.  The schedule must
+    pass check_schedule."""
+    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
+    grid = tau_grid(tau0, tau_min, tau_max, ratio)
+    cbar = compute_cbar(grid, sigma0, beta, T, T0, orti_check)
+    ctilde = compute_ctilde(grid, sigma0, beta, T, T0, orti_check)
+    i = _pick_tau(delta, tau0, cbar, ctilde, tolerance)
+    return float(tau0 if i is None else grid[i])
 
 
 def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,

@@ -11,10 +11,10 @@ import numpy as np
 
 from harmtomo import (amplitude_modulate, build_interval_basis,
                       build_pole_set, build_rectangle_basis, build_reference_state,
-                      compute_cbar, design_delta_pulse,
-                      run_sweep, smooth_data,
+                      compute_cbar, design_delta_pulse, image_norms, pole_table,
+                      run_sweep, smooth_data, smoothing_gains,
                       solve_multiharmonic, verify_bounds,
-                      x_norm, ymod_norm, yobs_norm, observe)
+                      x_norm, observe)
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.fields import MaterialField, ModelParams, NormSpec
 from harmtomo.forward import model_residual, nonlinear_model
@@ -169,15 +169,14 @@ def test_criterion_5_linearized_stability():
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
     ref = build_reference_state(basis, 0, sp)
-    poles = build_pole_set(basis.lambdas, params)
+    table = pole_table(build_pole_set(basis.lambdas, params), sp, params)
     spec = NormSpec(s=1.0, orti_check=0.5)
     min_slack = np.inf
     for k in range(1000):
         lin = random_input(basis, M, 5000 + k)
         data = linearized_forward(ref, params, basis, lin)
         xv = x_norm(lin.a, lin.du, basis.lambdas, params.omega, spec)
-        yv = (yobs_norm(lin.a, data.rhat, spec, sp, poles, basis, params)
-              + ymod_norm(data.rhat, spec, sp, poles, basis, params))
+        yv = sum(image_norms(lin.a, data.rhat, table, spec, sp, basis, params))
         min_slack = min(min_slack, yv - xv)
     ok = min_slack >= -1e-10
     report(5, ok, f"min slack of X <= Y over 1000 draws: {min_slack:.3e} (tolerance -1e-10)")
@@ -205,7 +204,7 @@ def test_criterion_7_nonlinear_lipschitz():
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
     ref = build_reference_state(basis, 0, sp)
-    poles = build_pole_set(basis.lambdas, params)
+    table = pole_table(build_pole_set(basis.lambdas, params), sp, params)
     spec = NormSpec(s=1.0, orti_check=0.5)
     cbar = compute_cbar(params.tau, params.sigma0, params.beta, params.T, params.T0,
                         spec.orti_check)
@@ -240,7 +239,7 @@ def test_criterion_7_nonlinear_lipschitz():
         d_obs = observe(basis, u1 - u2)
         mod_norm = bochner_norm(d_mod, params.omega, basis.lambdas, spec.orti_check, spec.s_check)
         a_rec = reconstruct(LinearizedData(rhat=d_mod, phat=d_obs), ref, basis, params).a
-        obs_norm = yobs_norm(a_rec, d_mod, spec, sp, poles, basis, params)
+        obs_norm, _ = image_norms(a_rec, d_mod, table, spec, sp, basis, params)
         return xv / (mod_norm + obs_norm)
 
     pilot = max(pair_ratio(9000 + k) for k in range(20))
@@ -341,10 +340,11 @@ def test_criterion_10_data_smoothing():
     coeffs[:5] = rng.standard_normal(5) / (1.0 + np.arange(5)) ** 3
     exact = coeffs @ basis.trace_matrix
     errs = []
+    gains = smoothing_gains(basis, s)
     for dt in (1e-2, 1e-3, 1e-4):
         noise = rng.standard_normal(exact.shape)
         noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)
-        sm = smooth_data(exact + noise, dt, basis, s)
+        sm = smooth_data(exact + noise, dt, basis, gains)
         errs.append(float(np.sqrt(np.sum(np.power(basis.lambdas, s)
                                          * np.abs(sm.coeffs - coeffs) ** 2))))
     decreasing = errs[0] > errs[1] > errs[2]

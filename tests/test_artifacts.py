@@ -14,8 +14,9 @@ import pytest
 
 import oracles
 from conftest import run_scenario, small_scenario
-from harmtomo import quasirev, runner
+from harmtomo import norms, quasirev, runner
 from harmtomo.forward import model_residual, observe
+from harmtomo.norms import PoleTable
 from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
@@ -66,8 +67,7 @@ def _roundtrip(sc, d, shash, seen):
 def _stability_probe(sc, d, shash, seen):
     # one batched call per norm: each records an array with one value per draw
     (_, xs), = seen["x"]
-    (_, yos), = seen["yobs"]
-    (_, yms), = seen["ymod"]
+    (_, (yos, yms)), = seen["image"]
     rows = [[i, float(xv), float(yo), float(ym), float(yo + ym - xv), shash]
             for i, (xv, yo, ym) in enumerate(zip(xs, yos, yms))]
     oracles.csv_rows(d / "stability.csv",
@@ -155,7 +155,7 @@ def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
         ("params", runner, "make_params"), ("basis", runner, "make_basis"),
         ("truth", runner, "make_true_fields"), ("pole_set", runner, "build_pole_set"),
         ("solve", runner, "solve_multiharmonic"), ("reconstruct", runner, "reconstruct"),
-        ("x", runner, "x_norm"), ("yobs", runner, "yobs_norm"), ("ymod", runner, "ymod_norm"),
+        ("x", runner, "x_norm"), ("image", runner, "image_norms"),
         ("sweep", quasirev, "run_sweep"), ("smooth", quasirev, "smooth_data"))}
     out, sc = run_scenario(tmp_path, raw)
     expected = tmp_path / "oracle"
@@ -171,13 +171,29 @@ def test_artifacts_match_oracle_writers(case, tmp_path, monkeypatch):
 
 
 def test_stability_probe_calls_each_stage_once(tmp_path, monkeypatch):
-    stages = ("make_true_fields", "linearized_forward", "x_norm", "yobs_norm", "ymod_norm")
+    stages = ("make_true_fields", "linearized_forward", "x_norm", "image_norms")
     seen = {name: _record(monkeypatch, runner, name) for name in stages}
     out, _ = run_scenario(tmp_path, small_scenario("stability-probe", M=24, draws=7))
     assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(stages, 1)
-    for name in ("x_norm", "yobs_norm", "ymod_norm"):
-        assert seen[name][0][1].shape == (7,)
+    yo, ym = seen["image_norms"][0][1]
+    assert seen["x_norm"][0][1].shape == yo.shape == ym.shape == (7,)
     assert len((out / "stability.csv").read_text().splitlines()) == 8
+
+
+def test_stability_probe_builds_one_pole_table(tmp_path, monkeypatch):
+    # the op builds its table once (one kernel evaluation), evaluates the model
+    # term once for both image norms, and reads max_mtilde_cond off that table
+    tables = _record(monkeypatch, runner, "pole_table")
+    kernels = _record(monkeypatch, norms, "interp_kernels")
+    terms = _record(monkeypatch, PoleTable, "model_term_ok")
+    image = _record(monkeypatch, runner, "image_norms")
+    out, _ = run_scenario(tmp_path, small_scenario("stability-probe", M=24, draws=7))
+    assert (len(tables), len(kernels), len(terms)) == (1, 1, 1)
+    (_, table), = tables
+    assert terms[0][0][0] is table and image[0][0][2] is table
+    assert terms[0][1].shape == (7, table.ok.size, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["max_mtilde_cond"] == float(np.max(table.mt_cond))
 
 
 @pytest.mark.parametrize("tau, poles_ok, missing", [(0.5, 8, []), (0.05, 7, [2])])

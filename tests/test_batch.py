@@ -6,13 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from harmtomo.norms import (_image_terms, pole_table, x_norm, yobs_norm, yobs_terms, ymod_norm,
-                           ymod_terms)
+from harmtomo.norms import _image_terms, image_norms, pole_table, x_norm
 from harmtomo.reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
                                   solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
-from oracles import oracle_residues, recover_coefficients_loop, residue_term, residues_of
+from oracles import (image_pieces, image_terms, oracle_residues, recover_coefficients_loop,
+                     residue_term, residues_of)
 
 B = 5
 TOL = 1e-13
@@ -42,6 +42,11 @@ def _pole_args(b):
 
 def _fit_args(b):
     return b["sp"], b["basis"], b["params"]
+
+
+def _image_norms(b, spec, a, rhat):
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    return image_norms(a, rhat, t, spec, b["sp"], b["basis"], b["params"])
 
 
 def _stack(fn, items):
@@ -129,22 +134,18 @@ def test_norms_and_terms(bundle, spec_std):
     q = rng.standard_normal((B, b["basis"].J, 2)) + 1j * rng.standard_normal((B, b["basis"].J, 2))
     ok = np.flatnonzero(b["poles"].ok)
 
-    def image_terms(qk, rhat):
-        return _image_terms(qk[..., ok, :], rhat[..., ok], ok, b["M"], spec_std, b["sp"],
-                            b["basis"], b["params"])
+    def q_terms(qk, rhat):
+        return _image_terms(qk[..., ok, :], rhat[..., ok],
+                            *image_pieces(spec_std, b["sp"], b["basis"], b["params"], ok, b["M"]))
     cases = [
         (x_norm(lin.a, lin.du, lam, omega, spec_std),
          [x_norm(v.a, v.du, lam, omega, spec_std) for v in lins]),
-        (ymod_norm(data.rhat, spec_std, *_args(b)),
-         [ymod_norm(d.rhat, spec_std, *_args(b)) for d in one]),
-        (yobs_norm(lin.a, data.rhat, spec_std, *_args(b)),
-         [yobs_norm(v.a, d.rhat, spec_std, *_args(b)) for v, d in zip(lins, one)]),
-        (np.stack(ymod_terms(data.rhat, spec_std, *_args(b)), axis=-1),
-         [ymod_terms(d.rhat, spec_std, *_args(b)) for d in one]),
-        (np.stack(image_terms(q, data.rhat), axis=-1),
-         [image_terms(qk, d.rhat) for d, qk in zip(one, q)]),
-        (np.stack(yobs_terms(lin.a, data.rhat, spec_std, *_args(b)), axis=-1),
-         [yobs_terms(v.a, d.rhat, spec_std, *_args(b)) for v, d in zip(lins, one)]),
+        (np.stack(_image_norms(b, spec_std, lin.a, data.rhat), axis=-1),
+         [_image_norms(b, spec_std, v.a, d.rhat) for v, d in zip(lins, one)]),
+        (np.moveaxis(np.array(image_terms(lin.a, data.rhat, spec_std, *_args(b))), -1, 0),
+         [image_terms(v.a, d.rhat, spec_std, *_args(b)) for v, d in zip(lins, one)]),
+        (np.stack(q_terms(q, data.rhat), axis=-1),
+         [q_terms(qk, d.rhat) for d, qk in zip(one, q)]),
     ]
     for new, old in cases:
         assert new.shape[0] == B
@@ -165,8 +166,7 @@ def test_two_batch_axes(setup_small, spec_std):
     assert a.shape == (2, B, b["basis"].J, 2)
     assert np.max(np.abs(a - grid.a)) <= 1e-10
     assert _rel(res[1], -oracle_residues(lin, flat.rhat, *_pole_args(b))) <= TOL
-    yo = yobs_norm(grid.a, data.rhat, spec_std, *_args(b))
-    ym = ymod_norm(data.rhat, spec_std, *_args(b))
+    yo, ym = _image_norms(b, spec_std, grid.a, data.rhat)
     xv = x_norm(grid.a, grid.du, b["basis"].lambdas, b["params"].omega, spec_std)
     assert yo.shape == ym.shape == xv.shape == (2, B)
     assert _rel(xv[1], xv[0]) <= TOL and np.all(yo + ym - xv >= -1e-10)
@@ -182,8 +182,7 @@ def test_single_and_empty_batch(setup_small, spec_std, draws):
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     assert res.shape == (draws, J, 2, b["basis"].nsigma)
     for v in (x_norm(lin.a, lin.du, b["basis"].lambdas, b["params"].omega, spec_std),
-              yobs_norm(lin.a, data.rhat, spec_std, *_args(b)),
-              ymod_norm(data.rhat, spec_std, *_args(b))):
+              *_image_norms(b, spec_std, lin.a, data.rhat)):
         assert isinstance(v, np.ndarray) and v.shape == (draws,)
 
 

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
-from harmtomo import bochner_norm, rho_t, x_norm, ymod_norm, yobs_norm, ytilde_obs_norm
+from harmtomo import (bochner_norm, image_norms, pole_table, rho_t, x_norm,
+                      ytilde_obs_norm)
 from harmtomo.fields import ModelParams
-from harmtomo.norms import _image_terms, _lam_weight, pole_table, yobs_terms
+from harmtomo.norms import _image_terms, _lam_weight
 from harmtomo.reconstruct import linearized_forward
 from conftest import random_linearized
-from oracles import j_bound, j_bound_constant, synthesize_time
+from oracles import image_pieces, image_terms, j_bound, j_bound_constant, synthesize_time
+
+
+def _norms(s, spec, a, rhat, poles=None, params=None):
+    """(Yobs, Ymod) over one pole table of the setup s, or of poles and params."""
+    poles, params = poles or s["poles"], params or s["params"]
+    t = pole_table(poles, s["sp"], params)
+    return image_norms(a, rhat, t, spec, s["sp"], s["basis"], params)
+
+
+def _ymod(s, spec, rhat):
+    """Ymod of rhat, which does not read the coefficient pairs."""
+    return _norms(s, spec, np.zeros(np.shape(rhat)[:-3] + (s["basis"].J, 2)), rhat)[1]
 
 
 class TestRho:
@@ -104,9 +117,7 @@ class TestImageNorms:
         s = setup_small
         zero_r = np.zeros((2, s["M"], s["basis"].J), dtype=complex)
         zero_a = np.zeros((s["basis"].J, 2))
-        assert ymod_norm(zero_r, spec_std, s["sp"], s["poles"], s["basis"], s["params"]) == 0.0
-        assert yobs_norm(zero_a, zero_r, spec_std, s["sp"], s["poles"], s["basis"],
-                         s["params"]) == 0.0
+        assert _norms(s, spec_std, zero_a, zero_r) == (0.0, 0.0)
 
     def test_linearized_stability_proposition(self, setup_small, spec_std):
         # unit-bound stability: X <= Yobs + Ymod on random draws
@@ -116,9 +127,7 @@ class TestImageNorms:
             lin = random_linearized(s["basis"], s["M"], 1000 + k, decay=False)
             data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
             xv = x_norm(lin.a, lin.du, s["basis"].lambdas, s["params"].omega, spec_std)
-            yv = (yobs_norm(lin.a, data.rhat, spec_std, s["sp"], s["poles"], s["basis"],
-                            s["params"])
-                  + ymod_norm(data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"]))
+            yv = sum(_norms(s, spec_std, lin.a, data.rhat))
             min_slack = min(min_slack, yv - xv)
         assert min_slack >= -1e-10
 
@@ -131,8 +140,8 @@ class TestImageNorms:
         q[~s["poles"].ok] = 0.0
         rhat = np.einsum("mef,jf->emj", s["sp"].mm[: s["M"]], q)
         ok = np.flatnonzero(s["poles"].ok)
-        t1, t2 = _image_terms(q[ok], rhat[..., ok], ok, s["M"], spec_std, s["sp"], s["basis"],
-                              s["params"])
+        t1, t2 = _image_terms(q[ok], rhat[..., ok],
+                              *image_pieces(spec_std, s["sp"], s["basis"], s["params"], ok, s["M"]))
         assert t1 <= 1e-20 * max(t2, 1.0)
         assert t2 > 0
 
@@ -140,13 +149,11 @@ class TestImageNorms:
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 6)
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
-        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        y1 = yobs_norm(lin.a, data.rhat, *args)
-        y2 = yobs_norm(2.0 * lin.a, 2.0 * data.rhat, *args)
+        y1, m1 = _norms(s, spec_std, lin.a, data.rhat)
+        y2, m2 = _norms(s, spec_std, 2.0 * lin.a, 2.0 * data.rhat)
         assert y2 == pytest.approx(2.0 * y1, rel=1e-12)
-        m1 = ymod_norm(data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        m2 = ymod_norm(3.0 * data.rhat, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        assert m2 == pytest.approx(3.0 * m1, rel=1e-12)
+        assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
+        assert _ymod(s, spec_std, 3.0 * data.rhat) == pytest.approx(3.0 * m1, rel=1e-12)
 
 
     def test_yobs_zero_harmonics_is_empty_first_sum(self, setup_small, spec_std):
@@ -156,13 +163,13 @@ class TestImageNorms:
         data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
         t = pole_table(s["poles"], s["sp"], s["params"])
         q = lin.a[t.ok] - t.model_term_ok(data.rhat[..., t.ok])
-        args = (spec_std, s["sp"], s["basis"], s["params"])
-        t1, t2 = _image_terms(q, 0.0, t.ok, 0, *args)
-        full1, full2 = _image_terms(q, 0.0, t.ok, s["M"], *args)
+        args = (spec_std, s["sp"], s["basis"], s["params"], t.ok)
+        t1, t2 = _image_terms(q, 0.0, *image_pieces(*args, 0))
+        full1, full2 = _image_terms(q, 0.0, *image_pieces(*args, s["M"]))
         assert t1 == 0.0 and full1 > 0.0
         assert t2 == full2 > 0.0
-        assert (full1, full2) == yobs_terms(lin.a, data.rhat, spec_std, s["sp"], s["poles"],
-                                            s["basis"], s["params"])
+        assert (full1, full2) == image_terms(lin.a, data.rhat, spec_std, s["sp"], s["poles"],
+                                             s["basis"], s["params"])[0]
 
 
 class TestYtilde:
@@ -212,7 +219,7 @@ class TestYtilde:
             for k in range(10):
                 lin = random_linearized(s["basis"], s["M"], 3000 + k)
                 data = linearized_forward(s["ref"], params, s["basis"], lin)
-                yo = yobs_norm(lin.a, data.rhat, spec_std, s["sp"], poles, s["basis"], params)
+                yo, _ = _norms(s, spec_std, lin.a, data.rhat, poles, params)
                 yt = ytilde_obs_norm(data.phat, s["basis"], spec_std.s, params.omega)
                 worst = max(worst, yo / yt)
             fitted.append(worst)
@@ -290,15 +297,13 @@ def test_image_norm_triangle_inequalities(setup_small, spec_std):
     for _ in range(10):
         r1 = rng.standard_normal(shape_r) + 1j * rng.standard_normal(shape_r)
         r2 = rng.standard_normal(shape_r) + 1j * rng.standard_normal(shape_r)
-        lhs = ymod_norm(r1 + r2, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        rhs = (ymod_norm(r1, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-               + ymod_norm(r2, spec_std, s["sp"], s["poles"], s["basis"], s["params"]))
+        lhs = _ymod(s, spec_std, r1 + r2)
+        rhs = _ymod(s, spec_std, r1) + _ymod(s, spec_std, r2)
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
         a1 = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
         a2 = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
-        args = (spec_std, s["sp"], s["poles"], s["basis"], s["params"])
-        lhs = yobs_norm(a1 + a2, r1 + r2, *args)
-        rhs = yobs_norm(a1, r1, *args) + yobs_norm(a2, r2, *args)
+        lhs, _ = _norms(s, spec_std, a1 + a2, r1 + r2)
+        rhs = _norms(s, spec_std, a1, r1)[0] + _norms(s, spec_std, a2, r2)[0]
         assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
         p1 = rng.standard_normal((2, 6, s["basis"].nsigma)) + 1j * rng.standard_normal((2, 6, s["basis"].nsigma))
         p2 = rng.standard_normal((2, 6, s["basis"].nsigma)) + 1j * rng.standard_normal((2, 6, s["basis"].nsigma))
@@ -315,7 +320,7 @@ def test_ymod_dominated_by_bochner_with_stable_constant(setup_small, spec_std):
     fitted = []
     for _ in range(8):
         r = rng.standard_normal((2, s["M"], s["basis"].J)) + 1j * rng.standard_normal((2, s["M"], s["basis"].J))
-        ym = ymod_norm(r, spec_std, s["sp"], s["poles"], s["basis"], s["params"])
+        ym = _ymod(s, spec_std, r)
         bo = bochner_norm(r, s["params"].omega, s["basis"].lambdas,
                           spec_std.orti_check, spec_std.s_check)
         fitted.append(ym / bo)

@@ -5,14 +5,15 @@ import pytest
 
 from harmtomo import build_pole_set, invert_mtilde
 from harmtomo.errors import SingularInterpolantError
-from harmtomo.norms import _image_terms, pole_table, yobs_terms, ymod_terms
+from harmtomo.norms import _image_terms, image_norms, pole_table
 from harmtomo.reconstruct import LinearizedInput, linearized_forward, reconstruct
 from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
 from harmtomo.sources import interp_kernels
 from conftest import SCENARIOS, random_linearized
-from oracles import (fit_residues_loop, interp_periodic, interp_periodic_scalar, oracle_residues,
-                     oracle_residues_loop, psi_sq_tilde, psi_tilde, recover_coefficients_loop,
-                     residue_term, residues_of, yobs_terms_loop, ymod_terms_loop)
+from oracles import (fit_residues_loop, image_pieces, image_terms, interp_periodic,
+                     interp_periodic_scalar, oracle_residues, oracle_residues_loop, psi_sq_tilde,
+                     psi_tilde, recover_coefficients_loop, residue_term, residues_of,
+                     yobs_terms_loop, ymod_terms_loop)
 
 TOL = 1e-13
 FIT_ORACLE_TOL = 1e-10  # fit/oracle residues at tau 0.05, where the fit's cond is ~5e6
@@ -30,6 +31,11 @@ def _data(b, seed):
 
 def _args(b):
     return b["sp"], b["poles"], b["basis"], b["params"]
+
+
+def _pieces(b, spec):
+    return image_pieces(spec, b["sp"], b["basis"], b["params"], np.flatnonzero(b["poles"].ok),
+                        b["M"])
 
 
 def test_oracle_residues_match_loop(bundle):
@@ -84,17 +90,19 @@ def test_image_norm_terms_match_loop(bundle, spec_std):
     lin, data = _data(bundle, 54)
     b = bundle
     res = oracle_residues_loop(lin, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
-    for new, old in ((ymod_terms(data.rhat, spec_std, *_args(b)),
-                      ymod_terms_loop(data.rhat, spec_std, *_args(b))),
-                     (yobs_terms(lin.a, data.rhat, spec_std, *_args(b)),
-                      yobs_terms_loop(res, spec_std, *_args(b), M=b["M"]))):
+    yobs, ymod = image_terms(lin.a, data.rhat, spec_std, *_args(b))
+    for new, old in ((ymod, ymod_terms_loop(data.rhat, spec_std, *_args(b))),
+                     (yobs, yobs_terms_loop(res, spec_std, *_args(b), M=b["M"]))):
         assert _rel(new, old) <= TOL
+    # image_norms sums exactly these terms
+    t = pole_table(b["poles"], b["sp"], b["params"])
+    norms = image_norms(lin.a, data.rhat, t, spec_std, b["sp"], b["basis"], b["params"])
+    assert norms == tuple(float(np.sqrt(t1 + t2)) for t1, t2 in (yobs, ymod))
     rng = np.random.default_rng(55)
     J = b["basis"].J
     q = rng.standard_normal((J, 2)) + 1j * rng.standard_normal((J, 2))
     ok = np.flatnonzero(b["poles"].ok)
-    new = _image_terms(q[ok], data.rhat[..., ok], ok, b["M"], spec_std, b["sp"], b["basis"],
-                       b["params"])
+    new = _image_terms(q[ok], data.rhat[..., ok], *_pieces(b, spec_std))
     old = ymod_terms_loop(data.rhat, spec_std, *_args(b),
                           pole_values={int(ell): q[ell] for ell in ok})
     assert _rel(new, old) <= TOL
@@ -109,15 +117,14 @@ def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
     lin = LinearizedInput(*(np.stack([getattr(v, f) for v in lins])
                             for f in ("a_sigma", "a_eta", "du")))
     data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
-    t = pole_table(b["poles"], b["sp"], b["params"])
-    new = np.stack(yobs_terms(lin.a, data.rhat, spec_std, *_args(b)), axis=-1)
+    new = np.stack(image_terms(lin.a, data.rhat, spec_std, *_args(b))[0], axis=-1)
     pole_args = (b["poles"], b["sp"], b["basis"], b["params"])
     path = _image_terms(residue_term(oracle_residues(lin, data.rhat, *pole_args), *pole_args),
-                        0.0, t.ok, b["M"], spec_std, b["sp"], b["basis"], b["params"])
+                        0.0, *_pieces(b, spec_std))
     assert new.shape == (3, 2) and _rel(new, np.stack(path, axis=-1)) <= TOL
     for k, v in enumerate(lins):
         d = linearized_forward(b["ref"], b["params"], b["basis"], v)
-        one = yobs_terms(v.a, d.rhat, spec_std, *_args(b))
+        one = image_terms(v.a, d.rhat, spec_std, *_args(b))[0]
         res = oracle_residues_loop(v, d.rhat, b["poles"], b["sp"], b["basis"], b["params"])
         assert all(isinstance(x, float) for x in one)
         assert _rel(one, yobs_terms_loop(res, spec_std, *_args(b), M=b["M"])) <= TOL
@@ -153,17 +160,15 @@ def test_invert_mtilde_stack(setup_small):
 
 
 def test_pole_table_built_once_per_pole_set(setup_small):
+    # a preset builds the table once and passes it down (test_artifacts counts
+    # the builds); the table is a function of its inputs, so an equal pole set
+    # gives an equal table
     s = setup_small
     t = pole_table(s["poles"], s["sp"], s["params"])
-    assert pole_table(s["poles"], s["sp"], s["params"]) is t
-    assert pole_table(s["poles"], s["sp"], s["params"].with_tau(0.5)) is t  # equal parameters
     fresh = build_pole_set(s["basis"].lambdas, s["params"])
     t2 = pole_table(fresh, s["sp"], s["params"])
-    assert t2 is not t
     assert np.array_equal(t2.mt_inv, t.mt_inv) and np.array_equal(t2.kp, t.kp)
     assert t.kp.shape == (s["poles"].n_ok, s["M"]) and t.mt_inv.shape == (s["poles"].n_ok, 2, 2)
-    with pytest.raises(ValueError):
-        t.mt_inv[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["interval_roundtrip", "qr_sweep", "smoothing_study"])

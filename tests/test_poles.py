@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from harmtomo import build_pole_set, characteristic_roots, verify_bounds
+from harmtomo import asymptotic_poles, build_pole_set, characteristic_roots, verify_bounds
 from harmtomo.fields import ModelParams
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
-from oracles import (big_theta, vartheta, NonOscillatoryError, PoleSelectionError, build_pole_set_loop,
-                     interval_eigenvalues, pole_asymptotic, select_pole)
+from oracles import (big_theta, vartheta, NonOscillatoryError, PoleSelectionError,
+                     asymptotic_poles_loop, build_pole_set_loop, interval_eigenvalues,
+                     pole_asymptotic, select_pole)
 
 
 def psi_transfer(o, params):
@@ -93,17 +94,10 @@ class TestStackedRoots:
         for gamma in ((1.0, 1.0), (0.0, 0.0)):   # Neumann adds lambda = 0, which has no pole
             lams = interval_eigenvalues(np.pi, gamma, J)
             got, ref = build_pole_set(lams, p), build_pole_set_loop(lams, p)
-            for name in ("poles", "asymptotic", "ok", "roots"):
+            for name in ("poles", "ok"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
-
-    @pytest.mark.parametrize("tau", [0.5, 0.0])
-    def test_pole_set_stores_the_roots(self, tau):
-        p = params_of(tau=tau)
-        lams = interval_eigenvalues(np.pi, (1.0, 1.0), 8)
-        ps = build_pole_set(lams, p)
-        n = 3 if tau > 0 else 2
-        assert np.array_equal(ps.roots[:, :n], characteristic_roots(lams, p))
-        assert np.all(np.isnan(ps.roots[:, n:]))
+            assert np.array_equal(asymptotic_poles(lams, p), asymptotic_poles_loop(lams, p),
+                                  equal_nan=True)
 
 
 class TestSelection:

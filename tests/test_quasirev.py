@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, choose_tau,
-                      compute_cbar, compute_ctilde, smooth_data, run_sweep, ytilde_obs_norm)
+from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, compute_cbar,
+                      compute_ctilde, smooth_data, smoothing_gains, run_sweep, ytilde_obs_norm)
 from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
                              TheoremHypothesisError)
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
+from harmtomo.runner import run_preset
 from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_params,
                                 make_reference, make_true_fields, noise_levels,
                                 quasirev_settings)
 from conftest import SCENARIOS, random_linearized
-from oracles import (TauConstants, choose_tau_loop, rate_constants_scalar,
+from oracles import (TauConstants, choose_tau, choose_tau_loop, rate_constants_scalar,
                      sweep_rows_from_fit)
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -137,7 +138,7 @@ class TestSmoothing:
         rng = np.random.default_rng(5)
         coeffs = np.zeros(basis.J)
         coeffs[:5] = rng.standard_normal(5)
-        sm = smooth_data(coeffs @ basis.trace_matrix, 0.0, basis, 1.0)
+        sm = smooth_data(coeffs @ basis.trace_matrix, 0.0, basis, smoothing_gains(basis, 1.0))
         assert np.max(np.abs(sm.coeffs - coeffs)) <= 1e-10
 
     def test_kappa_monotone(self):
@@ -172,18 +173,23 @@ class TestSmoothing:
                 finite += 1
         assert finite == 3 * (2 if kind == "interval" else 10)
 
-    def test_gains_computed_once_per_level(self, monkeypatch):
+    def test_gains_computed_once_per_level(self, monkeypatch, tmp_path):
+        # one smoothing-study run computes the gain of each level once and
+        # passes the same gains to the smoothing of every noise level
         from harmtomo import quasirev
 
-        basis = four_side_rectangle()
-        calls = []
-        gain = quasirev.smoothing_gain
-        monkeypatch.setattr(quasirev, "smoothing_gain", lambda *a: calls.append(a) or gain(*a))
-        exact = np.arange(1.0, 4.0) @ basis.trace_matrix[:3]
-        kappas = [smooth_data(exact, dt, basis, 1.0).kappa for dt in (1e-2, 1e-3, 1e-4)]
-        assert sorted(L for _, _, L in calls) == list(range(1, basis.J + 1))
-        assert all(k is kappas[0] for k in kappas) and not kappas[0].flags.writeable
-        assert np.array_equal(kappas[0], [gain(basis, 1.0, L) for L in range(1, basis.J + 1)])
+        sc = load_scenario(SCENARIOS / "smoothing_study.json")
+        basis, s = make_basis(sc), make_norm_spec(sc).s
+        calls, passed = [], []
+        gain, smooth = quasirev.smoothing_gain, quasirev.smooth_data
+        monkeypatch.setattr(quasirev, "smoothing_gain", lambda *a: calls.append(a[2]) or gain(*a))
+        monkeypatch.setattr(quasirev, "smooth_data", lambda *a: passed.append(a[3]) or smooth(*a))
+        run_preset(sc, out_dir=str(tmp_path))
+        levels = list(range(1, min(basis.J, basis.nsigma) + 1))
+        assert calls == levels
+        assert len(passed) == len(noise_levels(sc)) > 1
+        assert all(k is passed[0] for k in passed)
+        assert np.array_equal(passed[0], [gain(basis, s, L) for L in levels])
 
     def test_error_decreases_with_noise_level(self):
         basis = four_side_rectangle()
@@ -192,10 +198,11 @@ class TestSmoothing:
         coeffs[:5] = rng.standard_normal(5) / (1.0 + np.arange(5)) ** 3
         exact = coeffs @ basis.trace_matrix
         errs = []
+        gains = smoothing_gains(basis, 1.0)
         for dt in (1e-2, 1e-3, 1e-4):
             noise = rng.standard_normal(exact.shape)
             noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)
-            sm = smooth_data(exact + noise, dt, basis, 1.0)
+            sm = smooth_data(exact + noise, dt, basis, gains)
             errs.append(np.sqrt(np.sum(basis.lambdas * np.abs(sm.coeffs - coeffs) ** 2)))
         assert errs[0] > errs[1] > errs[2]
 
@@ -203,7 +210,7 @@ class TestSmoothing:
         basis = four_side_rectangle()
         tiny = 1e-12 * np.ones(basis.nsigma)
         with pytest.raises(SmoothingError):
-            smooth_data(tiny, 1.0, basis, 1.0)
+            smooth_data(tiny, 1.0, basis, smoothing_gains(basis, 1.0))
 
 
 class TestSchedule:

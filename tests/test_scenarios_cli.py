@@ -120,12 +120,28 @@ class TestValidate:
         (FORWARD, "source.eta_forward", "x", "source.eta_forward 'x' must be a finite number"),
         (FORWARD, "source.eta_forward", float("nan"),
          "source.eta_forward nan must be a finite number"),
+        (ROUNDTRIP, "seed", -3, "seed -3 must be nonnegative"),
+        (QR, "seed", -1, "seed -1 must be nonnegative"),
+        (QR, "seed", 0, "seed 0: the qr-sweep's pilot draws its noise with seed - 1 = -1"),
+        (ROUNDTRIP, "true_fields.cutoff", -1, "true_fields.cutoff -1 must be nonnegative"),
+        (QR, "true_fields.du_band", -2, "true_fields.du_band -2 outside 0..M = 0..48"),
+        (QR, "true_fields.du_band", 49, "true_fields.du_band 49 outside 0..M = 0..48"),
+        (ROUNDTRIP, "true_fields.du_scale", math.nan,
+         "true_fields.du_scale nan must be a finite number"),
+        (ROUNDTRIP, "true_fields.du_scale", math.inf,
+         "true_fields.du_scale inf must be a finite number"),
+        (ROUNDTRIP, "true_fields.sigma_modes", [[1, math.inf]],
+         "sigma_modes value inf must be a finite number"),
+        (ROUNDTRIP, "true_fields.eta_modes", [[2, math.nan]],
+         "eta_modes value nan must be a finite number"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
             "truth-mode-not-int", "truth-cutoff-not-int", "du_band-not-int", "oracle-mode",
             "phi_mode-neumann-zero-eigenvalue", "sigma_perturbation-not-number",
-            "eta_forward-not-number", "eta_forward-nan"])
+            "eta_forward-not-number", "eta_forward-nan", "seed-negative", "qr-seed-negative",
+            "qr-seed-zero", "truth-cutoff-negative", "du_band-negative", "du_band-above-M",
+            "du_scale-nan", "du_scale-inf", "sigma-mode-value-inf", "eta-mode-value-nan"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way
@@ -153,8 +169,13 @@ class TestValidate:
         (ROUNDTRIP, "domain.sigma_points", [math.nan], "sigma_points must be finite"),
         (SMOOTH, "domain.sigma_points", [[0.5, 0.0], [math.inf, 0.0]],
          "sigma_points must be finite"),
+        (SMOOTH, "domain.lengths", [1e200, 1e-200],
+         "rectangle side ratio inf of lengths (1e+200, 1e-200) must be finite and nonzero"),
+        (SMOOTH, "domain.lengths", [1e-200, 1e200],
+         "rectangle side ratio 0.0 of lengths (1e-200, 1e+200) must be finite and nonzero"),
     ], ids=["length-inf", "length-nan", "rectangle-side-inf", "gamma-inf", "gamma-nan",
-            "rectangle-gamma-nan", "sigma-nan", "rectangle-sigma-inf"])
+            "rectangle-gamma-nan", "sigma-nan", "rectangle-sigma-inf", "side-ratio-overflow",
+            "side-ratio-underflow"])
     def test_non_finite_domain_values_exit_2(self, tmp_path, capsys, base, key, value,
                                               message):
         # JSON's Infinity and NaN reach the domain rules, which reject them
@@ -166,6 +187,22 @@ class TestValidate:
         run_err = capsys.readouterr().err
         assert f"domain invalid: {message}" in validate_err
         assert run_err == validate_err
+
+    @pytest.mark.parametrize("base, seed, message", [
+        (ROUNDTRIP, -1, "seed -1 must be nonnegative"),
+        (QR, 0, "seed 0: the qr-sweep's pilot draws its noise with seed - 1 = -1"),
+    ], ids=["negative", "qr-zero"])
+    def test_seed_override_checked_like_the_file_seed(self, tmp_path, capsys, base, seed,
+                                                      message):
+        # the file is valid; the seed the run would use is not, and the run
+        # rejects it by the rule validate applies to the file's seed
+        assert main(["validate", str(base)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["run", str(base), "--out", str(out), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ({"seed": "x"}, "seed 'x' must be an integer"),
