@@ -1,4 +1,4 @@
-"""Physical parameters, smoothness settings, and spectral field containers."""
+"""Physical parameters, smoothness settings, and the slowness admissibility rule."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, project
 from .errors import InadmissibleSlownessError
 
 TWO_PI = 2.0 * np.pi
@@ -82,23 +81,8 @@ class NormSpec:
         return self.s - self.orti_check
 
 
-@dataclass(frozen=True, eq=False)
-class MaterialField:
-    """Real coefficient field known both on the quadrature grid and spectrally."""
-
-    values: np.ndarray  # (nq,)
-    coeffs: np.ndarray  # (J,)
-
-    @classmethod
-    def from_values(cls, basis: EigenBasis, values) -> "MaterialField":
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, coeffs=project(basis, values))
-
-    @classmethod
-    def constant(cls, basis: EigenBasis, value: float) -> "MaterialField":
-        return cls.from_values(basis, np.full(basis.nquad, float(value)))
-
-    def check_slowness_admissible(self, params: ModelParams) -> None:
-        """Pointwise sigma(x)*beta >= tau on the grid."""
-        if np.min(self.values) * params.beta < params.tau - 1e-14:
-            raise InadmissibleSlownessError("sigma(x)*beta >= tau fails somewhere on the grid")
+def check_slowness_admissible(sigma, params: ModelParams) -> None:
+    """Pointwise sigma(x)*beta >= tau for the squared slowness sigma on the
+    quadrature grid (nq,)."""
+    if np.min(sigma) * params.beta < params.tau - 1e-14:
+        raise InadmissibleSlownessError("sigma(x)*beta >= tau fails somewhere on the grid")

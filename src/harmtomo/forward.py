@@ -19,7 +19,7 @@ import numpy as np
 
 from .eigenbasis import EigenBasis
 from .errors import ConvergenceError, ResonanceError
-from .fields import MaterialField, ModelParams
+from .fields import ModelParams
 
 RESONANCE_TOL = 1e-12
 
@@ -109,7 +109,8 @@ def harmonic_product_time(a_hat, b_hat, m_out: int | None = None) -> np.ndarray:
 class CouplingMap:
     """The part of the model that is not diagonal on the eigenbasis,
     u -> P[(sigma - sigma0) u + eta B(u, u)] with P the quadrature projection,
-    as three matrices built once per (basis, sigma, eta).
+    as three matrices built once per (basis, sigma, eta), with sigma and eta
+    given on the quadrature grid (nq,).
 
     The slowness term is linear in u, so it is one Galerkin matrix.  In the
     eta term, projection and synthesis act on the grid axis and the time
@@ -122,11 +123,10 @@ class CouplingMap:
     eta_proj: np.ndarray  # (nq, J) eta-weighted projection diag(w eta) phi^T
 
 
-def coupling_map(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                 eta: MaterialField) -> CouplingMap:
+def coupling_map(params: ModelParams, basis: EigenBasis, sigma, eta) -> CouplingMap:
     phi, w = basis.phi, basis.weights
-    return CouplingMap(k_sigma=(phi * (w * (sigma.values - params.sigma0))) @ phi.T,
-                       phi=phi, eta_proj=(w * eta.values)[:, None] * phi.T)
+    return CouplingMap(k_sigma=(phi * (w * (sigma - params.sigma0))) @ phi.T,
+                       phi=phi, eta_proj=(w * eta)[:, None] * phi.T)
 
 
 def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
@@ -154,9 +154,9 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
     return sym
 
 
-def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                    eta: MaterialField, u) -> np.ndarray:
-    """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M.
+def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:
+    """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M, with sigma
+    and eta on the quadrature grid (nq,).
 
     L_m(sigma0) acts through its diagonal symbols; the variable part of sigma
     and the eta coupling through the `coupling_map` built for this call.
@@ -166,8 +166,7 @@ def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma: MaterialField
             + apply_coupling(coupling_map(params, basis, sigma, eta), uc))
 
 
-def model_residual(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                   eta: MaterialField, u, rhat) -> np.ndarray:
+def model_residual(params: ModelParams, basis: EigenBasis, sigma, eta, u, rhat) -> np.ndarray:
     """Per-harmonic residual norms of L_m(sigma) u_m + eta B_m(u,u) - r_m.
 
     Re-evaluates the model from u alone, so the check shares no state with
@@ -186,10 +185,10 @@ class SolveReport:
     restarts: int         # 1 if the d = 0.5 restart ran, else 0
 
 
-def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                        eta: MaterialField, rhat, tol: float = 1e-12,
-                        max_iter: int = 200) -> tuple[np.ndarray, SolveReport]:
-    """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u).
+def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma, eta, rhat,
+                        tol: float = 1e-12, max_iter: int = 200) -> tuple[np.ndarray, SolveReport]:
+    """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u)
+    for sigma and eta on the quadrature grid (nq,).
 
     Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - coupling), with the
     `coupling_map` built once per solve.  The nonlinearity must be small

@@ -20,8 +20,9 @@ from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import _per_draw, bochner_norm, rho_t, x_norm, ytilde_obs_norm
-from .reconstruct import (LinearizedData, LinearizedInput, linearized_forward, reconstruct,
-                          ReferenceState)
+from .reconstruct import LinearizedData, LinearizedInput, linearized_forward, reconstruct
+from .sources import SourcePair
+
 NOISE_SCALE_TOL = 1e-10
 DISCREPANCY_FACTOR = 2.0   # smoothing stops at a trace-fit residual of this times delta
 CALIBRATION_SAFETY = 3.0   # sweep bound = this times the pilot's error over its raw bound
@@ -81,16 +82,9 @@ def check_noise_levels(deltas) -> None:
         raise NoiseCalibrationError(f"noise levels {bad} must be finite and nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class NoisyData:
-    phat_delta: np.ndarray
-    delta: float
-    seed: int
-
-
 def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
-              omega: float) -> NoisyData:
-    """Perturb trace data by exactly delta in the lifted observation norm.
+              omega: float) -> np.ndarray:
+    """Trace data perturbed by exactly delta in the lifted observation norm.
 
     The perturbation is drawn in the span of the retained (harmonic, mode)
     pairs, its norm evaluated, and the draw rescaled so the achieved distance
@@ -99,7 +93,7 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
     phat = np.asarray(phat, dtype=complex)
     check_noise_levels([delta])
     if delta == 0.0:
-        return NoisyData(phat_delta=phat.copy(), delta=0.0, seed=seed)
+        return phat.copy()
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(phat.shape[:-1] + (basis.J,)) \
         + 1j * rng.standard_normal(phat.shape[:-1] + (basis.J,))
@@ -111,7 +105,7 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
         raise NoiseCalibrationError(
             f"rescaled noise has norm {achieved!r}, requested delta {delta!r}"
         )
-    return NoisyData(phat_delta=phat + noise, delta=delta, seed=seed)
+    return phat + noise
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +117,7 @@ def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
 class SmoothingResult:
     coeffs: np.ndarray       # (J,) lifted coefficients, zero beyond chosen level
     level: int               # chosen L
-    kappa: np.ndarray        # kappa_L per candidate level, the gains passed in
-    residuals: np.ndarray    # trace-fit residual per candidate level
-    levels: np.ndarray       # candidate levels
+    residuals: np.ndarray    # trace-fit residual per candidate level L = 1..len(kappas)
 
 
 def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
@@ -188,8 +180,7 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis,
         fits, key=lambda L: residuals[L - 1] + kappas[L - 1] * delta_tilde)
     coeffs = np.zeros(basis.J, dtype=complex)
     coeffs[:chosen] = fits[chosen]
-    return SmoothingResult(coeffs=coeffs, level=chosen, kappa=kappas, residuals=residuals,
-                           levels=np.arange(1, kappas.size + 1))
+    return SmoothingResult(coeffs=coeffs, level=chosen, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +215,7 @@ def check_schedule(tau0: float, tau_min: float, tau_max: float, ratio: float,
         raise TheoremHypothesisError("; ".join(bad))
 
 
-def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float = 2.0**0.25) -> np.ndarray:
+def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float) -> np.ndarray:
     """Geometric grid from tau0 + tau_min up to tau_max."""
     check_schedule(tau0, tau_min, tau_max, ratio)
     lo = tau0 + tau_min
@@ -270,10 +261,10 @@ def time_derivative_norm(du, omega: float, lambdas, spec: NormSpec) -> float:
                         spec.orti_check, spec.s_check)
 
 
-def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
+def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
               spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
-              seed: int, tau_min: float, tau_max: float, ratio: float = 2.0**0.25,
-              tolerance: float = 0.1) -> list[SweepRow]:
+              seed: int, tau_min: float, tau_max: float, ratio: float,
+              tolerance: float) -> list[SweepRow]:
     """Convergence experiment for the relaxation-time regularization.
 
     Data are generated by the linearized model at relaxation time tau0 (the
@@ -291,15 +282,15 @@ def run_sweep(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
     # each entry equals the constant at the float grid[i] bit for bit
     cbars, ctildes = compute_cbar(grid, *consts), compute_ctilde(grid, *consts)
-    data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
+    data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
 
     def one(delta: float, noise_seed: int):
         i = _pick_tau(delta, tau0, cbars, ctildes, tolerance)
         tau = float(tau0 if i is None else grid[i])
-        noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
-        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy.phat_delta), ref, basis,
+        phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
+        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=phat), sp, basis,
                           params0.with_tau(tau))
         err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
         if i is None:

@@ -9,7 +9,9 @@ so trace data admit a meromorphic continuation in the frequency variable o
 whose poles sit at the characteristic roots.  The inversion needs no pole: it
 solves the truncated system for the coefficient pairs a^j = (a_sigma, a_eta)
 directly from the traces (`fit_coefficients`), and the states follow
-componentwise from the pairs (`solve_states_from_coeffs`).
+componentwise from the pairs (`solve_states_from_coeffs`).  Of the reference
+state the map and its inverse read only the source pair's matrices M_m, so
+they take the `SourcePair`.
 
 The linearized map, the fit and the state formula take leading batch axes on
 their data, (..., 2, M, J) for model residues and states and (..., J, 2) for
@@ -26,7 +28,7 @@ from .eigenbasis import EigenBasis, synthesize
 from .errors import IllConditionedFitError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import _nonresonant_symbols, observe, symbols_matrix
-from .sources import SourcePair, invert_mtilde, ReferenceState
+from .sources import SourcePair, invert_mtilde
 
 PHI_GUARD = 1e-6
 FIT_COND_LIMIT = 1e12
@@ -35,17 +37,11 @@ ANALYTIC_DEGREE = 2        # degree in 1/o of the fit's smooth remainder
 
 @dataclass(frozen=True, eq=False)
 class LinearizedInput:
-    """Perturbation triple: coefficient vectors of phi*dsigma and phi^2*deta
-    plus the state perturbation pair du (sources x harmonics x modes)."""
+    """Perturbation pair: the coefficient pairs of (phi*dsigma, phi^2*deta)
+    and the state perturbation pair du (sources x harmonics x modes)."""
 
-    a_sigma: np.ndarray  # (..., J) real
-    a_eta: np.ndarray    # (..., J) real
-    du: np.ndarray       # (..., 2, M, J) complex
-
-    @property
-    def a(self) -> np.ndarray:
-        """(..., J, 2) stacked coefficient pair."""
-        return np.stack([self.a_sigma, self.a_eta], axis=-1)
+    a: np.ndarray   # (..., J, 2) real
+    du: np.ndarray  # (..., 2, M, J) complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +57,7 @@ class ReconstructionResult:
     fit_cond: float  # condition number of the fit's design
 
 
-def linearized_forward(ref: ReferenceState, params: ModelParams, basis: EigenBasis,
+def linearized_forward(sp: SourcePair, params: ModelParams, basis: EigenBasis,
                        lin: LinearizedInput) -> LinearizedData:
     """Apply the derivative of the forward map at the reference state:
     r_m = L_m(sigma0) du_m + (phi dsigma) psi_m + (phi^2 deta) (psi^2)_m,
@@ -69,7 +65,7 @@ def linearized_forward(ref: ReferenceState, params: ModelParams, basis: EigenBas
     du = lin.du
     M = du.shape[-2]
     sym = symbols_matrix(params, basis.lambdas, M)
-    mm = ref.source_pair.mm[:M]
+    mm = sp.mm[:M]
     rhat = sym * du
     rhat += np.einsum("meq,...jq->...emj", mm, lin.a, order="C")
     phat = observe(basis, du)
@@ -137,11 +133,10 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
     return dsig, deta
 
 
-def reconstruct(data: LinearizedData, ref: ReferenceState, basis: EigenBasis,
+def reconstruct(data: LinearizedData, sp: SourcePair, basis: EigenBasis,
                 params: ModelParams) -> ReconstructionResult:
     """Full inversion: the coefficient pairs fitted to the traces, and the
     states from them."""
-    sp = ref.source_pair
     a, fit_cond = fit_coefficients(data.phat, data.rhat, sp, basis, params)
     b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)
     return ReconstructionResult(a=a, b=b, fit_cond=fit_cond)

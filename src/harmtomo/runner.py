@@ -17,15 +17,15 @@ import numpy as np
 
 from . import quasirev
 from .eigenbasis import check_trace_ranks, synthesize
-from .fields import MaterialField
+from .fields import check_slowness_admissible
 from .forward import observe, solve_multiharmonic
 from .norms import image_norms, pole_table, x_norm
 from .poles import asymptotic_poles, bound_slack, build_pole_set, verify_bounds
 from .reconstruct import linearized_forward, reconstruct
 from .scenarios import (Scenario, check_seed, forward_settings, make_basis, make_norm_spec,
                         make_params, make_reference, make_true_fields, min_symbol_magnitude,
-                        noise_levels, quasirev_settings, scenario_hash, target_cutoff,
-                        validate_scenario)
+                        noise_levels, quasirev_settings, scenario_hash, source_settings,
+                        target_cutoff, validate_scenario)
 from .errors import ScenarioValidationError
 
 
@@ -124,19 +124,20 @@ def _preset_basis_report(sc, out, seed, shash):
 
 def _preset_forward_solve(sc, out, seed, shash):
     params, basis = _common(sc)
-    ref = make_reference(sc, basis, params)
+    sp = make_reference(sc, basis, params)
+    mode = source_settings(sc)[2]
     rng = np.random.default_rng(seed)
     truth = make_true_fields(sc, basis, rng)
     size, eta_forward = forward_settings(sc)
-    pert = synthesize(basis, truth.a_sigma)
+    pert = synthesize(basis, truth.a[:, 0])
     pert *= size / max(float(np.max(np.abs(pert))), 1e-12)
-    sigma = MaterialField.from_values(basis, params.sigma0 + pert)
-    eta = MaterialField.constant(basis, eta_forward)
-    sigma.check_slowness_admissible(params)
+    sigma = params.sigma0 + pert
+    eta = np.full(basis.nquad, eta_forward)
+    check_slowness_admissible(sigma, params)
     resid_max, sweeps, restarts = 0.0, [], 0
-    for e, pulse in enumerate((ref.source_pair.psi1, ref.source_pair.psi2)):
+    for e, psi in enumerate((sp.psi_hat, sp.A * sp.psi_hat)):
         rhat = np.zeros((sc.M, basis.J), dtype=complex)
-        rhat[:, ref.phi_index] = pulse.psi_hat
+        rhat[:, mode] = psi
         u, report = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
         resid_max = max(resid_max, float(np.max(report.residual)))
         sweeps.append(report.sweeps)
@@ -169,12 +170,12 @@ def _preset_pole_report(sc, out, seed, shash):
 
 def _preset_linearized_roundtrip(sc, out, seed, shash):
     params, basis = _common(sc)
-    ref = make_reference(sc, basis, params)
+    sp = make_reference(sc, basis, params)
     rng = np.random.default_rng(seed)
     truth = make_true_fields(sc, basis, rng)
-    data = linearized_forward(ref, params, basis, truth)
+    data = linearized_forward(sp, params, basis, truth)
     pole_set = build_pole_set(basis.lambdas, params)
-    rec = reconstruct(data, ref, basis, params)
+    rec = reconstruct(data, sp, basis, params)
     a_true, a_rec = np.real(truth.a), np.real(rec.a)
     write_table(os.path.join(out, "reconstruction.csv"),
                 ["j", "a_sigma_true", "a_sigma_rec", "a_eta_true", "a_eta_rec", "abs_err", "ok"],
@@ -194,13 +195,12 @@ def _preset_linearized_roundtrip(sc, out, seed, shash):
 def _preset_stability_probe(sc, out, seed, shash):
     params, basis = _common(sc)
     spec = make_norm_spec(sc)
-    ref = make_reference(sc, basis, params)
+    sp = make_reference(sc, basis, params)
     pole_set = build_pole_set(basis.lambdas, params)
     rng = np.random.default_rng(seed)
     draws = sc.draws
     truth = make_true_fields(sc, basis, rng, draws=draws)
-    sp = ref.source_pair
-    data = linearized_forward(ref, params, basis, truth)
+    data = linearized_forward(sp, params, basis, truth)
     table = pole_table(pole_set, sp, params)
     xv = x_norm(truth.a, truth.du, basis.lambdas, params.omega, spec)
     yo, ym = image_norms(truth.a, data.rhat, table, spec, sp, basis, params)
@@ -210,7 +210,7 @@ def _preset_stability_probe(sc, out, seed, shash):
                 [np.arange(draws), xv, yo, ym, slack], shash)
     return {
         "draws": draws,
-        "min_slack": float(np.min(slack, initial=np.inf)),
+        "min_slack": float(np.min(slack)),
         "poles_ok": int(pole_set.n_ok),
         "modes_without_pole": np.flatnonzero(~pole_set.ok).tolist(),
         "max_mtilde_cond": float(np.max(table.mt_cond)) if table.ok.size else None,
@@ -220,12 +220,12 @@ def _preset_stability_probe(sc, out, seed, shash):
 def _preset_qr_sweep(sc, out, seed, shash):
     params, basis = _common(sc)
     spec = make_norm_spec(sc)
-    ref = make_reference(sc, basis, params)
+    sp = make_reference(sc, basis, params)
     rng = np.random.default_rng(seed)
     truth = make_true_fields(sc, basis, rng)
     qr = quasirev_settings(sc)
     rows = quasirev.run_sweep(
-        basis, ref, params, spec, truth,
+        basis, sp, params, spec, truth,
         delta_list=noise_levels(sc),
         tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
         ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
@@ -260,8 +260,8 @@ def _preset_smoothing_study(sc, out, seed, shash):
         sm = quasirev.smooth_data(exact_trace + noise, dt, basis, kappas)
         err = float(np.sqrt(np.sum(np.power(basis.lambdas, spec.s)
                                    * np.abs(sm.coeffs - coeffs) ** 2)))
-        k = np.flatnonzero(sm.levels == sm.level)[0]
-        rows.append((dt, sm.level, float(sm.kappa[k]), float(sm.residuals[k]), err))
+        k = sm.level - 1   # candidate levels are 1..len(kappas)
+        rows.append((dt, sm.level, float(kappas[k]), float(sm.residuals[k]), err))
     write_table(os.path.join(out, "smoothing.csv"),
                 ["delta_tilde", "chosen_level", "kappa", "fit_residual", "hs_error"],
                 list(zip(*rows)), shash)

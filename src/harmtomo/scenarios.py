@@ -20,8 +20,8 @@ from .errors import HarmtomoError, ScenarioValidationError
 from .fields import ModelParams, NormSpec
 from .forward import symbols_matrix
 from .reconstruct import LinearizedInput
-from .sources import (ReferenceState, amplitude_modulate, build_reference_state,
-                      check_pulse_support, check_reference_mode, design_delta_pulse)
+from .sources import (SourcePair, amplitude_modulate, check_pulse_support, check_reference_mode,
+                      design_delta_pulse)
 
 PRESETS = ("basis-report", "forward-solve", "pole-report", "linearized-roundtrip",
            "stability-probe", "qr-sweep", "smoothing-study")
@@ -56,8 +56,8 @@ class Scenario:
     @property
     def draws(self) -> int:
         n = _integer(self.raw.get("draws", 200), "draws")
-        if n < 0:
-            raise ScenarioValidationError([f"draws {n!r} must be nonnegative"])
+        if n < 1:
+            raise ScenarioValidationError([f"draws {n!r} must be at least 1"])
         return n
 
 
@@ -129,12 +129,15 @@ def scenario_hash(sc: Scenario) -> str:
 
 
 def make_params(sc: Scenario) -> ModelParams:
+    """The params block as ModelParams: every key of REQUIRED_PARAM_KEYS
+    explicit and a finite number, and a written-out T one too."""
     p = sc.params
     missing = [k for k in REQUIRED_PARAM_KEYS if k not in p]
     if missing:
         raise ScenarioValidationError([f"physical parameter {k!r} must be explicit" for k in missing])
-    return ModelParams.create(tau=p["tau"], beta=p["beta"], sigma0=p["sigma0"],
-                              omega=p["omega"], T0=p["T0"], A=p["A"])
+    if "T" in p:
+        _finite(p["T"], "params.T")
+    return ModelParams.create(**{k: _finite(p[k], f"params.{k}") for k in REQUIRED_PARAM_KEYS})
 
 
 def quasirev_settings(sc: Scenario) -> dict:
@@ -143,8 +146,10 @@ def quasirev_settings(sc: Scenario) -> dict:
 
 
 def noise_levels(sc: Scenario) -> list[float]:
-    """The scenario's noise levels delta, largest first."""
+    """The scenario's noise levels delta, largest first; at least one."""
     deltas = sorted(map(float, sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4])), reverse=True)
+    if not deltas:
+        raise ScenarioValidationError(["noise.delta_list must hold at least one level"])
     quasirev.check_noise_levels(deltas)
     return deltas
 
@@ -185,7 +190,8 @@ def make_basis(sc: Scenario) -> EigenBasis:
 
 def source_settings(sc: Scenario) -> tuple[float, float, int]:
     """The pulse width and amplitude and the reference mode (phi_mode) of the
-    source block; width and mode must be explicit, and eta0 zero if given."""
+    source block; width and mode must be explicit, width and amplitude finite,
+    amplitude nonzero, and eta0 zero if given."""
     src = sc.source
     bad = [f"source.{k} must be explicit" for k in ("pulse_width", "phi_mode") if k not in src]
     if src.get("eta0", 0.0) != 0.0:
@@ -196,12 +202,15 @@ def source_settings(sc: Scenario) -> tuple[float, float, int]:
     mode = _integer(src["phi_mode"], "source.phi_mode")
     if not 0 <= mode < sc.J:
         raise ScenarioValidationError(["reference mode index outside truncation"])
-    return float(src["pulse_width"]), float(src.get("amplitude", 1.0)), mode
+    amplitude = _finite(src.get("amplitude", 1.0), "source.amplitude")
+    if amplitude == 0.0:
+        raise ScenarioValidationError(["source.amplitude 0 leaves both sources zero"])
+    return _finite(src["pulse_width"], "source.pulse_width"), amplitude, mode
 
 
 def _finite(value, what: str) -> float:
-    """A scenario entry that must be a finite number, as a float."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    """A scenario entry that must be a finite number (not a bool), as a float."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
         raise ScenarioValidationError([f"{what} {value!r} must be a finite number"])
     return float(value)
 
@@ -213,11 +222,13 @@ def forward_settings(sc: Scenario) -> tuple[float, float]:
             _finite(sc.source.get("eta_forward", 1e-3), "source.eta_forward"))
 
 
-def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> ReferenceState:
+def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> SourcePair:
+    """The source pair the run is linearized with, after checking that the
+    reference mode source.phi_mode is admissible on the basis' domain."""
     width, amplitude, mode = source_settings(sc)
-    pulse = design_delta_pulse(params, sc.M, width, amplitude=amplitude)
-    pair = amplitude_modulate(pulse, params.A)
-    return build_reference_state(basis, mode, pair)
+    check_reference_mode(basis.domain, mode)
+    return amplitude_modulate(design_delta_pulse(params, sc.M, width, amplitude=amplitude),
+                              params.A)
 
 
 def truth_kind(sc: Scenario) -> str:
@@ -270,16 +281,17 @@ def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
     cutoff, du_scale, du_band, modes = true_field_settings(sc)
     z_a, z_du = np.split(rng.standard_normal(batch + (2 * cutoff + 4 * M * J,)), [2 * cutoff],
                          axis=-1)
-    a = np.zeros(batch + (2, J))
-    a[..., :cutoff] = z_a.reshape(batch + (2, cutoff)) / (1.0 + np.arange(cutoff))
+    a = np.zeros(batch + (J, 2))
+    a[..., :cutoff, :] = (np.swapaxes(z_a.reshape(batch + (2, cutoff)), -1, -2)
+                          / (1.0 + np.arange(cutoff))[:, None])
     if truth_kind(sc) == "low_mode":
         for c, j, val in modes:
-            a[..., c, j] = val
+            a[..., j, c] = val
     decay = 1.0 / ((1.0 + np.arange(1, M + 1))[:, None] * (1.0 + basis.lambdas)[None, :])
     re, im = np.moveaxis(z_du.reshape(batch + (2, 2, M, J)), -4, 0)
     du = du_scale * decay * (re + 1j * im)
     du[..., du_band:, :] = 0.0
-    return LinearizedInput(a_sigma=a[..., 0, :], a_eta=a[..., 1, :], du=du)
+    return LinearizedInput(a=a, du=du)
 
 
 def _collect(out: list[str], label: str, check, *args):
@@ -314,7 +326,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         out.append(f"model parameters invalid: {exc}")
         params = None
     p = sc.params
-    # ModelParams.create derives T from omega, so a written-out T is checked here
+    # ModelParams.create derives T from omega, so a written-out T is checked
+    # here; make_params has checked that T and omega are finite numbers
     if "T" in p and abs(p["T"] * p["omega"] - 2.0 * np.pi) > 1e-14 * 2.0 * np.pi:
         out.append("period inconsistent: T*omega must equal 2*pi")
     spec = _collect(out, "norm spec invalid", make_norm_spec, sc)

@@ -1,6 +1,12 @@
 """Excitation design: delta-like pulses, amplitude modulation, the 2x2 source
-matrices with their analytic interpolant, and the separable reference state
-the inversion is linearized around.
+matrices with their analytic interpolant, and the rule for the reference mode.
+
+The inversion is linearized at the separable state u0 = phi psi_e with the
+sources psi_1 = psi and psi_2 = A psi.  It reads only the pair's matrices M_m
+and their interpolant data, so the linearized map, the fit and the sweep take
+a `SourcePair`.  The reference profile phi is the basis mode that
+`check_reference_mode` admits; the forward-solve preset places each pulse on
+it, and no step of the inversion reads it.
 
 The working pulse is the zero-mean band-limited projection (harmonics 1..M) of
 a raised-cosine bump.  With that convention the harmonic coefficients of the
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import DomainSpec, EigenBasis
+from .eigenbasis import DomainSpec
 from .errors import PulseSupportError, ReferenceProfileError, SingularInterpolantError
 from .fields import ModelParams
 from .forward import harmonic_product_time
@@ -51,25 +57,6 @@ def hann_transform(o, width: float):
     return val
 
 
-@dataclass(frozen=True, eq=False)
-class PulseSpec:
-    """Band-limited excitation pulse.
-
-    psi_hat holds the closed-form bump coefficients for harmonics 1..M, so
-    the signal is zero-mean and band-limited by construction: its time
-    samples are Re(sum_m psi_hat_m exp(i m omega t)).
-    """
-
-    psi_hat: np.ndarray   # (M,) complex
-    T0: float
-    width: float
-    amplitude: float
-
-    @property
-    def M(self) -> int:
-        return self.psi_hat.size
-
-
 def check_pulse_support(width: float, T0: float, T: float) -> None:
     """Raise PulseSupportError unless a bump of half-width `width` centered at
     T0 keeps its support inside one period; a bump at T0 = T wraps."""
@@ -85,8 +72,10 @@ def check_pulse_support(width: float, T0: float, T: float) -> None:
 
 
 def design_delta_pulse(params: ModelParams, M: int, width: float,
-                       amplitude: float = 1.0) -> PulseSpec:
-    """Raised-cosine bump of half-width `width` centered at T0, band-limited.
+                       amplitude: float = 1.0) -> np.ndarray:
+    """Harmonics 1..M (M,) of a raised-cosine bump of half-width `width`
+    centered at T0: the signal is zero-mean and band-limited by construction,
+    with time samples Re(sum_m psi_hat_m exp(i m omega t)).
 
     Coefficients are (2/T) amplitude exp(-i m omega T0) H(m omega) with H the
     closed-form bump transform; as width -> 0 the modulus becomes flat in m
@@ -97,8 +86,7 @@ def design_delta_pulse(params: ModelParams, M: int, width: float,
     check_pulse_support(width, T0, T)
     m = np.arange(1, M + 1)
     nu = m * params.omega
-    psi_hat = (2.0 / T) * amplitude * np.exp(-1j * nu * T0) * hann_transform(1j * nu, width)
-    return PulseSpec(psi_hat=psi_hat, T0=T0, width=width, amplitude=amplitude)
+    return (2.0 / T) * amplitude * np.exp(-1j * nu * T0) * hann_transform(1j * nu, width)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +99,12 @@ class SourcePair:
     """Two amplitude-modulated excitations psi_1 = psi, psi_2 = A psi with the
     per-harmonic 2x2 matrices M_m = [[psi_m, (psi^2)_m], [A psi_m, A^2 (psi^2)_m]].
 
-    psi_sq_hat carries the exact harmonics 1..2M of the squared signal plus
-    its mean psi_sq_dc; both feed the analytic interpolant Mtilde(o).
+    psi_hat holds the harmonics 1..M of psi.  psi_sq_hat carries the exact
+    harmonics 1..2M of the squared signal plus its mean psi_sq_dc; both feed
+    the analytic interpolant Mtilde(o).
     """
 
-    psi1: PulseSpec
-    psi2: PulseSpec
+    psi_hat: np.ndarray      # (M,) complex
     A: float
     mm: np.ndarray           # (M, 2, 2) complex
     psi_sq_hat: np.ndarray   # (2M,) complex
@@ -124,13 +112,13 @@ class SourcePair:
 
     @property
     def M(self) -> int:
-        return self.psi1.M
+        return self.psi_hat.size
 
 
-def amplitude_modulate(pulse: PulseSpec, A: float) -> SourcePair:
+def amplitude_modulate(psi: np.ndarray, A: float) -> SourcePair:
+    """The source pair of the pulse harmonics psi (M,) and its copy A psi."""
     if A in (0.0, 1.0):
         raise ValueError("A in {0, 1} makes det M_m = A(A-1) psi_m (psi^2)_m vanish")
-    psi = pulse.psi_hat
     M = psi.size
     sq = harmonic_product_time(psi, psi, m_out=2 * M)
     dc, psisq = float(sq[0].real), sq[1:]
@@ -139,10 +127,7 @@ def amplitude_modulate(pulse: PulseSpec, A: float) -> SourcePair:
     mm[:, 0, 1] = psisq[:M]
     mm[:, 1, 0] = A * psi
     mm[:, 1, 1] = A * A * psisq[:M]
-    pulse2 = PulseSpec(psi_hat=A * psi, T0=pulse.T0, width=pulse.width,
-                       amplitude=A * pulse.amplitude)
-    return SourcePair(psi1=pulse, psi2=pulse2, A=A, mm=mm, psi_sq_hat=psisq,
-                      psi_sq_dc=dc)
+    return SourcePair(psi_hat=psi, A=A, mm=mm, psi_sq_hat=psisq, psi_sq_dc=dc)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +199,7 @@ def mtilde_from_kernels(sp: SourcePair, kp, km, k0) -> np.ndarray:
     evaluation serves both entries and the table's kp and km.  Only a point
     within 1e-4/T of i m omega with M < m <= 2M gets another psi~ than from
     kernels at M harmonics: there every column takes the near-lattice form."""
-    p1 = _contract_kernels(sp.psi1.psi_hat, 0.0, kp, km, k0)
+    p1 = _contract_kernels(sp.psi_hat, 0.0, kp, km, k0)
     p2 = _contract_kernels(sp.psi_sq_hat, sp.psi_sq_dc, kp, km, k0)
     A = sp.A
     return np.stack([np.stack([p1, p2], axis=-1), np.stack([A * p1, A * A * p2], axis=-1)],
@@ -248,18 +233,8 @@ def invert_mtilde(mt) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The separable reference state
+# The reference mode
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceState:
-    """Linearization point: u0_{nu, m} = phi(x) psi_{nu, m} with phi a fixed
-    eigenfunction (nonzero a.e.)."""
-
-    phi_index: int
-    phi_grid: np.ndarray        # (nq,)
-    source_pair: SourcePair
 
 
 def check_reference_mode(domain: DomainSpec, phi_index: int) -> None:
@@ -271,8 +246,3 @@ def check_reference_mode(domain: DomainSpec, phi_index: int) -> None:
         raise ReferenceProfileError(
             "reference mode 0 has eigenvalue 0 when every Robin coefficient is 0; "
             "the reference profile needs a nonzero eigenvalue")
-
-
-def build_reference_state(basis: EigenBasis, phi_index: int, sp: SourcePair) -> ReferenceState:
-    check_reference_mode(basis.domain, phi_index)
-    return ReferenceState(phi_index=phi_index, phi_grid=basis.phi[phi_index], source_pair=sp)

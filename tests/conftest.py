@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from harmtomo import (ModelParams, NormSpec, amplitude_modulate, build_interval_basis,
-                      build_pole_set, build_rectangle_basis, build_reference_state,
-                      design_delta_pulse)
+                      build_pole_set, build_rectangle_basis, design_delta_pulse)
 from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario
 
@@ -36,35 +35,28 @@ def spec_std():
 
 @pytest.fixture(scope="session")
 def setup_small(basis8, params_std):
-    """Small pipeline bundle: 8 modes, 24 harmonics."""
+    """Small pipeline bundle: 8 modes, 24 harmonics, reference mode 0."""
     M = 24
-    pulse = design_delta_pulse(params_std, M, 0.08, amplitude=3.0)
-    sp = amplitude_modulate(pulse, params_std.A)
-    ref = build_reference_state(basis8, 0, sp)
+    sp = amplitude_modulate(design_delta_pulse(params_std, M, 0.08, amplitude=3.0), params_std.A)
     poles = build_pole_set(basis8.lambdas, params_std)
-    return dict(basis=basis8, params=params_std, M=M, sp=sp, ref=ref, poles=poles)
+    return dict(basis=basis8, params=params_std, M=M, sp=sp, poles=poles)
 
 
 @pytest.fixture(scope="session")
 def setup_big(basis16, params_std):
-    """Acceptance-scale bundle: 16 modes, 64 harmonics."""
+    """Acceptance-scale bundle: 16 modes, 64 harmonics, reference mode 0."""
     M = 64
-    pulse = design_delta_pulse(params_std, M, 0.04, amplitude=6.0)
-    sp = amplitude_modulate(pulse, params_std.A)
-    ref = build_reference_state(basis16, 0, sp)
+    sp = amplitude_modulate(design_delta_pulse(params_std, M, 0.04, amplitude=6.0), params_std.A)
     poles = build_pole_set(basis16.lambdas, params_std)
-    return dict(basis=basis16, params=params_std, M=M, sp=sp, ref=ref, poles=poles)
+    return dict(basis=basis16, params=params_std, M=M, sp=sp, poles=poles)
 
 
 GOLDEN = (1 + 5**0.5) / 2
 
 
 def _bundle(basis, params, M=24):
-    pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
-    sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp)
-    return dict(basis=basis, params=params, M=M, sp=sp, ref=ref,
-                poles=build_pole_set(basis.lambdas, params))
+    sp = amplitude_modulate(design_delta_pulse(params, M, 0.08, amplitude=3.0), params.A)
+    return dict(basis=basis, params=params, M=M, sp=sp, poles=build_pole_set(basis.lambdas, params))
 
 
 @pytest.fixture(scope="module", params=["interval", "rectangle", "interval-tau-0.05"])
@@ -96,7 +88,7 @@ def random_linearized(basis, M, seed, a_scale=1.0, du_scale=1.0, du_band=None, d
     du *= du_scale
     if du_band is not None:
         du[:, du_band:, :] = 0.0
-    return LinearizedInput(a_sigma=a_sigma, a_eta=a_eta, du=du)
+    return LinearizedInput(a=np.stack([a_sigma, a_eta], axis=-1), du=du)
 
 
 def small_scenario(preset, J=8, M=16, base="interval_roundtrip", **top):

@@ -91,7 +91,7 @@ from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, Eigen
                                  synthesize, trace_right_inverse)
 from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumError,
                              VanishingDivisorError)
-from harmtomo.fields import MaterialField, ModelParams, NormSpec
+from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
 from harmtomo.norms import _image_terms, _lam_weight, _pole_weight, pole_table, x_norm
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
@@ -101,7 +101,7 @@ from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _pick_tau, _rate_co
                                time_derivative_norm)
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedInput, ReconstructionResult,
                                   fit_coefficients, linearized_forward, solve_states_from_coeffs)
-from harmtomo.sources import (ReferenceState, SourcePair, _contract_kernels, _period_kernel,
+from harmtomo.sources import (SourcePair, _contract_kernels, _period_kernel,
                               interp_kernels, invert_mtilde, mtilde_from_kernels)
 
 
@@ -216,7 +216,7 @@ def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
 
 
 def psi_tilde(sp: SourcePair, o, params: ModelParams):
-    return interp_periodic(sp.psi1.psi_hat, 0.0, o, params.omega, params.T)
+    return interp_periodic(sp.psi_hat, 0.0, o, params.omega, params.T)
 
 
 def psi_sq_tilde(sp: SourcePair, o, params: ModelParams):
@@ -621,17 +621,16 @@ def csv_rows(path, header, rows) -> None:
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in r])
 
 
-def coupling_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                 eta: MaterialField, u) -> np.ndarray:
-    """P[(sigma - sigma0) u] + P[eta B(u, u)] on the quadrature grid, each term
-    projected on its own, with B_m from the harmonic-pair loop."""
+def coupling_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:
+    """P[(sigma - sigma0) u] + P[eta B(u, u)] for sigma and eta on the
+    quadrature grid, each term projected on its own, with B_m from the
+    harmonic-pair loop."""
     uc = np.asarray(u, dtype=complex)
-    return (project(basis, (sigma.values - params.sigma0) * synthesize(basis, uc))
-            + project(basis, eta.values * convolve_bm_grid_loop(basis, uc, uc)))
+    return (project(basis, (sigma - params.sigma0) * synthesize(basis, uc))
+            + project(basis, eta * convolve_bm_grid_loop(basis, uc, uc)))
 
 
-def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma: MaterialField,
-                        eta: MaterialField, u) -> np.ndarray:
+def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:
     """L_m(sigma) u_m + eta B_m(u, u), projecting the slowness and the eta
     terms separately and taking B_m from the harmonic-pair loop."""
     uc = np.asarray(u, dtype=complex)
@@ -890,13 +889,13 @@ def interval_eigenvalues(L: float, gamma, J: int) -> np.ndarray:
     return np.array([k * k for k in ks])
 
 
-def reference_coeffs(ref: ReferenceState, J: int) -> np.ndarray:
-    """The reference state u0_{nu, m} = phi psi_{nu, m} as (2, M, J) spectral
-    coefficients: each source's pulse on the reference mode."""
-    sp = ref.source_pair
+def reference_coeffs(sp: SourcePair, mode: int, J: int) -> np.ndarray:
+    """The reference state u0_{nu, m} = phi psi_{nu, m} with phi the basis
+    mode `mode`, as (2, M, J) spectral coefficients: psi and A psi on that
+    mode."""
     u0 = np.zeros((2, sp.M, J), dtype=complex)
-    u0[0, :, ref.phi_index] = sp.psi1.psi_hat
-    u0[1, :, ref.phi_index] = sp.psi2.psi_hat
+    u0[0, :, mode] = sp.psi_hat
+    u0[1, :, mode] = sp.A * sp.psi_hat
     return u0
 
 
@@ -979,7 +978,7 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     return float(tau0 if i is None else grid[i])
 
 
-def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelParams,
+def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
                         spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
                         seed: int, tau_min: float, tau_max: float,
                         ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
@@ -987,17 +986,16 @@ def sweep_rows_from_fit(basis: EigenBasis, ref: ReferenceState, params0: ModelPa
     `choose_tau`, its constants evaluated at that tau, and its inversion by
     `fit_coefficients` and `solve_states_from_coeffs` written out, under the
     same pilot calibration and noise seeds."""
-    data = linearized_forward(ref, params0.with_tau(tau0), basis, truth)
+    data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
     consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
 
     def one(delta: float, noise_seed: int):
         tau = choose_tau(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
-        noisy = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
+        phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        sp = ref.source_pair
-        a, _ = fit_coefficients(noisy.phat_delta, data.rhat, sp, basis, params_tau)
+        a, _ = fit_coefficients(phat, data.rhat, sp, basis, params_tau)
         b = solve_states_from_coeffs(a, data.rhat, params_tau, basis.lambdas, sp.mm)
         err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)

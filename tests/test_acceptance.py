@@ -10,13 +10,13 @@ import time
 import numpy as np
 
 from harmtomo import (amplitude_modulate, build_interval_basis,
-                      build_pole_set, build_rectangle_basis, build_reference_state,
+                      build_pole_set, build_rectangle_basis,
                       compute_cbar, design_delta_pulse, image_norms, pole_table,
                       run_sweep, smooth_data, smoothing_gains,
                       solve_multiharmonic, verify_bounds,
                       x_norm, observe)
 from harmtomo.eigenbasis import project, synthesize
-from harmtomo.fields import MaterialField, ModelParams, NormSpec
+from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.forward import model_residual, nonlinear_model
 from harmtomo.norms import bochner_norm
 from harmtomo.poles import characteristic_roots
@@ -37,22 +37,17 @@ def report(k, ok, detail):
 
 def acceptance_scenario():
     """Interval domain, J = 16, M = 64, tau = 0.5, sigma0 = beta = 1,
-    nonresonant omega = 1/2, delta-like pulse pair with A = 2."""
+    nonresonant omega = 1/2, delta-like pulse pair with A = 2 on reference
+    mode 0."""
     basis = build_interval_basis(np.pi, (1.0, 1.0), 16, sigma_points=(0.0,))
     params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                 T0=np.pi / 2, A=2.0)
     M = 64
     pulse = design_delta_pulse(params, M, 0.04, amplitude=6.0)
     sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp)
     poles = build_pole_set(basis.lambdas, params)
     spec = NormSpec(s=1.0, orti_check=0.5)
-    return basis, params, M, sp, ref, poles, spec
-
-
-def material_from_coeffs(basis, coeffs):
-    """Material field with the given spectral coefficients."""
-    return MaterialField(values=synthesize(basis, coeffs), coeffs=coeffs)
+    return basis, params, M, sp, poles, spec
 
 
 def random_input(basis, M, seed, decay=False):
@@ -61,14 +56,15 @@ def random_input(basis, M, seed, decay=False):
     du = rng.standard_normal((2, M, J)) + 1j * rng.standard_normal((2, M, J))
     if decay:
         du /= (1.0 + np.arange(1, M + 1))[:, None] * (1.0 + basis.lambdas)[None, :]
-    return LinearizedInput(a_sigma=rng.standard_normal(J), a_eta=rng.standard_normal(J), du=du)
+    return LinearizedInput(a=np.stack([rng.standard_normal(J), rng.standard_normal(J)], axis=-1),
+                           du=du)
 
 
 def test_criterion_1_exact_linearized_round_trip():
     t0 = time.time()
-    basis, params, M, sp, ref, poles, spec = acceptance_scenario()
+    basis, params, M, sp, poles, spec = acceptance_scenario()
     lin = random_input(basis, M, 7)
-    data = linearized_forward(ref, params, basis, lin)
+    data = linearized_forward(sp, params, basis, lin)
     # the paper's constructive formula: residues of the truth, then a^l from them
     res = oracle_residues(lin, data.rhat, poles, sp, basis, params)
     a, _ = recover_coefficients_loop(res, data.rhat, sp, poles, basis, params)
@@ -82,18 +78,18 @@ def test_criterion_1_exact_linearized_round_trip():
 
 
 def test_criterion_2_residue_fit_robustness():
-    basis, params, M, sp, ref, poles, spec = acceptance_scenario()
+    basis, params, M, sp, poles, spec = acceptance_scenario()
     lin = random_input(basis, M, 7)
-    data = linearized_forward(ref, params, basis, lin)
+    data = linearized_forward(sp, params, basis, lin)
     res_oracle = oracle_residues(lin, data.rhat, poles, sp, basis, params)
-    res_fit = residues_of(reconstruct(data, ref, basis, params).a, data.rhat, poles, sp, basis,
+    res_fit = residues_of(reconstruct(data, sp, basis, params).a, data.rhat, poles, sp, basis,
                           params)
     agree = np.max(np.abs(res_fit - res_oracle)) / np.max(np.abs(res_oracle))
     rng = np.random.default_rng(99)
     noise = rng.standard_normal(data.phat.shape) + 1j * rng.standard_normal(data.phat.shape)
     noise *= 1e-6 * np.linalg.norm(data.phat) / np.linalg.norm(noise)
     rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat + noise),
-                      ref, basis, params)
+                      sp, basis, params)
     noisy_err = np.linalg.norm(rec.a - lin.a) / np.linalg.norm(lin.a)
     ok = agree <= 1e-8 and noisy_err <= 1e-3
     report(2, ok, f"noiseless fit/oracle agreement {agree:.2e} (limit 1e-8), "
@@ -168,13 +164,12 @@ def test_criterion_5_linearized_stability():
     M = 24
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp)
     table = pole_table(build_pole_set(basis.lambdas, params), sp, params)
     spec = NormSpec(s=1.0, orti_check=0.5)
     min_slack = np.inf
     for k in range(1000):
         lin = random_input(basis, M, 5000 + k)
-        data = linearized_forward(ref, params, basis, lin)
+        data = linearized_forward(sp, params, basis, lin)
         xv = x_norm(lin.a, lin.du, basis.lambdas, params.omega, spec)
         yv = sum(image_norms(lin.a, data.rhat, table, spec, sp, basis, params))
         min_slack = min(min_slack, yv - xv)
@@ -203,24 +198,20 @@ def test_criterion_7_nonlinear_lipschitz():
     M = 24
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp)
     table = pole_table(build_pole_set(basis.lambdas, params), sp, params)
     spec = NormSpec(s=1.0, orti_check=0.5)
     cbar = compute_cbar(params.tau, params.sigma0, params.beta, params.T, params.T0,
                         spec.orti_check)
     radius = 1.0 / (2.0 * max(1.0, cbar))
-    r0 = np.zeros((2, M, basis.J), dtype=complex)
-    r0[0, :, 0] = sp.psi1.psi_hat
-    r0[1, :, 0] = sp.psi2.psi_hat
+    r0 = reference_coeffs(sp, 0, basis.J)
+    phi = basis.phi[0]
 
     def solved_state(seed):
         rng = np.random.default_rng(seed)
         J = basis.J
-        dsig = material_from_coeffs(
+        sigma = params.sigma0 + synthesize(
             basis, 0.3 * radius * rng.standard_normal(J) / (1 + np.arange(J)) ** 2)
-        sigma = MaterialField.from_values(basis, params.sigma0 + dsig.values)
-        eta = material_from_coeffs(
-            basis, 1e-3 * rng.standard_normal(J) / (1 + np.arange(J)) ** 2)
+        eta = synthesize(basis, 1e-3 * rng.standard_normal(J) / (1 + np.arange(J)) ** 2)
         dr = 0.1 * radius * (rng.standard_normal((2, M, J)) + 1j * rng.standard_normal((2, M, J)))
         dr /= (1.0 + np.arange(1, M + 1))[:, None] ** 2 * (1.0 + basis.lambdas)[None, :]
         rhat = r0 + dr
@@ -231,14 +222,14 @@ def test_criterion_7_nonlinear_lipschitz():
     def pair_ratio(seed):
         s1, e1, u1 = solved_state(2 * seed)
         s2, e2, u2 = solved_state(2 * seed + 1)
-        a_diff = np.stack([project(basis, ref.phi_grid * (s1.values - s2.values)),
-                           project(basis, ref.phi_grid**2 * (e1.values - e2.values))], axis=-1)
+        a_diff = np.stack([project(basis, phi * (s1 - s2)), project(basis, phi**2 * (e1 - e2))],
+                          axis=-1)
         xv = x_norm(a_diff, u1 - u2, basis.lambdas, params.omega, spec)
         d_mod = np.stack([nonlinear_model(params, basis, s1, e1, u1[e])
                           - nonlinear_model(params, basis, s2, e2, u2[e]) for e in range(2)])
         d_obs = observe(basis, u1 - u2)
         mod_norm = bochner_norm(d_mod, params.omega, basis.lambdas, spec.orti_check, spec.s_check)
-        a_rec = reconstruct(LinearizedData(rhat=d_mod, phat=d_obs), ref, basis, params).a
+        a_rec = reconstruct(LinearizedData(rhat=d_mod, phat=d_obs), sp, basis, params).a
         obs_norm, _ = image_norms(a_rec, d_mod, table, spec, sp, basis, params)
         return xv / (mod_norm + obs_norm)
 
@@ -258,8 +249,8 @@ def test_criterion_8_taylor_remainder():
     M = 24
     pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
     sp = amplitude_modulate(pulse, params.A)
-    ref = build_reference_state(basis, 0, sp)
     spec = NormSpec(s=1.0, orti_check=0.5)
+    phi = basis.phi[0]
     rng = np.random.default_rng(5)
     dirs = []
     for _ in range(2):
@@ -272,17 +263,17 @@ def test_criterion_8_taylor_remainder():
     for rad in radii:
         fields = []
         for da, duu in dirs:
-            sigma = MaterialField.from_values(basis, params.sigma0 + rad * synthesize(basis, da[:, 0]))
-            eta = MaterialField.from_values(basis, rad * synthesize(basis, da[:, 1]))
-            fields.append((sigma, eta, reference_coeffs(ref, basis.J) + rad * duu))
+            sigma = params.sigma0 + rad * synthesize(basis, da[:, 0])
+            eta = rad * synthesize(basis, da[:, 1])
+            fields.append((sigma, eta, reference_coeffs(sp, 0, basis.J) + rad * duu))
         (s1, e1, u1), (s2, e2, u2) = fields
         d_mod = np.stack([nonlinear_model(params, basis, s1, e1, u1[e])
                           - nonlinear_model(params, basis, s2, e2, u2[e]) for e in range(2)])
         lin = LinearizedInput(
-            a_sigma=project(basis, ref.phi_grid * (s1.values - s2.values)),
-            a_eta=project(basis, ref.phi_grid**2 * (e1.values - e2.values)),
+            a=np.stack([project(basis, phi * (s1 - s2)), project(basis, phi**2 * (e1 - e2))],
+                       axis=-1),
             du=u1 - u2)
-        ld = linearized_forward(ref, params, basis, lin)
+        ld = linearized_forward(sp, params, basis, lin)
         err_tay = bochner_norm(d_mod - ld.rhat, params.omega, basis.lambdas,
                                spec.orti_check, spec.s_check)
         xdiff = x_norm(lin.a, lin.du, basis.lambdas, params.omega, spec)
@@ -302,16 +293,16 @@ def test_criterion_9_quasi_reversibility_convergence():
     M = 48
     pulse = design_delta_pulse(params0, M, 0.04, amplitude=3.0)
     sp = amplitude_modulate(pulse, params0.A)
-    ref = build_reference_state(basis, 0, sp)
     rng = np.random.default_rng(3)
     J = basis.J
     du = np.zeros((2, M, J), dtype=complex)
     du[:, :8, :] = 1e-7 * (rng.standard_normal((2, 8, J)) + 1j * rng.standard_normal((2, 8, J)))
     du[:, :8, :] /= (1.0 + np.arange(1, 9))[:, None, None].transpose(1, 0, 2) * (1.0 + basis.lambdas)[None, None, :]
-    truth = LinearizedInput(a_sigma=rng.standard_normal(J) / (1 + np.arange(J)),
-                            a_eta=rng.standard_normal(J) / (1 + np.arange(J)), du=du)
-    rows = run_sweep(basis, ref, params0, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
-                     seed=101, tau_min=0.1, tau_max=0.5)
+    truth = LinearizedInput(a=np.stack([rng.standard_normal(J) / (1 + np.arange(J)),
+                                        rng.standard_normal(J) / (1 + np.arange(J))], axis=-1),
+                            du=du)
+    rows = run_sweep(basis, sp, params0, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
+                     seed=101, tau_min=0.1, tau_max=0.5, ratio=2.0**0.25, tolerance=0.1)
     elapsed = time.time() - t0
     errs = [r.error_x for r in rows]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
@@ -368,24 +359,22 @@ def test_criterion_11_forward_solver_consistency():
         r = rng.standard_normal((M, basis.J)) + 1j * rng.standard_normal((M, basis.J))
         r /= (1.0 + np.arange(1, M + 1))[:, None] ** 2
         pert = 0.05 * synthesize(basis, rng.standard_normal(basis.J) / (1 + np.arange(basis.J)) ** 2)
-        configs.append((basis, p, MaterialField.constant(basis, p.sigma0),
-                        MaterialField.constant(basis, 0.0), r))
-        configs.append((basis, p, MaterialField.from_values(basis, p.sigma0 + pert),
-                        MaterialField.constant(basis, 1e-3), r))
+        configs.append((basis, p, np.full(basis.nquad, p.sigma0), np.zeros(basis.nquad), r))
+        configs.append((basis, p, p.sigma0 + pert, np.full(basis.nquad, 1e-3), r))
     eta_zero_gap = 0.0
     for basis, p, sigma, eta, r in configs:
         u, _ = solve_multiharmonic(p, basis, sigma, eta, r, tol=1e-10)
         worst_resid = max(worst_resid, float(np.max(model_residual(p, basis, sigma, eta, u, r))))
-        if np.max(np.abs(eta.values)) == 0 and np.max(np.abs(sigma.values - p.sigma0)) == 0:
+        if np.max(np.abs(eta)) == 0 and np.max(np.abs(sigma - p.sigma0)) == 0:
             lin = solve_linear_harmonics(p, basis.lambdas, r)
             eta_zero_gap = max(eta_zero_gap, float(np.max(np.abs(u - lin))))
     # second-harmonic scaling in the nonlinearity
     p = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
     rs = np.zeros((12, bi.J), dtype=complex)
     rs[0, 0] = 1.0
-    sig0 = MaterialField.constant(bi, p.sigma0)
-    ua, _ = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 1e-3), rs)
-    ub, _ = solve_multiharmonic(p, bi, sig0, MaterialField.constant(bi, 2e-3), rs)
+    sig0 = np.full(bi.nquad, p.sigma0)
+    ua, _ = solve_multiharmonic(p, bi, sig0, np.full(bi.nquad, 1e-3), rs)
+    ub, _ = solve_multiharmonic(p, bi, sig0, np.full(bi.nquad, 2e-3), rs)
     ratio = np.linalg.norm(ub[1]) / np.linalg.norm(ua[1])
     ok = worst_resid <= 1e-10 and eta_zero_gap <= 1e-14 and abs(ratio - 2.0) <= 1e-3
     report(11, ok, f"max model residual {worst_resid:.2e} (limit 1e-10), eta=0 diagonal "

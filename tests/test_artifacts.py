@@ -21,6 +21,7 @@ from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
 from harmtomo.scenarios import make_basis, make_params, make_reference, scenario_hash
+from harmtomo.sources import design_delta_pulse
 
 
 def _record(monkeypatch, owner, name):
@@ -87,10 +88,10 @@ def _smoothing_study(sc, d, shash, seen):
     coeffs = np.zeros(basis.J)
     coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
     rows = []
-    for (_, dt, _, _), sm in seen["smooth"]:
-        k = np.flatnonzero(sm.levels == sm.level)[0]
+    for (_, dt, _, kappas), sm in seen["smooth"]:
+        k = sm.level - 1   # candidate levels are 1..len(kappas)
         err = float(np.sqrt(np.sum(np.power(basis.lambdas, s) * np.abs(sm.coeffs - coeffs) ** 2)))
-        rows.append([dt, sm.level, float(sm.kappa[k]), float(sm.residuals[k]), err, shash])
+        rows.append([dt, sm.level, float(kappas[k]), float(sm.residuals[k]), err, shash])
     oracles.csv_rows(d / "smoothing.csv",
                      ["delta_tilde", "chosen_level", "kappa", "fit_residual", "hs_error",
                       "scenario_hash"], rows)
@@ -205,7 +206,7 @@ def test_stability_manifest_pole_diagnostics(tmp_path, tau, poles_ok, missing):
     assert manifest["modes_without_pole"] == missing
     params, basis = make_params(sc), make_basis(sc)
     pole_set = build_pole_set(basis.lambdas, params)
-    sp = make_reference(sc, basis, params).source_pair
+    sp = make_reference(sc, basis, params)
     cond = np.linalg.cond(oracles.evaluate_mtilde(sp, pole_set.poles[pole_set.ok], params))
     assert manifest["max_mtilde_cond"] == pytest.approx(float(np.max(cond)), rel=1e-12)
     again, _ = run_scenario(tmp_path, raw, name="again")
@@ -263,3 +264,21 @@ def test_forward_manifest_reports_sweeps_and_restarts(tmp_path, monkeypatch):
     assert manifest["solver_sweeps"] == [report.sweeps for report in reports]
     assert all(n > 0 for n in manifest["solver_sweeps"]) and len(reports) == 2
     assert manifest["damping_restarts"] == 0
+
+
+def test_forward_solve_drives_the_reference_mode(tmp_path, monkeypatch):
+    # source 1 drives mode phi_mode with the pulse harmonics, source 2 with A
+    # times them, and the constant eta_forward acts on every grid point
+    solves = _record(monkeypatch, runner, "solve_multiharmonic")
+    raw = small_scenario("forward-solve")
+    raw["source"]["phi_mode"] = 2
+    _, sc = run_scenario(tmp_path, raw)
+    params, basis = make_params(sc), make_basis(sc)
+    src = sc.source
+    psi = design_delta_pulse(params, sc.M, src["pulse_width"], amplitude=src["amplitude"])
+    assert len(solves) == 2
+    for scale, ((_, _, _, eta, rhat), _) in zip((1.0, params.A), solves):
+        expected = np.zeros((sc.M, basis.J), dtype=complex)
+        expected[:, 2] = scale * psi
+        assert np.array_equal(rhat, expected)
+        assert eta.shape == (basis.nquad,) and np.all(eta == 1e-3)

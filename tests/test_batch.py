@@ -26,9 +26,7 @@ def _rel(new, old):
 def _draws(b, seed):
     """B one-draw pipelines and the same draws stacked along a leading axis."""
     lins = [random_linearized(b["basis"], b["M"], seed + k) for k in range(B)]
-    lin = LinearizedInput(a_sigma=np.stack([v.a_sigma for v in lins]),
-                          a_eta=np.stack([v.a_eta for v in lins]),
-                          du=np.stack([v.du for v in lins]))
+    lin = LinearizedInput(a=np.stack([v.a for v in lins]), du=np.stack([v.du for v in lins]))
     return lins, lin
 
 
@@ -56,8 +54,8 @@ def _stack(fn, items):
 def test_linearized_forward_and_oracle(bundle):
     b = bundle
     lins, lin = _draws(b, 60)
-    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     assert data.rhat.shape == (B, 2, b["M"], b["basis"].J)
     assert one[0].rhat.shape == (2, b["M"], b["basis"].J)
     assert one[0].phat.shape == (2, b["M"], b["basis"].nsigma)
@@ -70,8 +68,8 @@ def test_linearized_forward_and_oracle(bundle):
 def test_pole_table_methods_and_residue_term(bundle):
     b = bundle
     lins, lin = _draws(b, 61)
-    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     t = pole_table(b["poles"], b["sp"], b["params"])
     for method in (lambda r: t.rtilde_ok(r[..., t.ok]), lambda r: t.model_term_ok(r[..., t.ok])):
         new = method(data.rhat)
@@ -89,8 +87,8 @@ def test_pole_table_methods_and_residue_term(bundle):
 def test_fit_coefficients_one_svd(bundle, monkeypatch):
     b = bundle
     lins, lin = _draws(b, 62)
-    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     a, cond = fit_coefficients(data.phat, data.rhat, *_fit_args(b))
@@ -104,8 +102,8 @@ def test_fit_coefficients_one_svd(bundle, monkeypatch):
 def test_recover_coefficients_and_states(bundle):
     b = bundle
     lins, lin = _draws(b, 63)
-    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     t = pole_table(b["poles"], b["sp"], b["params"])
     # the residue formula a^l = P_l + q_l from the table's batched terms
@@ -127,8 +125,8 @@ def test_recover_coefficients_and_states(bundle):
 def test_norms_and_terms(bundle, spec_std):
     b = bundle
     lins, lin = _draws(b, 64)
-    one = [linearized_forward(b["ref"], b["params"], b["basis"], v) for v in lins]
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     lam, omega = b["basis"].lambdas, b["params"].omega
     rng = np.random.default_rng(65)
     q = rng.standard_normal((B, b["basis"].J, 2)) + 1j * rng.standard_normal((B, b["basis"].J, 2))
@@ -158,9 +156,9 @@ def test_two_batch_axes(setup_small, spec_std):
     b = setup_small
     _, lin = _draws(b, 66)
     # a (2, B) grid of draws: the batch and its negation
-    grid = LinearizedInput(*(np.stack([v, -v]) for v in (lin.a_sigma, lin.a_eta, lin.du)))
-    flat = linearized_forward(b["ref"], b["params"], b["basis"], lin)
-    data = linearized_forward(b["ref"], b["params"], b["basis"], grid)
+    grid = LinearizedInput(*(np.stack([v, -v]) for v in (lin.a, lin.du)))
+    flat = linearized_forward(b["sp"], b["params"], b["basis"], lin)
+    data = linearized_forward(b["sp"], b["params"], b["basis"], grid)
     res = oracle_residues(grid, data.rhat, *_pole_args(b))
     a, _ = fit_coefficients(data.phat, data.rhat, *_fit_args(b))
     assert a.shape == (2, B, b["basis"].J, 2)
@@ -176,9 +174,8 @@ def test_two_batch_axes(setup_small, spec_std):
 def test_single_and_empty_batch(setup_small, spec_std, draws):
     b = setup_small
     J, M = b["basis"].J, b["M"]
-    lin = LinearizedInput(a_sigma=np.ones((draws, J)), a_eta=np.ones((draws, J)),
-                          du=np.ones((draws, 2, M, J), dtype=complex))
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    lin = LinearizedInput(a=np.ones((draws, J, 2)), du=np.ones((draws, 2, M, J), dtype=complex))
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     res = oracle_residues(lin, data.rhat, *_pole_args(b))
     assert res.shape == (draws, J, 2, b["basis"].nsigma)
     for v in (x_norm(lin.a, lin.du, b["basis"].lambdas, b["params"].omega, spec_std),
@@ -203,7 +200,7 @@ def test_true_fields_batch_equals_successive_draws(tmp_path, true_fields):
     singles = [make_true_fields(sc, basis, rng) for _ in range(B)]
     rng_batch = np.random.default_rng(11)
     batch = make_true_fields(sc, basis, rng_batch, draws=B)
-    for name in ("a_sigma", "a_eta", "du"):
+    for name in ("a", "du"):
         assert np.array_equal(getattr(batch, name), np.stack([getattr(t, name) for t in singles]))
     assert singles[0].du.shape == (2, 12, basis.J) and batch.du.shape == (B, 2, 12, basis.J)
     # the generator ends where the single draws left it
@@ -219,6 +216,16 @@ def test_true_fields_draw_order(tmp_path):
     a_eta = rng.standard_normal(c) / (1.0 + np.arange(c))
     re, im = rng.standard_normal((2, 12, basis.J)), rng.standard_normal((2, 12, basis.J))
     decay = 1.0 / ((1.0 + np.arange(1, 13))[:, None] * (1.0 + basis.lambdas)[None, :])
-    assert np.array_equal(truth.a_sigma, np.pad(a_sigma, (0, basis.J - c)))
-    assert np.array_equal(truth.a_eta, np.pad(a_eta, (0, basis.J - c)))
+    assert np.array_equal(truth.a[:, 0], np.pad(a_sigma, (0, basis.J - c)))
+    assert np.array_equal(truth.a[:, 1], np.pad(a_eta, (0, basis.J - c)))
     assert np.array_equal(truth.du, decay * (re + 1j * im))
+
+
+def test_low_mode_truth_sets_each_channel_and_mode(tmp_path):
+    # sigma_modes fill channel 0 of the pair a (J, 2), eta_modes channel 1
+    sc, basis = _truth_scenario(tmp_path, {"kind": "low_mode", "sigma_modes": [[1, -0.5]],
+                                           "eta_modes": [[3, 0.25]]})
+    truth = make_true_fields(sc, basis, np.random.default_rng(5))
+    expected = np.zeros((basis.J, 2))
+    expected[1, 0], expected[3, 1] = -0.5, 0.25
+    assert np.array_equal(truth.a, expected)

@@ -4,7 +4,7 @@ import pytest
 from harmtomo import harmonic_symbol, observe, solve_multiharmonic
 from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
-from harmtomo.fields import MaterialField, ModelParams
+from harmtomo.fields import ModelParams, check_slowness_admissible
 import harmtomo.forward as fw
 from harmtomo.forward import (harmonic_product_time, model_residual, nonlinear_model,
                               symbols_matrix)
@@ -223,11 +223,9 @@ class TestNonlinearModel:
         rng = np.random.default_rng(16)
         M = 24
         decay = 1.0 / (1.0 + np.arange(basis.J)) ** 2
-        sigma = MaterialField.from_values(
-            basis, p.sigma0 + 0.1 * synthesize(basis, decay * rng.standard_normal(basis.J)))
-        eta = MaterialField.from_values(
-            basis, 0.5 + 0.2 * synthesize(basis, decay * rng.standard_normal(basis.J)))
-        assert np.ptp(sigma.values) > 0 and np.ptp(eta.values) > 0
+        sigma = p.sigma0 + 0.1 * synthesize(basis, decay * rng.standard_normal(basis.J))
+        eta = 0.5 + 0.2 * synthesize(basis, decay * rng.standard_normal(basis.J))
+        assert np.ptp(sigma) > 0 and np.ptp(eta) > 0
         u = _crandn(rng, M, basis.J) / (1.0 + np.arange(1, M + 1))[:, None]
         r = _crandn(rng, M, basis.J)
         ref = nonlinear_model_ref(p, basis, sigma, eta, u)
@@ -256,14 +254,13 @@ class TestCouplingMap:
         decay = 1.0 / (1.0 + np.arange(basis.J)) ** 2
 
         def varying(base, scale):
-            return MaterialField.from_values(
-                basis, base + scale * synthesize(basis, decay * rng.standard_normal(basis.J)))
+            return base + scale * synthesize(basis, decay * rng.standard_normal(basis.J))
 
-        sigma = (MaterialField.constant(basis, p.sigma0 + 0.3) if case == "basis8"
+        sigma = (np.full(basis.nquad, p.sigma0 + 0.3) if case == "basis8"
                  else varying(p.sigma0, 0.1))
-        eta = varying(0.5, 0.2) if case == "both_fields_vary" else MaterialField.constant(basis, 0.8)
-        assert (np.ptp(sigma.values) > 0) == (case != "basis8")
-        assert (np.ptp(eta.values) > 0) == (case == "both_fields_vary")
+        eta = varying(0.5, 0.2) if case == "both_fields_vary" else np.full(basis.nquad, 0.8)
+        assert (np.ptp(sigma) > 0) == (case != "basis8")
+        assert (np.ptp(eta) > 0) == (case == "both_fields_vary")
         u = _crandn(rng, M, basis.J) / (1.0 + np.arange(1, M + 1))[:, None]
         got = fw.apply_coupling(fw.coupling_map(p, basis, sigma, eta), u)
         assert got.shape == (M, basis.J)
@@ -307,8 +304,8 @@ class TestMultiharmonic:
         rng = np.random.default_rng(6)
         M = 8
         r = rng.standard_normal((M, basis8.J)) + 1j * rng.standard_normal((M, basis8.J))
-        sig = MaterialField.constant(basis8, p.sigma0)
-        eta = MaterialField.constant(basis8, 0.0)
+        sig = np.full(basis8.nquad, p.sigma0)
+        eta = np.full(basis8.nquad, 0.0)
         u, _ = solve_multiharmonic(p, basis8, sig, eta, r)
         assert np.max(np.abs(u - solve_linear_harmonics(p, basis8.lambdas, r))) <= 1e-14
 
@@ -317,9 +314,9 @@ class TestMultiharmonic:
         M = 12
         r = np.zeros((M, basis8.J), dtype=complex)
         r[0, 0] = 1.0
-        sig = MaterialField.constant(basis8, p.sigma0)
-        ua, _ = solve_multiharmonic(p, basis8, sig, MaterialField.constant(basis8, 1e-3), r)
-        ub, _ = solve_multiharmonic(p, basis8, sig, MaterialField.constant(basis8, 2e-3), r)
+        sig = np.full(basis8.nquad, p.sigma0)
+        ua, _ = solve_multiharmonic(p, basis8, sig, np.full(basis8.nquad, 1e-3), r)
+        ub, _ = solve_multiharmonic(p, basis8, sig, np.full(basis8.nquad, 2e-3), r)
         ratio = np.linalg.norm(ub[1]) / np.linalg.norm(ua[1])
         assert abs(ratio - 2.0) <= 1e-3
 
@@ -329,8 +326,8 @@ class TestMultiharmonic:
         M = 10
         r = (rng.standard_normal((M, basis8.J)) + 1j * rng.standard_normal((M, basis8.J)))
         r /= (1.0 + np.arange(1, M + 1))[:, None] ** 2
-        sig = MaterialField.from_values(basis8, p.sigma0 + 0.05 * np.cos(basis8.nodes[:, 0]))
-        eta = MaterialField.constant(basis8, 1e-3)
+        sig = p.sigma0 + 0.05 * np.cos(basis8.nodes[:, 0])
+        eta = np.full(basis8.nquad, 1e-3)
         u, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
         res = report.residual
         # the reported residual is the one a fresh evaluation gives for u
@@ -344,8 +341,8 @@ class TestMultiharmonic:
         M = 6
         r = np.zeros((M, basis8.J), dtype=complex)
         r[0, 2] = 1.0
-        sig = MaterialField.constant(basis8, p.sigma0 + 0.6)
-        eta = MaterialField.constant(basis8, 1e-3)
+        sig = np.full(basis8.nquad, p.sigma0 + 0.6)
+        eta = np.full(basis8.nquad, 1e-3)
         start = r / symbols_matrix(p, basis8.lambdas, M)
         seen = []
         real_apply = fw.apply_coupling
@@ -368,7 +365,7 @@ class TestMultiharmonic:
         M = 6
         r = np.zeros((M, basis8.J), dtype=complex)
         r[0, 2] = 1.0
-        eta = MaterialField.constant(basis8, 1e-3)
+        eta = np.full(basis8.nquad, 1e-3)
         calls = []
         real_apply = fw.apply_coupling
 
@@ -379,7 +376,7 @@ class TestMultiharmonic:
         monkeypatch.setattr(fw, "apply_coupling", counting)
         for shift, restarts in ((0.6, 1), (0.0, 0)):
             calls.clear()
-            sig = MaterialField.constant(basis8, p.sigma0 + shift)
+            sig = np.full(basis8.nquad, p.sigma0 + shift)
             _, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
             assert report.restarts == restarts
             # one coupling per sweep, plus one model_residual check per damping factor tried
@@ -391,16 +388,16 @@ class TestMultiharmonic:
         M = 6
         r = np.zeros((M, basis8.J), dtype=complex)
         r[0, 0] = 50.0
-        sig = MaterialField.constant(basis8, p.sigma0)
-        eta = MaterialField.constant(basis8, 5.0)
+        sig = np.full(basis8.nquad, p.sigma0)
+        eta = np.full(basis8.nquad, 5.0)
         with pytest.raises(ConvergenceError):
             solve_multiharmonic(p, basis8, sig, eta, r, max_iter=40)
 
     def test_slowness_admissibility_check(self, basis8):
         p = params_of(tau=0.9)
-        bad = MaterialField.from_values(basis8, 0.5 * np.ones(basis8.nquad))
+        check_slowness_admissible(np.full(basis8.nquad, 0.9), p)   # sigma*beta = tau
         with pytest.raises(ValueError):
-            bad.check_slowness_admissible(p)
+            check_slowness_admissible(0.5 * np.ones(basis8.nquad), p)
 
 
 class TestObserve:

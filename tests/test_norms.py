@@ -125,7 +125,7 @@ class TestImageNorms:
         min_slack = np.inf
         for k in range(100):
             lin = random_linearized(s["basis"], s["M"], 1000 + k, decay=False)
-            data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+            data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
             xv = x_norm(lin.a, lin.du, s["basis"].lambdas, s["params"].omega, spec_std)
             yv = sum(_norms(s, spec_std, lin.a, data.rhat))
             min_slack = min(min_slack, yv - xv)
@@ -148,7 +148,7 @@ class TestImageNorms:
     def test_homogeneity(self, setup_small, spec_std):
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 6)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         y1, m1 = _norms(s, spec_std, lin.a, data.rhat)
         y2, m2 = _norms(s, spec_std, 2.0 * lin.a, 2.0 * data.rhat)
         assert y2 == pytest.approx(2.0 * y1, rel=1e-12)
@@ -160,7 +160,7 @@ class TestImageNorms:
         # M = 0 is an empty harmonic range, not the source truncation
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 7)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         t = pole_table(s["poles"], s["sp"], s["params"])
         q = lin.a[t.ok] - t.model_term_ok(data.rhat[..., t.ok])
         args = (spec_std, s["sp"], s["basis"], s["params"], t.ok)
@@ -218,7 +218,7 @@ class TestYtilde:
             worst = 0.0
             for k in range(10):
                 lin = random_linearized(s["basis"], s["M"], 3000 + k)
-                data = linearized_forward(s["ref"], params, s["basis"], lin)
+                data = linearized_forward(s["sp"], params, s["basis"], lin)
                 yo, _ = _norms(s, spec_std, lin.a, data.rhat, poles, params)
                 yt = ytilde_obs_norm(data.phat, s["basis"], spec_std.s, params.omega)
                 worst = max(worst, yo / yt)

@@ -26,7 +26,7 @@ def _rel(new, old):
 
 def _data(b, seed):
     lin = random_linearized(b["basis"], b["M"], seed)
-    return lin, linearized_forward(b["ref"], b["params"], b["basis"], lin)
+    return lin, linearized_forward(b["sp"], b["params"], b["basis"], lin)
 
 
 def _args(b):
@@ -53,7 +53,7 @@ def test_fit_residues_match_loop(bundle):
     # is wrong, so there the truth's residues are the reference.
     lin, data = _data(bundle, 52)
     b = bundle
-    rec = reconstruct(data, b["ref"], b["basis"], b["params"])
+    rec = reconstruct(data, b["sp"], b["basis"], b["params"])
     assert np.isfinite(rec.fit_cond)
     res = residues_of(rec.a, data.rhat, b["poles"], b["sp"], b["basis"], b["params"])
     if b["poles"].ok.all():
@@ -115,15 +115,15 @@ def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
     b = bundle
     lins = [random_linearized(b["basis"], b["M"], 58 + k) for k in range(3)]
     lin = LinearizedInput(*(np.stack([getattr(v, f) for v in lins])
-                            for f in ("a_sigma", "a_eta", "du")))
-    data = linearized_forward(b["ref"], b["params"], b["basis"], lin)
+                            for f in ("a", "du")))
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     new = np.stack(image_terms(lin.a, data.rhat, spec_std, *_args(b))[0], axis=-1)
     pole_args = (b["poles"], b["sp"], b["basis"], b["params"])
     path = _image_terms(residue_term(oracle_residues(lin, data.rhat, *pole_args), *pole_args),
                         0.0, *_pieces(b, spec_std))
     assert new.shape == (3, 2) and _rel(new, np.stack(path, axis=-1)) <= TOL
     for k, v in enumerate(lins):
-        d = linearized_forward(b["ref"], b["params"], b["basis"], v)
+        d = linearized_forward(b["sp"], b["params"], b["basis"], v)
         one = image_terms(v.a, d.rhat, spec_std, *_args(b))[0]
         res = oracle_residues_loop(v, d.rhat, b["poles"], b["sp"], b["basis"], b["params"])
         assert all(isinstance(x, float) for x in one)
@@ -178,7 +178,7 @@ def test_one_kernel_evaluation_matches_separate_ones(name):
     # evaluated at M and 2M harmonics and the kernels at M bit for bit
     sc = load_scenario(SCENARIOS / f"{name}.json")
     basis, params0 = make_basis(sc), make_params(sc)
-    sp = make_reference(sc, basis, params0).source_pair
+    sp = make_reference(sc, basis, params0)
     for tau in (params0.tau, 0.5, 0.3, 0.1, 0.05, 0.02):
         params = params0.with_tau(tau)
         pole_set = build_pole_set(basis.lambdas, params)

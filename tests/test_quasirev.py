@@ -18,6 +18,7 @@ from oracles import (TauConstants, choose_tau, choose_tau_loop, rate_constants_s
 
 GOLDEN = (1 + 5**0.5) / 2
 T = 2 * np.pi
+SCHEDULE = dict(ratio=2.0**0.25, tolerance=0.1)   # the scenario defaults
 
 
 class TestConstants:
@@ -95,24 +96,24 @@ class TestNoise:
     def test_zero_level_returns_copy(self, basis8):
         rng = np.random.default_rng(0)
         phat = rng.standard_normal((2, 6, 1)) + 1j * rng.standard_normal((2, 6, 1))
-        nd = add_noise(phat, 0.0, 1, basis8, 1.0, 1.0)
-        assert np.array_equal(nd.phat_delta, phat)
+        noisy = add_noise(phat, 0.0, 1, basis8, 1.0, 1.0)
+        assert np.array_equal(noisy, phat) and noisy is not phat
 
     def test_exact_norm_scaling(self, basis8):
         rng = np.random.default_rng(1)
         phat = rng.standard_normal((2, 6, 1)) + 1j * rng.standard_normal((2, 6, 1))
         for delta in (1e-2, 1e-5):
-            nd = add_noise(phat, delta, 7, basis8, 1.0, 1.0)
-            achieved = ytilde_obs_norm(nd.phat_delta - phat, basis8, 1.0, 1.0)
+            noisy = add_noise(phat, delta, 7, basis8, 1.0, 1.0)
+            achieved = ytilde_obs_norm(noisy - phat, basis8, 1.0, 1.0)
             assert abs(achieved - delta) <= 1e-10 * max(delta, 1.0)
 
     def test_seeds_differ(self, basis8):
         phat = np.zeros((2, 6, 1), dtype=complex)
         a = add_noise(phat, 1e-3, 1, basis8, 1.0, 1.0)
         b = add_noise(phat, 1e-3, 2, basis8, 1.0, 1.0)
-        assert not np.allclose(a.phat_delta, b.phat_delta)
-        na = ytilde_obs_norm(a.phat_delta, basis8, 1.0, 1.0)
-        nb = ytilde_obs_norm(b.phat_delta, basis8, 1.0, 1.0)
+        assert not np.allclose(a, b)
+        na = ytilde_obs_norm(a, basis8, 1.0, 1.0)
+        nb = ytilde_obs_norm(b, basis8, 1.0, 1.0)
         assert na == pytest.approx(nb, rel=1e-12)
 
     def test_calibration_miss_raises_typed_error(self, basis8, monkeypatch):
@@ -256,7 +257,7 @@ class TestSchedule:
 
 
 def sweep_setup(tau0, seed=3):
-    from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse
+    from harmtomo import amplitude_modulate, design_delta_pulse
 
     J, M = 8, 48
     basis = build_interval_basis(np.pi, (1.0, 1.0), J, sigma_points=(0.0,))
@@ -264,18 +265,16 @@ def sweep_setup(tau0, seed=3):
     params = ModelParams.create(tau=tau0, beta=1.0, sigma0=1.0, omega=1.0, T0=T, A=2.0)
     pulse = design_delta_pulse(params, M, 0.04, amplitude=3.0)
     sp = amplitude_modulate(pulse, 2.0)
-    ref = build_reference_state(basis, 0, sp)
     truth = random_linearized(basis, M, seed, du_scale=1e-7, du_band=8)
-    truth.a_sigma[:] /= (1 + np.arange(J))
-    truth.a_eta[:] /= (1 + np.arange(J))
-    return basis, spec, params, ref, truth
+    truth.a[:] /= (1 + np.arange(J))[:, None]
+    return basis, spec, params, sp, truth
 
 
 class TestSweep:
     def test_noiseless_consistency(self):
-        basis, spec, params, ref, truth = sweep_setup(0.3)
-        rows = run_sweep(basis, ref, params, spec, truth, [0.0], tau0=0.3, seed=11,
-                         tau_min=0.05, tau_max=0.5)
+        basis, spec, params, sp, truth = sweep_setup(0.3)
+        rows = run_sweep(basis, sp, params, spec, truth, [0.0], tau0=0.3, seed=11,
+                         tau_min=0.05, tau_max=0.5, **SCHEDULE)
         assert rows[0].status == "ok"
         assert rows[0].tau == pytest.approx(0.3)
         assert rows[0].error_x <= 1e-9
@@ -285,12 +284,12 @@ class TestSweep:
         from harmtomo.reconstruct import LinearizedData, reconstruct
         from harmtomo.norms import x_norm
 
-        basis, spec, params, ref, truth = sweep_setup(0.3)
-        data = linearized_forward(ref, params, basis, truth)
+        basis, spec, params, sp, truth = sweep_setup(0.3)
+        data = linearized_forward(sp, params, basis, truth)
         offsets = (0.0025, 0.005, 0.01)
         errs = []
         for d in offsets:
-            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), ref, basis,
+            rec = reconstruct(LinearizedData(rhat=data.rhat, phat=data.phat), sp, basis,
                               params.with_tau(0.3 + d))
             errs.append(x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas,
                                params.omega, spec))
@@ -298,9 +297,9 @@ class TestSweep:
         assert np.max(slopes) / np.min(slopes) <= 2.0
 
     def test_full_sweep_decreasing_and_bounded(self):
-        basis, spec, params, ref, truth = sweep_setup(0.0)
-        rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
-                         seed=101, tau_min=0.1, tau_max=0.5)
+        basis, spec, params, sp, truth = sweep_setup(0.0)
+        rows = run_sweep(basis, sp, params, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
+                         seed=101, tau_min=0.1, tau_max=0.5, **SCHEDULE)
         assert all(r.status == "ok" for r in rows)
         errs = [r.error_x for r in rows]
         assert errs[0] > errs[1] > errs[2]
@@ -316,9 +315,9 @@ class TestSweep:
         # inverts its noisy data with reconstruct; choose_tau and the
         # constants per row, with the fit and the state formula written out,
         # give the same rows
-        basis, spec, params, ref, truth = sweep_setup(tau0)
-        args = (basis, ref, params, spec, truth, deltas)
-        kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5)
+        basis, spec, params, sp, truth = sweep_setup(tau0)
+        args = (basis, sp, params, spec, truth, deltas)
+        kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5, **SCHEDULE)
         fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
@@ -331,10 +330,10 @@ class TestSweep:
         # constants row by row gives the same rows bit for bit
         sc = load_scenario(SCENARIOS / "qr_sweep.json")
         params, basis = make_params(sc), make_basis(sc)
-        ref = make_reference(sc, basis, params)
+        sp = make_reference(sc, basis, params)
         truth = make_true_fields(sc, basis, np.random.default_rng(sc.seed))
         qr = quasirev_settings(sc)
-        args = (basis, ref, params, make_norm_spec(sc), truth, noise_levels(sc))
+        args = (basis, sp, params, make_norm_spec(sc), truth, noise_levels(sc))
         kw = dict(tau0=qr["tau0"], seed=sc.seed, tau_min=qr["tau_min"],
                   tau_max=qr["tau_max"], ratio=qr["grid_ratio"], tolerance=qr["tolerance"])
         fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
@@ -346,15 +345,15 @@ class TestSweep:
 
     def test_invalid_schedule_raises_before_any_row(self):
         # tau0 = 0 needs orti_check < 1: a broken schedule is not a failed row
-        basis, _, params, ref, truth = sweep_setup(0.0)
+        basis, _, params, sp, truth = sweep_setup(0.0)
         with pytest.raises(TheoremHypothesisError, match="orti_check < 1"):
-            run_sweep(basis, ref, params, NormSpec(s=1.0, orti_check=1.0), truth, [1e-2],
-                      tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5)
+            run_sweep(basis, sp, params, NormSpec(s=1.0, orti_check=1.0), truth, [1e-2],
+                      tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5, **SCHEDULE)
 
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
         import harmtomo.quasirev as qr
 
-        basis, spec, params, ref, truth = sweep_setup(0.0)
+        basis, spec, params, sp, truth = sweep_setup(0.0)
         invert = qr.reconstruct
 
         def after_pilot(exc):
@@ -369,16 +368,16 @@ class TestSweep:
             return patched
 
         monkeypatch.setattr(qr, "reconstruct", after_pilot(IllConditionedFitError(3e12)))
-        rows = run_sweep(basis, ref, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
-                         tau_min=0.1, tau_max=0.5)
+        rows = run_sweep(basis, sp, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
+                         tau_min=0.1, tau_max=0.5, **SCHEDULE)
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
         assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
 
         monkeypatch.setattr(qr, "reconstruct",
                             after_pilot(KeyError("not a numerical failure")))
         with pytest.raises(KeyError):
-            run_sweep(basis, ref, params, spec, truth, [1e-2], tau0=0.0, seed=5,
-                      tau_min=0.1, tau_max=0.5)
+            run_sweep(basis, sp, params, spec, truth, [1e-2], tau0=0.0, seed=5,
+                      tau_min=0.1, tau_max=0.5, **SCHEDULE)
 
 
 def test_time_derivative_norm(basis8, spec_std):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harmtomo import (amplitude_modulate, assemble_fields, build_interval_basis,
-                      build_pole_set, build_rectangle_basis, build_reference_state,
+                      build_pole_set, build_rectangle_basis,
                       design_delta_pulse, solve_states_from_coeffs, trace_right_inverse,
                       reconstruct)
 from harmtomo.cli import main
@@ -23,23 +23,23 @@ GOLDEN = (1 + 5**0.5) / 2
 def linearized_from_fields(basis, phi_grid, dsigma_grid, deta_grid, du):
     """Linearized input whose coefficient channels are the projections of
     phi*dsigma and phi^2*deta."""
-    return LinearizedInput(a_sigma=project(basis, phi_grid * dsigma_grid),
-                           a_eta=project(basis, phi_grid**2 * deta_grid),
+    return LinearizedInput(a=np.stack([project(basis, phi_grid * dsigma_grid),
+                                       project(basis, phi_grid**2 * deta_grid)], axis=-1),
                            du=np.asarray(du, dtype=complex))
 
 
 class TestLinearizedForward:
     def test_zero_input(self, setup_small):
         s = setup_small
-        lin = LinearizedInput(a_sigma=np.zeros(s["basis"].J), a_eta=np.zeros(s["basis"].J),
+        lin = LinearizedInput(a=np.zeros((s["basis"].J, 2)),
                               du=np.zeros((2, s["M"], s["basis"].J), dtype=complex))
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         assert np.all(data.rhat == 0) and np.all(data.phat == 0)
 
     def test_pure_state_input_is_diagonal(self, setup_small):
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 1, a_scale=0.0)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         from harmtomo.forward import symbols_matrix
         sym = symbols_matrix(s["params"], s["basis"].lambdas, s["M"])
         assert np.max(np.abs(data.rhat - sym[None] * lin.du)) <= 1e-14
@@ -48,11 +48,10 @@ class TestLinearizedForward:
         s = setup_small
         l1 = random_linearized(s["basis"], s["M"], 2)
         l2 = random_linearized(s["basis"], s["M"], 3)
-        both = LinearizedInput(a_sigma=l1.a_sigma + l2.a_sigma, a_eta=l1.a_eta + l2.a_eta,
-                               du=l1.du + l2.du)
-        d1 = linearized_forward(s["ref"], s["params"], s["basis"], l1)
-        d2 = linearized_forward(s["ref"], s["params"], s["basis"], l2)
-        db = linearized_forward(s["ref"], s["params"], s["basis"], both)
+        both = LinearizedInput(a=l1.a + l2.a, du=l1.du + l2.du)
+        d1 = linearized_forward(s["sp"], s["params"], s["basis"], l1)
+        d2 = linearized_forward(s["sp"], s["params"], s["basis"], l2)
+        db = linearized_forward(s["sp"], s["params"], s["basis"], both)
         assert np.max(np.abs(db.rhat - d1.rhat - d2.rhat)) <= 1e-12
         assert np.max(np.abs(db.phat - d1.phat - d2.phat)) <= 1e-12
 
@@ -62,8 +61,8 @@ class TestLinearizedForward:
         dsig = np.cos(basis.nodes[:, 0])
         deta = np.sin(basis.nodes[:, 0]) ** 2
         du = np.zeros((2, s["M"], basis.J), dtype=complex)
-        lin = linearized_from_fields(basis, s["ref"].phi_grid, dsig, deta, du)
-        assert np.max(np.abs(lin.a_sigma - project(basis, s["ref"].phi_grid * dsig))) == 0
+        lin = linearized_from_fields(basis, s["basis"].phi[0], dsig, deta, du)
+        assert np.max(np.abs(lin.a[:, 0] - project(basis, s["basis"].phi[0] * dsig))) == 0
 
 
 class TestStateFormula:
@@ -99,10 +98,10 @@ class TestResidues:
     def test_single_active_mode(self, setup_small):
         s = setup_small
         J = s["basis"].J
-        lin = LinearizedInput(a_sigma=np.eye(J)[3], a_eta=0.5 * np.eye(J)[3],
+        lin = LinearizedInput(a=np.outer(np.eye(J)[3], [1.0, 0.5]),
                               du=np.zeros((2, s["M"], J), dtype=complex))
         lin.du[:, :, 3] = 0.1
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
         mags = np.max(np.abs(res), axis=(1, 2))
         assert np.argmax(mags) == 3
@@ -112,9 +111,9 @@ class TestResidues:
     def test_oracle_vs_fit_agreement(self, setup_big):
         s = setup_big
         lin = random_linearized(s["basis"], s["M"], 7, decay=False)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         res_o = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
-        rec = reconstruct(data, s["ref"], s["basis"], s["params"])
+        rec = reconstruct(data, s["sp"], s["basis"], s["params"])
         res_fit = residues_of(rec.a, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
         rel = np.max(np.abs(res_fit - res_o)) / np.max(np.abs(res_o))
         assert rel <= 1e-8
@@ -129,10 +128,9 @@ class TestResidues:
         M = 24
         pulse = design_delta_pulse(params, M, 0.08, amplitude=3.0)
         sp = amplitude_modulate(pulse, 2.0)
-        ref = build_reference_state(basis, 0, sp)
         poles = build_pole_set(basis.lambdas, params)
         lin = random_linearized(basis, M, 11)
-        data = linearized_forward(ref, params, basis, lin)
+        data = linearized_forward(sp, params, basis, lin)
         res = oracle_residues(lin, data.rhat, poles, sp, basis, params)
         w = basis.sigma_weights
         for ell in np.flatnonzero(poles.ok):
@@ -156,7 +154,7 @@ class TestRecovery:
     def test_full_pipeline_identity(self, setup_big):
         s = setup_big
         lin = random_linearized(s["basis"], s["M"], 13, decay=False)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         a = residue_formula(lin, data, s)
         b = solve_states_from_coeffs(a, data.rhat, s["params"], s["basis"].lambdas, s["sp"].mm)
         assert np.max(np.abs(a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
@@ -165,11 +163,11 @@ class TestRecovery:
     def test_channel_separation(self, setup_small):
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 17)
-        only_sigma = LinearizedInput(a_sigma=lin.a_sigma, a_eta=np.zeros_like(lin.a_eta), du=lin.du)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], only_sigma)
+        only_sigma = LinearizedInput(a=lin.a * [1.0, 0.0], du=lin.du)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], only_sigma)
         assert np.max(np.abs(residue_formula(only_sigma, data, s)[:, 1])) <= 1e-10
-        only_eta = LinearizedInput(a_sigma=np.zeros_like(lin.a_sigma), a_eta=lin.a_eta, du=lin.du)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], only_eta)
+        only_eta = LinearizedInput(a=lin.a * [0.0, 1.0], du=lin.du)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], only_eta)
         assert np.max(np.abs(residue_formula(only_eta, data, s)[:, 0])) <= 1e-10
 
     def test_homogeneous_model_channel(self, setup_small):
@@ -179,8 +177,8 @@ class TestRecovery:
         a = rng.standard_normal((s["basis"].J, 2))
         b = solve_states_from_coeffs(a, np.zeros((2, s["M"], s["basis"].J), dtype=complex),
                                      s["params"], s["basis"].lambdas, s["sp"].mm)
-        lin = LinearizedInput(a_sigma=a[:, 0], a_eta=a[:, 1], du=b)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        lin = LinearizedInput(a=a, du=b)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         assert np.max(np.abs(data.rhat)) <= 1e-12
         res = oracle_residues(lin, np.zeros_like(data.rhat), s["poles"], s["sp"],
                               s["basis"], s["params"])
@@ -191,7 +189,7 @@ class TestRecovery:
     def test_both_inverse_orders_agree(self, setup_small):
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 23)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
         a_in, _ = recover_coefficients_loop(res, data.rhat, s["sp"], s["poles"], s["basis"],
                                             s["params"], order="inside")
@@ -202,7 +200,7 @@ class TestRecovery:
     def test_recover_states_formula_equality(self, setup_small):
         s = setup_small
         lin = random_linearized(s["basis"], s["M"], 29)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         res = oracle_residues(lin, data.rhat, s["poles"], s["sp"], s["basis"], s["params"])
         a_rec, _ = recover_coefficients_loop(res, data.rhat, s["sp"], s["poles"], s["basis"],
                                              s["params"])
@@ -223,7 +221,7 @@ class TestRecovery:
     def test_fit_noise_robustness(self, setup_big):
         s = setup_big
         lin = random_linearized(s["basis"], s["M"], 31, decay=False)
-        data = linearized_forward(s["ref"], s["params"], s["basis"], lin)
+        data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         rng = np.random.default_rng(99)
         direction = rng.standard_normal(data.phat.shape) + 1j * rng.standard_normal(data.phat.shape)
         direction /= np.linalg.norm(direction)
@@ -231,7 +229,7 @@ class TestRecovery:
         for level in (1e-6, 1e-4, 1e-2):
             noisy = data.phat + level * np.linalg.norm(data.phat) * direction
             rec = reconstruct(LinearizedData(rhat=data.rhat, phat=noisy),
-                              s["ref"], s["basis"], s["params"])
+                              s["sp"], s["basis"], s["params"])
             errs.append(np.linalg.norm(rec.a - lin.a) / np.linalg.norm(lin.a))
         assert errs[0] < errs[1] < errs[2]
         # error grows continuously, about linearly in the noise level
@@ -276,13 +274,13 @@ class TestAssemble:
 
     def test_pipeline_then_assemble(self, setup_small):
         s = setup_small
-        basis, phi = s["basis"], s["ref"].phi_grid
+        basis, phi = s["basis"], s["basis"].phi[0]
         rng = np.random.default_rng(37)
         sigma_true = synthesize(basis, rng.standard_normal(basis.J) / (1 + np.arange(basis.J)) ** 2) / phi
         eta_true = synthesize(basis, rng.standard_normal(basis.J) / (1 + np.arange(basis.J)) ** 2) / phi**2
         lin = linearized_from_fields(basis, phi, sigma_true, eta_true,
                                      np.zeros((2, s["M"], basis.J), dtype=complex))
-        data = linearized_forward(s["ref"], s["params"], basis, lin)
+        data = linearized_forward(s["sp"], s["params"], basis, lin)
         dsig, deta = assemble_fields(basis, residue_formula(lin, data, s), phi)
         rel = np.linalg.norm(dsig - sigma_true) / np.linalg.norm(sigma_true)
         assert rel <= 1e-8
@@ -355,10 +353,9 @@ class TestFitSolve:
         params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
         M = 64
         sp = amplitude_modulate(design_delta_pulse(params, M, 0.08, amplitude=3.0), params.A)
-        ref = build_reference_state(basis, 0, sp)
         lin = random_linearized(basis, M, 41)
-        data = linearized_forward(ref, params, basis, lin)
-        rec = reconstruct(data, ref, basis, params)
+        data = linearized_forward(sp, params, basis, lin)
+        rec = reconstruct(data, sp, basis, params)
         assert np.max(np.abs(rec.a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
         assert rec.fit_cond <= 1e4
 
@@ -366,7 +363,7 @@ class TestFitSolve:
         # the J = 16, M = 64 interval at tau 0.02, where the design's cond is ~1e16
         s = setup_big
         params = s["params"].with_tau(0.02)
-        data = linearized_forward(s["ref"], params, s["basis"],
+        data = linearized_forward(s["sp"], params, s["basis"],
                                   random_linearized(s["basis"], s["M"], 43))
         with pytest.raises(IllConditionedFitError) as err:
             fit_coefficients(data.phat, data.rhat, s["sp"], s["basis"], params)

@@ -17,6 +17,7 @@ ROUNDTRIP = ROOT / "scenarios" / "interval_roundtrip.json"
 QR = ROOT / "scenarios" / "qr_sweep.json"
 SMOOTH = ROOT / "scenarios" / "smoothing_study.json"
 FORWARD = small_scenario("forward-solve")  # raw JSON: the round trip run as a forward solve
+PROBE = small_scenario("stability-probe", M=24, draws=3)
 MISSING = object()  # a variant value that deletes the key; as a file, no file at the path
 DIRECTORY = object()  # as a file, a directory at the path
 
@@ -84,7 +85,7 @@ class TestValidate:
         ("params.tau", -0.1, "tau must be nonnegative"),
         ("params.omega", 0, "omega must be positive"),
         ("residue_mode", "nope", "residue_mode 'nope' is not supported"),
-        ("draws", -1, "draws -1 must be nonnegative"),
+        ("draws", -1, "draws -1 must be at least 1"),
         ("source.eta0", 0.5, "source.eta0 0.5 is not supported"),
     ])
     def test_model_parameter_checks_are_violations(self, tmp_path, capsys, key, value, message):
@@ -134,6 +135,23 @@ class TestValidate:
          "sigma_modes value inf must be a finite number"),
         (ROUNDTRIP, "true_fields.eta_modes", [[2, math.nan]],
          "eta_modes value nan must be a finite number"),
+        (ROUNDTRIP, "params.beta", math.nan, "params.beta nan must be a finite number"),
+        (ROUNDTRIP, "params.sigma0", math.inf, "params.sigma0 inf must be a finite number"),
+        (ROUNDTRIP, "params.omega", math.nan, "params.omega nan must be a finite number"),
+        (ROUNDTRIP, "params.T0", math.inf, "params.T0 inf must be a finite number"),
+        (ROUNDTRIP, "params.A", math.nan, "params.A nan must be a finite number"),
+        (ROUNDTRIP, "params.tau", "0.5", "params.tau '0.5' must be a finite number"),
+        (ROUNDTRIP, "params.T", "x", "params.T 'x' must be a finite number"),
+        (ROUNDTRIP, "params.T", math.inf, "params.T inf must be a finite number"),
+        (ROUNDTRIP, "source.amplitude", math.nan, "source.amplitude nan must be a finite number"),
+        (ROUNDTRIP, "source.amplitude", 0, "source.amplitude 0 leaves both sources zero"),
+        (ROUNDTRIP, "source.pulse_width", "0.04",
+         "source.pulse_width '0.04' must be a finite number"),
+        (ROUNDTRIP, "params.tau", True, "params.tau True must be a finite number"),
+        (ROUNDTRIP, "source.pulse_width", True, "source.pulse_width True must be a finite number"),
+        (QR, "noise.delta_list", [], "noise.delta_list must hold at least one level"),
+        (SMOOTH, "noise.delta_list", [], "noise.delta_list must hold at least one level"),
+        (PROBE, "draws", 0, "draws 0 must be at least 1"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
@@ -141,7 +159,11 @@ class TestValidate:
             "phi_mode-neumann-zero-eigenvalue", "sigma_perturbation-not-number",
             "eta_forward-not-number", "eta_forward-nan", "seed-negative", "qr-seed-negative",
             "qr-seed-zero", "truth-cutoff-negative", "du_band-negative", "du_band-above-M",
-            "du_scale-nan", "du_scale-inf", "sigma-mode-value-inf", "eta-mode-value-nan"])
+            "du_scale-nan", "du_scale-inf", "sigma-mode-value-inf", "eta-mode-value-nan",
+            "beta-nan", "sigma0-inf", "omega-nan", "T0-inf", "A-nan", "tau-string", "T-string",
+            "T-inf", "amplitude-nan", "amplitude-zero", "pulse_width-string", "tau-bool",
+            "pulse_width-bool", "qr-no-levels",
+            "smoothing-no-levels", "probe-no-draws"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way

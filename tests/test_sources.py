@@ -1,27 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
-from harmtomo import amplitude_modulate, build_reference_state, design_delta_pulse, invert_mtilde, observe
+from harmtomo import amplitude_modulate, design_delta_pulse, invert_mtilde, observe
 from harmtomo.errors import (HarmtomoError, PulseSupportError, ReferenceProfileError,
                              SingularInterpolantError)
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
+from harmtomo.sources import check_reference_mode
 from oracles import evaluate_mtilde, psi_recursion, psi_sq_tilde, psi_tilde, reference_coeffs, synthesize_time
 
 
-def time_samples(pulse, p):
-    """Real synthesis of the pulse harmonics on max(8M, 256) uniform samples."""
-    t = np.linspace(0.0, p.T, max(8 * pulse.M, 256), endpoint=False)
-    return synthesize_time(pulse.psi_hat, p.omega, t)
+def time_samples(psi, p):
+    """Real synthesis of the pulse harmonics psi (M,) on max(8M, 256) uniform
+    samples."""
+    t = np.linspace(0.0, p.T, max(8 * psi.size, 256), endpoint=False)
+    return synthesize_time(psi, p.omega, t)
 
 
-def l2_norm(pulse, p):
+def l2_norm(psi, p):
     # rectangle rule on the uniform periodic grid is spectrally accurate
-    return float(np.sqrt(np.mean(time_samples(pulse, p)**2) * p.T))
+    return float(np.sqrt(np.mean(time_samples(psi, p)**2) * p.T))
 
 
-def l4_norm(pulse, p):
-    return float((np.mean(time_samples(pulse, p)**4) * p.T) ** 0.25)
+def l4_norm(psi, p):
+    return float((np.mean(time_samples(psi, p)**4) * p.T) ** 0.25)
 
 
 def params_of(tau=0.5, omega=0.5, T0=None, A=2.0):
@@ -33,15 +37,15 @@ class TestDeltaPulse:
     def test_narrow_limit_is_pure_phase(self):
         p = params_of()
         M = 16
-        pulse = design_delta_pulse(p, M, 1e-4)
-        ratios = pulse.psi_hat[1:] / pulse.psi_hat[0]
+        psi = design_delta_pulse(p, M, 1e-4)
+        ratios = psi[1:] / psi[0]
         m = np.arange(2, M + 1)
         expected = np.exp(-1j * (m - 1) * p.omega * p.T0)
         assert np.max(np.abs(ratios - expected)) <= 1e-5
-        mods = np.abs(pulse.psi_hat)
+        mods = np.abs(psi)
         assert np.max(mods) / np.min(mods) <= 1.0 + 1e-5
-        # narrow limit modulus approaches (2/T) * bump mass
-        mass = pulse.amplitude * 1e-4
+        # narrow limit modulus approaches (2/T) * bump mass, at the default amplitude 1
+        mass = 1e-4
         assert np.max(np.abs(mods - 2.0 * mass / p.T)) <= 1e-6 * mass
 
     def test_signal_real_and_l4_finite(self):
@@ -74,7 +78,7 @@ class TestAmplitudeModulation:
         sp = amplitude_modulate(pulse, 2.0)
         for k in range(10):
             det = np.linalg.det(sp.mm[k])
-            expected = 2.0 * pulse.psi_hat[k] * sp.psi_sq_hat[k]
+            expected = 2.0 * pulse[k] * sp.psi_sq_hat[k]
             assert det == pytest.approx(expected, rel=1e-12)
 
     def test_parseval_sums(self):
@@ -106,7 +110,7 @@ class TestInterpolant:
     def test_value_at_zero_matches_quadrature(self, setup_small):
         sp, p = setup_small["sp"], setup_small["params"]
         T = p.T
-        psi = time_samples(sp.psi1, p)
+        psi = time_samples(sp.psi_hat, p)
         quad_psi = (2.0 / T) * np.mean(psi) * T
         quad_sq = (2.0 / T) * np.mean(psi**2) * T
         mt = evaluate_mtilde(sp, 0.0 + 0.0j, p)
@@ -120,7 +124,7 @@ class TestInterpolant:
         sp, p = setup_small["sp"], setup_small["params"]
         T = p.T
         t = np.linspace(0, T, (1 << 14) + 1)
-        psi = synthesize_time(sp.psi1.psi_hat, p.omega, t)
+        psi = synthesize_time(sp.psi_hat, p.omega, t)
         for o in (0.3 - 1.2j, -0.5 + 2.7j, 1.0 + 0.0j):
             direct = (2.0 / T) * simpson(psi * np.exp(-o * t), x=t)
             assert psi_tilde(sp, o, p) == pytest.approx(direct, rel=1e-8)
@@ -158,7 +162,7 @@ class TestInterpolant:
         sp, p, poles = setup_small["sp"], setup_small["params"], setup_small["poles"]
         T = p.T
         A = sp.A
-        l2, l4 = l2_norm(sp.psi1, p), l4_norm(sp.psi1, p)
+        l2, l4 = l2_norm(sp.psi_hat, p), l4_norm(sp.psi_hat, p)
         lower = (A**4 + A**2 + 2) / (4 * A**2 * (A - 1) ** 2) * T**2 / min(l4**4, l2**2)
         cmu = []
         for ell in np.flatnonzero(poles.ok):
@@ -218,25 +222,32 @@ class TestRecursion:
 
 class TestReferenceState:
     def test_separability(self, setup_small):
-        basis, sp, ref = setup_small["basis"], setup_small["sp"], setup_small["ref"]
-        obs = observe(basis, reference_coeffs(ref, basis.J)[0])
-        expected = basis.trace_matrix[ref.phi_index, 0] * sp.psi1.psi_hat
+        # the bundle's reference mode is 0
+        basis, sp = setup_small["basis"], setup_small["sp"]
+        obs = observe(basis, reference_coeffs(sp, 0, basis.J)[0])
+        expected = basis.trace_matrix[0, 0] * sp.psi_hat
         assert np.max(np.abs(obs[:, 0] - expected)) <= 1e-14
 
     def test_rank_recheck_and_phi_floor(self, setup_small):
-        sp, ref = setup_small["sp"], setup_small["ref"]
+        sp = setup_small["sp"]
         dets = np.array([np.linalg.det(sp.mm[k]) for k in range(sp.M)])
         assert np.min(np.abs(dets)) > 0
-        assert np.min(np.abs(ref.phi_grid)) > 1e-6
+        assert np.min(np.abs(setup_small["basis"].phi[0])) > 1e-6
 
-    def test_zero_eigenvalue_profile_rejected(self, params_std):
+    def test_zero_eigenvalue_profile_rejected(self, tmp_path):
         from harmtomo import build_interval_basis, build_rectangle_basis
-        neumann = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(0.0,))
-        pulse = design_delta_pulse(params_std, 8, 0.1)
-        sp = amplitude_modulate(pulse, 2.0)
+        from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
+        from conftest import small_scenario
+        # the run's make_reference applies the rule to the scenario's mode
+        raw = small_scenario("linearized-roundtrip")
+        raw["domain"]["robin_gamma"] = [0.0, 0.0]
+        path = tmp_path / "neumann.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
         with pytest.raises(ReferenceProfileError) as err:
-            build_reference_state(neumann, 0, sp)
+            make_reference(sc, make_basis(sc), make_params(sc))
         assert isinstance(err.value, HarmtomoError) and isinstance(err.value, ValueError)
+        neumann = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(0.0,))
         # the rule reads the domain block; it rejects exactly the modes with lambda = 0
         bases = [neumann, build_interval_basis(np.pi, (0.0, 1.0), 4, sigma_points=(0.0,))]
         bases += [build_rectangle_basis(np.pi, np.pi / ((1 + 5**0.5) / 2), gamma, 4,
@@ -246,7 +257,7 @@ class TestReferenceState:
             for mode in range(2):
                 zero = abs(basis.lambdas[mode]) <= 1e-12
                 try:
-                    build_reference_state(basis, mode, sp)
+                    check_reference_mode(basis.domain, mode)
                     rejected = False
                 except ReferenceProfileError:
                     rejected = True
