@@ -253,6 +253,19 @@ def _gauss_nodes(L, n):
     return 0.5 * L * (x + 1.0), 0.5 * L * w
 
 
+def _nodes_per_axis(J: int) -> int:
+    """Gauss nodes per axis of a basis of J modes."""
+    return max(OVERSAMPLING * J, MIN_QUAD_NODES)
+
+
+def trace_point_count(domain: DomainSpec, J: int) -> int:
+    """The number of trace points ns of the basis of J modes on the domain,
+    without building it; the rectangle's 'side:y=0' observes at the x nodes."""
+    if isinstance(domain.sigma_points, str):
+        return _nodes_per_axis(J)
+    return len(domain.sigma_points)
+
+
 def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> EigenBasis:
     """Lowest J Robin modes on [0, L_x] with quadrature and trace samples."""
     if L_x <= 0 or J < 1:
@@ -260,7 +273,7 @@ def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> Eige
     domain = DomainSpec("interval", (float(L_x),), tuple(float(g) for g in gamma),
                         tuple(float(s) for s in sigma_points))
     modes = _robin_modes(L_x, domain.robin_gamma, J)
-    nq = max(OVERSAMPLING * J, MIN_QUAD_NODES)
+    nq = _nodes_per_axis(J)
     xq, wq = _gauss_nodes(L_x, nq)
     sig = np.array(domain.sigma_points, dtype=float).reshape(-1, 1)
     return EigenBasis(
@@ -310,7 +323,7 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
             f"lambda[{bad + 1}]={lambdas[bad + 1]:.12g}; sides are too commensurate"
         )
 
-    n1 = max(OVERSAMPLING * J, MIN_QUAD_NODES)
+    n1 = _nodes_per_axis(J)
     xq, wx = _gauss_nodes(L_x, n1)
     yq, wy = _gauss_nodes(L_y, n1)
     X, Y = np.meshgrid(xq, yq, indexing="ij")

@@ -63,6 +63,10 @@ class IllConditionedFitError(HarmtomoError):
         super().__init__(message or f"residue fit matrix condition number {cond:.3e} exceeds limit")
 
 
+class UnderdeterminedFitError(HarmtomoError):
+    """The fit's design has fewer rows than unknowns, so its solution is not unique."""
+
+
 class StabilityViolationError(HarmtomoError):
     """A pole with positive real part was found; the damping structure is broken."""
 

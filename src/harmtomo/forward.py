@@ -22,6 +22,8 @@ from .errors import ConvergenceError, ResonanceError
 from .fields import ModelParams
 
 RESONANCE_TOL = 1e-12
+# slowness-term applications per sweep, against one eta-term evaluation
+SLOWNESS_SWEEPS = 3
 
 
 def harmonic_symbol(params: ModelParams, m: int, lam):
@@ -129,19 +131,32 @@ def coupling_map(params: ModelParams, basis: EigenBasis, sigma, eta) -> Coupling
                        phi=phi, eta_proj=(w * eta)[:, None] * phi.T)
 
 
-def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
-    """P[(sigma - sigma0) u + eta B(u, u)] for the coefficients u (M, J), every
-    harmonic m = 1..M.
+def eta_term(cmap: CouplingMap, u) -> np.ndarray:
+    """P[eta B(u, u)] for the coefficients u (..., M, J), every harmonic
+    m = 1..M.
 
-    The eta term samples u in time from its coefficients, synthesizes the
-    samples on the grid, squares them, applies the eta-weighted projection and
-    keeps harmonics 1..M.  The square reaches harmonic 2M, so n > 3M samples
-    keep every aliased frequency off the kept harmonics.
+    Samples u in time from its coefficients, synthesizes the samples on the
+    grid, squares them, applies the eta-weighted projection and keeps
+    harmonics 1..M.  The square reaches harmonic 2M, so n > 3M samples keep
+    every aliased frequency off the kept harmonics.  Leading batch axes ride
+    on the trailing axis of the time transforms, so the transforms see the
+    harmonics on axis 0 and the grid is visited once per time sample and
+    member.
     """
-    M = u.shape[0]
-    grid = _time_samples(u, _fast_len(3 * M + 1)) @ cmap.phi  # (n, nq)
+    M, J = u.shape[-2:]
+    batch = u.shape[:-2]
+    n = _fast_len(3 * M + 1)
+    cols = np.moveaxis(u, -2, 0).reshape(M, -1)                 # (M, batch * J)
+    grid = _time_samples(cols, n).reshape(-1, J) @ cmap.phi    # (n * batch, nq)
     grid *= grid
-    return u @ cmap.k_sigma + _harmonics(grid @ cmap.eta_proj, M)[1:]
+    out = _harmonics((grid @ cmap.eta_proj).reshape(n, -1), M)[1:]
+    return np.moveaxis(out.reshape((M,) + batch + (J,)), 0, -2)
+
+
+def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
+    """P[(sigma - sigma0) u + eta B(u, u)] for the coefficients u (..., M, J),
+    every harmonic m = 1..M: the slowness term `u k_sigma` plus `eta_term`."""
+    return u @ cmap.k_sigma + eta_term(cmap, u)
 
 
 def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
@@ -155,68 +170,109 @@ def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
 
 
 def nonlinear_model(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:
-    """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M, with sigma
-    and eta on the quadrature grid (nq,).
+    """L_m(sigma) u_m + eta B_m(u, u) for every harmonic m = 1..M of u
+    (..., M, J), with sigma and eta on the quadrature grid (nq,).
 
     L_m(sigma0) acts through its diagonal symbols; the variable part of sigma
     and the eta coupling through the `coupling_map` built for this call.
     """
     uc = np.asarray(u, dtype=complex)
-    return (symbols_matrix(params, basis.lambdas, uc.shape[0]) * uc
+    return (symbols_matrix(params, basis.lambdas, uc.shape[-2]) * uc
             + apply_coupling(coupling_map(params, basis, sigma, eta), uc))
 
 
 def model_residual(params: ModelParams, basis: EigenBasis, sigma, eta, u, rhat) -> np.ndarray:
-    """Per-harmonic residual norms of L_m(sigma) u_m + eta B_m(u,u) - r_m.
+    """Per-harmonic residual norms (..., M) of L_m(sigma) u_m + eta B_m(u,u) - r_m.
 
     Re-evaluates the model from u alone, so the check shares no state with
     the solver sweep.
     """
     res = nonlinear_model(params, basis, sigma, eta, u) - np.asarray(rhat, dtype=complex)
-    return np.sqrt(np.sum(np.abs(res) ** 2, axis=1))
+    return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """How `solve_multiharmonic` reached its solution."""
+    """How `solve_multiharmonic` reached its solution, per member of the batch
+    (plain ints for an unbatched solve)."""
 
-    residual: np.ndarray  # (M,) per-harmonic model_residual the convergence check accepted
-    sweeps: int           # fixed-point sweeps run, over both damping factors
-    restarts: int         # 1 if the d = 0.5 restart ran, else 0
+    residual: np.ndarray     # (..., M) per-harmonic model_residual the convergence check accepted
+    sweeps: int | np.ndarray     # fixed-point sweeps run, over both damping factors
+    restarts: int | np.ndarray   # 1 if the d = 0.5 restart ran, else 0
+
+
+def _sweeps(cmap: CouplingMap, sym, r, d: float, tol: float, max_iter: int):
+    """Damped fixed-point sweeps from L(sigma0)^(-1) r for the members r
+    (B, M, J); a member stops on its own step and leaves the batch.  Returns
+    u (B, M, J) and the sweeps each member ran.
+
+    A sweep evaluates the eta term once and applies the slowness term
+    SLOWNESS_SWEEPS times against it, each application damped by d; the last
+    one sets the sweep's update, u <- (1 - d) u + d (r - eta term - v
+    k_sigma) / symbol, so SLOWNESS_SWEEPS = 1 is the plain damped sweep.
+    """
+    u = r / sym
+    count = np.zeros(len(r), dtype=int)
+    live = np.arange(len(r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            ul = u[live]
+            rhs = r[live] - eta_term(cmap, ul)
+            v = ul
+            for _ in range(SLOWNESS_SWEEPS - 1):
+                v = (1.0 - d) * v + d * ((rhs - v @ cmap.k_sigma) / sym)
+            u_new = (1.0 - d) * ul + d * ((rhs - v @ cmap.k_sigma) / sym)
+            step = np.max(np.abs(u_new - ul), axis=(-2, -1))
+            u[live] = u_new
+            count[live] += 1
+            live = live[np.isfinite(step) & ~(step < 0.1 * tol)]
+            if not live.size:
+                break
+    return u, count
 
 
 def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma, eta, rhat,
                         tol: float = 1e-12, max_iter: int = 200) -> tuple[np.ndarray, SolveReport]:
     """Damped fixed point of L(sigma0) u = r - (sigma - sigma0) u - eta B(u, u)
-    for sigma and eta on the quadrature grid (nq,).
+    for sigma and eta on the quadrature grid (nq,) and the drives rhat
+    (..., M, J), each member of the leading batch axes solved on its own.
 
-    Each sweep sets u <- (1 - d) u + d L(sigma0)^(-1) (r - coupling), with the
-    `coupling_map` built once per solve.  The nonlinearity must be small
-    enough for contraction: the sweep runs at d = 1 and, if it stalls,
-    restarts from L(sigma0)^(-1) r at d = 0.5 before raising.  Returns u and
-    a `SolveReport` carrying its per-harmonic `model_residual`, the one the
-    convergence check accepted.
+    The `coupling_map` is built once per solve.  Each sweep evaluates the eta
+    term once and converges the cheap slowness term against it (`_sweeps`).
+    The nonlinearity must be small enough for contraction: the sweeps run at
+    d = 1 and a member that fails the residual check restarts alone from
+    L(sigma0)^(-1) r at d = 0.5; if it fails again, ConvergenceError.
+    Returns u and a `SolveReport` carrying each member's per-harmonic
+    `model_residual`, the one the convergence check accepted.
     """
     r = np.asarray(rhat, dtype=complex)
-    sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
+    batch, (M, J) = r.shape[:-2], r.shape[-2:]
+    r = r.reshape(-1, M, J)
+    sym = _nonresonant_symbols(params, basis.lambdas, M)
     cmap = coupling_map(params, basis, sigma, eta)
-    sweeps = 0
-    for restarts, d in enumerate((1.0, 0.5)):
-        u = r / sym
+    u = np.empty_like(r)
+    res = np.empty(r.shape[:-1])
+    sweeps = np.zeros(len(r), dtype=int)
+    restarts = np.zeros(len(r), dtype=int)
+    todo = np.arange(len(r))
+    for k, d in enumerate((1.0, 0.5)):
+        restarts[todo] = k
+        u[todo], n = _sweeps(cmap, sym, r[todo], d, tol, max_iter)
+        sweeps[todo] += n
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_iter):
-                u_new = (1.0 - d) * u + d * ((r - apply_coupling(cmap, u)) / sym)
-                sweeps += 1
-                step = np.max(np.abs(u_new - u))
-                u = u_new
-                if not np.isfinite(step) or step < 0.1 * tol:
-                    break
-            res = model_residual(params, basis, sigma, eta, u, r)
-        if np.all(np.isfinite(res)) and np.max(res) <= tol:
-            return u, SolveReport(residual=res, sweeps=sweeps, restarts=restarts)
-    raise ConvergenceError(
-        f"multiharmonic fixed point stalled: max residual {np.max(res):.3e} > tol {tol:.1e}"
-    )
+            res[todo] = model_residual(params, basis, sigma, eta, u[todo], r[todo])
+        worst = np.max(res[todo], axis=-1)
+        todo = todo[~(np.isfinite(worst) & (worst <= tol))]
+        if not todo.size:
+            break
+    else:
+        raise ConvergenceError(f"multiharmonic fixed point stalled: max residual "
+                               f"{np.max(res[todo]):.3e} > tol {tol:.1e}")
+    u = u.reshape(batch + (M, J))
+    if not batch:
+        return u, SolveReport(res[0], int(sweeps[0]), int(restarts[0]))
+    return u, SolveReport(res.reshape(batch + (M,)), sweeps.reshape(batch),
+                          restarts.reshape(batch))
 
 
 def observe(basis: EigenBasis, u) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis, synthesize
-from .errors import IllConditionedFitError, VanishingDivisorError
+from .errors import IllConditionedFitError, UnderdeterminedFitError, VanishingDivisorError
 from .fields import ModelParams
 from .forward import _nonresonant_symbols, observe, symbols_matrix
 from .sources import SourcePair, invert_mtilde
@@ -72,6 +72,18 @@ def linearized_forward(sp: SourcePair, params: ModelParams, basis: EigenBasis,
     return LinearizedData(rhat=rhat, phat=phat)
 
 
+def check_fit_determined(M: int, J: int, ns: int) -> None:
+    """The fit's design has M ns rows, one per (harmonic, trace point), and
+    J + (ANALYTIC_DEGREE + 1) ns unknowns; with fewer rows than unknowns its
+    least-squares solution is not unique, and UnderdeterminedFitError."""
+    cols = J + (ANALYTIC_DEGREE + 1) * ns
+    if M * ns < cols:
+        raise UnderdeterminedFitError(
+            f"the fit has {M * ns} rows (M = {M} harmonics x {ns} trace points) for {cols} "
+            f"unknowns (J = {J} modes + {ANALYTIC_DEGREE + 1} x {ns} remainder columns); "
+            f"it needs M >= {-(-cols // ns)}")
+
+
 def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
                      params: ModelParams) -> tuple[np.ndarray, float]:
     """Coefficient pairs a (..., J, 2) by linear least squares on the
@@ -83,11 +95,13 @@ def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
     -D[:, j] tr_j per mode, and per trace point a smooth remainder of degree
     ANALYTIC_DEGREE in 1/o_m, o_m = i m omega.  One SVD gives both the
     condition number and the solution; leading batch axes of the data become
-    further right-hand sides.
+    further right-hand sides.  A design with fewer rows than columns raises
+    (`check_fit_determined`).
     """
     phat = np.asarray(phat, dtype=complex)
     rhat = np.asarray(rhat, dtype=complex)
     M, ns, J = phat.shape[-2], basis.nsigma, basis.J
+    check_fit_determined(M, J, ns)
     D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
     mm_inv = invert_mtilde(sp.mm[:M])
     s = np.einsum("mef,...fmj->...emj", mm_inv, rhat)        # (..., 2, M, J)

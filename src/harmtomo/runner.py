@@ -24,8 +24,9 @@ from .poles import asymptotic_poles, bound_slack, build_pole_set, verify_bounds
 from .reconstruct import linearized_forward, reconstruct
 from .scenarios import (Scenario, check_seed, forward_settings, make_basis, make_norm_spec,
                         make_params, make_reference, make_true_fields, min_symbol_magnitude,
-                        noise_levels, quasirev_settings, scenario_hash, source_settings,
-                        target_cutoff, validate_scenario)
+                        noise_levels, quasirev_settings, reference_pulse, scenario_hash,
+                        target_cutoff, true_coefficients, true_field_settings,
+                        validate_scenario)
 from .errors import ScenarioValidationError
 
 
@@ -124,34 +125,32 @@ def _preset_basis_report(sc, out, seed, shash):
 
 def _preset_forward_solve(sc, out, seed, shash):
     params, basis = _common(sc)
-    sp = make_reference(sc, basis, params)
-    mode = source_settings(sc)[2]
-    rng = np.random.default_rng(seed)
-    truth = make_true_fields(sc, basis, rng)
+    psi, mode = reference_pulse(sc, basis, params)
+    # the leading normals of the generator, as make_true_fields draws them
+    a = true_coefficients(sc, basis.J, np.random.default_rng(seed).standard_normal(
+        2 * true_field_settings(sc)[0]))
     size, eta_forward = forward_settings(sc)
-    pert = synthesize(basis, truth.a[:, 0])
+    pert = synthesize(basis, a[:, 0])
     pert *= size / max(float(np.max(np.abs(pert))), 1e-12)
     sigma = params.sigma0 + pert
     eta = np.full(basis.nquad, eta_forward)
     check_slowness_admissible(sigma, params)
-    resid_max, sweeps, restarts = 0.0, [], 0
-    for e, psi in enumerate((sp.psi_hat, sp.A * sp.psi_hat)):
-        rhat = np.zeros((sc.M, basis.J), dtype=complex)
-        rhat[:, mode] = psi
-        u, report = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
-        resid_max = max(resid_max, float(np.max(report.residual)))
-        sweeps.append(report.sweeps)
-        restarts += report.restarts
-        m, j = np.indices(u.shape)
-        write_table(os.path.join(out, f"field_source{e + 1}.csv"), ["m", "j", "re", "im"],
-                    [m + 1, j, u.real, u.imag], shash)
-        obs = observe(basis, u)
-        write_table(os.path.join(out, f"observations_source{e + 1}.csv"),
+    rhat = np.zeros((2, sc.M, basis.J), dtype=complex)
+    rhat[0, :, mode] = psi
+    rhat[1, :, mode] = params.A * psi
+    u, report = solve_multiharmonic(params, basis, sigma, eta, rhat, tol=1e-10)
+    m, j = np.indices(u.shape[1:])
+    for e, ue in enumerate(u, start=1):
+        write_table(os.path.join(out, f"field_source{e}.csv"), ["m", "j", "re", "im"],
+                    [m + 1, j, ue.real, ue.imag], shash)
+        obs = observe(basis, ue)
+        write_table(os.path.join(out, f"observations_source{e}.csv"),
                     ["m"] + [f"p_re_{i}" for i in range(basis.nsigma)]
                     + [f"p_im_{i}" for i in range(basis.nsigma)],
                     [np.arange(1, sc.M + 1), *obs.real.T, *obs.imag.T], shash)
-    return {"max_model_residual": resid_max, "solver_sweeps": sweeps,
-            "damping_restarts": restarts}
+    return {"max_model_residual": float(np.max(report.residual)),
+            "solver_sweeps": report.sweeps.tolist(),
+            "damping_restarts": int(np.sum(report.restarts))}
 
 
 def _preset_pole_report(sc, out, seed, shash):

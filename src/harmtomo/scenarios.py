@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quasirev
-from .eigenbasis import DomainSpec, EigenBasis, build_interval_basis, build_rectangle_basis
+from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis, build_rectangle_basis,
+                         trace_point_count)
 from .errors import HarmtomoError, ScenarioValidationError
 from .fields import ModelParams, NormSpec
 from .forward import symbols_matrix
-from .reconstruct import LinearizedInput
+from .reconstruct import LinearizedInput, check_fit_determined
 from .sources import (SourcePair, amplitude_modulate, check_pulse_support, check_reference_mode,
                       design_delta_pulse)
 
@@ -222,13 +223,17 @@ def forward_settings(sc: Scenario) -> tuple[float, float]:
             _finite(sc.source.get("eta_forward", 1e-3), "source.eta_forward"))
 
 
-def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> SourcePair:
-    """The source pair the run is linearized with, after checking that the
-    reference mode source.phi_mode is admissible on the basis' domain."""
+def reference_pulse(sc: Scenario, basis: EigenBasis, params: ModelParams) -> tuple[np.ndarray, int]:
+    """The pulse harmonics psi (M,) and the reference mode source.phi_mode,
+    after checking that the mode is admissible on the basis' domain."""
     width, amplitude, mode = source_settings(sc)
     check_reference_mode(basis.domain, mode)
-    return amplitude_modulate(design_delta_pulse(params, sc.M, width, amplitude=amplitude),
-                              params.A)
+    return design_delta_pulse(params, sc.M, width, amplitude=amplitude), mode
+
+
+def make_reference(sc: Scenario, basis: EigenBasis, params: ModelParams) -> SourcePair:
+    """The source pair psi, A psi the run is linearized with (`reference_pulse`)."""
+    return amplitude_modulate(reference_pulse(sc, basis, params)[0], params.A)
 
 
 def truth_kind(sc: Scenario) -> str:
@@ -263,13 +268,29 @@ def true_field_settings(sc: Scenario) -> tuple[int, float, int, list[tuple[int, 
     return (cutoff, _finite(cfg.get("du_scale", 1.0), "true_fields.du_scale"), du_band, modes)
 
 
+def true_coefficients(sc: Scenario, J: int, z_a) -> np.ndarray:
+    """The truth's coefficient pairs a (..., J, 2) from its leading normals
+    z_a (..., 2 * cutoff): decaying random values in modes below the cutoff,
+    a_sigma first, and for "low_mode" the explicit entries."""
+    cutoff, _, _, modes = true_field_settings(sc)
+    batch = z_a.shape[:-1]
+    a = np.zeros(batch + (J, 2))
+    a[..., :cutoff, :] = (np.swapaxes(z_a.reshape(batch + (2, cutoff)), -1, -2)
+                          / (1.0 + np.arange(cutoff))[:, None])
+    if truth_kind(sc) == "low_mode":
+        for c, j, val in modes:
+            a[..., j, c] = val
+    return a
+
+
 def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
                      draws: int | None = None) -> LinearizedInput:
     """Synthetic truth in the retained spectral span.
 
     kinds: "low_mode" takes explicit (mode, value) lists for both channels;
-    "random_low_mode" draws decaying random coefficients up to a cutoff.
-    The state perturbation is a decaying random draw scaled by du_scale.
+    "random_low_mode" draws decaying random coefficients up to a cutoff
+    (`true_coefficients`).  The state perturbation is a decaying random draw
+    scaled by du_scale.
 
     A truth takes its normals from the generator in the order a_sigma, a_eta,
     real and imaginary part of du.  With `draws`, that many truths come
@@ -278,15 +299,10 @@ def make_true_fields(sc: Scenario, basis: EigenBasis, rng: np.random.Generator,
     """
     J, M = basis.J, sc.M
     batch = () if draws is None else (int(draws),)
-    cutoff, du_scale, du_band, modes = true_field_settings(sc)
+    cutoff, du_scale, du_band, _ = true_field_settings(sc)
     z_a, z_du = np.split(rng.standard_normal(batch + (2 * cutoff + 4 * M * J,)), [2 * cutoff],
                          axis=-1)
-    a = np.zeros(batch + (J, 2))
-    a[..., :cutoff, :] = (np.swapaxes(z_a.reshape(batch + (2, cutoff)), -1, -2)
-                          / (1.0 + np.arange(cutoff))[:, None])
-    if truth_kind(sc) == "low_mode":
-        for c, j, val in modes:
-            a[..., j, c] = val
+    a = true_coefficients(sc, J, z_a)
     decay = 1.0 / ((1.0 + np.arange(1, M + 1))[:, None] * (1.0 + basis.lambdas)[None, :])
     re, im = np.moveaxis(z_du.reshape(batch + (2, 2, M, J)), -4, 0)
     du = du_scale * decay * (re + 1j * im)
@@ -339,6 +355,9 @@ def validate_scenario(sc: Scenario) -> list[str]:
         _collect(out, "source.phi_mode", check_reference_mode, domain, source[2])
     if source is not None and params is not None:
         _collect(out, "source.pulse_width", check_pulse_support, source[0], params.T0, params.T)
+    if sc.preset in ("linearized-roundtrip", "qr-sweep") and domain is not None:
+        _collect(out, "truncation", check_fit_determined, sc.M, sc.J,
+                 trace_point_count(domain, sc.J))
     _collect(out, "true_fields", true_field_settings, sc)
     _collect(out, "forward-solve", forward_settings, sc)
     _collect(out, "noise.delta_list", noise_levels, sc)

@@ -41,6 +41,13 @@ term projected on its own and B_m from the harmonic-pair loop; the package
 applies one coupling map that runs the time transforms on the coefficient
 columns (`forward.nonlinear_model`, `forward.apply_coupling`).
 
+The multiharmonic solve: the plain damped sweep for one drive
+(`solve_multiharmonic_loop`), u <- (1 - d) u + d (r - coupling(u)) / symbol
+with the whole coupling re-evaluated every sweep; the package solves a
+batch of drives, evaluates the eta term once per sweep and converges the
+slowness term against it (`forward.solve_multiharmonic`), and both must reach
+the same fixed point.
+
 The artifact writers: one CSV writer per table type, each with its own
 per-value loop and an optional scenario-hash column; the package writes every
 table through `runner.write_table`, and its files must match these byte for
@@ -89,10 +96,11 @@ from scipy.optimize import brentq
 from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, EigenBasis,
                                  _gauss_nodes, _interval_wavenumbers, _secular, project,
                                  synthesize, trace_right_inverse)
-from harmtomo.errors import (HarmtomoError, IllConditionedFitError, SpectrumError,
-                             VanishingDivisorError)
+from harmtomo.errors import (ConvergenceError, HarmtomoError, IllConditionedFitError,
+                             SpectrumError, VanishingDivisorError)
 from harmtomo.fields import ModelParams, NormSpec
-from harmtomo.forward import _nonresonant_symbols, harmonic_product_time, symbols_matrix
+from harmtomo.forward import (_nonresonant_symbols, apply_coupling, coupling_map,
+                              harmonic_product_time, model_residual, symbols_matrix)
 from harmtomo.norms import _image_terms, _lam_weight, _pole_weight, pole_table, x_norm
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
@@ -628,6 +636,32 @@ def coupling_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.nd
     uc = np.asarray(u, dtype=complex)
     return (project(basis, (sigma - params.sigma0) * synthesize(basis, uc))
             + project(basis, eta * convolve_bm_grid_loop(basis, uc, uc)))
+
+
+def solve_multiharmonic_loop(params: ModelParams, basis: EigenBasis, sigma, eta, rhat,
+                             tol: float = 1e-12, max_iter: int = 200):
+    """The damped fixed point of one drive rhat (M, J): every sweep sets
+    u <- (1 - d) u + d (r - apply_coupling(u)) / symbol, at d = 1 and, if the
+    residual check fails, again from r / symbol at d = 0.5.  Returns
+    (u, sweeps, restarts)."""
+    r = np.asarray(rhat, dtype=complex)
+    sym = _nonresonant_symbols(params, basis.lambdas, r.shape[0])
+    cmap = coupling_map(params, basis, sigma, eta)
+    sweeps = 0
+    for restarts, d in enumerate((1.0, 0.5)):
+        u = r / sym
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iter):
+                u_new = (1.0 - d) * u + d * ((r - apply_coupling(cmap, u)) / sym)
+                sweeps += 1
+                step = np.max(np.abs(u_new - u))
+                u = u_new
+                if not np.isfinite(step) or step < 0.1 * tol:
+                    break
+            res = model_residual(params, basis, sigma, eta, u, r)
+        if np.all(np.isfinite(res)) and np.max(res) <= tol:
+            return u, sweeps, restarts
+    raise ConvergenceError(f"stalled: max residual {np.max(res):.3e} > tol {tol:.1e}")
 
 
 def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:

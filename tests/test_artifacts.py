@@ -20,7 +20,8 @@ from harmtomo.norms import PoleTable
 from harmtomo.poles import build_pole_set
 from harmtomo.quasirev import SweepRow
 from harmtomo.runner import write_table
-from harmtomo.scenarios import make_basis, make_params, make_reference, scenario_hash
+from harmtomo.scenarios import (make_basis, make_params, make_reference, make_true_fields,
+                                scenario_hash)
 from harmtomo.sources import design_delta_pulse
 
 
@@ -49,7 +50,8 @@ def _pole_report(sc, d, shash, seen):
 
 def _forward_solve(sc, d, shash, seen):
     basis = seen["basis"][0][1]
-    for e, (_, (u, _)) in enumerate(seen["solve"]):
+    (_, (u_both, _)), = seen["solve"]   # one solve of both sources, stacked (2, M, J)
+    for e, u in enumerate(u_both):
         oracles.harmonic_field_to_csv(u, d / f"field_source{e + 1}.csv", scenario_hash=shash)
         obs = observe(basis, u)
         oracles.csv_rows(d / f"observations_source{e + 1}.csv",
@@ -244,14 +246,15 @@ def test_forward_manifest_residual_is_that_of_the_written_fields(tmp_path, monke
     solves = _record(monkeypatch, runner, "solve_multiharmonic")
     out, sc = run_scenario(tmp_path, small_scenario("forward-solve"))
     manifest = json.loads((out / "manifest.json").read_text())
+    ((params, basis, sigma, eta, rhat), _), = solves
+    assert rhat.shape == (2, sc.M, basis.J)
     worst = 0.0
-    for e, ((params, basis, sigma, eta, rhat), _) in enumerate(solves):
+    for e in range(2):
         table = np.genfromtxt(out / f"field_source{e + 1}.csv", delimiter=",", skip_header=1,
                               usecols=(2, 3))
         # .17g round-trips every double, so u is the solver's own
         u = (table[:, 0] + 1j * table[:, 1]).reshape(sc.M, basis.J)
-        worst = max(worst, float(np.max(model_residual(params, basis, sigma, eta, u, rhat))))
-    assert len(solves) == 2
+        worst = max(worst, float(np.max(model_residual(params, basis, sigma, eta, u, rhat[e]))))
     assert manifest["max_model_residual"] == worst
 
 
@@ -260,10 +263,10 @@ def test_forward_manifest_reports_sweeps_and_restarts(tmp_path, monkeypatch):
     # the shipped interval scenario at its own truncation (J = 16, M = 64)
     out, _ = run_scenario(tmp_path, small_scenario("forward-solve", J=16, M=64))
     manifest = json.loads((out / "manifest.json").read_text())
-    reports = [report for _, (_, report) in solves]
-    assert manifest["solver_sweeps"] == [report.sweeps for report in reports]
-    assert all(n > 0 for n in manifest["solver_sweeps"]) and len(reports) == 2
-    assert manifest["damping_restarts"] == 0
+    (_, (_, report)), = solves
+    assert manifest["solver_sweeps"] == report.sweeps.tolist()
+    assert all(n > 0 for n in manifest["solver_sweeps"]) and len(manifest["solver_sweeps"]) == 2
+    assert manifest["damping_restarts"] == int(np.sum(report.restarts)) == 0
 
 
 def test_forward_solve_drives_the_reference_mode(tmp_path, monkeypatch):
@@ -276,9 +279,26 @@ def test_forward_solve_drives_the_reference_mode(tmp_path, monkeypatch):
     params, basis = make_params(sc), make_basis(sc)
     src = sc.source
     psi = design_delta_pulse(params, sc.M, src["pulse_width"], amplitude=src["amplitude"])
-    assert len(solves) == 2
-    for scale, ((_, _, _, eta, rhat), _) in zip((1.0, params.A), solves):
-        expected = np.zeros((sc.M, basis.J), dtype=complex)
-        expected[:, 2] = scale * psi
-        assert np.array_equal(rhat, expected)
-        assert eta.shape == (basis.nquad,) and np.all(eta == 1e-3)
+    ((_, _, _, eta, rhat), _), = solves
+    expected = np.zeros((2, sc.M, basis.J), dtype=complex)
+    expected[0, :, 2] = psi
+    expected[1, :, 2] = params.A * psi
+    assert np.array_equal(rhat, expected)
+    assert eta.shape == (basis.nquad,) and np.all(eta == 1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+@pytest.mark.parametrize("truth", [
+    {"kind": "random_low_mode", "cutoff": 5, "du_scale": 1.0},
+    {"kind": "random_low_mode"},
+    {"kind": "low_mode", "sigma_modes": [[1, -0.5], [3, 0.25]], "eta_modes": [[0, 2.0]]},
+], ids=["random-cutoff5", "random-default", "low_mode"])
+def test_forward_coefficients_are_those_of_the_truth(tmp_path, monkeypatch, seed, truth):
+    # the preset draws only the truth's leading normals, and its coefficient
+    # pairs equal make_true_fields' bit for bit
+    coeffs = _record(monkeypatch, runner, "true_coefficients")
+    raw = small_scenario("forward-solve", seed=seed, true_fields=truth)
+    _, sc = run_scenario(tmp_path, raw)
+    (_, a), = coeffs
+    expected = make_true_fields(sc, make_basis(sc), np.random.default_rng(seed)).a
+    assert a.shape == expected.shape and a.tobytes() == expected.tobytes()

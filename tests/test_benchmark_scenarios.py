@@ -1,9 +1,11 @@
-"""The benchmark's scenarios stay valid.
+"""The benchmark's scenarios stay valid, and its forward op stays cheap.
 
 Every op that `perfbench/workloads.py` generates (the warm-up op, units of
 each workload and the known-defect ops) must pass `validate_scenario`, so a
 change to the scenario vocabulary cannot break the benchmark unnoticed.  The
-module is loaded from its file, as it is; perfbench is not a package.
+nonlinear-forward op's count of eta-term evaluations is a timing-free guard
+on its cost.  The module is loaded from its file, as it is; perfbench is not
+a package.
 """
 
 import importlib.util
@@ -11,8 +13,11 @@ import json
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import harmtomo.forward as fw
+from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario, validate_scenario
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -39,3 +44,32 @@ def test_benchmark_ops_validate(name, tmp_path):
         path = tmp_path / f"op{k}.json"
         path.write_text(json.dumps(op))
         assert validate_scenario(load_scenario(path)) == [], op["name"]
+
+
+# sweeps per source the forward op may take at either end of its eta range,
+# plus one residual check per source
+MAX_FORWARD_SWEEPS = 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("end", [0, 1], ids=["eta-low", "eta-high"])
+def test_forward_op_eta_term_evaluations(end, seed, tmp_path, monkeypatch):
+    # the eta term (one FFT pair and two grid products per member) is most of
+    # a solve, so its count per source bounds the op's cost without a clock
+    members = []
+    real_eta_term = fw.eta_term
+
+    def counting(cmap, u):
+        members.append(int(np.prod(u.shape[:-2])))
+        return real_eta_term(cmap, u)
+
+    monkeypatch.setattr(fw, "eta_term", counting)
+    op, = workloads.WORKLOADS["nonlinear-forward"](np.random.default_rng(seed))
+    op["source"]["eta_forward"] = workloads.ETA_FORWARD_RANGE[end]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op))
+    manifest = run_preset(load_scenario(path), out_dir=str(tmp_path / "out"))
+    assert op["truncation"] == {"J": 16, "M": 64}
+    assert len(manifest["solver_sweeps"]) == 2 and manifest["damping_restarts"] == 0
+    assert sum(members) == sum(manifest["solver_sweeps"]) + 2
+    assert sum(members) <= 2 * (MAX_FORWARD_SWEEPS + 1)

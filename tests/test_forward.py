@@ -11,7 +11,9 @@ from harmtomo.forward import (harmonic_product_time, model_residual, nonlinear_m
 
 from oracles import (big_theta, vartheta, convolve_bm_all, convolve_bm_grid, convolve_bm_grid_loop, coupling_ref,
                      harmonic_product_loop, nonlinear_model_ref, product_dc_loop,
-                     solve_linear_harmonics, synthesize_time)
+                     solve_linear_harmonics, solve_multiharmonic_loop, synthesize_time)
+from conftest import run_scenario, small_scenario
+from harmtomo import runner
 
 GOLDEN = (1 + 5**0.5) / 2
 KERNEL_RTOL = 1e-13
@@ -345,13 +347,13 @@ class TestMultiharmonic:
         eta = np.full(basis8.nquad, 1e-3)
         start = r / symbols_matrix(p, basis8.lambdas, M)
         seen = []
-        real_apply = fw.apply_coupling
+        real_eta_term = fw.eta_term
 
         def spy(cmap, u):
-            seen.append(u.copy())
-            return real_apply(cmap, u)
+            seen.append(u.reshape(M, basis8.J).copy())
+            return real_eta_term(cmap, u)
 
-        monkeypatch.setattr(fw, "apply_coupling", spy)
+        monkeypatch.setattr(fw, "eta_term", spy)
         u, _ = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
         restarts = [k for k, v in enumerate(seen) if np.array_equal(v, start)]
         assert len(restarts) == 2
@@ -367,21 +369,70 @@ class TestMultiharmonic:
         r[0, 2] = 1.0
         eta = np.full(basis8.nquad, 1e-3)
         calls = []
-        real_apply = fw.apply_coupling
+        real_eta_term = fw.eta_term
 
         def counting(cmap, u):
             calls.append(u)
-            return real_apply(cmap, u)
+            return real_eta_term(cmap, u)
 
-        monkeypatch.setattr(fw, "apply_coupling", counting)
+        monkeypatch.setattr(fw, "eta_term", counting)
         for shift, restarts in ((0.6, 1), (0.0, 0)):
             calls.clear()
             sig = np.full(basis8.nquad, p.sigma0 + shift)
             _, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
             assert report.restarts == restarts
-            # one coupling per sweep, plus one model_residual check per damping factor tried
+            # one eta term per sweep, plus one model_residual check per damping factor tried
             assert len(calls) == report.sweeps + restarts + 1
             assert 0 < report.sweeps <= 200 * (restarts + 1)
+
+    def test_batch_restarts_only_the_stalled_member(self, basis8):
+        # member 0 is the stalled drive above; member 1 drives harmonic 3, which
+        # couples only to multiples of 3, whose symbols all exceed 0.6: it
+        # contracts at d = 1 and must not restart with its neighbour
+        p = params_of(omega=3.0)
+        M = 6
+        r = np.zeros((2, M, basis8.J), dtype=complex)
+        r[0, 0, 2] = 1.0
+        r[1, 2, 2] = 1.0
+        sig = np.full(basis8.nquad, p.sigma0 + 0.6)
+        eta = np.full(basis8.nquad, 1e-3)
+        u, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+        assert u.shape == r.shape and report.residual.shape == (2, M)
+        assert report.restarts.tolist() == [1, 0]
+        assert np.array_equal(report.residual, model_residual(p, basis8, sig, eta, u, r))
+        assert np.max(report.residual) <= 1e-11
+        for e in range(2):
+            alone, solo = solve_multiharmonic(p, basis8, sig, eta, r[e], tol=1e-11)
+            assert (report.sweeps[e], report.restarts[e]) == (solo.sweeps, solo.restarts)
+            assert np.max(np.abs(u[e] - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0, 3.0, 10.0])
+    def test_batch_matches_solo_solves_and_the_plain_sweep(self, eta, tmp_path, monkeypatch):
+        # the forward-solve preset's own inputs on the shipped interval at J 16,
+        # M 64 and seed 1 (ROADMAP item 4's probe): each member of the
+        # two-source batch is its solo solve, with the same sweep count, and
+        # both sit within 0.1 tol of the plain per-source sweep's fixed point
+        solves = []
+        real_solve = runner.solve_multiharmonic
+
+        def record(*args, **kwargs):
+            solves.append((args, kwargs, real_solve(*args, **kwargs)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(runner, "solve_multiharmonic", record)
+        raw = small_scenario("forward-solve", J=16, M=64, seed=1)
+        raw["source"]["eta_forward"] = eta
+        run_scenario(tmp_path, raw)
+        ((params, basis, sigma, eta_grid, rhat), kwargs, (u, report)), = solves
+        tol = kwargs["tol"]
+        assert rhat.shape == (2, 64, 16) and report.sweeps.shape == (2,)
+        for e in range(2):
+            alone, solo = real_solve(params, basis, sigma, eta_grid, rhat[e], tol=tol)
+            assert (report.sweeps[e], report.restarts[e]) == (solo.sweeps, solo.restarts)
+            assert np.max(np.abs(u[e] - alone)) <= 1e-13 * np.max(np.abs(alone))
+            plain, _, _ = solve_multiharmonic_loop(params, basis, sigma, eta_grid, rhat[e],
+                                                   tol=tol)
+            assert np.max(np.abs(alone - plain)) <= 0.1 * tol
 
     def test_nonconvergence_raises(self, basis8):
         p = params_of(omega=0.5, T0=np.pi)

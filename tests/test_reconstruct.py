@@ -8,7 +8,8 @@ from harmtomo import (amplitude_modulate, assemble_fields, build_interval_basis,
                       design_delta_pulse, solve_states_from_coeffs, trace_right_inverse,
                       reconstruct)
 from harmtomo.cli import main
-from harmtomo.errors import HarmtomoError, IllConditionedFitError, ResonanceError
+from harmtomo.errors import (HarmtomoError, IllConditionedFitError, ResonanceError,
+                             UnderdeterminedFitError)
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
@@ -368,3 +369,16 @@ class TestFitSolve:
         with pytest.raises(IllConditionedFitError) as err:
             fit_coefficients(data.phat, data.rhat, s["sp"], s["basis"], params)
         assert err.value.cond > FIT_COND_LIMIT
+
+    @pytest.mark.parametrize("K, raises", [(10, True), (11, False)])
+    def test_underdetermined_design_raises(self, setup_small, K, raises):
+        # the first K harmonics of the J = 8 interval data: 11 unknowns need 11 rows
+        s = setup_small
+        data = linearized_forward(s["sp"], s["params"], s["basis"],
+                                  random_linearized(s["basis"], s["M"], 44))
+        phat, rhat = data.phat[..., :K, :], data.rhat[..., :K, :]
+        if raises:
+            with pytest.raises(UnderdeterminedFitError, match="the fit has 10 rows"):
+                fit_coefficients(phat, rhat, s["sp"], s["basis"], s["params"])
+        else:
+            fit_coefficients(phat, rhat, s["sp"], s["basis"], s["params"])

@@ -177,6 +177,41 @@ class TestValidate:
         assert run_err == validate_err
         assert "Traceback" not in run_err
 
+    @pytest.mark.parametrize("base, updates, message", [
+        (ROUNDTRIP, {"truncation.M": 10},
+         "truncation: the fit has 10 rows (M = 10 harmonics x 1 trace points) for 19 unknowns "
+         "(J = 16 modes + 3 x 1 remainder columns); it needs M >= 19"),
+        (ROUNDTRIP, {"truncation.M": 18}, "it needs M >= 19"),
+        (ROUNDTRIP, {"truncation.M": 4, "truncation.J": 4, "domain.sigma_points": [0.0, 3.0]},
+         "the fit has 8 rows (M = 4 harmonics x 2 trace points) for 10 unknowns"),
+        (QR, {"truncation.M": 10}, "the fit has 10 rows (M = 10 harmonics x 1 trace points) "
+         "for 11 unknowns"),
+        (small_scenario("qr-sweep", base="smoothing_study", J=4, M=3),
+         {"domain.sigma_points": "side:y=0"}, "the fit has 96 rows (M = 3 harmonics x 32 trace "
+         "points) for 100 unknowns"),
+    ], ids=["roundtrip-M10", "roundtrip-M18", "two-points", "qr-M10", "rectangle-side-M3"])
+    def test_underdetermined_fit_exits_2(self, tmp_path, capsys, base, updates, message):
+        # a fitting preset with fewer (harmonic, trace point) rows than unknowns
+        # has no unique fit: validate and run reject it with one message
+        bad = _write_variant(tmp_path, base, **updates)
+        assert main(["validate", str(bad)]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        run_err = capsys.readouterr().err
+        assert message in validate_err
+        assert run_err == validate_err
+
+    @pytest.mark.parametrize("base, updates", [
+        (ROUNDTRIP, {"truncation.M": 19}),
+        (ROUNDTRIP, {"truncation.M": 5, "truncation.J": 4, "domain.sigma_points": [0.0, 3.0]}),
+        (QR, {"truncation.M": 11}),
+        (ROUNDTRIP, {"truncation.M": 10, "preset": "forward-solve"}),
+    ], ids=["roundtrip-M19", "two-points-M5", "qr-M11", "forward-does-not-fit"])
+    def test_determined_fit_passes_the_rule(self, tmp_path, base, updates):
+        # as many rows as unknowns is enough, and a preset that fits nothing is exempt
+        ok = _write_variant(tmp_path, base, **updates)
+        assert validate_scenario(load_scenario(ok)) == []
+
     @pytest.mark.parametrize("base, key, value, message", [
         (ROUNDTRIP, "domain.lengths", [math.inf], "domain lengths (inf,) must be finite"),
         (ROUNDTRIP, "domain.lengths", [math.nan], "domain lengths (nan,) must be finite"),
