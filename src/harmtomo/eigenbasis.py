@@ -192,7 +192,9 @@ def _brentq(f, xa, xb, args, xtol, rtol, maxiter=100):
 
 
 def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
-    """First `count` nonnegative wavenumbers, bracketed bisection to 1e-12."""
+    """First `count` nonnegative wavenumbers: sign changes of the secular
+    function on a scan grid bracket the roots, and Brent's method (`_brentq`)
+    polishes each to xtol 1e-12."""
     if g0 == 0.0 and g1 == 0.0:
         return [j * np.pi / L for j in range(count)]
     kmax = (count + 3) * np.pi / L

@@ -56,11 +56,11 @@ class SingularInterpolantError(HarmtomoError):
 
 
 class IllConditionedFitError(HarmtomoError):
-    """Residue fit matrix is too ill conditioned to trust."""
+    """The fit's design is too ill conditioned to trust."""
 
     def __init__(self, cond, message=None):
         self.cond = cond
-        super().__init__(message or f"residue fit matrix condition number {cond:.3e} exceeds limit")
+        super().__init__(message or f"fit design condition number {cond:.3e} exceeds limit")
 
 
 class UnderdeterminedFitError(HarmtomoError):

@@ -20,7 +20,8 @@ from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import _per_draw, bochner_norm, rho_t, x_norm, ytilde_obs_norm
-from .reconstruct import LinearizedData, LinearizedInput, linearized_forward, reconstruct
+from .reconstruct import (LinearizedData, LinearizedInput, apply_fit_map, build_fit_map,
+                          linearized_forward)
 from .sources import SourcePair
 
 NOISE_SCALE_TOL = 1e-10
@@ -120,26 +121,41 @@ class SmoothingResult:
     residuals: np.ndarray    # trace-fit residual per candidate level L = 1..len(kappas)
 
 
-def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
-    """kappa_L = max over the first L modes of the H^s norm against the
-    discrete trace norm, by the generalized symmetric eigenvalue problem
-    D v = k^2 G v.  With G = C C^T (Cholesky) its eigenvalues are those of
-    C^-1 D C^-T, so numpy.linalg solves it without scipy."""
-    t = basis.trace_matrix[:L]
-    G = (t * basis.sigma_weights) @ t.T
-    if np.linalg.matrix_rank(G, tol=1e-12 * max(1.0, float(np.max(np.abs(G))))) < L:
-        return float("inf")
-    c_inv = np.linalg.inv(np.linalg.cholesky(G))
-    vals = np.linalg.eigvalsh((c_inv * np.power(basis.lambdas[:L], s)) @ c_inv.T)
-    return float(np.sqrt(np.max(vals)))
+def _weighted_traces(basis: EigenBasis, n: int) -> np.ndarray:
+    """The weighted traces A = sqrt(w) tr[:n]^T (nsigma, n).  Its first L
+    columns are level L's design, so one QR serves every level:
+    A[:, :L] = Q[:, :L] R[:L, :L]."""
+    return np.sqrt(basis.sigma_weights)[:, None] * basis.trace_matrix[:n].T
 
 
 def smoothing_gains(basis: EigenBasis, s: float) -> np.ndarray:
-    """smoothing_gain at each candidate level L = 1..min(J, nsigma).  They
+    """kappa_L at each candidate level L = 1..min(J, nsigma): the max over
+    the first L modes of the H^s norm against the discrete trace norm, by the
+    generalized symmetric eigenvalue problem Lambda^s v = k^2 G_L v with
+    G_L = A_L^T A_L.
+
+    One QR of A gives G_L = R_L^T R_L at every level, so kappa_L^2 is the
+    largest eigenvalue of R_L^-T Lambda_L^s R_L^-1, the leading L x L block of
+    H = R^-T Lambda^s R^-1 (R^-1 is upper triangular).  One batched eigvalsh
+    over the zero-padded leading blocks of H, positive semidefinite, gives
+    every gain.  From the first level with |R_LL|^2 <= 1e-12 max(1, max|G|)
+    the Gram matrix is numerically singular and the gain is inf.  The gains
     depend on the basis and s alone, so a study computes them once for all
     of its noise levels."""
-    return np.array([smoothing_gain(basis, s, L)
-                     for L in range(1, min(basis.J, basis.nsigma) + 1)])
+    n = min(basis.J, basis.nsigma)
+    A = _weighted_traces(basis, n)
+    r = np.linalg.qr(A, mode="r")
+    tol = 1e-12 * max(1.0, float(np.max(np.sum(A * A, axis=0))))
+    bad = np.flatnonzero(np.diag(r) ** 2 <= tol)
+    good = int(bad[0]) if bad.size else n
+    gains = np.full(n, np.inf)
+    if good:
+        r_inv = np.linalg.inv(r[:good, :good])
+        h = (r_inv.T * np.power(basis.lambdas[:good], s)) @ r_inv
+        blocks = np.tril(np.ones((good, good), dtype=bool))   # row L-1: the first L indices
+        padded = h * (blocks[:, :, None] & blocks[:, None, :])
+        gains[:good] = np.sqrt(np.linalg.eigvalsh(padded)[:, -1])
+    return gains
 
 
 def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis,
@@ -155,31 +171,36 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis,
     such a level, the fitted level of least residual + kappa_L * delta_tilde
     is taken.  With exact data from inside a candidate space the fit is
     the inverse and the recovery exact.
+
+    One complete QR of the weighted traces serves every level: with
+    beta = Q^T b, level L's residual is ||beta[L:]||, summed from the tail,
+    and only the chosen level's coefficients are solved for, from
+    R[:L, :L] c = beta[:L].
     """
     v = np.asarray(p_sigma, dtype=complex)
     if v.shape[-1] != basis.nsigma:
         raise ValueError("data must be sampled on the basis Sigma points")
-    sw = np.sqrt(basis.sigma_weights)
-    data_norm = float(np.linalg.norm(sw * v))
-    residuals = np.full(kappas.size, np.nan)
-    fits = {}
-    for L, kap in enumerate(kappas, start=1):
-        if not np.isfinite(kap) or (delta_tilde > 0 and kap * delta_tilde > data_norm):
-            continue
-        A = sw[:, None] * basis.trace_matrix[:L].T
-        c, *_ = np.linalg.lstsq(A, sw * v, rcond=None)
-        residuals[L - 1] = float(np.linalg.norm(A @ c - sw * v))
-        fits[L] = c
-    if not fits:
+    b = np.sqrt(basis.sigma_weights) * v
+    data_norm = float(np.linalg.norm(b))
+    n = kappas.size
+    q, r = np.linalg.qr(_weighted_traces(basis, n), mode="complete")
+    beta = q.T @ b
+    tail = np.sqrt(np.append(np.cumsum(np.abs(beta[::-1]) ** 2)[::-1], 0.0))
+    fitted = np.isfinite(kappas)
+    if delta_tilde > 0:
+        fitted &= ~(kappas * delta_tilde > data_norm)
+    if not fitted.any():
         raise SmoothingError(
             f"all candidate levels rejected (kappa * delta_tilde above data norm {data_norm:.3e})"
         )
+    residuals = np.where(fitted, tail[1:n + 1], np.nan)
+    idx = np.flatnonzero(fitted)   # level L = idx + 1
     threshold = max(DISCREPANCY_FACTOR * delta_tilde, 1e-12 * max(data_norm, 1.0))
-    below = [L for L in fits if residuals[L - 1] <= threshold]
-    chosen = below[0] if below else min(
-        fits, key=lambda L: residuals[L - 1] + kappas[L - 1] * delta_tilde)
+    below = idx[residuals[idx] <= threshold]
+    chosen = 1 + int(below[0] if below.size
+                     else idx[np.argmin(residuals[idx] + kappas[idx] * delta_tilde)])
     coeffs = np.zeros(basis.J, dtype=complex)
-    coeffs[:chosen] = fits[chosen]
+    coeffs[:chosen] = np.linalg.solve(r[:chosen, :chosen], beta[:chosen])
     return SmoothingResult(coeffs=coeffs, level=chosen, residuals=residuals)
 
 
@@ -270,8 +291,9 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     Data are generated by the linearized model at relaxation time tau0 (the
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
-    tau(delta) by `reconstruct`.  The tau grid is scored once, and each row
-    takes tau(delta), cbar and ctilde from it by the rule of `_pick_tau`.
+    tau(delta).  The tau grid is scored once, and each row takes tau(delta),
+    cbar and ctilde from it by the rule of `_pick_tau`; the fit is factored
+    once per distinct tau (`build_fit_map`) and applied to every row there.
     Each row records the preimage-norm error and the calibrated bound
     max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
     factor is fitted once on a pilot noise level and held fixed.  A schedule
@@ -285,13 +307,15 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
+    fit_maps = {}
 
     def one(delta: float, noise_seed: int):
         i = _pick_tau(delta, tau0, cbars, ctildes, tolerance)
         tau = float(tau0 if i is None else grid[i])
         phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
-        rec = reconstruct(LinearizedData(rhat=data.rhat, phat=phat), sp, basis,
-                          params0.with_tau(tau))
+        if tau not in fit_maps:
+            fit_maps[tau] = build_fit_map(sp, basis, params0.with_tau(tau), phat.shape[-2])
+        rec = apply_fit_map(fit_maps[tau], LinearizedData(rhat=data.rhat, phat=phat))
         err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
         if i is None:
             cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)

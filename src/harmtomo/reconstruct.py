@@ -13,6 +13,12 @@ componentwise from the pairs (`solve_states_from_coeffs`).  Of the reference
 state the map and its inverse read only the source pair's matrices M_m, so
 they take the `SourcePair`.
 
+Everything but the data's own terms depends on (basis, params, source pair,
+M) alone: `build_fit_map` factors it once into a `FitMap`, and
+`apply_fit_map` inverts any data set with it.  `reconstruct` is the two in
+one call; the sweep builds one map per relaxation time and applies it to
+every noise level at that time.
+
 The linearized map, the fit and the state formula take leading batch axes on
 their data, (..., 2, M, J) for model residues and states and (..., J, 2) for
 coefficient pairs, and map a batch of draws in one call.
@@ -55,6 +61,7 @@ class ReconstructionResult:
     a: np.ndarray    # (..., J, 2) recovered coefficient pair
     b: np.ndarray    # (..., 2, M, J) recovered states
     fit_cond: float  # condition number of the fit's design
+    fit_rel_residual: np.ndarray  # (...) ||y - U U^H y|| / ||y|| of the fitted data
 
 
 def linearized_forward(sp: SourcePair, params: ModelParams, basis: EigenBasis,
@@ -84,30 +91,42 @@ def check_fit_determined(M: int, J: int, ns: int) -> None:
             f"it needs M >= {-(-cols // ns)}")
 
 
-def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
-                     params: ModelParams) -> tuple[np.ndarray, float]:
-    """Coefficient pairs a (..., J, 2) by linear least squares on the
-    truncated system, and the design's condition number.
+@dataclass(frozen=True, eq=False)
+class FitMap:
+    """The fit's data-free part for one (basis, params, source pair, M): the
+    symbols, M_m^(-1) and the design's SVD factors.  `fit_coefficients`
+    applies it to any number of data sets; `apply_fit_map` adds the states."""
+
+    sym: np.ndarray           # (M, J) harmonic symbols, none resonant
+    D: np.ndarray             # (M, J) 1 / sym
+    mm: np.ndarray            # (M, 2, 2) source-pair matrices M_m
+    mm_inv: np.ndarray        # (M, 2, 2) M_m^(-1)
+    trace_matrix: np.ndarray  # (J, ns) the basis traces
+    u: np.ndarray             # (M ns, k) left singular vectors U of the design
+    uh: np.ndarray            # (k, M ns) U^H
+    sv: np.ndarray            # (k,) singular values
+    vj: np.ndarray            # (J, k) mode rows of V
+    fit_cond: float           # condition number of the design
+
+
+def build_fit_map(sp: SourcePair, basis: EigenBasis, params: ModelParams, M: int) -> FitMap:
+    """Factor the fit's design once.
 
     After applying M_m^(-1) and subtracting the known model-residue part, the
     trace data are y[e, m, x] = -sum_j D[m, j] tr_j(x) a^j_e with
     D = 1/symbol.  The design stacks the rows (m, x): one column
     -D[:, j] tr_j per mode, and per trace point a smooth remainder of degree
     ANALYTIC_DEGREE in 1/o_m, o_m = i m omega.  One SVD gives both the
-    condition number and the solution; leading batch axes of the data become
-    further right-hand sides.  A design with fewer rows than columns raises
-    (`check_fit_determined`).
+    condition number and the map from data to coefficients; none of it
+    reads the data.  A design with fewer rows than columns raises
+    (`check_fit_determined`), one whose condition number exceeds
+    FIT_COND_LIMIT IllConditionedFitError.
     """
-    phat = np.asarray(phat, dtype=complex)
-    rhat = np.asarray(rhat, dtype=complex)
-    M, ns, J = phat.shape[-2], basis.nsigma, basis.J
+    ns, J = basis.nsigma, basis.J
     check_fit_determined(M, J, ns)
-    D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
-    mm_inv = invert_mtilde(sp.mm[:M])
-    s = np.einsum("mef,...fmj->...emj", mm_inv, rhat)        # (..., 2, M, J)
-    known = np.einsum("mj,...emj,jx->...emx", D, s, basis.trace_matrix)
-    y = np.einsum("mef,...fmx->...emx", mm_inv, phat) - known  # (..., 2, M, ns)
-
+    sym = _nonresonant_symbols(params, basis.lambdas, M)
+    D = 1.0 / sym  # (M, J)
+    mm = sp.mm[:M]
     o_m = 1j * np.arange(1, M + 1) * params.omega
     powers = (1.0 / o_m)[:, None] ** np.arange(ANALYTIC_DEGREE + 1)      # (M, deg + 1)
     G = np.hstack([(-D[:, None, :] * basis.trace_matrix.T).reshape(M * ns, J),
@@ -116,20 +135,38 @@ def fit_coefficients(phat, rhat, sp: SourcePair, basis: EigenBasis,
     cond = float(sv[0] / sv[-1])
     if cond > FIT_COND_LIMIT:
         raise IllConditionedFitError(cond)
+    return FitMap(sym=sym, D=D, mm=mm, mm_inv=invert_mtilde(mm),
+                  trace_matrix=basis.trace_matrix, u=u, uh=np.conj(u).T, sv=sv,
+                  vj=np.conj(vh[:, :J]).T, fit_cond=cond)
 
+
+def fit_coefficients(fm: FitMap, phat, rhat) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient pairs a (..., J, 2) by linear least squares on the
+    truncated system, and the fit's relative residual ||y - U U^H y|| / ||y||
+    per draw (...).  Leading batch axes of the data are further right-hand
+    sides of the one factored design."""
+    phat = np.asarray(phat, dtype=complex)
+    rhat = np.asarray(rhat, dtype=complex)
+    M, ns = fm.D.shape[0], fm.trace_matrix.shape[1]
+    s = np.einsum("mef,...fmj->...emj", fm.mm_inv, rhat)        # (..., 2, M, J)
+    known = np.einsum("mj,...emj,jx->...emx", fm.D, s, fm.trace_matrix)
+    y = np.einsum("mef,...fmx->...emx", fm.mm_inv, phat) - known  # (..., 2, M, ns)
     rhs = np.moveaxis(y, -3, -1).reshape(y.shape[:-3] + (M * ns, 2))
-    return np.conj(vh[:, :J]).T @ ((np.conj(u).T @ rhs) / sv[:, None]), cond
+    c = fm.uh @ rhs
+    y_norm = np.linalg.norm(rhs, axis=(-2, -1))
+    rel = np.linalg.norm(rhs - fm.u @ c, axis=(-2, -1)) / np.where(y_norm > 0, y_norm, 1.0)
+    return fm.vj @ (c / fm.sv[:, None]), rel
 
 
-def solve_states_from_coeffs(a, rhat, params: ModelParams, lambdas, mm) -> np.ndarray:
-    """Componentwise state formula b_m^j = (r_m^j - M_m a^j) / symbol(m, lam_j).
+def solve_states_from_coeffs(a, rhat, sym, mm) -> np.ndarray:
+    """Componentwise state formula b_m^j = (r_m^j - M_m a^j) / symbol(m, lam_j),
+    with the nonresonant symbols `sym` (M, J) of the fit's map.
 
     Pole-free: the denominators vartheta(o_m) + Theta(o_m) lam_j never vanish
-    for admissible parameters off the resonance set; on it, ResonanceError.
+    for admissible parameters off the resonance set.
     """
     rhat = np.asarray(rhat, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    sym = _nonresonant_symbols(params, lambdas, rhat.shape[-2])
     return (rhat - np.einsum("meq,...jq->...emj", mm, a, order="C")) / sym
 
 
@@ -147,10 +184,15 @@ def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):
     return dsig, deta
 
 
+def apply_fit_map(fm: FitMap, data: LinearizedData) -> ReconstructionResult:
+    """Inversion of one data set, or a batch, with a factored fit: the
+    coefficient pairs fitted to the traces, and the states from them."""
+    a, rel = fit_coefficients(fm, data.phat, data.rhat)
+    b = solve_states_from_coeffs(a, data.rhat, fm.sym, fm.mm)
+    return ReconstructionResult(a=a, b=b, fit_cond=fm.fit_cond, fit_rel_residual=rel)
+
+
 def reconstruct(data: LinearizedData, sp: SourcePair, basis: EigenBasis,
                 params: ModelParams) -> ReconstructionResult:
-    """Full inversion: the coefficient pairs fitted to the traces, and the
-    states from them."""
-    a, fit_cond = fit_coefficients(data.phat, data.rhat, sp, basis, params)
-    b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)
-    return ReconstructionResult(a=a, b=b, fit_cond=fit_cond)
+    """Full inversion: the fit factored for these data's M, then applied."""
+    return apply_fit_map(build_fit_map(sp, basis, params, data.phat.shape[-2]), data)

@@ -186,6 +186,7 @@ def _preset_linearized_roundtrip(sc, out, seed, shash):
         "max_rel_state_error": float(np.max(np.abs(rec.b - truth.du)))
         / max(float(np.max(np.abs(truth.du))), 1e-300),
         "fit_cond": rec.fit_cond,
+        "fit_rel_residual": float(rec.fit_rel_residual),
         "poles_ok": int(pole_set.n_ok),
         "modes_without_pole": np.flatnonzero(~pole_set.ok).tolist(),
     }

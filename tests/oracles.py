@@ -36,6 +36,11 @@ package solves the truncated system for the coefficient pairs directly
 (`reconstruct.fit_coefficients`), so on noiseless data both give the same
 residues wherever every mode has a pole.
 
+The coefficient fit in one call (`fit_coefficients_dense`): the design built,
+factored and applied to the data per call; the package factors the design
+once into a `reconstruct.FitMap` and applies it per data set, and both must
+give the same coefficients bit for bit.
+
 The nonlinear model operator: L_m(sigma) u_m + eta B_m(u, u) with each grid
 term projected on its own and B_m from the harmonic-pair loop; the package
 applies one coupling map that runs the time transforms on the coefficient
@@ -72,8 +77,14 @@ tau at a time (`choose_tau_loop`) and in one array pass for one noise level
 (`choose_tau`), and the sweep rows with the schedule scored, the constants
 evaluated and the fit and the state formula written out per noise level
 (`sweep_rows_from_fit`); the package evaluates the constants on arrays,
-scores the grid once per sweep and inverts each row with `reconstruct`, and
-all must match these exactly.
+scores the grid once per sweep and inverts each row with the fit map of its
+tau, factored once per tau, and all must match these exactly.
+
+The data smoothing: the gain of each level by its own Cholesky reduction
+(`smoothing_gain`, `smoothing_gains_loop`) and one least-squares fit per
+level (`smooth_data_loop`); the package takes every level's gain and
+residual from one QR of the weighted traces (`quasirev.smoothing_gains`,
+`quasirev.smooth_data`), and both must pick the same level.
 
 Test-only references with no caller in the package: the harmonic product on
 the quadrature grid and its projection, the diagonal linear solve (criterion 11 checks the eta = 0 solver
@@ -97,18 +108,19 @@ from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, Eigen
                                  _gauss_nodes, _interval_wavenumbers, _secular, project,
                                  synthesize, trace_right_inverse)
 from harmtomo.errors import (ConvergenceError, HarmtomoError, IllConditionedFitError,
-                             SpectrumError, VanishingDivisorError)
+                             SmoothingError, SpectrumError, VanishingDivisorError)
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.forward import (_nonresonant_symbols, apply_coupling, coupling_map,
                               harmonic_product_time, model_residual, symbols_matrix)
 from harmtomo.norms import _image_terms, _lam_weight, _pole_weight, pole_table, x_norm
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
-from harmtomo.quasirev import (CALIBRATION_SAFETY, SweepRow, _pick_tau, _rate_core, add_noise,
-                               check_schedule, compute_cbar, compute_ctilde, tau_grid,
-                               time_derivative_norm)
-from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedInput, ReconstructionResult,
-                                  fit_coefficients, linearized_forward, solve_states_from_coeffs)
+from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, SmoothingResult,
+                               SweepRow, _pick_tau, _rate_core, add_noise, check_schedule,
+                               compute_cbar, compute_ctilde, tau_grid, time_derivative_norm)
+from harmtomo.reconstruct import (ANALYTIC_DEGREE, FIT_COND_LIMIT, LinearizedInput,
+                                  ReconstructionResult, check_fit_determined, linearized_forward,
+                                  solve_states_from_coeffs)
 from harmtomo.sources import (SourcePair, _contract_kernels, _period_kernel,
                               interp_kernels, invert_mtilde, mtilde_from_kernels)
 
@@ -379,6 +391,34 @@ def fit_residues_loop(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: Eige
         vec = np.outer(rt, basis.trace_matrix[ell]) - mt @ C[i]
         res[ell] = _residue_prefactor(p, params) * vec
     return res, cond
+
+
+def fit_coefficients_dense(phat, rhat, sp: SourcePair, basis: EigenBasis,
+                           params: ModelParams) -> tuple[np.ndarray, float]:
+    """Coefficient pairs a (..., J, 2) and the design's condition number, with
+    the design built, factored by one SVD and applied to the data in one
+    call, as the package's fit map does in two."""
+    phat = np.asarray(phat, dtype=complex)
+    rhat = np.asarray(rhat, dtype=complex)
+    M, ns, J = phat.shape[-2], basis.nsigma, basis.J
+    check_fit_determined(M, J, ns)
+    D = 1.0 / _nonresonant_symbols(params, basis.lambdas, M)  # (M, J)
+    mm_inv = invert_mtilde(sp.mm[:M])
+    s = np.einsum("mef,...fmj->...emj", mm_inv, rhat)        # (..., 2, M, J)
+    known = np.einsum("mj,...emj,jx->...emx", D, s, basis.trace_matrix)
+    y = np.einsum("mef,...fmx->...emx", mm_inv, phat) - known  # (..., 2, M, ns)
+
+    o_m = 1j * np.arange(1, M + 1) * params.omega
+    powers = (1.0 / o_m)[:, None] ** np.arange(ANALYTIC_DEGREE + 1)      # (M, deg + 1)
+    G = np.hstack([(-D[:, None, :] * basis.trace_matrix.T).reshape(M * ns, J),
+                   np.kron(powers, np.eye(ns))])                 # rows (m, x)
+    u, sv, vh = np.linalg.svd(G, full_matrices=False)
+    cond = float(sv[0] / sv[-1])
+    if cond > FIT_COND_LIMIT:
+        raise IllConditionedFitError(cond)
+
+    rhs = np.moveaxis(y, -3, -1).reshape(y.shape[:-3] + (M * ns, 2))
+    return np.conj(vh[:, :J]).T @ ((np.conj(u).T @ rhs) / sv[:, None]), cond
 
 
 def recover_coefficients_loop(residues, rhat, sp: SourcePair, pole_set: PoleSet,
@@ -1018,7 +1058,7 @@ def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
                         ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
     """`quasirev.run_sweep`'s rows with each noise level's tau chosen by
     `choose_tau`, its constants evaluated at that tau, and its inversion by
-    `fit_coefficients` and `solve_states_from_coeffs` written out, under the
+    `fit_coefficients_dense` and the state formula per row, under the
     same pilot calibration and noise seeds."""
     data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
@@ -1029,8 +1069,9 @@ def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
         tau = choose_tau(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
         phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        a, _ = fit_coefficients(phat, data.rhat, sp, basis, params_tau)
-        b = solve_states_from_coeffs(a, data.rhat, params_tau, basis.lambdas, sp.mm)
+        a, _ = fit_coefficients_dense(phat, data.rhat, sp, basis, params_tau)
+        sym = _nonresonant_symbols(params_tau, basis.lambdas, data.rhat.shape[-2])
+        b = solve_states_from_coeffs(a, data.rhat, sym, sp.mm)
         err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
         return tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil
@@ -1050,3 +1091,52 @@ def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
             rows.append(SweepRow(delta=delta, tau=nan, error_x=nan, bound=nan, cbar=nan,
                                  ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}"))
     return rows
+
+
+def smoothing_gain(basis: EigenBasis, s: float, L: int) -> float:
+    """kappa_L = max over the first L modes of the H^s norm against the
+    discrete trace norm, by the generalized symmetric eigenvalue problem
+    D v = k^2 G v.  With G = C C^T (Cholesky) its eigenvalues are those of
+    C^-1 D C^-T; inf where G is numerically rank deficient."""
+    t = basis.trace_matrix[:L]
+    G = (t * basis.sigma_weights) @ t.T
+    if np.linalg.matrix_rank(G, tol=1e-12 * max(1.0, float(np.max(np.abs(G))))) < L:
+        return float("inf")
+    c_inv = np.linalg.inv(np.linalg.cholesky(G))
+    vals = np.linalg.eigvalsh((c_inv * np.power(basis.lambdas[:L], s)) @ c_inv.T)
+    return float(np.sqrt(np.max(vals)))
+
+
+def smoothing_gains_loop(basis: EigenBasis, s: float) -> np.ndarray:
+    """smoothing_gain at each candidate level L = 1..min(J, nsigma)."""
+    return np.array([smoothing_gain(basis, s, L)
+                     for L in range(1, min(basis.J, basis.nsigma) + 1)])
+
+
+def smooth_data_loop(p_sigma, delta_tilde: float, basis: EigenBasis,
+                     kappas: np.ndarray) -> SmoothingResult:
+    """`quasirev.smooth_data` with one least-squares fit per candidate level:
+    the same rejection by kappa, discrepancy choice and fallback."""
+    v = np.asarray(p_sigma, dtype=complex)
+    sw = np.sqrt(basis.sigma_weights)
+    data_norm = float(np.linalg.norm(sw * v))
+    residuals = np.full(kappas.size, np.nan)
+    fits = {}
+    for L, kap in enumerate(kappas, start=1):
+        if not np.isfinite(kap) or (delta_tilde > 0 and kap * delta_tilde > data_norm):
+            continue
+        A = sw[:, None] * basis.trace_matrix[:L].T
+        c, *_ = np.linalg.lstsq(A, sw * v, rcond=None)
+        residuals[L - 1] = float(np.linalg.norm(A @ c - sw * v))
+        fits[L] = c
+    if not fits:
+        raise SmoothingError(
+            f"all candidate levels rejected (kappa * delta_tilde above data norm {data_norm:.3e})"
+        )
+    threshold = max(DISCREPANCY_FACTOR * delta_tilde, 1e-12 * max(data_norm, 1.0))
+    below = [L for L in fits if residuals[L - 1] <= threshold]
+    chosen = below[0] if below else min(
+        fits, key=lambda L: residuals[L - 1] + kappas[L - 1] * delta_tilde)
+    coeffs = np.zeros(basis.J, dtype=complex)
+    coeffs[:chosen] = fits[chosen]
+    return SmoothingResult(coeffs=coeffs, level=chosen, residuals=residuals)

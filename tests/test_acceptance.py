@@ -17,10 +17,9 @@ from harmtomo import (amplitude_modulate, build_interval_basis,
                       x_norm, observe)
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.fields import ModelParams, NormSpec
-from harmtomo.forward import model_residual, nonlinear_model
+from harmtomo.forward import _nonresonant_symbols, model_residual, nonlinear_model
 from harmtomo.norms import bochner_norm
 from harmtomo.poles import characteristic_roots
-from harmtomo.quasirev import smoothing_gain
 from harmtomo.reconstruct import (LinearizedData, LinearizedInput, linearized_forward,
                                   reconstruct, solve_states_from_coeffs)
 from oracles import (interval_eigenvalues, j_bound, oracle_residues, pole_asymptotic,
@@ -68,7 +67,8 @@ def test_criterion_1_exact_linearized_round_trip():
     # the paper's constructive formula: residues of the truth, then a^l from them
     res = oracle_residues(lin, data.rhat, poles, sp, basis, params)
     a, _ = recover_coefficients_loop(res, data.rhat, sp, poles, basis, params)
-    b = solve_states_from_coeffs(a, data.rhat, params, basis.lambdas, sp.mm)
+    b = solve_states_from_coeffs(a, data.rhat, _nonresonant_symbols(params, basis.lambdas, M),
+                                 sp.mm)
     a_err = np.max(np.abs(a - lin.a)) / np.max(np.abs(lin.a))
     b_err = np.max(np.abs(b - lin.du)) / np.max(np.abs(lin.du))
     elapsed = time.time() - t0
@@ -323,7 +323,8 @@ def test_criterion_10_data_smoothing():
     basis = build_rectangle_basis(Lx, Ly, ((1.0, 1.0), (1.0, 1.0)), 12,
                                   sigma_points=tuple(pts))
     s = 1.0
-    kaps = [smoothing_gain(basis, s, L) for L in range(1, 11)]
+    gains = smoothing_gains(basis, s)
+    kaps = gains[:10]
     finite = [k for k in kaps if np.isfinite(k)]
     kappa_monotone = all(finite[i] <= finite[i + 1] + 1e-12 for i in range(len(finite) - 1))
     rng = np.random.default_rng(6)
@@ -331,7 +332,6 @@ def test_criterion_10_data_smoothing():
     coeffs[:5] = rng.standard_normal(5) / (1.0 + np.arange(5)) ** 3
     exact = coeffs @ basis.trace_matrix
     errs = []
-    gains = smoothing_gains(basis, s)
     for dt in (1e-2, 1e-3, 1e-4):
         noise = rng.standard_normal(exact.shape)
         noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)

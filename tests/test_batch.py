@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from harmtomo.norms import _image_terms, image_norms, pole_table, x_norm
-from harmtomo.reconstruct import (LinearizedInput, fit_coefficients, linearized_forward,
-                                  solve_states_from_coeffs)
+from harmtomo.forward import _nonresonant_symbols
+from harmtomo.reconstruct import (LinearizedInput, build_fit_map, fit_coefficients,
+                                  linearized_forward, solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
-from oracles import (image_pieces, image_terms, oracle_residues, recover_coefficients_loop,
-                     residue_term, residues_of)
+from oracles import (fit_coefficients_dense, image_pieces, image_terms, oracle_residues,
+                     recover_coefficients_loop, residue_term, residues_of)
 
 B = 5
 TOL = 1e-13
@@ -85,18 +86,26 @@ def test_pole_table_methods_and_residue_term(bundle):
 
 
 def test_fit_coefficients_one_svd(bundle, monkeypatch):
+    # one factored map serves the batch and every draw, each bit for bit
+    # equal to the fit built and applied in one call
     b = bundle
     lins, lin = _draws(b, 62)
     one = [linearized_forward(b["sp"], b["params"], b["basis"], v) for v in lins]
     data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
-    a, cond = fit_coefficients(data.phat, data.rhat, *_fit_args(b))
+    fm = build_fit_map(*_fit_args(b), b["M"])
+    a, rel = fit_coefficients(fm, data.phat, data.rhat)
+    fits = [fit_coefficients(fm, d.phat, d.rhat) for d in one]
     assert len(calls) == 1
-    fits = [fit_coefficients(d.phat, d.rhat, *_fit_args(b)) for d in one]
-    assert isinstance(cond, float) and all(c == cond for _, c in fits)
-    assert a.shape == (B, b["basis"].J, 2)
+    assert isinstance(fm.fit_cond, float)
+    assert a.shape == (B, b["basis"].J, 2) and rel.shape == (B,)
     assert _rel(a, [x for x, _ in fits]) <= TOL
+    assert np.array_equal(rel, [r for _, r in fits])
+    dense, cond = fit_coefficients_dense(data.phat, data.rhat, *_fit_args(b))
+    assert cond == fm.fit_cond and np.array_equal(a, dense)
+    for (x, _), d in zip(fits, one):
+        assert np.array_equal(x, fit_coefficients_dense(d.phat, d.rhat, *_fit_args(b))[0])
 
 
 def test_recover_coefficients_and_states(bundle):
@@ -115,10 +124,10 @@ def test_recover_coefficients_and_states(bundle):
         assert a_k.shape == (b["basis"].J, 2)
         assert np.max(np.abs(P[k] + q[k] - a_k[t.ok])) <= TOL * terms
     assert P.shape == q.shape == (B, t.ok.size, 2)
-    states = solve_states_from_coeffs(lin.a, data.rhat, b["params"], b["basis"].lambdas,
-                                      b["sp"].mm)
-    assert _rel(states, [solve_states_from_coeffs(v.a, d.rhat, b["params"], b["basis"].lambdas,
-                                                  b["sp"].mm) for v, d in zip(lins, one)]) <= TOL
+    sym = _nonresonant_symbols(b["params"], b["basis"].lambdas, b["M"])
+    states = solve_states_from_coeffs(lin.a, data.rhat, sym, b["sp"].mm)
+    assert _rel(states, [solve_states_from_coeffs(v.a, d.rhat, sym, b["sp"].mm)
+                         for v, d in zip(lins, one)]) <= TOL
     assert _rel(states, lin.du) <= 1e-12
 
 
@@ -160,7 +169,7 @@ def test_two_batch_axes(setup_small, spec_std):
     flat = linearized_forward(b["sp"], b["params"], b["basis"], lin)
     data = linearized_forward(b["sp"], b["params"], b["basis"], grid)
     res = oracle_residues(grid, data.rhat, *_pole_args(b))
-    a, _ = fit_coefficients(data.phat, data.rhat, *_fit_args(b))
+    a, _ = fit_coefficients(build_fit_map(*_fit_args(b), b["M"]), data.phat, data.rhat)
     assert a.shape == (2, B, b["basis"].J, 2)
     assert np.max(np.abs(a - grid.a)) <= 1e-10
     assert _rel(res[1], -oracle_residues(lin, flat.rhat, *_pole_args(b))) <= TOL

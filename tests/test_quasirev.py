@@ -6,14 +6,15 @@ from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, co
 from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
                              TheoremHypothesisError)
 from harmtomo.fields import ModelParams, NormSpec
-from harmtomo.quasirev import smoothing_gain, tau_grid, time_derivative_norm
+from harmtomo.quasirev import tau_grid, time_derivative_norm
 from harmtomo.reconstruct import linearized_forward
 from harmtomo.runner import run_preset
 from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_params,
                                 make_reference, make_true_fields, noise_levels,
-                                quasirev_settings)
+                                quasirev_settings, target_cutoff)
 from conftest import SCENARIOS, random_linearized
 from oracles import (TauConstants, choose_tau, choose_tau_loop, rate_constants_scalar,
+                     smooth_data_loop, smoothing_gain, smoothing_gains_loop,
                      sweep_rows_from_fit)
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -144,53 +145,101 @@ class TestSmoothing:
 
     def test_kappa_monotone(self):
         basis = four_side_rectangle()
-        kaps = [smoothing_gain(basis, 1.0, L) for L in range(1, basis.J + 1)]
+        kaps = smoothing_gains(basis, 1.0)
+        assert kaps.size == basis.J
         finite = [k for k in kaps if np.isfinite(k)]
         assert all(finite[i] <= finite[i + 1] + 1e-12 for i in range(len(finite) - 1))
         # deeper levels hit the tensor-trace degeneracy and are rejected
         assert not np.isfinite(kaps[-1])
 
-    @pytest.mark.parametrize("kind", ["interval", "smoothing_study"])
+    @pytest.mark.parametrize("kind", ["interval", "smoothing_study", "four_side_rectangle"])
     def test_gain_matches_scipy_generalized_eigh(self, kind):
-        # the Cholesky reduction against scipy's generalized symmetric solver
+        # the gains from one QR against the per-level Cholesky reduction and
+        # scipy's generalized symmetric solver, with the same inf levels
         from scipy.linalg import eigh
 
         if kind == "interval":
             basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0, np.pi))
-        else:
+        elif kind == "smoothing_study":
             basis = make_basis(load_scenario(SCENARIOS / "smoothing_study.json"))
+        else:
+            basis = four_side_rectangle()
         finite = 0
         for s in (0.5, 1.0, 2.0):
-            for L in range(1, min(basis.J, basis.nsigma) + 1):
+            gains = smoothing_gains(basis, s)
+            assert gains.shape == (min(basis.J, basis.nsigma),)
+            for L, got in enumerate(gains, start=1):
                 t = basis.trace_matrix[:L]
                 G = (t * basis.sigma_weights) @ t.T
-                got = smoothing_gain(basis, s, L)
+                oracle = smoothing_gain(basis, s, L)
                 if np.linalg.matrix_rank(G, tol=1e-12 * np.max(np.abs(G))) < L:
-                    assert got == np.inf
+                    assert got == oracle == np.inf
                     continue
                 D = np.diag(np.power(basis.lambdas[:L], s))
                 ref = np.sqrt(np.max(eigh(D, G, eigvals_only=True)))
                 assert abs(got - ref) <= 1e-13 * ref
+                assert abs(got - oracle) <= 1e-13 * oracle
                 finite += 1
         assert finite == 3 * (2 if kind == "interval" else 10)
 
     def test_gains_computed_once_per_level(self, monkeypatch, tmp_path):
-        # one smoothing-study run computes the gain of each level once and
-        # passes the same gains to the smoothing of every noise level
+        # one smoothing-study run factors the weighted traces once for the
+        # gains of every level, with one eigvalsh call, and passes the same
+        # gains to the smoothing of every noise level; each smoothing takes
+        # one QR of its own and no least-squares solve
         from harmtomo import quasirev
 
         sc = load_scenario(SCENARIOS / "smoothing_study.json")
         basis, s = make_basis(sc), make_norm_spec(sc).s
-        calls, passed = [], []
-        gain, smooth = quasirev.smoothing_gain, quasirev.smooth_data
-        monkeypatch.setattr(quasirev, "smoothing_gain", lambda *a: calls.append(a[2]) or gain(*a))
+        gains, smooth = quasirev.smoothing_gains, quasirev.smooth_data
+        calls, passed, spies = [], [], {"qr": [], "eigvalsh": [], "lstsq": []}
+        for name, spy in spies.items():
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, _spy=spy, **k: _spy.append(1) or _fn(*a, **k))
+        monkeypatch.setattr(quasirev, "smoothing_gains", lambda *a: calls.append(a[1]) or gains(*a))
         monkeypatch.setattr(quasirev, "smooth_data", lambda *a: passed.append(a[3]) or smooth(*a))
         run_preset(sc, out_dir=str(tmp_path))
-        levels = list(range(1, min(basis.J, basis.nsigma) + 1))
-        assert calls == levels
-        assert len(passed) == len(noise_levels(sc)) > 1
+        levels = noise_levels(sc)
+        assert calls == [s]
+        assert len(spies["qr"]) == 1 + len(levels) and len(spies["eigvalsh"]) == 1
+        assert spies["lstsq"] == []
+        assert len(passed) == len(levels) > 1
         assert all(k is passed[0] for k in passed)
-        assert np.array_equal(passed[0], [gain(basis, s, L) for L in levels])
+        assert np.array_equal(passed[0], gains(basis, s))
+        oracle = smoothing_gains_loop(basis, s)
+        finite = np.isfinite(oracle)
+        assert np.array_equal(np.isfinite(passed[0]), finite)
+        assert np.max(np.abs(passed[0][finite] / oracle[finite] - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["smoothing_study", "four_side_rectangle"])
+    def test_smoothing_picks_the_per_level_fit_level(self, kind):
+        # one QR for every level against one least-squares fit per level:
+        # the same chosen level, residuals within 1e-10 relative (or at the
+        # data's roundoff), over 200 drawn truths at four noise levels
+        if kind == "smoothing_study":
+            sc = load_scenario(SCENARIOS / "smoothing_study.json")
+            basis, cutoff = make_basis(sc), target_cutoff(sc)
+        else:
+            basis, cutoff = four_side_rectangle(), 5
+        gains = smoothing_gains(basis, 1.0)
+        sw = np.sqrt(basis.sigma_weights)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            coeffs = np.zeros(basis.J)
+            coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
+            exact = coeffs @ basis.trace_matrix
+            for dt in (1e-2, 1e-3, 1e-4, 0.0):
+                noise = rng.standard_normal(basis.nsigma)
+                data = exact + (noise * dt / np.linalg.norm(sw * noise) if dt else 0.0)
+                got = smooth_data(data, dt, basis, gains)
+                ref = smooth_data_loop(data, dt, basis, gains)
+                assert got.level == ref.level, (seed, dt)
+                fitted = np.isfinite(ref.residuals)
+                assert np.array_equal(np.isfinite(got.residuals), fitted)
+                scale = 1e-10 * ref.residuals[fitted] + 1e-13 * np.linalg.norm(sw * data)
+                assert np.all(np.abs(got.residuals[fitted] - ref.residuals[fitted]) <= scale)
+                assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
     def test_error_decreases_with_noise_level(self):
         basis = four_side_rectangle()
@@ -343,6 +392,20 @@ class TestSweep:
         assert len(rows) == 3 and all(r[-1] == "ok" for r in rows)
         assert rows == expected
 
+    def test_shipped_sweep_factors_once_per_tau(self, monkeypatch, tmp_path):
+        # the pilot and the delta 1e-2 row share tau 0.5: four fits, three
+        # factored designs
+        from harmtomo import quasirev
+
+        build, apply = quasirev.build_fit_map, quasirev.apply_fit_map
+        built, applied = [], []
+        monkeypatch.setattr(quasirev, "build_fit_map",
+                            lambda *a: built.append(a[2].tau) or build(*a))
+        monkeypatch.setattr(quasirev, "apply_fit_map", lambda *a: applied.append(1) or apply(*a))
+        run_preset(load_scenario(SCENARIOS / "qr_sweep.json"), out_dir=str(tmp_path))
+        assert len(applied) == 4
+        assert len(built) == len(set(built)) == 3
+
     def test_invalid_schedule_raises_before_any_row(self):
         # tau0 = 0 needs orti_check < 1: a broken schedule is not a failed row
         basis, _, params, sp, truth = sweep_setup(0.0)
@@ -354,7 +417,7 @@ class TestSweep:
         import harmtomo.quasirev as qr
 
         basis, spec, params, sp, truth = sweep_setup(0.0)
-        invert = qr.reconstruct
+        invert = qr.apply_fit_map
 
         def after_pilot(exc):
             # the pilot level's inversion runs, every row's raises exc
@@ -367,13 +430,13 @@ class TestSweep:
                 raise exc
             return patched
 
-        monkeypatch.setattr(qr, "reconstruct", after_pilot(IllConditionedFitError(3e12)))
+        monkeypatch.setattr(qr, "apply_fit_map", after_pilot(IllConditionedFitError(3e12)))
         rows = run_sweep(basis, sp, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
                          tau_min=0.1, tau_max=0.5, **SCHEDULE)
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
         assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
 
-        monkeypatch.setattr(qr, "reconstruct",
+        monkeypatch.setattr(qr, "apply_fit_map",
                             after_pilot(KeyError("not a numerical failure")))
         with pytest.raises(KeyError):
             run_sweep(basis, sp, params, spec, truth, [1e-2], tau0=0.0, seed=5,

@@ -12,10 +12,12 @@ from harmtomo.errors import (HarmtomoError, IllConditionedFitError, ResonanceErr
                              UnderdeterminedFitError)
 from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
+from harmtomo.forward import _nonresonant_symbols, symbols_matrix
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
-                                  fit_coefficients, linearized_forward)
-from harmtomo.scenarios import scenario_hash
-from conftest import random_linearized, run_scenario, small_scenario
+                                  apply_fit_map, build_fit_map, linearized_forward)
+from harmtomo.scenarios import (load_scenario, make_basis, make_params, make_reference,
+                                make_true_fields, scenario_hash)
+from conftest import SCENARIOS, random_linearized, run_scenario, small_scenario
 from oracles import oracle_residues, recover_coefficients_loop, recover_states, residues_of
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -71,10 +73,8 @@ class TestStateFormula:
         s = setup_small
         rng = np.random.default_rng(4)
         rhat = rng.standard_normal((2, s["M"], s["basis"].J)) * (1 + 0j)
-        b = solve_states_from_coeffs(np.zeros((s["basis"].J, 2)), rhat, s["params"],
-                                     s["basis"].lambdas, s["sp"].mm)
-        from harmtomo.forward import symbols_matrix
         sym = symbols_matrix(s["params"], s["basis"].lambdas, s["M"])
+        b = solve_states_from_coeffs(np.zeros((s["basis"].J, 2)), rhat, sym, s["sp"].mm)
         assert np.max(np.abs(b - rhat / sym[None])) <= 1e-14
 
     def test_consistent_rhs_gives_zero(self, setup_small):
@@ -82,16 +82,18 @@ class TestStateFormula:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((s["basis"].J, 2))
         rhat = np.einsum("meq,jq->emj", s["sp"].mm[: s["M"]], a).astype(complex)
-        b = solve_states_from_coeffs(a, rhat, s["params"], s["basis"].lambdas, s["sp"].mm)
+        sym = symbols_matrix(s["params"], s["basis"].lambdas, s["M"])
+        b = solve_states_from_coeffs(a, rhat, sym, s["sp"].mm)
         assert np.max(np.abs(b)) <= 1e-12
 
-    def test_resonance_raises_typed(self):
-        # alpha = 0 with lambda = sigma0 m^2 w^2 makes the symbol vanish exactly
-        p = ModelParams.create(tau=1.0, beta=1.0, sigma0=1.0, omega=1.0, T0=np.pi, A=2.0)
-        mm = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
+    def test_resonance_raises_typed(self, setup_small):
+        # alpha = 0 with lambda = sigma0 m^2 w^2 makes the symbol vanish; the
+        # state formula reads the fit map's symbols, and the map refuses them
+        s = setup_small
+        w = float(np.sqrt(s["basis"].lambdas[0]))
+        p = ModelParams.create(tau=1.0, beta=1.0, sigma0=1.0, omega=w, T0=np.pi / w, A=2.0)
         with pytest.raises(ResonanceError) as err:
-            solve_states_from_coeffs(np.zeros((1, 2)), np.ones((2, 2, 1), dtype=complex),
-                                     p, [1.0], mm)
+            build_fit_map(s["sp"], s["basis"], p, s["M"])
         assert err.value.m == 1 and err.value.j == 0
 
 
@@ -157,7 +159,8 @@ class TestRecovery:
         lin = random_linearized(s["basis"], s["M"], 13, decay=False)
         data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         a = residue_formula(lin, data, s)
-        b = solve_states_from_coeffs(a, data.rhat, s["params"], s["basis"].lambdas, s["sp"].mm)
+        sym = _nonresonant_symbols(s["params"], s["basis"].lambdas, s["M"])
+        b = solve_states_from_coeffs(a, data.rhat, sym, s["sp"].mm)
         assert np.max(np.abs(a - lin.a)) / np.max(np.abs(lin.a)) <= 1e-9
         assert np.max(np.abs(b - lin.du)) / np.max(np.abs(lin.du)) <= 1e-9
 
@@ -177,7 +180,8 @@ class TestRecovery:
         rng = np.random.default_rng(19)
         a = rng.standard_normal((s["basis"].J, 2))
         b = solve_states_from_coeffs(a, np.zeros((2, s["M"], s["basis"].J), dtype=complex),
-                                     s["params"], s["basis"].lambdas, s["sp"].mm)
+                                     symbols_matrix(s["params"], s["basis"].lambdas, s["M"]),
+                                     s["sp"].mm)
         lin = LinearizedInput(a=a, du=b)
         data = linearized_forward(s["sp"], s["params"], s["basis"], lin)
         assert np.max(np.abs(data.rhat)) <= 1e-12
@@ -206,8 +210,9 @@ class TestRecovery:
         a_rec, _ = recover_coefficients_loop(res, data.rhat, s["sp"], s["poles"], s["basis"],
                                              s["params"])
         b_direct = recover_states(res, data.rhat, s["sp"], s["poles"], s["basis"], s["params"])
-        b_factored = solve_states_from_coeffs(a_rec, data.rhat, s["params"],
-                                              s["basis"].lambdas, s["sp"].mm)
+        b_factored = solve_states_from_coeffs(
+            a_rec, data.rhat, _nonresonant_symbols(s["params"], s["basis"].lambdas, s["M"]),
+            s["sp"].mm)
         scale = np.max(np.abs(b_direct))
         assert np.max(np.abs(b_direct - b_factored)) <= 1e-11 * scale
         assert np.max(np.abs(b_direct - lin.du)) <= 1e-9 * max(1.0, np.max(np.abs(lin.du)))
@@ -363,12 +368,40 @@ class TestFitSolve:
     def test_ill_conditioned_design_raises(self, setup_big):
         # the J = 16, M = 64 interval at tau 0.02, where the design's cond is ~1e16
         s = setup_big
-        params = s["params"].with_tau(0.02)
-        data = linearized_forward(s["sp"], params, s["basis"],
-                                  random_linearized(s["basis"], s["M"], 43))
         with pytest.raises(IllConditionedFitError) as err:
-            fit_coefficients(data.phat, data.rhat, s["sp"], s["basis"], params)
+            build_fit_map(s["sp"], s["basis"], s["params"].with_tau(0.02), s["M"])
         assert err.value.cond > FIT_COND_LIMIT
+
+    @pytest.mark.parametrize("data_tau, fit_tau, lo, hi", [
+        (0.5, 0.5, 0.0, 5e-15), (0.1, 0.1, 0.0, 5e-15), (0.0, 0.1, 0.4, 0.9), (0.5, 0.3, 0.4, 0.9)])
+    def test_fit_relative_residual(self, data_tau, fit_tau, lo, hi):
+        # the shipped J = 16 round trip over 20 seeds: data fitted at their own
+        # tau leave a roundoff residual (at most 2.5e-15 measured), data from
+        # another tau a large one (0.47 to 0.83 measured)
+        sc = load_scenario(SCENARIOS / "interval_roundtrip.json")
+        params, basis = make_params(sc), make_basis(sc)
+        sp = make_reference(sc, basis, params)
+        fm = build_fit_map(sp, basis, params.with_tau(fit_tau), sc.M)
+        for seed in range(20):
+            truth = make_true_fields(sc, basis, np.random.default_rng(seed))
+            rec = apply_fit_map(fm, linearized_forward(sp, params.with_tau(data_tau), basis,
+                                                       truth))
+            assert rec.fit_rel_residual.shape == ()
+            assert lo <= rec.fit_rel_residual <= hi, seed
+
+    def test_roundtrip_manifest_and_symbols_built_twice(self, tmp_path, monkeypatch):
+        # a round-trip op builds the symbols table once for the linearized
+        # forward map and once in the fit map, which the state formula reads
+        from harmtomo import forward
+
+        symbol, calls = forward.harmonic_symbol, []
+        monkeypatch.setattr(forward, "harmonic_symbol",
+                            lambda *a: calls.append(1) or symbol(*a))
+        out, _ = run_scenario(tmp_path, json.loads(
+            (SCENARIOS / "interval_roundtrip.json").read_text()))
+        assert len(calls) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 <= manifest["fit_rel_residual"] <= 5e-15
 
     @pytest.mark.parametrize("K, raises", [(10, True), (11, False)])
     def test_underdetermined_design_raises(self, setup_small, K, raises):
@@ -377,8 +410,9 @@ class TestFitSolve:
         data = linearized_forward(s["sp"], s["params"], s["basis"],
                                   random_linearized(s["basis"], s["M"], 44))
         phat, rhat = data.phat[..., :K, :], data.rhat[..., :K, :]
+        data_k = LinearizedData(rhat=rhat, phat=phat)
         if raises:
             with pytest.raises(UnderdeterminedFitError, match="the fit has 10 rows"):
-                fit_coefficients(phat, rhat, s["sp"], s["basis"], s["params"])
+                reconstruct(data_k, s["sp"], s["basis"], s["params"])
         else:
-            fit_coefficients(phat, rhat, s["sp"], s["basis"], s["params"])
+            reconstruct(data_k, s["sp"], s["basis"], s["params"])

@@ -405,6 +405,17 @@ def test_resonant_roundtrip_is_numerical_failure(tmp_path, capsys):
         assert "resonant harmonic symbol at (m=1, j=1)" in capsys.readouterr().err, extra
 
 
+def test_ill_conditioned_fit_is_numerical_failure(tmp_path, capsys):
+    # the shipped J = 16, M = 64 round trip at tau 0.02: the fit's design has
+    # condition number ~1e16, above FIT_COND_LIMIT
+    path = _write_variant(tmp_path, ROUNDTRIP, **{"params.tau": 0.02})
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in preset 'linearized-roundtrip': "
+                          "fit design condition number ")
+    assert err.rstrip().endswith(" exceeds limit") and "residue" not in err
+
+
 def test_missing_key_is_validation_failure(tmp_path):
     raw = json.loads(ROUNDTRIP.read_text())
     del raw["params"]["omega"]
