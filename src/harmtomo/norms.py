@@ -130,17 +130,28 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km, mt_cond=np.linalg.cond(mt))
 
 
-def _image_terms(q, r, w, lam_s, mm):
+def _image_terms(q, r, w, lam_s, mm2):
     """The image-norm pieces sum_l sum_m w[m, l] |M_m q_l - r_m^l|^2 and
     sum_l lam_s[l] |q_l|^2 over the admissible modes, for pole values
     q (..., n_ok, 2), model residues r (..., 2, M, n_ok) or 0, the pole
     weights w (M, n_ok) and lam_l^s (n_ok,) of those modes, and the
-    modulation matrices mm (M, 2, 2)."""
-    diff = np.einsum("mef,...kf->...emk", mm, q, order="C")     # (..., 2, M, n_ok)
+    modulation matrices stacked source-major, mm2 (2M, 2) with row e M + m - 1
+    the row e of M_m.
+
+    One matrix product gives M_m q_l for every draw, harmonic and mode; the
+    squared moduli are re^2 + im^2."""
+    M = mm2.shape[0] // 2
+    mq = mm2 @ np.swapaxes(q, -1, -2)                            # (..., 2M, n_ok)
+    diff = mq.reshape(mq.shape[:-2] + (2, M, mq.shape[-1]))      # (..., 2, M, n_ok)
     diff -= r
-    term1 = np.sum(w * np.sum(np.abs(diff) ** 2, axis=-3), axis=(-2, -1))
-    term2 = np.sum(lam_s * np.sum(np.abs(q) ** 2, axis=-1), axis=-1)
+    term1 = np.sum(w * np.sum(_abs2(diff), axis=-3), axis=(-2, -1))
+    term2 = np.sum(lam_s * np.sum(_abs2(q), axis=-1), axis=-1)
     return _per_draw(term1), _per_draw(term2)
+
+
+def _abs2(z):
+    """|z|^2 of a complex array as re^2 + im^2."""
+    return z.real ** 2 + z.imag ** 2
 
 
 def image_norms(a, rhat, table: PoleTable, spec: NormSpec, sp: SourcePair,
@@ -158,7 +169,8 @@ def image_norms(a, rhat, table: PoleTable, spec: NormSpec, sp: SourcePair,
     r = rhat[..., ok]                                            # (..., 2, M, n_ok)
     model = table.model_term_ok(r)
     pieces = (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
-              _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
+              _lam_weight(basis.lambdas, spec.s)[ok],
+              np.swapaxes(sp.mm[:M], 0, 1).reshape(2 * M, 2))   # stacked once for both norms
     yobs = _image_terms(np.asarray(a)[..., ok, :] - model, 0.0, *pieces)
     ymod = _image_terms(model, r, *pieces)
     return tuple(_per_draw(np.sqrt(t1 + t2)) for t1, t2 in (yobs, ymod))

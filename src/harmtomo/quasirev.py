@@ -271,6 +271,7 @@ class SweepRow:
     cbar: float
     ctilde: float
     status: str
+    fit_rel_residual: float   # ||y - U U^H y|| / ||y|| of the row's fit, nan on a failed row
 
 
 def time_derivative_norm(du, omega: float, lambdas, spec: NormSpec) -> float:
@@ -322,22 +323,23 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
         else:
             cbar, ctil = float(cbars[i]), float(ctildes[i])
         raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)
-        return tau, err, raw, cbar, ctil
+        return tau, err, raw, cbar, ctil, float(rec.fit_rel_residual)
 
     calibration = 1.0
     if deltas[0] > 0:
-        _, err_p, raw_p, _, _ = one(3.0 * deltas[0], seed - 1)
+        _, err_p, raw_p, _, _, _ = one(3.0 * deltas[0], seed - 1)
         calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
 
     rows = []
     for i, delta in enumerate(deltas):
         try:
-            tau, err, raw, cbar, ctil = one(delta, seed + i)
+            tau, err, raw, cbar, ctil, rel = one(delta, seed + i)
             rows.append(SweepRow(delta=delta, tau=tau, error_x=err,
                                  bound=calibration * raw, cbar=cbar, ctilde=ctil,
-                                 status="ok"))
+                                 status="ok", fit_rel_residual=rel))
         except HarmtomoError as exc:  # typed numerical failures stay in the table
             rows.append(SweepRow(delta=delta, tau=float("nan"), error_x=float("nan"),
                                  bound=float("nan"), cbar=float("nan"), ctilde=float("nan"),
-                                 status=f"failed: {type(exc).__name__}: {exc}"))
+                                 status=f"failed: {type(exc).__name__}: {exc}",
+                                 fit_rel_residual=float("nan")))
     return rows

@@ -208,11 +208,16 @@ def _preset_stability_probe(sc, out, seed, shash):
     write_table(os.path.join(out, "stability.csv"),
                 ["draw", "x_norm", "yobs_norm", "ymod_norm", "slack"],
                 [np.arange(draws), xv, yo, ym, slack], shash)
+    min_slack = float(np.min(slack))
+    missing = np.flatnonzero(~pole_set.ok).tolist()
     return {
         "draws": draws,
-        "min_slack": float(np.min(slack)),
+        "min_slack": min_slack,
         "poles_ok": int(pole_set.n_ok),
-        "modes_without_pole": np.flatnonzero(~pole_set.ok).tolist(),
+        "modes_without_pole": missing,
+        # a mode without a pole drops out of Yobs + Ymod, so no slack vouches for it;
+        # a nan slack fails as well
+        "estimate_holds": not missing and min_slack >= 0.0,
         "max_mtilde_cond": float(np.max(table.mt_cond)) if table.ok.size else None,
     }
 
@@ -230,7 +235,7 @@ def _preset_qr_sweep(sc, out, seed, shash):
         tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
         ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
     )
-    header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status"]
+    header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status", "fit_rel_residual"]
     write_table(os.path.join(out, "sweep.csv"), header,
                 [[getattr(r, k) for r in rows] for k in header], shash)
     errors = [r.error_x for r in rows if r.status == "ok"]

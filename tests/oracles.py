@@ -394,10 +394,11 @@ def fit_residues_loop(phat, rhat, pole_set: PoleSet, sp: SourcePair, basis: Eige
 
 
 def fit_coefficients_dense(phat, rhat, sp: SourcePair, basis: EigenBasis,
-                           params: ModelParams) -> tuple[np.ndarray, float]:
-    """Coefficient pairs a (..., J, 2) and the design's condition number, with
-    the design built, factored by one SVD and applied to the data in one
-    call, as the package's fit map does in two."""
+                           params: ModelParams) -> tuple[np.ndarray, float, np.ndarray]:
+    """Coefficient pairs a (..., J, 2), the design's condition number and the
+    fit's relative residual ||y - U U^H y|| / ||y|| per draw (...), with the
+    design built, factored by one SVD and applied to the data in one call, as
+    the package's fit map does in two."""
     phat = np.asarray(phat, dtype=complex)
     rhat = np.asarray(rhat, dtype=complex)
     M, ns, J = phat.shape[-2], basis.nsigma, basis.J
@@ -418,7 +419,10 @@ def fit_coefficients_dense(phat, rhat, sp: SourcePair, basis: EigenBasis,
         raise IllConditionedFitError(cond)
 
     rhs = np.moveaxis(y, -3, -1).reshape(y.shape[:-3] + (M * ns, 2))
-    return np.conj(vh[:, :J]).T @ ((np.conj(u).T @ rhs) / sv[:, None]), cond
+    c = np.conj(u).T @ rhs
+    y_norm = np.linalg.norm(rhs, axis=(-2, -1))
+    rel = np.linalg.norm(rhs - u @ c, axis=(-2, -1)) / np.where(y_norm > 0, y_norm, 1.0)
+    return np.conj(vh[:, :J]).T @ (c / sv[:, None]), cond, rel
 
 
 def recover_coefficients_loop(residues, rhat, sp: SourcePair, pole_set: PoleSet,
@@ -543,10 +547,12 @@ def yobs_terms_loop(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
 def image_pieces(spec: NormSpec, sp: SourcePair, basis: EigenBasis, params: ModelParams,
                  ok, M: int) -> tuple:
     """The pole weights w (M, n_ok), the weights lam_l^s (n_ok,) and the
-    modulation matrices mm (M, 2, 2) of the admissible modes ok, as
-    `norms.image_norms` hands them to `norms._image_terms`."""
+    modulation matrices of the admissible modes ok, as `norms.image_norms`
+    hands them to `norms._image_terms`: stacked source-major (2M, 2), the
+    first rows of M_1..M_M over their second rows."""
     return (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
-            _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
+            _lam_weight(basis.lambdas, spec.s)[ok],
+            np.concatenate([sp.mm[:M, 0, :], sp.mm[:M, 1, :]]))
 
 
 def image_terms(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
@@ -648,14 +654,16 @@ def result_to_csv(result: ReconstructionResult, true_a, ok, path,
 def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status"]
+        header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status",
+                  "fit_rel_residual"]
         if scenario_hash:
             header.append("scenario_hash")
         w.writerow(header)
         for r in rows:
             row = [format(r.delta, ".17g"), format(r.tau, ".17g"),
                    format(r.error_x, ".17g"), format(r.bound, ".17g"),
-                   format(r.cbar, ".17g"), format(r.ctilde, ".17g"), r.status]
+                   format(r.cbar, ".17g"), format(r.ctilde, ".17g"), r.status,
+                   format(r.fit_rel_residual, ".17g")]
             if scenario_hash:
                 row.append(scenario_hash)
             w.writerow(row)
@@ -1069,27 +1077,29 @@ def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
         tau = choose_tau(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
         phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        a, _ = fit_coefficients_dense(phat, data.rhat, sp, basis, params_tau)
+        a, _, rel = fit_coefficients_dense(phat, data.rhat, sp, basis, params_tau)
         sym = _nonresonant_symbols(params_tau, basis.lambdas, data.rhat.shape[-2])
         b = solve_states_from_coeffs(a, data.rhat, sym, sp.mm)
         err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
-        return tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil
+        return (tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil,
+                float(rel))
 
     calibration = 1.0
     if deltas[0] > 0:
-        _, err_p, raw_p, _, _ = one(3.0 * deltas[0], seed - 1)
+        _, err_p, raw_p, _, _, _ = one(3.0 * deltas[0], seed - 1)
         calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
     rows = []
     for i, delta in enumerate(deltas):
         try:
-            tau, err, raw, cbar, ctil = one(delta, seed + i)
+            tau, err, raw, cbar, ctil, rel = one(delta, seed + i)
             rows.append(SweepRow(delta=delta, tau=tau, error_x=err, bound=calibration * raw,
-                                 cbar=cbar, ctilde=ctil, status="ok"))
+                                 cbar=cbar, ctilde=ctil, status="ok", fit_rel_residual=rel))
         except HarmtomoError as exc:
             nan = float("nan")
             rows.append(SweepRow(delta=delta, tau=nan, error_x=nan, bound=nan, cbar=nan,
-                                 ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}"))
+                                 ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}",
+                                 fit_rel_residual=nan))
     return rows
 
 

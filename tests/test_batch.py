@@ -102,8 +102,8 @@ def test_fit_coefficients_one_svd(bundle, monkeypatch):
     assert a.shape == (B, b["basis"].J, 2) and rel.shape == (B,)
     assert _rel(a, [x for x, _ in fits]) <= TOL
     assert np.array_equal(rel, [r for _, r in fits])
-    dense, cond = fit_coefficients_dense(data.phat, data.rhat, *_fit_args(b))
-    assert cond == fm.fit_cond and np.array_equal(a, dense)
+    dense, cond, dense_rel = fit_coefficients_dense(data.phat, data.rhat, *_fit_args(b))
+    assert cond == fm.fit_cond and np.array_equal(a, dense) and np.array_equal(rel, dense_rel)
     for (x, _), d in zip(fits, one):
         assert np.array_equal(x, fit_coefficients_dense(d.phat, d.rhat, *_fit_args(b))[0])
 

@@ -4,10 +4,12 @@ Every op that `perfbench/workloads.py` generates (the warm-up op, units of
 each workload and the known-defect ops) must pass `validate_scenario`, so a
 change to the scenario vocabulary cannot break the benchmark unnoticed.  The
 nonlinear-forward op's count of eta-term evaluations is a timing-free guard
-on its cost.  The module is loaded from its file, as it is; perfbench is not
-a package.
+on its cost.  The stability op's norms and condition number are checked
+against the oracle path.  The module is loaded from its file, as it is;
+perfbench is not a package.
 """
 
+import csv
 import importlib.util
 import json
 from itertools import islice
@@ -17,8 +19,13 @@ import numpy as np
 import pytest
 
 import harmtomo.forward as fw
+import oracles
+from harmtomo.poles import build_pole_set
+from harmtomo.reconstruct import LinearizedInput, linearized_forward
 from harmtomo.runner import run_preset
-from harmtomo.scenarios import load_scenario, validate_scenario
+from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_params,
+                                make_reference, make_true_fields, validate_scenario)
+from harmtomo.sources import interp_kernels, mtilde_from_kernels
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 UNITS = 3
@@ -73,3 +80,40 @@ def test_forward_op_eta_term_evaluations(end, seed, tmp_path, monkeypatch):
     assert len(manifest["solver_sweeps"]) == 2 and manifest["damping_restarts"] == 0
     assert sum(members) == sum(manifest["solver_sweeps"]) + 2
     assert sum(members) <= 2 * (MAX_FORWARD_SWEEPS + 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stability_op_matches_oracle_path(seed, tmp_path):
+    # the benchmark's stability op as it is: its image norms are those of the
+    # oracle's image terms and, draw by draw, of the per-pole loops, which
+    # share no code with norms._image_terms; max_mtilde_cond is the largest
+    # condition number of Mtilde built from the kernels at the admissible poles
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(workloads._STABILITY))
+    sc = load_scenario(path)
+    out = tmp_path / "out"
+    run_preset(sc, out_dir=str(out), seed=seed)
+    manifest = json.loads((out / "manifest.json").read_text())
+    params, basis = make_params(sc), make_basis(sc)
+    sp = make_reference(sc, basis, params)
+    pole_set = build_pole_set(basis.lambdas, params)
+    truth = make_true_fields(sc, basis, np.random.default_rng(seed), draws=sc.draws)
+    data = linearized_forward(sp, params, basis, truth)
+    spec = make_norm_spec(sc)
+    terms = oracles.image_terms(truth.a, data.rhat, spec, sp, pole_set, basis, params)
+    with open(out / "stability.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == sc.draws
+    loops = []
+    for k in range(sc.draws):
+        lin = LinearizedInput(a=truth.a[k], du=truth.du[k])
+        res = oracles.oracle_residues_loop(lin, data.rhat[k], pole_set, sp, basis, params)
+        loops.append((oracles.yobs_terms_loop(res, spec, sp, pole_set, basis, params, M=sc.M),
+                      oracles.ymod_terms_loop(data.rhat[k], spec, sp, pole_set, basis, params)))
+    for i, (key, (t1, t2)) in enumerate(zip(("yobs_norm", "ymod_norm"), terms)):
+        got = np.array([float(r[key]) for r in rows])
+        for ref in (np.sqrt(t1 + t2), np.sqrt([sum(draw[i]) for draw in loops])):
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13, key
+    kp, km, k0 = interp_kernels(pole_set.poles[pole_set.ok], 2 * sp.M, params.omega, params.T)
+    cond = np.linalg.cond(mtilde_from_kernels(sp, kp, km, k0))
+    assert manifest["max_mtilde_cond"] == float(np.max(cond))

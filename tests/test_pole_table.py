@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from harmtomo import build_pole_set, invert_mtilde
+from harmtomo import build_pole_set, invert_mtilde, sources
 from harmtomo.errors import SingularInterpolantError
 from harmtomo.norms import _image_terms, image_norms, pole_table
 from harmtomo.reconstruct import LinearizedInput, linearized_forward, reconstruct
@@ -131,12 +131,16 @@ def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
         assert _rel(new[k], one) <= TOL
 
 
+def _kernel_points(p):
+    """Far from the lattice, on a damped pole, on and next to lattice points, at 0."""
+    return np.array([-0.3 + 2.0j, -2.5 + 0.7j, 3j * p.omega, 5j * p.omega + 1e-7, 0.0])
+
+
 def test_interp_kernels_match_scalar_branches(setup_small):
     p = setup_small["params"]
     rng = np.random.default_rng(56)
     hat = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
-    # far from the lattice, on a damped pole, on and next to lattice points, at 0
-    points = np.array([-0.3 + 2.0j, -2.5 + 0.7j, 3j * p.omega, 5j * p.omega + 1e-7, 0.0])
+    points = _kernel_points(p)
     vals = interp_periodic(hat, 0.4, points, p.omega, p.T)
     assert vals.shape == (3, points.size)
     for i, o in enumerate(points):
@@ -145,6 +149,27 @@ def test_interp_kernels_match_scalar_branches(setup_small):
         assert _rel(interp_periodic(hat, 0.4, o, p.omega, p.T), ref) <= TOL
     kp, km, k0 = interp_kernels(points, 24, p.omega, p.T)
     assert kp.shape == km.shape == (points.size, 24) and k0.shape == points.shape
+
+
+def test_interp_kernels_do_not_depend_on_company(setup_small, monkeypatch):
+    # a point's kernels are the same bits alone, among far points only, and
+    # next to near-lattice points; a call without a near point never takes
+    # the near-lattice branch
+    p = setup_small["params"]
+    points = _kernel_points(p)
+    calls = []
+    period = sources._period_kernel
+    monkeypatch.setattr(sources, "_period_kernel", lambda *a: calls.append(1) or period(*a))
+    all_far = interp_kernels(points[:2], 24, p.omega, p.T)
+    assert calls == []
+    mixed = interp_kernels(points, 24, p.omega, p.T)
+    assert len(calls) == 3
+    for i, o in enumerate(points):
+        alone = interp_kernels(o, 24, p.omega, p.T)
+        for k, one in enumerate(alone):
+            assert one.tobytes() == mixed[k][i].tobytes()
+            if i < 2:
+                assert one.tobytes() == all_far[k][i].tobytes()
 
 
 def test_invert_mtilde_stack(setup_small):

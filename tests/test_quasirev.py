@@ -367,7 +367,8 @@ class TestSweep:
         basis, spec, params, sp, truth = sweep_setup(tau0)
         args = (basis, sp, params, spec, truth, deltas)
         kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5, **SCHEDULE)
-        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
+        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "fit_rel_residual",
+                  "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
                     for r in sweep_rows_from_fit(*args, **kw)]
@@ -385,7 +386,8 @@ class TestSweep:
         args = (basis, sp, params, make_norm_spec(sc), truth, noise_levels(sc))
         kw = dict(tau0=qr["tau0"], seed=sc.seed, tau_min=qr["tau_min"],
                   tau_max=qr["tau_max"], ratio=qr["grid_ratio"], tolerance=qr["tolerance"])
-        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "status")
+        fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "fit_rel_residual",
+                  "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
                     for r in sweep_rows_from_fit(*args, **kw)]

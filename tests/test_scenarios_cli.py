@@ -343,8 +343,13 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["all_ok"] and manifest["errors_decreasing"]
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("delta,tau,error_x,bound,cbar,ctilde,status")
+        assert lines[0].startswith("delta,tau,error_x,bound,cbar,ctilde,status,fit_rel_residual")
         assert len(lines) == 4
+        # data at tau 0, fits at tau >= 0.1: the residual reads 1.6e-5, 1.3e-6
+        # and 1.8e-7 down the noise levels, far above roundoff
+        with open(out / "sweep.csv", newline="") as f:
+            rel = [float(r["fit_rel_residual"]) for r in csv.DictReader(f)]
+        assert all(1e-7 <= x <= 1e-4 for x in rel) and rel[0] > rel[1] > rel[2]
 
     def test_qr_sweep_manifest_agrees_with_rows(self, tmp_path):
         # several of these seeds put sweep rows above the calibrated bound
@@ -382,6 +387,18 @@ class TestRun:
             assert main(["run", str(path), "--out", str(out)]) == 0, preset
         probe = json.loads((tmp_path / "stability-probe" / "manifest.json").read_text())
         assert probe["min_slack"] >= -1e-10
+
+
+@pytest.mark.parametrize("tau, missing", [(0.5, []), (0.05, [2])])
+def test_stability_manifest_flags_failed_estimate(tmp_path, tau, missing):
+    # at tau 0.05 mode 2 has no admissible pole: the slack over the other
+    # modes stays positive, and the manifest still marks the estimate failed
+    path = _write_variant(tmp_path, PROBE, **{"params.tau": tau})
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["min_slack"] > 0
+    assert manifest["modes_without_pole"] == missing
+    assert manifest["estimate_holds"] is (not missing)
 
 
 def test_inadmissible_slowness_is_numerical_failure(tmp_path, capsys):
