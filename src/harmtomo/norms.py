@@ -130,17 +130,18 @@ def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTa
     return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km, mt_cond=np.linalg.cond(mt))
 
 
-def _image_terms(q, r, w, lam_s, mm2):
+def _image_terms(q, r, w, lam_s, mm):
     """The image-norm pieces sum_l sum_m w[m, l] |M_m q_l - r_m^l|^2 and
     sum_l lam_s[l] |q_l|^2 over the admissible modes, for pole values
     q (..., n_ok, 2), model residues r (..., 2, M, n_ok) or 0, the pole
     weights w (M, n_ok) and lam_l^s (n_ok,) of those modes, and the
-    modulation matrices stacked source-major, mm2 (2M, 2) with row e M + m - 1
-    the row e of M_m.
+    modulation matrices mm (M, 2, 2).
 
-    One matrix product gives M_m q_l for every draw, harmonic and mode; the
-    squared moduli are re^2 + im^2."""
-    M = mm2.shape[0] // 2
+    The M_m are stacked source-major as a (2M, 2) matrix, so one matrix
+    product gives M_m q_l for every draw, harmonic and mode; the squared
+    moduli are re^2 + im^2."""
+    M = mm.shape[0]
+    mm2 = np.swapaxes(mm, 0, 1).reshape(2 * M, 2)                # row e M + m - 1: row e of M_m
     mq = mm2 @ np.swapaxes(q, -1, -2)                            # (..., 2M, n_ok)
     diff = mq.reshape(mq.shape[:-2] + (2, M, mq.shape[-1]))      # (..., 2, M, n_ok)
     diff -= r
@@ -169,8 +170,7 @@ def image_norms(a, rhat, table: PoleTable, spec: NormSpec, sp: SourcePair,
     r = rhat[..., ok]                                            # (..., 2, M, n_ok)
     model = table.model_term_ok(r)
     pieces = (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
-              _lam_weight(basis.lambdas, spec.s)[ok],
-              np.swapaxes(sp.mm[:M], 0, 1).reshape(2 * M, 2))   # stacked once for both norms
+              _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
     yobs = _image_terms(np.asarray(a)[..., ok, :] - model, 0.0, *pieces)
     ymod = _image_terms(model, r, *pieces)
     return tuple(_per_draw(np.sqrt(t1 + t2)) for t1, t2 in (yobs, ymod))

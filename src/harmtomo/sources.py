@@ -155,10 +155,12 @@ def interp_kernels(o, n: int, omega: float, T: float):
     harmonics hat (length n) and mean dc.  Away from the harmonic lattice the
     shared numerator (1 - exp(-o T)) / T multiplies 1/(o -+ i m omega) and
     2/o, which keeps the huge exponentials of strongly damped poles in one
-    place; a point within 1e-4/T of the lattice takes the per-term kernel
-    with its removable limit instead.  Without such a point the far formula
-    runs on the whole arrays and no mask is applied.  Both formulas are
-    elementwise, so a point's kernels are the same bits in any company.
+    place.  The far formula runs on the whole arrays; a point within 1e-4/T
+    of the lattice then has its kernels overwritten by the per-term kernel
+    with its removable limit (every far divisor is at least 1e-4/T, so only
+    those points can divide by zero, and their warnings are silenced).  Both
+    formulas are elementwise, so a point's kernels are the same bits in any
+    company.
     """
     o = np.asarray(o, dtype=complex)
     shape = o.shape
@@ -168,26 +170,14 @@ def interp_kernels(o, n: int, omega: float, T: float):
     zm = o + 1j * mw
     near = np.minimum(np.minimum(np.abs(zp).min(axis=1), np.abs(zm).min(axis=1)),
                       np.abs(o[:, 0])) * T < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        common = (1.0 - np.exp(-o * T)) / T
+        kp, km, k0 = common / zp, common / zm, 2.0 * common[:, 0] / o[:, 0]
     if near.any():
-        far = ~near
-        kp = np.empty(zp.shape, dtype=complex)
-        km = np.empty(zp.shape, dtype=complex)
-        k0 = np.empty(o.shape[0], dtype=complex)
-        kp[far], km[far], k0[far] = _far_kernels(o[far], zp[far], zm[far], T)
         kp[near] = _period_kernel(zp[near], T) / T
         km[near] = _period_kernel(zm[near], T) / T
         k0[near] = (2.0 / T) * _period_kernel(o[near, 0], T)
-    else:
-        kp, km, k0 = _far_kernels(o, zp, zm, T)
     return kp.reshape(shape + (n,)), km.reshape(shape + (n,)), k0.reshape(shape)
-
-
-def _far_kernels(o, zp, zm, T: float):
-    """The kernels of `interp_kernels` at points o (k, 1) off the lattice,
-    with zp, zm = o -+ i m omega (k, n): (1 - exp(-o T))/T over zp, zm and
-    two times it over o."""
-    common = (1.0 - np.exp(-o * T)) / T
-    return common / zp, common / zm, 2.0 * common[:, 0] / o[:, 0]
 
 
 def _contract_kernels(hat, dc: float, kp, km, k0):

@@ -547,12 +547,10 @@ def yobs_terms_loop(residues, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
 def image_pieces(spec: NormSpec, sp: SourcePair, basis: EigenBasis, params: ModelParams,
                  ok, M: int) -> tuple:
     """The pole weights w (M, n_ok), the weights lam_l^s (n_ok,) and the
-    modulation matrices of the admissible modes ok, as `norms.image_norms`
-    hands them to `norms._image_terms`: stacked source-major (2M, 2), the
-    first rows of M_1..M_M over their second rows."""
+    modulation matrices mm (M, 2, 2) of the admissible modes ok, as
+    `norms.image_norms` hands them to `norms._image_terms`."""
     return (_pole_weight(params, basis.lambdas, M, spec)[:, ok],
-            _lam_weight(basis.lambdas, spec.s)[ok],
-            np.concatenate([sp.mm[:M, 0, :], sp.mm[:M, 1, :]]))
+            _lam_weight(basis.lambdas, spec.s)[ok], sp.mm[:M])
 
 
 def image_terms(a, rhat, spec: NormSpec, sp: SourcePair, pole_set: PoleSet,
