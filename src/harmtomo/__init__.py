@@ -2,8 +2,8 @@
 nonlinearity from two amplitude-modulated sources, with the relaxation time
 as a regularization parameter."""
 
-from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis,
-                         build_rectangle_basis, project, synthesize, trace_right_inverse)
+from .eigenbasis import (DomainSpec, EigenBasis, build_basis, project, synthesize,
+                         trace_right_inverse)
 from .fields import ModelParams, NormSpec
 from .forward import harmonic_symbol, nonlinear_model, observe, solve_multiharmonic
 from .poles import (PoleSet, asymptotic_poles, build_pole_set, characteristic_roots,

@@ -268,54 +268,16 @@ def trace_point_count(domain: DomainSpec, J: int) -> int:
     return len(domain.sigma_points)
 
 
-def build_interval_basis(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> EigenBasis:
-    """Lowest J Robin modes on [0, L_x] with quadrature and trace samples."""
-    if L_x <= 0 or J < 1:
-        raise ValueError("need L_x > 0 and J >= 1")
-    domain = DomainSpec("interval", (float(L_x),), tuple(float(g) for g in gamma),
-                        tuple(float(s) for s in sigma_points))
-    modes = _robin_modes(L_x, domain.robin_gamma, J)
-    nq = _nodes_per_axis(J)
-    xq, wq = _gauss_nodes(L_x, nq)
-    sig = np.array(domain.sigma_points, dtype=float).reshape(-1, 1)
-    return EigenBasis(
-        domain=domain,
-        lambdas=modes[0] * modes[0],
-        phi=_mode_values(modes, xq),
-        nodes=xq.reshape(-1, 1),
-        weights=wq,
-        trace_matrix=_mode_values(modes, sig[:, 0]),
-        sigma_nodes=sig,
-        sigma_weights=np.ones(sig.shape[0]),
-    )
-
-
-def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
-                          sigma_points="side:y=0") -> EigenBasis:
-    """Lowest J tensor-product modes on [0,Lx] x [0,Ly], sorted by eigenvalue.
-
-    Raises SpectrumError when two retained eigenvalues collide within 1e-9,
-    which signals commensurate sides (a square always trips this for J >= 2).
-    """
-    if J < 1:
-        raise ValueError("need J >= 1")
-    gx, gy = gamma
-    try:
-        domain = DomainSpec("rectangle", (float(L_x), float(L_y)),
-                            (tuple(map(float, gx)), tuple(map(float, gy))),
-                            sigma_points if isinstance(sigma_points, str)
-                            else tuple((float(a), float(b)) for a, b in sigma_points))
-    except ValueError as exc:
-        if "commensurate" in str(exc):
-            raise SpectrumError(str(exc)) from exc
-        raise
-
-    mx = _robin_modes(L_x, domain.robin_gamma[0], J)
-    my = _robin_modes(L_y, domain.robin_gamma[1], J)
-    # the J smallest of the J x J sums; a stable sort keeps (i, j) order on ties
-    sums = np.add.outer(mx[0] * mx[0], my[0] * my[0]).ravel()
+def _lowest_sums(lams, J: int):
+    """The J smallest eigenvalue sums of the per-axis eigenvalues `lams`, in
+    ascending order, and for each the mode index per axis.  On one axis the
+    modes themselves, already ascending and simple.  On more, a stable sort
+    keeps the index order on ties, and SpectrumError is raised when two
+    retained sums collide within SPECTRAL_GAP_TOL."""
+    if len(lams) == 1:
+        return lams[0], (slice(None),)
+    sums = functools.reduce(np.add.outer, lams).ravel()
     order = np.argsort(sums, kind="stable")[:J]
-    ix, iy = np.divmod(order, J)
     lambdas = sums[order]
     gaps = np.diff(lambdas)
     if np.any(gaps <= SPECTRAL_GAP_TOL):
@@ -324,34 +286,42 @@ def build_rectangle_basis(L_x: float, L_y: float, gamma, J: int,
             f"degenerate eigenvalue collision: lambda[{bad}]={lambdas[bad]:.12g} vs "
             f"lambda[{bad + 1}]={lambdas[bad + 1]:.12g}; sides are too commensurate"
         )
+    return lambdas, np.unravel_index(order, (J,) * len(lams))
 
+
+def build_basis(domain: DomainSpec, J: int) -> EigenBasis:
+    """Lowest J Robin modes of the domain, with quadrature and trace samples.
+
+    The domain is a product of 1D Robin factors, one per axis: a mode is a
+    product of one 1D mode per axis, its eigenvalue the sum of theirs, and
+    the quadrature the tensor product of each axis's Gauss rule.  Raises
+    SpectrumError when two retained eigenvalues collide (`_lowest_sums`).
+    """
+    if J < 1:
+        raise ValueError("need J >= 1")
     n1 = _nodes_per_axis(J)
-    xq, wx = _gauss_nodes(L_x, n1)
-    yq, wy = _gauss_nodes(L_y, n1)
-    X, Y = np.meshgrid(xq, yq, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    weights = np.outer(wx, wy).ravel()
-
-    phi = (_mode_values(mx, xq)[ix, :, None] * _mode_values(my, yq)[iy, None, :]).reshape(J, -1)
-
-    if isinstance(domain.sigma_points, str):
-        sig = np.column_stack([xq, np.zeros_like(xq)])
-        sig_w = wx.copy()
+    gammas = (domain.robin_gamma,) if domain.kind == "interval" else domain.robin_gamma
+    axes = [(_robin_modes(L, g, J), *_gauss_nodes(L, n1)) for L, g in zip(domain.lengths, gammas)]
+    lambdas, index = _lowest_sums([k * k for (k, _, _), _, _ in axes], J)
+    if isinstance(domain.sigma_points, str):  # "side:y=0": the x nodes, with their weights
+        _, sig_x, sig_w = axes[0]
+        sig = np.column_stack([sig_x, np.zeros_like(sig_x)])
     else:
-        sig = np.array(domain.sigma_points, dtype=float)
+        sig = np.array(domain.sigma_points, dtype=float).reshape(-1, len(axes))
         sig_w = np.ones(sig.shape[0])
-    trace = _mode_values(mx, sig[:, 0])[ix] * _mode_values(my, sig[:, 1])[iy]
 
-    return EigenBasis(
-        domain=domain,
-        lambdas=lambdas,
-        phi=phi,
-        nodes=nodes,
-        weights=weights,
-        trace_matrix=trace,
-        sigma_nodes=sig,
-        sigma_weights=sig_w,
-    )
+    # the rows of each axis's factors that the retained modes use
+    values = [_mode_values(m, x)[i] for (m, x, _), i in zip(axes, index)]
+    traces = [_mode_values(m, sig[:, a])[i] for a, ((m, _, _), i) in enumerate(zip(axes, index))]
+    # the first axis alone is a 1D basis; each further axis multiplies in
+    phi, trace, nodes, weights = values[0], traces[0], axes[0][1][:, None], axes[0][2]
+    for v, t, (_, x, w) in zip(values[1:], traces[1:], axes[1:]):
+        phi = (phi[:, :, None] * v[:, None, :]).reshape(J, -1)
+        trace = trace * t
+        nodes = np.column_stack([np.repeat(nodes, x.size, axis=0), np.tile(x, len(nodes))])
+        weights = np.multiply.outer(weights, w).ravel()
+    return EigenBasis(domain=domain, lambdas=lambdas, phi=phi, nodes=nodes, weights=weights,
+                      trace_matrix=trace, sigma_nodes=sig, sigma_weights=sig_w)
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,11 @@ def model_residual(params: ModelParams, basis: EigenBasis, sigma, eta, u, rhat) 
 @dataclass(frozen=True)
 class SolveReport:
     """How `solve_multiharmonic` reached its solution, per member of the batch
-    (plain ints for an unbatched solve)."""
+    (0-d arrays for a single drive)."""
 
-    residual: np.ndarray     # (..., M) per-harmonic model_residual the convergence check accepted
-    sweeps: int | np.ndarray     # fixed-point sweeps run, over both damping factors
-    restarts: int | np.ndarray   # 1 if the d = 0.5 restart ran, else 0
+    residual: np.ndarray   # (..., M) per-harmonic model_residual the convergence check accepted
+    sweeps: np.ndarray     # (...) fixed-point sweeps run, over both damping factors
+    restarts: np.ndarray   # (...) 1 if the d = 0.5 restart ran, else 0
 
 
 def _sweeps(cmap: CouplingMap, sym, r, d: float, tol: float, max_iter: int):
@@ -268,11 +268,8 @@ def solve_multiharmonic(params: ModelParams, basis: EigenBasis, sigma, eta, rhat
     else:
         raise ConvergenceError(f"multiharmonic fixed point stalled: max residual "
                                f"{np.max(res[todo]):.3e} > tol {tol:.1e}")
-    u = u.reshape(batch + (M, J))
-    if not batch:
-        return u, SolveReport(res[0], int(sweeps[0]), int(restarts[0]))
-    return u, SolveReport(res.reshape(batch + (M,)), sweeps.reshape(batch),
-                          restarts.reshape(batch))
+    return u.reshape(batch + (M, J)), SolveReport(res.reshape(batch + (M,)),
+                                                  sweeps.reshape(batch), restarts.reshape(batch))
 
 
 def observe(basis: EigenBasis, u) -> np.ndarray:

@@ -210,15 +210,16 @@ def smooth_data(p_sigma, delta_tilde: float, basis: EigenBasis,
 
 
 def check_schedule(tau0: float, tau_min: float, tau_max: float, ratio: float,
-                   sigma0=None, beta=None, T=None, T0=None, orti_check=None) -> None:
+                   tolerance: float, sigma0: float, beta: float, T: float, T0: float,
+                   orti_check: float) -> None:
     """Raise TheoremHypothesisError naming every rule the tau(delta) schedule
-    breaks.  The grid needs tau0 >= 0, tau0 + tau_min > 0, ratio > 1 and
-    tau0 + tau_min < tau_max; with sigma0 and beta, tau_max <= sigma0*beta;
-    with T, T0 and orti_check, tau0 = 0 needs T0 = T and orti_check < 1."""
+    breaks: tau0 >= 0, tau0 + tau_min > 0, ratio > 1, tau0 + tau_min < tau_max,
+    tolerance > 0 and tau_max <= sigma0*beta; tau0 = 0 needs T0 = T and
+    orti_check < 1."""
     bad = []
     if not tau0 >= 0:
         bad.append(f"tau0 {tau0!r} must be nonnegative")
-    elif tau0 == 0.0 and T is not None:
+    elif tau0 == 0.0:
         if abs(T0 - T) > 1e-12 * T:
             bad.append("tau0 = 0 requires T0 = T")
         if orti_check >= 1.0:
@@ -230,15 +231,17 @@ def check_schedule(tau0: float, tau_min: float, tau_max: float, ratio: float,
         bad.append(f"grid_ratio {ratio!r} must exceed 1")
     if not lo < tau_max:
         bad.append(f"empty tau grid: tau0 + tau_min = {lo!r} is not below tau_max {tau_max!r}")
-    if sigma0 is not None and not tau_max <= sigma0 * beta:
+    if not tolerance > 0:
+        bad.append(f"tolerance {tolerance!r} must be positive")
+    if not tau_max <= sigma0 * beta:
         bad.append(f"tau_max {tau_max!r} above sigma0*beta leaves the admissible range")
     if bad:
         raise TheoremHypothesisError("; ".join(bad))
 
 
 def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float) -> np.ndarray:
-    """Geometric grid from tau0 + tau_min up to tau_max."""
-    check_schedule(tau0, tau_min, tau_max, ratio)
+    """Geometric grid from tau0 + tau_min up to tau_max, for a schedule that
+    passes check_schedule."""
     lo = tau0 + tau_min
     n = int(np.floor(np.log(tau_max / lo) / np.log(ratio))) + 1
     grid = lo * ratio ** np.arange(n)
@@ -301,7 +304,7 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     that fails check_schedule raises before any row is computed.
     """
     consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
-    check_schedule(tau0, tau_min, tau_max, ratio, *consts)
+    check_schedule(tau0, tau_min, tau_max, ratio, tolerance, *consts)
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
     # each entry equals the constant at the float grid[i] bit for bit
     cbars, ctildes = compute_cbar(grid, *consts), compute_ctilde(grid, *consts)

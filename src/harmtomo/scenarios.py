@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quasirev
-from .eigenbasis import (DomainSpec, EigenBasis, build_interval_basis, build_rectangle_basis,
-                         trace_point_count)
+from .eigenbasis import DomainSpec, EigenBasis, build_basis, trace_point_count
 from .errors import HarmtomoError, ScenarioValidationError
 from .fields import ModelParams, NormSpec
 from .forward import symbols_matrix
@@ -142,8 +141,10 @@ def make_params(sc: Scenario) -> ModelParams:
 
 
 def quasirev_settings(sc: Scenario) -> dict:
-    """The scenario's quasirev block with every unset key at its default."""
-    return {**QUASIREV_DEFAULTS, **sc.quasirev}
+    """The scenario's quasirev block with every unset key at its default,
+    each a finite number."""
+    return {k: _finite(sc.quasirev.get(k, v), f"quasirev.{k}")
+            for k, v in QUASIREV_DEFAULTS.items()}
 
 
 def noise_levels(sc: Scenario) -> list[float]:
@@ -164,7 +165,9 @@ def target_cutoff(sc: Scenario) -> int:
 
 
 def make_norm_spec(sc: Scenario) -> NormSpec:
-    return NormSpec(s=sc.norms["s"], orti_check=sc.norms["orti_check"])
+    """The norms block as a NormSpec; s and orti_check are finite numbers."""
+    return NormSpec(s=_finite(sc.norms["s"], "norms.s"),
+                    orti_check=_finite(sc.norms["orti_check"], "norms.orti_check"))
 
 
 def _floats(x):
@@ -181,12 +184,7 @@ def make_domain(sc: Scenario) -> DomainSpec:
 
 
 def make_basis(sc: Scenario) -> EigenBasis:
-    dom = make_domain(sc)
-    if dom.kind == "interval":
-        return build_interval_basis(dom.lengths[0], dom.robin_gamma, sc.J,
-                                    sigma_points=dom.sigma_points)
-    return build_rectangle_basis(*dom.lengths, dom.robin_gamma, sc.J,
-                                 sigma_points=dom.sigma_points)
+    return build_basis(make_domain(sc), sc.J)
 
 
 def source_settings(sc: Scenario) -> tuple[float, float, int]:
@@ -363,11 +361,12 @@ def validate_scenario(sc: Scenario) -> list[str]:
     _collect(out, "noise.delta_list", noise_levels, sc)
     if "target_cutoff" in sc.raw or sc.preset == "smoothing-study":
         _collect(out, "target_cutoff", target_cutoff, sc)
-    if (sc.quasirev or sc.preset == "qr-sweep") and params is not None and spec is not None:
-        qr = quasirev_settings(sc)
-        _collect(out, "quasirev schedule", quasirev.check_schedule, qr["tau0"], qr["tau_min"],
-                 qr["tau_max"], qr["grid_ratio"], params.sigma0, params.beta, params.T,
-                 params.T0, spec.orti_check)
+    if sc.quasirev or sc.preset == "qr-sweep":
+        qr = _collect(out, "quasirev", quasirev_settings, sc)
+        if qr is not None and params is not None and spec is not None:
+            _collect(out, "quasirev schedule", quasirev.check_schedule, qr["tau0"],
+                     qr["tau_min"], qr["tau_max"], qr["grid_ratio"], qr["tolerance"],
+                     params.sigma0, params.beta, params.T, params.T0, spec.orti_check)
     return out
 
 

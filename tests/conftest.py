@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmtomo import (ModelParams, NormSpec, amplitude_modulate, build_interval_basis,
-                      build_pole_set, build_rectangle_basis, design_delta_pulse)
+from harmtomo import (DomainSpec, ModelParams, NormSpec, amplitude_modulate, build_basis,
+                      build_pole_set, design_delta_pulse)
 from harmtomo.runner import run_preset
 from harmtomo.scenarios import load_scenario
 
@@ -14,12 +14,12 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 @pytest.fixture(scope="session")
 def basis8():
-    return build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
+    return build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
 
 
 @pytest.fixture(scope="session")
 def basis16():
-    return build_interval_basis(np.pi, (1.0, 1.0), 16, sigma_points=(0.0,))
+    return build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 16)
 
 
 @pytest.fixture(scope="session")
@@ -66,8 +66,8 @@ def bundle(request, setup_small):
     if request.param == "interval":
         return setup_small
     if request.param == "rectangle":
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
         params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
         return _bundle(basis, params)
     b = _bundle(setup_small["basis"], setup_small["params"].with_tau(0.05))

@@ -770,8 +770,8 @@ def interval_modes_loop(L, gamma, count) -> list[Mode1D]:
 
 
 def interval_basis_loop(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> EigenBasis:
-    """`eigenbasis.build_interval_basis` with one Mode1D per mode, each
-    evaluated on its own."""
+    """`eigenbasis.build_basis` on the interval [0, L_x], with one Mode1D per
+    mode, each evaluated on its own."""
     modes = interval_modes_loop(L_x, gamma, J)
     xq, wq = _gauss_nodes(L_x, max(OVERSAMPLING * J, MIN_QUAD_NODES))
     sig = np.array(sigma_points, dtype=float).reshape(-1, 1)
@@ -785,8 +785,9 @@ def interval_basis_loop(L_x: float, gamma, J: int, sigma_points=(0.0,)) -> Eigen
 
 def rectangle_basis_loop(L_x: float, L_y: float, gamma, J: int,
                          sigma_points="side:y=0") -> EigenBasis:
-    """`eigenbasis.build_rectangle_basis` from the J x J (lambda, i, j) tuples
-    sorted by lambda, with each retained pair's values formed on its own."""
+    """`eigenbasis.build_basis` on the rectangle [0, L_x] x [0, L_y], from the
+    J x J (lambda, i, j) tuples sorted by lambda, with each retained pair's
+    values formed on its own."""
     mx = interval_modes_loop(L_x, gamma[0], J)
     my = interval_modes_loop(L_y, gamma[1], J)
     pairs = sorted(((mx[i].lam + my[j].lam, i, j) for i in range(J) for j in range(J)),
@@ -1028,7 +1029,7 @@ def choose_tau_loop(delta: float, tau0: float, sigma0: float, beta: float, T: fl
                     ratio: float = 2.0**0.25, tolerance: float = 0.1) -> float:
     """`choose_tau` with the constants evaluated one grid tau at a time,
     returning the first tau within the limit."""
-    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
+    check_schedule(tau0, tau_min, tau_max, ratio, tolerance, sigma0, beta, T, T0, orti_check)
     if delta == 0.0 and tau0 > 0.0:
         return float(tau0)
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
@@ -1050,7 +1051,7 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     array pass and picked by the package's rule (`quasirev._pick_tau`), or
     tau0 itself for noiseless data when it is positive.  The schedule must
     pass check_schedule."""
-    check_schedule(tau0, tau_min, tau_max, ratio, sigma0, beta, T, T0, orti_check)
+    check_schedule(tau0, tau_min, tau_max, ratio, tolerance, sigma0, beta, T, T0, orti_check)
     grid = tau_grid(tau0, tau_min, tau_max, ratio)
     cbar = compute_cbar(grid, sigma0, beta, T, T0, orti_check)
     ctilde = compute_ctilde(grid, sigma0, beta, T, T0, orti_check)

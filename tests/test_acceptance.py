@@ -9,8 +9,7 @@ import time
 
 import numpy as np
 
-from harmtomo import (amplitude_modulate, build_interval_basis,
-                      build_pole_set, build_rectangle_basis,
+from harmtomo import (DomainSpec, amplitude_modulate, build_basis, build_pole_set,
                       compute_cbar, design_delta_pulse, image_norms, pole_table,
                       run_sweep, smooth_data, smoothing_gains,
                       solve_multiharmonic, verify_bounds,
@@ -38,7 +37,7 @@ def acceptance_scenario():
     """Interval domain, J = 16, M = 64, tau = 0.5, sigma0 = beta = 1,
     nonresonant omega = 1/2, delta-like pulse pair with A = 2 on reference
     mode 0."""
-    basis = build_interval_basis(np.pi, (1.0, 1.0), 16, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 16)
     params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                 T0=np.pi / 2, A=2.0)
     M = 64
@@ -158,7 +157,7 @@ def test_criterion_4_amplification_bound():
 
 
 def test_criterion_5_linearized_stability():
-    basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
     params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                 T0=np.pi / 2, A=2.0)
     M = 24
@@ -191,7 +190,7 @@ def test_criterion_6_stability_constant_behavior():
 
 
 def test_criterion_7_nonlinear_lipschitz():
-    basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
     T0_end = 4 * np.pi  # pulse at the period end keeps the constant moderate
     params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                 T0=T0_end, A=2.0)
@@ -243,7 +242,7 @@ def test_criterion_7_nonlinear_lipschitz():
 
 
 def test_criterion_8_taylor_remainder():
-    basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
     params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                 T0=4 * np.pi, A=2.0)
     M = 24
@@ -286,7 +285,7 @@ def test_criterion_8_taylor_remainder():
 
 def test_criterion_9_quasi_reversibility_convergence():
     t0 = time.time()
-    basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
     T = 2 * np.pi
     params0 = ModelParams.create(tau=0.0, beta=1.0, sigma0=1.0, omega=1.0, T0=T, A=2.0)
     spec = NormSpec(s=1.0, orti_check=0.5)
@@ -320,8 +319,8 @@ def test_criterion_10_data_smoothing():
     pts = []
     for t in np.linspace(0.13, 0.87, 6):
         pts += [(t * Lx, 0.0), (t * Lx, Ly), (0.0, t * Ly), (Lx, t * Ly)]
-    basis = build_rectangle_basis(Lx, Ly, ((1.0, 1.0), (1.0, 1.0)), 12,
-                                  sigma_points=tuple(pts))
+    basis = build_basis(DomainSpec("rectangle", (Lx, Ly), ((1.0, 1.0), (1.0, 1.0)), tuple(pts)),
+                        12)
     s = 1.0
     gains = smoothing_gains(basis, s)
     kaps = gains[:10]
@@ -349,9 +348,9 @@ def test_criterion_11_forward_solver_consistency():
     # representative forward configurations: linear, variable slowness, small
     # nonlinearity, on the interval and on the rectangle
     configs = []
-    bi = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0,))
-    br = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                               sigma_points="side:y=0")
+    bi = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
+    br = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
     for basis in (bi, br):
         p = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
         rng = np.random.default_rng(11)

@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import eigsh
 
-from harmtomo import build_interval_basis, build_rectangle_basis, project, synthesize
-from harmtomo.eigenbasis import (DomainSpec, _brentq, _interval_wavenumbers, _leggauss,
-                                 _robin_modes, commensurate, trace_right_inverse,
-                                 check_trace_ranks)
+from harmtomo import DomainSpec, build_basis, project, synthesize
+from harmtomo import eigenbasis
+from harmtomo.eigenbasis import (_brentq, _interval_wavenumbers, _leggauss, _robin_modes,
+                                 commensurate, trace_right_inverse, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
@@ -69,7 +69,7 @@ ROBIN_CASES = [(np.pi, (1.0, 1.0)), (1.0, (0.0, 2.5)), (1.9416, (3.0, 0.0)),
 
 class TestIntervalBasis:
     def test_neumann_closed_form(self):
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 3, sigma_points=(0.0,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 3)
         assert np.allclose(basis.lambdas, [0.0, 1.0, 4.0], atol=1e-12)
         x = basis.nodes[:, 0]
         assert np.allclose(basis.phi[0], 1.0 / np.sqrt(np.pi), atol=1e-12)
@@ -130,7 +130,8 @@ class TestIntervalBasis:
 
 class TestRectangleBasis:
     def test_distinct_eigenvalues_match_enumeration(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((0.0, 0.0), (0.0, 0.0)), 5)
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((0.0, 0.0), (0.0, 0.0)), "side:y=0"), 5)
         lx = [j**2 for j in range(5)]
         ly = [(j * GOLDEN)**2 for j in range(5)]
         sums = sorted(a + b for a in lx for b in ly)[:5]
@@ -138,18 +139,27 @@ class TestRectangleBasis:
         assert np.all(np.diff(basis.lambdas) > 1e-9)
 
     def test_square_raises(self):
-        with pytest.raises(SpectrumError):
-            build_rectangle_basis(1.0, 1.0, ((0.0, 0.0), (0.0, 0.0)), 4)
+        with pytest.raises(ValueError, match="commensurate"):
+            DomainSpec("rectangle", (1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), "side:y=0")
+
+    def test_eigenvalue_collision_raises(self, monkeypatch):
+        # past the side-ratio rule, the square's equal sums trip the spectral gap check
+        monkeypatch.setattr(eigenbasis, "commensurate", lambda ratio: False)
+        square = DomainSpec("rectangle", (1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), "side:y=0")
+        with pytest.raises(SpectrumError, match="degenerate eigenvalue collision"):
+            build_basis(square, 4)
+        assert build_basis(square, 1).lambdas.tolist() == [0.0]
 
     def test_single_mode_is_constant(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((0.0, 0.0), (0.0, 0.0)), 1)
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((0.0, 0.0), (0.0, 0.0)), "side:y=0"), 1)
         assert basis.lambdas[0] == 0.0
         assert np.allclose(basis.phi[0], basis.phi[0][0])
 
     def test_gram_and_residuals(self):
         Lx, Ly = np.pi, np.pi / GOLDEN
         for gamma in (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (0.5, 2.0))):
-            basis = build_rectangle_basis(Lx, Ly, gamma, 6)
+            basis = build_basis(DomainSpec("rectangle", (Lx, Ly), gamma, "side:y=0"), 6)
             assert np.max(np.abs(gram_matrix(basis) - np.eye(6))) <= 1e-10
             # each factor solves its secular equation and both of its Robin ends
             lams = []
@@ -169,8 +179,8 @@ class TestRectangleBasis:
 
 BASIS_ARRAYS = ("lambdas", "phi", "nodes", "weights", "trace_matrix", "sigma_nodes",
                 "sigma_weights")
-SIDE_POINTS = ([(x, 0.0) for x in np.linspace(0.2, 3.0, 12)]
-               + [(0.0, y) for y in np.linspace(0.1, 1.9, 12)])
+SIDE_POINTS = tuple([(x, 0.0) for x in np.linspace(0.2, 3.0, 12)]
+                    + [(0.0, y) for y in np.linspace(0.1, 1.9, 12)])
 
 
 def assert_same_basis(basis, ref):
@@ -185,21 +195,22 @@ class TestBasisMatchesModeLoop:
     # ROBIN_CASES hold Neumann ends, on one side and on both
 
     @pytest.mark.parametrize("L, gamma", ROBIN_CASES)
-    @pytest.mark.parametrize("J", [1, 8, 64])
+    @pytest.mark.parametrize("J", [1, 8, 16, 32, 64])
     def test_interval(self, L, gamma, J):
         sig = (0.0, L / 3, L)
-        assert_same_basis(build_interval_basis(L, gamma, J, sig),
+        assert_same_basis(build_basis(DomainSpec("interval", (L,), gamma, sig), J),
                           interval_basis_loop(L, gamma, J, sig))
 
     @pytest.mark.parametrize("gamma", [((1.0, 1.0), (1.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)),
                                        ((0.0, 3.0), (0.5, 0.0))],
                              ids=["robin", "neumann", "mixed"])
-    @pytest.mark.parametrize("J, sigma_points", [(12, "side:y=0"), (32, "side:y=0"),
-                                                 (12, SIDE_POINTS)],
-                             ids=["side-12", "side-32", "points-12"])
-    def test_rectangle(self, gamma, J, sigma_points):
-        args = (np.pi, 1.9416110387254665, gamma, J, sigma_points)
-        assert_same_basis(build_rectangle_basis(*args), rectangle_basis_loop(*args))
+    @pytest.mark.parametrize("J", [1, 8, 12, 16, 32])
+    @pytest.mark.parametrize("form", ["side", "points"])
+    def test_rectangle(self, gamma, J, form):
+        sig = "side:y=0" if form == "side" else SIDE_POINTS
+        domain = DomainSpec("rectangle", (np.pi, 1.9416110387254665), gamma, sig)
+        assert_same_basis(build_basis(domain, J),
+                          rectangle_basis_loop(np.pi, 1.9416110387254665, gamma, J, sig))
 
 
 class TestGaussNodes:
@@ -211,10 +222,10 @@ class TestGaussNodes:
             w[0] = 0.0
 
     def test_builds_get_fresh_equal_arrays(self):
-        for build in (lambda: build_interval_basis(np.pi, (1.0, 1.0), 8),
-                      lambda: build_rectangle_basis(np.pi, np.pi / GOLDEN,
-                                                    ((1.0, 1.0), (1.0, 1.0)), 6)):
-            a, b = build(), build()
+        for domain, J in ((DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8),
+                          (DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                      ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)):
+            a, b = build_basis(domain, J), build_basis(domain, J)
             assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
             assert a.nodes is not b.nodes and a.weights is not b.weights
             assert not np.shares_memory(a.weights, b.weights)
@@ -234,14 +245,14 @@ class TestProjection:
         assert np.max(np.abs(c - e2)) <= 1e-10
 
     def test_projection_error_decays(self):
-        ref = build_interval_basis(np.pi, (1.0, 1.0), 256, sigma_points=(0.0,))
+        ref = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 256)
         f = np.exp(np.sin(ref.nodes[:, 0]))
         coeffs = project(ref, f)
         tails = [np.linalg.norm(coeffs[J:]) for J in (8, 16, 32)]
         assert tails[0] > tails[1] > tails[2]
         # consistency of the truncated bases with the reference coefficients
         for J in (8, 16, 32):
-            bj = build_interval_basis(np.pi, (1.0, 1.0), J, sigma_points=(0.0,))
+            bj = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), J)
             fj = np.exp(np.sin(bj.nodes[:, 0]))
             assert np.max(np.abs(project(bj, fj) - coeffs[:J])) <= 1e-9
 
@@ -254,21 +265,21 @@ class TestProjection:
 
 class TestTraces:
     def test_neumann_endpoint_trace(self):
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(0.0,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 4)
         expected = np.sqrt(2 / np.pi)
         for j in range(1, 4):
             assert abs(basis.trace_matrix[j, 0] - expected) <= 1e-12
         check_trace_ranks(basis)
 
     def test_interior_zero_gives_rank_error(self):
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 3, sigma_points=(np.pi / 2,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (np.pi / 2,)), 3)
         with pytest.raises(TraceRankError) as err:
             trace_right_inverse(basis, np.array([0, 1, 2]))
         assert err.value.ell == 1
 
     def test_rectangle_side_rank(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
         check_trace_ranks(basis)
         rows = trace_right_inverse(basis, np.arange(6))
         assert np.allclose(np.sum(rows * basis.trace_matrix, axis=1), 1.0, rtol=1e-12, atol=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harmtomo import harmonic_symbol, observe, solve_multiharmonic
-from harmtomo.eigenbasis import build_rectangle_basis, project, synthesize
+from harmtomo.eigenbasis import DomainSpec, build_basis, project, synthesize
 from harmtomo.errors import ConvergenceError, ResonanceError
 from harmtomo.fields import ModelParams, check_slowness_admissible
 import harmtomo.forward as fw
@@ -35,8 +35,9 @@ def params_of(tau=0.5, beta=1.0, sigma0=1.0, omega=1.0, T0=None, A=2.0):
 class TestHarmonicSymbol:
     @pytest.mark.parametrize("kind", ["interval", "rectangle"])
     def test_symbols_matrix_matches_per_harmonic(self, kind, basis16):
-        basis = basis16 if kind == "interval" else build_rectangle_basis(
-            np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 12, sigma_points="side:y=0")
+        basis = basis16 if kind == "interval" else build_basis(
+            DomainSpec("rectangle", (np.pi, np.pi / GOLDEN), ((1.0, 1.0), (1.0, 1.0)), "side:y=0"),
+            12)
         p = params_of(tau=0.3, beta=0.8, omega=0.5)
         M = 64
         table = symbols_matrix(p, basis.lambdas, M)
@@ -203,8 +204,8 @@ class TestHarmonicProductKernel:
         assert convolve_bm_grid(basis8, u, v, 0).shape == (0, basis8.nquad)
 
     def test_grid_product_matches_loop_on_rectangle(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
         rng = np.random.default_rng(15)
         M = 10
         u, v = _crandn(rng, M, basis.J), _crandn(rng, M, basis.J)
@@ -219,8 +220,9 @@ class TestNonlinearModel:
 
     @pytest.mark.parametrize("kind", ["interval", "rectangle"])
     def test_matches_oracle(self, kind, basis8):
-        basis = basis8 if kind == "interval" else build_rectangle_basis(
-            np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6, sigma_points="side:y=0")
+        basis = basis8 if kind == "interval" else build_basis(
+            DomainSpec("rectangle", (np.pi, np.pi / GOLDEN), ((1.0, 1.0), (1.0, 1.0)), "side:y=0"),
+            6)
         p = params_of(omega=0.5, T0=np.pi)
         rng = np.random.default_rng(16)
         M = 24
@@ -249,8 +251,8 @@ class TestCouplingMap:
         p = params_of(omega=0.5, T0=np.pi)
         rng = np.random.default_rng(18 + M)
         if case == "rectangle":   # incommensurate sides
-            basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                          sigma_points="side:y=0")
+            basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                           ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
         else:
             basis = basis8 if case == "basis8" else basis16
         decay = 1.0 / (1.0 + np.arange(basis.J)) ** 2
@@ -380,6 +382,8 @@ class TestMultiharmonic:
             calls.clear()
             sig = np.full(basis8.nquad, p.sigma0 + shift)
             _, report = solve_multiharmonic(p, basis8, sig, eta, r, tol=1e-11)
+            # a single drive's counts are arrays of the empty batch shape
+            assert report.sweeps.shape == report.restarts.shape == ()
             assert report.restarts == restarts
             # one eta term per sweep, plus one model_residual check per damping factor tried
             assert len(calls) == report.sweeps + restarts + 1

@@ -197,9 +197,9 @@ class TestYtilde:
 
     def test_vanishing_trace_raises_rank_error(self):
         # Neumann modes cos(j x) at x = pi/2: the odd ones have roundoff-level traces
-        from harmtomo import add_noise, build_interval_basis
+        from harmtomo import DomainSpec, add_noise, build_basis
         from harmtomo.errors import TraceRankError
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(np.pi / 2,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (np.pi / 2,)), 4)
         phat = np.ones((2, 3, 1), dtype=complex)
         with pytest.raises(TraceRankError) as err:
             ytilde_obs_norm(phat, basis, 1.0, 1.0)

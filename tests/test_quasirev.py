@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harmtomo import (add_noise, build_interval_basis, build_rectangle_basis, compute_cbar,
+from harmtomo import (DomainSpec, add_noise, build_basis, compute_cbar,
                       compute_ctilde, smooth_data, smoothing_gains, run_sweep, ytilde_obs_norm)
 from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
                              TheoremHypothesisError)
@@ -131,7 +131,7 @@ def four_side_rectangle(J=12):
     pts = []
     for t in np.linspace(0.13, 0.87, 6):
         pts += [(t * Lx, 0.0), (t * Lx, Ly), (0.0, t * Ly), (Lx, t * Ly)]
-    return build_rectangle_basis(Lx, Ly, ((1.0, 1.0), (1.0, 1.0)), J, sigma_points=tuple(pts))
+    return build_basis(DomainSpec("rectangle", (Lx, Ly), ((1.0, 1.0), (1.0, 1.0)), tuple(pts)), J)
 
 
 class TestSmoothing:
@@ -159,7 +159,7 @@ class TestSmoothing:
         from scipy.linalg import eigh
 
         if kind == "interval":
-            basis = build_interval_basis(np.pi, (1.0, 1.0), 8, sigma_points=(0.0, np.pi))
+            basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0, np.pi)), 8)
         elif kind == "smoothing_study":
             basis = make_basis(load_scenario(SCENARIOS / "smoothing_study.json"))
         else:
@@ -309,7 +309,7 @@ def sweep_setup(tau0, seed=3):
     from harmtomo import amplitude_modulate, design_delta_pulse
 
     J, M = 8, 48
-    basis = build_interval_basis(np.pi, (1.0, 1.0), J, sigma_points=(0.0,))
+    basis = build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), J)
     spec = NormSpec(s=1.0, orti_check=0.5)
     params = ModelParams.create(tau=tau0, beta=1.0, sigma0=1.0, omega=1.0, T0=T, A=2.0)
     pulse = design_delta_pulse(params, M, 0.04, amplitude=3.0)
@@ -409,11 +409,16 @@ class TestSweep:
         assert len(built) == len(set(built)) == 3
 
     def test_invalid_schedule_raises_before_any_row(self):
-        # tau0 = 0 needs orti_check < 1: a broken schedule is not a failed row
-        basis, _, params, sp, truth = sweep_setup(0.0)
+        # tau0 = 0 needs orti_check < 1, and the tolerance must be positive: a
+        # broken schedule is not a failed row
+        basis, spec, params, sp, truth = sweep_setup(0.0)
         with pytest.raises(TheoremHypothesisError, match="orti_check < 1"):
             run_sweep(basis, sp, params, NormSpec(s=1.0, orti_check=1.0), truth, [1e-2],
                       tau0=0.0, seed=5, tau_min=0.1, tau_max=0.5, **SCHEDULE)
+        for tolerance in (0.0, -1.0, float("nan")):
+            with pytest.raises(TheoremHypothesisError, match=f"tolerance {tolerance!r} must be"):
+                run_sweep(basis, sp, params, spec, truth, [1e-2], tau0=0.0, seed=5,
+                          tau_min=0.1, tau_max=0.5, ratio=2.0**0.25, tolerance=tolerance)
 
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
         import harmtomo.quasirev as qr

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from harmtomo import (amplitude_modulate, assemble_fields, build_interval_basis,
-                      build_pole_set, build_rectangle_basis,
+from harmtomo import (DomainSpec, amplitude_modulate, assemble_fields, build_basis,
+                      build_pole_set,
                       design_delta_pulse, solve_states_from_coeffs, trace_right_inverse,
                       reconstruct)
 from harmtomo.cli import main
@@ -124,8 +124,8 @@ class TestResidues:
 
     def test_residues_lie_in_trace_span(self):
         # rectangle side observation: residues proportional to the trace row
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 6,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 6)
         params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5,
                                     T0=np.pi, A=2.0)
         M = 24
@@ -250,16 +250,16 @@ class TestTraceInverse:
         assert c == pytest.approx(0.7 / basis.trace_matrix[2, 0])
 
     def test_right_inverse_property(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 5,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 5)
         rows = trace_right_inverse(basis, np.arange(5))
         for ell in range(5):
             c = basis.trace_matrix[ell] @ rows[ell]
             assert c == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_data_maps_to_zero(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 5,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 5)
         t = basis.trace_matrix[1]
         w = basis.sigma_weights
         v = np.linspace(-1, 1, t.size)
@@ -269,7 +269,7 @@ class TestTraceInverse:
 
 class TestAssemble:
     def test_constant_field_with_constant_profile(self):
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 6, sigma_points=(0.0,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 6)
         phi = basis.phi[0]  # constant Neumann mode
         sigma_true = np.full(basis.nquad, 0.8)
         eta_true = np.full(basis.nquad, -0.3)
@@ -294,7 +294,7 @@ class TestAssemble:
         assert rel_eta <= 1e-8
 
     def test_guard_trips_on_interior_zero(self):
-        basis = build_interval_basis(np.pi, (0.0, 0.0), 6, sigma_points=(0.0,))
+        basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 6)
         phi = basis.phi[1]  # cosine mode with an interior zero
         with pytest.raises(ZeroDivisionError) as err:
             assemble_fields(basis, np.zeros((6, 2)), phi, guard=0.1)
@@ -354,8 +354,8 @@ class TestFitSolve:
         assert "Traceback" not in err
 
     def test_rectangle_j32(self):
-        basis = build_rectangle_basis(np.pi, np.pi / GOLDEN, ((1.0, 1.0), (1.0, 1.0)), 32,
-                                      sigma_points="side:y=0")
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),
+                                       ((1.0, 1.0), (1.0, 1.0)), "side:y=0"), 32)
         params = ModelParams.create(tau=0.5, beta=1.0, sigma0=1.0, omega=0.5, T0=np.pi, A=2.0)
         M = 64
         sp = amplitude_modulate(design_delta_pulse(params, M, 0.08, amplitude=3.0), params.A)

@@ -152,6 +152,14 @@ class TestValidate:
         (QR, "noise.delta_list", [], "noise.delta_list must hold at least one level"),
         (SMOOTH, "noise.delta_list", [], "noise.delta_list must hold at least one level"),
         (PROBE, "draws", 0, "draws 0 must be at least 1"),
+        (PROBE, "norms.s", math.inf, "norms.s inf must be a finite number"),
+        (QR, "norms.s", True, "norms.s True must be a finite number"),
+        (SMOOTH, "norms.orti_check", math.inf, "norms.orti_check inf must be a finite number"),
+        (QR, "norms.orti_check", True, "norms.orti_check True must be a finite number"),
+        (QR, "quasirev.tolerance", "x", "quasirev.tolerance 'x' must be a finite number"),
+        (QR, "quasirev.tolerance", -1, "quasirev schedule: tolerance -1.0 must be positive"),
+        (QR, "quasirev.tolerance", math.nan, "quasirev.tolerance nan must be a finite number"),
+        (QR, "quasirev.tau_max", True, "quasirev.tau_max True must be a finite number"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
@@ -163,7 +171,9 @@ class TestValidate:
             "beta-nan", "sigma0-inf", "omega-nan", "T0-inf", "A-nan", "tau-string", "T-string",
             "T-inf", "amplitude-nan", "amplitude-zero", "pulse_width-string", "tau-bool",
             "pulse_width-bool", "qr-no-levels",
-            "smoothing-no-levels", "probe-no-draws"])
+            "smoothing-no-levels", "probe-no-draws", "norms-s-inf", "norms-s-bool",
+            "orti_check-inf", "orti_check-bool", "tolerance-string", "tolerance-negative",
+            "tolerance-nan", "tau_max-bool"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way

@@ -235,7 +235,7 @@ class TestReferenceState:
         assert np.min(np.abs(setup_small["basis"].phi[0])) > 1e-6
 
     def test_zero_eigenvalue_profile_rejected(self, tmp_path):
-        from harmtomo import build_interval_basis, build_rectangle_basis
+        from harmtomo import DomainSpec, build_basis
         from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
         from conftest import small_scenario
         # the run's make_reference applies the rule to the scenario's mode
@@ -247,11 +247,11 @@ class TestReferenceState:
         with pytest.raises(ReferenceProfileError) as err:
             make_reference(sc, make_basis(sc), make_params(sc))
         assert isinstance(err.value, HarmtomoError) and isinstance(err.value, ValueError)
-        neumann = build_interval_basis(np.pi, (0.0, 0.0), 4, sigma_points=(0.0,))
+        neumann = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 4)
         # the rule reads the domain block; it rejects exactly the modes with lambda = 0
-        bases = [neumann, build_interval_basis(np.pi, (0.0, 1.0), 4, sigma_points=(0.0,))]
-        bases += [build_rectangle_basis(np.pi, np.pi / ((1 + 5**0.5) / 2), gamma, 4,
-                                        sigma_points="side:y=0")
+        bases = [neumann, build_basis(DomainSpec("interval", (np.pi,), (0.0, 1.0), (0.0,)), 4)]
+        bases += [build_basis(DomainSpec("rectangle", (np.pi, np.pi / ((1 + 5**0.5) / 2)),
+                                         gamma, "side:y=0"), 4)
                   for gamma in (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))]
         for basis in bases:
             for mode in range(2):
