@@ -26,22 +26,31 @@ RESONANCE_TOL = 1e-12
 SLOWNESS_SWEEPS = 3
 
 
-def harmonic_symbol(params: ModelParams, m: int, lam):
+def harmonic_symbol(params: ModelParams, m: int, lam, tau=None):
     """Diagonal symbol of L_m(sigma0) at eigenvalue lam.
 
     (i m^3 w^3 tau + m^2 w^2 sigma0 - lam (1 + i beta m w)) / (m^2 w^2).
     Equals (vartheta(o_m) + Theta(o_m) lam) / o_m^2 with o_m = i m w.
+    The relaxation time is params.tau unless tau is given; an array of
+    them broadcasts against m and lam like they do against each other.
     """
     w = params.omega
     mw2 = (m * w) ** 2
-    return (1j * m**3 * w**3 * params.tau + mw2 * params.sigma0
+    tau = params.tau if tau is None else tau
+    return (1j * m**3 * w**3 * tau + mw2 * params.sigma0
             - np.asarray(lam) * (1.0 + 1j * params.beta * m * w)) / mw2
 
 
-def symbols_matrix(params: ModelParams, lambdas, M: int) -> np.ndarray:
-    """(M, J) table of harmonic symbols."""
+def symbols_matrix(params: ModelParams, lambdas, M: int, taus=None) -> np.ndarray:
+    """(M, J) table of harmonic symbols; with relaxation times taus (k,) in
+    place of params.tau, the (k, M, J) table of every one, each slice equal
+    bit for bit to the (M, J) table at its tau."""
     lambdas = np.asarray(lambdas, dtype=float)
-    return harmonic_symbol(params, np.arange(1, M + 1)[:, None], lambdas[None, :])
+    m = np.arange(1, M + 1)[:, None]
+    if taus is None:
+        return harmonic_symbol(params, m, lambdas[None, :])
+    taus = np.asarray(taus, dtype=float)[:, None, None]
+    return harmonic_symbol(params, m, lambdas[None, :], taus)
 
 
 @functools.lru_cache
@@ -159,13 +168,22 @@ def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:
     return u @ cmap.k_sigma + eta_term(cmap, u)
 
 
-def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
-    """symbols_matrix, raising ResonanceError where a symbol vanishes."""
-    sym = symbols_matrix(params, lambdas, M)
+def resonance(sym) -> ResonanceError | None:
+    """The ResonanceError of a symbols table (M, J) whose smallest symbol
+    vanishes, naming that symbol; None when none does."""
     mag = np.abs(sym)
     if np.min(mag, initial=np.inf) <= RESONANCE_TOL:
         m_bad, j_bad = np.unravel_index(int(np.argmin(mag)), mag.shape)
-        raise ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
+        return ResonanceError(m_bad + 1, int(j_bad), float(mag[m_bad, j_bad]))
+    return None
+
+
+def _nonresonant_symbols(params: ModelParams, lambdas, M: int) -> np.ndarray:
+    """symbols_matrix, raising ResonanceError where a symbol vanishes."""
+    sym = symbols_matrix(params, lambdas, M)
+    err = resonance(sym)
+    if err is not None:
+        raise err
     return sym
 
 

@@ -176,7 +176,7 @@ def image_norms(a, rhat, table: PoleTable, spec: NormSpec, sp: SourcePair,
     return tuple(_per_draw(np.sqrt(t1 + t2)) for t1, t2 in (yobs, ymod))
 
 
-def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:
+def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float):
     """Realistic observation norm: W^(1,1)-in-time, H^(s+1)-in-space surrogate
     of the lifted trace data.
 
@@ -184,14 +184,18 @@ def ytilde_obs_norm(phat, basis: EigenBasis, s: float, omega: float) -> float:
     the harmonic weight sum_m (1 + m omega) |coefficient|, an upper bound for
     band-limited signals.  For a data pair the larger of the two per-source
     values is returned, matching the per-observation noise constraint.
+
+    phat is one source's data (M, ns) or data sets (..., nsrc, M, ns) with
+    leading batch axes, one value per data set: a float without batch axes,
+    an array (...) with them.
     """
     phat = np.asarray(phat, dtype=complex)
     if phat.ndim == 2:
         phat = phat[None]
-    lifted = phat @ trace_right_inverse(basis, np.arange(basis.J)).T   # (nsrc, M, J)
-    M = phat.shape[1]
+    lifted = phat @ trace_right_inverse(basis, np.arange(basis.J)).T   # (..., nsrc, M, J)
+    M = phat.shape[-2]
     tw = 1.0 + np.arange(1, M + 1) * omega
     lw = _lam_weight(basis.lambdas, s + 1.0)
-    per_m = np.sqrt(np.sum(lw[None, None, :] * np.abs(lifted) ** 2, axis=2))  # (nsrc, M)
-    vals = np.sum(tw[None, :] * per_m, axis=1)
-    return float(np.max(vals))
+    per_m = np.sqrt(np.sum(lw * np.abs(lifted) ** 2, axis=-1))   # (..., nsrc, M)
+    vals = np.sum(tw * per_m, axis=-1)
+    return _per_draw(np.max(vals, axis=-1))

@@ -1,6 +1,10 @@
 """Quasi-reversibility driver: relaxation-time constants, noise injection,
 trace-data smoothing, the tau(delta) schedule, and the convergence sweep.
 
+The sweep computes its pilot and every noise level in batched passes: one
+noise pass over the levels, one factorization of the fit at all of their
+distinct relaxation times, one fit per tau and one preimage norm.
+
 The strongly damped limit tau -> 0 loses information; reconstructing with a
 small positive relaxation time regularizes it.  The two constants below
 quantify the blow-up: both involve the rate x = alpha/tau with
@@ -20,7 +24,7 @@ from .eigenbasis import EigenBasis
 from .errors import HarmtomoError, NoiseCalibrationError, SmoothingError, TheoremHypothesisError
 from .fields import ModelParams, NormSpec
 from .norms import _per_draw, bochner_norm, rho_t, x_norm, ytilde_obs_norm
-from .reconstruct import (LinearizedData, LinearizedInput, apply_fit_map, build_fit_map,
+from .reconstruct import (LinearizedData, LinearizedInput, apply_fit_map, build_fit_maps,
                           linearized_forward)
 from .sources import SourcePair
 
@@ -83,30 +87,57 @@ def check_noise_levels(deltas) -> None:
         raise NoiseCalibrationError(f"noise levels {bad} must be finite and nonnegative")
 
 
-def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
-              omega: float) -> np.ndarray:
-    """Trace data perturbed by exactly delta in the lifted observation norm.
+def _noisy_rows(phat, deltas, seeds, basis: EigenBasis, s: float,
+                omega: float) -> tuple[np.ndarray, list]:
+    """Copies of the trace data phat (nsrc, M, ns) or (M, ns), one per noise
+    level: row k perturbed by exactly deltas[k] in the lifted observation
+    norm, with noise drawn from default_rng(seeds[k]); (k, ...) with, per
+    row, the NoiseCalibrationError that kept it from being so perturbed, or
+    None.
 
-    The perturbation is drawn in the span of the retained (harmonic, mode)
-    pairs, its norm evaluated, and the draw rescaled so the achieved distance
-    equals delta to roundoff.
+    Each draw lies in the span of the retained (harmonic, mode) pairs, and a
+    noiseless row draws nothing.  One batched norm pass rescales every draw
+    and one more checks the achieved distances.
     """
     phat = np.asarray(phat, dtype=complex)
-    check_noise_levels([delta])
-    if delta == 0.0:
-        return phat.copy()
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(phat.shape[:-1] + (basis.J,)) \
-        + 1j * rng.standard_normal(phat.shape[:-1] + (basis.J,))
-    noise = eps @ basis.trace_matrix
-    scale = delta / ytilde_obs_norm(noise, basis, s, omega)
-    noise = noise * scale
+    noisy = np.repeat(phat[None], len(deltas), axis=0)
+    shape = phat.shape[:-1] + (basis.J,)
+    errors, drawn, eps = [], [], []
+    for k, (delta, seed) in enumerate(zip(deltas, seeds)):
+        try:
+            check_noise_levels([delta])
+        except NoiseCalibrationError as exc:
+            errors.append(exc)
+            continue
+        errors.append(None)
+        if delta > 0:
+            rng = np.random.default_rng(seed)
+            eps.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            drawn.append(k)
+    if not drawn:
+        return noisy, errors
+    d = np.array([deltas[k] for k in drawn])
+    # one data set per row: (rows, nsrc, M, ns)
+    noise = (np.stack(eps) @ basis.trace_matrix).reshape((len(drawn), -1) + phat.shape[-2:])
+    noise = noise * (d / ytilde_obs_norm(noise, basis, s, omega))[:, None, None, None]
     achieved = ytilde_obs_norm(noise, basis, s, omega)
-    if not abs(achieved - delta) <= NOISE_SCALE_TOL * max(delta, 1.0):
-        raise NoiseCalibrationError(
-            f"rescaled noise has norm {achieved!r}, requested delta {delta!r}"
-        )
-    return phat + noise
+    for k, delta, got in zip(drawn, d, achieved):
+        if not abs(got - delta) <= NOISE_SCALE_TOL * max(delta, 1.0):
+            errors[k] = NoiseCalibrationError(
+                f"rescaled noise has norm {float(got)!r}, requested delta {deltas[k]!r}")
+    noisy[drawn] += noise.reshape((len(drawn),) + phat.shape)
+    return noisy, errors
+
+
+def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
+              omega: float) -> np.ndarray:
+    """Trace data perturbed by exactly delta in the lifted observation norm,
+    with noise drawn from default_rng(seed): the one-level case of the
+    sweep's noise pass, raising its NoiseCalibrationError."""
+    (noisy,), (err,) = _noisy_rows(phat, [delta], [seed], basis, s, omega)
+    if err is not None:
+        raise err
+    return noisy
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +275,8 @@ def tau_grid(tau0: float, tau_min: float, tau_max: float, ratio: float) -> np.nd
     passes check_schedule."""
     lo = tau0 + tau_min
     n = int(np.floor(np.log(tau_max / lo) / np.log(ratio))) + 1
-    grid = lo * ratio ** np.arange(n)
+    # lo * ratio**(n - 1) may round one ulp above tau_max, outside the schedule
+    grid = np.minimum(lo * ratio ** np.arange(n), tau_max)
     if grid[-1] < tau_max * (1 - 1e-12):
         grid = np.append(grid, tau_max)
     return grid
@@ -275,6 +307,7 @@ class SweepRow:
     ctilde: float
     status: str
     fit_rel_residual: float   # ||y - U U^H y|| / ||y|| of the row's fit, nan on a failed row
+    fit_cond: float           # condition number of the row's fit design, nan on a failed row
 
 
 def time_derivative_norm(du, omega: float, lambdas, spec: NormSpec) -> float:
@@ -295,13 +328,20 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     Data are generated by the linearized model at relaxation time tau0 (the
     strongly damped quadratic symbols when tau0 = 0), perturbed by exactly
     delta in the lifted observation norm, and inverted with the model at
-    tau(delta).  The tau grid is scored once, and each row takes tau(delta),
-    cbar and ctilde from it by the rule of `_pick_tau`; the fit is factored
-    once per distinct tau (`build_fit_map`) and applied to every row there.
-    Each row records the preimage-norm error and the calibrated bound
-    max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the calibration
-    factor is fitted once on a pilot noise level and held fixed.  A schedule
-    that fails check_schedule raises before any row is computed.
+    tau(delta).  Each row records the preimage-norm error and the calibrated
+    bound max(cbar, ctilde)(tau) * (delta + (tau - tau0) * |du_t|); the
+    calibration factor is fitted once on a pilot noise level, 3 delta_max
+    with seed - 1, and held fixed.  A schedule that fails check_schedule
+    raises before any row is computed.
+
+    The pilot and every row are computed together in batched passes.  The
+    tau grid is scored once, and each level takes tau(delta), cbar and
+    ctilde from it by the rule of `_pick_tau`.  One noise pass perturbs
+    every level (`_noisy_rows`); the fit is factored at all distinct taus
+    at once (`build_fit_maps`) and applied once per tau to the levels
+    there; one `x_norm` scores every level.  A typed failure fails only the
+    rows it touches (a row's noise, a tau's factorization or fit), as a
+    `failed: ...` row; a failure of the pilot raises.
     """
     consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
     check_schedule(tau0, tau_min, tau_max, ratio, tolerance, *consts)
@@ -311,38 +351,62 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
-    fit_maps = {}
+    pilot = int(deltas[0] > 0)   # the pilot level, when there is one, is level 0
+    levels = [3.0 * deltas[0]] * pilot + deltas
+    seeds = [seed - 1] * pilot + [seed + i for i in range(len(deltas))]
+    picks = [_pick_tau(delta, tau0, cbars, ctildes, tolerance) for delta in levels]
+    taus = [float(tau0 if i is None else grid[i]) for i in picks]
 
-    def one(delta: float, noise_seed: int):
-        i = _pick_tau(delta, tau0, cbars, ctildes, tolerance)
-        tau = float(tau0 if i is None else grid[i])
-        phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
-        if tau not in fit_maps:
-            fit_maps[tau] = build_fit_map(sp, basis, params0.with_tau(tau), phat.shape[-2])
-        rec = apply_fit_map(fit_maps[tau], LinearizedData(rhat=data.rhat, phat=phat))
-        err = x_norm(rec.a - truth.a, rec.b - truth.du, basis.lambdas, params0.omega, spec)
+    phat, errors = _noisy_rows(data.phat, levels, seeds, basis, spec.s, params0.omega)
+    at_tau = {}
+    for k, (tau, err) in enumerate(zip(taus, errors)):
+        if err is None:
+            at_tau.setdefault(tau, []).append(k)
+    a = np.empty((len(levels),) + truth.a.shape, dtype=complex)
+    b = np.empty((len(levels),) + truth.du.shape, dtype=complex)
+    rel, cond = np.full(len(levels), np.nan), np.full(len(levels), np.nan)
+    fit_maps = build_fit_maps(sp, basis, params0, data.phat.shape[-2], list(at_tau))
+    for fm, rows in zip(fit_maps, at_tau.values()):
+        try:
+            if isinstance(fm, HarmtomoError):
+                raise fm
+            rec = apply_fit_map(fm, LinearizedData(rhat=data.rhat, phat=phat[rows]))
+        except HarmtomoError as exc:  # typed numerical failures stay in the table
+            for k in rows:
+                errors[k] = exc
+            continue
+        a[rows], b[rows], rel[rows], cond[rows] = rec.a, rec.b, rec.fit_rel_residual, fm.fit_cond
+    if pilot and errors[0] is not None:
+        raise errors[0]
+    ok = [k for k, err in enumerate(errors) if err is None]
+    err_x = dict(zip(ok, map(float, x_norm(a[ok] - truth.a, b[ok] - truth.du, basis.lambdas,
+                                              params0.omega, spec))))
+
+    def raw(k: int):
+        """The row's uncalibrated bound, cbar and ctilde."""
+        i, tau = picks[k], taus[k]
         if i is None:
             cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
         else:
             cbar, ctil = float(cbars[i]), float(ctildes[i])
-        raw = max(cbar, ctil) * (delta + (tau - tau0) * dt_norm)
-        return tau, err, raw, cbar, ctil, float(rec.fit_rel_residual)
+        return max(cbar, ctil) * (levels[k] + (tau - tau0) * dt_norm), cbar, ctil
 
     calibration = 1.0
-    if deltas[0] > 0:
-        _, err_p, raw_p, _, _, _ = one(3.0 * deltas[0], seed - 1)
-        calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
+    if pilot:
+        raw_p = raw(0)[0]
+        calibration = CALIBRATION_SAFETY * err_x[0] / raw_p if raw_p > 0 else 1.0
 
-    rows = []
-    for i, delta in enumerate(deltas):
-        try:
-            tau, err, raw, cbar, ctil, rel = one(delta, seed + i)
-            rows.append(SweepRow(delta=delta, tau=tau, error_x=err,
-                                 bound=calibration * raw, cbar=cbar, ctilde=ctil,
-                                 status="ok", fit_rel_residual=rel))
-        except HarmtomoError as exc:  # typed numerical failures stay in the table
-            rows.append(SweepRow(delta=delta, tau=float("nan"), error_x=float("nan"),
-                                 bound=float("nan"), cbar=float("nan"), ctilde=float("nan"),
-                                 status=f"failed: {type(exc).__name__}: {exc}",
-                                 fit_rel_residual=float("nan")))
-    return rows
+    out = []
+    for k in range(pilot, len(levels)):
+        if errors[k] is None:
+            bound, cbar, ctil = raw(k)
+            out.append(SweepRow(delta=levels[k], tau=taus[k], error_x=err_x[k],
+                                bound=calibration * bound, cbar=cbar, ctilde=ctil,
+                                status="ok", fit_rel_residual=float(rel[k]),
+                                fit_cond=float(cond[k])))
+        else:
+            nan, exc = float("nan"), errors[k]
+            out.append(SweepRow(delta=levels[k], tau=nan, error_x=nan, bound=nan, cbar=nan,
+                                ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}",
+                                fit_rel_residual=nan, fit_cond=nan))
+    return out

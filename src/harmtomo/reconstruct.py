@@ -14,10 +14,12 @@ state the map and its inverse read only the source pair's matrices M_m, so
 they take the `SourcePair`.
 
 Everything but the data's own terms depends on (basis, params, source pair,
-M) alone: `build_fit_map` factors it once into a `FitMap`, and
-`apply_fit_map` inverts any data set with it.  `reconstruct` is the two in
-one call; the sweep builds one map per relaxation time and applies it to
-every noise level at that time.
+M) alone: `build_fit_maps` factors it into one `FitMap` per relaxation time
+of a list, from one symbols table over the taus and one stacked SVD, and
+`apply_fit_map` inverts any data set with a map.  `build_fit_map` is the
+one-tau case and `reconstruct` that map applied in one call; the sweep
+factors all of its distinct taus at once and applies each map once, to the
+noise levels at that tau stacked.
 
 The linearized map, the fit and the state formula take leading batch axes on
 their data, (..., 2, M, J) for model residues and states and (..., J, 2) for
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import EigenBasis, synthesize
-from .errors import IllConditionedFitError, UnderdeterminedFitError, VanishingDivisorError
+from .errors import (HarmtomoError, IllConditionedFitError, UnderdeterminedFitError,
+                     VanishingDivisorError)
 from .fields import ModelParams
-from .forward import _nonresonant_symbols, observe, symbols_matrix
+from .forward import observe, resonance, symbols_matrix
 from .sources import SourcePair, invert_mtilde
 
 PHI_GUARD = 1e-6
@@ -109,8 +112,10 @@ class FitMap:
     fit_cond: float           # condition number of the design
 
 
-def build_fit_map(sp: SourcePair, basis: EigenBasis, params: ModelParams, M: int) -> FitMap:
-    """Factor the fit's design once.
+def build_fit_maps(sp: SourcePair, basis: EigenBasis, params: ModelParams, M: int,
+                   taus) -> list:
+    """Factor the fit's design at every relaxation time in taus, the other
+    model values from params, in one pass.
 
     After applying M_m^(-1) and subtracting the known model-residue part, the
     trace data are y[e, m, x] = -sum_j D[m, j] tr_j(x) a^j_e with
@@ -118,26 +123,51 @@ def build_fit_map(sp: SourcePair, basis: EigenBasis, params: ModelParams, M: int
     -D[:, j] tr_j per mode, and per trace point a smooth remainder of degree
     ANALYTIC_DEGREE in 1/o_m, o_m = i m omega.  One SVD gives both the
     condition number and the map from data to coefficients; none of it
-    reads the data.  A design with fewer rows than columns raises
-    (`check_fit_determined`), one whose condition number exceeds
-    FIT_COND_LIMIT IllConditionedFitError.
+    reads the data.
+
+    The symbols come as one (k, M, J) table over the taus and the designs
+    are factored by one stacked SVD; M_m^(-1), the remainder block and the
+    traces are built once.  Returns one entry per tau: its FitMap, or in
+    its place the typed error its design raises, UnderdeterminedFitError at
+    every tau when the design has fewer rows than columns
+    (`check_fit_determined`), ResonanceError where a symbol vanishes and
+    IllConditionedFitError where the condition number exceeds
+    FIT_COND_LIMIT.  Each map equals bit for bit the one a call with that
+    tau alone gives.
     """
     ns, J = basis.nsigma, basis.J
-    check_fit_determined(M, J, ns)
-    sym = _nonresonant_symbols(params, basis.lambdas, M)
-    D = 1.0 / sym  # (M, J)
+    try:
+        check_fit_determined(M, J, ns)
+    except UnderdeterminedFitError as exc:
+        return [exc] * len(taus)
+    sym = symbols_matrix(params, basis.lambdas, M, taus)           # (k, M, J)
+    maps = [resonance(s) for s in sym]
+    good = [t for t, err in enumerate(maps) if err is None]
+    D = 1.0 / sym[good]                                            # (g, M, J)
     mm = sp.mm[:M]
+    mm_inv = invert_mtilde(mm)
     o_m = 1j * np.arange(1, M + 1) * params.omega
     powers = (1.0 / o_m)[:, None] ** np.arange(ANALYTIC_DEGREE + 1)      # (M, deg + 1)
-    G = np.hstack([(-D[:, None, :] * basis.trace_matrix.T).reshape(M * ns, J),
-                   np.kron(powers, np.eye(ns))])                 # rows (m, x)
+    remainder = np.kron(powers, np.eye(ns))
+    G = np.empty((len(good), M * ns, J + remainder.shape[1]), dtype=complex)   # rows (m, x)
+    G[..., :J] = (-D[:, :, None, :] * basis.trace_matrix.T).reshape(len(good), M * ns, J)
+    G[..., J:] = remainder
     u, sv, vh = np.linalg.svd(G, full_matrices=False)
-    cond = float(sv[0] / sv[-1])
-    if cond > FIT_COND_LIMIT:
-        raise IllConditionedFitError(cond)
-    return FitMap(sym=sym, D=D, mm=mm, mm_inv=invert_mtilde(mm),
-                  trace_matrix=basis.trace_matrix, u=u, uh=np.conj(u).T, sv=sv,
-                  vj=np.conj(vh[:, :J]).T, fit_cond=cond)
+    for k, t in enumerate(good):
+        cond = float(sv[k, 0] / sv[k, -1])
+        maps[t] = IllConditionedFitError(cond) if cond > FIT_COND_LIMIT else FitMap(
+            sym=sym[t], D=D[k], mm=mm, mm_inv=mm_inv, trace_matrix=basis.trace_matrix,
+            u=u[k], uh=np.conj(u[k]).T, sv=sv[k], vj=np.conj(vh[k, :, :J]).T, fit_cond=cond)
+    return maps
+
+
+def build_fit_map(sp: SourcePair, basis: EigenBasis, params: ModelParams, M: int) -> FitMap:
+    """The fit's design factored once at params.tau: the one-tau case of
+    `build_fit_maps`, raising the error it reports in place of the map."""
+    fm, = build_fit_maps(sp, basis, params, M, [params.tau])
+    if isinstance(fm, HarmtomoError):
+        raise fm
+    return fm
 
 
 def fit_coefficients(fm: FitMap, phat, rhat) -> tuple[np.ndarray, np.ndarray]:

@@ -235,7 +235,8 @@ def _preset_qr_sweep(sc, out, seed, shash):
         tau0=qr["tau0"], seed=seed, tau_min=qr["tau_min"], tau_max=qr["tau_max"],
         ratio=qr["grid_ratio"], tolerance=qr["tolerance"],
     )
-    header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status", "fit_rel_residual"]
+    header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status", "fit_rel_residual",
+              "fit_cond"]
     write_table(os.path.join(out, "sweep.csv"), header,
                 [[getattr(r, k) for r in rows] for k in header], shash)
     errors = [r.error_x for r in rows if r.status == "ok"]

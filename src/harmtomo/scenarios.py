@@ -149,7 +149,8 @@ def quasirev_settings(sc: Scenario) -> dict:
 
 def noise_levels(sc: Scenario) -> list[float]:
     """The scenario's noise levels delta, largest first; at least one."""
-    deltas = sorted(map(float, sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4])), reverse=True)
+    deltas = sorted((_finite(d, "noise.delta_list entry")
+                     for d in sc.noise.get("delta_list", [1e-2, 1e-3, 1e-4])), reverse=True)
     if not deltas:
         raise ScenarioValidationError(["noise.delta_list must hold at least one level"])
     quasirev.check_noise_levels(deltas)
@@ -170,17 +171,21 @@ def make_norm_spec(sc: Scenario) -> NormSpec:
                     orti_check=_finite(sc.norms["orti_check"], "norms.orti_check"))
 
 
-def _floats(x):
-    """A JSON number or list as a float or nested tuples of floats."""
-    return tuple(map(_floats, x)) if isinstance(x, (list, tuple)) else float(x)
+def _floats(x, what: str):
+    """A JSON number or list as a float or nested tuples of floats, each
+    entry a number (`_number`); their finiteness is a DomainSpec rule."""
+    if isinstance(x, (list, tuple)):
+        return tuple(_floats(v, what) for v in x)
+    return _number(x, f"{what} entry")
 
 
 def make_domain(sc: Scenario) -> DomainSpec:
     """The domain block as a DomainSpec; sigma_points may be the string form."""
     d = sc.domain
     sig = d["sigma_points"]
-    return DomainSpec(d["kind"], _floats(d["lengths"]), _floats(d["robin_gamma"]),
-                      sig if isinstance(sig, str) else _floats(sig))
+    return DomainSpec(d["kind"], _floats(d["lengths"], "domain.lengths"),
+                      _floats(d["robin_gamma"], "domain.robin_gamma"),
+                      sig if isinstance(sig, str) else _floats(sig, "domain.sigma_points"))
 
 
 def make_basis(sc: Scenario) -> EigenBasis:
@@ -205,6 +210,14 @@ def source_settings(sc: Scenario) -> tuple[float, float, int]:
     if amplitude == 0.0:
         raise ScenarioValidationError(["source.amplitude 0 leaves both sources zero"])
     return _finite(src["pulse_width"], "source.pulse_width"), amplitude, mode
+
+
+def _number(value, what: str) -> float:
+    """A scenario entry that must be a JSON number (not a bool or a string),
+    as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioValidationError([f"{what} {value!r} must be a number"])
+    return float(value)
 
 
 def _finite(value, what: str) -> float:

@@ -108,16 +108,19 @@ from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, Eigen
                                  _gauss_nodes, _interval_wavenumbers, _secular, project,
                                  synthesize, trace_right_inverse)
 from harmtomo.errors import (ConvergenceError, HarmtomoError, IllConditionedFitError,
-                             SmoothingError, SpectrumError, VanishingDivisorError)
+                             NoiseCalibrationError, SmoothingError, SpectrumError,
+                             VanishingDivisorError)
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.forward import (_nonresonant_symbols, apply_coupling, coupling_map,
                               harmonic_product_time, model_residual, symbols_matrix)
-from harmtomo.norms import _image_terms, _lam_weight, _pole_weight, pole_table, x_norm
+from harmtomo.norms import (_image_terms, _lam_weight, _pole_weight, pole_table, x_norm,
+                           ytilde_obs_norm)
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
-from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, SmoothingResult,
-                               SweepRow, _pick_tau, _rate_core, add_noise, check_schedule,
-                               compute_cbar, compute_ctilde, tau_grid, time_derivative_norm)
+from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, NOISE_SCALE_TOL,
+                               SmoothingResult, SweepRow, _pick_tau, _rate_core,
+                               check_noise_levels, check_schedule, compute_cbar, compute_ctilde,
+                               tau_grid, time_derivative_norm)
 from harmtomo.reconstruct import (ANALYTIC_DEGREE, FIT_COND_LIMIT, LinearizedInput,
                                   ReconstructionResult, check_fit_determined, linearized_forward,
                                   solve_states_from_coeffs)
@@ -653,7 +656,7 @@ def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         header = ["delta", "tau", "error_x", "bound", "cbar", "ctilde", "status",
-                  "fit_rel_residual"]
+                  "fit_rel_residual", "fit_cond"]
         if scenario_hash:
             header.append("scenario_hash")
         w.writerow(header)
@@ -661,7 +664,7 @@ def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
             row = [format(r.delta, ".17g"), format(r.tau, ".17g"),
                    format(r.error_x, ".17g"), format(r.bound, ".17g"),
                    format(r.cbar, ".17g"), format(r.ctilde, ".17g"), r.status,
-                   format(r.fit_rel_residual, ".17g")]
+                   format(r.fit_rel_residual, ".17g"), format(r.fit_cond, ".17g")]
             if scenario_hash:
                 row.append(scenario_hash)
             w.writerow(row)
@@ -1059,14 +1062,35 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     return float(tau0 if i is None else grid[i])
 
 
+def add_noise_one(phat, delta: float, seed: int, basis: EigenBasis, s: float,
+                  omega: float) -> np.ndarray:
+    """`quasirev.add_noise` for one level, drawn, scaled and checked on its
+    own, as the sweep perturbed each level before its noise pass was batched."""
+    phat = np.asarray(phat, dtype=complex)
+    check_noise_levels([delta])
+    if delta == 0.0:
+        return phat.copy()
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal(phat.shape[:-1] + (basis.J,)) \
+        + 1j * rng.standard_normal(phat.shape[:-1] + (basis.J,))
+    noise = eps @ basis.trace_matrix
+    noise = noise * (delta / ytilde_obs_norm(noise, basis, s, omega))
+    achieved = ytilde_obs_norm(noise, basis, s, omega)
+    if not abs(achieved - delta) <= NOISE_SCALE_TOL * max(delta, 1.0):
+        raise NoiseCalibrationError(
+            f"rescaled noise has norm {achieved!r}, requested delta {delta!r}")
+    return phat + noise
+
+
 def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
                         spec: NormSpec, truth: LinearizedInput, delta_list, tau0: float,
                         seed: int, tau_min: float, tau_max: float,
                         ratio: float = 2.0**0.25, tolerance: float = 0.1) -> list:
     """`quasirev.run_sweep`'s rows with each noise level's tau chosen by
     `choose_tau`, its constants evaluated at that tau, and its inversion by
-    `fit_coefficients_dense` and the state formula per row, under the
-    same pilot calibration and noise seeds."""
+    `fit_coefficients_dense` and the state formula per row, its noise by
+    `add_noise_one`, under the same pilot calibration and noise seeds: the
+    rows as the sweep computed them before it batched its levels."""
     data = linearized_forward(sp, params0.with_tau(tau0), basis, truth)
     dt_norm = time_derivative_norm(truth.du, params0.omega, basis.lambdas, spec)
     deltas = sorted((float(d) for d in delta_list), reverse=True)
@@ -1074,31 +1098,32 @@ def sweep_rows_from_fit(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
 
     def one(delta: float, noise_seed: int):
         tau = choose_tau(delta, tau0, *consts, tau_min, tau_max, ratio, tolerance)
-        phat = add_noise(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
+        phat = add_noise_one(data.phat, delta, noise_seed, basis, spec.s, params0.omega)
         params_tau = params0.with_tau(tau)
-        a, _, rel = fit_coefficients_dense(phat, data.rhat, sp, basis, params_tau)
+        a, cond, rel = fit_coefficients_dense(phat, data.rhat, sp, basis, params_tau)
         sym = _nonresonant_symbols(params_tau, basis.lambdas, data.rhat.shape[-2])
         b = solve_states_from_coeffs(a, data.rhat, sym, sp.mm)
         err = x_norm(a - truth.a, b - truth.du, basis.lambdas, params0.omega, spec)
         cbar, ctil = compute_cbar(tau, *consts), compute_ctilde(tau, *consts)
         return (tau, err, max(cbar, ctil) * (delta + (tau - tau0) * dt_norm), cbar, ctil,
-                float(rel))
+                float(rel), cond)
 
     calibration = 1.0
     if deltas[0] > 0:
-        _, err_p, raw_p, _, _, _ = one(3.0 * deltas[0], seed - 1)
+        _, err_p, raw_p, _, _, _, _ = one(3.0 * deltas[0], seed - 1)
         calibration = CALIBRATION_SAFETY * err_p / raw_p if raw_p > 0 else 1.0
     rows = []
     for i, delta in enumerate(deltas):
         try:
-            tau, err, raw, cbar, ctil, rel = one(delta, seed + i)
+            tau, err, raw, cbar, ctil, rel, cond = one(delta, seed + i)
             rows.append(SweepRow(delta=delta, tau=tau, error_x=err, bound=calibration * raw,
-                                 cbar=cbar, ctilde=ctil, status="ok", fit_rel_residual=rel))
+                                 cbar=cbar, ctilde=ctil, status="ok", fit_rel_residual=rel,
+                                 fit_cond=cond))
         except HarmtomoError as exc:
             nan = float("nan")
             rows.append(SweepRow(delta=delta, tau=nan, error_x=nan, bound=nan, cbar=nan,
                                  ctilde=nan, status=f"failed: {type(exc).__name__}: {exc}",
-                                 fit_rel_residual=nan))
+                                 fit_rel_residual=nan, fit_cond=nan))
     return rows
 
 

@@ -138,14 +138,15 @@ CASES = {
 # A failed sweep row whose status needs csv quoting, with a -0.0 delta.
 FAILED_ROW = SweepRow(delta=-0.0, tau=math.nan, error_x=math.nan, bound=math.nan, cbar=math.nan,
                       ctilde=math.nan, status='failed: SmoothingError: level "3", then 4 rejected',
-                      fit_rel_residual=math.nan)
+                      fit_rel_residual=math.nan, fit_cond=math.nan)
 
 # Edge values the cases must reach: (file, bytes it must contain).
 EDGES = {
     "poles-tau0": ("poles.csv", b",nan,nan,nan,"),
     "roundtrip-oracle": ("reconstruction.csv", b",-0,"),
     "qr-sweep": ("sweep.csv",
-                 b'\r\n-0,nan,nan,nan,nan,nan,"failed: SmoothingError: level ""3"", then 4 rejected",nan,'),
+                 b'\r\n-0,nan,nan,nan,nan,nan,'
+                 b'"failed: SmoothingError: level ""3"", then 4 rejected",nan,nan,'),
 }
 
 

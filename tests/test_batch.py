@@ -1,6 +1,7 @@
 """Leading batch axes: a batch of draws in one call equals the stacked
 one-draw calls, and a one-draw call keeps its shapes and types."""
 
+import importlib
 import json
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 
 from harmtomo.norms import _image_terms, image_norms, pole_table, x_norm
 from harmtomo.forward import _nonresonant_symbols
-from harmtomo.reconstruct import (LinearizedInput, build_fit_map, fit_coefficients,
-                                  linearized_forward, solve_states_from_coeffs)
+from harmtomo.errors import IllConditionedFitError, ResonanceError
+from harmtomo.reconstruct import (FitMap, LinearizedInput, build_fit_map, build_fit_maps,
+                                  fit_coefficients, linearized_forward, solve_states_from_coeffs)
 from harmtomo.scenarios import load_scenario, make_basis, make_true_fields
 from conftest import random_linearized, small_scenario
 from oracles import (fit_coefficients_dense, image_pieces, image_terms, oracle_residues,
                      recover_coefficients_loop, residue_term, residues_of)
+
+rc = importlib.import_module("harmtomo.reconstruct")   # the package binds the function
 
 B = 5
 TOL = 1e-13
@@ -106,6 +110,66 @@ def test_fit_coefficients_one_svd(bundle, monkeypatch):
     assert cond == fm.fit_cond and np.array_equal(a, dense) and np.array_equal(rel, dense_rel)
     for (x, _), d in zip(fits, one):
         assert np.array_equal(x, fit_coefficients_dense(d.phat, d.rhat, *_fit_args(b))[0])
+
+
+FIT_TAUS = (0.5, 0.3, 0.2, 0.05)
+MAP_ARRAYS = ("sym", "D", "mm", "mm_inv", "trace_matrix", "u", "uh", "sv", "vj")
+
+
+def _same_map(fm, alone):
+    return fm.fit_cond == alone.fit_cond and all(
+        np.array_equal(getattr(fm, k), getattr(alone, k)) for k in MAP_ARRAYS)
+
+
+def test_fit_maps_stacked_over_taus(bundle, monkeypatch):
+    # one stacked SVD factors the design at every tau; each map equals the
+    # one built at its tau alone and fits as the dense oracle does, bit for bit
+    b = bundle
+    _, lin = _draws(b, 64)
+    data = linearized_forward(b["sp"], b["params"], b["basis"], lin)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    maps = build_fit_maps(*_fit_args(b), b["M"], FIT_TAUS)
+    assert len(calls) == 1 and len(maps) == len(FIT_TAUS)
+    for tau, fm in zip(FIT_TAUS, maps):
+        params = b["params"].with_tau(tau)
+        assert _same_map(fm, build_fit_map(b["sp"], b["basis"], params, b["M"]))
+        a, rel = fit_coefficients(fm, data.phat, data.rhat)
+        dense, cond, dense_rel = fit_coefficients_dense(data.phat, data.rhat, b["sp"],
+                                                        b["basis"], params)
+        assert cond == fm.fit_cond and np.array_equal(a, dense) and np.array_equal(rel, dense_rel)
+
+
+def test_fit_maps_fail_per_tau(setup_small, monkeypatch):
+    # a tau whose symbol vanishes or whose design is too ill conditioned gets
+    # its typed error in place of a map, and the other taus their maps; the
+    # one-tau builder raises that error
+    b = setup_small
+    args = (b["sp"], b["basis"], b["params"], b["M"])
+    conds = [fm.fit_cond for fm in build_fit_maps(*args, FIT_TAUS)]
+    monkeypatch.setattr(rc, "FIT_COND_LIMIT", (conds[1] + conds[2]) / 2)
+    high = 1 if conds[1] > conds[2] else 2
+    table = rc.symbols_matrix
+
+    def resonant_at_last(params, lambdas, M, taus=None):
+        sym = table(params, lambdas, M, taus)
+        if taus is not None:
+            sym[np.asarray(taus) == FIT_TAUS[-1], 2, 3] = 0.0
+        return sym
+
+    monkeypatch.setattr(rc, "symbols_matrix", resonant_at_last)
+    maps = build_fit_maps(*args, FIT_TAUS)
+    assert isinstance(maps[-1], ResonanceError) and (maps[-1].m, maps[-1].j) == (3, 3)
+    assert isinstance(maps[high], IllConditionedFitError)
+    assert maps[high].cond == conds[high]
+    for k in {0, 1, 2} - {high}:
+        assert isinstance(maps[k], FitMap)
+        assert _same_map(maps[k], build_fit_map(*args[:2], b["params"].with_tau(FIT_TAUS[k]),
+                                                b["M"]))
+    with pytest.raises(IllConditionedFitError):
+        build_fit_map(*args[:2], b["params"].with_tau(FIT_TAUS[high]), b["M"])
+    with pytest.raises(ResonanceError):
+        build_fit_map(*args[:2], b["params"].with_tau(FIT_TAUS[-1]), b["M"])
 
 
 def test_recover_coefficients_and_states(bundle):

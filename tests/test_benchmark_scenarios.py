@@ -117,3 +117,33 @@ def test_stability_op_matches_oracle_path(seed, tmp_path):
     kp, km, k0 = interp_kernels(pole_set.poles[pole_set.ok], 2 * sp.M, params.omega, params.T)
     cond = np.linalg.cond(mtilde_from_kernels(sp, kp, km, k0))
     assert manifest["max_mtilde_cond"] == float(np.max(cond))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_qr_sweep_op_batched_passes(seed, tmp_path, monkeypatch):
+    # the ladder's qr-sweep op (the shipped sweep) computes its pilot and its
+    # three levels in batched passes: one stacked SVD over its three distinct
+    # taus, one fit per tau, and two observation-norm passes (scale and check)
+    # for the whole noise draw; counts that bound its cost without a clock
+    counts = dict.fromkeys(("svd", "fit", "ytilde"), 0)
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    rc = importlib.import_module("harmtomo.reconstruct")
+    qr = importlib.import_module("harmtomo.quasirev")
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(rc, "fit_coefficients", counting("fit", rc.fit_coefficients))
+    monkeypatch.setattr(qr, "ytilde_obs_norm", counting("ytilde", qr.ytilde_obs_norm))
+    op, = (op for op in workloads.WORKLOADS["inversion-ladder"](np.random.default_rng(0))
+           if op["preset"] == "qr-sweep")
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op))
+    run_preset(load_scenario(path), out_dir=str(tmp_path / "out"), seed=seed)
+    with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+        taus = {r["tau"] for r in csv.DictReader(f)}
+    assert len(taus) == 3   # three levels at three taus; the pilot takes the first one's
+    assert counts == {"svd": 1, "fit": 3, "ytilde": 2}

@@ -195,6 +195,19 @@ class TestYtilde:
         v2 = ytilde_obs_norm(5.0 * phat, basis8, 1.0, 1.0)
         assert v2 == pytest.approx(5.0 * v1, rel=1e-12)
 
+    def test_batch_axes_one_value_per_data_set(self, basis8):
+        # leading axes are data sets: each value equals the one-set call bit for
+        # bit, and a one-source (M, ns) array is one data set
+        rng = np.random.default_rng(11)
+        shape = (3, 4, 2, 6, basis8.nsigma)
+        phat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = ytilde_obs_norm(phat, basis8, 1.0, 0.5)
+        assert vals.shape == (3, 4)
+        for k in np.ndindex(3, 4):
+            one = ytilde_obs_norm(phat[k], basis8, 1.0, 0.5)
+            assert isinstance(one, float) and vals[k] == one
+            assert one == max(ytilde_obs_norm(phat[k][e], basis8, 1.0, 0.5) for e in range(2))
+
     def test_vanishing_trace_raises_rank_error(self):
         # Neumann modes cos(j x) at x = pi/2: the odd ones have roundoff-level traces
         from harmtomo import DomainSpec, add_noise, build_basis

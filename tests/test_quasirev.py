@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,9 @@ from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_
                                 make_reference, make_true_fields, noise_levels,
                                 quasirev_settings, target_cutoff)
 from conftest import SCENARIOS, random_linearized
-from oracles import (TauConstants, choose_tau, choose_tau_loop, rate_constants_scalar,
-                     smooth_data_loop, smoothing_gain, smoothing_gains_loop,
-                     sweep_rows_from_fit)
+from oracles import (TauConstants, add_noise_one, choose_tau, choose_tau_loop,
+                     rate_constants_scalar, smooth_data_loop, smoothing_gain,
+                     smoothing_gains_loop, sweep_rows_from_fit)
 
 GOLDEN = (1 + 5**0.5) / 2
 T = 2 * np.pi
@@ -121,9 +124,34 @@ class TestNoise:
         import harmtomo.quasirev as qr
 
         norms = iter([1.0, 2.0])  # draw norm, then a rescaled norm that misses delta
-        monkeypatch.setattr(qr, "ytilde_obs_norm", lambda *args: next(norms))
+        # one value per data set, as the batched norm gives
+        monkeypatch.setattr(qr, "ytilde_obs_norm",
+                            lambda noise, *args: np.full(noise.shape[0], next(norms)))
         with pytest.raises(NoiseCalibrationError):
             add_noise(np.zeros((2, 6, 1), dtype=complex), 1e-3, 1, basis8, 1.0, 1.0)
+
+
+    @pytest.mark.parametrize("shape", [(2, 6, 1), (6, 1)], ids=["pair", "one-source"])
+    def test_noise_pass_equals_one_level_draws(self, basis8, shape):
+        # one pass over the levels gives each the bits of its own draw, scale
+        # and check; a noiseless level is the data, a bad level its error
+        from harmtomo.quasirev import _noisy_rows
+
+        rng = np.random.default_rng(3)
+        phat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        deltas, seeds = [3e-2, 1e-2, 0.0, 1e-4, -1.0, 1e-3], [4, 5, 6, 7, 8, 9]
+        noisy, errors = _noisy_rows(phat, deltas, seeds, basis8, 1.0, 1.0)
+        assert noisy.shape == (len(deltas),) + shape
+        for k, (delta, seed) in enumerate(zip(deltas, seeds)):
+            if delta < 0:
+                assert isinstance(errors[k], NoiseCalibrationError)
+                with pytest.raises(NoiseCalibrationError, match=re.escape(str(errors[k]))):
+                    add_noise_one(phat, delta, seed, basis8, 1.0, 1.0)
+            else:
+                assert errors[k] is None
+                assert np.array_equal(noisy[k], add_noise_one(phat, delta, seed, basis8, 1.0, 1.0))
+                assert np.array_equal(noisy[k], add_noise(phat, delta, seed, basis8, 1.0, 1.0))
+        assert np.array_equal(noisy[2], phat)
 
 
 def four_side_rectangle(J=12):
@@ -304,6 +332,34 @@ class TestSchedule:
         assert g[0] == pytest.approx(0.1) and g[-1] == pytest.approx(0.5)
         assert np.all(np.diff(g) > 0)
 
+    @pytest.mark.parametrize("tau0, tau_min, tau_max, ratio", [
+        (0.0, 0.1, 1.0, 10**0.5), (0.0, 0.1, 0.5, 2.0**0.25), (0.0, 0.1, 0.5, 1.189207115002721)])
+    def test_tau_grid_stays_below_tau_max(self, tau0, tau_min, tau_max, ratio):
+        # lo * ratio**(n - 1) can round one ulp above tau_max (0.1 sqrt(10)^2 =
+        # 1.0000000000000002); the grid takes tau_max there, and elsewhere the
+        # geometric entries as they are
+        g = tau_grid(tau0, tau_min, tau_max, ratio)
+        lo = tau0 + tau_min
+        geometric = lo * ratio ** np.arange(g.size)
+        assert g[-1] == tau_max and np.all(np.diff(g) > 0)
+        assert np.array_equal(g[:-1], geometric[:-1])
+        assert g[-1] == min(geometric[-1], tau_max) or geometric[-1] < tau_max * (1 - 1e-12)
+
+    def test_tau_grid_never_overshoots(self):
+        # over a spread of schedules, several of which round the top entry
+        # above tau_max, no grid leaves [tau0 + tau_min, tau_max]; a top entry
+        # within 1e-12 below tau_max stands for it
+        over = 0
+        for tau_min in (0.01, 0.05, 0.1, 0.2, 0.3):
+            for tau_max in (0.5, 0.7, 0.9, 1.0):
+                for steps in range(1, 9):
+                    ratio = (tau_max / tau_min) ** (1.0 / steps)
+                    over += tau_min * ratio ** steps > tau_max
+                    g = tau_grid(0.0, tau_min, tau_max, ratio)
+                    assert g[0] == tau_min and g.size == steps + 1
+                    assert tau_max * (1 - 1e-12) <= g[-1] <= tau_max
+        assert over > 0
+
 
 def sweep_setup(tau0, seed=3):
     from harmtomo import amplitude_modulate, design_delta_pulse
@@ -368,7 +424,7 @@ class TestSweep:
         args = (basis, sp, params, spec, truth, deltas)
         kw = dict(tau0=tau0, seed=seed, tau_min=tau_min, tau_max=0.5, **SCHEDULE)
         fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "fit_rel_residual",
-                  "status")
+                  "fit_cond", "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
                     for r in sweep_rows_from_fit(*args, **kw)]
@@ -387,7 +443,7 @@ class TestSweep:
         kw = dict(tau0=qr["tau0"], seed=sc.seed, tau_min=qr["tau_min"],
                   tau_max=qr["tau_max"], ratio=qr["grid_ratio"], tolerance=qr["tolerance"])
         fields = ("delta", "tau", "error_x", "bound", "cbar", "ctilde", "fit_rel_residual",
-                  "status")
+                  "fit_cond", "status")
         rows = [tuple(getattr(r, f) for f in fields) for r in run_sweep(*args, **kw)]
         expected = [tuple(getattr(r, f) for f in fields)
                     for r in sweep_rows_from_fit(*args, **kw)]
@@ -395,18 +451,20 @@ class TestSweep:
         assert rows == expected
 
     def test_shipped_sweep_factors_once_per_tau(self, monkeypatch, tmp_path):
-        # the pilot and the delta 1e-2 row share tau 0.5: four fits, three
-        # factored designs
+        # the pilot and the delta 1e-2 row share tau 0.5: four levels, three
+        # distinct taus factored in one stacked pass, one fit per tau
         from harmtomo import quasirev
 
-        build, apply = quasirev.build_fit_map, quasirev.apply_fit_map
+        build, apply = quasirev.build_fit_maps, quasirev.apply_fit_map
         built, applied = [], []
-        monkeypatch.setattr(quasirev, "build_fit_map",
-                            lambda *a: built.append(a[2].tau) or build(*a))
-        monkeypatch.setattr(quasirev, "apply_fit_map", lambda *a: applied.append(1) or apply(*a))
+        monkeypatch.setattr(quasirev, "build_fit_maps",
+                            lambda *a: built.append(list(a[4])) or build(*a))
+        monkeypatch.setattr(quasirev, "apply_fit_map",
+                            lambda fm, data: applied.append(data.phat.shape[0]) or apply(fm, data))
         run_preset(load_scenario(SCENARIOS / "qr_sweep.json"), out_dir=str(tmp_path))
-        assert len(applied) == 4
-        assert len(built) == len(set(built)) == 3
+        assert len(built) == 1
+        assert len(built[0]) == len(set(built[0])) == 3
+        assert applied == [2, 1, 1]
 
     def test_invalid_schedule_raises_before_any_row(self):
         # tau0 = 0 needs orti_check < 1, and the tolerance must be positive: a
@@ -421,33 +479,51 @@ class TestSweep:
                           tau_min=0.1, tau_max=0.5, ratio=2.0**0.25, tolerance=tolerance)
 
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
+        # the pilot (3e-2) and the 1e-2 row share tau 0.5; 1e-3 and 1e-4 each
+        # have their own tau.  A typed failure at a tau fails the rows there,
+        # at the pilot's tau it raises, and an untyped one propagates
         import harmtomo.quasirev as qr
 
         basis, spec, params, sp, truth = sweep_setup(0.0)
-        invert = qr.apply_fit_map
+        invert, build = qr.apply_fit_map, qr.build_fit_maps
+        run = partial(run_sweep, basis, sp, params, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
+                      seed=5, tau_min=0.1, tau_max=0.5, **SCHEDULE)
 
-        def after_pilot(exc):
-            # the pilot level's inversion runs, every row's raises exc
+        def after_pilot(exc, first=1):
+            # the fits at the first `first` taus (the pilot's first) run, the others raise exc
             calls = []
 
             def patched(*args, **kwargs):
                 calls.append(1)
-                if len(calls) == 1:
+                if len(calls) <= first:
                     return invert(*args, **kwargs)
                 raise exc
             return patched
 
         monkeypatch.setattr(qr, "apply_fit_map", after_pilot(IllConditionedFitError(3e12)))
-        rows = run_sweep(basis, sp, params, spec, truth, [1e-2, 1e-3], tau0=0.0, seed=5,
-                         tau_min=0.1, tau_max=0.5, **SCHEDULE)
-        assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows)
-        assert len(rows) == 2 and all(np.isnan(r.error_x) for r in rows)
+        rows = run()
+        assert len(rows) == 3 and rows[0].status == "ok" and rows[0].tau == 0.5
+        assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows[1:])
+        assert all(np.isnan(r.error_x) and np.isnan(r.fit_cond) for r in rows[1:])
+
+        monkeypatch.setattr(qr, "apply_fit_map", after_pilot(IllConditionedFitError(3e12), 0))
+        with pytest.raises(IllConditionedFitError):
+            run()
 
         monkeypatch.setattr(qr, "apply_fit_map",
                             after_pilot(KeyError("not a numerical failure")))
         with pytest.raises(KeyError):
-            run_sweep(basis, sp, params, spec, truth, [1e-2], tau0=0.0, seed=5,
-                      tau_min=0.1, tau_max=0.5, **SCHEDULE)
+            run()
+
+        # a tau whose design the stacked factorization rejects fails its row alone
+        monkeypatch.setattr(qr, "apply_fit_map", invert)
+        monkeypatch.setattr(qr, "build_fit_maps", lambda *a: [
+            IllConditionedFitError(5e12) if k == 2 else fm for k, fm in enumerate(build(*a))])
+        rows = run()
+        assert [r.status for r in rows[:2]] == ["ok", "ok"]
+        assert rows[2].status == "failed: IllConditionedFitError: " + str(
+            IllConditionedFitError(5e12))
+        assert np.isnan(rows[2].error_x) and np.isnan(rows[2].fit_cond)
 
 
 def test_time_derivative_norm(basis8, spec_std):

@@ -160,6 +160,17 @@ class TestValidate:
         (QR, "quasirev.tolerance", -1, "quasirev schedule: tolerance -1.0 must be positive"),
         (QR, "quasirev.tolerance", math.nan, "quasirev.tolerance nan must be a finite number"),
         (QR, "quasirev.tau_max", True, "quasirev.tau_max True must be a finite number"),
+        (QR, "noise.delta_list", [True, "1e-3", 1e-4],
+         "noise.delta_list entry True must be a finite number"),
+        (QR, "noise.delta_list", [1e-2, "1e-3"],
+         "noise.delta_list entry '1e-3' must be a finite number"),
+        (QR, "noise.delta_list", [math.inf], "noise.delta_list entry inf must be a finite number"),
+        (ROUNDTRIP, "domain.robin_gamma", [True, "1.0"],
+         "domain.robin_gamma entry True must be a number"),
+        (ROUNDTRIP, "domain.lengths", ["3.14159"], "domain.lengths entry '3.14159' must be a number"),
+        (QR, "domain.sigma_points", [True], "domain.sigma_points entry True must be a number"),
+        (SMOOTH, "domain.robin_gamma", [[1.0, 1.0], [1.0, "x"]],
+         "domain.robin_gamma entry 'x' must be a number"),
     ], ids=["tau0-negative", "tau_min-empty-grid", "tau_min-zero", "ratio-one", "ratio-below-one",
             "delta-negative", "cutoff-above-J", "truth-kind", "pulse_width-missing",
             "phi_mode-missing", "draws-not-int", "phi_mode-not-int", "target_cutoff-not-int",
@@ -173,7 +184,8 @@ class TestValidate:
             "pulse_width-bool", "qr-no-levels",
             "smoothing-no-levels", "probe-no-draws", "norms-s-inf", "norms-s-bool",
             "orti_check-inf", "orti_check-bool", "tolerance-string", "tolerance-negative",
-            "tolerance-nan", "tau_max-bool"])
+            "tolerance-nan", "tau_max-bool", "delta-bool", "delta-string", "delta-inf",
+            "gamma-bool", "length-string", "sigma-bool", "rectangle-gamma-string"])
     def test_validate_and_run_agree(self, tmp_path, capsys, base, key, value, message):
         # one-key edits of the shipped scenarios that the run rejects: validate
         # must name the same rule, and both commands fail the same typed way
@@ -353,13 +365,34 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["all_ok"] and manifest["errors_decreasing"]
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("delta,tau,error_x,bound,cbar,ctilde,status,fit_rel_residual")
+        assert lines[0].startswith(
+            "delta,tau,error_x,bound,cbar,ctilde,status,fit_rel_residual,fit_cond,")
         assert len(lines) == 4
         # data at tau 0, fits at tau >= 0.1: the residual reads 1.6e-5, 1.3e-6
         # and 1.8e-7 down the noise levels, far above roundoff
         with open(out / "sweep.csv", newline="") as f:
             rel = [float(r["fit_rel_residual"]) for r in csv.DictReader(f)]
         assert all(1e-7 <= x <= 1e-4 for x in rel) and rel[0] > rel[1] > rel[2]
+        # each row's fit design is factored at its own tau; the condition
+        # numbers read 1.7e3, 1.9e3 and 2.3e3, growing as tau falls
+        with open(out / "sweep.csv", newline="") as f:
+            cond = [float(r["fit_cond"]) for r in csv.DictReader(f)]
+        assert all(1e3 <= c <= 1e4 for c in cond) and cond[0] < cond[1] < cond[2]
+
+    def test_qr_sweep_with_tau_max_at_sigma0_beta(self, tmp_path, capsys):
+        # tau_max = sigma0 beta = 1 is admissible; with grid ratio sqrt(10) the
+        # geometric top 0.1 sqrt(10)^2 rounds to 1.0000000000000002, which the
+        # grid must not reach
+        ok = _write_variant(tmp_path, QR, **{"quasirev.tau_max": 1.0,
+                                              "quasirev.grid_ratio": 10**0.5})
+        assert main(["validate", str(ok)]) == 0
+        out = tmp_path / "o"
+        assert main(["run", str(ok), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+        assert all(0.1 <= float(r["tau"]) <= 1.0 for r in rows)
 
     def test_qr_sweep_manifest_agrees_with_rows(self, tmp_path):
         # several of these seeds put sweep rows above the calibrated bound
