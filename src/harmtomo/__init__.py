@@ -13,7 +13,6 @@ from .reconstruct import (LinearizedData, LinearizedInput, ReconstructionResult,
                           solve_states_from_coeffs)
 from .sources import SourcePair, amplitude_modulate, design_delta_pulse, invert_mtilde
 from .norms import bochner_norm, image_norms, pole_table, rho_t, x_norm, ytilde_obs_norm
-from .quasirev import (add_noise, compute_cbar, compute_ctilde, run_sweep, smooth_data,
-                       smoothing_gains)
+from .quasirev import compute_cbar, compute_ctilde, run_sweep, smooth_data, smoothing_gains
 
 __version__ = "0.1.0"

@@ -122,94 +122,59 @@ class EigenBasis:
 
 # ---------------------------------------------------------------------------
 # 1D Robin modes on [0, L]:  -phi'' = lam * phi,  -phi'(0) + g0 phi(0) = 0,
-# phi'(L) + g1 phi(L) = 0.  Wavenumbers solve the secular equation
-# (g0 + g1) k cos(kL) + (g0 g1 - k^2) sin(kL) = 0.
+# phi'(L) + g1 phi(L) = 0.  For g0 + g1 > 0 the wavenumbers solve the phase
+# form of the secular equation,
+#     k L = theta(k) + j pi,   theta(k) = atan2((g0 + g1) k, k^2 - g0 g1),
+# where theta = atan(g0/k) + atan(g1/k) lies in (0, pi) for k > 0 and is
+# convex and decreasing.  So f(k) = k L - theta(k) - j pi is concave with
+# slope L + (g0 + g1)(k^2 + g0 g1) / ((k^2 - g0 g1)^2 + (g0 + g1)^2 k^2) >= L,
+# root j is the only one in the bracket (j pi / L, (j + 1) pi / L), and
+# Newton's method, after at most one step from the right, climbs to it from
+# the left without leaving the bracket but for rounding.  Neumann ends on
+# both sides (g0 = g1 = 0) give k = j pi / L in closed form.
 # ---------------------------------------------------------------------------
 
-
-def _secular(k, L, g0, g1):
-    return (g0 + g1) * k * np.cos(k * L) + (g0 * g1 - k * k) * np.sin(k * L)
-
-
-def _secular_at(k: float, L: float, g0: float, g1: float) -> float:
-    """_secular at one float through math.cos and math.sin, without numpy's
-    per-call overhead.  The roots must equal those polished with _secular,
-    which holds where numpy's float64 cos and sin are libm's bit for bit;
-    test_wavenumber_scan_matches_loop checks it."""
-    return (g0 + g1) * k * math.cos(k * L) + (g0 * g1 - k * k) * math.sin(k * L)
+ROBIN_MAXITER = 100        # Newton iterations per wavenumber before SpectrumError
+ROBIN_RTOL = 4.5e-16       # a wavenumber has converged once its step is at most this, relative
+PI_TAIL = 1.2246467991473532e-16   # pi - np.pi, rounded to a double
 
 
-def _brentq(f, xa, xb, args, xtol, rtol, maxiter=100):
-    """Root of f(x, *args) in [xa, xb] by Brent's method.
+def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
+    """First `count` nonnegative wavenumbers, all solved at once.
 
-    Takes the steps of scipy.optimize.brentq (its brentq.c) one for one, in
-    Python floats, so both return the same root; an in-package copy keeps
-    scipy out of the import graph.  Raises SpectrumError if f is nan or has
-    one sign at both ends, or if maxiter steps do not converge.
-    """
-    def call(x):
-        fx = float(f(x, *args))
-        if fx != fx:
-            raise SpectrumError(f"secular function is nan at k={x!r}")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SpectrumError(f"no sign change of the secular function on [{xa!r}, {xb!r}]")
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):  # true on the first pass
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise SpectrumError(f"Robin wavenumber on [{xa!r}, {xb!r}] not converged in {maxiter} steps")
-
-
-def _interval_wavenumbers(L, g0, g1, count, scan_density=64):
-    """First `count` nonnegative wavenumbers: sign changes of the secular
-    function on a scan grid bracket the roots, and Brent's method (`_brentq`)
-    polishes each to xtol 1e-12."""
+    Each root starts at (j pi + theta(midpoint)) / L, inside its bracket, and
+    takes Newton steps on f, evaluated as (k L - j np.pi) - (theta + j PI_TAIL):
+    the first difference is exact, its terms being within a factor 2 of each
+    other, and PI_TAIL carries the part of pi that np.pi rounds off.  The
+    bracket shrinks to the last iterate on each side of the root, and a step
+    that would leave it bisects instead, so iterates stay strictly inside,
+    off k = 0, where the slope is 0/0 when g0 g1 = 0.  A root stops once its
+    step is at most ROBIN_RTOL of it, and keeps its value while the others go
+    on, so it takes the same steps in any company; one not stopped after
+    ROBIN_MAXITER steps raises SpectrumError."""
+    j = np.arange(count)
     if g0 == 0.0 and g1 == 0.0:
-        return [j * np.pi / L for j in range(count)]
-    kmax = (count + 3) * np.pi / L
-    grid = np.linspace(1e-12, kmax, int(scan_density * (count + 3)) + 1)
-    vals = _secular(grid, L, g0, g1)
-    fa, fb = vals[:-1], vals[1:]
-    brackets = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))[:count]
-    if brackets.size < count:
-        raise SpectrumError(
-            f"found only {brackets.size} of {count} Robin wavenumbers up to k={kmax:.3g}; "
-            "root scan too coarse or truncation too large"
-        )
-    return [float(grid[i]) if fa[i] == 0.0
-            else _brentq(_secular_at, grid[i], grid[i + 1], (L, g0, g1), xtol=1e-12, rtol=8.9e-16)
-            for i in brackets]
+        return j * np.pi / L
+    s, p = g0 + g1, g0 * g1
+    jpi, lo, hi = j * np.pi, j * np.pi / L, (j + 1) * np.pi / L
+    mid = (j + 0.5) * np.pi / L
+    k = (jpi + np.arctan2(s * mid, mid * mid - p)) / L
+    done = np.zeros(count, dtype=bool)
+    for _ in range(ROBIN_MAXITER):
+        kk, q = k * k, s * k
+        d = kk - p
+        f = (k * L - jpi) - (np.arctan2(q, d) + j * PI_TAIL)
+        lo = np.where(f < 0.0, k, lo)
+        hi = np.where(f > 0.0, k, hi)
+        newton = k - f / (L + s * (kk + p) / (d * d + q * q))
+        stop = np.abs(newton - k) <= ROBIN_RTOL * newton
+        step = np.where(stop | ((lo < newton) & (newton < hi)), newton, 0.5 * (lo + hi))
+        k = np.where(done, k, step)
+        done |= stop
+        if done.all():
+            return k
+    raise SpectrumError(f"Robin wavenumbers {j[~done].tolist()} on [0, {L!r}] with gamma "
+                        f"({g0!r}, {g1!r}) not converged in {ROBIN_MAXITER} Newton steps")
 
 
 def _robin_modes(L, gamma, count):
@@ -219,7 +184,7 @@ def _robin_modes(L, gamma, count):
     sin(kL)^2 goes through np.float_power, libm's pow, as a float `**` does;
     an array's `** 2` squares by x * x, which can differ in the last bit."""
     g0, g1 = gamma
-    k = np.array(_interval_wavenumbers(L, g0, g1, count))
+    k = _interval_wavenumbers(L, g0, g1, count)
     pos = k != 0.0
     kp = k[pos]
     ap = g0 / kp

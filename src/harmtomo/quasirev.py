@@ -129,17 +129,6 @@ def _noisy_rows(phat, deltas, seeds, basis: EigenBasis, s: float,
     return noisy, errors
 
 
-def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
-              omega: float) -> np.ndarray:
-    """Trace data perturbed by exactly delta in the lifted observation norm,
-    with noise drawn from default_rng(seed): the one-level case of the
-    sweep's noise pass, raising its NoiseCalibrationError."""
-    (noisy,), (err,) = _noisy_rows(phat, [delta], [seed], basis, s, omega)
-    if err is not None:
-        raise err
-    return noisy
-
-
 # ---------------------------------------------------------------------------
 # Data smoothing by least squares over nested spectral subspaces
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ class ReconstructionResult:
     fit_rel_residual: np.ndarray  # (...) ||y - U U^H y|| / ||y|| of the fitted data
 
 
+def _pair_product(mm, a) -> np.ndarray:
+    """M_m a^j (..., 2, M, J) for the source matrices mm (M, 2, 2) and the
+    coefficient pairs a (..., J, 2): the sum of its two broadcast terms."""
+    t = mm.transpose(1, 0, 2)[..., None]                     # (e, m, q, 1)
+    return t[:, :, 0] * a[..., None, None, :, 0] + t[:, :, 1] * a[..., None, None, :, 1]
+
+
 def linearized_forward(sp: SourcePair, params: ModelParams, basis: EigenBasis,
                        lin: LinearizedInput) -> LinearizedData:
     """Apply the derivative of the forward map at the reference state:
@@ -77,7 +84,7 @@ def linearized_forward(sp: SourcePair, params: ModelParams, basis: EigenBasis,
     sym = symbols_matrix(params, basis.lambdas, M)
     mm = sp.mm[:M]
     rhat = sym * du
-    rhat += np.einsum("meq,...jq->...emj", mm, lin.a, order="C")
+    rhat += _pair_product(mm, lin.a)
     phat = observe(basis, du)
     return LinearizedData(rhat=rhat, phat=phat)
 
@@ -197,7 +204,7 @@ def solve_states_from_coeffs(a, rhat, sym, mm) -> np.ndarray:
     """
     rhat = np.asarray(rhat, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    return (rhat - np.einsum("meq,...jq->...emj", mm, a, order="C")) / sym
+    return (rhat - _pair_product(mm, a)) / sym
 
 
 def assemble_fields(basis: EigenBasis, a, phi_grid, guard: float = PHI_GUARD):

@@ -42,19 +42,18 @@ def _sym_kernel(z, w: float):
     zs = z[small] * w
     out[small] = 2.0 * w * (1.0 + zs**2 / 6.0 + zs**4 / 120.0)
     out[~small] = 2.0 * np.sinh(z[~small] * w) / z[~small]
-    return out if out.shape else complex(out)
+    return out
 
 
 def hann_transform(o, width: float):
     """integral_{-w}^{w} (1 + cos(pi s / w))/2 * exp(-o s) ds for complex o,
     assembled from three shifted symmetric kernels so every removable point
-    stays well conditioned."""
+    stays well conditioned; one kernel pass takes the points and both shifts
+    stacked."""
     o = np.asarray(o, dtype=complex)
     a = np.pi / width
-    val = (0.5 * _sym_kernel(o, width)
-           + 0.25 * _sym_kernel(o - 1j * a, width)
-           + 0.25 * _sym_kernel(o + 1j * a, width))
-    return val
+    k0, km, kp = _sym_kernel(np.stack([o, o - 1j * a, o + 1j * a]), width)
+    return 0.5 * k0 + 0.25 * km + 0.25 * kp
 
 
 def check_pulse_support(width: float, T0: float, T: float) -> None:

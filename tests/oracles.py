@@ -46,6 +46,10 @@ term projected on its own and B_m from the harmonic-pair loop; the package
 applies one coupling map that runs the time transforms on the coefficient
 columns (`forward.nonlinear_model`, `forward.apply_coupling`).
 
+The source matrices on the coefficient pairs: M_m a^j by one einsum
+(`pair_product_einsum`); the package sums its two broadcast terms
+(`reconstruct._pair_product`), equal value for value on real pairs.
+
 The multiharmonic solve: the plain damped sweep for one drive
 (`solve_multiharmonic_loop`), u <- (1 - d) u + d (r - coupling(u)) / symbol
 with the whole coupling re-evaluated every sweep; the package solves a
@@ -58,8 +62,10 @@ per-value loop and an optional scenario-hash column; the package writes every
 table through `runner.write_table`, and its files must match these byte for
 byte.
 
-The Robin wavenumber scan: the bracket-by-bracket loop the package's masked
-scan (`eigenbasis._interval_wavenumbers`) must match exactly.
+The Robin wavenumbers: the safeguarded Newton iteration on the phase form
+run one root at a time in floats (`interval_wavenumbers_loop`); the package
+runs it on all roots at once (`eigenbasis._interval_wavenumbers`), and the
+roots must match exactly.
 
 The eigenbasis: one `Mode1D` object per 1D mode, evaluated one mode at a
 time, and the rectangle's J x J (lambda, i, j) tuples sorted by lambda
@@ -79,6 +85,10 @@ evaluated and the fit and the state formula written out per noise level
 (`sweep_rows_from_fit`); the package evaluates the constants on arrays,
 scores the grid once per sweep and inverts each row with the fit map of its
 tau, factored once per tau, and all must match these exactly.
+
+The noise: `add_noise`, the one-level case of the sweep's noise pass
+(`quasirev._noisy_rows`), and `add_noise_one`, that level drawn, scaled and
+checked on its own; the pass must give every level the same bits as both.
 
 The data smoothing: the gain of each level by its own Cholesky reduction
 (`smoothing_gain`, `smoothing_gains_loop`) and one least-squares fit per
@@ -102,11 +112,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, DomainSpec, EigenBasis,
-                                 _gauss_nodes, _interval_wavenumbers, _secular, project,
-                                 synthesize, trace_right_inverse)
+from harmtomo.eigenbasis import (MIN_QUAD_NODES, OVERSAMPLING, PI_TAIL, ROBIN_MAXITER,
+                                 ROBIN_RTOL, DomainSpec, EigenBasis, _gauss_nodes,
+                                 _interval_wavenumbers, project, synthesize,
+                                 trace_right_inverse)
 from harmtomo.errors import (ConvergenceError, HarmtomoError, IllConditionedFitError,
                              NoiseCalibrationError, SmoothingError, SpectrumError,
                              VanishingDivisorError)
@@ -118,7 +128,7 @@ from harmtomo.norms import (_image_terms, _lam_weight, _pole_weight, pole_table,
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
 from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, NOISE_SCALE_TOL,
-                               SmoothingResult, SweepRow, _pick_tau, _rate_core,
+                               SmoothingResult, SweepRow, _noisy_rows, _pick_tau, _rate_core,
                                check_noise_levels, check_schedule, compute_cbar, compute_ctilde,
                                tau_grid, time_derivative_norm)
 from harmtomo.reconstruct import (ANALYTIC_DEGREE, FIT_COND_LIMIT, LinearizedInput,
@@ -713,6 +723,12 @@ def solve_multiharmonic_loop(params: ModelParams, basis: EigenBasis, sigma, eta,
     raise ConvergenceError(f"stalled: max residual {np.max(res):.3e} > tol {tol:.1e}")
 
 
+def pair_product_einsum(mm, a) -> np.ndarray:
+    """M_m a^j (..., 2, M, J) for the source matrices mm (M, 2, 2) and the
+    coefficient pairs a (..., J, 2), by one einsum over the pair index."""
+    return np.einsum("meq,...jq->...emj", mm, a, order="C")
+
+
 def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -> np.ndarray:
     """L_m(sigma) u_m + eta B_m(u, u), projecting the slowness and the eta
     terms separately and taking B_m from the harmonic-pair loop."""
@@ -721,23 +737,36 @@ def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -
             + coupling_ref(params, basis, sigma, eta, uc))
 
 
-def interval_wavenumbers_loop(L, g0, g1, count, scan_density=64):
-    """First `count` nonnegative Robin wavenumbers, scanning the brackets one
-    at a time and stopping at the count-th root."""
-    ks = []
+def interval_wavenumbers_loop(L, g0, g1, count):
+    """First `count` nonnegative Robin wavenumbers, one root at a time: from
+    (j pi + theta(midpoint)) / L, Newton steps on k L - theta(k) - j pi with
+    theta(k) = atan2((g0 + g1) k, k^2 - g0 g1), each in floats, the bracket
+    (j pi / L, (j + 1) pi / L) shrunk to the last iterate on each side and a
+    step that would leave it replaced by its midpoint; j pi enters as
+    j np.pi plus j PI_TAIL."""
     if g0 == 0.0 and g1 == 0.0:
         return [j * np.pi / L for j in range(count)]
-    kmax = (count + 3) * np.pi / L
-    grid = np.linspace(1e-12, kmax, int(scan_density * (count + 3)) + 1)
-    vals = _secular(grid, L, g0, g1)
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            ks.append(float(a))
-        elif fa * fb < 0.0:
-            ks.append(brentq(_secular, a, b, args=(L, g0, g1), xtol=1e-12, rtol=8.9e-16))
-        if len(ks) >= count:
-            return ks[:count]
-    raise SpectrumError(f"found only {len(ks)} of {count} Robin wavenumbers up to k={kmax:.3g}")
+    s, p = g0 + g1, g0 * g1
+    ks = []
+    for j in range(count):
+        lo, hi = j * np.pi / L, (j + 1) * np.pi / L
+        mid = (j + 0.5) * np.pi / L
+        k = (j * np.pi + np.arctan2(s * mid, mid * mid - p)) / L
+        for _ in range(ROBIN_MAXITER):
+            d = k * k - p
+            f = (k * L - j * np.pi) - (np.arctan2(s * k, d) + j * PI_TAIL)
+            if f < 0.0:
+                lo = k
+            elif f > 0.0:
+                hi = k
+            newton = k - f / (L + s * (k * k + p) / (d * d + (s * k) * (s * k)))
+            if abs(newton - k) <= ROBIN_RTOL * newton:
+                ks.append(float(newton))
+                break
+            k = newton if lo < newton < hi else 0.5 * (lo + hi)
+        else:
+            raise SpectrumError(f"Robin wavenumber {j} not converged in {ROBIN_MAXITER} steps")
+    return ks
 
 
 class Mode1D:
@@ -1062,10 +1091,22 @@ def choose_tau(delta: float, tau0: float, sigma0: float, beta: float, T: float,
     return float(tau0 if i is None else grid[i])
 
 
+def add_noise(phat, delta: float, seed: int, basis: EigenBasis, s: float,
+              omega: float) -> np.ndarray:
+    """Trace data perturbed by exactly delta in the lifted observation norm,
+    with noise drawn from default_rng(seed): the one-level case of the
+    sweep's noise pass `quasirev._noisy_rows`, raising its
+    NoiseCalibrationError."""
+    (noisy,), (err,) = _noisy_rows(phat, [delta], [seed], basis, s, omega)
+    if err is not None:
+        raise err
+    return noisy
+
+
 def add_noise_one(phat, delta: float, seed: int, basis: EigenBasis, s: float,
                   omega: float) -> np.ndarray:
-    """`quasirev.add_noise` for one level, drawn, scaled and checked on its
-    own, as the sweep perturbed each level before its noise pass was batched."""
+    """`add_noise` with its one level drawn, scaled and checked on its own,
+    outside the batched noise pass."""
     phat = np.asarray(phat, dtype=complex)
     check_noise_levels([delta])
     if delta == 0.0:

@@ -5,8 +5,8 @@ from scipy.sparse.linalg import eigsh
 
 from harmtomo import DomainSpec, build_basis, project, synthesize
 from harmtomo import eigenbasis
-from harmtomo.eigenbasis import (_brentq, _interval_wavenumbers, _leggauss, _robin_modes,
-                                 commensurate, trace_right_inverse, check_trace_ranks)
+from harmtomo.eigenbasis import (_interval_wavenumbers, _leggauss, _robin_modes, commensurate,
+                                 trace_right_inverse, check_trace_ranks)
 from harmtomo.errors import SpectrumError, TraceRankError, GridMismatchError
 from harmtomo.scenarios import scenario_hash
 from conftest import run_scenario, small_scenario
@@ -59,12 +59,30 @@ def fem_eigenvalues(L, gamma, k, n=10_000):
     return np.sort(vals)
 
 
-# The last three take the root finder off its interpolation path: a stiff
-# near-Dirichlet end, a long interval, and a long near-Neumann interval whose
-# first root sits at the scan's lower end, where steps fall back to bisection.
+# The last three take the root finder to its extremes: a stiff near-Dirichlet
+# end (roots just below the bracket tops), a long interval, and a long
+# near-Neumann interval whose first root lies far above its start, the most
+# Newton steps of the set.
 ROBIN_CASES = [(np.pi, (1.0, 1.0)), (1.0, (0.0, 2.5)), (1.9416, (3.0, 0.0)),
                (np.pi, (0.2, 7.0)), (np.pi, (0.0, 0.0)), (np.pi, (50.0, 50.0)),
                (10.0, (1.0, 1.0)), (10.0, (0.0, 1e-8))]
+# Robin cases for the root checks, with a Neumann end and both ends near
+# Neumann and both stiff added
+PHASE_CASES = [c for c in ROBIN_CASES if any(c[1])] + [
+    (np.pi, (0.0, 1.0)), (np.pi, (1e-6, 1e-6)), (np.pi, (1e6, 1e6))]
+
+
+def phase_brentq(L, gamma, count):
+    """scipy's brentq on the phase form k L - theta(k) - j pi per bracket, at
+    its tightest relative tolerance; the first bracket starts just above 0,
+    where theta is discontinuous when g0 g1 = 0."""
+    from scipy.optimize import brentq
+
+    g0, g1 = gamma
+    s, p = g0 + g1, g0 * g1
+    return np.array([brentq(lambda k: k * L - np.arctan2(s * k, k * k - p) - j * np.pi,
+                            max(j * np.pi / L, 1e-300), (j + 1) * np.pi / L,
+                            xtol=1e-300, rtol=8.9e-16, maxiter=500) for j in range(count)])
 
 
 class TestIntervalBasis:
@@ -99,33 +117,32 @@ class TestIntervalBasis:
     @pytest.mark.parametrize("L, gamma", ROBIN_CASES)
     @pytest.mark.parametrize("count", [1, 8, 64])
     def test_wavenumber_scan_matches_loop(self, L, gamma, count):
-        assert _interval_wavenumbers(L, *gamma, count) == interval_wavenumbers_loop(L, *gamma, count)
+        # all roots at once take the steps of the one-root-at-a-time loop
+        assert _interval_wavenumbers(L, *gamma, count).tolist() == \
+            interval_wavenumbers_loop(L, *gamma, count)
 
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: x**3 - 2.0, 0.0, 2.0),
-        (lambda x: np.cos(x) - x, 0.0, 1.0),
-        (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 4.0),
-        (lambda x: np.expm1(20.0 * x) - 1e3, 0.0, 2.0),
-    ], ids=["cubic", "cos-fixed-point", "steep-step", "exponential"])
-    def test_brentq_matches_scipy(self, f, a, b):
-        # the in-package root finder takes scipy's steps, so the roots are equal
-        from scipy.optimize import brentq
+    @pytest.mark.parametrize("L, gamma", PHASE_CASES)
+    @pytest.mark.parametrize("count", [1, 8, 64])
+    def test_roots_match_scipy_brentq(self, L, gamma, count):
+        k = _interval_wavenumbers(L, *gamma, count)
+        assert k.tolist() == interval_wavenumbers_loop(L, *gamma, count)
+        assert np.max(np.abs(k - phase_brentq(L, gamma, count)) / k) <= 1e-15
 
-        got = _brentq(lambda x, c: f(x) * c, a, b, (1.0,), xtol=1e-12, rtol=8.9e-16)
-        assert got == brentq(f, a, b, xtol=1e-12, rtol=8.9e-16)
+    @pytest.mark.parametrize("L, gamma", PHASE_CASES)
+    def test_one_root_per_bracket(self, L, gamma):
+        k = _interval_wavenumbers(L, *gamma, 64)
+        j = np.arange(64)
+        assert np.all((j * np.pi / L < k) & (k < (j + 1) * np.pi / L))
+        assert np.all(np.diff(k) > 0)
 
-    def test_brentq_failures_are_spectrum_errors(self):
-        with pytest.raises(SpectrumError, match="nan"):
-            _brentq(lambda x: np.nan if x > 1.5 else x - 1.0, 0.0, 2.0, (), 1e-12, 8.9e-16)
-        with pytest.raises(SpectrumError, match="no sign change"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, (), 1e-12, 8.9e-16)
-        with pytest.raises(SpectrumError, match="not converged in 2 steps"):
-            _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, (), 1e-12, 8.9e-16, maxiter=2)
-
-    def test_coarse_scan_raises(self):
-        # 6 scan points cannot bracket 8 roots
-        with pytest.raises(SpectrumError, match="found only"):
-            _interval_wavenumbers(np.pi, 1.0, 1.0, 8, scan_density=0.5)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigenbasis, "ROBIN_MAXITER", 1)
+        with pytest.raises(SpectrumError, match=r"not converged in 1 Newton steps"):
+            _interval_wavenumbers(np.pi, 1.0, 1.0, 8)
+        with pytest.raises(SpectrumError):
+            build_basis(DomainSpec("interval", (np.pi,), (1.0, 1.0), (0.0,)), 8)
+        # the Neumann closed form takes no step
+        assert build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (0.0,)), 8).J == 8
 
 
 class TestRectangleBasis:

@@ -7,7 +7,8 @@ from harmtomo.fields import ModelParams
 from harmtomo.norms import _image_terms, _lam_weight
 from harmtomo.reconstruct import linearized_forward
 from conftest import random_linearized
-from oracles import image_pieces, image_terms, j_bound, j_bound_constant, synthesize_time
+from oracles import (add_noise, image_pieces, image_terms, j_bound, j_bound_constant,
+                     synthesize_time)
 
 
 def _norms(s, spec, a, rhat, poles=None, params=None):
@@ -210,7 +211,7 @@ class TestYtilde:
 
     def test_vanishing_trace_raises_rank_error(self):
         # Neumann modes cos(j x) at x = pi/2: the odd ones have roundoff-level traces
-        from harmtomo import DomainSpec, add_noise, build_basis
+        from harmtomo import DomainSpec, build_basis
         from harmtomo.errors import TraceRankError
         basis = build_basis(DomainSpec("interval", (np.pi,), (0.0, 0.0), (np.pi / 2,)), 4)
         phat = np.ones((2, 3, 1), dtype=complex)

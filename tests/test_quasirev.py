@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from harmtomo import (DomainSpec, add_noise, build_basis, compute_cbar,
-                      compute_ctilde, smooth_data, smoothing_gains, run_sweep, ytilde_obs_norm)
+from harmtomo import (DomainSpec, build_basis, compute_cbar, compute_ctilde, smooth_data,
+                      smoothing_gains, run_sweep, ytilde_obs_norm)
 from harmtomo.errors import (IllConditionedFitError, NoiseCalibrationError, SmoothingError,
                              TheoremHypothesisError)
 from harmtomo.fields import ModelParams, NormSpec
@@ -16,7 +16,7 @@ from harmtomo.scenarios import (load_scenario, make_basis, make_norm_spec, make_
                                 make_reference, make_true_fields, noise_levels,
                                 quasirev_settings, target_cutoff)
 from conftest import SCENARIOS, random_linearized
-from oracles import (TauConstants, add_noise_one, choose_tau, choose_tau_loop,
+from oracles import (TauConstants, add_noise, add_noise_one, choose_tau, choose_tau_loop,
                      rate_constants_scalar, smooth_data_loop, smoothing_gain,
                      smoothing_gains_loop, sweep_rows_from_fit)
 
@@ -119,6 +119,19 @@ class TestNoise:
         na = ytilde_obs_norm(a, basis8, 1.0, 1.0)
         nb = ytilde_obs_norm(b, basis8, 1.0, 1.0)
         assert na == pytest.approx(nb, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, -1.0])
+    def test_one_level_oracle_is_the_noise_pass(self, basis8, delta):
+        from harmtomo.quasirev import _noisy_rows
+
+        rng = np.random.default_rng(6)
+        phat = rng.standard_normal((2, 6, 1)) + 1j * rng.standard_normal((2, 6, 1))
+        (noisy,), (err,) = _noisy_rows(phat, [delta], [3], basis8, 1.0, 1.0)
+        if err is None:
+            assert np.array_equal(add_noise(phat, delta, 3, basis8, 1.0, 1.0), noisy)
+        else:
+            with pytest.raises(NoiseCalibrationError, match=re.escape(str(err))):
+                add_noise(phat, delta, 3, basis8, 1.0, 1.0)
 
     def test_calibration_miss_raises_typed_error(self, basis8, monkeypatch):
         import harmtomo.quasirev as qr

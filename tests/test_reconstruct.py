@@ -14,11 +14,13 @@ from harmtomo.fields import ModelParams
 from harmtomo.eigenbasis import project, synthesize
 from harmtomo.forward import _nonresonant_symbols, symbols_matrix
 from harmtomo.reconstruct import (FIT_COND_LIMIT, LinearizedData, LinearizedInput,
-                                  apply_fit_map, build_fit_map, linearized_forward)
+                                  _pair_product, apply_fit_map, build_fit_map,
+                                  linearized_forward)
 from harmtomo.scenarios import (load_scenario, make_basis, make_params, make_reference,
                                 make_true_fields, scenario_hash)
 from conftest import SCENARIOS, random_linearized, run_scenario, small_scenario
-from oracles import oracle_residues, recover_coefficients_loop, recover_states, residues_of
+from oracles import (oracle_residues, pair_product_einsum, recover_coefficients_loop,
+                     recover_states, residues_of)
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -95,6 +97,24 @@ class TestStateFormula:
         with pytest.raises(ResonanceError) as err:
             build_fit_map(s["sp"], s["basis"], p, s["M"])
         assert err.value.m == 1 and err.value.j == 0
+
+
+class TestPairProduct:
+    @pytest.mark.parametrize("batch", [(), (3,), (20,), (2, 5)])
+    def test_matches_einsum(self, batch):
+        # real pairs: the two broadcast terms give the einsum's values (== sets
+        # the sign of zero aside); complex pairs agree to roundoff
+        rng = np.random.default_rng(17)
+        M, J = 12, 8
+        mm = rng.standard_normal((M, 2, 2)) + 1j * rng.standard_normal((M, 2, 2))
+        a = rng.standard_normal(batch + (J, 2))
+        a[..., 3, :] = 0.0
+        got, ref = _pair_product(mm, a), pair_product_einsum(mm, a)
+        assert got.shape == ref.shape == batch + (2, M, J)
+        assert np.array_equal(got, ref)
+        a = a + 1j * rng.standard_normal(a.shape)
+        ref = pair_product_einsum(mm, a)
+        assert np.max(np.abs(_pair_product(mm, a) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestResidues:

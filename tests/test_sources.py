@@ -8,7 +8,7 @@ from harmtomo.errors import (HarmtomoError, PulseSupportError, ReferenceProfileE
                              SingularInterpolantError)
 from harmtomo.fields import ModelParams
 from harmtomo.norms import rho_t
-from harmtomo.sources import check_reference_mode
+from harmtomo.sources import _sym_kernel, check_reference_mode, hann_transform
 from oracles import evaluate_mtilde, psi_recursion, psi_sq_tilde, psi_tilde, reference_coeffs, synthesize_time
 
 
@@ -53,6 +53,20 @@ class TestDeltaPulse:
         pulse = design_delta_pulse(p, 12, 0.1, amplitude=2.0)
         assert np.isrealobj(time_samples(pulse, p))
         assert np.isfinite(l4_norm(pulse, p)) and l4_norm(pulse, p) > 0
+
+    @pytest.mark.parametrize("width", [0.04, 0.08, 0.3])
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    def test_transform_is_three_kernel_sums(self, width, omega):
+        # one kernel pass on the stacked shifts gives each shifted kernel's bits
+        a = np.pi / width
+        nu = np.arange(1, 257) * omega
+        rng = np.random.default_rng(2)
+        o = np.concatenate([1j * nu, 1j * nu * (1 + 1e-9 * rng.standard_normal(nu.size)),
+                            [0.0, 1j * a, -1j * a, 1e-9 + 1j * a]])
+        ref = (0.5 * _sym_kernel(o, width) + 0.25 * _sym_kernel(o - 1j * a, width)
+               + 0.25 * _sym_kernel(o + 1j * a, width))
+        assert np.array_equal(hann_transform(o, width), ref)
+        assert hann_transform(o[3], width) == ref[3]
 
     def test_width_too_large(self):
         p = params_of()
