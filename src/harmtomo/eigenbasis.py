@@ -139,6 +139,18 @@ ROBIN_RTOL = 4.5e-16       # a wavenumber has converged once its step is at most
 PI_TAIL = 1.2246467991473532e-16   # pi - np.pi, rounded to a double
 
 
+def _first_start(L, s, p, k):
+    """The start of root 0: `k`, or its small-gamma asymptote sqrt((g0 + g1) / L)
+    where that lies in the bracket and has the smaller |f|.  For a small Robin
+    sum the root is about sqrt((g0 + g1) / L) while `k` is about g0 + g1, and
+    Newton only doubles its way up from there."""
+    k0 = math.sqrt(s / L)
+    if k0 < math.pi / L and abs(k0 * L - math.atan2(s * k0, k0 * k0 - p)) \
+            < abs(k * L - math.atan2(s * k, k * k - p)):
+        return k0
+    return k
+
+
 def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
     """First `count` nonnegative wavenumbers, all solved at once.
 
@@ -151,7 +163,10 @@ def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
     off k = 0, where the slope is 0/0 when g0 g1 = 0.  A root stops once its
     step is at most ROBIN_RTOL of it, and keeps its value while the others go
     on, so it takes the same steps in any company; one not stopped after
-    ROBIN_MAXITER steps raises SpectrumError."""
+    ROBIN_MAXITER steps raises SpectrumError, as does a slope whose
+    denominator underflows to 0, before it can give 0/0: near a root of a
+    Robin sum below about 2e-162 L.  Root 0 may start at its small-gamma
+    asymptote instead (`_first_start`)."""
     j = np.arange(count)
     if g0 == 0.0 and g1 == 0.0:
         return j * np.pi / L
@@ -159,6 +174,7 @@ def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
     jpi, lo, hi = j * np.pi, j * np.pi / L, (j + 1) * np.pi / L
     mid = (j + 0.5) * np.pi / L
     k = (jpi + np.arctan2(s * mid, mid * mid - p)) / L
+    k[0] = _first_start(L, s, p, k[0])
     done = np.zeros(count, dtype=bool)
     for _ in range(ROBIN_MAXITER):
         kk, q = k * k, s * k
@@ -166,7 +182,11 @@ def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
         f = (k * L - jpi) - (np.arctan2(q, d) + j * PI_TAIL)
         lo = np.where(f < 0.0, k, lo)
         hi = np.where(f > 0.0, k, hi)
-        newton = k - f / (L + s * (kk + p) / (d * d + q * q))
+        den = d * d + q * q
+        if np.count_nonzero(den) < count:
+            raise SpectrumError(f"Robin wavenumbers on [0, {L!r}] with gamma ({g0!r}, {g1!r}): "
+                                "the Newton slope underflows")
+        newton = k - f / (L + s * (kk + p) / den)
         stop = np.abs(newton - k) <= ROBIN_RTOL * newton
         step = np.where(stop | ((lo < newton) & (newton < hi)), newton, 0.5 * (lo + hi))
         k = np.where(done, k, step)

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from . import quasirev
+from . import csvtext, quasirev
 from .eigenbasis import check_trace_ranks, synthesize
 from .fields import check_slowness_admissible
 from .forward import observe, solve_multiharmonic
@@ -45,10 +45,9 @@ def _quote(cell) -> str:
     return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
 
 
-def _column(col):
-    """The `%` conversion and the flattened values of one column."""
-    a = np.asarray(col)
-    values = a.ravel().tolist()
+def _column(a):
+    """The `%` conversion and the values of one flat column."""
+    values = a.tolist()
     if a.dtype.kind == "f":
         return "%.17g", values
     if a.dtype.kind in "biu":
@@ -61,17 +60,25 @@ def write_table(path, header, columns, scenario_hash) -> None:
 
     Each column is flattened in C order.  Floats are written as ``.17g``, ints
     and strings as they are, with ``csv``'s minimal quoting and CRLF line
-    ends; columns of unequal length raise ``ValueError``.  The body is one
-    ``%`` operation over a row format repeated once per row.
+    ends; columns of unequal length raise ``ValueError``.  A table of at
+    least ``csvtext.MIN_CELLS`` cells whose columns are all floats, or ints
+    in [0, 10^16), is encoded by ``csvtext`` in one numpy pass; any other
+    body is one ``%`` operation over a row format repeated once per row.
+    Both give the same bytes.
     """
-    cols = [_column(c) for c in columns]
-    lengths = {len(values) for _, values in cols}
+    arrays = [np.asarray(c).ravel() for c in columns]
+    lengths = {a.size for a in arrays}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    row = ",".join([conv for conv, _ in cols] + ["%s"]) + "\r\n"
-    cells = zip(*(values for _, values in cols), repeat(_quote(scenario_hash), n))
-    body = (row * n) % tuple(chain.from_iterable(cells))
+    tail = _quote(scenario_hash)
+    if n * len(arrays) >= csvtext.MIN_CELLS and csvtext.encodable(arrays):
+        body = csvtext.encode_rows(arrays, "," + tail + "\r\n")
+    else:
+        cols = [_column(a) for a in arrays]
+        row = ",".join([conv for conv, _ in cols] + ["%s"]) + "\r\n"
+        cells = zip(*(values for _, values in cols), repeat(tail, n))
+        body = (row * n) % tuple(chain.from_iterable(cells))
     with open(path, "w", newline="") as f:
         f.write(",".join(map(_quote, [*header, "scenario_hash"])) + "\r\n" + body)
 
@@ -259,11 +266,13 @@ def _preset_smoothing_study(sc, out, seed, shash):
     coeffs[:cutoff] = rng.standard_normal(cutoff) / (1.0 + np.arange(cutoff)) ** 3
     exact_trace = coeffs @ basis.trace_matrix
     kappas = quasirev.smoothing_gains(basis, spec.s)
+    # one noise direction, scaled to each level: at a fixed chosen level
+    # the noise part of the error is then linear in delta
+    direction = rng.standard_normal(basis.nsigma)
+    size = np.linalg.norm(np.sqrt(basis.sigma_weights) * direction)
     rows = []
     for dt in noise_levels(sc):
-        noise = rng.standard_normal(basis.nsigma)
-        noise *= dt / np.linalg.norm(np.sqrt(basis.sigma_weights) * noise)
-        sm = quasirev.smooth_data(exact_trace + noise, dt, basis, kappas)
+        sm = quasirev.smooth_data(exact_trace + direction * (dt / size), dt, basis, kappas)
         err = float(np.sqrt(np.sum(np.power(basis.lambdas, spec.s)
                                    * np.abs(sm.coeffs - coeffs) ** 2)))
         k = sm.level - 1   # candidate levels are 1..len(kappas)

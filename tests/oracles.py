@@ -109,6 +109,7 @@ time synthesis of harmonic coefficients, and the pole asymptotic's
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -739,11 +740,13 @@ def nonlinear_model_ref(params: ModelParams, basis: EigenBasis, sigma, eta, u) -
 
 def interval_wavenumbers_loop(L, g0, g1, count):
     """First `count` nonnegative Robin wavenumbers, one root at a time: from
-    (j pi + theta(midpoint)) / L, Newton steps on k L - theta(k) - j pi with
-    theta(k) = atan2((g0 + g1) k, k^2 - g0 g1), each in floats, the bracket
-    (j pi / L, (j + 1) pi / L) shrunk to the last iterate on each side and a
-    step that would leave it replaced by its midpoint; j pi enters as
-    j np.pi plus j PI_TAIL."""
+    (j pi + theta(midpoint)) / L, or for root 0 from sqrt((g0 + g1) / L)
+    where that is in its bracket with the smaller |f|, Newton steps on
+    k L - theta(k) - j pi with theta(k) = atan2((g0 + g1) k, k^2 - g0 g1),
+    each in floats, the bracket (j pi / L, (j + 1) pi / L) shrunk to the last
+    iterate on each side and a step that would leave it replaced by its
+    midpoint; j pi enters as j np.pi plus j PI_TAIL.  A slope denominator
+    of 0 raises SpectrumError."""
     if g0 == 0.0 and g1 == 0.0:
         return [j * np.pi / L for j in range(count)]
     s, p = g0 + g1, g0 * g1
@@ -752,6 +755,11 @@ def interval_wavenumbers_loop(L, g0, g1, count):
         lo, hi = j * np.pi / L, (j + 1) * np.pi / L
         mid = (j + 0.5) * np.pi / L
         k = (j * np.pi + np.arctan2(s * mid, mid * mid - p)) / L
+        if j == 0:
+            k0 = math.sqrt(s / L)
+            if k0 < math.pi / L and abs(k0 * L - math.atan2(s * k0, k0 * k0 - p)) \
+                    < abs(k * L - math.atan2(s * k, k * k - p)):
+                k = k0
         for _ in range(ROBIN_MAXITER):
             d = k * k - p
             f = (k * L - j * np.pi) - (np.arctan2(s * k, d) + j * PI_TAIL)
@@ -759,7 +767,10 @@ def interval_wavenumbers_loop(L, g0, g1, count):
                 lo = k
             elif f > 0.0:
                 hi = k
-            newton = k - f / (L + s * (k * k + p) / (d * d + (s * k) * (s * k)))
+            den = d * d + (s * k) * (s * k)
+            if den == 0.0:
+                raise SpectrumError(f"Robin wavenumber {j}: the Newton slope underflows")
+            newton = k - f / (L + s * (k * k + p) / den)
             if abs(newton - k) <= ROBIN_RTOL * newton:
                 ks.append(float(newton))
                 break

@@ -124,6 +124,8 @@ CASES = {
     "poles-tau0": _with_tau(small_scenario("pole-report"), 0.0),
     "poles-rectangle": small_scenario("pole-report", base="smoothing_study", **RECT_FULL),
     "forward": small_scenario("forward-solve"),
+    # field tables of 1024 rows, written by the numpy encoder
+    "forward-large": small_scenario("forward-solve", J=16, M=64),
     # -0.0 truth coefficients must be written as -0
     "roundtrip-oracle": small_scenario(
         "linearized-roundtrip", M=24,
@@ -242,6 +244,30 @@ def test_write_table_matches_csv_module_on_edge_values(tmp_path):
     write_table(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), []], "h")
     oracles.csv_rows(tmp_path / "empty_old.csv", ["a", "b", "scenario_hash"], [])
     assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_old.csv").read_bytes()
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, -1 / 3, 1e-5, 1e-4, 1e16, 1e17, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("other", ["float", "uint", "bool", "negative-int", "string"])
+def test_write_table_matches_csv_module_above_the_encoder_threshold(tmp_path, monkeypatch, other):
+    # a table past the threshold is encoded when every column is a float or
+    # an int in [0, 10^16), and written by `%` with a bool, negative-int or
+    # string column; both match the csv module
+    encoded = _record(monkeypatch, runner.csvtext, "encode_rows")
+    n = runner.csvtext.MIN_CELLS
+    floats = np.resize(EDGE_FLOATS, n) * np.resize([1.0, -1.0, -1.0], n)
+    ints = np.resize([0, 7, 10**16 - 1, 10, 9], n)
+    last = {"float": np.random.default_rng(3).standard_normal(n), "uint": ints.astype(np.uint64),
+            "bool": np.arange(n) % 3 == 0, "negative-int": ints - 5,
+            "string": np.resize(["plain", "a,b", 'say "hi"', ""], n)}[other]
+    write_table(tmp_path / "new.csv", ["f", "i", "last"], [floats, ints, last], "h,1")
+    oracles.csv_rows(tmp_path / "old.csv", ["f", "i", "last", "scenario_hash"],
+                     [[f, i, v, "h,1"] for f, i, v in zip(floats.tolist(), ints.tolist(),
+                                                          last.tolist())])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len(encoded) == (other in ("float", "uint"))
 
 
 def test_forward_manifest_residual_is_that_of_the_written_fields(tmp_path, monkeypatch):

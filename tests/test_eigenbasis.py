@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -70,6 +72,10 @@ ROBIN_CASES = [(np.pi, (1.0, 1.0)), (1.0, (0.0, 2.5)), (1.9416, (3.0, 0.0)),
 # Neumann and both stiff added
 PHASE_CASES = [c for c in ROBIN_CASES if any(c[1])] + [
     (np.pi, (0.0, 1.0)), (np.pi, (1e-6, 1e-6)), (np.pi, (1e6, 1e6))]
+# Robin sums so small that root 0 is reached only from its small-gamma start
+# sqrt((g0 + g1) / L); the roots above it sit on their bracket floors to the
+# last bit, so the bracket test does not take them
+TINY_SUM_CASES = [(np.pi, (0.0, 1e-80)), (1.0, (1e-120, 1e-120)), (np.pi, (3e-150, 0.0))]
 
 
 def phase_brentq(L, gamma, count):
@@ -80,8 +86,14 @@ def phase_brentq(L, gamma, count):
 
     g0, g1 = gamma
     s, p = g0 + g1, g0 * g1
-    return np.array([brentq(lambda k: k * L - np.arctan2(s * k, k * k - p) - j * np.pi,
-                            max(j * np.pi / L, 1e-300), (j + 1) * np.pi / L,
+
+    def f(k, j):
+        return k * L - np.arctan2(s * k, k * k - p) - j * np.pi
+
+    # where s k underflows at 1e-300, f reads positive there: start root 0's
+    # bracket at half its small-gamma asymptote instead
+    first = 1e-300 if f(1e-300, 0) < 0 else 0.5 * np.sqrt(s / L)
+    return np.array([brentq(f, max(j * np.pi / L, first), (j + 1) * np.pi / L, args=(j,),
                             xtol=1e-300, rtol=8.9e-16, maxiter=500) for j in range(count)])
 
 
@@ -121,7 +133,7 @@ class TestIntervalBasis:
         assert _interval_wavenumbers(L, *gamma, count).tolist() == \
             interval_wavenumbers_loop(L, *gamma, count)
 
-    @pytest.mark.parametrize("L, gamma", PHASE_CASES)
+    @pytest.mark.parametrize("L, gamma", PHASE_CASES + TINY_SUM_CASES)
     @pytest.mark.parametrize("count", [1, 8, 64])
     def test_roots_match_scipy_brentq(self, L, gamma, count):
         k = _interval_wavenumbers(L, *gamma, count)
@@ -134,6 +146,17 @@ class TestIntervalBasis:
         j = np.arange(64)
         assert np.all((j * np.pi / L < k) & (k < (j + 1) * np.pi / L))
         assert np.all(np.diff(k) > 0)
+
+    @pytest.mark.parametrize("gamma", [(0.0, 1e-300), (1e-200, 1e-200)])
+    def test_underflowing_slope_raises_without_warning(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumError, match="slope underflows"):
+                _interval_wavenumbers(np.pi, *gamma, 8)
+            with pytest.raises(SpectrumError):
+                build_basis(DomainSpec("interval", (np.pi,), gamma, (0.0,)), 8)
+            # a Robin sum of 1e-80 is solved from the small-gamma start
+            assert build_basis(DomainSpec("interval", (np.pi,), (0.0, 1e-80), (0.0,)), 8).J == 8
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(eigenbasis, "ROBIN_MAXITER", 1)

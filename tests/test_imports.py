@@ -44,3 +44,14 @@ def test_run_imports_no_scipy(tmp_path):
     out = tmp_path / "out"
     assert probe("run", path, "--out", out) == {"exit": 0, "scipy": []}
     assert (out / "basis.csv").is_file()
+
+
+def test_forward_solve_imports_no_scipy(tmp_path):
+    # field tables of 1024 rows go through the numpy table encoder
+    raw = json.loads((ROOT / "scenarios" / "interval_roundtrip.json").read_text())
+    raw.update(preset="forward-solve", truncation={"J": 16, "M": 64})
+    path = tmp_path / "forward.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert probe("run", path, "--out", out) == {"exit": 0, "scipy": []}
+    assert len((out / "field_source1.csv").read_bytes().splitlines()) == 1 + 64 * 16

@@ -297,6 +297,21 @@ class TestSmoothing:
             errs.append(np.sqrt(np.sum(basis.lambdas * np.abs(sm.coeffs - coeffs) ** 2)))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_preset_errors_fall_with_delta(self, tmp_path):
+        # the preset scales one noise direction to each level; with a draw per
+        # level, seed 753273585 read hs_error 6.20e-4, 6.43e-4, 3.68e-5
+        sc = load_scenario(SCENARIOS / "smoothing_study.json")
+        seeds = [753273585, *np.random.default_rng(33).integers(0, 2**31, 200).tolist()]
+        rising = []
+        for seed in seeds:
+            out = tmp_path / str(seed)
+            manifest = run_preset(sc, out_dir=str(out), seed=seed)
+            rows = (out / "smoothing.csv").read_text().splitlines()[1:]
+            errs = [float(r.split(",")[4]) for r in rows]
+            if not (manifest["errors_decreasing"] and errs[0] > errs[1] > errs[2]):
+                rising.append((seed, errs))
+        assert rising == []
+
     def test_all_levels_rejected(self):
         basis = four_side_rectangle()
         tiny = 1e-12 * np.ones(basis.nsigma)
