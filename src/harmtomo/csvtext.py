@@ -5,41 +5,56 @@ A table whose columns are all float64, or ints in [0, 10^16), is laid out as
 a NUL-padded byte matrix, one line per table row, and its text is the
 matrix's bytes with the NULs dropped.
 
-Floats are written as ``'%.17g' %`` writes them.  For |x| = m 2^q with m in
-[2^52, 2^53) and the estimate E of floor(log10 |x|), the product of m and
-the 128-bit floor of 10^(16-E) 2^(127-b), b = floor(log2 10^(16-E)), on
-32-bit limbs in uint64, gives the 17-digit significand D and 64 bits of
-fraction.  The table entry is short of the exact power by under one part in
-2^127, so the product is short by under half a fraction unit, and the
-fraction is floored on top: it is under 2 units short of the exact one.  The
-value rounds up iff the fraction is at least one half, and D = 10^17 becomes
-10^16 with E + 1.  That decides every value but a few, which ``'%.17g' %``
-writes itself: those whose fraction lies within 2 units of one half (the
-ties among them), those whose estimate E missed (D outside [10^16, 10^17)),
-and 0, -0, nan and +-inf.  The digits come from a 4-digit lookup, and each
-value's text is laid out in fixed slots: fixed-point iff -4 <= E < 17, no
-trailing zeros, no bare point, and an exponent of at least two digits.
+Floats are written as ``'%.17g' %`` writes them.  For |x| = m 2^(e-53) with
+m in [2^52, 2^53) and the estimate E of floor(log10 |x|), the 17-digit
+significand D and its fraction are the integer and fractional parts of
+v = |x| 10^(16-E) = m (fh + fl) 2^z: 10^(16-E) ~ (fh + fl) 2^b with fh in
+[1, 2] a double, fl the rest rounded to one, and z = e + b - 53, 0..4 where
+E is right.  They come from a double-double product (Dekker, Numer. Math.
+18 (1971) 224), every step on float64 arrays of the column's length:
+
+- m splits into its high half mh, a multiple of 2^26 below 2^53, and its
+  low 26 bits ml; fh splits into f1, its head rounded to 26 bits, and
+  f2 = fh - f1 with |f2| <= 2^-26.  So the four partial products are exact.
+- mh f1 is an even integer below 2^54, the head of D.  The whole parts of
+  mh f2 and ml f1 join it; their fractions, ml f2 and m fl add up to T in
+  (-2, 4).  Scaled by 2^z, D = head + floor(T) and the fraction is
+  T - floor(T).
+
+The error: m fl rounds by at most 2^-54; fl is off the rest of the power by
+at most 2^-107, and the 128-bit power it comes from is short by under
+2^-127, m times that under 2^-54 + 2^-74; the three additions into T, with
+sums below 2, 3 and 4, round by at most 2^-53, 2^-52 and 2^-52.  That is
+under 2^-50, under 2^-46 after 2^z <= 16, and T - floor(T) adds at most
+2^-53 where T < 0: D plus the fraction is within 2^-45 of v.  So every v
+more than _NEAR = 2^-40 from a half-integer rounds right: up iff the
+fraction is at least one half, and D = 10^17 becomes 10^16 with E + 1.
+``'%.17g' %`` writes the rest itself: values whose fraction lies within the
+window of one half (the ties among them), those whose estimate E missed (z
+outside 0..4, or D outside [10^16, 10^17)), and 0, -0, nan and +-inf.  The
+digits come from a 4-digit lookup, and each value's text is laid out in
+fixed slots: fixed-point iff -4 <= E < 17, no trailing zeros, no bare point,
+and an exponent of at least two digits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-# Just above the crossover measured on tables of 3 to 26 columns, about 700
-# to 900 cells: below it one `%` operation beats the encoder's fixed ~100
+# Just above the crossover measured on tables of 3 to 26 columns, about 500
+# to 560 cells: below it one `%` operation beats the encoder's fixed ~100
 # numpy calls.  It counts cells, not rows, because the `%` cost grows with
 # the cells of a row and the encoder's fixed cost barely does: in rows the
-# crossover ran from about 30 (26 columns) to 300 (3 columns).
-MIN_CELLS = 1024
+# crossover runs from about 20 (26 columns) to 190 (3 columns).
+MIN_CELLS = 640
 
 _POW_MIN, _POW_MAX = -292, 340   # 16 - E for |x| from 1.8e308 down to 5e-324
 _EXP_MIN, _EXP_MAX = 16 - _POW_MAX, 17 - _POW_MIN   # written exponents, after a carry
 _E16, _E17 = 10 ** 16, 10 ** 17
-_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_HALF = np.uint64(1 << 63)
-_NEAR = 2                        # fraction units either side of one half written by `%`
+_NEAR = 2.0 ** -40               # the window either side of one half written by `%`
 # A float cell: the sign and, for -4 <= E < 0, "0." and -E - 1 zeros in the
 # head; the 17 digits with the point slotted in after digit E (after digit
 # 0 in the exponent form) in the body; "e", the exponent's sign and its two
@@ -52,8 +67,8 @@ _HEAD, _BODY, _CELL = 6, 18, 29
 def _tables():
     """The lookups, built once: 4-digit ASCII groups as uint32 words, their
     trailing zero counts (0 counts 4), the head words by 2 (-E or 0) + sign,
-    the exponent words by E - _EXP_MIN (the last all NUL), and the limbs (low
-    first, one row per limb) and b - 52 by 16 - E - _POW_MIN."""
+    the exponent words by E - _EXP_MIN (the last all NUL), and f1, f2, fl
+    and b - 53 by 16 - E - _POW_MIN."""
     n = np.arange(10000, dtype=np.uint16)
     quads = (n[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + 48).astype(np.uint8)
     tz = (n % 10 == 0).astype(np.uint8) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
@@ -62,15 +77,22 @@ def _tables():
     words = np.array([f"e{e:+03d}" for e in range(_EXP_MIN, _EXP_MAX + 1)] + [""], dtype="S8")
     # Python ints are exact at any size; one power at a time keeps the big
     # ints of only one alive (object arrays held all of them at once, for
-    # about 0.7 MiB more peak memory and no gain in time)
-    f, b = [], []
+    # about 0.7 MiB more peak memory and no gain in time).  f is the 128-bit
+    # floor of 10^a 2^(127 - b): its top 53 bits, rounded, give the head
+    # fh ~ f 2^-127 in [1, 2], and the rest, rounded to a double, fl
+    hi, fl, b = [], [], []
     for a in range(_POW_MIN, _POW_MAX + 1):
         p = 10 ** abs(a)
         b.append(p.bit_length() - 1 if a >= 0 else -p.bit_length())   # 10^a is no power of 2
-        f.append((p << 127) >> b[-1] if a >= 0 else (1 << 127 - b[-1]) // p)
-    limbs = np.array([[x >> 32 * k & 0xFFFFFFFF for x in f] for k in range(4)], dtype=np.uint64)
+        f = (p << 127) >> b[-1] if a >= 0 else (1 << 127 - b[-1]) // p
+        hi.append(f + (1 << 74) >> 75)
+        fl.append(math.ldexp(f - (hi[-1] << 75), -127))
+    # fh = f1 + f2 with f1 its head rounded to 26 bits: k 2^-25, k <= 2^26,
+    # and |f2| <= 2^-26 a multiple of 2^-52
+    hi = np.array(hi, dtype=np.int64)
+    k = (hi + (1 << 26)) >> 27
     return (quads.view(np.uint32).ravel(), tz, head.view(np.uint64), words.view(np.uint64),
-            limbs, np.array(b) - 52)
+            np.ldexp(k, -25), np.ldexp(hi - (k << 27), -52), np.array(fl), np.array(b) - 53)
 
 
 def encodable(arrays) -> bool:
@@ -114,42 +136,62 @@ def _exp10(ax):
     return np.floor(np.log10(ax))
 
 
+def _significand(ax, exp10, tables):
+    """The 17-digit significand D = floor(v), as int64, and the fraction
+    v - D, as float64, of v = ax 10^(16 - exp10) for positive finite ax and
+    exp10 in -324..308, the range of floor(log10 ax).  D is 0 where z, the
+    power of 2 that scales the product, is outside 0..4: there exp10 is not
+    floor(log10 ax)."""
+    f1, f2, fl, bexp = tables[4:]
+    a = 16 - _POW_MIN - exp10
+    m, z = np.frexp(ax)
+    z += bexp[a]
+    missed = (z < 0) | (z > 4)
+    z[missed] = 0
+    m *= 2.0 ** 53
+    t = m * fl[a]
+    lo = m - np.floor(m * 2.0 ** -26) * 2.0 ** 26     # ml; m becomes mh
+    m -= lo
+    g = f2[a]
+    t += lo * g
+    p = m * g
+    whole = np.floor(p)                                # below 2^28 with that of ml f1
+    t += p - whole
+    g = f1[a]
+    np.multiply(lo, g, out=p)
+    np.floor(p, out=lo)
+    t += p - lo
+    whole += lo
+    d = (m * g).astype(np.int64)                       # mh f1, an even integer below 2^54
+    d += whole.astype(np.int64)
+    d <<= z
+    np.ldexp(t, z, out=t)
+    np.floor(t, out=p)
+    t -= p
+    d += p.astype(np.int64)
+    d[missed] = 0
+    return d, t
+
+
 def _float_rows(x, tables):
     """(_CELL, n) text of float64 values, one row per byte: column i is the
     ``'%.17g' %`` text of x[i] with NULs between and after."""
-    quads, tz4, head_words, exp_words, limbs, bexp = tables
+    quads, tz4, head_words, exp_words = tables[:4]
     n = x.size
     ok = np.isfinite(x) & (x != 0.0)
     ax = np.where(ok, np.abs(x), 1.0)
-    mant, e2 = np.frexp(ax)
-    a = np.clip(16 - _POW_MIN - _exp10(ax), 0, _POW_MAX - _POW_MIN).astype(np.intp)
-    # m 2^z times the table entry puts D in limbs 4-5 of the product and the
-    # fraction in limbs 2-3; z is 1..5 where E is right, and clipped otherwise
-    z = e2 + bexp[a]
-    zc = np.clip(z, 0, 10)
-    m = np.ldexp(mant, 53).astype(np.uint64) << zc.astype(np.uint64)
-    m0, m1 = m & _M32, m >> _S32
-    p = [[mi * limbs[k][a] for k in range(4)] for mi in (m0, m1)]
-    lo = [[pk & _M32 for pk in pi] for pi in p]
-    hi = [[pk >> _S32 for pk in pi] for pi in p]
-    c = hi[0][0] + lo[0][1] + lo[1][0]
-    c = (c >> _S32) + hi[0][1] + hi[1][0] + lo[0][2] + lo[1][1]
-    frac = c & _M32
-    c = (c >> _S32) + hi[0][2] + hi[1][1] + lo[0][3] + lo[1][2]
-    frac |= c << _S32
-    c = (c >> _S32) + hi[0][3] + hi[1][2] + lo[1][3]
-    d = (c & _M32) | (((c >> _S32) + hi[1][3]) << _S32)
-
-    redo = (~ok | (z != zc) | (d < _E16) | (d >= _E17)
-            | (frac - (_HALF - np.uint64(_NEAR)) <= np.uint64(2 * _NEAR)))
-    d = np.where(redo, _E16, d + (frac >= _HALF))
-    exp10 = 16 - _POW_MIN - a
+    exp10 = _exp10(ax).astype(np.intp)
+    d, t = _significand(ax, exp10, tables)
+    del ax
+    redo = ~ok | (d < _E16) | (d >= _E17) | (np.abs(t - 0.5) <= _NEAR)
+    d = np.where(redo, _E16, d + (t >= 0.5))
+    del t
     carry = d == _E17
     d[carry] = _E16
     exp10 += carry
 
-    lead = d // np.uint64(_E16)
-    q = _quads((d - lead * np.uint64(_E16)).astype(np.intp))
+    lead = d // _E16
+    q = _quads(d - lead * _E16)
     zero = [qk == 0 for qk in q]
     nd = 17 - (tz4[q[3]] + zero[3] * (tz4[q[2]] + zero[2] * (tz4[q[1]] + zero[1] * tz4[q[0]])))
     expo = (exp10 < -4) | (exp10 >= 17)
@@ -162,7 +204,7 @@ def _float_rows(x, tables):
     # np.where: digit t before the point slot pp, "." at it, digit t - 1
     # after it, and NUL past the shown digits
     digits = np.zeros((_BODY + 1, n), dtype=np.uint8)  # NUL, digits 0-16, NUL
-    digits[1] = lead + np.uint64(48)
+    digits[1] = lead + 48
     digits[2:18] = _digit_rows(q, quads)
     digits[1:18] *= np.arange(17, dtype=np.uint8)[:, None] < shown
     t = np.arange(_BODY, dtype=np.uint8)[:, None]

@@ -137,6 +137,7 @@ class EigenBasis:
 ROBIN_MAXITER = 100        # Newton iterations per wavenumber before SpectrumError
 ROBIN_RTOL = 4.5e-16       # a wavenumber has converged once its step is at most this, relative
 PI_TAIL = 1.2246467991473532e-16   # pi - np.pi, rounded to a double
+ROBIN_BIG = 2.0 ** 510     # the largest Robin term the modes square: twice its square is finite
 
 
 def _first_start(L, s, p, k):
@@ -166,11 +167,21 @@ def _interval_wavenumbers(L, g0, g1, count) -> np.ndarray:
     ROBIN_MAXITER steps raises SpectrumError, as does a slope whose
     denominator underflows to 0, before it can give 0/0: near a root of a
     Robin sum below about 2e-162 L.  Root 0 may start at its small-gamma
-    asymptote instead (`_first_start`)."""
+    asymptote instead (`_first_start`).
+
+    Iterates stay in [0, K], K = count pi / L, so the slope's terms are at
+    most K^2 + g0 g1, (g0 + g1) K and (g0 + g1)(K^2 + g0 g1).  Where one
+    exceeds ROBIN_BIG, from g0 g1 or (g0 + g1) K above about 3e153, its
+    square could overflow, and SpectrumError is raised before numpy can
+    warn: the end is Dirichlet to the last bit well before that."""
     j = np.arange(count)
     if g0 == 0.0 and g1 == 0.0:
         return j * np.pi / L
     s, p = g0 + g1, g0 * g1
+    kmax = count * math.pi / L
+    if max(kmax * kmax + p, s * kmax, s * (kmax * kmax + p)) > ROBIN_BIG:
+        raise SpectrumError(f"Robin wavenumbers on [0, {L!r}] with gamma ({g0!r}, {g1!r}): "
+                            "the Newton slope overflows")
     jpi, lo, hi = j * np.pi, j * np.pi / L, (j + 1) * np.pi / L
     mid = (j + 0.5) * np.pi / L
     k = (jpi + np.arctan2(s * mid, mid * mid - p)) / L
@@ -208,6 +219,10 @@ def _robin_modes(L, gamma, count):
     pos = k != 0.0
     kp = k[pos]
     ap = g0 / kp
+    # each term of sq is at most max(L, 1) (1 + ap + ap^2)
+    if float(ap.max(initial=0.0)) * math.sqrt(max(L, 1.0)) > ROBIN_BIG:
+        raise SpectrumError(f"Robin modes on [0, {L!r}] with gamma ({g0!r}, {g1!r}): "
+                            "the normalization overflows")
     s2 = np.sin(2 * kp * L) / (4 * kp)
     cross = np.float_power(np.sin(kp * L), 2) / (2 * kp)
     sq = L / 2 + s2 + 2 * ap * cross + ap * ap * (L / 2 - s2)

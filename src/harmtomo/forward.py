@@ -148,18 +148,20 @@ def eta_term(cmap: CouplingMap, u) -> np.ndarray:
     grid, squares them, applies the eta-weighted projection and keeps
     harmonics 1..M.  The square reaches harmonic 2M, so n > 3M samples keep
     every aliased frequency off the kept harmonics.  Leading batch axes ride
-    on the trailing axis of the time transforms, so the transforms see the
-    harmonics on axis 0 and the grid is visited once per time sample and
-    member.
+    behind the harmonic axis of the time transforms, which the transforms
+    see on axis 0 through a view of u, and the grid is visited once per time
+    sample and member.  The samples come out as (n, ..., J), one (n * batch,
+    J) matrix for the grid products without a copy; transforms along axis
+    -2 would order its rows by member first, and the products round rows
+    differently by their place in the matrix.
     """
     M, J = u.shape[-2:]
-    batch = u.shape[:-2]
     n = _fast_len(3 * M + 1)
-    cols = np.moveaxis(u, -2, 0).reshape(M, -1)                 # (M, batch * J)
-    grid = _time_samples(cols, n).reshape(-1, J) @ cmap.phi    # (n * batch, nq)
+    samples = _time_samples(np.moveaxis(u, -2, 0), n)          # (n, ..., J)
+    grid = samples.reshape(-1, J) @ cmap.phi                   # (n * batch, nq)
     grid *= grid
-    out = _harmonics((grid @ cmap.eta_proj).reshape(n, -1), M)[1:]
-    return np.moveaxis(out.reshape((M,) + batch + (J,)), 0, -2)
+    out = _harmonics((grid @ cmap.eta_proj).reshape(samples.shape), M)[1:]
+    return np.moveaxis(out, 0, -2)
 
 
 def apply_coupling(cmap: CouplingMap, u) -> np.ndarray:

@@ -62,6 +62,12 @@ per-value loop and an optional scenario-hash column; the package writes every
 table through `runner.write_table`, and its files must match these byte for
 byte.
 
+The 17-digit significand of a float: D = floor(v) and the fraction v - D of
+v = |x| 10^(16 - E) in Python ints, exact (`decimal_significand`); the
+package's table encoder takes them from a float64 double-double product
+(`csvtext._significand`), and D plus its fraction must lie within the
+encoder's stated error of v.
+
 The Robin wavenumbers: the safeguarded Newton iteration on the phase form
 run one root at a time in floats (`interval_wavenumbers_loop`); the package
 runs it on all roots at once (`eigenbasis._interval_wavenumbers`), and the
@@ -111,6 +117,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -679,6 +686,18 @@ def sweep_to_csv(rows, path, scenario_hash: str = "") -> None:
             if scenario_hash:
                 row.append(scenario_hash)
             w.writerow(row)
+
+
+def decimal_significand(x: float, E: int) -> tuple[int, Fraction]:
+    """D = floor(v) and the fraction v - D of v = |x| 10^(16 - E), for a
+    finite float x, from the exact ratio of x in Python ints."""
+    num, den = abs(x).as_integer_ratio()
+    if E <= 16:
+        num *= 10 ** (16 - E)
+    else:
+        den *= 10 ** (E - 16)
+    d, rem = divmod(num, den)
+    return d, Fraction(rem, den)
 
 
 def csv_rows(path, header, rows) -> None:

@@ -158,6 +158,23 @@ class TestIntervalBasis:
             # a Robin sum of 1e-80 is solved from the small-gamma start
             assert build_basis(DomainSpec("interval", (np.pi,), (0.0, 1e-80), (0.0,)), 8).J == 8
 
+    @pytest.mark.parametrize("L, gamma, where", [
+        (np.pi, (1e80, 1e80), "Newton slope"), (np.pi, (1e154, 1.0), "Newton slope"),
+        (np.pi, (1e160, 0.0), "Newton slope"), (np.pi, (1e200, 1e200), "Newton slope"),
+        (1e10, (1e162, 0.0), "normalization")])
+    def test_overflowing_robin_terms_raise_without_warning(self, L, gamma, where):
+        # a square in the Newton slope, or in a mode's weight g0 / k (the last
+        # case, whose wavenumbers solve), would pass the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumError, match=f"the {where} overflows"):
+                build_basis(DomainSpec("interval", (L,), gamma, (0.0,)), 8)
+            if where == "normalization":
+                assert _interval_wavenumbers(L, *gamma, 8)[0] > 0.0
+            # a coefficient of 1e150 on one end alone is solved: Dirichlet there
+            k = _interval_wavenumbers(np.pi, 1e150, 0.0, 8)
+            assert np.max(np.abs(k / (np.arange(8) + 0.5) - 1.0)) <= 1e-15
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(eigenbasis, "ROBIN_MAXITER", 1)
         with pytest.raises(SpectrumError, match=r"not converged in 1 Newton steps"):

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,16 @@ class TestRun:
     def test_invalid_scenario_exits_2(self, tmp_path):
         bad = _write_variant(tmp_path, ROUNDTRIP, **{"params.A": 1.0})
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_overflowing_robin_coefficients_exit_3_without_warning(self, tmp_path, capsys):
+        raw = small_scenario("basis-report")
+        raw["domain"]["robin_gamma"] = [1e200, 1e200]
+        path = _write_variant(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert ("Robin wavenumbers on [0, 3.141592653589793] with gamma (1e+200, 1e+200): "
+                "the Newton slope overflows") in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         # every file either run writes, so an added or dropped artifact is covered
