@@ -91,20 +91,24 @@ class PoleTable:
     pole, stacked along the leading axis in the order of `ok`.
 
     The interpolation kernels turn rtilde^l(p_l) for every mode into one
-    contraction over harmonics (see `rtilde_ok`).  A preset builds one table
-    with `pole_table` and passes it to every norm it evaluates.
+    contraction over harmonics (see `rtilde_ok`).  They come divided by the
+    interpolant's common factor c(p_l) (`sources.interp_kernels`), and so do
+    rtilde and Mtilde here; c(p_l) cancels in the model term
+    Mtilde^(-1) rtilde, and the condition number does not depend on it.  A
+    preset builds one table with `pole_table` and passes it to every norm it
+    evaluates.
     """
 
     ok: np.ndarray      # (n_ok,) indices of the modes with an admissible pole
-    mt_inv: np.ndarray  # (n_ok, 2, 2) Mtilde(p_l)^(-1)
-    kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l
-    km: np.ndarray      # (n_ok, M) kernel of their conjugates
+    mt_inv: np.ndarray  # (n_ok, 2, 2) (Mtilde(p_l) / c(p_l))^(-1)
+    kp: np.ndarray      # (n_ok, M) kernel of the positive harmonics at p_l, over c(p_l)
+    km: np.ndarray      # (n_ok, M) kernel of their conjugates, over c(p_l)
     mt_cond: np.ndarray  # (n_ok,) condition numbers of Mtilde(p_l)
 
     def rtilde_ok(self, r) -> np.ndarray:
-        """rtilde^l(p_l) = (2/T) integral r^l(t) exp(-p_l t) dt from the model
-        residues restricted to the admissible modes, r (..., 2, M, n_ok):
-        (..., n_ok, 2).
+        """rtilde^l(p_l) / c(p_l), with rtilde^l(p_l) =
+        (2/T) integral r^l(t) exp(-p_l t) dt, from the model residues
+        restricted to the admissible modes, r (..., 2, M, n_ok): (..., n_ok, 2).
 
         The conjugate harmonics enter as conj(r . conj(km)), equal elementwise
         to conj(r) . km, so only the small result is conjugated."""
@@ -120,14 +124,18 @@ class PoleTable:
 
 
 def pole_table(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
-    """The per-pole table of a pole set under a source pair and parameters."""
+    """The per-pole table of a pole set under a source pair and parameters.
+
+    The kernels run to 2M harmonics, and a pole on their lattice i m omega
+    would divide them by zero.  Such a pole zeroes the symbol at (m, l), so
+    the symbols' resonance check over 2M harmonics raises ResonanceError
+    before the kernels are formed."""
+    _nonresonant_symbols(params, pole_set.lambdas, 2 * sp.M)
     ok = np.flatnonzero(pole_set.ok)
-    p = pole_set.poles[ok]
-    kp, km, k0 = interp_kernels(p, 2 * sp.M, params.omega, params.T)
+    kp, km, k0 = interp_kernels(pole_set.poles[ok], 2 * sp.M, params.omega)
     mt = mtilde_from_kernels(sp, kp, km, k0)
-    # contiguous copies, so the einsums of rtilde_ok see the layout they always had
-    kp, km = np.ascontiguousarray(kp[:, :sp.M]), np.ascontiguousarray(km[:, :sp.M])
-    return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp, km=km, mt_cond=np.linalg.cond(mt))
+    return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp[:, :sp.M], km=km[:, :sp.M],
+                     mt_cond=np.linalg.cond(mt))
 
 
 def _image_terms(q, r, w, lam_s, mm):

@@ -329,7 +329,7 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     every level (`_noisy_rows`); the fit is factored at all distinct taus
     at once (`build_fit_maps`) and applied once per tau to the levels
     there; one `x_norm` scores every level.  A typed failure fails only the
-    rows it touches (a row's noise, a tau's factorization or fit), as a
+    rows it touches (a row's noise or a tau's factorization), as a
     `failed: ...` row; a failure of the pilot raises.
     """
     consts = (params0.sigma0, params0.beta, params0.T, params0.T0, spec.orti_check)
@@ -356,14 +356,11 @@ def run_sweep(basis: EigenBasis, sp: SourcePair, params0: ModelParams,
     rel, cond = np.full(len(levels), np.nan), np.full(len(levels), np.nan)
     fit_maps = build_fit_maps(sp, basis, params0, data.phat.shape[-2], list(at_tau))
     for fm, rows in zip(fit_maps, at_tau.values()):
-        try:
-            if isinstance(fm, HarmtomoError):
-                raise fm
-            rec = apply_fit_map(fm, LinearizedData(rhat=data.rhat, phat=phat[rows]))
-        except HarmtomoError as exc:  # typed numerical failures stay in the table
+        if isinstance(fm, HarmtomoError):  # a typed failure stays in the table
             for k in rows:
-                errors[k] = exc
+                errors[k] = fm
             continue
+        rec = apply_fit_map(fm, LinearizedData(rhat=data.rhat, phat=phat[rows]))
         a[rows], b[rows], rel[rows], cond[rows] = rec.a, rec.b, rec.fit_rel_residual, fm.fit_cond
     if pilot and errors[0] is not None:
         raise errors[0]

@@ -13,6 +13,12 @@ a raised-cosine bump.  With that convention the harmonic coefficients of the
 squared signal are exactly the truncated product coefficients, so the
 interpolation identity Mtilde(i m omega) = M_m and the determinant identity
 det Mtilde(o) = A (A - 1) psi~(o) psi^2~(o) hold to roundoff.
+
+The interpolant's kernels (`interp_kernels`) leave out the factor
+c(o) = (1 - exp(-o T)) / T that all of them share.  It cancels in
+Mtilde(p)^(-1) rtilde(p) and in the condition number of Mtilde(p), the only
+things the package computes from them, and at a strongly damped pole it is
+about exp(|Re p| T), past the float range.
 """
 
 from __future__ import annotations
@@ -134,49 +140,22 @@ def amplitude_modulate(psi: np.ndarray, A: float) -> SourcePair:
 # ---------------------------------------------------------------------------
 
 
-def _period_kernel(z, T: float):
-    """E(z) = integral_0^T exp(-z t) dt = (1 - exp(-z T)) / z, E(0) = T."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(z) * T < 1e-4
-    zs = z[small] * T
-    out[small] = T * (1.0 - zs / 2.0 + zs**2 / 6.0 - zs**3 / 24.0 + zs**4 / 120.0)
-    out[~small] = (1.0 - np.exp(-z[~small] * T)) / z[~small]
-    return out if out.shape else complex(out)
+def interp_kernels(o, n: int, omega: float):
+    """Kernels (kp, km, k0) = (1/(o - i m omega), 1/(o + i m omega), 2/o),
+    m = 1..n, of the analytic interpolant at the points o: kp, km of shape
+    o.shape + (n,), k0 of shape o.shape.
 
-
-def interp_kernels(o, n: int, omega: float, T: float):
-    """Kernel vectors of the analytic interpolant at the points o.
-
-    Returns (kp, km, k0) with kp, km of shape o.shape + (n,) and k0 of shape
-    o.shape such that (2/T) integral_0^T g(t) exp(-o t) dt equals
-    hat . kp + conj(hat) . km + dc * k0 for the real signal with positive
-    harmonics hat (length n) and mean dc.  Away from the harmonic lattice the
-    shared numerator (1 - exp(-o T)) / T multiplies 1/(o -+ i m omega) and
-    2/o, which keeps the huge exponentials of strongly damped poles in one
-    place.  The far formula runs on the whole arrays; a point within 1e-4/T
-    of the lattice then has its kernels overwritten by the per-term kernel
-    with its removable limit (every far divisor is at least 1e-4/T, so only
-    those points can divide by zero, and their warnings are silenced).  Both
-    formulas are elementwise, so a point's kernels are the same bits in any
-    company.
+    For the real signal with positive harmonics hat (length n) and mean dc,
+    (2/T) integral_0^T g(t) exp(-o t) dt equals
+    c(o) (hat . kp + conj(hat) . km + dc k0), c(o) = (1 - exp(-o T)) / T;
+    c is never formed (module docstring).  The kernels are elementwise, so a
+    point's kernels are the same bits in any company.  A pole on the lattice
+    i m omega would divide by zero; `norms.pole_table` raises ResonanceError
+    first.
     """
-    o = np.asarray(o, dtype=complex)
-    shape = o.shape
-    o = o.reshape(-1, 1)
+    o = np.asarray(o, dtype=complex)[..., None]
     mw = np.arange(1, n + 1) * omega
-    zp = o - 1j * mw
-    zm = o + 1j * mw
-    near = np.minimum(np.minimum(np.abs(zp).min(axis=1), np.abs(zm).min(axis=1)),
-                      np.abs(o[:, 0])) * T < 1e-4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        common = (1.0 - np.exp(-o * T)) / T
-        kp, km, k0 = common / zp, common / zm, 2.0 * common[:, 0] / o[:, 0]
-    if near.any():
-        kp[near] = _period_kernel(zp[near], T) / T
-        km[near] = _period_kernel(zm[near], T) / T
-        k0[near] = (2.0 / T) * _period_kernel(o[near, 0], T)
-    return kp.reshape(shape + (n,)), km.reshape(shape + (n,)), k0.reshape(shape)
+    return 1.0 / (o - 1j * mw), 1.0 / (o + 1j * mw), 2.0 / o[..., 0]
 
 
 def _contract_kernels(hat, dc: float, kp, km, k0):
@@ -193,11 +172,10 @@ def _contract_kernels(hat, dc: float, kp, km, k0):
 
 
 def mtilde_from_kernels(sp: SourcePair, kp, km, k0) -> np.ndarray:
-    """Mtilde from the interpolant kernels at 2M harmonics (`interp_kernels`):
-    psi~ contracts their first M columns and psi^2~ all 2M, so one kernel
-    evaluation serves both entries and the table's kp and km.  Only a point
-    within 1e-4/T of i m omega with M < m <= 2M gets another psi~ than from
-    kernels at M harmonics: there every column takes the near-lattice form."""
+    """Mtilde / c from the interpolant kernels at 2M harmonics
+    (`interp_kernels`), which carry the common factor c divided out: psi~
+    contracts their first M columns and psi^2~ all 2M, so one kernel
+    evaluation serves both entries and the table's kp and km."""
     p1 = _contract_kernels(sp.psi_hat, 0.0, kp, km, k0)
     p2 = _contract_kernels(sp.psi_sq_hat, sp.psi_sq_dc, kp, km, k0)
     A = sp.A

@@ -24,11 +24,17 @@ and its model residues (`norms.image_norms`).  `image_terms` hands
 `norms._image_terms` the pieces `image_norms` sums, so the loops below can be
 compared with the package term by term.
 
-The analytic interpolant: `interp_periodic`, the source transforms
-`psi_tilde`/`psi_sq_tilde` and the matrix `evaluate_mtilde` at any points
-contract the package's kernels (`sources.interp_kernels`,
-`sources.mtilde_from_kernels`), and `interp_periodic_scalar` re-derives them
-one point at a time.
+The analytic interpolant: the package's kernels (`sources.interp_kernels`)
+are the bare partial fractions 1/(o -+ i m omega) and 2/o, the interpolant
+divided by the common factor c(o) = (1 - exp(-o T))/T, which cancels in the
+one thing the package computes from them, Mtilde(p_l)^(-1) rtilde^l(p_l).
+The checks that need the true scale (the interpolation identity
+Mtilde(i m omega) = M_m, the determinant identity and the residue algebra)
+read the unscaled kernels `interp_kernels_unscaled`, with their removable
+limit near the lattice, through `interp_periodic`, the source transforms
+`psi_tilde`/`psi_sq_tilde`, the matrix `evaluate_mtilde` and the unscaled
+table `pole_table_unscaled`; `interp_periodic_scalar` re-derives them one
+point at a time.
 
 The residue fit: per-mode amplitudes C_l(x) fitted at each trace point on the
 modes that have a pole, then turned into residues (`fit_residues_loop`); the
@@ -131,8 +137,8 @@ from harmtomo.errors import (ConvergenceError, HarmtomoError, IllConditionedFitE
 from harmtomo.fields import ModelParams, NormSpec
 from harmtomo.forward import (_nonresonant_symbols, apply_coupling, coupling_map,
                               harmonic_product_time, model_residual, symbols_matrix)
-from harmtomo.norms import (_image_terms, _lam_weight, _pole_weight, pole_table, x_norm,
-                           ytilde_obs_norm)
+from harmtomo.norms import (PoleTable, _image_terms, _lam_weight, _pole_weight, pole_table,
+                           x_norm, ytilde_obs_norm)
 from harmtomo.poles import (IMAG_SELECT_TOL, PoleSet, bound_slack, characteristic_roots,
                             verify_bounds)
 from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, NOISE_SCALE_TOL,
@@ -142,8 +148,8 @@ from harmtomo.quasirev import (CALIBRATION_SAFETY, DISCREPANCY_FACTOR, NOISE_SCA
 from harmtomo.reconstruct import (ANALYTIC_DEGREE, FIT_COND_LIMIT, LinearizedInput,
                                   ReconstructionResult, check_fit_determined, linearized_forward,
                                   solve_states_from_coeffs)
-from harmtomo.sources import (SourcePair, _contract_kernels, _period_kernel,
-                              interp_kernels, invert_mtilde, mtilde_from_kernels)
+from harmtomo.sources import (SourcePair, _contract_kernels, invert_mtilde,
+                              mtilde_from_kernels)
 
 
 def synthesize_time(u, omega: float, t) -> np.ndarray:
@@ -211,6 +217,58 @@ def convolve_bm_grid_loop(basis: EigenBasis, u, v, m_out: int | None = None) -> 
     return out_grid
 
 
+def _period_kernel(z, T: float):
+    """E(z) = integral_0^T exp(-z t) dt = (1 - exp(-z T)) / z, E(0) = T."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    small = np.abs(z) * T < 1e-4
+    zs = z[small] * T
+    out[small] = T * (1.0 - zs / 2.0 + zs**2 / 6.0 - zs**3 / 24.0 + zs**4 / 120.0)
+    out[~small] = (1.0 - np.exp(-z[~small] * T)) / z[~small]
+    return out if out.shape else complex(out)
+
+
+def interp_kernels_unscaled(o, n: int, omega: float, T: float):
+    """The interpolant's kernels at their true scale: those of
+    `sources.interp_kernels` times c(o) = (1 - exp(-o T)) / T, so that
+    (2/T) integral_0^T g(t) exp(-o t) dt = hat . kp + conj(hat) . km + dc k0.
+
+    Away from the harmonic lattice c(o) multiplies 1/(o -+ i m omega) and
+    2/o; a point within 1e-4/T of the lattice (or of 0) takes the per-term
+    kernel with its removable limit instead, where c(o) cancels the pole.
+    Both formulas are elementwise, so a point's kernels do not depend on its
+    company.  c(o) overflows at strongly damped poles (tau 0.015 and below
+    on the interval probe)."""
+    o = np.asarray(o, dtype=complex)
+    shape = o.shape
+    o = o.reshape(-1, 1)
+    mw = np.arange(1, n + 1) * omega
+    zp = o - 1j * mw
+    zm = o + 1j * mw
+    near = np.minimum(np.minimum(np.abs(zp).min(axis=1), np.abs(zm).min(axis=1)),
+                      np.abs(o[:, 0])) * T < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        common = (1.0 - np.exp(-o * T)) / T
+        kp, km, k0 = common / zp, common / zm, 2.0 * common[:, 0] / o[:, 0]
+    if near.any():
+        kp[near] = _period_kernel(zp[near], T) / T
+        km[near] = _period_kernel(zm[near], T) / T
+        k0[near] = (2.0 / T) * _period_kernel(o[near, 0], T)
+    return kp.reshape(shape + (n,)), km.reshape(shape + (n,)), k0.reshape(shape)
+
+
+def pole_table_unscaled(pole_set: PoleSet, sp: SourcePair, params: ModelParams) -> PoleTable:
+    """`norms.pole_table` at the interpolant's true scale: Mtilde(p_l)^(-1)
+    and the kernels of rtilde^l(p_l) from `interp_kernels_unscaled`, for the
+    residue algebra, which needs Mtilde and rtilde themselves rather than
+    their ratio."""
+    ok = np.flatnonzero(pole_set.ok)
+    kp, km, k0 = interp_kernels_unscaled(pole_set.poles[ok], 2 * sp.M, params.omega, params.T)
+    mt = mtilde_from_kernels(sp, kp, km, k0)
+    return PoleTable(ok=ok, mt_inv=invert_mtilde(mt), kp=kp[:, :sp.M], km=km[:, :sp.M],
+                     mt_cond=np.linalg.cond(mt))
+
+
 def interp_periodic_scalar(hat, dc: float, o: complex, omega: float, T: float):
     """Transform (2/T) integral_0^T g(t) exp(-o t) dt of the real signal with
     positive harmonics `hat` and mean `dc`, analytic in o.
@@ -244,7 +302,7 @@ def interp_periodic(hat, dc: float, o, omega: float, T: float):
     may be an array; the result has shape hat.shape[:-1] + o.shape.
     """
     hat = np.asarray(hat, dtype=complex)
-    return _contract_kernels(hat, dc, *interp_kernels(o, hat.shape[-1], omega, T))
+    return _contract_kernels(hat, dc, *interp_kernels_unscaled(o, hat.shape[-1], omega, T))
 
 
 def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
@@ -253,7 +311,7 @@ def evaluate_mtilde(sp: SourcePair, o, params: ModelParams) -> np.ndarray:
 
     Interpolates the source matrices: Mtilde(i m omega) = M_m exactly.
     """
-    return mtilde_from_kernels(sp, *interp_kernels(o, 2 * sp.M, params.omega, params.T))
+    return mtilde_from_kernels(sp, *interp_kernels_unscaled(o, 2 * sp.M, params.omega, params.T))
 
 
 def psi_tilde(sp: SourcePair, o, params: ModelParams):
@@ -315,7 +373,7 @@ def residue_term(residues, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
                  params: ModelParams) -> np.ndarray:
     """Theta(p) Psi'(p)/p^2 TrInv[Mtilde(p)^(-1) res_l] at p = p_l on each
     admissible mode: (..., n_ok, 2)."""
-    table = pole_table(pole_set, sp, params)
+    table = pole_table_unscaled(pole_set, sp, params)
     res = np.asarray(residues, dtype=complex)[..., table.ok, :, :]
     v = np.einsum("kef,...kfx->...kex", table.mt_inv, res)
     lifted = np.einsum("...kex,kx->...ke", v, trace_right_inverse(basis, table.ok))
@@ -330,10 +388,10 @@ def residues_of(a, rhat, pole_set: PoleSet, sp: SourcePair, basis: EigenBasis,
     residues rhat (..., 2, M, J), through the eigenspace-l trace data
     C_l = a^l tr(phi_l): (..., J, 2, ns), zero off the admissible modes.
     Mtilde(p_l) comes from the kernels at 2M harmonics, as the table's
-    inverse does."""
-    t = pole_table(pole_set, sp, params)
+    inverse does, at the interpolant's true scale."""
+    t = pole_table_unscaled(pole_set, sp, params)
     p = pole_set.poles[t.ok]
-    mt = mtilde_from_kernels(sp, *interp_kernels(p, 2 * sp.M, params.omega, params.T))
+    mt = evaluate_mtilde(sp, p, params)
     rows = basis.trace_matrix[t.ok]
     C = np.asarray(a)[..., t.ok, :, None] * rows[:, None, :]
     rt = t.rtilde_ok(np.asarray(rhat, dtype=complex)[..., t.ok])

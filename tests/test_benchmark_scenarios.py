@@ -114,7 +114,7 @@ def test_stability_op_matches_oracle_path(seed, tmp_path):
         got = np.array([float(r[key]) for r in rows])
         for ref in (np.sqrt(t1 + t2), np.sqrt([sum(draw[i]) for draw in loops])):
             assert np.max(np.abs(got - ref) / ref) <= 1e-13, key
-    kp, km, k0 = interp_kernels(pole_set.poles[pole_set.ok], 2 * sp.M, params.omega, params.T)
+    kp, km, k0 = interp_kernels(pole_set.poles[pole_set.ok], 2 * sp.M, params.omega)
     cond = np.linalg.cond(mtilde_from_kernels(sp, kp, km, k0))
     assert manifest["max_mtilde_cond"] == float(np.max(cond))
 

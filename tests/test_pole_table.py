@@ -1,18 +1,22 @@
 """The per-pole table against the one-pole-at-a-time loops in oracles.py."""
 
+import json
+
 import numpy as np
 import pytest
 
 from harmtomo import build_pole_set, invert_mtilde, sources
-from harmtomo.errors import SingularInterpolantError
+from harmtomo.cli import main
+from harmtomo.errors import ResonanceError, SingularInterpolantError
 from harmtomo.norms import _image_terms, image_norms, pole_table
+from harmtomo.poles import PoleSet
 from harmtomo.reconstruct import LinearizedInput, linearized_forward, reconstruct
 from harmtomo.scenarios import load_scenario, make_basis, make_params, make_reference
 from harmtomo.sources import interp_kernels
-from conftest import SCENARIOS, random_linearized
-from oracles import (fit_residues_loop, image_pieces, image_terms, interp_periodic,
-                     interp_periodic_scalar, oracle_residues, oracle_residues_loop, psi_sq_tilde,
-                     psi_tilde, recover_coefficients_loop, residue_term, residues_of,
+from conftest import SCENARIOS, random_linearized, small_scenario
+from oracles import (fit_residues_loop, image_pieces, image_terms, interp_kernels_unscaled,
+                     interp_periodic_scalar, oracle_residues, oracle_residues_loop,
+                     pole_table_unscaled, recover_coefficients_loop, residue_term, residues_of,
                      yobs_terms_loop, ymod_terms_loop)
 
 TOL = 1e-13
@@ -132,44 +136,57 @@ def test_yobs_terms_of_the_pair_match_residue_path(bundle, spec_std):
 
 
 def _kernel_points(p):
-    """Far from the lattice, on a damped pole, on and next to lattice points, at 0."""
-    return np.array([-0.3 + 2.0j, -2.5 + 0.7j, 3j * p.omega, 5j * p.omega + 1e-7, 0.0])
+    """Far from the lattice, and on damped poles where c(o) is still finite."""
+    return np.array([-0.3 + 2.0j, -2.5 + 0.7j, -4.0 + 5.3j, 0.2 - 1.1j])
 
 
 def test_interp_kernels_match_scalar_branches(setup_small):
+    # the package's kernels times c(o) are the unscaled kernels, and the
+    # contraction times c(o) is the one-point transform
     p = setup_small["params"]
     rng = np.random.default_rng(56)
     hat = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
     points = _kernel_points(p)
-    vals = interp_periodic(hat, 0.4, points, p.omega, p.T)
-    assert vals.shape == (3, points.size)
+    kernels = interp_kernels(points, 24, p.omega)
+    assert kernels[0].shape == kernels[1].shape == (points.size, 24)
+    assert kernels[2].shape == points.shape
+    c = (1.0 - np.exp(-points * p.T)) / p.T   # the factor the package's kernels leave out
+    for k, (new, old) in enumerate(zip(kernels, interp_kernels_unscaled(points, 24, p.omega,
+                                                                         p.T))):
+        assert _rel(new * (c[:, None] if k < 2 else c), old) <= TOL
+    vals = sources._contract_kernels(hat, 0.4, *kernels)
     for i, o in enumerate(points):
-        ref = interp_periodic_scalar(hat, 0.4, o, p.omega, p.T)
-        assert _rel(vals[:, i], ref) <= TOL
-        assert _rel(interp_periodic(hat, 0.4, o, p.omega, p.T), ref) <= TOL
-    kp, km, k0 = interp_kernels(points, 24, p.omega, p.T)
-    assert kp.shape == km.shape == (points.size, 24) and k0.shape == points.shape
+        assert _rel(c[i] * vals[:, i], interp_periodic_scalar(hat, 0.4, o, p.omega, p.T)) <= TOL
 
 
-def test_interp_kernels_do_not_depend_on_company(setup_small, monkeypatch):
-    # a point's kernels are the same bits alone, among far points only, and
-    # next to near-lattice points; a call without a near point never takes
-    # the near-lattice branch
+@pytest.mark.parametrize("dist", [1e-4, 1e-6, 1e-8])
+def test_model_term_near_the_lattice(setup_small, dist):
+    # at |o - i m omega| T = dist the kernel 1/(o - i m omega) dominates both
+    # Mtilde / c and rtilde / c, and the model term from the package's table
+    # equals the one from the unscaled near-lattice formula, where c(o) is
+    # about dist / T
+    s = setup_small
+    p, M = s["params"], s["M"]
+    m = np.array([1, 3, 10, M])
+    o = 1j * m * p.omega + (dist / p.T) * np.exp(1j * np.array([0.3, 2.0, -1.2, 3.0]))
+    pole_set = PoleSet(lambdas=s["basis"].lambdas[:m.size], poles=o, ok=np.ones(m.size, bool))
+    rng = np.random.default_rng(59)
+    r = rng.standard_normal((3, 2, M, m.size)) + 1j * rng.standard_normal((3, 2, M, m.size))
+    new = pole_table(pole_set, s["sp"], p)
+    old = pole_table_unscaled(pole_set, s["sp"], p)
+    assert _rel(new.model_term_ok(r), old.model_term_ok(r)) <= TOL
+    assert _rel(new.mt_cond, old.mt_cond) <= TOL
+
+
+def test_interp_kernels_do_not_depend_on_company(setup_small):
+    # a point's kernels are the same bits alone and in an array with far,
+    # damped and near-lattice points
     p = setup_small["params"]
-    points = _kernel_points(p)
-    calls = []
-    period = sources._period_kernel
-    monkeypatch.setattr(sources, "_period_kernel", lambda *a: calls.append(1) or period(*a))
-    all_far = interp_kernels(points[:2], 24, p.omega, p.T)
-    assert calls == []
-    mixed = interp_kernels(points, 24, p.omega, p.T)
-    assert len(calls) == 3
+    points = np.append(_kernel_points(p), [3j * p.omega + 1e-7, 5j * p.omega - 1e-12j])
+    together = interp_kernels(points, 24, p.omega)
     for i, o in enumerate(points):
-        alone = interp_kernels(o, 24, p.omega, p.T)
-        for k, one in enumerate(alone):
-            assert one.tobytes() == mixed[k][i].tobytes()
-            if i < 2:
-                assert one.tobytes() == all_far[k][i].tobytes()
+        for one, many in zip(interp_kernels(o, 24, p.omega), together):
+            assert one.tobytes() == many[i].tobytes()
 
 
 def test_invert_mtilde_stack(setup_small):
@@ -199,20 +216,62 @@ def test_pole_table_built_once_per_pole_set(setup_small):
 @pytest.mark.parametrize("name", ["interval_roundtrip", "qr_sweep", "smoothing_study"])
 def test_one_kernel_evaluation_matches_separate_ones(name):
     # the table's Mtilde inverse and cond, kp and km come from one kernel
-    # evaluation at 2M harmonics; they equal those of psi~ and psi^2~
-    # evaluated at M and 2M harmonics and the kernels at M bit for bit
+    # evaluation at 2M harmonics; its first M columns are the kernels at M,
+    # and the table equals the one from psi~ at M and psi^2~ at 2M harmonics,
+    # bit for bit, down into the window where c(p) overflows
     sc = load_scenario(SCENARIOS / f"{name}.json")
     basis, params0 = make_basis(sc), make_params(sc)
     sp = make_reference(sc, basis, params0)
-    for tau in (params0.tau, 0.5, 0.3, 0.1, 0.05, 0.02):
+    for tau in (params0.tau, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.006):
         params = params0.with_tau(tau)
         pole_set = build_pole_set(basis.lambdas, params)
         t = pole_table(pole_set, sp, params)
         p = pole_set.poles[t.ok]
-        p1, p2 = psi_tilde(sp, p, params), psi_sq_tilde(sp, p, params)
+        half, full = (interp_kernels(p, n, params.omega) for n in (sp.M, 2 * sp.M))
+        for k in range(2):
+            assert np.array_equal(full[k][:, :sp.M], half[k])
+        assert np.array_equal(full[2], half[2])
+        p1 = sources._contract_kernels(sp.psi_hat, 0.0, *half)
+        p2 = sources._contract_kernels(sp.psi_sq_hat, sp.psi_sq_dc, *full)
         mt = np.stack([np.stack([p1, p2], axis=-1),
                        np.stack([sp.A * p1, sp.A**2 * p2], axis=-1)], axis=-2)
-        kp, km, _ = interp_kernels(p, sp.M, params.omega, params.T)
         assert np.array_equal(t.mt_inv, invert_mtilde(mt))
         assert np.array_equal(t.mt_cond, np.linalg.cond(mt))
-        assert np.array_equal(t.kp, kp) and np.array_equal(t.km, km)
+        assert np.array_equal(t.kp, half[0]) and np.array_equal(t.km, half[1])
+
+
+def _resonant_probe(M=24, omega=1.0):
+    """The Neumann interval [0, pi] (lambda_j = j^2) at tau = sigma0 beta = 1:
+    the characteristic polynomial factors as (beta p + 1)(sigma0 p^2 + lambda_j),
+    so the poles sit at i j, on the lattice i m omega wherever j = m omega."""
+    raw = small_scenario("stability-probe", M=M, seed=1, draws=5)
+    raw["domain"]["robin_gamma"] = [0.0, 0.0]
+    raw["params"].update(tau=1.0, beta=1.0, sigma0=1.0, omega=omega)
+    raw["source"]["phi_mode"] = 1
+    return raw
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("M, omega", [(24, 1.0), (1, 1.5)])
+def test_pole_on_the_lattice_raises_resonance_error(tmp_path, M, omega):
+    # a pole at i m omega, m <= 2M, would divide the kernels by zero; the
+    # table raises the typed error first, also where only m > M is hit (at
+    # M = 1 and omega 1.5 the pole 3i sits at m = 2, a harmonic of psi^2 only)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_resonant_probe(M, omega)))
+    sc = load_scenario(path)
+    basis, params = make_basis(sc), make_params(sc)
+    pole_set = build_pole_set(basis.lambdas, params)
+    assert np.flatnonzero(~pole_set.ok).tolist() == [0]
+    assert np.max(np.abs(pole_set.poles[1:] - 1j * np.arange(1, basis.J))) <= 1e-13
+    with pytest.raises(ResonanceError):
+        pole_table(pole_set, make_reference(sc, basis, params), params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resonant_stability_probe_exits_3(tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_resonant_probe()))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "resonant harmonic symbol" in err and "Traceback" not in err

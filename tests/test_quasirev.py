@@ -508,8 +508,9 @@ class TestSweep:
 
     def test_typed_failures_become_rows_and_others_propagate(self, monkeypatch):
         # the pilot (3e-2) and the 1e-2 row share tau 0.5; 1e-3 and 1e-4 each
-        # have their own tau.  A typed failure at a tau fails the rows there,
-        # at the pilot's tau it raises, and an untyped one propagates
+        # have their own tau.  A typed failure of the factorization at a tau
+        # fails the rows there, at the pilot's tau it raises, and whatever the
+        # fit itself raises propagates (it raises no typed error of its own)
         import harmtomo.quasirev as qr
 
         basis, spec, params, sp, truth = sweep_setup(0.0)
@@ -517,31 +518,36 @@ class TestSweep:
         run = partial(run_sweep, basis, sp, params, spec, truth, [1e-2, 1e-3, 1e-4], tau0=0.0,
                       seed=5, tau_min=0.1, tau_max=0.5, **SCHEDULE)
 
-        def after_pilot(exc, first=1):
-            # the fits at the first `first` taus (the pilot's first) run, the others raise exc
+        def after_pilot(exc):
+            # the fit at the pilot's tau runs, the others raise exc
             calls = []
 
             def patched(*args, **kwargs):
                 calls.append(1)
-                if len(calls) <= first:
+                if len(calls) == 1:
                     return invert(*args, **kwargs)
                 raise exc
             return patched
 
-        monkeypatch.setattr(qr, "apply_fit_map", after_pilot(IllConditionedFitError(3e12)))
+        def maps_after(exc, first=1):
+            # the maps at the first `first` taus (the pilot's first) are built, the others are exc
+            return lambda *a: [fm if k < first else exc for k, fm in enumerate(build(*a))]
+
+        monkeypatch.setattr(qr, "build_fit_maps", maps_after(IllConditionedFitError(3e12)))
         rows = run()
         assert len(rows) == 3 and rows[0].status == "ok" and rows[0].tau == 0.5
         assert all(r.status.startswith("failed: IllConditionedFitError: ") for r in rows[1:])
         assert all(np.isnan(r.error_x) and np.isnan(r.fit_cond) for r in rows[1:])
 
-        monkeypatch.setattr(qr, "apply_fit_map", after_pilot(IllConditionedFitError(3e12), 0))
+        monkeypatch.setattr(qr, "build_fit_maps", maps_after(IllConditionedFitError(3e12), 0))
         with pytest.raises(IllConditionedFitError):
             run()
 
-        monkeypatch.setattr(qr, "apply_fit_map",
-                            after_pilot(KeyError("not a numerical failure")))
-        with pytest.raises(KeyError):
-            run()
+        monkeypatch.setattr(qr, "build_fit_maps", build)
+        for exc in (KeyError("not a numerical failure"), IllConditionedFitError(3e12)):
+            monkeypatch.setattr(qr, "apply_fit_map", after_pilot(exc))
+            with pytest.raises(type(exc)):
+                run()
 
         # a tau whose design the stacked factorization rejects fails its row alone
         monkeypatch.setattr(qr, "apply_fit_map", invert)

@@ -360,18 +360,22 @@ class TestFitSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["max_rel_coeff_error"] <= 10 * manifest["fit_cond"] * 2.2e-16
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("tau", [0.008, 0.007, 0.006])
-    def test_stability_probe_in_the_overflow_window_exits_3(self, tmp_path, capsys, tau):
-        # the image norms evaluate Mtilde at the poles, where its entries are
-        # not finite here; the probe stops with the typed error, not an
-        # untyped failure of the SVD
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [0.015, 0.012, 0.01, 0.008, 0.007, 0.006])
+    def test_stability_probe_in_the_overflow_window(self, tmp_path, tau):
+        # the image norms read Mtilde and rtilde at the damped poles only
+        # through kernels that leave out their common factor c(p), about
+        # exp(|Re p| T) here, so the probe completes with finite norms
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(_small_tau_probe("stability-probe", tau, draws=5)))
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert "Mtilde has non-finite entries or determinant" in err
-        assert "Traceback" not in err
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        table = np.genfromtxt(tmp_path / "o" / "stability.csv", delimiter=",", names=True,
+                              dtype=None, encoding=None)
+        for key in ("x_norm", "yobs_norm", "ymod_norm", "slack"):
+            assert np.all(np.isfinite(table[key]))
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["min_slack"] >= -1e-10
+        assert np.isfinite(manifest["max_mtilde_cond"])
 
     def test_rectangle_j32(self):
         basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi / GOLDEN),

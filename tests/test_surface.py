@@ -36,3 +36,24 @@ def test_every_definition_is_used_in_the_package():
     assert len(defs) > 100
     unused = [f"{module}.{name}" for module, name in defs if name not in uses]
     assert unused == [], f"defined in src/harmtomo but used only outside it: {unused}"
+
+
+def _errstate_sites():
+    """(module.function) of every np.errstate(...) call in src/harmtomo, by
+    the module-level function or class that holds it."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "errstate"):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return sorted(sites)
+
+
+def test_floating_point_blankets_are_the_listed_ones():
+    # each np.errstate silences a class of floating-point warnings for the
+    # code under it; a new one has to be added to this list on purpose
+    assert _errstate_sites() == sorted([
+        "forward._sweeps", "forward.solve_multiharmonic", "quasirev.compute_cbar",
+        "quasirev.compute_ctilde", "norms.rho_t"])
